@@ -1,52 +1,29 @@
 """Complex Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
 
-Single rational approximation after Weideman (SIAM J. Numer. Anal. 31, 1994):
-the best L2 rational fit on the real line extends analytically to the whole
-upper half plane and reproduces the correct i/(sqrt(pi) z) asymptotics, so no
-region switching is needed.  Every Voigt profile in the toolkit funnels
-through this one function.
+Evaluated by ``scipy.special.wofz``, which wraps S. G. Johnson's Faddeeva
+package (a continued fraction for large |z|, Zaghloul & Ali's Algorithm 916
+elsewhere) to near machine precision over the upper half plane.  Every Voigt
+profile in the toolkit funnels through this one function.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import wofz
 
 _SQRT_PI = np.sqrt(np.pi)
-
-
-def _weideman_coefficients(n: int):
-    # Polynomial coefficients from an FFT of the weight function sampled on
-    # the tangent grid; deterministic at import time.
-    m = 2 * n
-    k = np.arange(-m + 1, m)
-    scale = np.sqrt(n / np.sqrt(2.0))
-    theta = k * np.pi / m
-    t = scale * np.tan(theta / 2.0)
-    f = np.exp(-(t**2)) * (scale**2 + t**2)
-    f = np.concatenate([[0.0], f])
-    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
-    a = a[1 : n + 1][::-1]
-    return scale, a
-
-
-_N_TERMS = 48
-_L, _COEFFS = _weideman_coefficients(_N_TERMS)
 
 
 def faddeeva(z):
     """Evaluate w(z) elementwise; requires Im z >= 0.
 
-    Relative accuracy is better than 1e-10 over the upper half plane
+    Relative accuracy is better than 1e-12 over the upper half plane
     (unit-tested against mpmath at scattered points).
     """
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < -1e-300):
         raise ValueError("faddeeva() is only valid for Im z >= 0")
-    iz = 1j * z
-    denom = _L - iz
-    ratio = (_L + iz) / denom
-    p = np.polyval(_COEFFS, ratio)
-    return 2.0 * p / denom**2 + (1.0 / _SQRT_PI) / denom
+    return wofz(z)
 
 
 def voigt_profile_complex(delta_hz, lorentz_fwhm_hz, gauss_sigma_hz):
@@ -60,5 +37,9 @@ def voigt_profile_complex(delta_hz, lorentz_fwhm_hz, gauss_sigma_hz):
     """
     sigma_w = 2.0 * np.pi * gauss_sigma_hz
     gamma = np.pi * lorentz_fwhm_hz  # angular HWHM
-    z = (2.0 * np.pi * np.asarray(delta_hz, dtype=float) + 1j * gamma) / sigma_w
-    return _SQRT_PI * faddeeva(z) / sigma_w
+    # z = (2 pi delta + i gamma) / sigma_w; the widths are scaled before they
+    # broadcast, so the full detuning array is touched twice, not five times
+    z = np.asarray(delta_hz, dtype=float) * (2.0 * np.pi / sigma_w) + 1j * (gamma / sigma_w)
+    w = faddeeva(z)
+    w *= _SQRT_PI / sigma_w
+    return w

@@ -9,6 +9,7 @@ Fisher-information bookkeeping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +163,6 @@ def apply_element(state: TwoPhotonPolState, element: OpticalElement) -> TwoPhoto
     return TwoPhotonPolState(j2 @ state.rho @ j2.conj().T)
 
 
-def transmitted_fraction(before: TwoPhotonPolState, after: TwoPhotonPolState) -> float:
-    return after.trace / before.trace
-
-
 @dataclass(frozen=True)
 class OutcomeProbabilities:
     """Complete detection classes for one pair through channel + analyzer."""
@@ -281,14 +278,16 @@ def sensing_scan(
     slices: int = 16,
 ) -> list[SensingScanPoint]:
     """Pair outcome probabilities versus applied field at one probe frequency."""
+    nu = np.array([nu_hz])
     points = []
     for b in np.asarray(b_list_t, dtype=float):
         path = VaporPath(atoms, cell, float(b), slices=slices)
-        t_plus, t_minus = path.transfer_at(np.array([nu_hz]))
+        # one propagation: rotation_angle_at reuses what transfer_at computed
+        t_plus, t_minus = path.transfer_at(nu)
+        theta = float(path.rotation_angle_at(nu)[0])
         jones = circular_jones(t_plus[0], t_minus[0])
         probs = measurement_rates(state, channel=jones, analyzer_hwp_rad=analyzer_hwp_rad)
         eta = float((np.abs(t_plus[0]) ** 2 + np.abs(t_minus[0]) ** 2) / 2.0)
-        theta = float(path.rotation_angle_at(np.array([nu_hz]))[0])
         points.append(
             SensingScanPoint(
                 b_t=float(b), probabilities=probs, eta=eta, rotation_rad=theta
@@ -400,6 +399,7 @@ def fisher_information_frozen_loss(
     field dependence of the absorption itself.
     """
 
+    @functools.cache  # at_b_t is needed three times, each side field twice
     def transfer(b):
         path = VaporPath(atoms, cell, float(b), slices=16)
         t_plus, t_minus = path.transfer_at(np.array([nu_hz]))

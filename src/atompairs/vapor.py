@@ -19,7 +19,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, TransitionLine, all_lines_for_cell
+from atompairs.atoms import AtomLibrary, all_lines_for_cell
 from atompairs.errors import ConfigError, CoverageError, ResolutionError
 from atompairs.faddeeva import voigt_profile_complex
 
@@ -72,20 +72,6 @@ def number_density(temperature_k: float, atoms: AtomLibrary) -> float:
     return p / (K_B * temperature_k)
 
 
-@dataclass(frozen=True)
-class ComplexIndexSpectrum:
-    """n+ and n- on a uniform frequency grid."""
-
-    grid_hz: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-
-    def __post_init__(self):
-        for n in (self.n_plus, self.n_minus):
-            if np.any(n.imag < -1e-12):
-                raise ValueError("passive medium requires Im n >= 0")
-
-
 def _doppler_sigma_hz(nu0_hz, mass_kg, temperature_k):
     """1/e half width nu0 * u / c with u = sqrt(2 kB T / m)."""
     u = np.sqrt(2.0 * K_B * temperature_k / mass_kg)
@@ -123,7 +109,7 @@ class _LineArrays:
         prof = voigt_profile_complex(
             delta, self.lorentz_fwhm_hz[:, None], self.sigma_hz[:, None]
         )
-        return 1j * np.sum(self.amp[:, None] * prof, axis=0)
+        return 1j * (self.amp @ prof)
 
     def min_feature_width_hz(self) -> float:
         doppler_fwhm = 2.0 * np.sqrt(_LN2) * self.sigma_hz
@@ -133,10 +119,15 @@ class _LineArrays:
 class VaporPath:
     """Pointwise-exact optical response of a cell at center field ``b_center_t``.
 
-    The path is split into ``slices`` segments with the local axial field;
-    diagonal circular Jones factors multiply in order.  Lines are rebuilt per
-    distinct slice field (a quadratic droop has mirror-symmetric slices, so
-    only about half the diagonalizations are distinct).
+    The path is split into ``slices`` segments, each integrated with two
+    Gauss nodes at the local axial field; diagonal circular Jones factors
+    multiply in order.  At construction the node fields are grouped into
+    distinct fields with multiplicities (both nodes of a uniform cell sit at
+    one field, and a quadratic droop pairs mirror nodes), so one propagation
+    calls ``index_at`` once per distinct field and yields (t+, t-, theta)
+    together.  ``transfer_at`` and ``rotation_angle_at`` are views of that
+    propagation; the last one is kept, so asking for both at the same
+    frequencies evaluates the path once.
     """
 
     def __init__(
@@ -158,6 +149,7 @@ class VaporPath:
         )
         self.density_m3 = number_density(cell.temperature_k, atoms)
         self._slice_cache: dict[float, dict[str, _LineArrays]] = {}
+        self._last: tuple[np.ndarray, tuple] | None = None
 
         # two-point Gauss nodes per slice: the phase integral along z then
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
@@ -165,8 +157,12 @@ class VaporPath:
         starts = np.arange(self.slices) * dz
         offset = 0.5 * dz / np.sqrt(3.0)
         nodes = np.concatenate([starts + 0.5 * dz - offset, starts + 0.5 * dz + offset])
-        self._slice_fields = cell.field_at(np.sort(nodes), b_center_t)
-        self._dz = cell.length_m / self._slice_fields.size
+        self._dz = cell.length_m / nodes.size
+        # distinct node fields -> [field, multiplicity], keyed as _slice_cache
+        fields: dict[float, list] = {}
+        for b in cell.field_at(np.sort(nodes), b_center_t):
+            fields.setdefault(round(float(b), 15), [float(b), 0])[1] += 1
+        self._fields = [tuple(entry) for entry in fields.values()]
 
     def _arrays_for_field(self, b_t: float) -> dict[str, _LineArrays]:
         key = round(float(b_t), 15)
@@ -188,40 +184,57 @@ class VaporPath:
         n_minus = np.sqrt(1.0 + arrays["sigma-"].susceptibility(nu))
         return n_plus, n_minus
 
+    def _propagate(self, nu_hz):
+        """(t+, t-, theta) at ``nu_hz``: one ``index_at`` call per distinct field.
+
+        Raises ValueError if either circular transfer exceeds unity (gain).
+        The returned arrays are read-only, since the last result is reused.
+        """
+        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
+        if self._last is not None and np.array_equal(self._last[0], nu):
+            return self._last[1]
+        log_t_plus = np.zeros(nu.shape, dtype=complex)
+        log_t_minus = np.zeros(nu.shape, dtype=complex)
+        theta = np.zeros(nu.shape)
+        k_vac = 2j * np.pi * nu / C_LIGHT
+        for b, count in self._fields:
+            n_plus, n_minus = self.index_at(nu, b)
+            log_t_plus += count * (k_vac * (n_plus - 1.0) * self._dz)
+            log_t_minus += count * (k_vac * (n_minus - 1.0) * self._dz)
+            theta += count * (
+                np.pi * nu * self._dz * (n_plus.real - n_minus.real) / C_LIGHT
+            )
+        # singular values of diag(t+, t-) are |t+|, |t-|
+        gain = np.expm1(max(log_t_plus.real.max(), log_t_minus.real.max()))
+        if gain > 1e-12:
+            raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
+        result = (np.exp(log_t_plus), np.exp(log_t_minus), theta)
+        for arr in result:
+            arr.flags.writeable = False
+        self._last = (nu.copy(), result)
+        return result
+
     def transfer_at(self, nu_hz):
         """Circular-basis diagonal transfer (t+, t-) with the field profile.
 
         The common vacuum phase exp(i 2 pi nu L / c) is dropped; only the
         differential phase and the attenuation are physical here.
         """
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-        log_t_plus = np.zeros(nu.shape, dtype=complex)
-        log_t_minus = np.zeros(nu.shape, dtype=complex)
-        k_vac = 2j * np.pi * nu / C_LIGHT
-        for b_slice in self._slice_fields:
-            n_plus, n_minus = self.index_at(nu, b_slice)
-            log_t_plus += k_vac * (n_plus - 1.0) * self._dz
-            log_t_minus += k_vac * (n_minus - 1.0) * self._dz
-        return np.exp(log_t_plus), np.exp(log_t_minus)
+        t_plus, t_minus, _ = self._propagate(nu_hz)
+        return t_plus, t_minus
 
     def rotation_angle_at(self, nu_hz):
-        """Faraday rotation angle theta(nu) accumulated along the path."""
-        t_plus, t_minus = self.transfer_at(nu_hz)
-        # Differential phase is accumulated slice by slice, so read it off the
-        # product; unwrap relative to the log sum to keep multi-pi rotations.
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-        theta = np.zeros(nu.shape)
-        for b_slice in self._slice_fields:
-            n_plus, n_minus = self.index_at(nu, b_slice)
-            theta += (
-                np.pi * nu * self._dz * (n_plus.real - n_minus.real) / C_LIGHT
-            )
-        return theta
+        """Faraday rotation angle theta(nu) accumulated along the path.
+
+        Summed slice by slice rather than read off angle(t+/t-), so rotations
+        beyond pi/2 are not wrapped.
+        """
+        return self._propagate(nu_hz)[2]
 
     def min_feature_width_hz(self) -> float:
         widths = [
             arr.min_feature_width_hz()
-            for arrays in (self._arrays_for_field(b) for b in self._slice_fields)
+            for arrays in (self._arrays_for_field(b) for b, _ in self._fields)
             for arr in arrays.values()
         ]
         return min(widths)
@@ -238,102 +251,6 @@ def _check_resolution(grid_hz: np.ndarray, min_width_hz: float):
     worst = spacing.max()
     if worst > required * (1 + 1e-9):
         raise ResolutionError(worst, required)
-
-
-def complex_index(
-    lines: list[TransitionLine],
-    cell: VaporCellConfig,
-    grid_hz: np.ndarray,
-    atoms: AtomLibrary,
-) -> ComplexIndexSpectrum:
-    """Uniform-grid (n+, n-) from explicit line lists (both polarizations mixed).
-
-    ``lines`` must contain sigma+ and sigma- entries; grid spacing must be at
-    most one tenth of the narrowest of (Lorentzian width, Doppler width).
-    """
-    if not lines:
-        raise ConfigError("no transition lines supplied")
-    density = number_density(cell.temperature_k, atoms)
-    by_pol = {
-        pol: [ln for ln in lines if ln.polarization == pol]
-        for pol in ("sigma+", "sigma-")
-    }
-    if not by_pol["sigma+"] or not by_pol["sigma-"]:
-        raise ConfigError("need lines for both sigma+ and sigma- polarizations")
-    arrays = {
-        pol: _LineArrays.from_lines(lns, cell, density) for pol, lns in by_pol.items()
-    }
-    min_width = min(arr.min_feature_width_hz() for arr in arrays.values())
-    _check_resolution(grid_hz, min_width)
-    grid = np.asarray(grid_hz, dtype=float)
-    return ComplexIndexSpectrum(
-        grid_hz=grid,
-        n_plus=np.sqrt(1.0 + arrays["sigma+"].susceptibility(grid)),
-        n_minus=np.sqrt(1.0 + arrays["sigma-"].susceptibility(grid)),
-    )
-
-
-@dataclass(frozen=True)
-class CellTransfer:
-    """Diagonal circular-basis Jones transfer on a frequency grid."""
-
-    grid_hz: np.ndarray
-    t_plus: np.ndarray
-    t_minus: np.ndarray
-
-    def __post_init__(self):
-        # singular values of diag(t+, t-) are |t+|, |t-|
-        worst = max(np.abs(self.t_plus).max(), np.abs(self.t_minus).max())
-        if worst > 1.0 + 1e-12:
-            raise ValueError(f"cell transfer has gain ({worst - 1.0:.3g} above unity)")
-
-    def rotation_angle(self) -> np.ndarray:
-        """Relative phase / 2 between the circular components (mod pi)."""
-        return 0.5 * np.angle(self.t_plus / self.t_minus)
-
-    def jones_hv(self, index: int) -> np.ndarray:
-        """2x2 Jones matrix in the H/V basis at one grid point."""
-        v = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)  # columns sigma+/-
-        d = np.diag([self.t_plus[index], self.t_minus[index]])
-        return v @ d @ v.conj().T
-
-
-def cell_transfer(
-    index_source: Callable[[float], ComplexIndexSpectrum],
-    cell: VaporCellConfig,
-    b_center_t: float,
-    slices: int = 16,
-) -> CellTransfer:
-    """Compose per-slice transfers from an index source ``b -> spectrum``.
-
-    With ``slices=1`` and a uniform profile this reduces to the closed-form
-    single-segment exponential.
-    """
-    if slices < 1:
-        raise ConfigError("slices must be >= 1")
-    if cell.field_profile == "uniform" or cell.droop_fraction == 0.0:
-        slices = 1
-    dz_slice = cell.length_m / slices
-    starts = np.arange(slices) * dz_slice
-    offset = 0.5 * dz_slice / np.sqrt(3.0)
-    nodes = np.sort(np.concatenate([starts + 0.5 * dz_slice - offset, starts + 0.5 * dz_slice + offset]))
-    fields = cell.field_at(nodes, b_center_t)
-    dz = cell.length_m / fields.size
-
-    grid = None
-    log_tp = log_tm = None
-    for b_slice in fields:
-        spec = index_source(float(b_slice))
-        if grid is None:
-            grid = spec.grid_hz
-            log_tp = np.zeros(grid.shape, dtype=complex)
-            log_tm = np.zeros(grid.shape, dtype=complex)
-        elif spec.grid_hz.shape != grid.shape or not np.array_equal(spec.grid_hz, grid):
-            raise CoverageError("index source returned mismatched grids across slices")
-        k_vac = 2j * np.pi * grid / C_LIGHT
-        log_tp += k_vac * (spec.n_plus - 1.0) * dz
-        log_tm += k_vac * (spec.n_minus - 1.0) * dz
-    return CellTransfer(grid_hz=grid, t_plus=np.exp(log_tp), t_minus=np.exp(log_tm))
 
 
 @dataclass(frozen=True)

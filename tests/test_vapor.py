@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from atompairs.atoms import all_lines_for_cell
+from scipy.constants import c as C_LIGHT
+
 from atompairs.errors import ConfigError, ResolutionError
+from atompairs.noon import circular_jones
 from atompairs.vapor import (
-    CellTransfer,
     VaporCellConfig,
     VaporPath,
+    _check_resolution,
     blocking_cell_transmission,
-    cell_transfer,
-    complex_index,
     make_frequency_grid,
     number_density,
 )
@@ -110,18 +110,15 @@ def test_absorption_365k_three_opaque_regions(atoms, fadof_grid):
 
 def test_complex_index_grid_resolution_guard(atoms, d1_center):
     cell = natural_cell(atoms)
-    lines = [
-        ln
-        for pol_lines in all_lines_for_cell(atoms, cell.isotope_fractions, 0.0).values()
-        for ln in pol_lines
-    ]
+    path = VaporPath(atoms, cell, 0.0, slices=1)
     coarse = make_frequency_grid(d1_center, 4e9, 5e6)
     with pytest.raises(ResolutionError) as err:
-        complex_index(lines, cell, coarse, atoms)
+        _check_resolution(coarse, path.min_feature_width_hz())
     assert err.value.required_hz < 5e6
     fine = make_frequency_grid(d1_center, 0.1e9, 0.5e6)
-    spec = complex_index(lines, cell, fine, atoms)
-    assert spec.n_plus.shape == fine.shape
+    _check_resolution(fine, path.min_feature_width_hz())
+    n_plus, _ = path.index_at(fine, 0.0)
+    assert n_plus.shape == fine.shape
 
 
 def test_kramers_kronig_consistency_single_line(atoms):
@@ -192,32 +189,82 @@ def test_cell_transfer_passivity_random_configs(atoms, d1_center):
 
 
 def test_cell_transfer_op_matches_path_and_closed_form(atoms, d1_center):
-    """The grid-level operation with slices=1 equals the closed form."""
+    """With slices=1 on a uniform cell the transfer equals the closed form."""
     cell = natural_cell(atoms, temp_k=330.0)
     grid = make_frequency_grid(d1_center, 0.5e9, 0.5e6)
     path = VaporPath(atoms, cell, 5e-3, slices=1)
-
-    def source(b):
-        n_plus, n_minus = path.index_at(grid, b)
-        from atompairs.vapor import ComplexIndexSpectrum
-
-        return ComplexIndexSpectrum(grid_hz=grid, n_plus=n_plus, n_minus=n_minus)
-
-    transfer = cell_transfer(source, cell, 5e-3, slices=1)
+    n_plus, n_minus = path.index_at(grid, 5e-3)
+    k_vac = 2j * np.pi * grid / C_LIGHT
     t_plus, t_minus = path.transfer_at(grid)
-    assert np.allclose(transfer.t_plus, t_plus)
-    assert np.allclose(transfer.t_minus, t_minus)
+    assert np.allclose(np.exp(k_vac * (n_plus - 1.0) * cell.length_m), t_plus)
+    assert np.allclose(np.exp(k_vac * (n_minus - 1.0) * cell.length_m), t_minus)
     # jones at a grid point is diagonal in the circular basis
-    j = transfer.jones_hv(10)
+    j = circular_jones(t_plus[10], t_minus[10])
     v = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2)
     d = v.conj().T @ j @ v
     assert abs(d[0, 1]) < 1e-14 and abs(d[1, 0]) < 1e-14
 
 
-def test_transfer_rejects_gain():
-    grid = np.array([1e14, 1.0001e14])
+def test_transfer_rejects_gain(atoms, monkeypatch):
+    path = VaporPath(atoms, natural_cell(atoms), 0.0, slices=1)
+    gain_medium = np.array([1.0 - 1e-6j, 1.0 + 1e-6j])  # Im n < 0 amplifies
+    monkeypatch.setattr(path, "index_at", lambda nu, b: (gain_medium, gain_medium))
     with pytest.raises(ValueError, match="gain"):
-        CellTransfer(grid_hz=grid, t_plus=np.array([1.2, 0.5]), t_minus=np.array([0.1, 0.1]))
+        path.transfer_at(np.array([1e14, 1.0001e14]))
+
+
+def _count_index_calls(path, monkeypatch):
+    calls = []
+    index_at = path.index_at
+
+    def counted(nu_hz, b_t):
+        calls.append(b_t)
+        return index_at(nu_hz, b_t)
+
+    monkeypatch.setattr(path, "index_at", counted)
+    return calls
+
+
+def test_each_distinct_slice_field_is_evaluated_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
+    nu = np.array([noon_line_hz])
+    droop = VaporPath(atoms, sensing_cell, 40e-3, slices=16)
+    calls = _count_index_calls(droop, monkeypatch)
+    droop.transfer_at(nu)
+    # 32 Gauss nodes pair up as mirror images about the cell center
+    assert len(calls) == 16 and len(set(calls)) == 16
+    droop.rotation_angle_at(nu)
+    assert len(calls) == 16  # same frequencies: the propagation is reused
+    droop.transfer_at(nu + 1e6)
+    assert len(calls) == 32
+
+    uniform = VaporPath(atoms, natural_cell(atoms), 5e-3, slices=16)
+    calls = _count_index_calls(uniform, monkeypatch)
+    uniform.transfer_at(nu)
+    assert calls == [5e-3]
+
+
+def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
+    """(t+, t-, theta) equal the sum over every Gauss node taken one by one."""
+    grid = make_frequency_grid(d1_center, 4e9, 20e6)
+    for cell in (sensing_cell, natural_cell(atoms, temp_k=330.0)):
+        path = VaporPath(atoms, cell, 37e-3, slices=16)
+        dz = cell.length_m / path.slices
+        mids = (np.arange(path.slices) + 0.5) * dz
+        offset = 0.5 * dz / np.sqrt(3.0)
+        nodes = np.sort(np.concatenate([mids - offset, mids + offset]))
+        log_tp = np.zeros(grid.shape, dtype=complex)
+        log_tm = np.zeros(grid.shape, dtype=complex)
+        theta = np.zeros(grid.shape)
+        k_vac = 2j * np.pi * grid / C_LIGHT
+        for b in cell.field_at(nodes, 37e-3):
+            n_plus, n_minus = path.index_at(grid, b)
+            log_tp += k_vac * (n_plus - 1.0) * cell.length_m / nodes.size
+            log_tm += k_vac * (n_minus - 1.0) * cell.length_m / nodes.size
+            theta += np.pi * grid * (n_plus.real - n_minus.real) / C_LIGHT * cell.length_m / nodes.size
+        t_plus, t_minus = path.transfer_at(grid)
+        assert np.abs(t_plus - np.exp(log_tp)).max() <= 1e-12
+        assert np.abs(t_minus - np.exp(log_tm)).max() <= 1e-12
+        assert np.abs(path.rotation_angle_at(grid) - theta).max() <= 1e-12
 
 
 def test_sensing_cell_rotation_grows_and_transmits(atoms, sensing_cell, noon_line_hz):
