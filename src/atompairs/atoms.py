@@ -356,15 +356,13 @@ def transition_lines(
     excited: ZeemanSpectrum,
     polarization: str,
     iso: IsotopeData,
-    temperature_k: float = 300.0,
     strength_cut: float = 1e-12,
 ) -> list[TransitionLine]:
     """Enumerate allowed lines for one polarization at the spectra's field.
 
     Lower-state populations are uniform over the ground manifold (hyperfine
     splittings are far below k_B T in the 300-380 K range this targets, so
-    the thermal weights differ from uniform by <0.1%); ``temperature_k`` is
-    accepted for interface stability.
+    the thermal weights differ from uniform by <0.1%).
     """
     if polarization not in _POLARIZATIONS:
         raise ConfigError(f"polarization must be one of {sorted(_POLARIZATIONS)}")

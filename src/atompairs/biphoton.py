@@ -41,6 +41,8 @@ class BiphotonWaveFunction:
 
 
 def symmetric_tau_grid(half_span_s: float, step_s: float) -> np.ndarray:
+    if step_s <= 0:
+        raise ConfigError("tau step must be > 0")
     n = int(round(half_span_s / step_s))
     return step_s * np.arange(-n, n + 1)
 

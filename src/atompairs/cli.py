@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: spectrum, fadof, purity, g2, reconstruct, noon-scan and
-``scenario run <preset|path>``.  All outputs are plain CSV/JSON tables; a
-manifest with SHA-256 hashes accompanies every scenario run so that seeded
-runs can be verified byte for byte.
+One subcommand per scenario (spectrum, fadof, matching, purity, g2,
+interference, reconstruct, superresolution, spectroscopy, noon-scan) plus
+``scenario run <preset|path>``.  Each scenario's parameters, with their
+defaults, are declared once in ``PARAMS``: the subcommand flags, the checks on
+scenario files and the values the runners read all derive from that table.
+All outputs are plain CSV/JSON tables; a manifest with SHA-256 hashes
+accompanies every run so that seeded runs can be verified byte for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric error, 4 coverage error.
 """
@@ -11,9 +14,11 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric error, 4 coverage error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +40,9 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = zip(*columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
@@ -46,12 +50,6 @@ def write_json(path: Path, payload):
     with open(path, "w", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 class OutputSink:
@@ -68,11 +66,8 @@ class OutputSink:
         return p
 
     def manifest(self, meta: dict):
-        payload = {
-            "meta": meta,
-            "files": {p.name: _sha256(p) for p in self.files},
-        }
-        write_json(self.out_dir / "manifest.json", payload)
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in self.files}
+        write_json(self.out_dir / "manifest.json", {"meta": meta, "files": files})
 
 
 def rho_to_json(rho: np.ndarray) -> dict:
@@ -93,6 +88,13 @@ def rho_from_json(payload: dict) -> np.ndarray:
     return rho
 
 
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def noon_frequency_hz(atoms: AtomLibrary) -> float:
     """Probe line used throughout: the most red-detuned D1 ground-state line
     of the minority isotope (F=2 -> F'=1 of Rb87 at zero field)."""
@@ -105,25 +107,25 @@ def noon_frequency_hz(atoms: AtomLibrary) -> float:
 
 
 # ---------------------------------------------------------------- scenarios
+#
+# Every runner takes ``p``, its scenario's parameters resolved against
+# ``PARAMS`` (all keys present, each of its default's type).
 
 
-def run_spectrum(params, atoms, sink, fmt="csv", seed=0):
+def run_spectrum(p, atoms, sink, seed):
+    """complex refractive index n+/n- of a cell"""
     cell = vapor.VaporCellConfig(
-        length_m=params.get("length_cm", 10.0) / 100.0,
-        temperature_k=params.get("temp_k", 300.0),
-        isotope_fractions=params.get("fractions") or atoms.natural_fractions(),
-        buffer_fwhm_hz=params.get("buffer_mhz", 0.0) * 1e6,
+        length_m=p["length_cm"] / 100.0,
+        temperature_k=p["temp_k"],
+        isotope_fractions=atoms.natural_fractions(),
+        buffer_fwhm_hz=p["buffer_mhz"] * 1e6,
     )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    grid = vapor.make_frequency_grid(
-        center,
-        params.get("half_span_ghz", 8.0) * 1e9,
-        params.get("spacing_mhz", 0.5) * 1e6,
-    )
-    path = vapor.VaporPath(atoms, cell, params.get("field_mt", 0.0) * 1e-3, slices=1)
+    grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
     vapor._check_resolution(grid, path.min_feature_width_hz())
     n_plus, n_minus = path.index_at(grid, path.b_center_t)
-    if fmt == "json":
+    if p["format"] == "json":
         write_json(
             sink.path("index.json"),
             {
@@ -141,21 +143,24 @@ def run_spectrum(params, atoms, sink, fmt="csv", seed=0):
     return {"center_hz": center, "points": int(grid.size)}
 
 
-def run_fadof(params, atoms, sink, fmt="csv", seed=0):
+def _fadof(p, atoms, half_span_hz, spacing_hz):
+    """(spectrum, D1 center) of the Faraday filter on a grid about the center."""
     cell = vapor.VaporCellConfig(
-        length_m=params.get("length_cm", 10.0) / 100.0,
-        temperature_k=params.get("temp_k", 365.0),
-        isotope_fractions=params.get("fractions") or atoms.natural_fractions(),
+        length_m=p["length_cm"] / 100.0,
+        temperature_k=p["temp_k"],
+        isotope_fractions=atoms.natural_fractions(),
     )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    grid = vapor.make_frequency_grid(
-        center,
-        params.get("half_span_ghz", 8.0) * 1e9,
-        params.get("spacing_mhz", 0.5) * 1e6,
-    )
-    pol = filters.PolarizerPair(extinction=params.get("extinction", 1.8e-6))
-    spec = filters.fadof_spectrum(cell, params.get("field_mt", 4.5) * 1e-3, pol, grid, atoms)
-    window = params.get("window_ghz", 3.0) * 1e9
+    pol = filters.PolarizerPair(extinction=p["extinction"])
+    grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
+    spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
+    return spec, center
+
+
+def run_fadof(p, atoms, sink, seed):
+    """Faraday filter spectrum and metrics"""
+    spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    window = p["window_ghz"] * 1e9
     peak = float(spec.grid_hz[int(np.argmax(spec.transmission))])
     metrics = filters.filter_metrics(spec, (peak - window, peak + window))
     write_csv(
@@ -174,65 +179,56 @@ def run_fadof(params, atoms, sink, fmt="csv", seed=0):
     return report
 
 
-def _matching_pieces(params, atoms):
-    cell = vapor.VaporCellConfig(
-        length_m=params.get("length_cm", 10.0) / 100.0,
-        temperature_k=params.get("temp_k", 365.0),
-        isotope_fractions=params.get("fractions") or atoms.natural_fractions(),
-    )
-    center = atoms.d1_center_hz(cell.isotope_fractions)
-    grid = vapor.make_frequency_grid(center, 8e9, 0.5e6)
-    pol = filters.PolarizerPair(extinction=params.get("extinction", 1.8e-6))
-    spec = filters.fadof_spectrum(cell, params.get("field_mt", 4.5) * 1e-3, pol, grid, atoms)
+def _matching_pieces(p, atoms):
+    spec, center = _fadof(p, atoms, 8e9, 0.5e6)
     nu0 = float(spec.grid_hz[int(np.argmax(spec.transmission))])
     cfg = cavity.CavityConfig(
-        fsr_hz=params.get("fsr_mhz", 501.0) * 1e6,
-        linewidth_hz=params.get("linewidth_mhz", 8.4) * 1e6,
+        fsr_hz=p["fsr_mhz"] * 1e6,
+        linewidth_hz=p["linewidth_mhz"] * 1e6,
         degenerate_hz=nu0,
-        envelope_fwhm_hz=params.get("envelope_ghz", 150.0) * 1e9,
+        envelope_fwhm_hz=p["envelope_ghz"] * 1e9,
     )
     comb = cavity.mode_comb(cfg)
     passed = cavity.filtered_pair_rate(comb, spec)
     hot = vapor.VaporCellConfig(
         length_m=0.10,
-        temperature_k=params.get("hot_cell_temp_k", 390.0),
+        temperature_k=p["hot_cell_temp_k"],
         isotope_fractions=atoms.natural_fractions(),
-        buffer_fwhm_hz=params.get("hot_cell_buffer_mhz", 178.0) * 1e6,
+        buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
     )
-    hot_t = vapor.blocking_cell_transmission(
-        hot, vapor.make_frequency_grid(center, 8e9, 2e6), atoms
-    )
+    band = vapor.make_frequency_grid(center, 8e9, 2e6)
+    hot_t = vapor.blocking_cell_transmission(hot, band, atoms)
     return spec, nu0, comb, passed, hot_t
 
 
-def run_matching(params, atoms, sink, fmt="csv", seed=0):
-    spec, nu0, comb, passed, hot_t = _matching_pieces(params, atoms)
+def _write_comb(sink, comb, passed):
+    write_csv(
+        sink.path("comb.csv"),
+        ["mode_index", "frequency_Hz", "weight", "mode_transmission", "pair_weight"],
+        [comb.k, comb.frequency_hz, comb.weight, passed.mode_transmission, passed.pair_weight],
+    )
+
+
+def run_matching(p, atoms, sink, seed):
+    """filter, mirrored filter and pair comb"""
+    spec, nu0, comb, passed, hot_t = _matching_pieces(p, atoms)
     mirror = spec(2 * nu0 - spec.grid_hz)
     write_csv(
         sink.path("matching.csv"),
         ["frequency_Hz", "transmission", "mirror_transmission", "pair_product"],
         [spec.grid_hz, spec.transmission, mirror, spec.transmission * mirror],
     )
-    write_csv(
-        sink.path("comb.csv"),
-        ["mode_index", "frequency_Hz", "weight", "mode_transmission", "pair_weight"],
-        [comb.k, comb.frequency_hz, comb.weight, passed.mode_transmission, passed.pair_weight],
-    )
+    _write_comb(sink, comb, passed)
     report = {"degenerate_hz": nu0, "degenerate_pair_fraction": passed.degenerate_pair_fraction()}
     write_json(sink.path("matching.json"), report)
     return report
 
 
-def run_purity(params, atoms, sink, fmt="csv", seed=0):
-    spec, nu0, comb, passed, hot_t = _matching_pieces(params, atoms)
-    rep = cavity.spectral_purity(
-        passed, params.get("leak_fraction", 1.8e-6), hot_t
-    )
-    write_csv(
-        sink.path("comb.csv"),
-        ["mode_index", "frequency_Hz", "weight", "mode_transmission", "pair_weight"],
-        [comb.k, comb.frequency_hz, comb.weight, passed.mode_transmission, passed.pair_weight],
-    )
+def run_purity(p, atoms, sink, seed):
+    """filtered-comb spectral purity report"""
+    spec, nu0, comb, passed, hot_t = _matching_pieces(p, atoms)
+    rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
+    _write_comb(sink, comb, passed)
     report = {
         "spectral_purity": rep.spectral_purity,
         "degenerate_fraction": rep.degenerate_fraction,
@@ -241,28 +237,26 @@ def run_purity(params, atoms, sink, fmt="csv", seed=0):
         "degenerate_hz": nu0,
     }
     per_mode = {
-        str(int(k)): [float(w), float(t), float(p)]
-        for k, w, t, p in zip(
-            comb.k, comb.weight, passed.mode_transmission, passed.pair_weight
-        )
+        str(int(k)): [float(w), float(t), float(q)]
+        for k, w, t, q in zip(comb.k, comb.weight, passed.mode_transmission, passed.pair_weight)
         if abs(k) <= 20
     }
     write_json(sink.path("purity.json"), {**report, "per_mode_table": per_mode})
     return report
 
 
-def run_g2(params, atoms, sink, fmt="csv", seed=0):
-    env = coincidences.G2Envelope.from_linewidth(params.get("linewidth_mhz", 8.4) * 1e6)
+def run_g2(p, atoms, sink, seed):
+    """pair correlation histogram and fit"""
+    env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
     det = coincidences.DetectionModel(
-        t_bin_s=params.get("tbin_ns", 1.0) * 1e-9,
-        t0_s=params.get("t0_ns", 0.0) * 1e-9,
-        rate1_hz=params.get("rate1_hz", 0.0),
-        rate2_hz=params.get("rate2_hz", 0.0),
-        round_trip_s=1.0 / (params.get("fsr_mhz", 501.0) * 1e6),
+        t_bin_s=p["tbin_ns"] * 1e-9,
+        t0_s=p["t0_ns"] * 1e-9,
+        rate1_hz=p["rate1_hz"],
+        rate2_hz=p["rate2_hz"],
+        round_trip_s=1.0 / (p["fsr_mhz"] * 1e6),
     )
-    n_bins = int(params.get("bins", 240))
-    bins = np.arange(-n_bins // 2, n_bins // 2 + 1)
-    hist = coincidences.binned_histogram(env, det, params.get("mode", "multi"), bins)
+    bins = np.arange(-p["bins"] // 2, p["bins"] // 2 + 1)
+    hist = coincidences.binned_histogram(env, det, p["mode"], bins)
     write_csv(
         sink.path("g2.csv"),
         ["bin_index", "delay_ns", "rate"],
@@ -272,12 +266,10 @@ def run_g2(params, atoms, sink, fmt="csv", seed=0):
     try:
         fit = coincidences.fit_envelope(hist)
         report.update(
-            {
-                "fit_gamma_sum": fit.gamma_sum,
-                "fit_fwhm_ns": fit.fwhm_s * 1e9,
-                "fit_t0_ns": fit.t0_s * 1e9,
-                "fit_floor": fit.floor,
-            }
+            fit_gamma_sum=fit.gamma_sum,
+            fit_fwhm_ns=fit.fwhm_s * 1e9,
+            fit_t0_ns=fit.t0_s * 1e9,
+            fit_floor=fit.floor,
         )
     except FitFailure as exc:
         report["fit_error"] = str(exc)
@@ -285,36 +277,32 @@ def run_g2(params, atoms, sink, fmt="csv", seed=0):
     return report
 
 
-def run_interference(params, atoms, sink, fmt="csv", seed=0):
-    tau = biphoton.symmetric_tau_grid(
-        params.get("half_span_ns", 120.0) * 1e-9, params.get("step_ns", 1.0) * 1e-9
-    )
-    psi = biphoton.ideal_opo_psi(
-        params.get("bandwidth_mhz", 8.1) * 1e6, params.get("pair_phase_rad", 0.0), tau
-    )
-    phases = np.radians(params.get("phases_deg", [0.0, 45.0, 90.0, 135.0]))
+def _ideal_psi(p):
+    tau = biphoton.symmetric_tau_grid(p["half_span_ns"] * 1e-9, p["step_ns"] * 1e-9)
+    return biphoton.ideal_opo_psi(p["bandwidth_mhz"] * 1e6, p["pair_phase_rad"], tau)
+
+
+def run_interference(p, atoms, sink, seed):
+    """two-photon interference against the coherent reference"""
+    psi = _ideal_psi(p)
+    phases = np.radians(p["phases_deg"])
     records = biphoton.simulate_records(
-        psi,
-        params.get("alpha", 1.0),
-        phases,
-        params.get("exposure", 50.0),
-        noise=params.get("noise", False),
-        seed=seed,
+        psi, p["alpha"], phases, p["exposure"], noise=p["noise"], seed=seed
     )
-    cols = [tau * 1e9] + [r.counts for r in records]
     write_csv(
         sink.path("interference.csv"),
         ["tau_ns"] + [f"phase_{np.degrees(r.phase_rad):g}deg" for r in records],
-        cols,
+        [psi.tau_s * 1e9] + [r.counts for r in records],
     )
-    floor = params.get("alpha", 1.0) ** 4 / 4.0 * params.get("exposure", 50.0)
+    floor = p["alpha"] ** 4 / 4.0 * p["exposure"]
     return {"coherent_floor_counts": floor, "n_phases": len(records)}
 
 
-def run_reconstruct(params, atoms, sink, fmt="csv", seed=0, records_file=None):
-    alpha = params.get("alpha", 1.0)
-    if records_file is not None:
-        payload = json.loads(Path(records_file).read_text())
+def run_reconstruct(p, atoms, sink, seed):
+    """biphoton amplitude/phase reconstruction"""
+    alpha = p["alpha"]
+    if p["records"] is not None:
+        payload = _read_json(p["records"])
         try:
             alpha = float(payload["alpha"])
             tau = np.asarray(payload["tau_ns"], dtype=float) * 1e-9
@@ -330,20 +318,9 @@ def run_reconstruct(params, atoms, sink, fmt="csv", seed=0, records_file=None):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad records bundle: {exc}") from exc
     else:
-        tau = biphoton.symmetric_tau_grid(
-            params.get("half_span_ns", 120.0) * 1e-9, params.get("step_ns", 1.0) * 1e-9
-        )
-        psi = biphoton.ideal_opo_psi(
-            params.get("bandwidth_mhz", 8.1) * 1e6, params.get("pair_phase_rad", 0.35), tau
-        )
-        phases = np.linspace(0.0, np.pi, int(params.get("n_phases", 12)), endpoint=False)
+        phases = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
         records = biphoton.simulate_records(
-            psi,
-            alpha,
-            phases,
-            params.get("exposure", 7.0),
-            noise=params.get("noise", True),
-            seed=seed,
+            _ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed
         )
     rec = biphoton.reconstruct_wavefunction(records, alpha)
     wf = rec.wavefunction
@@ -359,12 +336,13 @@ def run_reconstruct(params, atoms, sink, fmt="csv", seed=0, records_file=None):
     }
 
 
-def run_superresolution(params, atoms, sink, fmt="csv", seed=0):
-    step = np.radians(params.get("angle_step_deg", 2.0))
+def run_superresolution(p, atoms, sink, seed):
+    """analyzer rotation scans: single photon vs pair super-resolution"""
+    if p["angle_step_deg"] <= 0:
+        raise ConfigError("params.angle_step_deg: must be > 0")
+    step = np.radians(p["angle_step_deg"])
     angles = np.arange(0.0, np.pi + step / 2, step)
-    surrogate = noon.surrogate_noon_state(
-        params.get("fidelity", 0.99), params.get("two_phi", 0.20)
-    )
+    surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
     # undo the basis-mapping quarter-wave plate to recover the source state
     qwp_back = noon.OpticalElement(kind="QWP", jones=noon.qwp_jones(np.pi / 4).conj().T)
     source_state = noon.apply_element(surrogate, qwp_back)
@@ -394,32 +372,27 @@ def run_superresolution(params, atoms, sink, fmt="csv", seed=0):
     return report
 
 
-def _sensing_cell(params):
-    frac = params.get("rb85_fraction", 0.995)
+def _sensing_cell(p, temp_c):
+    frac = p["rb85_fraction"]
     return vapor.VaporCellConfig(
-        length_m=params.get("length_mm", 75.0) / 1e3,
-        temperature_k=params.get("cell_temp_c", 70.0) + 273.15,
+        length_m=p["length_mm"] / 1e3,
+        temperature_k=temp_c + 273.15,
         isotope_fractions={"Rb85": frac, "Rb87": 1.0 - frac},
-        field_profile="quadratic" if params.get("droop_fraction", 0.15) else "uniform",
-        droop_fraction=params.get("droop_fraction", 0.15),
+        field_profile="quadratic" if p["droop_fraction"] else "uniform",
+        droop_fraction=p["droop_fraction"],
     )
 
 
-def run_spectroscopy(params, atoms, sink, fmt="csv", seed=0):
+def run_spectroscopy(p, atoms, sink, seed):
+    """transmission spectroscopy grid of the sensing cell"""
     center = atoms.d1_center_hz()
-    grid = vapor.make_frequency_grid(
-        center,
-        params.get("half_span_ghz", 6.0) * 1e9,
-        params.get("spacing_mhz", 0.5) * 1e6,
-    )
-    slices = int(params.get("slices", 8))
+    grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     header = ["frequency_Hz", "detuning_GHz"]
     cols = [grid, (grid - center) / 1e9]
     widths = {}
-    for temp_c in params.get("temps_c", [22.0, 53.0, 83.0]):
-        for b_mt in params.get("fields_mt", [0.0, 12.0, 24.0, 37.0, 49.0, 58.0]):
-            cell = _sensing_cell({**params, "cell_temp_c": temp_c})
-            path = vapor.VaporPath(atoms, cell, b_mt * 1e-3, slices=slices)
+    for temp_c in p["temps_c"]:
+        for b_mt in p["fields_mt"]:
+            path = vapor.VaporPath(atoms, _sensing_cell(p, temp_c), b_mt * 1e-3, slices=p["slices"])
             t_plus, t_minus = path.transfer_at(grid)
             trans = 0.5 * (np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2)
             header.append(f"T_{temp_c:g}C_{b_mt:g}mT")
@@ -435,32 +408,33 @@ def run_spectroscopy(params, atoms, sink, fmt="csv", seed=0):
     return {"curves": len(header) - 2}
 
 
-def run_noon_scan(params, atoms, sink, fmt="csv", seed=0, state_file=None):
-    cell = _sensing_cell(params)
-    if params.get("detuning_ghz") is not None:
-        nu = atoms.d1_center_hz() + params["detuning_ghz"] * 1e9
+def run_noon_scan(p, atoms, sink, seed):
+    """pair-probe Faraday sensing scan"""
+    cell = _sensing_cell(p, p["cell_temp_c"])
+    if p["detuning_ghz"] is not None:
+        nu = atoms.d1_center_hz() + p["detuning_ghz"] * 1e9
     else:
         nu = noon_frequency_hz(atoms)
-    if state_file is not None:
-        state = noon.TwoPhotonPolState(rho_from_json(json.loads(Path(state_file).read_text())))
+    if p["state"] is not None:
+        state = noon.TwoPhotonPolState(rho_from_json(_read_json(p["state"])))
     else:
-        state = noon.make_noon_from_pair(imbalance=params.get("imbalance", 0.15))
-    b_list = np.arange(
-        0.0, params.get("b_max_mt", 50.0) * 1e-3 + 1e-9, params.get("b_step_mt", 0.5) * 1e-3
-    )
+        state = noon.make_noon_from_pair(imbalance=p["imbalance"])
+    if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
+        raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
+    b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)
     scan = noon.sensing_scan(state, cell, atoms, nu, b_list)
     cols = {
-        "b_mT": np.array([p.b_t * 1e3 for p in scan]),
-        "rotation_rad": np.array([p.rotation_rad for p in scan]),
-        "eta": np.array([p.eta for p in scan]),
-        "singles_H": np.array([p.probabilities.singles_h for p in scan]),
-        "singles_V": np.array([p.probabilities.singles_v for p in scan]),
-        "coinc_HH": np.array([p.probabilities.hh for p in scan]),
-        "coinc_HV": np.array([p.probabilities.hv for p in scan]),
-        "coinc_VV": np.array([p.probabilities.vv for p in scan]),
-        "p_one_H": np.array([p.probabilities.one_h for p in scan]),
-        "p_one_V": np.array([p.probabilities.one_v for p in scan]),
-        "p_none": np.array([p.probabilities.none for p in scan]),
+        "b_mT": np.array([s.b_t * 1e3 for s in scan]),
+        "rotation_rad": np.array([s.rotation_rad for s in scan]),
+        "eta": np.array([s.eta for s in scan]),
+        "singles_H": np.array([s.probabilities.singles_h for s in scan]),
+        "singles_V": np.array([s.probabilities.singles_v for s in scan]),
+        "coinc_HH": np.array([s.probabilities.hh for s in scan]),
+        "coinc_HV": np.array([s.probabilities.hv for s in scan]),
+        "coinc_VV": np.array([s.probabilities.vv for s in scan]),
+        "p_one_H": np.array([s.probabilities.one_h for s in scan]),
+        "p_one_V": np.array([s.probabilities.one_v for s in scan]),
+        "p_none": np.array([s.probabilities.none for s in scan]),
     }
     write_csv(sink.path("scan.csv"), list(cols), list(cols.values()))
 
@@ -471,9 +445,8 @@ def run_noon_scan(params, atoms, sink, fmt="csv", seed=0, state_file=None):
         "singles_v_oscillations": noon.count_oscillations(cols["singles_V"]),
         "probe_frequency_hz": nu,
     }
-    fisher_at = params.get("fisher_at_mt")
-    if fisher_at is not None:
-        b_star = fisher_at * 1e-3
+    if p["fisher_at_mt"] is not None:
+        b_star = p["fisher_at_mt"] * 1e-3
         fi = noon.fisher_information(scan, b_star)
 
         def channel(b):
@@ -482,11 +455,9 @@ def run_noon_scan(params, atoms, sink, fmt="csv", seed=0, state_file=None):
             return noon.circular_jones(t_plus[0], t_minus[0])
 
         sql = noon.sql_fisher_information(channel, b_star)
-        full, frozen = noon.fisher_information_frozen_loss(
-            state, cell, atoms, nu, b_star
-        )
+        full, frozen = noon.fisher_information_frozen_loss(state, cell, atoms, nu, b_star)
         report["fisher"] = {
-            "b_mT": fisher_at,
+            "b_mT": p["fisher_at_mt"],
             "fi_per_photon": fi.fi_per_photon,
             "fi_per_scattered": fi.fi_per_scattered,
             "sql_per_photon": sql,
@@ -512,6 +483,108 @@ RUNNERS = {
 }
 
 
+# --------------------------------------------------------- parameter tables
+
+
+@dataclass(frozen=True)
+class Unset:
+    """Default of a key left unset unless given: an optional ``float``, or the
+    path of an existing file (``Path``)."""
+
+    kind: type
+
+
+OPTIONAL_FLOAT = Unset(float)
+FILE = Unset(Path)
+
+# One table per scenario: each key maps to its one default, and the default's
+# type is the key's type.  A tuple lists a string key's choices, the first
+# being the default.
+_FADOF_CELL = {"field_mt": 4.5, "temp_k": 365.0, "length_cm": 10.0, "extinction": 1.8e-6}
+_MATCHING = {
+    **_FADOF_CELL, "fsr_mhz": 501.0, "linewidth_mhz": 8.4, "envelope_ghz": 150.0,
+    "leak_fraction": 1.8e-6, "hot_cell_temp_k": 390.0, "hot_cell_buffer_mhz": 178.0,
+}
+_TAU_GRID = {"half_span_ns": 120.0, "step_ns": 1.0, "bandwidth_mhz": 8.1}
+_SENSING_CELL = {"length_mm": 75.0, "rb85_fraction": 0.995, "droop_fraction": 0.15}
+PARAMS: dict[str, dict] = {
+    "spectrum": {
+        "field_mt": 0.0, "temp_k": 300.0, "length_cm": 10.0, "buffer_mhz": 0.0,
+        "half_span_ghz": 8.0, "spacing_mhz": 0.5, "format": ("csv", "json"),
+    },
+    "fadof": {**_FADOF_CELL, "window_ghz": 3.0, "half_span_ghz": 8.0, "spacing_mhz": 0.5},
+    "matching": _MATCHING,
+    "purity": _MATCHING,
+    "g2": {
+        "mode": ("multi", "single"), "fsr_mhz": 501.0, "linewidth_mhz": 8.4, "tbin_ns": 1.0,
+        "t0_ns": 0.0, "rate1_hz": 0.0, "rate2_hz": 0.0, "bins": 240,
+    },
+    "interference": {
+        **_TAU_GRID, "pair_phase_rad": 0.0, "alpha": 1.0,
+        "phases_deg": [0.0, 45.0, 90.0, 135.0], "exposure": 50.0, "noise": False,
+    },
+    "reconstruct": {
+        **_TAU_GRID, "pair_phase_rad": 0.35, "alpha": 2.0**0.5, "n_phases": 12,
+        "exposure": 7.0, "noise": True, "records": FILE,
+    },
+    "superresolution": {"fidelity": 0.99, "two_phi": 0.20, "angle_step_deg": 2.0},
+    "spectroscopy": {
+        **_SENSING_CELL, "temps_c": [22.0, 53.0, 83.0],
+        "fields_mt": [0.0, 12.0, 24.0, 37.0, 49.0, 58.0],
+        "half_span_ghz": 6.0, "spacing_mhz": 0.5, "slices": 8,
+    },
+    "noon-scan": {
+        **_SENSING_CELL, "cell_temp_c": 70.0, "detuning_ghz": OPTIONAL_FLOAT,
+        "imbalance": 0.15, "b_max_mt": 50.0, "b_step_mt": 0.5,
+        "fisher_at_mt": OPTIONAL_FLOAT, "state": FILE,
+    },
+}
+
+# key suffix -> the unit as flags spell it (field_mt -> --field-mT)
+_UNITS = {"k": "K", "c": "C", "hz": "Hz", "mhz": "MHz", "ghz": "GHz", "mt": "mT"}
+
+
+def _flag(key: str) -> str:
+    *words, last = key.split("_")
+    return "--" + "-".join(words + [_UNITS.get(last, last)])
+
+
+def _default(spec):
+    if isinstance(spec, tuple):
+        return spec[0]
+    return None if isinstance(spec, Unset) else spec
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# type of a default -> (test of a given value, how the value is stored)
+_TYPES = {
+    float: (_number, float),
+    int: (lambda v: _number(v) and isinstance(v, int), int),
+    bool: (lambda v: isinstance(v, bool), bool),
+    list: (lambda v: isinstance(v, list) and all(map(_number, v)), lambda v: [float(x) for x in v]),
+    Path: (lambda v: isinstance(v, str) and Path(v).is_file(), str),
+}
+
+
+def _check(key: str, spec, value):
+    """``value`` for ``key`` in the type its default ``spec`` declares."""
+    if isinstance(spec, tuple):
+        if value in spec:
+            return value
+        raise ConfigError(f"params.{key}: {value!r} is not one of {', '.join(spec)}")
+    if isinstance(spec, Unset) and value is None:
+        return None
+    kind = spec.kind if isinstance(spec, Unset) else type(spec)
+    accepts, store = _TYPES[kind]
+    if not accepts(value):
+        expected = "an existing file" if kind is Path else kind.__name__
+        raise ConfigError(f"params.{key}: expected {expected}, got {value!r}")
+    return store(value)
+
+
 def load_scenario_config(source: str) -> dict:
     """Preset name, or a YAML/JSON file with {scenario, params, ...}."""
     if source in presets.PRESETS:
@@ -532,25 +605,29 @@ def load_scenario_config(source: str) -> dict:
 
 
 def validate_scenario(cfg: dict) -> tuple[str, dict]:
+    """(scenario name, every key of its table: the value given, else the default)."""
     if "scenario" not in cfg:
         raise ConfigError("scenario: field is required")
     name = cfg["scenario"]
     if name not in RUNNERS:
         raise ConfigError(f"scenario.{name}: unknown scenario; have {sorted(RUNNERS)}")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
+    given = cfg.get("params", {})
+    if not isinstance(given, dict):
         raise ConfigError("params: must be a mapping")
-    for key, value in params.items():
-        if isinstance(value, str) and key.endswith(("_file", "_path")):
-            if not Path(value).exists():
-                raise ConfigError(f"params.{key}: file {value!r} does not exist")
-    return name, params
+    table = PARAMS[name]
+    for key in given:
+        if key not in table:
+            close = difflib.get_close_matches(key, table, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"params.{key}: unknown key for {name}{hint}")
+    resolved = {key: _check(key, spec, given.get(key, _default(spec))) for key, spec in table.items()}
+    return name, resolved
 
 
-def run_scenario(cfg: dict, atoms, out_dir, seed: int, fmt: str = "csv") -> dict:
+def run_scenario(cfg: dict, atoms, out_dir, seed: int) -> dict:
     name, params = validate_scenario(cfg)
     sink = OutputSink(Path(out_dir))
-    report = RUNNERS[name](params, atoms, sink, fmt=fmt, seed=seed)
+    report = RUNNERS[name](params, atoms, sink, seed)
     sink.manifest({"scenario": name, "seed": seed, "report": report})
     return report
 
@@ -558,152 +635,67 @@ def run_scenario(cfg: dict, atoms, out_dir, seed: int, fmt: str = "csv") -> dict
 # -------------------------------------------------------------------- main
 
 
+_GLOBAL_OPTIONS = {
+    "--out-dir": {"default": "out", "help": "output directory"},
+    "--seed": {"type": int, "default": 0},
+    "--atom-data": {"default": None, "help": "override the atom constants file"},
+}
+
+
+def _argument(spec) -> dict:
+    """argparse keywords of a flag whose default is ``spec``."""
+    if isinstance(spec, tuple):
+        return {"choices": spec, "default": spec[0]}
+    if isinstance(spec, Unset):
+        return {"type": str if spec.kind is Path else spec.kind, "default": None}
+    if isinstance(spec, bool):
+        return {"action": argparse.BooleanOptionalAction, "default": spec}
+    if isinstance(spec, list):
+        return {"type": float, "nargs": "+", "default": spec}
+    return {"type": type(spec), "default": spec}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="atompairs", description=__doc__)
-    p.add_argument("--out-dir", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--atom-data", default=None, help="override the atom constants file")
+    for flag, kwargs in _GLOBAL_OPTIONS.items():
+        p.add_argument(flag, **kwargs)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="complex refractive index n+/n-")
-    sp.add_argument("--field-mT", type=float, default=0.0)
-    sp.add_argument("--temp-K", type=float, default=300.0)
-    sp.add_argument("--length-cm", type=float, default=10.0)
-    sp.add_argument("--buffer-MHz", type=float, default=0.0)
-    sp.add_argument("--half-span-GHz", type=float, default=8.0)
-    sp.add_argument("--spacing-MHz", type=float, default=0.5)
-
-    fp = sub.add_parser("fadof", help="Faraday filter spectrum and metrics")
-    fp.add_argument("--field-mT", type=float, default=4.5)
-    fp.add_argument("--temp-K", type=float, default=365.0)
-    fp.add_argument("--length-cm", type=float, default=10.0)
-    fp.add_argument("--extinction", type=float, default=1.8e-6)
-    fp.add_argument("--window-GHz", type=float, default=3.0)
-
-    pp = sub.add_parser("purity", help="filtered-comb spectral purity report")
-    pp.add_argument("--field-mT", type=float, default=4.5)
-    pp.add_argument("--temp-K", type=float, default=365.0)
-    pp.add_argument("--fsr-MHz", type=float, default=501.0)
-    pp.add_argument("--linewidth-MHz", type=float, default=8.4)
-    pp.add_argument("--leak-fraction", type=float, default=1.8e-6)
-
-    gp = sub.add_parser("g2", help="pair correlation histogram and fit")
-    gp.add_argument("--mode", choices=["single", "multi"], default="multi")
-    gp.add_argument("--fsr-MHz", type=float, default=501.0)
-    gp.add_argument("--linewidth-MHz", type=float, default=8.4)
-    gp.add_argument("--tbin-ns", type=float, default=1.0)
-    gp.add_argument("--t0-ns", type=float, default=0.0)
-    gp.add_argument("--r1", type=float, default=0.0, help="singles rate 1 (Hz)")
-    gp.add_argument("--r2", type=float, default=0.0, help="singles rate 2 (Hz)")
-    gp.add_argument("--bins", type=int, default=240)
-
-    rp = sub.add_parser("reconstruct", help="biphoton amplitude/phase reconstruction")
-    rp.add_argument("--records", default=None, help="JSON bundle of measured records")
-    rp.add_argument("--bandwidth-MHz", type=float, default=8.1)
-    rp.add_argument("--pair-phase-rad", type=float, default=0.35)
-    rp.add_argument("--alpha", type=float, default=1.4142135623730951)
-    rp.add_argument("--n-phases", type=int, default=12)
-    rp.add_argument("--exposure", type=float, default=7.0)
-    rp.add_argument("--noise", action="store_true")
-    rp.add_argument("--no-noise", dest="noise", action="store_false")
-    rp.set_defaults(noise=True)
-
-    np_ = sub.add_parser("noon-scan", help="pair-probe Faraday sensing scan")
-    np_.add_argument("--b-max-mT", type=float, default=50.0)
-    np_.add_argument("--b-step-mT", type=float, default=0.5)
-    np_.add_argument("--cell-temp-C", type=float, default=70.0)
-    np_.add_argument("--length-mm", type=float, default=75.0)
-    np_.add_argument("--detuning-GHz", type=float, default=None)
-    np_.add_argument("--imbalance", type=float, default=0.15)
-    np_.add_argument("--fisher-at-mT", type=float, default=None)
-    np_.add_argument("--state", default=None, help="density matrix JSON")
+    for name, table in PARAMS.items():
+        sp = sub.add_parser(
+            name,
+            help=RUNNERS[name].__doc__,
+            description="Each flag sets the scenario-file key named in its help.",
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        for key, spec in table.items():
+            sp.add_argument(_flag(key), dest=key, help=key, **_argument(spec))
 
     sc = sub.add_parser("scenario", help="run a named preset or scenario file")
     sc_sub = sc.add_subparsers(dest="scenario_command", required=True)
     sc_run = sc_sub.add_parser("run")
     sc_run.add_argument("source", help="preset name or YAML/JSON scenario file")
-
     return p
 
 
-def _args_to_params(args) -> dict:
-    if args.command == "spectrum":
-        return {
-            "field_mt": args.field_mT,
-            "temp_k": args.temp_K,
-            "length_cm": args.length_cm,
-            "buffer_mhz": args.buffer_MHz,
-            "half_span_ghz": args.half_span_GHz,
-            "spacing_mhz": args.spacing_MHz,
-        }
-    if args.command == "fadof":
-        return {
-            "field_mt": args.field_mT,
-            "temp_k": args.temp_K,
-            "length_cm": args.length_cm,
-            "extinction": args.extinction,
-            "window_ghz": args.window_GHz,
-        }
-    if args.command == "purity":
-        return {
-            "field_mt": args.field_mT,
-            "temp_k": args.temp_K,
-            "fsr_mhz": args.fsr_MHz,
-            "linewidth_mhz": args.linewidth_MHz,
-            "leak_fraction": args.leak_fraction,
-        }
-    if args.command == "g2":
-        return {
-            "mode": args.mode,
-            "fsr_mhz": args.fsr_MHz,
-            "linewidth_mhz": args.linewidth_MHz,
-            "tbin_ns": args.tbin_ns,
-            "t0_ns": args.t0_ns,
-            "rate1_hz": args.r1,
-            "rate2_hz": args.r2,
-            "bins": args.bins,
-        }
-    if args.command == "reconstruct":
-        return {
-            "bandwidth_mhz": args.bandwidth_MHz,
-            "pair_phase_rad": args.pair_phase_rad,
-            "alpha": args.alpha,
-            "n_phases": args.n_phases,
-            "exposure": args.exposure,
-            "noise": args.noise,
-        }
-    if args.command == "noon-scan":
-        return {
-            "b_max_mt": args.b_max_mT,
-            "b_step_mt": args.b_step_mT,
-            "cell_temp_c": args.cell_temp_C,
-            "length_mm": args.length_mm,
-            "detuning_ghz": args.detuning_GHz,
-            "imbalance": args.imbalance,
-            "fisher_at_mt": args.fisher_at_mT,
-        }
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read the value of an unknown option ahead of the command
+    # as the command ("--format json fadof" -> invalid choice 'json')
+    for token in argv:
+        if token in RUNNERS or token == "scenario":
+            break
+        if token.startswith("--") and token.split("=")[0] not in (*_GLOBAL_OPTIONS, "--help"):
+            parser.error(f"{token}: not a global option; command options follow the command")
+    args = parser.parse_args(argv)
     try:
         atoms = load_atom_data(args.atom_data)
         if args.command == "scenario":
             cfg = load_scenario_config(args.source)
-            report = run_scenario(cfg, atoms, args.out_dir, args.seed, args.format)
         else:
-            params = _args_to_params(args)
-            sink = OutputSink(Path(args.out_dir))
-            kwargs = {}
-            if args.command == "reconstruct" and args.records:
-                kwargs["records_file"] = args.records
-            if args.command == "noon-scan" and args.state:
-                kwargs["state_file"] = args.state
-            runner = RUNNERS[args.command]
-            report = runner(params, atoms, sink, fmt=args.format, seed=args.seed, **kwargs)
-            sink.manifest({"scenario": args.command, "seed": args.seed, "report": report})
+            params = {key: getattr(args, key) for key in PARAMS[args.command]}
+            cfg = {"scenario": args.command, "params": params}
+        report = run_scenario(cfg, atoms, args.out_dir, args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     except ConfigError as exc:

@@ -13,14 +13,14 @@ spectra cannot silently under-resolve a line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
 from atompairs.atoms import AtomLibrary, all_lines_for_cell
-from atompairs.errors import ConfigError, CoverageError, ResolutionError
+from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import voigt_profile_complex
 
 _LN2 = np.log(2.0)
@@ -255,19 +255,14 @@ def _check_resolution(grid_hz: np.ndarray, min_width_hz: float):
 
 @dataclass(frozen=True)
 class ScalarTransmission:
-    """Polarization-independent intensity transmission with exact evaluation."""
+    """Polarization-independent intensity transmission |t+|^2 of a zero-field
+    path, evaluated exactly at any frequency."""
 
-    grid_hz: np.ndarray
-    values: np.ndarray
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
+    path: VaporPath
 
     def __call__(self, nu_hz):
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-        if self.fn is not None:
-            return self.fn(nu)
-        if nu.min() < self.grid_hz[0] or nu.max() > self.grid_hz[-1]:
-            raise CoverageError("requested frequency outside the computed grid")
-        return np.interp(nu, self.grid_hz, self.values)
+        t_plus, _ = self.path.transfer_at(nu_hz)
+        return np.abs(t_plus) ** 2
 
 
 def blocking_cell_transmission(
@@ -275,21 +270,21 @@ def blocking_cell_transmission(
     grid_hz: np.ndarray,
     atoms: AtomLibrary,
 ) -> ScalarTransmission:
-    """Zero-field scalar attenuation of a (typically hot, buffered) cell."""
+    """Zero-field scalar attenuation of a (typically hot, buffered) cell.
+
+    ``grid_hz`` is the band the caller will sample; its spacing must resolve
+    the cell's narrowest line.
+    """
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
     _check_resolution(grid_hz, path.min_feature_width_hz())
-
-    def fn(nu):
-        t_plus, _ = path.transfer_at(nu)
-        return np.abs(t_plus) ** 2
-
-    grid = np.asarray(grid_hz, dtype=float)
-    return ScalarTransmission(grid_hz=grid, values=fn(grid), fn=fn)
+    return ScalarTransmission(path)
 
 
 def make_frequency_grid(
     center_hz: float, half_span_hz: float = 8e9, spacing_hz: float = 0.5e6
 ) -> np.ndarray:
     """Uniform grid center +- half_span; default resolves the natural width."""
+    if spacing_hz <= 0 or half_span_hz < 0:
+        raise ConfigError("grid spacing must be > 0 and half span >= 0")
     n = int(round(half_span_hz / spacing_hz))
     return center_hz + spacing_hz * np.arange(-n, n + 1)

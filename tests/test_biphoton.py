@@ -187,3 +187,9 @@ def test_rate_nonnegative_property(phi, alpha):
     psi = ideal_opo_psi(8.1e6, 1.1, TAU)
     rate = coincidence_rate(psi, CoherentRef(alpha, phi))
     assert np.all(rate >= 0.0)
+
+
+@pytest.mark.parametrize("step_s", [0.0, -1e-9])
+def test_tau_grid_rejects_non_positive_step(step_s):
+    with pytest.raises(ConfigError):
+        symmetric_tau_grid(120e-9, step_s)

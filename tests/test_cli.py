@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 import yaml
 
-from atompairs.cli import main, rho_from_json, rho_to_json
+from atompairs.cli import (
+    PARAMS,
+    RUNNERS,
+    build_parser,
+    main,
+    rho_from_json,
+    rho_to_json,
+    validate_scenario,
+)
 
 
 def _hash_dir(path: Path) -> dict:
@@ -209,3 +217,121 @@ def test_spectrum_csv_columns(tmp_path):
     assert rc == 0
     header = (out / "index.csv").read_text().splitlines()[0]
     assert header == "frequency_Hz,re_n_plus,im_n_plus,re_n_minus,im_n_minus"
+
+
+# ------------------------------------------------------------ parameter schema
+
+
+def test_every_preset_resolves_against_its_table():
+    from atompairs.presets import PRESETS
+
+    for name, cfg in PRESETS.items():
+        scenario, resolved = validate_scenario(cfg)
+        assert set(resolved) == set(PARAMS[scenario]), name
+        for key, value in cfg["params"].items():
+            assert resolved[key] == value, (name, key)
+
+
+@pytest.mark.parametrize(
+    "scenario, params, named",
+    [
+        ("fadof", {"feild_mt": 40}, ["params.feild_mt", "'field_mt'"]),
+        ("fadof", {"field_mt": "4.5"}, ["params.field_mt"]),
+        ("spectroscopy", {"cell_temp_c": 70.0}, ["params.cell_temp_c"]),
+        ("g2", {"mode": "dual"}, ["params.mode"]),
+        ("g2", {"bins": 240.5}, ["params.bins"]),
+        ("reconstruct", {"noise": 1}, ["params.noise"]),
+        ("noon-scan", {"state": "no-such-state.json"}, ["params.state"]),
+    ],
+)
+def test_bad_scenario_params_exit_2_naming_the_key(tmp_path, capsys, scenario, params, named):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": scenario, "params": params}))
+    rc = main(["--out-dir", str(tmp_path / "out"), "scenario", "run", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    for text in named:
+        assert text in err
+
+
+def test_format_is_not_a_global_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "--format", "json", "fadof"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_spectrum_format_json(tmp_path):
+    out = tmp_path / "spec"
+    argv = ["spectrum", "--format", "json", "--half-span-GHz", "0.2"]
+    assert main(["--out-dir", str(out)] + argv) == 0
+    assert set(json.loads((out / "index.json").read_text())) == {
+        "frequency_hz",
+        "n_plus",
+        "n_minus",
+    }
+    assert not (out / "index.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--spacing-MHz", "0"],
+        ["spectrum", "--half-span-GHz", "-1"],
+        ["noon-scan", "--b-step-mT", "0"],
+        ["noon-scan", "--b-max-mT", "-1"],
+        ["reconstruct", "--step-ns", "0"],
+        ["interference", "--step-ns", "-1"],
+        ["superresolution", "--angle-step-deg", "0"],
+    ],
+)
+def test_non_positive_grid_step_exit_2(tmp_path, argv):
+    assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+
+
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_every_scenario_has_a_subcommand_with_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "(default:" in capsys.readouterr().out
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [
+        line.strip()
+        for line in readme.read_text().splitlines()
+        if line.startswith("atompairs ") and not any(c in line for c in "[<")
+    ]
+    assert len(lines) >= 5
+    for line in lines:
+        build_parser().parse_args(line.split()[1:])
+
+
+def test_scenario_file_state_matches_state_flag(tmp_path):
+    from atompairs.noon import pure_state
+
+    state = tmp_path / "hh.json"
+    state.write_text(json.dumps(rho_to_json(pure_state([1.0, 0, 0, 0]).rho)))
+    grid = {"b_max_mt": 2.0, "b_step_mt": 0.5}
+    cfg = tmp_path / "scan.yaml"
+    params = {**grid, "state": str(state)}
+    cfg.write_text(yaml.safe_dump({"scenario": "noon-scan", "params": params}))
+    flags = ["noon-scan", "--b-max-mT", "2", "--b-step-mT", "0.5"]
+    out_file, out_flag, out_default = tmp_path / "file", tmp_path / "flag", tmp_path / "default"
+    assert main(["--out-dir", str(out_file), "scenario", "run", str(cfg)]) == 0
+    assert main(["--out-dir", str(out_flag)] + flags + ["--state", str(state)]) == 0
+    assert main(["--out-dir", str(out_default)] + flags) == 0
+    scan = (out_file / "scan.csv").read_bytes()
+    assert scan == (out_flag / "scan.csv").read_bytes()
+    assert scan != (out_default / "scan.csv").read_bytes()
+
+
+def test_reconstruct_defaults_agree_between_flags_and_file(tmp_path):
+    cfg = tmp_path / "rec.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": "reconstruct", "params": {}}))
+    out_file, out_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["--out-dir", str(out_file), "scenario", "run", str(cfg)]) == 0
+    assert main(["--out-dir", str(out_flag), "reconstruct"]) == 0
+    assert _hash_dir(out_file) == _hash_dir(out_flag)

@@ -124,7 +124,7 @@ def test_index_passivity(atoms, d1_center):
 def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=300.0)
     t = blocking_cell_transmission(cell, fadof_grid, atoms)
-    trans = t.values
+    trans = t(fadof_grid)
     dips = trans < 0.9
     # count connected below-threshold regions
     starts = np.sum(dips[1:] & ~dips[:-1]) + int(dips[0])
@@ -134,7 +134,7 @@ def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
 def test_absorption_365k_three_opaque_regions(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=365.0)
     t = blocking_cell_transmission(cell, fadof_grid, atoms)
-    opaque = t.values < 1e-3
+    opaque = t(fadof_grid) < 1e-3
     starts = np.sum(opaque[1:] & ~opaque[:-1]) + int(opaque[0])
     assert starts == 3
 
@@ -339,9 +339,10 @@ def test_cold_cell_transparent_at_operating_point(atoms, d1_center, fadof_main):
 
 def test_blocking_transmission_bounded(atoms, d1_center):
     hot = natural_cell(atoms, temp_k=380.0, buffer_mhz=178.0)
-    t = blocking_cell_transmission(hot, make_frequency_grid(d1_center, 6e9, 5e6), atoms)
-    assert np.all(t.values > 0.0)
-    assert np.all(t.values <= 1.0)
+    grid = make_frequency_grid(d1_center, 6e9, 5e6)
+    t = blocking_cell_transmission(hot, grid, atoms)
+    assert np.all(t(grid) > 0.0)
+    assert np.all(t(grid) <= 1.0)
 
 
 def test_spectroscopy_broadening_monotone_in_field(atoms, sensing_cell):
@@ -362,3 +363,9 @@ def test_spectroscopy_broadening_monotone_in_field(atoms, sensing_cell):
             mu = (grid * absorb).sum() / absorb.sum()
             widths.append(np.sqrt(((grid - mu) ** 2 * absorb).sum() / absorb.sum()))
         assert np.all(np.diff(widths) > 0), f"not monotone at {temp_c} C: {widths}"
+
+
+@pytest.mark.parametrize("half_span_hz, spacing_hz", [(1e9, 0.0), (1e9, -1e6), (-1e9, 1e6)])
+def test_frequency_grid_rejects_bad_steps(half_span_hz, spacing_hz):
+    with pytest.raises(ConfigError):
+        make_frequency_grid(377e12, half_span_hz, spacing_hz)
