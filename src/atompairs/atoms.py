@@ -2,14 +2,19 @@
 
 Builds product-basis Hamiltonians H = offset + A J.I (+ quadrupole) +
 mu_B B (g_J Jz + g_I Iz), diagonalizes them per m_F block and enumerates
-optical transition lines with Wigner-Eckart strengths.  Everything is in Hz
+optical transition lines with Wigner-Eckart strengths.  What does not depend
+on the field (H0 and the Zeeman operator per set of constants, the m_F block
+layout, the dipole blocks) is built once per process, so a field costs one
+matrix sum, one stacked eigh per block size and one array selection of the
+lines.  Everything is in Hz
 and Tesla; constants come from the shipped data file (see data/rb_d1.yaml
 for sources) and can be overridden with a user file of the same schema.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
@@ -163,15 +168,19 @@ def load_atom_data(path=None) -> AtomLibrary:
     return AtomLibrary(isotopes=isotopes, vapor_pressure=pressure)
 
 
-def product_basis(J: float, I: float) -> list[tuple[float, float]]:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Lock arrays that a cache hands to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def product_basis(J: float, I: float) -> tuple[tuple[float, float], ...]:
     """Ordered |m_J, m_I> basis: m_J ascending (outer), m_I ascending (inner)."""
-    dim_j = round(2 * J + 1)
-    dim_i = round(2 * I + 1)
-    basis = []
-    for kj in range(dim_j):
-        for ki in range(dim_i):
-            basis.append((-J + kj, -I + ki))
-    return basis
+    return tuple(
+        (-J + kj, -I + ki) for kj in range(round(2 * J + 1)) for ki in range(round(2 * I + 1))
+    )
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,14 @@ class ManifoldHamiltonian:
         return np.array([mj + mi for mj, mi in self.basis])
 
 
-def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> ManifoldHamiltonian:
-    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis."""
-    if b_field_t < 0:
-        raise ConfigError("field strength must be >= 0")
-    con = iso.manifold(manifold)
-    J, I = con.J, iso.nuclear_spin
+@functools.cache
+def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
+    """(H0, Z) of one manifold, so that H(B) = H0 + mu_B B Z.
+
+    Keyed on the constants themselves, not the isotope name: a user atom-data
+    file may give the same isotope other constants.
+    """
+    J = con.J
     jx, jy, jz = spin_matrices(J)
     ix, iy, iz = spin_matrices(I)
     eye_j = np.eye(round(2 * J + 1))
@@ -208,21 +219,27 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> Mani
         np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
     )
     # J.I is real in this basis (jy x iy product of two imaginary matrices)
-    h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
-
+    h0 = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
     if con.B_hfs_hz != 0.0:
-        if J <= 0.5 or I <= 0.5:
-            raise ConfigError(
-                f"{iso.name} {manifold}: quadrupole constant given but J or I is 1/2"
-            )
         denom = 2 * I * (2 * I - 1) * J * (2 * J - 1)
-        h = h + con.B_hfs_hz * (
+        h0 = h0 + con.B_hfs_hz * (
             3 * j_dot_i @ j_dot_i + 1.5 * j_dot_i - I * (I + 1) * J * (J + 1) * np.kron(eye_j, eye_i)
         ) / denom
+    return _read_only(h0, con.g_J * np.kron(jz, eye_i) + g_I * np.kron(eye_j, iz))
 
-    h = h + MU_B_HZ_PER_T * b_field_t * (
-        con.g_J * np.kron(jz, eye_i) + iso.g_I * np.kron(eye_j, iz)
-    )
+
+def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> ManifoldHamiltonian:
+    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis."""
+    if b_field_t < 0:
+        raise ConfigError("field strength must be >= 0")
+    con = iso.manifold(manifold)
+    J, I = con.J, iso.nuclear_spin
+    if con.B_hfs_hz != 0.0 and (J <= 0.5 or I <= 0.5):
+        raise ConfigError(
+            f"{iso.name} {manifold}: quadrupole constant given but J or I is 1/2"
+        )
+    h0, zeeman = _field_free_operators(con, I, iso.g_I)
+    h = h0 + MU_B_HZ_PER_T * b_field_t * zeeman
 
     herm_defect = np.abs(h - h.conj().T).max()
     if herm_defect > 1e-12 * max(1.0, np.abs(h).max()):
@@ -233,7 +250,7 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> Mani
         manifold=manifold,
         J=J,
         I=I,
-        basis=tuple(product_basis(J, I)),
+        basis=product_basis(J, I),
         matrix_hz=h,
         field_t=b_field_t,
         constants=con,
@@ -274,41 +291,51 @@ def _zero_field_f_energies(J: float, I: float, A: float, B: float) -> dict[float
     return out
 
 
+@functools.cache
+def _block_layout(basis, J: float, I: float, a_hfs: float, b_hfs: float):
+    """The m_F blocks of ``basis``, ascending in m_F, grouped by block size.
+
+    Returns (groups, m_f, f_labels).  Each group is (rows, cols), both of
+    shape (n_blocks, size): the basis indices of its blocks and the output
+    columns of their eigenvectors.  ``m_f`` and ``f_labels`` are per output
+    column.  Within a block levels do not cross, so the k-th level connects
+    to the k-th lowest zero-field F energy of that block; the sign of A
+    matters (it sets which F lies lower), the offset does not.
+    """
+    mf = np.array([mj + mi for mj, mi in basis])
+    con_f = _zero_field_f_energies(J, I, a_hfs, b_hfs)
+    blocks: dict[int, list] = {}
+    m_f_out, f_labels = [], []
+    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
+        idx = np.where(np.abs(mf - mf_val) < 1e-9)[0]
+        fs = sorted((f for f in con_f if abs(mf_val) <= f + 1e-9), key=con_f.get)
+        blocks.setdefault(idx.size, []).append((idx, len(m_f_out) + np.arange(idx.size)))
+        m_f_out += [mf_val] * idx.size
+        f_labels += fs[: idx.size]
+    groups = tuple(_read_only(*map(np.array, zip(*same))) for same in blocks.values())
+    return (groups, *_read_only(np.array(m_f_out), np.array(f_labels)))
+
+
 def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
-    """Per-m_F block eigensolve; energies ascending, F labels adiabatic."""
+    """Per-m_F block eigensolve; energies ascending, F labels adiabatic.
+
+    The blocks of one size are solved together by one stacked ``eigh``.
+    """
     h = ham.matrix_hz
     defect = np.abs(h - h.conj().T).max()
     if defect > 1e-9 * max(1.0, np.abs(h).max()):
         raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
 
-    mf = ham.m_f()
-    # Zero-field energies per F fix the adiabatic labelling; the sign of A
-    # matters (it sets which F lies lower), the offset does not.
     a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
     b_hfs = ham.constants.B_hfs_hz if ham.constants is not None else 0.0
-    con_f = _zero_field_f_energies(ham.J, ham.I, a_hfs, b_hfs)
+    groups, m_f_out, f_labels = _block_layout(ham.basis, ham.J, ham.I, a_hfs, b_hfs)
 
     energies = np.empty(ham.dim)
     vectors = np.zeros((ham.dim, ham.dim), dtype=complex)
-    f_labels = np.empty(ham.dim)
-    m_f_out = np.empty(ham.dim)
-
-    col = 0
-    order_blocks = []
-    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
-        idx = np.where(np.abs(mf - mf_val) < 1e-9)[0]
-        block = h[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(block)
-        # Adiabatic F labels: within a block levels do not cross, so the
-        # k-th level connects to the k-th zero-field F energy of that block.
-        fs = [f for f in con_f if abs(mf_val) <= f + 1e-9]
-        fs_sorted = sorted(fs, key=lambda f: con_f[f])
-        for k in range(idx.size):
-            energies[col + k] = vals[k]
-            vectors[idx, col + k] = vecs[:, k]
-            f_labels[col + k] = fs_sorted[k]
-            m_f_out[col + k] = mf_val
-        col += idx.size
+    for rows, cols in groups:
+        vals, vecs = np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]])
+        energies[cols] = vals
+        vectors[rows[:, :, None], cols[:, None, :]] = vecs
 
     order = np.lexsort((m_f_out, energies))
     return ZeemanSpectrum(
@@ -321,21 +348,25 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
 
 
 @dataclass(frozen=True)
-class TransitionLine:
-    """One optical line between field-dressed eigenstates."""
+class LineSet:
+    """The optical lines of one isotope and polarization, one entry per line."""
 
-    lower: int
-    upper: int
-    frequency_hz: float
+    lower: np.ndarray  # ground eigenstate index
+    upper: np.ndarray  # excited eigenstate index
+    frequency_hz: np.ndarray
+    strength: np.ndarray  # |<e|d_q|g>|^2 in units of |<J'||d||J>|^2
+    dipole_sq: np.ndarray  # |<e|d_q|g>|^2 in SI (C^2 m^2)
     polarization: str
-    strength: float  # |<e|d_q|g>|^2 in units of |<J'||d||J>|^2
-    population: float  # thermal weight of the lower state
+    population: float  # thermal weight of each lower state
     isotope: str
     mass_kg: float
-    dipole_sq: float  # |<e|d_q|g>|^2 in SI (C^2 m^2)
     natural_fwhm_hz: float
 
+    def __len__(self) -> int:
+        return self.lower.size
 
+
+@functools.cache
 def _dipole_block(Jg: float, Je: float, I: float, q: int) -> np.ndarray:
     """<e_basis| d_q |g_basis> in units of <J'||d||J>, product bases."""
     bg = product_basis(Jg, I)
@@ -348,7 +379,7 @@ def _dipole_block(Jg: float, Je: float, I: float, q: int) -> np.ndarray:
             out[row, col] = (-1) ** round(Je - mj_e) * wigner_3j(
                 Je, -mj_e, 1, q, Jg, mj
             )
-    return out
+    return _read_only(out)[0]
 
 
 def transition_lines(
@@ -357,7 +388,7 @@ def transition_lines(
     polarization: str,
     iso: IsotopeData,
     strength_cut: float = 1e-12,
-) -> list[TransitionLine]:
+) -> LineSet:
     """Enumerate allowed lines for one polarization at the spectra's field.
 
     Lower-state populations are uniform over the ground manifold (hyperfine
@@ -386,28 +417,21 @@ def transition_lines(
     dim_g = round(2 * ground.hamiltonian.J + 1)
     reduced_sq = dim_g * iso.reduced_dipole_cm**2
 
-    pop = 1.0 / ground.dim
-    lines = []
-    for g_idx in range(ground.dim):
-        for e_idx in range(excited.dim):
-            s = strengths[e_idx, g_idx]
-            if s < strength_cut:
-                continue
-            lines.append(
-                TransitionLine(
-                    lower=g_idx,
-                    upper=e_idx,
-                    frequency_hz=excited.energies_hz[e_idx] - ground.energies_hz[g_idx],
-                    polarization=polarization,
-                    strength=float(s),
-                    population=pop,
-                    isotope=iso.name,
-                    mass_kg=iso.mass_kg,
-                    dipole_sq=float(s * reduced_sq),
-                    natural_fwhm_hz=iso.natural_fwhm_hz,
-                )
-            )
-    return lines
+    # ground state outer, excited state inner
+    lower, upper = np.nonzero(strengths.T >= strength_cut)
+    s = strengths[upper, lower]
+    return LineSet(
+        lower=lower,
+        upper=upper,
+        frequency_hz=excited.energies_hz[upper] - ground.energies_hz[lower],
+        strength=s,
+        dipole_sq=s * reduced_sq,
+        polarization=polarization,
+        population=1.0 / ground.dim,
+        isotope=iso.name,
+        mass_kg=iso.mass_kg,
+        natural_fwhm_hz=iso.natural_fwhm_hz,
+    )
 
 
 def all_lines_for_cell(
@@ -417,8 +441,8 @@ def all_lines_for_cell(
     polarizations=("sigma+", "sigma-"),
     ground_label: str = "5S1/2",
     excited_label: str = "5P1/2",
-) -> dict[str, list[TransitionLine]]:
-    """Lines per polarization for every isotope with nonzero fraction."""
+) -> dict[str, list[LineSet]]:
+    """Per polarization, one LineSet for each isotope with nonzero fraction."""
     out = {pol: [] for pol in polarizations}
     for name, frac in fractions.items():
         if frac <= 0:
@@ -427,5 +451,5 @@ def all_lines_for_cell(
         g = diagonalize(build_hamiltonian(iso, ground_label, b_field_t))
         e = diagonalize(build_hamiltonian(iso, excited_label, b_field_t))
         for pol in polarizations:
-            out[pol].extend(transition_lines(g, e, pol, iso))
+            out[pol].append(transition_lines(g, e, pol, iso))
     return out

@@ -247,6 +247,8 @@ def run_purity(p, atoms, sink, seed):
 
 def run_g2(p, atoms, sink, seed):
     """pair correlation histogram and fit"""
+    if p["fsr_mhz"] <= 0 or p["bins"] < 1:
+        raise ConfigError("params.fsr_mhz must be > 0 and params.bins >= 1")
     env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
     det = coincidences.DetectionModel(
         t_bin_s=p["tbin_ns"] * 1e-9,
@@ -520,7 +522,7 @@ PARAMS: dict[str, dict] = {
         "t0_ns": 0.0, "rate1_hz": 0.0, "rate2_hz": 0.0, "bins": 240,
     },
     "interference": {
-        **_TAU_GRID, "pair_phase_rad": 0.0, "alpha": 1.0,
+        **_TAU_GRID, "pair_phase_rad": 0.0, "alpha": 2.0**0.5,
         "phases_deg": [0.0, 45.0, 90.0, 135.0], "exposure": 50.0, "noise": False,
     },
     "reconstruct": {

@@ -86,13 +86,14 @@ class _LineArrays:
     lorentz_fwhm_hz: np.ndarray
 
     @classmethod
-    def from_lines(cls, lines, cell: VaporCellConfig, density_m3: float):
-        nu0 = np.array([ln.frequency_hz for ln in lines])
-        frac = np.array([cell.isotope_fractions.get(ln.isotope, 0.0) for ln in lines])
-        pop = np.array([ln.population for ln in lines])
-        d_sq = np.array([ln.dipole_sq for ln in lines])
-        mass = np.array([ln.mass_kg for ln in lines])
-        nat = np.array([ln.natural_fwhm_hz for ln in lines])
+    def from_lines(cls, line_sets, cell: VaporCellConfig, density_m3: float):
+        counts = [len(ls) for ls in line_sets]
+        nu0 = np.concatenate([ls.frequency_hz for ls in line_sets])
+        d_sq = np.concatenate([ls.dipole_sq for ls in line_sets])
+        frac = np.repeat([cell.isotope_fractions.get(ls.isotope, 0.0) for ls in line_sets], counts)
+        pop = np.repeat([ls.population for ls in line_sets], counts)
+        mass = np.repeat([ls.mass_kg for ls in line_sets], counts)
+        nat = np.repeat([ls.natural_fwhm_hz for ls in line_sets], counts)
         amp = density_m3 * frac * pop * d_sq / (epsilon_0 * hbar)
         sigma = _doppler_sigma_hz(nu0, mass, cell.temperature_k)
         return cls(

@@ -8,6 +8,8 @@ transforms act as cross-checks on the production implementations.
 import numpy as np
 from scipy.constants import physical_constants
 
+from atompairs.wigner import spin_matrices, wigner_3j
+
 MU_B = physical_constants["Bohr magneton in Hz/T"][0]
 
 
@@ -37,6 +39,83 @@ def breit_rabi_energies(i_spin, g_j, g_i, a_hfs_hz, b_field_t):
             )
         m += 1.0
     return np.sort(np.array(energies))
+
+
+def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
+    """Energies, eigenvectors, m_F and F labels of one J = 1/2 manifold.
+
+    The Hamiltonian is rebuilt from Kronecker products at every field and each
+    m_F block is solved on its own, in ascending m_F, with its adiabatic F
+    labels read off the zero-field interval rule block by block.
+    """
+    assert con.B_hfs_hz == 0.0  # the D1 manifolds carry no quadrupole term
+    J = con.J
+    jx, jy, jz = spin_matrices(J)
+    ix, iy, iz = spin_matrices(i_spin)
+    eye_j, eye_i = np.eye(round(2 * J + 1)), np.eye(round(2 * i_spin + 1))
+    j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
+    h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
+    h = h + MU_B * b_field_t * (con.g_J * np.kron(jz, eye_i) + g_i * np.kron(eye_j, iz))
+
+    mf = np.array([-J + kj - i_spin + ki for kj in range(eye_j.shape[0]) for ki in range(eye_i.shape[0])])
+    f_energy = {}
+    f = abs(J - i_spin)
+    while f <= J + i_spin + 1e-9:
+        f_energy[f] = 0.5 * con.A_hfs_hz * (f * (f + 1) - i_spin * (i_spin + 1) - J * (J + 1))
+        f += 1
+    dim = h.shape[0]
+    energies, f_labels, m_f = np.empty(dim), np.empty(dim), np.empty(dim)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    col = 0
+    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
+        idx = np.where(np.abs(mf - mf_val) < 1e-9)[0]
+        vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+        fs = sorted((f for f in f_energy if abs(mf_val) <= f + 1e-9), key=f_energy.get)
+        for k in range(idx.size):
+            energies[col + k] = vals[k]
+            vectors[idx, col + k] = vecs[:, k]
+            f_labels[col + k] = fs[k]
+            m_f[col + k] = mf_val
+        col += idx.size
+    order = np.lexsort((m_f, energies))
+    return energies[order], vectors[:, order], m_f[order], f_labels[order]
+
+
+def blockwise_lines(iso, b_field_t, polarization, strength_cut=1e-12):
+    """D1 lines of one isotope, enumerated one at a time.
+
+    The per-field kernel of the atoms module before it stacked its solves:
+    Hamiltonians rebuilt per field, one ``eigh`` per m_F block, 3-j symbols
+    evaluated per dipole element and one loop step per candidate line, ground
+    state outer and excited state inner.  It shares only the spin matrices
+    and 3-j symbols of ``atompairs.wigner``.  Returns the (m_F, F label)
+    arrays of the ground and excited spectra and the lines as
+    (lower, upper, frequency_hz, strength) tuples in emission order.
+    """
+    ground, excited = iso.manifolds["5S1/2"], iso.manifolds["5P1/2"]
+    e_g, v_g, mf_g, f_g = _blockwise_spectrum(ground, iso.nuclear_spin, iso.g_I, b_field_t)
+    e_e, v_e, mf_e, f_e = _blockwise_spectrum(excited, iso.nuclear_spin, iso.g_I, b_field_t)
+    q = {"sigma+": 1, "pi": 0, "sigma-": -1}[polarization]
+    m_i = -iso.nuclear_spin + np.arange(round(2 * iso.nuclear_spin + 1))
+    basis_g, basis_e = (
+        [(mj, mi) for mj in -con.J + np.arange(round(2 * con.J + 1)) for mi in m_i]
+        for con in (ground, excited)
+    )
+    dipole = np.zeros((len(basis_e), len(basis_g)))
+    for col, (mj, mi) in enumerate(basis_g):
+        for row, (mj_e, mi_e) in enumerate(basis_e):
+            if abs(mi_e - mi) > 1e-9 or abs(mj_e - (mj + q)) > 1e-9:
+                continue
+            dipole[row, col] = (-1) ** round(excited.J - mj_e) * wigner_3j(
+                excited.J, -mj_e, 1, q, ground.J, mj
+            )
+    strengths = np.abs(v_e.conj().T @ dipole @ v_g) ** 2
+    lines = []
+    for g in range(e_g.size):
+        for e in range(e_e.size):
+            if strengths[e, g] >= strength_cut:
+                lines.append((g, e, e_e[e] - e_g[g], float(strengths[e, g])))
+    return (mf_g, f_g), (mf_e, f_e), lines
 
 
 def lorentzian_enbw(fwhm_hz):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atompairs.atoms import (
+    AtomLibrary,
+    all_lines_for_cell,
     build_hamiltonian,
     diagonalize,
     load_atom_data,
@@ -12,7 +14,7 @@ from atompairs.atoms import (
 from atompairs.errors import ConfigError, NumericError
 from atompairs.wigner import spin_matrices, wigner_3j
 
-from reference import breit_rabi_energies
+from reference import blockwise_lines, breit_rabi_energies
 
 
 def test_spin_matrix_commutators():
@@ -147,7 +149,7 @@ def test_lines_zero_field_groups(atoms):
     g = diagonalize(build_hamiltonian(iso, "5S1/2", 0.0))
     e = diagonalize(build_hamiltonian(iso, "5P1/2", 0.0))
     lines = transition_lines(g, e, "sigma+", iso)
-    freqs = np.array(sorted(ln.frequency_hz for ln in lines))
+    freqs = np.sort(lines.frequency_hz)
     groups = np.split(freqs, np.where(np.diff(freqs) > 1e6)[0] + 1)
     assert len(groups) == 4  # F = 1,2 -> F' = 1,2
 
@@ -157,9 +159,10 @@ def test_line_selection_rules(atoms):
     g = diagonalize(build_hamiltonian(iso, "5S1/2", 17e-3))
     e = diagonalize(build_hamiltonian(iso, "5P1/2", 17e-3))
     for pol, dm in (("sigma+", 1), ("sigma-", -1), ("pi", 0)):
-        for ln in transition_lines(g, e, pol, iso):
-            assert ln.strength >= 0
-            assert e.m_f[ln.upper] - g.m_f[ln.lower] == pytest.approx(dm)
+        lines = transition_lines(g, e, pol, iso)
+        assert len(lines) > 0
+        assert np.all(lines.strength >= 0)
+        assert e.m_f[lines.upper] - g.m_f[lines.lower] == pytest.approx(np.full(len(lines), dm))
 
 
 def test_strength_sum_rule_field_independent(atoms):
@@ -170,8 +173,8 @@ def test_strength_sum_rule_field_independent(atoms):
         e = diagonalize(build_hamiltonian(iso, "5P1/2", b))
         per_ground = np.zeros(g.dim)
         for pol in ("sigma+", "sigma-", "pi"):
-            for ln in transition_lines(g, e, pol, iso, strength_cut=0.0):
-                per_ground[ln.lower] += ln.strength
+            lines = transition_lines(g, e, pol, iso, strength_cut=0.0)
+            np.add.at(per_ground, lines.lower, lines.strength)
         totals.append(per_ground)
         # each ground state radiates the same total strength 1/(2J+1)
         assert np.allclose(per_ground, 0.5, rtol=1e-9)
@@ -202,14 +205,59 @@ def test_sigma_minus_group_moves_red_at_high_field(atoms):
         e = diagonalize(build_hamiltonian(iso, "5P1/2", b))
         lines = transition_lines(g, e, "sigma-", iso)
         upper_f = iso.nuclear_spin + 0.5
-        sel = [ln for ln in lines if g.f_labels[ln.lower] == upper_f]
-        w = np.array([ln.strength for ln in sel])
-        f = np.array([ln.frequency_hz for ln in sel])
+        sel = g.f_labels[lines.lower] == upper_f
+        w = lines.strength[sel]
+        f = lines.frequency_hz[sel]
         return (w * f).sum() / w.sum()
 
     lo = min(mean_freq(58e-3), mean_freq(0.0))
     assert mean_freq(58e-3) < mean_freq(0.0)
     assert mean_freq(0.0) - mean_freq(58e-3) > 0.2e9
+
+
+def _retuned(atoms):
+    """The same isotope names with other constants: A scaled by 1.1 in Rb85,
+    and a negative excited-state A in Rb87, which puts F' = 1 above F' = 2."""
+    from dataclasses import replace
+
+    scale = {"Rb85": {"5S1/2": 1.1, "5P1/2": 1.1}, "Rb87": {"5P1/2": -1.0}}
+    isotopes = {
+        name: replace(iso, manifolds={
+            label: replace(con, A_hfs_hz=con.A_hfs_hz * scale[name].get(label, 1.0))
+            for label, con in iso.manifolds.items()
+        })
+        for name, iso in atoms.isotopes.items()
+    }
+    return AtomLibrary(isotopes=isotopes, vapor_pressure=atoms.vapor_pressure)
+
+
+def test_lines_match_blockwise_kernel(atoms):
+    """all_lines_for_cell and its spectra equal the per-block, per-line oracle.
+
+    The user library keeps the isotope names but not the constants, so a
+    cache of field-independent operators keyed on the name fails here.
+    """
+    fractions = {"Rb85": 0.5, "Rb87": 0.5}
+    for lib in (atoms, _retuned(atoms)):
+        for b in (0.0, 1e-3, 23.7e-3, 58e-3):
+            lines = all_lines_for_cell(lib, fractions, b)
+            for name, k in (("Rb85", 0), ("Rb87", 1)):
+                iso = lib[name]
+                spectra = [
+                    diagonalize(build_hamiltonian(iso, label, b)) for label in ("5S1/2", "5P1/2")
+                ]
+                for pol in ("sigma+", "sigma-"):
+                    labels_g, labels_e, expected = blockwise_lines(iso, b, pol)
+                    for spec, (m_f, f_labels) in zip(spectra, (labels_g, labels_e)):
+                        assert np.array_equal(spec.m_f, m_f)
+                        assert np.array_equal(spec.f_labels, f_labels)
+                    got = lines[pol][k]
+                    assert got.isotope == name and got.polarization == pol
+                    lower, upper, freq, strength = map(np.array, zip(*expected))
+                    assert np.array_equal(got.lower, lower)
+                    assert np.array_equal(got.upper, upper)
+                    np.testing.assert_allclose(got.frequency_hz, freq, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(got.strength, strength, rtol=1e-12, atol=0)
 
 
 def test_mismatched_fields_rejected(atoms):

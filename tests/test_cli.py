@@ -283,6 +283,8 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--step-ns", "0"],
         ["interference", "--step-ns", "-1"],
         ["superresolution", "--angle-step-deg", "0"],
+        ["g2", "--fsr-MHz", "0"],
+        ["g2", "--bins", "-5"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, argv):
@@ -326,6 +328,15 @@ def test_scenario_file_state_matches_state_flag(tmp_path):
     scan = (out_file / "scan.csv").read_bytes()
     assert scan == (out_flag / "scan.csv").read_bytes()
     assert scan != (out_default / "scan.csv").read_bytes()
+
+
+def test_interference_default_alpha_is_fig5s(tmp_path):
+    cfg = tmp_path / "int.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": "interference", "params": {}}))
+    out_file, out_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["--out-dir", str(out_file), "scenario", "run", str(cfg)]) == 0
+    assert main(["--out-dir", str(out_flag), "interference", "--alpha", "1.4142135623730951"]) == 0
+    assert _hash_dir(out_file) == _hash_dir(out_flag)
 
 
 def test_reconstruct_defaults_agree_between_flags_and_file(tmp_path):

@@ -274,6 +274,27 @@ def test_each_distinct_slice_field_is_evaluated_once(atoms, sensing_cell, noon_l
     assert calls == [5e-3]
 
 
+def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
+    """A 101-field scan evaluates each dipole element once, not once per field."""
+    from atompairs import atoms as atoms_module
+    from atompairs.noon import make_noon_from_pair, sensing_scan
+
+    calls = []
+    wigner_3j = atoms_module.wigner_3j
+
+    def counted(*args):
+        calls.append(args)
+        return wigner_3j(*args)
+
+    monkeypatch.setattr(atoms_module, "wigner_3j", counted)
+    atoms_module._dipole_block.cache_clear()
+    b_list = np.linspace(0.0, 50e-3, 101)
+    sensing_scan(make_noon_from_pair(imbalance=0.15), sensing_cell, atoms, noon_line_hz, b_list)
+    # one _dipole_block per (J_g, J_e, I, q): 12 elements for Rb85 and 8 for
+    # Rb87 over sigma+ and sigma-
+    assert 0 < len(calls) <= 20
+
+
 def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
     """(t+, t-, theta) equal the sum over every Gauss node taken one by one."""
     grid = make_frequency_grid(d1_center, 4e9, 20e6)
