@@ -3,12 +3,18 @@
     python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_2.json
 
 Each directory is the root of a checkout in which ``perfbench/run.py`` was
-run; its ``.perfbench/results/*.json`` records are read.  For each side the
+run; its ``.perfbench/results/*.json`` records are read in file-name order.
+A run writes ``<workload>-seed<n>-trace<t>.json``, so keep a repeated seed's
+earlier records under other names in that directory.  For each side the
 output keeps the git SHA, source hash, nproc and ``src/`` line count the runs
 recorded.  Per workload it keeps every ``--trace 0`` run's samples and
-medians of the end-to-end metrics, a summary per metric (median and quartiles
-of the run medians, and in how many same-seed pairs the change was better),
-and the per-layer metrics of the ``--trace 1`` runs.
+medians of the end-to-end metrics and of the plain wall time and host speed
+of its passes, a summary per metric (median and quartiles of the run
+medians, and in how many pairs the change was better), and the per-layer
+metrics of the ``--trace 1`` runs.
+
+A pair is the k-th run with seed n on each side.  A side that holds the same
+run twice is rejected, since it would count one comparison twice.
 """
 
 from __future__ import annotations
@@ -17,16 +23,20 @@ import argparse
 import json
 import statistics
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")  # all "lower is better"
+# The pacer's probes compete with a program's own threads, so a threaded
+# change has to show its gain in plain wall time too, at a similar speed.
+UNSCALED = ("run_wall_s", "speed")
 SIDE_KEYS = ("git_sha", "src_sha256", "src_lines", "nproc", "python", "numpy", "scipy")
 
 
 def load_side(root: Path) -> tuple[dict, dict]:
     """(environment shared by every run, workload -> {"runs": [...], "layers": [...]})."""
     env, workloads = None, defaultdict(lambda: {"runs": [], "layers": []})
+    seen = {}
     files = sorted((root / ".perfbench" / "results").glob("*.json"))
     if not files:
         raise SystemExit(f"no benchmark results under {root}/.perfbench/results")
@@ -45,10 +55,18 @@ def load_side(root: Path) -> tuple[dict, dict]:
             layers = {k: v["value"] for k, v in result["metrics"].items()}
             entry["layers"].append({**base, "metrics": layers})
         else:
+            samples = {k: record["samples"][k] for k in END_TO_END + UNSCALED}
+            key = json.dumps([args["workload"], samples])
+            if key in seen:
+                raise SystemExit(f"{path} holds the same run as {seen[key]}")
+            seen[key] = path
             entry["runs"].append({
                 **base,
-                "samples": {k: record["samples"][k] for k in END_TO_END},
-                "medians": {k: result["metrics"][k]["value"] for k in END_TO_END},
+                "samples": samples,
+                "medians": {
+                    **{k: result["metrics"][k]["value"] for k in END_TO_END},
+                    **{k: statistics.median(samples[k]) for k in UNSCALED},
+                },
             })
     return env, workloads
 
@@ -58,11 +76,20 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def by_seed_and_position(runs: list[dict]) -> dict:
+    """(seed, k) -> the k-th run with that seed, in file-name order."""
+    count, out = Counter(), {}
+    for run in runs:
+        out[run["seed"], count[run["seed"]]] = run
+        count[run["seed"]] += 1
+    return out
+
+
 def summary(parent_runs: list[dict], change_runs: list[dict]) -> dict:
-    by_seed = {r["seed"]: r for r in parent_runs}
-    pairs = [(by_seed[r["seed"]], r) for r in change_runs if r["seed"] in by_seed]
+    parent, change = by_seed_and_position(parent_runs), by_seed_and_position(change_runs)
+    pairs = [(parent[key], change[key]) for key in sorted(parent.keys() & change.keys())]
     out = {}
-    for metric in END_TO_END:
+    for metric in END_TO_END + UNSCALED:
         p = spread([r["medians"][metric] for r in parent_runs])
         c = spread([r["medians"][metric] for r in change_runs])
         out[metric] = {
@@ -70,8 +97,11 @@ def summary(parent_runs: list[dict], change_runs: list[dict]) -> dict:
             "change": c,
             "change_over_parent": c["median"] / p["median"],
             "pairs": len(pairs),
-            "change_wins": sum(b["medians"][metric] < a["medians"][metric] for a, b in pairs),
         }
+        if metric != "speed":  # higher speed is the host's doing, not the change's
+            out[metric]["change_wins"] = sum(
+                b["medians"][metric] < a["medians"][metric] for a, b in pairs
+            )
     return out
 
 
@@ -96,8 +126,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, w in workloads.items():
         for metric, s in (w["summary"] or {}).items():
+            wins = f"wins {s['change_wins']}/{s['pairs']}" if "change_wins" in s else ""
             print(f"{name:18s} {metric:12s} parent {s['parent']['median']:9.3f}  "
-                  f"change {s['change']['median']:9.3f}  wins {s['change_wins']}/{s['pairs']}")
+                  f"change {s['change']['median']:9.3f}  {wins}")
     return 0
 
 

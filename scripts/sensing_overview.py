@@ -15,11 +15,12 @@ from atompairs.noon import (
     fisher_information,
     fisher_information_frozen_loss,
     make_noon_from_pair,
+    probe_transfer,
     sensing_scan,
     sql_fisher_information,
     visibility,
 )
-from atompairs.vapor import VaporCellConfig, VaporPath
+from atompairs.vapor import VaporCellConfig
 
 
 def main():
@@ -44,10 +45,10 @@ def main():
     print(f"HH oscillations: {count_oscillations(hh):.1f}  visibility {visibility(hh):.3f}")
     print(f"V-singles oscillations: {count_oscillations(sv):.1f}")
 
+    transfer = probe_transfer(cell, atoms, nu)
+
     def channel(b):
-        path = VaporPath(atoms, cell, float(b), slices=16)
-        t_plus, t_minus = path.transfer_at(np.array([nu]))
-        return circular_jones(t_plus[0], t_minus[0])
+        return circular_jones(*transfer(b))
 
     print(f"\n{'B [mT]':>7} {'FI/photon':>10} {'SQL':>10} {'ratio':>6}")
     for b_mt in (34.0, 40.0, 44.0, 48.0):
@@ -55,7 +56,7 @@ def main():
         sql = sql_fisher_information(channel, b_mt * 1e-3)
         print(f"{b_mt:7.1f} {rep.fi_per_photon:10.0f} {sql:10.0f} {rep.fi_per_photon / sql:6.2f}")
 
-    full, frozen = fisher_information_frozen_loss(state, cell, atoms, nu, 44e-3)
+    full, frozen = fisher_information_frozen_loss(state, transfer, 44e-3)
     print(f"\nloss-variation bonus at 44 mT: live {full:.0f} vs frozen {frozen:.0f}")
 
 

@@ -33,17 +33,14 @@ EXIT_NUMERIC = 3
 EXIT_COVERAGE = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """One row per index; integer columns as ``%d``, all others as ``%.12g``."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
+    row += "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
 
 
 def write_json(path: Path, payload):
@@ -180,7 +177,7 @@ def run_fadof(p, atoms, sink, seed):
 
 
 def _matching_pieces(p, atoms):
-    spec, center = _fadof(p, atoms, 8e9, 0.5e6)
+    spec, _ = _fadof(p, atoms, 8e9, 0.5e6)
     nu0 = float(spec.grid_hz[int(np.argmax(spec.transmission))])
     cfg = cavity.CavityConfig(
         fsr_hz=p["fsr_mhz"] * 1e6,
@@ -196,8 +193,7 @@ def _matching_pieces(p, atoms):
         isotope_fractions=atoms.natural_fractions(),
         buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
     )
-    band = vapor.make_frequency_grid(center, 8e9, 2e6)
-    hot_t = vapor.blocking_cell_transmission(hot, band, atoms)
+    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
     return spec, nu0, comb, passed, hot_t
 
 
@@ -450,14 +446,9 @@ def run_noon_scan(p, atoms, sink, seed):
     if p["fisher_at_mt"] is not None:
         b_star = p["fisher_at_mt"] * 1e-3
         fi = noon.fisher_information(scan, b_star)
-
-        def channel(b):
-            path = vapor.VaporPath(atoms, cell, float(b), slices=16)
-            t_plus, t_minus = path.transfer_at(np.array([nu]))
-            return noon.circular_jones(t_plus[0], t_minus[0])
-
-        sql = noon.sql_fisher_information(channel, b_star)
-        full, frozen = noon.fisher_information_frozen_loss(state, cell, atoms, nu, b_star)
+        transfer = noon.probe_transfer(cell, atoms, nu)
+        sql = noon.sql_fisher_information(lambda b: noon.circular_jones(*transfer(b)), b_star)
+        full, frozen = noon.fisher_information_frozen_loss(state, transfer, b_star)
         report["fisher"] = {
             "b_mT": p["fisher_at_mt"],
             "fi_per_photon": fi.fi_per_photon,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from atompairs.atoms import AtomLibrary
 from atompairs.errors import ConfigError, CoverageError
@@ -136,7 +135,7 @@ def filter_metrics(spec: FilterSpectrum, passband_window_hz=None) -> FilterMetri
     hi = crossing(i_hi, i_hi - 1)
     fwhm = hi - lo
 
-    enbw = float(trapezoid(t, grid) / t_max)
+    enbw = float(np.trapezoid(t, grid) / t_max)
     # estimate the un-integrated wings: far from all lines the crossed
     # transmission falls like the rotation squared, ~ detuning^-4, so the
     # tail beyond each edge integrates to roughly T_edge * span_edge / 3

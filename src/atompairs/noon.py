@@ -383,28 +383,37 @@ def fisher_information(
     )
 
 
+def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
+    """``b -> (t+, t-)`` of the 16-slice cell at the probe frequency, cached.
+
+    The Fisher estimates evaluate the cell at b and b +- h, some points more
+    than once; one of these shared between them builds each cell once.
+    """
+
+    @functools.cache
+    def transfer(b):
+        path = VaporPath(atoms, cell, float(b), slices=16)
+        t_plus, t_minus = path.transfer_at(np.array([nu_hz]))
+        return t_plus[0], t_minus[0]
+
+    return transfer
+
+
 def fisher_information_frozen_loss(
     state: TwoPhotonPolState,
-    cell: VaporCellConfig,
-    atoms,
-    nu_hz: float,
+    transfer,
     at_b_t: float,
     h_t: float = 0.25e-3,
     analyzer_hwp_rad: float = 0.0,
 ) -> tuple[float, float]:
     """(FI_pair with live loss, FI_pair with |t| frozen at at_b) per pair.
 
-    Freezing replaces |t+-(B)| by its value at the operating point while the
-    circular phases still follow B, isolating the information carried by the
-    field dependence of the absorption itself.
+    ``transfer(b) -> (t+, t-)`` is the cell's circular transfer at the probe
+    frequency, usually ``probe_transfer(...)``.  Freezing replaces |t+-(B)| by
+    its value at the operating point while the circular phases still follow
+    B, isolating the information carried by the field dependence of the
+    absorption itself.
     """
-
-    @functools.cache  # at_b_t is needed three times, each side field twice
-    def transfer(b):
-        path = VaporPath(atoms, cell, float(b), slices=16)
-        t_plus, t_minus = path.transfer_at(np.array([nu_hz]))
-        return t_plus[0], t_minus[0]
-
     tp0, tm0 = transfer(at_b_t)
 
     def probs(b, frozen):

@@ -248,10 +248,13 @@ def _check_resolution(grid_hz: np.ndarray, min_width_hz: float):
     spacing = np.diff(grid)
     if np.any(spacing <= 0):
         raise ConfigError("frequency grid must be strictly increasing")
+    _check_spacing(spacing.max(), min_width_hz)
+
+
+def _check_spacing(spacing_hz: float, min_width_hz: float):
     required = min_width_hz / 10.0
-    worst = spacing.max()
-    if worst > required * (1 + 1e-9):
-        raise ResolutionError(worst, required)
+    if spacing_hz > required * (1 + 1e-9):
+        raise ResolutionError(spacing_hz, required)
 
 
 @dataclass(frozen=True)
@@ -268,16 +271,18 @@ class ScalarTransmission:
 
 def blocking_cell_transmission(
     cell: VaporCellConfig,
-    grid_hz: np.ndarray,
+    spacing_hz: float,
     atoms: AtomLibrary,
 ) -> ScalarTransmission:
     """Zero-field scalar attenuation of a (typically hot, buffered) cell.
 
-    ``grid_hz`` is the band the caller will sample; its spacing must resolve
-    the cell's narrowest line.
+    ``spacing_hz`` is the grid spacing the caller will sample at; it must
+    resolve the cell's narrowest line.
     """
+    if spacing_hz <= 0:
+        raise ConfigError("grid spacing must be > 0")
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
-    _check_resolution(grid_hz, path.min_feature_width_hz())
+    _check_spacing(spacing_hz, path.min_feature_width_hz())
     return ScalarTransmission(path)
 
 

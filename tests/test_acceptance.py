@@ -113,7 +113,7 @@ def test_criterion_3_comb_period_and_beat():
 # 4 ------------------------------------------------------------------------
 
 
-def test_criterion_4_spectral_purity(atoms, fadof_main, d1_center):
+def test_criterion_4_spectral_purity(atoms, fadof_main):
     nu0 = float(fadof_main.grid_hz[np.argmax(fadof_main.transmission)])
     cfg = cavity.CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=nu0)
     comb = cavity.mode_comb(cfg)
@@ -124,9 +124,7 @@ def test_criterion_4_spectral_purity(atoms, fadof_main, d1_center):
         isotope_fractions=atoms.natural_fractions(),
         buffer_fwhm_hz=178e6,
     )
-    hot_t = vapor.blocking_cell_transmission(
-        hot, vapor.make_frequency_grid(d1_center, 8e9, 2e6), atoms
-    )
+    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
     rep = cavity.spectral_purity(passed, 1.8e-6, hot_t)
     ok_share = abs(rep.degenerate_share_in_band - 0.98) <= 0.01
     ok_frac = abs(rep.degenerate_fraction - 0.96) <= 0.015
@@ -334,7 +332,7 @@ def test_criterion_9c_super_sql_window(atoms, sensing_cell, noon_line_hz, sensin
 
 def test_criterion_9d_loss_variation_bonus(atoms, sensing_cell, noon_line_hz):
     full, frozen = noon.fisher_information_frozen_loss(
-        noon.make_noon_from_pair(), sensing_cell, atoms, noon_line_hz, 44e-3
+        noon.make_noon_from_pair(), noon.probe_transfer(sensing_cell, atoms, noon_line_hz), 44e-3
     )
     ok = full > frozen
     _report(

@@ -1,8 +1,12 @@
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import wofz
 
-from atompairs.faddeeva import faddeeva, voigt_profile_complex
+from atompairs.faddeeva import SPLIT_MIN_POINTS, faddeeva, voigt_profile_complex
 
 
 def _mp_faddeeva(z):
@@ -56,6 +60,63 @@ def test_large_argument_asymptote():
 def test_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         faddeeva(np.array([1.0 - 1.0j]))
+
+
+def _upper_half_plane(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-60, 60, shape) + 1j * 10.0 ** rng.uniform(-4, 1.5, shape)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(SPLIT_MIN_POINTS + 7,), (37, SPLIT_MIN_POINTS // 16), (SPLIT_MIN_POINTS - 1,)],
+    ids=["1d-split", "2d-split", "1d-below-threshold"],
+)
+def test_split_evaluation_is_bit_identical_to_wofz(shape):
+    z = _upper_half_plane(shape, 5)
+    w = faddeeva(z)
+    assert w.shape == z.shape and w.flags.c_contiguous
+    assert np.array_equal(w, wofz(z))
+
+
+def test_split_evaluation_rejects_lower_half_plane_in_last_chunk():
+    z = _upper_half_plane(4 * SPLIT_MIN_POINTS, 6)
+    z[-1] = 3.0 - 1e-3j
+    with pytest.raises(ValueError):
+        faddeeva(z)
+
+
+def test_concurrent_callers_get_their_own_results():
+    inputs = [_upper_half_plane(2 * SPLIT_MIN_POINTS + k, 20 + k) for k in range(6)]
+    with ThreadPoolExecutor(3) as callers:
+        results = list(callers.map(faddeeva, inputs))
+    for z, w in zip(inputs, results):
+        assert np.array_equal(w, wofz(z))
+
+
+def _faddeeva_in_child(conn, z):
+    conn.send(bool(np.array_equal(faddeeva(z), wofz(z))))
+    conn.close()
+
+
+def test_split_evaluation_works_in_forked_child():
+    # the parent's pool threads do not survive fork; the child must build its own
+    z = _upper_half_plane(4 * SPLIT_MIN_POINTS, 8)
+    assert np.array_equal(faddeeva(z), wofz(z))
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_faddeeva_in_child, args=(send, z))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60.0), "faddeeva() hung in a forked child"
+        assert receive.recv() is True
+        child.join(10.0)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
 
 
 def test_voigt_normalization_and_signs():

@@ -18,6 +18,7 @@ from atompairs.noon import (
     measurement_rates,
     noon_fidelity,
     noon_state,
+    probe_transfer,
     pure_state,
     qwp_jones,
     rotation_jones,
@@ -329,7 +330,7 @@ def test_noon_beats_sql_in_operating_window(atoms, sensing_cell, noon_line_hz, s
 
 def test_loss_variation_adds_information(atoms, sensing_cell, noon_line_hz):
     full, frozen = fisher_information_frozen_loss(
-        make_noon_from_pair(), sensing_cell, atoms, noon_line_hz, 44e-3
+        make_noon_from_pair(), probe_transfer(sensing_cell, atoms, noon_line_hz), 44e-3
     )
     assert full > frozen
 

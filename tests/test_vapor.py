@@ -123,7 +123,7 @@ def test_index_passivity(atoms, d1_center):
 
 def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=300.0)
-    t = blocking_cell_transmission(cell, fadof_grid, atoms)
+    t = blocking_cell_transmission(cell, 0.5e6, atoms)
     trans = t(fadof_grid)
     dips = trans < 0.9
     # count connected below-threshold regions
@@ -133,7 +133,7 @@ def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
 
 def test_absorption_365k_three_opaque_regions(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=365.0)
-    t = blocking_cell_transmission(cell, fadof_grid, atoms)
+    t = blocking_cell_transmission(cell, 0.5e6, atoms)
     opaque = t(fadof_grid) < 1e-3
     starts = np.sum(opaque[1:] & ~opaque[:-1]) + int(opaque[0])
     assert starts == 3
@@ -341,9 +341,9 @@ def test_sensing_cell_rotation_grows_and_transmits(atoms, sensing_cell, noon_lin
 # -------------------------------------------------------------- blocking cell
 
 
-def test_hot_cell_blocks_filter_passband(atoms, d1_center, fadof_main):
+def test_hot_cell_blocks_filter_passband(atoms, fadof_main):
     hot = natural_cell(atoms, temp_k=390.0, buffer_mhz=178.0)
-    t = blocking_cell_transmission(hot, make_frequency_grid(d1_center, 8e9, 2e6), atoms)
+    t = blocking_cell_transmission(hot, 2e6, atoms)
     # opaque across the main transmission peak (half-maximum region)
     peak_idx = int(np.argmax(fadof_main.transmission))
     t_max = fadof_main.transmission[peak_idx]
@@ -351,9 +351,9 @@ def test_hot_cell_blocks_filter_passband(atoms, d1_center, fadof_main):
     assert t(region).max() < 1e-3
 
 
-def test_cold_cell_transparent_at_operating_point(atoms, d1_center, fadof_main):
+def test_cold_cell_transparent_at_operating_point(atoms, fadof_main):
     cold = natural_cell(atoms, temp_k=295.0, buffer_mhz=178.0)
-    t = blocking_cell_transmission(cold, make_frequency_grid(d1_center, 8e9, 2e6), atoms)
+    t = blocking_cell_transmission(cold, 2e6, atoms)
     nu0 = fadof_main.grid_hz[int(np.argmax(fadof_main.transmission))]
     assert t(np.array([nu0]))[0] > 0.9
 
@@ -361,9 +361,17 @@ def test_cold_cell_transparent_at_operating_point(atoms, d1_center, fadof_main):
 def test_blocking_transmission_bounded(atoms, d1_center):
     hot = natural_cell(atoms, temp_k=380.0, buffer_mhz=178.0)
     grid = make_frequency_grid(d1_center, 6e9, 5e6)
-    t = blocking_cell_transmission(hot, grid, atoms)
+    t = blocking_cell_transmission(hot, 5e6, atoms)
     assert np.all(t(grid) > 0.0)
     assert np.all(t(grid) <= 1.0)
+
+
+def test_blocking_cell_checks_the_spacing(atoms):
+    cold = natural_cell(atoms, temp_k=295.0)
+    with pytest.raises(ResolutionError):
+        blocking_cell_transmission(cold, 5e6, atoms)
+    with pytest.raises(ConfigError):
+        blocking_cell_transmission(cold, 0.0, atoms)
 
 
 def test_spectroscopy_broadening_monotone_in_field(atoms, sensing_cell):
