@@ -35,7 +35,8 @@ def main():
     )
     state = make_noon_from_pair(imbalance=0.15)
     b_list = np.arange(0.0, 50.001e-3, 0.5e-3)
-    scan = sensing_scan(state, cell, atoms, nu, b_list)
+    transfer = probe_transfer(cell, atoms, nu)
+    scan = sensing_scan(state, transfer, b_list)
 
     hh = np.array([p.probabilities.hh for p in scan])
     sv = np.array([p.probabilities.singles_v for p in scan])
@@ -45,10 +46,8 @@ def main():
     print(f"HH oscillations: {count_oscillations(hh):.1f}  visibility {visibility(hh):.3f}")
     print(f"V-singles oscillations: {count_oscillations(sv):.1f}")
 
-    transfer = probe_transfer(cell, atoms, nu)
-
     def channel(b):
-        return circular_jones(*transfer(b))
+        return circular_jones(*transfer(b)[:2])
 
     print(f"\n{'B [mT]':>7} {'FI/photon':>10} {'SQL':>10} {'ratio':>6}")
     for b_mt in (34.0, 40.0, 44.0, 48.0):

@@ -119,12 +119,17 @@ def load_atom_data(path=None) -> AtomLibrary:
     if path is None:
         text = resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text()
     else:
-        with open(path, "r") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read atom data: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse atom data: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("atom data must hold a mapping")
 
     try:
         vp = raw["vapor_pressure"]
@@ -161,6 +166,8 @@ def load_atom_data(path=None) -> AtomLibrary:
             )
     except KeyError as exc:
         raise ConfigError(f"atom data is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"atom data has a wrongly typed field: {exc}") from exc
 
     total = sum(i.abundance for i in isotopes.values())
     if abs(total - 1.0) > 1e-12:
@@ -438,18 +445,15 @@ def all_lines_for_cell(
     atoms: AtomLibrary,
     fractions: Mapping[str, float],
     b_field_t: float,
-    polarizations=("sigma+", "sigma-"),
-    ground_label: str = "5S1/2",
-    excited_label: str = "5P1/2",
 ) -> dict[str, list[LineSet]]:
-    """Per polarization, one LineSet for each isotope with nonzero fraction."""
-    out = {pol: [] for pol in polarizations}
+    """Per circular polarization, one D1 LineSet for each isotope with nonzero fraction."""
+    out = {"sigma+": [], "sigma-": []}
     for name, frac in fractions.items():
         if frac <= 0:
             continue
         iso = atoms[name]
-        g = diagonalize(build_hamiltonian(iso, ground_label, b_field_t))
-        e = diagonalize(build_hamiltonian(iso, excited_label, b_field_t))
-        for pol in polarizations:
+        g = diagonalize(build_hamiltonian(iso, "5S1/2", b_field_t))
+        e = diagonalize(build_hamiltonian(iso, "5P1/2", b_field_t))
+        for pol in out:
             out[pol].append(transition_lines(g, e, pol, iso))
     return out

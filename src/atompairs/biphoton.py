@@ -24,7 +24,6 @@ class BiphotonWaveFunction:
 
     tau_s: np.ndarray
     psi: np.ndarray
-    bandwidth_hz: float | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau_s, dtype=float)
@@ -57,9 +56,7 @@ def ideal_opo_psi(bandwidth_fwhm_hz: float, phase_rad: float, tau_s) -> Biphoton
         raise ConfigError("bandwidth must be > 0")
     tau = np.asarray(tau_s, dtype=float)
     amp = np.exp(-np.pi * bandwidth_fwhm_hz * np.abs(tau))
-    return BiphotonWaveFunction(
-        tau_s=tau, psi=amp * np.exp(1j * phase_rad), bandwidth_hz=bandwidth_fwhm_hz
-    )
+    return BiphotonWaveFunction(tau_s=tau, psi=amp * np.exp(1j * phase_rad))
 
 
 @dataclass(frozen=True)

@@ -25,52 +25,21 @@ class CavityConfig:
     fsr_hz: float
     linewidth_hz: float  # per-mode FWHM kappa
     degenerate_hz: float
-    envelope_fwhm_hz: float = 150e9
-    envelope: str = "gaussian"  # or "sinc2"
+    envelope_fwhm_hz: float = 150e9  # Gaussian phase-matching envelope
     mode_count: int | None = None  # modes each side; None -> auto from tail cut
-    output_coupling_fraction: float = 0.8  # gamma1 / (gamma1 + gamma2)
 
     def __post_init__(self):
         if self.fsr_hz <= 0 or self.linewidth_hz <= 0 or self.envelope_fwhm_hz <= 0:
             raise ConfigError("FSR, linewidth and envelope width must be > 0")
         if self.linewidth_hz >= self.fsr_hz / 10:
             raise ConfigError("cavity linewidth must be well below the FSR")
-        if self.envelope not in ("gaussian", "sinc2"):
-            raise ConfigError("envelope must be 'gaussian' or 'sinc2'")
-        if not 0.0 < self.output_coupling_fraction < 1.0:
-            raise ConfigError("output coupling fraction must lie in (0, 1)")
         if self.mode_count is not None and self.mode_count < 0:
             raise ConfigError("mode_count must be >= 0")
-
-    @property
-    def round_trip_s(self) -> float:
-        return 1.0 / self.fsr_hz
-
-    @property
-    def gamma_sum(self) -> float:
-        """gamma1 + gamma2 in s^-1, fixed by the linewidth."""
-        return 2.0 * np.pi * self.linewidth_hz
-
-    @property
-    def gamma1(self) -> float:
-        return self.output_coupling_fraction * self.gamma_sum
-
-    @property
-    def gamma2(self) -> float:
-        return (1.0 - self.output_coupling_fraction) * self.gamma_sum
 
 
 def _envelope_weight(cfg: CavityConfig, offset_hz):
     x = np.asarray(offset_hz, dtype=float) / cfg.envelope_fwhm_hz
-    if cfg.envelope == "gaussian":
-        return np.exp(-4.0 * _LN2 * x**2)
-    # sinc^2 with matching FWHM: sinc(pi a x)^2 = 1/2 at a*x = 0.4429...
-    a = 2.0 * 0.442946470689452340308369
-    arg = np.pi * a * x
-    out = np.ones_like(x)
-    nz = arg != 0
-    out[nz] = (np.sin(arg[nz]) / arg[nz]) ** 2
-    return out
+    return np.exp(-4.0 * _LN2 * x**2)
 
 
 @dataclass(frozen=True)
@@ -81,7 +50,6 @@ class PairSpectralDensity:
     frequency_hz: np.ndarray
     weight: np.ndarray
     linewidth_hz: float
-    config: CavityConfig
 
     @property
     def degenerate_index(self) -> int:
@@ -110,9 +78,7 @@ def mode_comb(cfg: CavityConfig, tail_cut: float = 1e-4) -> PairSpectralDensity:
     k = np.arange(-n, n + 1)
     freq = cfg.degenerate_hz + k * cfg.fsr_hz
     weight = _envelope_weight(cfg, k * cfg.fsr_hz)
-    return PairSpectralDensity(
-        k=k, frequency_hz=freq, weight=weight, linewidth_hz=cfg.linewidth_hz, config=cfg
-    )
+    return PairSpectralDensity(k=k, frequency_hz=freq, weight=weight, linewidth_hz=cfg.linewidth_hz)
 
 
 @dataclass(frozen=True)
@@ -122,15 +88,10 @@ class FilteredPairs:
     comb: PairSpectralDensity
     mode_transmission: np.ndarray  # Lorentzian-averaged filter transmission
     pair_weight: np.ndarray  # w_k * Tbar(nu_k) * Tbar(nu_-k)
-    singles_weight: np.ndarray  # w_k * Tbar(nu_k)
 
     @property
     def total_pairs(self) -> float:
         return float(self.pair_weight.sum())
-
-    @property
-    def total_singles(self) -> float:
-        return float(self.singles_weight.sum())
 
     def degenerate_pair_fraction(self) -> float:
         return float(self.pair_weight[self.comb.degenerate_index] / self.total_pairs)
@@ -153,27 +114,17 @@ def _lorentzian_average(transmission, centers_hz, fwhm_hz, points=11, half_range
     return t @ dens
 
 
-def filtered_pair_rate(
-    comb: PairSpectralDensity,
-    filter_spectrum,
-    quad_points: int = 11,
-) -> FilteredPairs:
-    """Pair and singles pass weights for every comb mode behind a filter.
+def filtered_pair_rate(comb: PairSpectralDensity, filter_spectrum) -> FilteredPairs:
+    """Pair pass weights for every comb mode behind a filter.
 
     ``filter_spectrum`` is any callable nu -> T; a FilterSpectrum without an
     exact evaluator raises CoverageError when modes fall outside its grid.
     """
-    tbar = _lorentzian_average(
-        filter_spectrum, comb.frequency_hz, comb.linewidth_hz, points=quad_points
-    )
+    tbar = _lorentzian_average(filter_spectrum, comb.frequency_hz, comb.linewidth_hz)
     tbar = np.clip(tbar, 0.0, 1.0)
     # mode -k sits at index n - (k + n) mirrored around the centre
-    t_mirror = tbar[::-1]
-    pair = comb.weight * tbar * t_mirror
-    singles = comb.weight * tbar
-    return FilteredPairs(
-        comb=comb, mode_transmission=tbar, pair_weight=pair, singles_weight=singles
-    )
+    pair = comb.weight * tbar * tbar[::-1]
+    return FilteredPairs(comb=comb, mode_transmission=tbar, pair_weight=pair)
 
 
 @dataclass(frozen=True)
@@ -181,8 +132,6 @@ class PurityReport:
     spectral_purity: float
     degenerate_fraction: float
     degenerate_share_in_band: float
-    filtered_pairs: float  # c_F
-    blocked_pairs: float  # c_HC
     in_band_modes: int
 
 
@@ -222,7 +171,5 @@ def spectral_purity(
         spectral_purity=p_s,
         degenerate_fraction=p_s * share,
         degenerate_share_in_band=share,
-        filtered_pairs=c_f,
-        blocked_pairs=c_hc,
         in_band_modes=int(in_band.sum()),
     )

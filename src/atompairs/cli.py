@@ -420,7 +420,8 @@ def run_noon_scan(p, atoms, sink, seed):
     if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
         raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
     b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)
-    scan = noon.sensing_scan(state, cell, atoms, nu, b_list)
+    transfer = noon.probe_transfer(cell, atoms, nu)
+    scan = noon.sensing_scan(state, transfer, b_list)
     cols = {
         "b_mT": np.array([s.b_t * 1e3 for s in scan]),
         "rotation_rad": np.array([s.rotation_rad for s in scan]),
@@ -446,8 +447,7 @@ def run_noon_scan(p, atoms, sink, seed):
     if p["fisher_at_mt"] is not None:
         b_star = p["fisher_at_mt"] * 1e-3
         fi = noon.fisher_information(scan, b_star)
-        transfer = noon.probe_transfer(cell, atoms, nu)
-        sql = noon.sql_fisher_information(lambda b: noon.circular_jones(*transfer(b)), b_star)
+        sql = noon.sql_fisher_information(lambda b: noon.circular_jones(*transfer(b)[:2]), b_star)
         full, frozen = noon.fisher_information_frozen_loss(state, transfer, b_star)
         report["fisher"] = {
             "b_mT": p["fisher_at_mt"],
@@ -590,6 +590,8 @@ def load_scenario_config(source: str) -> dict:
         )
     try:
         payload = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse scenario file: {exc}") from exc
     if not isinstance(payload, dict):

@@ -9,7 +9,7 @@ weights, which is what produces the sampling beat seen in raw histograms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -53,7 +53,6 @@ class DetectionModel:
     rate1_hz: float = 0.0  # singles rate, detector 1
     rate2_hz: float = 0.0
     round_trip_s: float = 1.996e-9
-    n_modes: int = 200
 
     def __post_init__(self):
         if self.t_bin_s <= 0:
@@ -72,21 +71,10 @@ def g2_single(delay_s, envelope: G2Envelope):
     return np.exp(-np.abs(np.asarray(delay_s, dtype=float)) * envelope.gamma_sum)
 
 
-def comb_kernel(delay_s, round_trip_s: float, n_modes: int):
-    """Exact sin^2 ratio kernel of an N-mode comb, normalized to peak 1."""
-    m = 2 * n_modes + 1
-    x = np.pi * np.asarray(delay_s, dtype=float) / round_trip_s
-    num = np.sin(m * x) ** 2
-    den = m * np.sin(x) ** 2
-    out = np.where(np.abs(np.sin(x)) < 1e-12, m, num / np.where(den == 0, 1.0, den))
-    return out / m
-
-
 def g2_multi_weights(envelope: G2Envelope, det: DetectionModel, weight_cut: float = 1e-6):
     """Delta-comb teeth (delay, weight): weight = envelope at n * round-trip.
 
-    Valid when the mode count is large (>= 50); for smaller combs evaluate
-    ``comb_kernel`` directly.
+    Valid when the mode count is large (>= 50), as for every shipped cavity.
     """
     tau = det.round_trip_s
     n_max = int(np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau)))
@@ -105,7 +93,6 @@ class CoincidenceHistogram:
     values: np.ndarray
     t_bin_s: float
     mode: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.values < 0):
@@ -170,13 +157,11 @@ def binned_histogram(
     det: DetectionModel,
     mode: str,
     bins,
-    pair_scale: float = 1.0,
 ) -> CoincidenceHistogram:
-    """Expected coincidence rate per bin separation.
+    """Expected coincidence rate per bin separation, pair rate normalized to 1.
 
     ``mode`` selects the delta-comb multimode model or the smooth single-mode
-    envelope; both include the accidental floor t_bin R1 R2.  ``pair_scale``
-    sets the (arbitrary) pair-rate normalization.
+    envelope; both include the accidental floor t_bin R1 R2.
     """
     if mode not in ("single", "multi"):
         raise ConfigError("mode must be 'single' or 'multi'")
@@ -195,18 +180,8 @@ def binned_histogram(
     else:
         signal = _smooth_bin_average(envelope, delta / det.t_bin_s, bins - k0, det.t_bin_s)
 
-    values = pair_scale * signal + det.accidental_rate
     return CoincidenceHistogram(
-        bin_index=bins,
-        values=values,
-        t_bin_s=det.t_bin_s,
-        mode=mode,
-        meta={
-            "gamma_sum": envelope.gamma_sum,
-            "t0_s": det.t0_s,
-            "round_trip_s": det.round_trip_s,
-            "pair_scale": pair_scale,
-        },
+        bin_index=bins, values=signal + det.accidental_rate, t_bin_s=det.t_bin_s, mode=mode
     )
 
 
@@ -231,7 +206,6 @@ def simulate_histogram(
     if mode == "single":
         delays = rng.laplace(0.0, scale, size=n_pairs)
     else:
-        tau = det.round_trip_s
         d, w = g2_multi_weights(envelope, det)
         teeth = rng.choice(d.size, size=n_pairs, p=w / w.sum())
         delays = d[teeth]
@@ -245,39 +219,8 @@ def simulate_histogram(
     )
     acc = rng.poisson(det.accidental_rate * duration_s, size=bins.size)
     return CoincidenceHistogram(
-        bin_index=bins,
-        values=counts + acc,
-        t_bin_s=det.t_bin_s,
-        mode=mode,
-        meta={"n_pairs": n_pairs, "seed": seed, "duration_s": duration_s},
+        bin_index=bins, values=counts + acc, t_bin_s=det.t_bin_s, mode=mode
     )
-
-
-def export_events(path, histogram_or_events, seed: int = 0):
-    """Write a raw event stream: little-endian (u64 timestamp, u8 channel).
-
-    Timestamps are in t_bin units.  For a histogram input, synthetic signal
-    (channel 0) and idler (channel 1) events consistent with the histogram
-    are generated deterministically."""
-    import struct
-
-    events = []
-    if isinstance(histogram_or_events, CoincidenceHistogram):
-        h = histogram_or_events
-        rng = np.random.default_rng(seed)
-        t_clock = 0
-        for i, n in zip(h.bin_index, np.round(h.values).astype(int)):
-            for _ in range(int(n)):
-                t_clock += int(rng.integers(10, 1000))
-                events.append((t_clock, 0))
-                events.append((t_clock + int(i), 1))
-    else:
-        events = list(histogram_or_events)
-    events.sort()
-    with open(path, "wb") as fh:
-        for t, ch in events:
-            fh.write(struct.pack("<QB", t, ch))
-    return len(events)
 
 
 @dataclass(frozen=True)

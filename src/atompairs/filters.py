@@ -1,4 +1,4 @@
-"""Filter assemblies: vapor cell between polarizers, and figures of merit.
+"""Vapor cell between crossed polarizers, a dichroic passband, and figures of merit.
 
 A Faraday filter is the crossed-polarizer projection of the cell transfer;
 the induced-dichroism filter is phenomenological (centre, width, peak, floor)
@@ -24,7 +24,6 @@ class PolarizerPair:
     crossed-channel intensity leakage."""
 
     extinction: float = 1.8e-6
-    angle_rad: float = np.pi / 2  # pi/2 crossed, 0 parallel
 
     def __post_init__(self):
         if not 0.0 <= self.extinction < 1.0:
@@ -68,17 +67,7 @@ class FilterMetrics:
 def _fadof_transmission(t_plus, t_minus, pol: PolarizerPair):
     crossed = np.abs(t_plus - t_minus) ** 2 / 4.0
     parallel = np.abs(t_plus + t_minus) ** 2 / 4.0
-    if abs(pol.angle_rad - np.pi / 2) < 1e-12:
-        through, blocked = crossed, parallel
-    elif abs(pol.angle_rad) < 1e-12:
-        through, blocked = parallel, crossed
-    else:
-        # general analyser angle a relative to the input polarizer
-        a = pol.angle_rad
-        amp = 0.5 * (t_plus + t_minus) * np.cos(a) + 0.5j * (t_plus - t_minus) * np.sin(a)
-        amp_perp = -0.5 * (t_plus + t_minus) * np.sin(a) + 0.5j * (t_plus - t_minus) * np.cos(a)
-        through, blocked = np.abs(amp) ** 2, np.abs(amp_perp) ** 2
-    return np.clip(through + pol.extinction * blocked, 0.0, 1.0)
+    return np.clip(crossed + pol.extinction * parallel, 0.0, 1.0)
 
 
 def fadof_spectrum(
@@ -189,42 +178,3 @@ def dichroic_filter(
         grid_hz = make_frequency_grid(center_hz, half_span_hz=5e9, spacing_hz=1e6)
     grid = np.asarray(grid_hz, dtype=float)
     return FilterSpectrum(grid_hz=grid, transmission=fn(grid), fn=fn)
-
-
-@dataclass(frozen=True)
-class FilterAssembly:
-    """Dual-channel filter state: one FilterSpectrum per polarization channel."""
-
-    mode: str  # "on" | "off"
-    channels: dict
-
-    def channel(self, name: str) -> FilterSpectrum:
-        return self.channels[name]
-
-
-def dual_channel_mode(
-    on: bool,
-    atoms: AtomLibrary,
-    grid_hz: np.ndarray,
-    cell: VaporCellConfig | None = None,
-    b_field_t: float = 4.5e-3,
-    pol: PolarizerPair | None = None,
-) -> FilterAssembly:
-    """ON: the Faraday filter acts on both polarization channels.
-    OFF: the output swap passes everything with only the polarizer loss."""
-    pol = pol or PolarizerPair()
-    if on:
-        if cell is None:
-            raise ConfigError("dual-channel ON mode needs the cell configuration")
-        spec = fadof_spectrum(cell, b_field_t, pol, grid_hz, atoms)
-        channels = {"H": spec, "V": spec}
-    else:
-        flat = 1.0 - pol.extinction
-
-        def fn(nu):
-            return np.full(np.atleast_1d(nu).shape, flat)
-
-        grid = np.asarray(grid_hz, dtype=float)
-        spec = FilterSpectrum(grid_hz=grid, transmission=fn(grid), fn=fn)
-        channels = {"H": spec, "V": spec}
-    return FilterAssembly(mode="on" if on else "off", channels=channels)

@@ -114,18 +114,6 @@ def surrogate_noon_state(fidelity: float = 0.99, two_phi: float = 0.20) -> TwoPh
     return TwoPhotonPolState(fidelity * target + (1.0 - fidelity) * complement)
 
 
-def circular_amplitudes(state: TwoPhotonPolState) -> dict[str, complex]:
-    """Projections of the (pure part of the) state onto |LL>, |LR+RL>, |RR>."""
-    u = _V_CIRC  # |sigma+> ~ L, |sigma-> ~ R columns
-    u2 = np.kron(u, u)
-    rho_c = u2.conj().T @ state.rho @ u2
-    return {
-        "LL": rho_c[0, 0],
-        "RR": rho_c[3, 3],
-        "LL,RR": rho_c[0, 3],
-    }
-
-
 @dataclass(frozen=True)
 class OpticalElement:
     """Single-photon element applied to both photons of the pair."""
@@ -143,19 +131,6 @@ class OpticalElement:
         if self.kind in ("HWP", "QWP", "rotation"):
             if np.abs(j @ j.conj().T - np.eye(2)).max() > 1e-12:
                 raise ConfigError(f"{self.kind} Jones must be unitary")
-
-    @classmethod
-    def hwp(cls, angle_rad: float):
-        return cls(kind="HWP", jones=hwp_jones(angle_rad))
-
-    @classmethod
-    def qwp(cls, angle_rad: float):
-        return cls(kind="QWP", jones=qwp_jones(angle_rad))
-
-    @classmethod
-    def faraday_cell(cls, path: VaporPath, nu_hz: float):
-        t_plus, t_minus = path.transfer_at(np.array([nu_hz]))
-        return cls(kind="cell", jones=circular_jones(t_plus[0], t_minus[0]))
 
 
 def apply_element(state: TwoPhotonPolState, element: OpticalElement) -> TwoPhotonPolState:
@@ -203,21 +178,15 @@ def measurement_rates(
     state: TwoPhotonPolState,
     channel: np.ndarray | None = None,
     analyzer_hwp_rad: float = 0.0,
-    analyzer_qwp: bool = False,
-    analyzer_qwp_rad: float = np.pi / 4,
 ) -> OutcomeProbabilities:
     """Project the pair onto the analyzer basis behind an optional channel.
 
-    The analyzer is [QWP at ``analyzer_qwp_rad`` if enabled] then HWP then a
-    polarizing splitter; coincidences HH/HV/VV count unordered outcomes and
-    the one-photon classes absorb the channel loss.
+    The analyzer is an HWP then a polarizing splitter; coincidences HH/HV/VV
+    count unordered outcomes and the one-photon classes absorb the channel
+    loss.
     """
     j = np.eye(2, dtype=complex) if channel is None else np.asarray(channel, complex)
-    analyzer = hwp_jones(analyzer_hwp_rad)
-    if analyzer_qwp:
-        analyzer = analyzer @ qwp_jones(analyzer_qwp_rad)
-
-    m = analyzer @ j
+    m = hwp_jones(analyzer_hwp_rad) @ j
     kraus = {
         "H": np.outer([1.0, 0.0], m[0, :]),
         "V": np.outer([0.0, 1.0], m[1, :]),
@@ -262,36 +231,39 @@ class SensingScanPoint:
     eta: float  # transmitted fraction through the cell
     rotation_rad: float
 
-    @property
-    def coincidences(self) -> dict[str, float]:
-        p = self.probabilities
-        return {"HH": p.hh, "HV": p.hv, "VV": p.vv}
 
+def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
+    """``b -> (t+, t-, theta)`` of the 16-slice cell at the probe frequency, cached.
 
-def sensing_scan(
-    state: TwoPhotonPolState,
-    cell: VaporCellConfig,
-    atoms,
-    nu_hz: float,
-    b_list_t,
-    analyzer_hwp_rad: float = 0.0,
-    slices: int = 16,
-) -> list[SensingScanPoint]:
-    """Pair outcome probabilities versus applied field at one probe frequency."""
+    The sensing scan and the Fisher estimates read the cell at the scan
+    fields, at the operating point and at b +- h, some of them more than
+    once; one of these shared between them builds each cell once.
+    """
     nu = np.array([nu_hz])
-    points = []
-    for b in np.asarray(b_list_t, dtype=float):
-        path = VaporPath(atoms, cell, float(b), slices=slices)
+
+    @functools.cache
+    def transfer(b):
+        path = VaporPath(atoms, cell, float(b), slices=16)
         # one propagation: rotation_angle_at reuses what transfer_at computed
         t_plus, t_minus = path.transfer_at(nu)
-        theta = float(path.rotation_angle_at(nu)[0])
-        jones = circular_jones(t_plus[0], t_minus[0])
-        probs = measurement_rates(state, channel=jones, analyzer_hwp_rad=analyzer_hwp_rad)
-        eta = float((np.abs(t_plus[0]) ** 2 + np.abs(t_minus[0]) ** 2) / 2.0)
+        return t_plus[0], t_minus[0], float(path.rotation_angle_at(nu)[0])
+
+    return transfer
+
+
+def sensing_scan(state: TwoPhotonPolState, transfer, b_list_t) -> list[SensingScanPoint]:
+    """Pair outcome probabilities versus applied field at one probe frequency.
+
+    ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
+    usually ``probe_transfer(...)``.
+    """
+    points = []
+    for b in np.asarray(b_list_t, dtype=float):
+        t_plus, t_minus, theta = transfer(float(b))
+        probs = measurement_rates(state, channel=circular_jones(t_plus, t_minus))
+        eta = float((np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2) / 2.0)
         points.append(
-            SensingScanPoint(
-                b_t=float(b), probabilities=probs, eta=eta, rotation_rad=theta
-            )
+            SensingScanPoint(b_t=float(b), probabilities=probs, eta=eta, rotation_rad=theta)
         )
     return points
 
@@ -329,14 +301,6 @@ class FisherReport:
     fi_pair: float
     fi_per_photon: float
     fi_per_scattered: float
-    sql_per_photon: float | None = None
-    sql_per_scattered: float | None = None
-
-    @property
-    def sql_ratio(self) -> float | None:
-        if self.sql_per_photon in (None, 0.0):
-            return None
-        return self.fi_per_photon / self.sql_per_photon
 
 
 def fisher_information(
@@ -383,48 +347,28 @@ def fisher_information(
     )
 
 
-def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
-    """``b -> (t+, t-)`` of the 16-slice cell at the probe frequency, cached.
-
-    The Fisher estimates evaluate the cell at b and b +- h, some points more
-    than once; one of these shared between them builds each cell once.
-    """
-
-    @functools.cache
-    def transfer(b):
-        path = VaporPath(atoms, cell, float(b), slices=16)
-        t_plus, t_minus = path.transfer_at(np.array([nu_hz]))
-        return t_plus[0], t_minus[0]
-
-    return transfer
-
-
 def fisher_information_frozen_loss(
     state: TwoPhotonPolState,
     transfer,
     at_b_t: float,
     h_t: float = 0.25e-3,
-    analyzer_hwp_rad: float = 0.0,
 ) -> tuple[float, float]:
     """(FI_pair with live loss, FI_pair with |t| frozen at at_b) per pair.
 
-    ``transfer(b) -> (t+, t-)`` is the cell's circular transfer at the probe
-    frequency, usually ``probe_transfer(...)``.  Freezing replaces |t+-(B)| by
+    ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
+    usually ``probe_transfer(...)``.  Freezing replaces |t+-(B)| by
     its value at the operating point while the circular phases still follow
     B, isolating the information carried by the field dependence of the
     absorption itself.
     """
-    tp0, tm0 = transfer(at_b_t)
+    tp0, tm0, _ = transfer(at_b_t)
 
     def probs(b, frozen):
-        tp, tm = transfer(b)
+        tp, tm, _ = transfer(b)
         if frozen:
             tp = abs(tp0) * np.exp(1j * np.angle(tp))
             tm = abs(tm0) * np.exp(1j * np.angle(tm))
-        jones = circular_jones(tp, tm)
-        return measurement_rates(
-            state, channel=jones, analyzer_hwp_rad=analyzer_hwp_rad
-        ).as_array()
+        return measurement_rates(state, channel=circular_jones(tp, tm)).as_array()
 
     out = []
     for frozen in (False, True):

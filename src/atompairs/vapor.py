@@ -257,24 +257,13 @@ def _check_spacing(spacing_hz: float, min_width_hz: float):
         raise ResolutionError(spacing_hz, required)
 
 
-@dataclass(frozen=True)
-class ScalarTransmission:
-    """Polarization-independent intensity transmission |t+|^2 of a zero-field
-    path, evaluated exactly at any frequency."""
-
-    path: VaporPath
-
-    def __call__(self, nu_hz):
-        t_plus, _ = self.path.transfer_at(nu_hz)
-        return np.abs(t_plus) ** 2
-
-
 def blocking_cell_transmission(
     cell: VaporCellConfig,
     spacing_hz: float,
     atoms: AtomLibrary,
-) -> ScalarTransmission:
-    """Zero-field scalar attenuation of a (typically hot, buffered) cell.
+):
+    """Zero-field scalar attenuation ``nu -> |t+|^2`` of a (typically hot,
+    buffered) cell, exact at any frequency.
 
     ``spacing_hz`` is the grid spacing the caller will sample at; it must
     resolve the cell's narrowest line.
@@ -283,7 +272,11 @@ def blocking_cell_transmission(
         raise ConfigError("grid spacing must be > 0")
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
     _check_spacing(spacing_hz, path.min_feature_width_hz())
-    return ScalarTransmission(path)
+
+    def transmission(nu_hz):
+        return np.abs(path.transfer_at(nu_hz)[0]) ** 2
+
+    return transmission
 
 
 def make_frequency_grid(

@@ -135,12 +135,14 @@ def test_records_roundtrip_through_cli(tmp_path):
     assert float(mid[2]) == pytest.approx(0.2, abs=1e-6)
 
 
-def test_atom_data_override_flag(tmp_path):
+def _shipped_atom_data() -> dict:
     from importlib import resources
 
-    payload = yaml.safe_load(
-        resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text()
-    )
+    return yaml.safe_load(resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text())
+
+
+def test_atom_data_override_flag(tmp_path):
+    payload = _shipped_atom_data()
     payload["isotopes"]["Rb85"]["abundance"] = 0.6
     payload["isotopes"]["Rb87"]["abundance"] = 0.4
     alt = tmp_path / "atoms.yaml"
@@ -158,6 +160,58 @@ def test_atom_data_override_flag(tmp_path):
         ]
     )
     assert rc == 0
+
+
+def _atom_data_argv(tmp_path, payload) -> list[str]:
+    path = tmp_path / "atoms.yaml"
+    path.write_text(yaml.safe_dump(payload))
+    return ["--atom-data", str(path), "g2"]
+
+
+def _isotopes_not_a_mapping(tmp_path):
+    payload = _shipped_atom_data()
+    payload["isotopes"] = 3
+    return _atom_data_argv(tmp_path, payload)
+
+
+def _mass_not_a_number(tmp_path):
+    payload = _shipped_atom_data()
+    payload["isotopes"]["Rb85"]["mass_kg"] = "heavy"
+    return _atom_data_argv(tmp_path, payload)
+
+
+@pytest.mark.parametrize(
+    "argv_for",
+    [
+        lambda tmp: ["--atom-data", str(tmp / "missing.yaml"), "g2"],
+        _isotopes_not_a_mapping,
+        _mass_not_a_number,
+        lambda tmp: _atom_data_argv(tmp, [1, 2]),
+        lambda tmp: ["scenario", "run", str(tmp)],
+    ],
+    ids=["missing-atom-file", "isotopes-3", "mass-heavy", "top-level-list", "scenario-directory"],
+)
+def test_bad_input_files_exit_2(tmp_path, capsys, argv_for):
+    rc = main(["--out-dir", str(tmp_path / "out")] + argv_for(tmp_path))
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_noon_scan_and_fisher_block_share_probe_cells(tmp_path, monkeypatch):
+    """11 scan fields plus b* +- 0.25 mT; b* = 3 mT is a scan field."""
+    from atompairs import vapor
+
+    builds = []
+    init = vapor.VaporPath.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(vapor.VaporPath, "__init__", counted)
+    argv = ["noon-scan", "--b-max-mT", "5", "--b-step-mT", "0.5", "--fisher-at-mT", "3"]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    assert len(builds) == 13
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):

@@ -9,8 +9,6 @@ from atompairs.coincidences import (
     G2Envelope,
     _tooth_bin_weights,
     binned_histogram,
-    comb_kernel,
-    export_events,
     fit_envelope,
     g2_multi_weights,
     g2_single,
@@ -45,22 +43,6 @@ def test_comb_weights_spacing_and_peak():
     assert 1.0 / 501e6 == pytest.approx(1.996e-9, rel=2e-3)
     assert weights.max() == weights[delays == 0.0][0] == 1.0
     assert weights.min() >= 1e-6
-
-
-def test_exact_kernel_vs_delta_comb():
-    """Integrated difference between the sin^2 kernel and the delta comb over
-    one period is below 1% for N = 200."""
-    tau = 1.0 / 501e6
-    n_modes = 200
-    t = np.linspace(-tau / 2, tau / 2, 40001)
-    kernel = comb_kernel(t, tau, n_modes)
-    # the delta tooth carries the kernel's area; compare areas over a period
-    area = np.trapezoid(kernel, t)
-    assert area == pytest.approx(tau / (2 * n_modes + 1), rel=1e-6)
-    # off-tooth leakage: kernel mass outside |t| < tau/20 is < 1% of the area
-    outside = np.abs(t) > tau / 20
-    leak = np.trapezoid(np.where(outside, kernel, 0.0), t)
-    assert leak < 0.01 * area
 
 
 def test_tooth_weights_sum_to_one():
@@ -162,21 +144,6 @@ def test_fit_requires_span():
     hist = binned_histogram(ENV, det, "single", np.arange(-2, 3))
     with pytest.raises(FitFailure):
         fit_envelope(hist)
-
-
-def test_event_stream_roundtrip(tmp_path):
-    det = DetectionModel(t_bin_s=1e-9, t0_s=5e-9, rate1_hz=100.0, rate2_hz=100.0)
-    hist = simulate_histogram(
-        ENV, det, "single", np.arange(-40, 60), n_pairs=500, duration_s=1.0, seed=3
-    )
-    path = tmp_path / "events.bin"
-    n = export_events(path, hist, seed=9)
-    raw = path.read_bytes()
-    assert len(raw) == n * 9  # u64 + u8 little endian records
-    import struct
-
-    t0, ch0 = struct.unpack_from("<QB", raw, 0)
-    assert ch0 in (0, 1)
 
 
 def test_detection_model_guards():

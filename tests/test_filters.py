@@ -8,7 +8,6 @@ from atompairs.filters import (
     FilterSpectrum,
     PolarizerPair,
     dichroic_filter,
-    dual_channel_mode,
     fadof_spectrum,
     filter_metrics,
 )
@@ -122,22 +121,6 @@ def test_dichroic_filter_parameter_guards():
         dichroic_filter(3.77e14, -1.0, 0.1, 35.0)
     with pytest.raises(ConfigError):
         dichroic_filter(3.77e14, 80e6, 0.4, 35.0)
-
-
-def test_dual_channel_off_passes_everything(atoms, fadof_grid):
-    assembly = dual_channel_mode(False, atoms, fadof_grid)
-    eps = PolarizerPair().extinction
-    for name in ("H", "V"):
-        assert np.all(assembly.channel(name).transmission >= 1.0 - 2 * eps)
-
-
-def test_dual_channel_on_equals_single_filter(atoms, fadof_grid, fadof_main):
-    cell = VaporCellConfig(
-        length_m=0.10, temperature_k=365.0, isotope_fractions=atoms.natural_fractions()
-    )
-    assembly = dual_channel_mode(True, atoms, fadof_grid, cell=cell, b_field_t=4.5e-3)
-    assert np.allclose(assembly.channel("H").transmission, fadof_main.transmission)
-    assert np.allclose(assembly.channel("V").transmission, fadof_main.transmission)
 
 
 def test_on_mode_degenerate_transmission(fadof_main):

@@ -8,7 +8,6 @@ from atompairs.noon import (
     OpticalElement,
     TwoPhotonPolState,
     apply_element,
-    circular_amplitudes,
     circular_jones,
     count_oscillations,
     fisher_information,
@@ -35,16 +34,19 @@ from reference import harmonic_order, ideal_noon_fisher_pair, ideal_single_fishe
 
 
 def test_pair_is_circular_noon():
-    amps = circular_amplitudes(make_noon_from_pair())
-    assert amps["LL"].real == pytest.approx(0.5, abs=1e-12)
-    assert amps["RR"].real == pytest.approx(0.5, abs=1e-12)
-    assert abs(amps["LL,RR"]) == pytest.approx(0.5, abs=1e-12)
-    # opposite signs of the two amplitudes: coherence is negative real
-    assert amps["LL,RR"].real == pytest.approx(-0.5, abs=1e-12)
+    pair = make_noon_from_pair()
+    # a cell that passes only one circular component keeps only |LL> or |RR>
+    for t_plus, t_minus in ((1.0, 0.0), (0.0, 1.0)):
+        absorber = OpticalElement(kind="cell", jones=circular_jones(t_plus, t_minus))
+        assert apply_element(pair, absorber).trace == pytest.approx(0.5, abs=1e-12)
+    # a pi/2 rotation turns the LL and RR amplitudes by -1 each: the pair is
+    # unchanged, which holds only if they carry no LR component
+    rotated = apply_element(pair, OpticalElement(kind="rotation", jones=rotation_jones(np.pi / 2)))
+    assert np.abs(rotated.rho - pair.rho).max() < 1e-12
 
 
 def test_qwp_maps_pair_to_hv_noon():
-    mapped = apply_element(make_noon_from_pair(), OpticalElement.qwp(np.pi / 4))
+    mapped = apply_element(make_noon_from_pair(), OpticalElement(kind="QWP", jones=qwp_jones(np.pi / 4)))
     f, _ = noon_fidelity(mapped)
     assert f == pytest.approx(1.0, abs=1e-12)
     assert abs(mapped.rho[1, 1]) < 1e-12  # no HV population
@@ -86,7 +88,7 @@ def test_waveplate_algebra():
 
 def test_hwp_on_pure_states():
     hh = pure_state([1.0, 0, 0, 0])
-    out = apply_element(hh, OpticalElement.hwp(0.0))
+    out = apply_element(hh, OpticalElement(kind="HWP", jones=hwp_jones(0.0)))
     assert np.allclose(out.rho, hh.rho, atol=1e-12)
     probs = measurement_rates(hh, analyzer_hwp_rad=0.0)
     assert probs.hh == pytest.approx(1.0)
@@ -98,7 +100,8 @@ def test_faraday_zero_field_uniform_attenuation(atoms, sensing_cell, noon_line_h
     from atompairs.vapor import VaporPath
 
     path = VaporPath(atoms, sensing_cell, 0.0, slices=4)
-    elem = OpticalElement.faraday_cell(path, noon_line_hz)
+    t_plus, t_minus = path.transfer_at(np.array([noon_line_hz]))
+    elem = OpticalElement(kind="cell", jones=circular_jones(t_plus[0], t_minus[0]))
     state = make_noon_from_pair()
     out = apply_element(state, elem)
     eta = out.trace / state.trace
@@ -160,9 +163,9 @@ def test_outcome_classes_complete_under_loss():
 def test_physicality_preserved_property(t_plus, t_minus, phase, angle):
     state = make_noon_from_pair()
     chain = [
-        OpticalElement.hwp(angle),
+        OpticalElement(kind="HWP", jones=hwp_jones(angle)),
         OpticalElement(kind="cell", jones=circular_jones(t_plus, t_minus * np.exp(1j * phase))),
-        OpticalElement.qwp(angle / 2),
+        OpticalElement(kind="QWP", jones=qwp_jones(angle / 2)),
     ]
     rho = state
     for elem in chain:
@@ -175,7 +178,8 @@ def test_physicality_preserved_property(t_plus, t_minus, phase, angle):
 def test_two_hwp_applications_identity():
     state = surrogate_noon_state()
     for theta in (0.1, 0.7):
-        out = apply_element(apply_element(state, OpticalElement.hwp(theta)), OpticalElement.hwp(theta))
+        hwp = OpticalElement(kind="HWP", jones=hwp_jones(theta))
+        out = apply_element(apply_element(state, hwp), hwp)
         assert np.abs(out.rho - state.rho).max() < 1e-12
 
 
