@@ -31,7 +31,4 @@ def main():
 
 
 if __name__ == "__main__":
-    import warnings
-
-    warnings.filterwarnings("ignore")
     main()

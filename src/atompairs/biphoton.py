@@ -72,12 +72,10 @@ class CoherentRef:
         return self.alpha**2 / 2.0
 
 
-def coincidence_rate(
-    psi: BiphotonWaveFunction, ref: CoherentRef, floor: float = 0.0
-) -> np.ndarray:
-    """R_phi(tau) = |psi(tau) + (alpha^2/2) exp(2 i phi)|^2 (+ floor)."""
+def coincidence_rate(psi: BiphotonWaveFunction, ref: CoherentRef) -> np.ndarray:
+    """R_phi(tau) = |psi(tau) + (alpha^2/2) exp(2 i phi)|^2."""
     interferent = ref.pair_amplitude * np.exp(2j * ref.phase_rad)
-    return np.abs(psi.psi + interferent) ** 2 + floor
+    return np.abs(psi.psi + interferent) ** 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,6 @@ def simulate_records(
     exposure: float,
     noise: bool = True,
     seed: int = 0,
-    floor: float = 0.0,
 ) -> list[InterferenceRecord]:
     """Coincidence histograms for each analyser phase.
 
@@ -112,7 +109,7 @@ def simulate_records(
     rng = np.random.default_rng(seed)
     records = []
     for phi in phases:
-        rate = coincidence_rate(psi, CoherentRef(alpha=alpha, phase_rad=phi), floor)
+        rate = coincidence_rate(psi, CoherentRef(alpha=alpha, phase_rad=phi))
         expected = exposure * rate
         counts = rng.poisson(expected).astype(float) if noise else expected
         records.append(

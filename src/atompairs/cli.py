@@ -33,6 +33,10 @@ EXIT_NUMERIC = 3
 EXIT_COVERAGE = 4
 
 
+# rows formatted per block: the Python objects of one block stay at a few MB
+CSV_BLOCK_ROWS = 1 << 12
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """One row per index; integer columns as ``%d``, all others as ``%.12g``."""
     columns = [np.asarray(col) for col in columns]
@@ -40,7 +44,17 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     row += "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
+        for a in range(0, min(map(len, columns)), CSV_BLOCK_ROWS):
+            block = (col[a : a + CSV_BLOCK_ROWS].tolist() for col in columns)
+            fh.writelines(row % values for values in zip(*block))
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_json(path: Path, payload):
@@ -63,7 +77,7 @@ class OutputSink:
         return p
 
     def manifest(self, meta: dict):
-        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in self.files}
+        files = {p.name: _sha256(p) for p in self.files}
         write_json(self.out_dir / "manifest.json", {"meta": meta, "files": files})
 
 
@@ -187,14 +201,7 @@ def _matching_pieces(p, atoms):
     )
     comb = cavity.mode_comb(cfg)
     passed = cavity.filtered_pair_rate(comb, spec)
-    hot = vapor.VaporCellConfig(
-        length_m=0.10,
-        temperature_k=p["hot_cell_temp_k"],
-        isotope_fractions=atoms.natural_fractions(),
-        buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
-    )
-    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
-    return spec, nu0, comb, passed, hot_t
+    return spec, nu0, comb, passed
 
 
 def _write_comb(sink, comb, passed):
@@ -207,7 +214,7 @@ def _write_comb(sink, comb, passed):
 
 def run_matching(p, atoms, sink, seed):
     """filter, mirrored filter and pair comb"""
-    spec, nu0, comb, passed, hot_t = _matching_pieces(p, atoms)
+    spec, nu0, comb, passed = _matching_pieces(p, atoms)
     mirror = spec(2 * nu0 - spec.grid_hz)
     write_csv(
         sink.path("matching.csv"),
@@ -222,7 +229,14 @@ def run_matching(p, atoms, sink, seed):
 
 def run_purity(p, atoms, sink, seed):
     """filtered-comb spectral purity report"""
-    spec, nu0, comb, passed, hot_t = _matching_pieces(p, atoms)
+    spec, nu0, comb, passed = _matching_pieces(p, atoms)
+    hot = vapor.VaporCellConfig(
+        length_m=0.10,
+        temperature_k=p["hot_cell_temp_k"],
+        isotope_fractions=atoms.natural_fractions(),
+        buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
+    )
+    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
     rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
     _write_comb(sink, comb, passed)
     report = {

@@ -39,9 +39,10 @@ class G2Envelope:
         return 2.0 * _LN2 / self.gamma_sum
 
     @classmethod
-    def from_linewidth(cls, linewidth_hz: float, output_fraction: float = 0.8):
+    def from_linewidth(cls, linewidth_hz: float):
+        """Envelope of a cavity of FWHM ``linewidth_hz``, 80 % of it output coupling."""
         gs = 2.0 * np.pi * linewidth_hz
-        return cls(gamma1=output_fraction * gs, gamma2=(1.0 - output_fraction) * gs)
+        return cls(gamma1=0.8 * gs, gamma2=(1.0 - 0.8) * gs)
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,13 @@ def g2_single(delay_s, envelope: G2Envelope):
     return np.exp(-np.abs(np.asarray(delay_s, dtype=float)) * envelope.gamma_sum)
 
 
-def g2_multi_weights(envelope: G2Envelope, det: DetectionModel, weight_cut: float = 1e-6):
-    """Delta-comb teeth (delay, weight): weight = envelope at n * round-trip.
+def g2_multi_weights(envelope: G2Envelope, det: DetectionModel):
+    """Delta-comb teeth (delay, weight): weight = envelope at n * round-trip,
+    keeping the teeth of weight >= 1e-6.
 
     Valid when the mode count is large (>= 50), as for every shipped cavity.
     """
+    weight_cut = 1e-6
     tau = det.round_trip_s
     n_max = int(np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau)))
     n = np.arange(-n_max, n_max + 1)

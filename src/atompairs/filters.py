@@ -76,10 +76,9 @@ def fadof_spectrum(
     pol: PolarizerPair,
     grid_hz: np.ndarray,
     atoms: AtomLibrary,
-    slices: int = 16,
 ) -> FilterSpectrum:
     """Faraday-filter transmission on ``grid_hz`` plus an exact evaluator."""
-    path = VaporPath(atoms, cell, b_field_t, slices=slices)
+    path = VaporPath(atoms, cell, b_field_t, slices=16)
 
     def fn(nu):
         t_plus, t_minus = path.transfer_at(nu)

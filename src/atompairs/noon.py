@@ -303,16 +303,13 @@ class FisherReport:
     fi_per_scattered: float
 
 
-def fisher_information(
-    scan: list[SensingScanPoint],
-    at_b_t: float,
-    rel_check: float = 0.05,
-) -> FisherReport:
+def fisher_information(scan: list[SensingScanPoint], at_b_t: float) -> FisherReport:
     """Multinomial Fisher information per pair at one scan point.
 
     Uses centred finite differences on the scan's own B grid and a
-    step-halving (Richardson) consistency check: the scan must be uniform
-    with spacing <= 0.5 mT and contain at_b +- 2 steps.
+    step-halving (Richardson) consistency check, which fails above a 5 %
+    disagreement: the scan must be uniform with spacing <= 0.5 mT and
+    contain at_b +- 2 steps.
     """
     b = np.array([pt.b_t for pt in scan])
     db = np.diff(b)
@@ -332,7 +329,7 @@ def fisher_information(
     fi_h = _fisher_from_probabilities(p0, d_h)
     d_rich = (4.0 * d_h - d_2h) / 3.0
     fi_rich = _fisher_from_probabilities(p0, d_rich)
-    if fi_rich > 0 and abs(fi_h - fi_rich) > rel_check * fi_rich:
+    if fi_rich > 0 and abs(fi_h - fi_rich) > 0.05 * fi_rich:
         raise NumericError(
             f"finite-difference Fisher information unstable: h term {fi_h:.4g} "
             f"vs Richardson {fi_rich:.4g}"
@@ -382,13 +379,12 @@ def sql_fisher_information(
     channel_fn,
     at_b_t: float,
     h_t: float = 0.25e-3,
-    grid_points: int = 13,
 ) -> float:
     """Best single-photon Fisher information through ``channel_fn(b) -> 2x2``.
 
     Optimization runs over the probe polarization (Bloch angles) and the
     analyzer basis, with the lost-photon class included; coarse deterministic
-    grid then Nelder-Mead refinement.
+    grid (13 x 13 inputs by 13 x 13 analyzers) then Nelder-Mead refinement.
     """
     j_0 = np.asarray(channel_fn(at_b_t), dtype=complex)
     # derivative of the channel itself; amplitudes are smooth in B, so this
@@ -413,6 +409,7 @@ def sql_fisher_information(
         return _fisher_from_probabilities(p, dp)
 
     # vectorized coarse grid: inputs (a, b) x analyzers (c, d)
+    grid_points = 13
     angles = np.linspace(0.0, np.pi, grid_points)
     phases = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
     aa, bb = np.meshgrid(angles, phases, indexing="ij")

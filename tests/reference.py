@@ -8,6 +8,7 @@ transforms act as cross-checks on the production implementations.
 import numpy as np
 from scipy.constants import physical_constants
 
+from atompairs.faddeeva import voigt_profile_complex
 from atompairs.wigner import spin_matrices, wigner_3j
 
 MU_B = physical_constants["Bohr magneton in Hz/T"][0]
@@ -195,3 +196,24 @@ def harmonic_order(theta_rad, values):
     coef, *_ = np.linalg.lstsq(np.column_stack(cols), np.asarray(values, dtype=float), rcond=None)
     power = coef[1::2] ** 2 + coef[2::2] ** 2
     return float(orders @ power / power.sum())
+
+
+def one_shot_susceptibility(arrays, nu_hz):
+    """chi(nu) of one polarization's line arrays, as a single lines x
+    frequencies evaluation: the expression blocked evaluation must reproduce."""
+    nu = np.asarray(nu_hz, dtype=float)
+    prof = voigt_profile_complex(
+        nu[None, :] - arrays.nu0[:, None], arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
+    )
+    return 1j * (arrays.amp @ prof)
+
+
+def one_shot_csv(path, header, columns):
+    """A table written in one pass over whole ``tolist()`` columns, with the
+    same row templates as ``cli.write_csv``."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
+    row += "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from atompairs.cli import (
+    CSV_BLOCK_ROWS,
     PARAMS,
     RUNNERS,
     build_parser,
@@ -14,7 +15,10 @@ from atompairs.cli import (
     rho_from_json,
     rho_to_json,
     validate_scenario,
+    write_csv,
 )
+
+from reference import one_shot_csv
 
 
 def _hash_dir(path: Path) -> dict:
@@ -212,6 +216,34 @@ def test_noon_scan_and_fisher_block_share_probe_cells(tmp_path, monkeypatch):
     argv = ["noon-scan", "--b-max-mT", "5", "--b-step-mT", "0.5", "--fisher-at-mT", "3"]
     assert main(["--out-dir", str(tmp_path)] + argv) == 0
     assert len(builds) == 13
+
+
+def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
+    default, unbuffered = tmp_path / "default", tmp_path / "unbuffered"
+    assert main(["--out-dir", str(default), "matching"]) == 0
+    assert main(["--out-dir", str(unbuffered), "matching", "--hot-cell-buffer-MHz", "0"]) == 0
+    for name in ("matching.csv", "comb.csv"):
+        assert (unbuffered / name).read_bytes() == (default / name).read_bytes()
+    # matching.csv (2.2 MB) is hashed over several 1 MiB reads
+    hashes = _hash_dir(default)
+    del hashes["manifest.json"]
+    assert json.loads((default / "manifest.json").read_text())["files"] == hashes
+    assert main(["--out-dir", str(tmp_path / "purity"), "purity", "--hot-cell-buffer-MHz", "0"]) == 4
+
+
+def test_write_csv_blocks_match_one_shot(tmp_path):
+    rows = CSV_BLOCK_ROWS + 1
+    index = np.arange(rows) - 3
+    values = np.linspace(-2.5, 7.0, rows) ** 3 * 1e-9
+    edges = [0, 1, 2, 3, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS]
+    values[edges] = [np.nan, np.inf, -np.inf, -0.0, np.nan, -0.0]
+    header = ["index", "value", "scaled"]
+    columns = [index, values, values * 1e300]
+    write_csv(tmp_path / "blocked.csv", header, columns)
+    one_shot_csv(tmp_path / "one_shot.csv", header, columns)
+    blocked = (tmp_path / "blocked.csv").read_bytes()
+    assert blocked == (tmp_path / "one_shot.csv").read_bytes()
+    assert blocked.count(b"\n") == rows + 1
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):

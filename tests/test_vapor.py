@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scipy.constants import c as C_LIGHT
 
+from atompairs import vapor
 from atompairs.errors import ConfigError, ResolutionError
+from atompairs.faddeeva import voigt_profile_complex
 from atompairs.noon import circular_jones
 from atompairs.vapor import (
     VaporCellConfig,
@@ -14,7 +18,7 @@ from atompairs.vapor import (
     number_density,
 )
 
-from reference import hilbert_transform, steck_rb_number_density
+from reference import hilbert_transform, one_shot_susceptibility, steck_rb_number_density
 
 
 def natural_cell(atoms, temp_k=300.0, length_m=0.10, buffer_mhz=0.0):
@@ -242,6 +246,58 @@ def test_transfer_rejects_gain(atoms, monkeypatch):
     monkeypatch.setattr(path, "index_at", lambda nu, b: (gain_medium, gain_medium))
     with pytest.raises(ValueError, match="gain"):
         path.transfer_at(np.array([1e14, 1.0001e14]))
+
+
+def _fadof_path(atoms):
+    cell = VaporCellConfig(
+        length_m=0.10, temperature_k=365.0, isotope_fractions=atoms.natural_fractions()
+    )
+    return VaporPath(atoms, cell, 4.5e-3, slices=1)
+
+
+@pytest.mark.parametrize("pol", ["sigma+", "sigma-"])
+@pytest.mark.parametrize("step", [7, None])
+def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
+    """Every block boundary case, with a small block and with the shipped one
+    (whose blocks also split across CPUs).
+
+    A grid of one block is the one-shot call, bit for bit.  Across blocks
+    only the BLAS line sum may round differently: OpenBLAS sums the last
+    (rows mod 4) frequencies of each block, or thread slice, in another
+    order, so those stay within the summation bound L * eps * sum |terms|.
+    """
+    arrays = _fadof_path(atoms)._arrays_for_field(4.5e-3)[pol]
+    lines = arrays.nu0.size
+    if step is None:
+        step = vapor.BLOCK_POINTS // lines
+    else:
+        # a block constant that is not a multiple of the line count
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines + 3)
+    for n in (1, step - 1, step, step + 1, 3 * step + 5):
+        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        blocked = arrays.susceptibility(nu)
+        one_shot = one_shot_susceptibility(arrays, nu)
+        if n <= step:
+            assert np.array_equal(blocked, one_shot)
+        prof = voigt_profile_complex(
+            nu[None, :] - arrays.nu0[:, None], arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
+        )
+        bound = lines * np.finfo(float).eps * (np.abs(arrays.amp) @ np.abs(prof))
+        assert np.all(np.abs(blocked - one_shot) <= bound)
+
+
+def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
+    """A 100,001-point filter evaluation stays well below lines x grid memory:
+    one complex lines x grid matrix alone would take 51 MB."""
+    grid = make_frequency_grid(d1_center, 10e9, 0.2e6)
+    assert grid.size == 100_001
+    tracemalloc.start()
+    try:
+        _fadof_path(atoms).transfer_at(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def _count_index_calls(path, monkeypatch):
