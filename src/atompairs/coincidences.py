@@ -40,7 +40,7 @@ class G2Envelope:
 
     @classmethod
     def from_linewidth(cls, linewidth_hz: float):
-        """Envelope of a cavity of FWHM ``linewidth_hz``, 80 % of it output coupling."""
+        """Envelope of a cavity of FWHM ``linewidth_hz``; 80 % of its decay is output coupling."""
         gs = 2.0 * np.pi * linewidth_hz
         return cls(gamma1=0.8 * gs, gamma2=(1.0 - 0.8) * gs)
 

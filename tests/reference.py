@@ -202,8 +202,9 @@ def one_shot_susceptibility(arrays, nu_hz):
     """chi(nu) of one polarization's line arrays, as a single lines x
     frequencies evaluation: the expression blocked evaluation must reproduce."""
     nu = np.asarray(nu_hz, dtype=float)
+    detuning = nu[None, :] - arrays.nu0[:, None]
     prof = voigt_profile_complex(
-        nu[None, :] - arrays.nu0[:, None], arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
+        detuning, arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
     )
     return 1j * (arrays.amp @ prof)
 

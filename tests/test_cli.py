@@ -228,7 +228,8 @@ def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
     hashes = _hash_dir(default)
     del hashes["manifest.json"]
     assert json.loads((default / "manifest.json").read_text())["files"] == hashes
-    assert main(["--out-dir", str(tmp_path / "purity"), "purity", "--hot-cell-buffer-MHz", "0"]) == 4
+    purity = ["--out-dir", str(tmp_path / "purity"), "purity", "--hot-cell-buffer-MHz", "0"]
+    assert main(purity) == 4
 
 
 def test_write_csv_blocks_match_one_shot(tmp_path):

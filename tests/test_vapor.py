@@ -279,8 +279,9 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         one_shot = one_shot_susceptibility(arrays, nu)
         if n <= step:
             assert np.array_equal(blocked, one_shot)
+        detuning = nu[None, :] - arrays.nu0[:, None]
         prof = voigt_profile_complex(
-            nu[None, :] - arrays.nu0[:, None], arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
+            detuning, arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
         )
         bound = lines * np.finfo(float).eps * (np.abs(arrays.amp) @ np.abs(prof))
         assert np.all(np.abs(blocked - one_shot) <= bound)
