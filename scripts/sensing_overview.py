@@ -30,7 +30,6 @@ def main():
         length_m=0.075,
         temperature_k=343.15,
         isotope_fractions={"Rb85": 0.995, "Rb87": 0.005},
-        field_profile="quadratic",
         droop_fraction=0.15,
     )
     state = make_noon_from_pair(imbalance=0.15)

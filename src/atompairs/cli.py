@@ -4,9 +4,10 @@ One subcommand per scenario (spectrum, fadof, matching, purity, g2,
 interference, reconstruct, superresolution, spectroscopy, noon-scan) plus
 ``scenario run <preset|path>``.  Each scenario's parameters, with their
 defaults, are declared once in ``PARAMS``: the subcommand flags, the checks on
-scenario files and the values the runners read all derive from that table.
-All outputs are plain CSV/JSON tables; a manifest with SHA-256 hashes
-accompanies every run so that seeded runs can be verified byte for byte.
+scenario files and the values the runners read all derive from that table,
+and a preset in ``PRESETS`` sets only the keys its figure changes.  All
+outputs are plain CSV/JSON tables; a manifest with SHA-256 hashes accompanies
+every run so that seeded runs can be verified byte for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric error, 4 coverage error.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from atompairs import biphoton, cavity, coincidences, filters, noon, presets, vapor
+from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
 from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError
 
@@ -390,7 +391,6 @@ def _sensing_cell(p, temp_c):
         length_m=p["length_mm"] / 1e3,
         temperature_k=temp_c + 273.15,
         isotope_fractions={"Rb85": frac, "Rb87": 1.0 - frac},
-        field_profile="quadratic" if p["droop_fraction"] else "uniform",
         droop_fraction=p["droop_fraction"],
     )
 
@@ -547,6 +547,19 @@ PARAMS: dict[str, dict] = {
     },
 }
 
+# The paper's figures: each names its scenario and only the keys it sets away
+# from that scenario's defaults in PARAMS.  A dump of one is a scenario file.
+PRESETS: dict[str, dict] = {
+    "fig2-fadof": {"scenario": "fadof", "params": {}},
+    "fig3-matching": {"scenario": "matching", "params": {}},
+    "fig4-g2-comb": {"scenario": "g2", "params": {"t0_ns": 37.4}},
+    "fig5-interference": {"scenario": "interference", "params": {}},
+    "fig6-reconstruction": {"scenario": "reconstruct", "params": {}},
+    "fig7-superresolution": {"scenario": "superresolution", "params": {}},
+    "fig10-spectroscopy": {"scenario": "spectroscopy", "params": {"spacing_mhz": 1.0, "slices": 2}},
+    "fig11-sensing": {"scenario": "noon-scan", "params": {"fisher_at_mt": 44.0}},
+}
+
 # key suffix -> the unit as flags spell it (field_mt -> --field-mT)
 _UNITS = {"k": "K", "c": "C", "hz": "Hz", "mhz": "MHz", "ghz": "GHz", "mt": "mT"}
 
@@ -594,12 +607,12 @@ def _check(key: str, spec, value):
 
 def load_scenario_config(source: str) -> dict:
     """Preset name, or a YAML/JSON file with {scenario, params, ...}."""
-    if source in presets.PRESETS:
-        return json.loads(json.dumps(presets.PRESETS[source]))  # deep copy
+    if source in PRESETS:
+        return json.loads(json.dumps(PRESETS[source]))  # deep copy
     path = Path(source)
     if not path.exists():
         raise ConfigError(
-            f"{source!r} is neither a preset ({', '.join(sorted(presets.PRESETS))}) "
+            f"{source!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor an existing file"
         )
     try:

@@ -290,9 +290,11 @@ def visibility(values) -> float:
     return float((v.max() - v.min()) / (v.max() + v.min()))
 
 
-def _fisher_from_probabilities(p: np.ndarray, dp: np.ndarray, floor: float = 1e-12) -> float:
-    mask = p > floor
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+def _fisher_from_probabilities(p, dp, floor: float = 1e-12):
+    """Sum of dp^2 / p over the outcomes (the first axis), leaving out outcomes
+    with p <= floor."""
+    terms = (np.where(q > floor, dq**2 / np.where(q > floor, q, 1.0), 0.0) for q, dq in zip(p, dp))
+    return sum(terms)
 
 
 @dataclass(frozen=True)
@@ -375,6 +377,29 @@ def fisher_information_frozen_loss(
     return out[0], out[1]
 
 
+def _single_photon_fisher(j_0, dj, a, b_ph, c, d_ph):
+    """Fisher information of one photon in the polarization (a, b_ph) through
+    a channel with Jones ``j_0`` and derivative ``dj``, analyzed in the basis
+    (c, d_ph), the lost-photon class included; broadcasts over the angles.
+
+    Written out element by element: stacking into matrix products costs twice
+    as much for the scalar calls of the refinement.
+    """
+    psi_h, psi_v = np.cos(a), np.exp(1j * b_ph) * np.sin(a)
+    out_h, out_v = j_0[0, 0] * psi_h + j_0[0, 1] * psi_v, j_0[1, 0] * psi_h + j_0[1, 1] * psi_v
+    dout_h, dout_v = dj[0, 0] * psi_h + dj[0, 1] * psi_v, dj[1, 0] * psi_h + dj[1, 1] * psi_v
+    # conjugates of the analyzer ports (cos c, e^{i d} sin c), (-e^{-i d} sin c, cos c)
+    m1_h, m1_v = np.cos(c), np.exp(-1j * d_ph) * np.sin(c)
+    m2_h, m2_v = -np.exp(1j * d_ph) * np.sin(c), np.cos(c)
+    amp1, damp1 = m1_h * out_h + m1_v * out_v, m1_h * dout_h + m1_v * dout_v
+    amp2, damp2 = m2_h * out_h + m2_v * out_v, m2_h * dout_h + m2_v * dout_v
+    p1, p2 = np.abs(amp1) ** 2, np.abs(amp2) ** 2
+    dp1 = 2.0 * np.real(amp1.conj() * damp1)
+    dp2 = 2.0 * np.real(amp2.conj() * damp2)
+    p_lost = np.maximum(1.0 - (p1 + p2), 0.0)
+    return _fisher_from_probabilities((p1, p2, p_lost), (dp1, dp2, -(dp1 + dp2)))
+
+
 def sql_fisher_information(
     channel_fn,
     at_b_t: float,
@@ -394,54 +419,17 @@ def sql_fisher_information(
         - np.asarray(channel_fn(at_b_t - h_t), dtype=complex)
     ) / (2 * h_t)
 
-    def fi_of(params):
-        a, b_ph, c, d_ph = params
-        psi = np.array([np.cos(a), np.exp(1j * b_ph) * np.sin(a)])
-        m1 = np.array([np.cos(c), np.exp(1j * d_ph) * np.sin(c)])
-        m2 = np.array([-np.sin(c) * np.exp(-1j * d_ph), np.cos(c)])
-        out, dout = j_0 @ psi, dj @ psi
-        amps = np.array([m1.conj() @ out, m2.conj() @ out])
-        damps = np.array([m1.conj() @ dout, m2.conj() @ dout])
-        p12 = np.abs(amps) ** 2
-        dp12 = 2.0 * np.real(amps.conj() * damps)
-        p = np.append(p12, max(1.0 - p12.sum(), 0.0))
-        dp = np.append(dp12, -dp12.sum())
-        return _fisher_from_probabilities(p, dp)
-
-    # vectorized coarse grid: inputs (a, b) x analyzers (c, d)
-    grid_points = 13
-    angles = np.linspace(0.0, np.pi, grid_points)
-    phases = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-    aa, bb = np.meshgrid(angles, phases, indexing="ij")
-    psi = np.stack([np.cos(aa).ravel(), np.exp(1j * bb.ravel()) * np.sin(aa).ravel()])
-    m1 = np.stack([np.cos(aa).ravel(), np.exp(1j * bb.ravel()) * np.sin(aa).ravel()])
-    m2 = np.stack([-np.sin(aa).ravel() * np.exp(-1j * bb.ravel()), np.cos(aa).ravel()])
-
-    out, dout = j_0 @ psi, dj @ psi  # (2, Nin)
-    amp1, damp1 = m1.conj().T @ out, m1.conj().T @ dout  # (Nout, Nin)
-    amp2, damp2 = m2.conj().T @ out, m2.conj().T @ dout
-    p1, p2 = np.abs(amp1) ** 2, np.abs(amp2) ** 2
-    dp1 = 2.0 * np.real(amp1.conj() * damp1)
-    dp2 = 2.0 * np.real(amp2.conj() * damp2)
-    pl = np.clip(1.0 - p1 - p2, 0.0, None)
-    dpl = -(dp1 + dp2)
-
-    def term(p, dp):
-        return np.where(p > 1e-12, dp**2 / np.where(p > 1e-12, p, 1.0), 0.0)
-
-    fi_grid = term(p1, dp1) + term(p2, dp2) + term(pl, dpl)
+    # coarse grid: analyzers (c, d) down, inputs (a, b) across
+    angles = np.linspace(0.0, np.pi, 13)
+    phases = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+    aa, bb = (x.ravel() for x in np.meshgrid(angles, phases, indexing="ij"))
+    fi_grid = _single_photon_fisher(j_0, dj, aa, bb, aa[:, None], bb[:, None])
     i_out, i_in = np.unravel_index(int(np.argmax(fi_grid)), fi_grid.shape)
     best = float(fi_grid[i_out, i_in])
-    best_params = (
-        angles[i_in // grid_points],
-        phases[i_in % grid_points],
-        angles[i_out // grid_points],
-        phases[i_out % grid_points],
-    )
 
     res = minimize(
-        lambda p: -fi_of(p),
-        np.asarray(best_params),
+        lambda q: -_single_photon_fisher(j_0, dj, *q),
+        np.array([aa[i_in], bb[i_in], aa[i_out], bb[i_out]]),
         method="Nelder-Mead",
         options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10},
     )

@@ -39,7 +39,6 @@ class VaporCellConfig:
     temperature_k: float
     isotope_fractions: Mapping[str, float]
     buffer_fwhm_hz: float = 0.0
-    field_profile: str = "uniform"  # or "quadratic"
     droop_fraction: float = 0.0  # center-to-face fractional drop of B(z)
 
     def __post_init__(self):
@@ -54,14 +53,17 @@ class VaporCellConfig:
             raise ConfigError("isotope fractions must be >= 0")
         if self.buffer_fwhm_hz < 0:
             raise ConfigError("buffer broadening must be >= 0")
-        if self.field_profile not in ("uniform", "quadratic"):
-            raise ConfigError("field_profile must be 'uniform' or 'quadratic'")
         if not 0.0 <= self.droop_fraction < 0.5:
             raise ConfigError("droop_fraction must lie in [0, 0.5)")
 
+    @property
+    def field_profile(self) -> str:
+        """"quadratic" when the field droops toward the faces, else "uniform"."""
+        return "quadratic" if self.droop_fraction else "uniform"
+
     def field_at(self, z_m, b_center_t: float):
         """Axial field at position z in [0, L]."""
-        if self.field_profile == "uniform" or self.droop_fraction == 0.0:
+        if self.droop_fraction == 0.0:
             return b_center_t * np.ones_like(np.asarray(z_m, dtype=float))
         x = 2.0 * np.asarray(z_m, dtype=float) / self.length_m - 1.0
         return b_center_t * (1.0 - self.droop_fraction * x**2)
@@ -153,9 +155,7 @@ class VaporPath:
         self.atoms = atoms
         self.cell = cell
         self.b_center_t = b_center_t
-        self.slices = (
-            1 if (cell.field_profile == "uniform" or cell.droop_fraction == 0.0) else slices
-        )
+        self.slices = 1 if cell.droop_fraction == 0.0 else slices
         self.density_m3 = number_density(cell.temperature_k, atoms)
         self._slice_cache: dict[float, dict[str, _LineArrays]] = {}
         self._last: tuple[np.ndarray, tuple] | None = None
@@ -204,19 +204,17 @@ class VaporPath:
             return self._last[1]
         log_t_plus = np.zeros(nu.shape, dtype=complex)
         log_t_minus = np.zeros(nu.shape, dtype=complex)
-        theta = np.zeros(nu.shape)
         k_vac = 2j * np.pi * nu / C_LIGHT
         for b, count in self._fields:
             n_plus, n_minus = self.index_at(nu, b)
             log_t_plus += count * (k_vac * (n_plus - 1.0) * self._dz)
             log_t_minus += count * (k_vac * (n_minus - 1.0) * self._dz)
-            theta += count * (
-                np.pi * nu * self._dz * (n_plus.real - n_minus.real) / C_LIGHT
-            )
         # singular values of diag(t+, t-) are |t+|, |t-|
         gain = np.expm1(max(log_t_plus.real.max(), log_t_minus.real.max()))
         if gain > 1e-12:
             raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
+        # half the circular phase difference, summed slice by slice: unwrapped
+        theta = 0.5 * (log_t_plus.imag - log_t_minus.imag)
         result = (np.exp(log_t_plus), np.exp(log_t_minus), theta)
         for arr in result:
             arr.flags.writeable = False

@@ -62,7 +62,6 @@ def sensing_cell():
         length_m=0.075,
         temperature_k=343.15,
         isotope_fractions={"Rb85": 0.995, "Rb87": 0.005},
-        field_profile="quadratic",
         droop_fraction=0.15,
     )
 

@@ -379,7 +379,6 @@ def test_criterion_10_property_suites(atoms, tmp_path):
         length_m=0.075,
         temperature_k=356.0,
         isotope_fractions=atoms.natural_fractions(),
-        field_profile="quadratic",
         droop_fraction=0.15,
     )
     path = vapor.VaporPath(atoms, cell, 49e-3, slices=8)

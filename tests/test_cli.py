@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import yaml
 from atompairs.cli import (
     CSV_BLOCK_ROWS,
     PARAMS,
+    PRESETS,
     RUNNERS,
     build_parser,
     main,
@@ -19,6 +22,8 @@ from atompairs.cli import (
 )
 
 from reference import one_shot_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _hash_dir(path: Path) -> dict:
@@ -248,8 +253,6 @@ def test_write_csv_blocks_match_one_shot(tmp_path):
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):
-    from atompairs.presets import PRESETS
-
     cfg = tmp_path / "scenario.yaml"
     cfg.write_text(yaml.safe_dump(PRESETS["fig4-g2-comb"]))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -310,13 +313,31 @@ def test_spectrum_csv_columns(tmp_path):
 
 
 def test_every_preset_resolves_against_its_table():
-    from atompairs.presets import PRESETS
-
     for name, cfg in PRESETS.items():
         scenario, resolved = validate_scenario(cfg)
         assert set(resolved) == set(PARAMS[scenario]), name
         for key, value in cfg["params"].items():
             assert resolved[key] == value, (name, key)
+
+
+def _frozen_figures() -> dict:
+    """The benchmark's frozen scenario of each figure, read from its source."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    return {name: cfg for figures in workloads.values() for name, cfg in figures.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_resolves_to_its_frozen_figure(name):
+    """An edit to PARAMS must not silently move a paper figure."""
+    assert validate_scenario(PRESETS[name]) == validate_scenario(_frozen_figures()[name])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_sets_only_keys_away_from_the_defaults(name):
+    scenario = PRESETS[name]["scenario"]
+    _, defaults = validate_scenario({"scenario": scenario})
+    for key, value in PRESETS[name]["params"].items():
+        assert value != defaults[key], (name, key)
 
 
 @pytest.mark.parametrize(
@@ -387,10 +408,9 @@ def test_every_scenario_has_a_subcommand_with_help(command, capsys):
 
 
 def test_readme_examples_parse():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [
         line.strip()
-        for line in readme.read_text().splitlines()
+        for line in (ROOT / "README.md").read_text().splitlines()
         if line.startswith("atompairs ") and not any(c in line for c in "[<")
     ]
     assert len(lines) >= 5
@@ -433,3 +453,29 @@ def test_reconstruct_defaults_agree_between_flags_and_file(tmp_path):
     assert main(["--out-dir", str(out_file), "scenario", "run", str(cfg)]) == 0
     assert main(["--out-dir", str(out_flag), "reconstruct"]) == 0
     assert _hash_dir(out_file) == _hash_dir(out_flag)
+
+
+def _readme_tables() -> dict[str, list[list[str]]]:
+    """README's tables keyed by their first header cell; body rows as cells."""
+    tables, rows = {}, None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [cell.strip().strip("`") for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if rows is None:
+            rows = tables.setdefault(cells[0], [])
+        elif not set(cells[0]) <= set("-:"):
+            rows.append(cells)
+    return tables
+
+
+def test_readme_tables_list_every_command_and_preset():
+    tables = _readme_tables()
+    commands = {row[0].split(" <")[0] for row in tables["command"]}
+    assert commands == set(RUNNERS) | {"scenario run"}
+    presets = {
+        name: {"scenario": scenario, "params": yaml.safe_load(params)}
+        for name, scenario, params in tables["preset"]
+    }
+    assert presets == PRESETS

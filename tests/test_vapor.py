@@ -215,7 +215,6 @@ def test_cell_transfer_passivity_random_configs(atoms, d1_center):
             temperature_k=rng.uniform(293.0, 400.0),
             isotope_fractions=atoms.natural_fractions(),
             droop_fraction=rng.uniform(0.0, 0.3),
-            field_profile="quadratic",
         )
         path = VaporPath(atoms, cell, rng.uniform(0.0, 60e-3), slices=4)
         t_plus, t_minus = path.transfer_at(grid)
