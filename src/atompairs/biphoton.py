@@ -103,6 +103,8 @@ def simulate_records(
     ``exposure`` converts rates to expected counts; with ``noise`` the counts
     are Poisson-sampled (seeded), otherwise exact expectations are returned.
     """
+    if not exposure >= 0:
+        raise ConfigError("params.exposure: must be >= 0")
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
@@ -140,6 +142,8 @@ def reconstruct_wavefunction(records: list[InterferenceRecord], alpha: float) ->
         raise ConfigError("reference amplitude must be > 0")
     if len(records) < 3:
         raise ConfigError("need at least 3 records")
+    if not all(r.exposure > 0 for r in records):
+        raise ConfigError("params.exposure: reconstruction needs an exposure > 0")
     phases = np.array([r.phase_rad for r in records])
     # conditioning: phases must span the 2phi circle with >= 3 distinct points
     distinct = np.unique(np.round(np.mod(phases, np.pi) / np.pi * 1e6))

@@ -134,8 +134,8 @@ def run_spectrum(p, atoms, sink, seed):
     )
     center = atoms.d1_center_hz(cell.isotope_fractions)
     grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
     path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
-    vapor._check_resolution(grid, path.min_feature_width_hz())
     n_plus, n_minus = path.index_at(grid, path.b_center_t)
     if p["format"] == "json":
         write_json(
@@ -165,12 +165,15 @@ def _fadof(p, atoms, half_span_hz, spacing_hz):
     center = atoms.d1_center_hz(cell.isotope_fractions)
     pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
+    vapor.check_spacing(cell, atoms, spacing_hz)
     spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
     return spec, center
 
 
 def run_fadof(p, atoms, sink, seed):
     """Faraday filter spectrum and metrics"""
+    if not p["window_ghz"] > 0:
+        raise ConfigError("params.window_ghz: must be > 0")
     spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     window = p["window_ghz"] * 1e9
     peak = float(spec.grid_hz[int(np.argmax(spec.transmission))])
@@ -237,7 +240,7 @@ def run_purity(p, atoms, sink, seed):
         isotope_fractions=atoms.natural_fractions(),
         buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
     )
-    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
+    hot_t = vapor.blocking_cell_transmission(hot, atoms)
     rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
     _write_comb(sink, comb, passed)
     report = {
@@ -318,13 +321,16 @@ def run_reconstruct(p, atoms, sink, seed):
         payload = _read_json(p["records"])
         try:
             alpha = float(payload["alpha"])
+            exposure = float(payload["exposure"])
+            if not exposure > 0:
+                raise ConfigError("params.records: the bundle's exposure must be > 0")
             tau = np.asarray(payload["tau_ns"], dtype=float) * 1e-9
             records = [
                 biphoton.InterferenceRecord(
                     phase_rad=float(ph),
                     tau_s=tau,
                     counts=np.asarray(counts, dtype=float),
-                    exposure=float(payload["exposure"]),
+                    exposure=exposure,
                 )
                 for ph, counts in zip(payload["phases_rad"], payload["counts"])
             ]
@@ -403,8 +409,10 @@ def run_spectroscopy(p, atoms, sink, seed):
     cols = [grid, (grid - center) / 1e9]
     widths = {}
     for temp_c in p["temps_c"]:
+        cell = _sensing_cell(p, temp_c)
+        vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
         for b_mt in p["fields_mt"]:
-            path = vapor.VaporPath(atoms, _sensing_cell(p, temp_c), b_mt * 1e-3, slices=p["slices"])
+            path = vapor.VaporPath(atoms, cell, b_mt * 1e-3, slices=p["slices"])
             t_plus, t_minus = path.transfer_at(grid)
             trans = 0.5 * (np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2)
             header.append(f"T_{temp_c:g}C_{b_mt:g}mT")

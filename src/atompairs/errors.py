@@ -22,8 +22,8 @@ class CoverageError(AtomPairsError):
 
 
 class ResolutionError(CoverageError):
-    """Frequency grid too coarse for the narrowest line; message carries the
-    required spacing."""
+    """Uniform grid coarser than ``vapor.check_spacing`` allows for the cell;
+    ``required_hz`` is the largest spacing it allows."""
 
     def __init__(self, spacing_hz, required_hz):
         self.spacing_hz = float(spacing_hz)

@@ -140,11 +140,10 @@ def filter_metrics(spec: FilterSpectrum, passband_window_hz=None) -> FilterMetri
     if passband_window_hz is None:
         passband_window_hz = (peak_hz - 3e9, peak_hz + 3e9)
     outside = (grid < passband_window_hz[0]) | (grid > passband_window_hz[1])
-    if np.any(outside):
-        worst = float(t[outside].max())
-        rejection_db = float("inf") if worst <= 0 else -10.0 * np.log10(worst)
-    else:
-        rejection_db = float("nan")
+    if not np.any(outside):
+        raise CoverageError("passband window holds the whole grid; no stopband to reject")
+    worst = float(t[outside].max())
+    rejection_db = float("inf") if worst <= 0 else -10.0 * np.log10(worst)
 
     return FilterMetrics(
         t_max=t_max,

@@ -5,9 +5,9 @@ chi_q(nu) as a sum of complex Voigt profiles -> n_q = sqrt(1 + chi_q) ->
 diagonal circular-basis Jones factors exp[i 2 pi nu (n_q - 1) dz / c]
 composed along the beam path with a position-dependent axial field.
 
-Pointwise evaluation at arbitrary frequencies is exact (no sampling), while
-the uniform-grid operations enforce a resolution precondition so exported
-spectra cannot silently under-resolve a line.
+Evaluation is pointwise and exact at any frequency.  A caller that exports a
+spectrum on a uniform grid first calls ``check_spacing``, the one resolution
+rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ _LN2 = np.log(2.0)
 # still splits across the usable CPUs, and the per-block thread hand-off
 # costs about 3 % of a 32,001-point filter (7 % at 2^17)
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
+# grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
+# study in tests/test_resolution.py (README, Grid resolution)
+POINTS_PER_FWHM = 100
 
 
 @dataclass(frozen=True)
@@ -121,10 +124,6 @@ class _LineArrays:
             prof = voigt_profile_complex(delta, self.lorentz_fwhm_hz[:, None], self.sigma_hz[:, None])
             chi[a : a + step] = 1j * (self.amp @ prof)
         return chi
-
-    def min_feature_width_hz(self) -> float:
-        doppler_fwhm = 2.0 * np.sqrt(_LN2) * self.sigma_hz
-        return float(min(self.lorentz_fwhm_hz.min(), doppler_fwhm.min()))
 
 
 class VaporPath:
@@ -238,51 +237,35 @@ class VaporPath:
         """
         return self._propagate(nu_hz)[2]
 
-    def min_feature_width_hz(self) -> float:
-        widths = [
-            arr.min_feature_width_hz()
-            for arrays in (self._arrays_for_field(b) for b, _ in self._fields)
-            for arr in arrays.values()
-        ]
-        return min(widths)
+
+def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):
+    """Voigt FWHM to about 2e-4 (Olivero & Longbothum, JQSRT 17, 233 (1977))."""
+    gauss_fwhm = 2.0 * np.sqrt(_LN2) * sigma_hz
+    return 0.5346 * lorentz_fwhm_hz + np.sqrt(0.2166 * lorentz_fwhm_hz**2 + gauss_fwhm**2)
 
 
-def _check_resolution(grid_hz: np.ndarray, min_width_hz: float):
-    grid = np.asarray(grid_hz, dtype=float)
-    if grid.size < 2:
-        return
-    spacing = np.diff(grid)
-    if np.any(spacing <= 0):
-        raise ConfigError("frequency grid must be strictly increasing")
-    _check_spacing(spacing.max(), min_width_hz)
-
-
-def _check_spacing(spacing_hz: float, min_width_hz: float):
-    required = min_width_hz / 10.0
+def check_spacing(cell: VaporCellConfig, atoms: AtomLibrary, spacing_hz: float):
+    """Raise ResolutionError if ``spacing_hz`` puts fewer than ``POINTS_PER_FWHM``
+    grid points across the cell's narrowest Voigt line.  The widths come from
+    each isotope's D1 frequency and do not depend on the field."""
+    width = min(
+        _voigt_fwhm_hz(
+            atoms[name].natural_fwhm_hz + cell.buffer_fwhm_hz,
+            _doppler_sigma_hz(atoms[name].d1_frequency_hz, atoms[name].mass_kg, cell.temperature_k),
+        )
+        for name, fraction in cell.isotope_fractions.items()
+        if fraction > 0
+    )
+    required = width / POINTS_PER_FWHM
     if spacing_hz > required * (1 + 1e-9):
         raise ResolutionError(spacing_hz, required)
 
 
-def blocking_cell_transmission(
-    cell: VaporCellConfig,
-    spacing_hz: float,
-    atoms: AtomLibrary,
-):
-    """Zero-field scalar attenuation ``nu -> |t+|^2`` of a (typically hot,
-    buffered) cell, exact at any frequency.
-
-    ``spacing_hz`` is the grid spacing the caller will sample at; it must
-    resolve the cell's narrowest line.
-    """
-    if spacing_hz <= 0:
-        raise ConfigError("grid spacing must be > 0")
+def blocking_cell_transmission(cell: VaporCellConfig, atoms: AtomLibrary):
+    """Zero-field attenuation ``nu -> |t+|^2`` of a (typically hot, buffered)
+    cell, exact at any frequency: no grid, so no spacing to check."""
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
-    _check_spacing(spacing_hz, path.min_feature_width_hz())
-
-    def transmission(nu_hz):
-        return np.abs(path.transfer_at(nu_hz)[0]) ** 2
-
-    return transmission
+    return lambda nu_hz: np.abs(path.transfer_at(nu_hz)[0]) ** 2
 
 
 def make_frequency_grid(

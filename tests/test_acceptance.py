@@ -124,7 +124,7 @@ def test_criterion_4_spectral_purity(atoms, fadof_main):
         isotope_fractions=atoms.natural_fractions(),
         buffer_fwhm_hz=178e6,
     )
-    hot_t = vapor.blocking_cell_transmission(hot, 2e6, atoms)
+    hot_t = vapor.blocking_cell_transmission(hot, atoms)
     rep = cavity.spectral_purity(passed, 1.8e-6, hot_t)
     ok_share = abs(rep.degenerate_share_in_band - 0.98) <= 0.01
     ok_frac = abs(rep.degenerate_fraction - 0.96) <= 0.015

@@ -148,7 +148,7 @@ def test_fadof_filtered_comb_purity(atoms, fadof_main):
         isotope_fractions=atoms.natural_fractions(),
         buffer_fwhm_hz=178e6,
     )
-    hot_t = blocking_cell_transmission(hot, 2e6, atoms)
+    hot_t = blocking_cell_transmission(hot, atoms)
     rep = spectral_purity(passed, 1.8e-6, hot_t)
     assert rep.degenerate_share_in_band == pytest.approx(0.98, abs=0.01)
     assert rep.degenerate_fraction == pytest.approx(0.96, abs=0.015)

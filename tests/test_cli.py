@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import yaml
 
+from atompairs.atoms import load_atom_data
 from atompairs.cli import (
     CSV_BLOCK_ROWS,
     PARAMS,
     PRESETS,
     RUNNERS,
+    _sensing_cell,
     build_parser,
     main,
     rho_from_json,
@@ -20,10 +22,22 @@ from atompairs.cli import (
     validate_scenario,
     write_csv,
 )
+from atompairs.vapor import VaporCellConfig
 
 from reference import one_shot_csv
+from test_resolution import limit_hz
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _limit_mhz(cell) -> float:
+    return limit_hz(cell, load_atom_data()) / 1e6
+
+
+def _natural_cell(temp_k) -> VaporCellConfig:
+    return VaporCellConfig(
+        length_m=0.10, temperature_k=temp_k, isotope_fractions=load_atom_data().natural_fractions()
+    )
 
 
 def _hash_dir(path: Path) -> dict:
@@ -97,12 +111,47 @@ def test_resolution_error_exit_code(tmp_path):
             str(tmp_path / "out"),
             "spectrum",
             "--spacing-MHz",
-            "5.0",
+            str(2 * _limit_mhz(_natural_cell(300.0))),
             "--half-span-GHz",
             "1.0",
         ]
     )
     assert rc == 4
+
+
+# each command's default cell, as its runner builds it: the spectroscopy grid
+# must resolve the coldest (22 C) of its temperatures
+_GRID_CELLS = {
+    "spectrum": lambda: _natural_cell(PARAMS["spectrum"]["temp_k"]),
+    "fadof": lambda: _natural_cell(PARAMS["fadof"]["temp_k"]),
+    "spectroscopy": lambda: _sensing_cell(PARAMS["spectroscopy"], 22.0),
+}
+
+
+@pytest.mark.parametrize(
+    "command, factor, code",
+    [("spectrum", 2.0, 4), ("fadof", 2.0, 4), ("spectroscopy", 2.0, 4), ("spectrum", 0.99, 0)],
+)
+def test_every_exported_grid_is_checked_at_the_limit(tmp_path, command, factor, code):
+    out = tmp_path / "out"
+    spacing = factor * _limit_mhz(_GRID_CELLS[command]())
+    assert main(["--out-dir", str(out), command, "--spacing-MHz", str(spacing)]) == code
+    tables = sorted(p.name for p in out.glob("*.csv"))
+    assert tables == (["index.csv"] if code == 0 else [])
+
+
+def test_records_bundle_exposure_must_be_positive(tmp_path, capsys):
+    bundle = {
+        "alpha": 1.0,
+        "exposure": 0.0,
+        "tau_ns": [-1.0, 0.0, 1.0],
+        "phases_rad": [0.0, 0.6, 1.2],
+        "counts": [[1, 2, 1], [1, 2, 1], [1, 2, 1]],
+    }
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(bundle))
+    assert main(["--out-dir", str(tmp_path / "out"), "reconstruct", "--records", str(path)]) == 2
+    assert "params.records" in capsys.readouterr().err
 
 
 def test_numeric_error_exit_code(tmp_path):
@@ -233,8 +282,13 @@ def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
     hashes = _hash_dir(default)
     del hashes["manifest.json"]
     assert json.loads((default / "manifest.json").read_text())["files"] == hashes
-    purity = ["--out-dir", str(tmp_path / "purity"), "purity", "--hot-cell-buffer-MHz", "0"]
-    assert main(purity) == 4
+    # purity reads the hot cell pointwise, so no spacing check refuses the
+    # unbuffered one, and the buffer does move the report
+    assert main(["--out-dir", str(tmp_path / "purity"), "purity"]) == 0
+    purity = ["--out-dir", str(tmp_path / "bare"), "purity", "--hot-cell-buffer-MHz", "0"]
+    assert main(purity) == 0
+    report = (tmp_path / "purity" / "purity.json").read_bytes()
+    assert (tmp_path / "bare" / "purity.json").read_bytes() != report
 
 
 def test_write_csv_blocks_match_one_shot(tmp_path):
@@ -393,6 +447,9 @@ def test_spectrum_format_json(tmp_path):
         ["superresolution", "--angle-step-deg", "0"],
         ["g2", "--fsr-MHz", "0"],
         ["g2", "--bins", "-5"],
+        ["interference", "--exposure", "-1"],
+        ["reconstruct", "--exposure", "0"],
+        ["fadof", "--window-GHz", "-1"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, argv):

@@ -41,6 +41,16 @@ def test_metrics_reject_edge_peak():
         filter_metrics(FilterSpectrum(grid_hz=grid, transmission=t))
 
 
+def test_metrics_reject_a_window_that_leaves_no_stopband(fadof_main):
+    """``fadof --window-GHz 100`` on the +-8 GHz grid: no point is left to
+    measure rejection on, so the metrics refuse rather than report NaN."""
+    peak = fadof_main.grid_hz[int(np.argmax(fadof_main.transmission))]
+    with pytest.raises(CoverageError, match="stopband"):
+        filter_metrics(fadof_main, (peak - 100e9, peak + 100e9))
+    edge = max(fadof_main.grid_hz[-1] - peak, peak - fadof_main.grid_hz[0])
+    assert np.isfinite(filter_metrics(fadof_main, (peak - edge / 2, peak + edge / 2)).rejection_db)
+
+
 def test_fadof_zero_field_is_dark(atoms, d1_center):
     cell = VaporCellConfig(
         length_m=0.10, temperature_k=365.0, isotope_fractions=atoms.natural_fractions()

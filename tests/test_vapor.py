@@ -12,8 +12,8 @@ from atompairs.noon import circular_jones
 from atompairs.vapor import (
     VaporCellConfig,
     VaporPath,
-    _check_resolution,
     blocking_cell_transmission,
+    check_spacing,
     make_frequency_grid,
     number_density,
 )
@@ -127,7 +127,7 @@ def test_index_passivity(atoms, d1_center):
 
 def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=300.0)
-    t = blocking_cell_transmission(cell, 0.5e6, atoms)
+    t = blocking_cell_transmission(cell, atoms)
     trans = t(fadof_grid)
     dips = trans < 0.9
     # count connected below-threshold regions
@@ -137,7 +137,7 @@ def test_absorption_dips_300k_four_groups(atoms, fadof_grid):
 
 def test_absorption_365k_three_opaque_regions(atoms, fadof_grid):
     cell = natural_cell(atoms, temp_k=365.0)
-    t = blocking_cell_transmission(cell, 0.5e6, atoms)
+    t = blocking_cell_transmission(cell, atoms)
     opaque = t(fadof_grid) < 1e-3
     starts = np.sum(opaque[1:] & ~opaque[:-1]) + int(opaque[0])
     assert starts == 3
@@ -146,12 +146,11 @@ def test_absorption_365k_three_opaque_regions(atoms, fadof_grid):
 def test_complex_index_grid_resolution_guard(atoms, d1_center):
     cell = natural_cell(atoms)
     path = VaporPath(atoms, cell, 0.0, slices=1)
-    coarse = make_frequency_grid(d1_center, 4e9, 5e6)
     with pytest.raises(ResolutionError) as err:
-        _check_resolution(coarse, path.min_feature_width_hz())
-    assert err.value.required_hz < 5e6
+        check_spacing(cell, atoms, 10e6)
+    assert err.value.required_hz < 10e6
     fine = make_frequency_grid(d1_center, 0.1e9, 0.5e6)
-    _check_resolution(fine, path.min_feature_width_hz())
+    check_spacing(cell, atoms, 0.5e6)
     n_plus, _ = path.index_at(fine, 0.0)
     assert n_plus.shape == fine.shape
 
@@ -400,7 +399,7 @@ def test_sensing_cell_rotation_grows_and_transmits(atoms, sensing_cell, noon_lin
 
 def test_hot_cell_blocks_filter_passband(atoms, fadof_main):
     hot = natural_cell(atoms, temp_k=390.0, buffer_mhz=178.0)
-    t = blocking_cell_transmission(hot, 2e6, atoms)
+    t = blocking_cell_transmission(hot, atoms)
     # opaque across the main transmission peak (half-maximum region)
     peak_idx = int(np.argmax(fadof_main.transmission))
     t_max = fadof_main.transmission[peak_idx]
@@ -410,7 +409,7 @@ def test_hot_cell_blocks_filter_passband(atoms, fadof_main):
 
 def test_cold_cell_transparent_at_operating_point(atoms, fadof_main):
     cold = natural_cell(atoms, temp_k=295.0, buffer_mhz=178.0)
-    t = blocking_cell_transmission(cold, 2e6, atoms)
+    t = blocking_cell_transmission(cold, atoms)
     nu0 = fadof_main.grid_hz[int(np.argmax(fadof_main.transmission))]
     assert t(np.array([nu0]))[0] > 0.9
 
@@ -418,17 +417,9 @@ def test_cold_cell_transparent_at_operating_point(atoms, fadof_main):
 def test_blocking_transmission_bounded(atoms, d1_center):
     hot = natural_cell(atoms, temp_k=380.0, buffer_mhz=178.0)
     grid = make_frequency_grid(d1_center, 6e9, 5e6)
-    t = blocking_cell_transmission(hot, 5e6, atoms)
+    t = blocking_cell_transmission(hot, atoms)
     assert np.all(t(grid) > 0.0)
     assert np.all(t(grid) <= 1.0)
-
-
-def test_blocking_cell_checks_the_spacing(atoms):
-    cold = natural_cell(atoms, temp_k=295.0)
-    with pytest.raises(ResolutionError):
-        blocking_cell_transmission(cold, 5e6, atoms)
-    with pytest.raises(ConfigError):
-        blocking_cell_transmission(cold, 0.0, atoms)
 
 
 def test_spectroscopy_broadening_monotone_in_field(atoms, sensing_cell):
