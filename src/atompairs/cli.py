@@ -174,6 +174,8 @@ def run_fadof(p, atoms, sink, seed):
     """Faraday filter spectrum and metrics"""
     if not p["window_ghz"] > 0:
         raise ConfigError("params.window_ghz: must be > 0")
+    if 0 <= p["half_span_ghz"] <= p["window_ghz"] / 2:  # holds the grid wherever the peak falls
+        raise CoverageError("passband window holds the whole grid; no stopband to reject")
     spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     window = p["window_ghz"] * 1e9
     peak = float(spec.grid_hz[int(np.argmax(spec.transmission))])
@@ -332,10 +334,10 @@ def run_reconstruct(p, atoms, sink, seed):
                     counts=np.asarray(counts, dtype=float),
                     exposure=exposure,
                 )
-                for ph, counts in zip(payload["phases_rad"], payload["counts"])
+                for ph, counts in zip(payload["phases_rad"], payload["counts"], strict=True)
             ]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad records bundle: {exc}") from exc
+            raise ConfigError(f"params.records: bad records bundle: {exc}") from exc
     else:
         phases = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
         records = biphoton.simulate_records(

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from atompairs.errors import ConfigError, NumericError
 from atompairs.vapor import VaporCellConfig, VaporPath
@@ -22,6 +21,8 @@ BASIS = ("HH", "HV", "VH", "VV")
 
 # columns are the sigma+ / sigma- circular states in the H/V basis
 _V_CIRC = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+# outcomes at or below this probability carry no Fisher information
+_PROB_FLOOR = 1e-12
 
 
 def hwp_jones(angle_rad: float) -> np.ndarray:
@@ -290,7 +291,7 @@ def visibility(values) -> float:
     return float((v.max() - v.min()) / (v.max() + v.min()))
 
 
-def _fisher_from_probabilities(p, dp, floor: float = 1e-12):
+def _fisher_from_probabilities(p, dp, floor: float = _PROB_FLOOR):
     """Sum of dp^2 / p over the outcomes (the first axis), leaving out outcomes
     with p <= floor."""
     terms = (np.where(q > floor, dq**2 / np.where(q > floor, q, 1.0), 0.0) for q, dq in zip(p, dp))
@@ -377,60 +378,47 @@ def fisher_information_frozen_loss(
     return out[0], out[1]
 
 
-def _single_photon_fisher(j_0, dj, a, b_ph, c, d_ph):
-    """Fisher information of one photon in the polarization (a, b_ph) through
-    a channel with Jones ``j_0`` and derivative ``dj``, analyzed in the basis
-    (c, d_ph), the lost-photon class included; broadcasts over the angles.
+def sql_fisher_information(channel_fn, at_b_t: float, h_t: float = 0.25e-3) -> float:
+    """Best single-photon Fisher information through ``channel_fn(b) -> 2x2``,
+    which must be diagonal in the circular basis at b* and b* +- h.
 
-    Written out element by element: stacking into matrix products costs twice
-    as much for the scalar calls of the refinement.
+    For a probe of sigma+ weight x, the best analyzer (lost class counted)
+    reaches the quantum Fisher information of {detected J psi, lost}
+    (Braunstein & Caves, PRL 72, 3439 (1994)),
+    F(x) = 4 [s - (Im q)^2 / n + (Re q)^2 / (1 - n)], where n = psi^dag J^dag J psi,
+    q = psi^dag J^dag J' psi and s = psi^dag J'^dag J' psi are affine in x.
+    The optimum is at x = 0, x = 1 or a root of the quartic numerator of F'.
+    A class whose probability (n or 1 - n) is at or below ``_PROB_FLOOR``
+    adds no term, which drops the lost class of a lossless channel.
     """
-    psi_h, psi_v = np.cos(a), np.exp(1j * b_ph) * np.sin(a)
-    out_h, out_v = j_0[0, 0] * psi_h + j_0[0, 1] * psi_v, j_0[1, 0] * psi_h + j_0[1, 1] * psi_v
-    dout_h, dout_v = dj[0, 0] * psi_h + dj[0, 1] * psi_v, dj[1, 0] * psi_h + dj[1, 1] * psi_v
-    # conjugates of the analyzer ports (cos c, e^{i d} sin c), (-e^{-i d} sin c, cos c)
-    m1_h, m1_v = np.cos(c), np.exp(-1j * d_ph) * np.sin(c)
-    m2_h, m2_v = -np.exp(1j * d_ph) * np.sin(c), np.cos(c)
-    amp1, damp1 = m1_h * out_h + m1_v * out_v, m1_h * dout_h + m1_v * dout_v
-    amp2, damp2 = m2_h * out_h + m2_v * out_v, m2_h * dout_h + m2_v * dout_v
-    p1, p2 = np.abs(amp1) ** 2, np.abs(amp2) ** 2
-    dp1 = 2.0 * np.real(amp1.conj() * damp1)
-    dp2 = 2.0 * np.real(amp2.conj() * damp2)
-    p_lost = np.maximum(1.0 - (p1 + p2), 0.0)
-    return _fisher_from_probabilities((p1, p2, p_lost), (dp1, dp2, -(dp1 + dp2)))
 
+    def circular(b):
+        d = _V_CIRC.conj().T @ np.asarray(channel_fn(b), dtype=complex) @ _V_CIRC
+        if abs(d[0, 1]) + abs(d[1, 0]) > 1e-9 * np.abs(d).max():
+            raise ConfigError("SQL reference needs a channel diagonal in the circular basis")
+        return np.diag(d)
 
-def sql_fisher_information(
-    channel_fn,
-    at_b_t: float,
-    h_t: float = 0.25e-3,
-) -> float:
-    """Best single-photon Fisher information through ``channel_fn(b) -> 2x2``.
-
-    Optimization runs over the probe polarization (Bloch angles) and the
-    analyzer basis, with the lost-photon class included; coarse deterministic
-    grid (13 x 13 inputs by 13 x 13 analyzers) then Nelder-Mead refinement.
-    """
-    j_0 = np.asarray(channel_fn(at_b_t), dtype=complex)
-    # derivative of the channel itself; amplitudes are smooth in B, so this
+    t = circular(at_b_t)
+    # derivative of the amplitudes themselves; they are smooth in B, so this
     # avoids the dark-fringe artifact of differencing |amplitude|^2 directly
-    dj = (
-        np.asarray(channel_fn(at_b_t + h_t), dtype=complex)
-        - np.asarray(channel_fn(at_b_t - h_t), dtype=complex)
-    ) / (2 * h_t)
+    dt = (circular(at_b_t + h_t) - circular(at_b_t - h_t)) / (2 * h_t)
 
-    # coarse grid: analyzers (c, d) down, inputs (a, b) across
-    angles = np.linspace(0.0, np.pi, 13)
-    phases = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
-    aa, bb = (x.ravel() for x in np.meshgrid(angles, phases, indexing="ij"))
-    fi_grid = _single_photon_fisher(j_0, dj, aa, bb, aa[:, None], bb[:, None])
-    i_out, i_in = np.unravel_index(int(np.argmax(fi_grid)), fi_grid.shape)
-    best = float(fi_grid[i_out, i_in])
+    def affine(per_circ):  # value at sigma- (x = 0) and slope towards sigma+
+        return np.polynomial.Polynomial([per_circ[1], per_circ[0] - per_circ[1]])
 
-    res = minimize(
-        lambda q: -_single_photon_fisher(j_0, dj, *q),
-        np.array([aa[i_in], bb[i_in], aa[i_out], bb[i_out]]),
-        method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10},
+    n, s = affine(np.abs(t) ** 2), affine(np.abs(dt) ** 2)
+    re_q, im_q = affine(np.real(t.conj() * dt)), affine(np.imag(t.conj() * dt))
+    # F/4 = num/den as polynomials in x, with only the classes above the floor
+    num, den = s * n - im_q**2, n
+    if max(1.0 - n(0.0), 1.0 - n(1.0)) > _PROB_FLOOR:
+        num, den = num * (1.0 - n) + re_q**2 * n, den * (1.0 - n)
+    # real parts of complex roots are harmless extra candidates, and near-double
+    # real roots come back with a small imaginary part
+    roots = (num.deriv() * den - num * den.deriv()).roots().real
+    x = np.concatenate(([0.0, 1.0], np.clip(roots, 0.0, 1.0)))
+    fi = (
+        4.0 * s(x)
+        - _fisher_from_probabilities((n(x),), (2.0 * im_q(x),))
+        + _fisher_from_probabilities((1.0 - n(x),), (2.0 * re_q(x),))
     )
-    return float(max(best, -res.fun))
+    return float(fi.max())

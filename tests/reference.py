@@ -7,6 +7,7 @@ transforms act as cross-checks on the production implementations.
 
 import numpy as np
 from scipy.constants import physical_constants
+from scipy.optimize import minimize
 
 from atompairs.faddeeva import voigt_profile_complex
 from atompairs.wigner import spin_matrices, wigner_3j
@@ -143,6 +144,57 @@ def ideal_noon_fisher_pair(slope_rad_per_t):
 def ideal_single_fisher(slope_rad_per_t):
     """Best lossless single-photon interferometer: 4 * slope^2."""
     return 4.0 * slope_rad_per_t**2
+
+
+def _single_photon_fisher(j_0, dj, a, b_ph, c, d_ph, floor=1e-12):
+    """Classical Fisher information of one photon in the polarization
+    (cos a, e^{i b} sin a) through a channel with Jones ``j_0`` and derivative
+    ``dj``, analyzed in the basis (c, d_ph), the lost-photon class included;
+    outcomes with probability <= floor are left out. Broadcasts over the angles."""
+    psi_h, psi_v = np.cos(a), np.exp(1j * b_ph) * np.sin(a)
+    out_h, out_v = j_0[0, 0] * psi_h + j_0[0, 1] * psi_v, j_0[1, 0] * psi_h + j_0[1, 1] * psi_v
+    dout_h, dout_v = dj[0, 0] * psi_h + dj[0, 1] * psi_v, dj[1, 0] * psi_h + dj[1, 1] * psi_v
+    # conjugates of the analyzer ports (cos c, e^{i d} sin c), (-e^{-i d} sin c, cos c)
+    m1_h, m1_v = np.cos(c), np.exp(-1j * d_ph) * np.sin(c)
+    m2_h, m2_v = -np.exp(1j * d_ph) * np.sin(c), np.cos(c)
+    amp1, damp1 = m1_h * out_h + m1_v * out_v, m1_h * dout_h + m1_v * dout_v
+    amp2, damp2 = m2_h * out_h + m2_v * out_v, m2_h * dout_h + m2_v * dout_v
+    p1, p2 = np.abs(amp1) ** 2, np.abs(amp2) ** 2
+    dp1 = 2.0 * np.real(amp1.conj() * damp1)
+    dp2 = 2.0 * np.real(amp2.conj() * damp2)
+    p_lost = np.maximum(1.0 - (p1 + p2), 0.0)
+    fi = 0.0
+    for p, dp in ((p1, dp1), (p2, dp2), (p_lost, -(dp1 + dp2))):
+        fi = fi + np.where(p > floor, dp**2 / np.where(p > floor, p, 1.0), 0.0)
+    return fi
+
+
+def searched_sql_fisher(channel_fn, at_b_t, h_t=0.25e-3):
+    """Best single-photon Fisher information through ``channel_fn(b) -> 2x2``
+    by brute force over any channel: a 13 x 13 grid of input polarizations
+    (Bloch angles) by 13 x 13 analyzer bases, then Nelder-Mead refinement
+    from the best grid point. Never above the true optimum."""
+    j_0 = np.asarray(channel_fn(at_b_t), dtype=complex)
+    dj = (
+        np.asarray(channel_fn(at_b_t + h_t), dtype=complex)
+        - np.asarray(channel_fn(at_b_t - h_t), dtype=complex)
+    ) / (2 * h_t)
+
+    # coarse grid: analyzers (c, d) down, inputs (a, b) across
+    angles = np.linspace(0.0, np.pi, 13)
+    phases = np.linspace(0.0, 2 * np.pi, 13, endpoint=False)
+    aa, bb = (x.ravel() for x in np.meshgrid(angles, phases, indexing="ij"))
+    fi_grid = _single_photon_fisher(j_0, dj, aa, bb, aa[:, None], bb[:, None])
+    i_out, i_in = np.unravel_index(int(np.argmax(fi_grid)), fi_grid.shape)
+    best = float(fi_grid[i_out, i_in])
+
+    res = minimize(
+        lambda q: -_single_photon_fisher(j_0, dj, *q),
+        np.array([aa[i_in], bb[i_in], aa[i_out], bb[i_out]]),
+        method="Nelder-Mead",
+        options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10},
+    )
+    return float(max(best, -res.fun))
 
 
 def steck_rb_number_density(temperature_k):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,32 @@ def test_records_bundle_exposure_must_be_positive(tmp_path, capsys):
     path.write_text(json.dumps(bundle))
     assert main(["--out-dir", str(tmp_path / "out"), "reconstruct", "--records", str(path)]) == 2
     assert "params.records" in capsys.readouterr().err
+
+
+def test_records_bundle_lengths_must_agree(tmp_path, capsys):
+    bundle = {
+        "alpha": 1.0,
+        "exposure": 1.0,
+        "tau_ns": [-1.0, 0.0, 1.0],
+        "phases_rad": [0.0, 0.6, 1.2, 1.8],
+        "counts": [[1, 2, 1], [1, 2, 1], [1, 2, 1]],
+    }
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(bundle))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "reconstruct", "--records", str(path)]) == 2
+    assert "params.records" in capsys.readouterr().err
+    assert not (out / "reconstruction.csv").exists()
+
+
+def test_fadof_window_holding_the_grid_refused_up_front(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rc = main(["--out-dir", str(out), "fadof", "--window-GHz", "100"])
+    assert rc == 4
+    assert "holds the whole grid" in capsys.readouterr().err
+    assert not (out / "fadof.csv").exists()
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -27,7 +27,12 @@ from atompairs.noon import (
     visibility,
 )
 
-from reference import harmonic_order, ideal_noon_fisher_pair, ideal_single_fisher
+from reference import (
+    harmonic_order,
+    ideal_noon_fisher_pair,
+    ideal_single_fisher,
+    searched_sql_fisher,
+)
 
 
 # ------------------------------------------------------------ state algebra
@@ -272,6 +277,13 @@ def test_fisher_lossless_noon_closed_form():
     assert sql == pytest.approx(ideal_single_fisher(slope), rel=1e-4)
     ratio = rep.fi_per_photon / sql
     assert ratio == pytest.approx(2.0, abs=1e-3)
+    # polarization-independent loss scales it by eta; the best input is then
+    # the interior x = 1/2, not a circular state
+    eta = 0.64
+    lossy = sql_fisher_information(
+        lambda b: np.sqrt(eta) * rotation_jones(slope * b), 20e-3, h_t=0.1e-3
+    )
+    assert lossy == pytest.approx(eta * ideal_single_fisher(slope), rel=1e-4)
 
 
 def test_fisher_zero_sensitivity_point():
@@ -330,6 +342,54 @@ def test_noon_beats_sql_in_operating_window(atoms, sensing_cell, noon_line_hz, s
             found = (b_mt, rep.fi_per_photon / sql)
             break
     assert found is not None
+
+
+_B0 = 40e-3
+
+
+def _exponential_channel(t0, kappa):
+    """Circular-diagonal t+-(b) = t0+- exp(kappa+- (b - B0)) for complex kappa:
+    amplitude exponential and phase linear in b.  Its central difference keeps
+    Re(t* dt) = 0 wherever |t| = 1; a curved phase would not, and the lost
+    class would then make the Fisher information unbounded near that input."""
+    return lambda b: circular_jones(*(t0 * np.exp(kappa * (b - _B0))))
+
+
+@given(
+    weight=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    log_slope=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+    phase=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+    phase_slope=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+)
+@settings(max_examples=20)
+def test_sql_closed_form_never_beaten_by_search(weight, log_slope, phase, phase_slope):
+    """No input polarization and analyzer basis that the grid + Nelder-Mead
+    search finds beats the closed form, on random contractive channels
+    t+-(b) = r+-(b) e^{i phi+-(b)} with r+- <= 1 at b* and b* +- h."""
+    h = 0.25e-3
+    a = np.array(log_slope)
+    r0 = np.array(weight) * np.exp(-np.abs(a) * h)  # r(b* +- h) <= weight <= 1
+    kappa = a + 1j * np.array(phase_slope)
+    channel = _exponential_channel(r0 * np.exp(1j * np.array(phase)), kappa)
+    closed = sql_fisher_information(channel, _B0, h_t=h)
+    assert searched_sql_fisher(channel, _B0, h_t=h) <= closed * (1.0 + 1e-9)
+
+
+def test_sql_closed_form_matches_search_on_fig11_cell(atoms, sensing_cell, noon_line_hz):
+    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
+
+    def channel(b):
+        return circular_jones(*transfer(b)[:2])
+
+    for b_mt in (34.0, 40.0, 44.0, 48.0):
+        closed = sql_fisher_information(channel, b_mt * 1e-3)
+        assert closed == pytest.approx(searched_sql_fisher(channel, b_mt * 1e-3), rel=1e-12)
+
+
+def test_sql_needs_circular_diagonal_channel():
+    # a half-wave plate swaps sigma+ and sigma-: wholly off-diagonal there
+    with pytest.raises(ConfigError, match="circular basis"):
+        sql_fisher_information(lambda b: hwp_jones(0.3) @ rotation_jones(50.0 * b), 20e-3)
 
 
 def test_loss_variation_adds_information(atoms, sensing_cell, noon_line_hz):
