@@ -2,13 +2,14 @@
 
 Builds product-basis Hamiltonians H = offset + A J.I (+ quadrupole) +
 mu_B B (g_J Jz + g_I Iz), diagonalizes them per m_F block and enumerates
-optical transition lines with Wigner-Eckart strengths.  What does not depend
-on the field (H0 and the Zeeman operator per set of constants, the m_F block
-layout, the dipole blocks) is built once per process, so a field costs one
-matrix sum, one stacked eigh per block size and one array selection of the
-lines.  Everything is in Hz
-and Tesla; constants come from the shipped data file (see data/rb_d1.yaml
-for sources) and can be overridden with a user file of the same schema.
+optical transition lines with Wigner-Eckart strengths.  Each step takes one
+field or an array of fields: the Hamiltonians of all fields are one stack,
+solved by one stacked eigh per m_F block size, and their dipole amplitudes
+are one batched product.  What does not depend on the field (H0 and the
+Zeeman operator per set of constants, the m_F block layout, the dipole
+blocks) is built once per process.  Everything is in Hz and Tesla;
+constants come from the shipped data file (see data/rb_d1.yaml for sources)
+and can be overridden with a user file of the same schema.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from atompairs.wigner import spin_matrices, wigner_3j
 MU_B_HZ_PER_T = physical_constants["Bohr magneton in Hz/T"][0]
 
 _POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
+_D1 = ("5S1/2", "5P1/2")  # ground and excited manifold of the lines
 
 
 @dataclass(frozen=True)
@@ -197,13 +199,13 @@ class ManifoldHamiltonian:
     J: float
     I: float
     basis: tuple[tuple[float, float], ...]
-    matrix_hz: np.ndarray
-    field_t: float
+    matrix_hz: np.ndarray  # (dim, dim), or (fields, dim, dim) for an array of fields
+    field_t: float | np.ndarray
     constants: ManifoldConstants | None = None
 
     @property
     def dim(self) -> int:
-        return self.matrix_hz.shape[0]
+        return self.matrix_hz.shape[-1]
 
     def m_f(self) -> np.ndarray:
         return np.array([mj + mi for mj, mi in self.basis])
@@ -235,10 +237,28 @@ def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
     return _read_only(h0, con.g_J * np.kron(jz, eye_i) + g_I * np.kron(eye_j, iz))
 
 
-def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> ManifoldHamiltonian:
-    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis."""
-    if b_field_t < 0:
-        raise ConfigError("field strength must be >= 0")
+def _hermiticity_defect(h: np.ndarray, rtol: float):
+    """Largest |H - H^dag| over the matrices of ``h`` whose defect exceeds
+    ``rtol`` times max(1, max |H|), or None if every matrix is within it."""
+    defect = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = defect > rtol * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    return defect[bad].max() if bad.any() else None
+
+
+def build_hamiltonian(
+    iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray
+) -> ManifoldHamiltonian:
+    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis.
+
+    ``b_field_t`` is one field or a 1-D array of fields; an array gives one
+    matrix per field, stacked along a leading axis.
+    """
+    b = np.asarray(b_field_t, dtype=float)
+    if b.ndim > 1:
+        raise ConfigError("fields must be one field or a 1-D array of fields")
+    bad = b[~(np.isfinite(b) & (b >= 0))]
+    if bad.size:
+        raise ConfigError(f"field strength must be finite and >= 0 (got {float(bad[0])!r} T)")
     con = iso.manifold(manifold)
     J, I = con.J, iso.nuclear_spin
     if con.B_hfs_hz != 0.0 and (J <= 0.5 or I <= 0.5):
@@ -246,10 +266,10 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> Mani
             f"{iso.name} {manifold}: quadrupole constant given but J or I is 1/2"
         )
     h0, zeeman = _field_free_operators(con, I, iso.g_I)
-    h = h0 + MU_B_HZ_PER_T * b_field_t * zeeman
+    h = h0 + (MU_B_HZ_PER_T * b)[..., None, None] * zeeman
 
-    herm_defect = np.abs(h - h.conj().T).max()
-    if herm_defect > 1e-12 * max(1.0, np.abs(h).max()):
+    herm_defect = _hermiticity_defect(h, 1e-12)
+    if herm_defect is not None:
         raise NumericError(f"constructed Hamiltonian not Hermitian (defect {herm_defect:g})")
 
     return ManifoldHamiltonian(
@@ -259,14 +279,15 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float) -> Mani
         I=I,
         basis=product_basis(J, I),
         matrix_hz=h,
-        field_t=b_field_t,
+        field_t=b if b.ndim else float(b),
         constants=con,
     )
 
 
 @dataclass(frozen=True)
 class ZeemanSpectrum:
-    """Eigen-decomposition of a ManifoldHamiltonian, ordered by energy."""
+    """Eigen-decomposition of a ManifoldHamiltonian, ordered by energy; every
+    array has the Hamiltonian's leading field axis, if it has one."""
 
     hamiltonian: ManifoldHamiltonian
     energies_hz: np.ndarray
@@ -276,7 +297,7 @@ class ZeemanSpectrum:
 
     @property
     def dim(self) -> int:
-        return self.energies_hz.size
+        return self.energies_hz.shape[-1]
 
     @property
     def field_t(self) -> float:
@@ -326,29 +347,30 @@ def _block_layout(basis, J: float, I: float, a_hfs: float, b_hfs: float):
 def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     """Per-m_F block eigensolve; energies ascending, F labels adiabatic.
 
-    The blocks of one size are solved together by one stacked ``eigh``.
+    The blocks of one size, of every field, are solved together by one
+    stacked ``eigh``.
     """
     h = ham.matrix_hz
-    defect = np.abs(h - h.conj().T).max()
-    if defect > 1e-9 * max(1.0, np.abs(h).max()):
+    defect = _hermiticity_defect(h, 1e-9)
+    if defect is not None:
         raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
 
     a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
     b_hfs = ham.constants.B_hfs_hz if ham.constants is not None else 0.0
     groups, m_f_out, f_labels = _block_layout(ham.basis, ham.J, ham.I, a_hfs, b_hfs)
 
-    energies = np.empty(ham.dim)
-    vectors = np.zeros((ham.dim, ham.dim), dtype=complex)
+    energies = np.empty(h.shape[:-1])
+    vectors = np.zeros(h.shape, dtype=complex)
     for rows, cols in groups:
-        vals, vecs = np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]])
-        energies[cols] = vals
-        vectors[rows[:, :, None], cols[:, None, :]] = vecs
+        vals, vecs = np.linalg.eigh(h[..., rows[:, :, None], rows[:, None, :]])
+        energies[..., cols] = vals
+        vectors[..., rows[:, :, None], cols[:, None, :]] = vecs
 
-    order = np.lexsort((m_f_out, energies))
+    order = np.lexsort((np.broadcast_to(m_f_out, energies.shape), energies), axis=-1)
     return ZeemanSpectrum(
         hamiltonian=ham,
-        energies_hz=energies[order],
-        eigenvectors=vectors[:, order],
+        energies_hz=np.take_along_axis(energies, order, -1),
+        eigenvectors=np.take_along_axis(vectors, order[..., None, :], -1),
         m_f=m_f_out[order],
         f_labels=f_labels[order],
     )
@@ -358,6 +380,7 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
 class LineSet:
     """The optical lines of one isotope and polarization, one entry per line."""
 
+    field: np.ndarray  # index of the line's field in the fields it was built for
     lower: np.ndarray  # ground eigenstate index
     upper: np.ndarray  # excited eigenstate index
     frequency_hz: np.ndarray
@@ -396,7 +419,8 @@ def transition_lines(
     iso: IsotopeData,
     strength_cut: float = 1e-12,
 ) -> LineSet:
-    """Enumerate allowed lines for one polarization at the spectra's field.
+    """Enumerate allowed lines for one polarization at the spectra's field or
+    fields; lines come field by field, each field's in the same order.
 
     Lower-state populations are uniform over the ground manifold (hyperfine
     splittings are far below k_B T in the 300-380 K range this targets, so
@@ -404,7 +428,8 @@ def transition_lines(
     """
     if polarization not in _POLARIZATIONS:
         raise ConfigError(f"polarization must be one of {sorted(_POLARIZATIONS)}")
-    if abs(ground.field_t - excited.field_t) > 1e-15:
+    b_g, b_e = np.asarray(ground.field_t), np.asarray(excited.field_t)
+    if b_g.shape != b_e.shape or np.any(np.abs(b_g - b_e) > 1e-15):
         raise ConfigError(
             "ground and excited spectra evaluated at different fields "
             f"({ground.field_t} vs {excited.field_t} T)"
@@ -416,21 +441,27 @@ def transition_lines(
     d_block = _dipole_block(
         ground.hamiltonian.J, excited.hamiltonian.J, iso.nuclear_spin, q
     )
-    # amplitudes between dressed states, units of the reduced element
-    amps = excited.eigenvectors.conj().T @ d_block @ ground.eigenvectors
+    # amplitudes between dressed states, units of the reduced element; a
+    # single field is a stack of one
+    v_g = ground.eigenvectors.reshape(-1, ground.dim, ground.dim)
+    v_e = excited.eigenvectors.reshape(-1, excited.dim, excited.dim)
+    amps = v_e.conj().swapaxes(-1, -2) @ d_block @ v_g
     strengths = np.abs(amps) ** 2
 
     # |<J'||d||J>|^2 consistent with Gamma = w^3 |d|^2 / (3 pi eps0 hbar c^3 (2J'+1))
     dim_g = round(2 * ground.hamiltonian.J + 1)
     reduced_sq = dim_g * iso.reduced_dipole_cm**2
 
-    # ground state outer, excited state inner
-    lower, upper = np.nonzero(strengths.T >= strength_cut)
-    s = strengths[upper, lower]
+    # field outermost, then ground state, excited state inner
+    field, lower, upper = np.nonzero(strengths.swapaxes(-1, -2) >= strength_cut)
+    s = strengths[field, upper, lower]
+    e_g = ground.energies_hz.reshape(-1, ground.dim)
+    e_e = excited.energies_hz.reshape(-1, excited.dim)
     return LineSet(
+        field=field,
         lower=lower,
         upper=upper,
-        frequency_hz=excited.energies_hz[upper] - ground.energies_hz[lower],
+        frequency_hz=e_e[field, upper] - e_g[field, lower],
         strength=s,
         dipole_sq=s * reduced_sq,
         polarization=polarization,
@@ -441,19 +472,42 @@ def transition_lines(
     )
 
 
-def all_lines_for_cell(
+def lines_at_fields(
     atoms: AtomLibrary,
     fractions: Mapping[str, float],
-    b_field_t: float,
+    fields_t,
 ) -> dict[str, list[LineSet]]:
-    """Per circular polarization, one D1 LineSet for each isotope with nonzero fraction."""
+    """Per circular polarization, one D1 LineSet for each isotope with nonzero
+    fraction, holding the lines of every field of the 1-D ``fields_t``; a
+    line's ``field`` is its index there."""
+    fields = np.atleast_1d(np.asarray(fields_t, dtype=float))
     out = {"sigma+": [], "sigma-": []}
     for name, frac in fractions.items():
         if frac <= 0:
             continue
         iso = atoms[name]
-        g = diagonalize(build_hamiltonian(iso, "5S1/2", b_field_t))
-        e = diagonalize(build_hamiltonian(iso, "5P1/2", b_field_t))
+        g, e = (diagonalize(build_hamiltonian(iso, label, fields)) for label in _D1)
         for pol in out:
             out[pol].append(transition_lines(g, e, pol, iso))
     return out
+
+
+def amplitudes_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
+    """Dipole amplitudes ``lines_at_fields`` forms per field: one dim_e x dim_g
+    matrix per isotope with nonzero fraction and circular polarization."""
+    total = 0
+    for name, frac in fractions.items():
+        if frac > 0:
+            iso = atoms[name]
+            dim_g, dim_e = (len(product_basis(iso.manifold(label).J, iso.nuclear_spin)) for label in _D1)
+            total += 2 * dim_g * dim_e
+    return total
+
+
+def all_lines_for_cell(
+    atoms: AtomLibrary,
+    fractions: Mapping[str, float],
+    b_field_t: float,
+) -> dict[str, list[LineSet]]:
+    """``lines_at_fields`` at the one field ``b_field_t``."""
+    return lines_at_fields(atoms, fractions, [b_field_t])

@@ -441,6 +441,9 @@ def run_noon_scan(p, atoms, sink, seed):
         state = noon.TwoPhotonPolState(rho_from_json(_read_json(p["state"])))
     else:
         state = noon.make_noon_from_pair(imbalance=p["imbalance"])
+    for key in ("b_step_mt", "b_max_mt"):
+        if not np.isfinite(p[key]):
+            raise ConfigError(f"params.{key}: must be finite, got {p[key]!r}")
     if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
         raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
     b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)

@@ -9,13 +9,12 @@ Fisher-information bookkeeping.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from atompairs.errors import ConfigError, NumericError
-from atompairs.vapor import VaporCellConfig, VaporPath
+from atompairs.vapor import VaporCellConfig, transfer_vs_field
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -57,6 +56,8 @@ class TwoPhotonPolState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ConfigError("density matrix must be 4x4")
+        if not np.all(np.isfinite(rho)):
+            raise ConfigError("density matrix must be finite")
         if np.abs(rho - rho.conj().T).max() > 1e-10:
             raise ConfigError("density matrix must be Hermitian")
         eig = np.linalg.eigvalsh(rho)
@@ -79,7 +80,10 @@ class TwoPhotonPolState:
 
 def pure_state(vec) -> TwoPhotonPolState:
     v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ConfigError("state vector must be finite and nonzero")
+    v = v / norm
     return TwoPhotonPolState(np.outer(v, v.conj()))
 
 
@@ -234,20 +238,17 @@ class SensingScanPoint:
 
 
 def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
-    """``b -> (t+, t-, theta)`` of the 16-slice cell at the probe frequency, cached.
+    """``b -> (t+, t-, theta)`` of the 16-slice cell at the probe frequency.
 
-    The sensing scan and the Fisher estimates read the cell at the scan
-    fields, at the operating point and at b +- h, some of them more than
-    once; one of these shared between them builds each cell once.
+    ``b`` is one field, giving scalars, or an array of fields, giving one
+    array each; an array is evaluated in one ``vapor.transfer_vs_field`` pass.
     """
-    nu = np.array([nu_hz])
 
-    @functools.cache
     def transfer(b):
-        path = VaporPath(atoms, cell, float(b), slices=16)
-        # one propagation: rotation_angle_at reuses what transfer_at computed
-        t_plus, t_minus = path.transfer_at(nu)
-        return t_plus[0], t_minus[0], float(path.rotation_angle_at(nu)[0])
+        t_plus, t_minus, theta = transfer_vs_field(atoms, cell, nu_hz, np.ravel(b), slices=16)
+        if np.ndim(b) == 0:
+            return t_plus[0], t_minus[0], float(theta[0])
+        return t_plus, t_minus, theta
 
     return transfer
 
@@ -256,15 +257,15 @@ def sensing_scan(state: TwoPhotonPolState, transfer, b_list_t) -> list[SensingSc
     """Pair outcome probabilities versus applied field at one probe frequency.
 
     ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
-    usually ``probe_transfer(...)``.
+    usually ``probe_transfer(...)``; it is called once, on the whole list.
     """
+    b_list = np.asarray(b_list_t, dtype=float)
     points = []
-    for b in np.asarray(b_list_t, dtype=float):
-        t_plus, t_minus, theta = transfer(float(b))
+    for b, t_plus, t_minus, theta in zip(b_list, *transfer(b_list)):
         probs = measurement_rates(state, channel=circular_jones(t_plus, t_minus))
         eta = float((np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2) / 2.0)
         points.append(
-            SensingScanPoint(b_t=float(b), probabilities=probs, eta=eta, rotation_rad=theta)
+            SensingScanPoint(b_t=float(b), probabilities=probs, eta=eta, rotation_rad=float(theta))
         )
     return points
 
@@ -356,25 +357,24 @@ def fisher_information_frozen_loss(
     """(FI_pair with live loss, FI_pair with |t| frozen at at_b) per pair.
 
     ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
-    usually ``probe_transfer(...)``.  Freezing replaces |t+-(B)| by
-    its value at the operating point while the circular phases still follow
-    B, isolating the information carried by the field dependence of the
-    absorption itself.
+    usually ``probe_transfer(...)``, called once on [b, b + h, b - h].
+    Freezing replaces |t+-(B)| by its value at the operating point while the
+    circular phases still follow B, isolating the information carried by the
+    field dependence of the absorption itself.
     """
-    tp0, tm0, _ = transfer(at_b_t)
+    t_plus, t_minus, _ = transfer(np.array([at_b_t, at_b_t + h_t, at_b_t - h_t]))
 
-    def probs(b, frozen):
-        tp, tm, _ = transfer(b)
+    def probs(k, frozen):
+        tp, tm = t_plus[k], t_minus[k]
         if frozen:
-            tp = abs(tp0) * np.exp(1j * np.angle(tp))
-            tm = abs(tm0) * np.exp(1j * np.angle(tm))
+            tp = abs(t_plus[0]) * np.exp(1j * np.angle(tp))
+            tm = abs(t_minus[0]) * np.exp(1j * np.angle(tm))
         return measurement_rates(state, channel=circular_jones(tp, tm)).as_array()
 
     out = []
     for frozen in (False, True):
-        p0 = probs(at_b_t, frozen)
-        dp = (probs(at_b_t + h_t, frozen) - probs(at_b_t - h_t, frozen)) / (2 * h_t)
-        out.append(_fisher_from_probabilities(p0, dp))
+        dp = (probs(1, frozen) - probs(2, frozen)) / (2 * h_t)
+        out.append(_fisher_from_probabilities(probs(0, frozen), dp))
     return out[0], out[1]
 
 

@@ -8,6 +8,10 @@ composed along the beam path with a position-dependent axial field.
 Evaluation is pointwise and exact at any frequency.  A caller that exports a
 spectrum on a uniform grid first calls ``check_spacing``, the one resolution
 rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
+
+``VaporPath`` is the cell at one center field, at any frequencies;
+``transfer_vs_field`` is the cell at one frequency over many center fields,
+with the lines of all their slice fields built in one batched pass.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, all_lines_for_cell
+from atompairs.atoms import AtomLibrary, all_lines_for_cell, amplitudes_per_field, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
@@ -27,7 +31,8 @@ _LN2 = np.log(2.0)
 # line x frequency points per block of the susceptibility sum (2^18): a
 # block's temporaries stay near 10 MB whatever the grid, every full block
 # still splits across the usable CPUs, and the per-block thread hand-off
-# costs about 3 % of a 32,001-point filter (7 % at 2^17)
+# costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
+# blocks hold this many dipole amplitudes of the line kernel (8 MB or so).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -45,17 +50,17 @@ class VaporCellConfig:
     droop_fraction: float = 0.0  # center-to-face fractional drop of B(z)
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ConfigError("cell length must be > 0")
-        if self.temperature_k <= 0:
-            raise ConfigError("cell temperature must be > 0")
+        if not (np.isfinite(self.length_m) and self.length_m > 0):
+            raise ConfigError(f"cell length must be finite and > 0 (got {self.length_m!r})")
+        if not (np.isfinite(self.temperature_k) and self.temperature_k > 0):
+            raise ConfigError(f"cell temperature must be finite and > 0 (got {self.temperature_k!r})")
+        if not all(np.isfinite(f) and f >= 0 for f in self.isotope_fractions.values()):
+            raise ConfigError("isotope fractions must be finite and >= 0")
         total = sum(self.isotope_fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"isotope fractions sum to {total!r}, expected 1")
-        if any(f < 0 for f in self.isotope_fractions.values()):
-            raise ConfigError("isotope fractions must be >= 0")
-        if self.buffer_fwhm_hz < 0:
-            raise ConfigError("buffer broadening must be >= 0")
+        if not (np.isfinite(self.buffer_fwhm_hz) and self.buffer_fwhm_hz >= 0):
+            raise ConfigError("buffer broadening must be finite and >= 0")
         if not 0.0 <= self.droop_fraction < 0.5:
             raise ConfigError("droop_fraction must lie in [0, 0.5)")
 
@@ -88,12 +93,20 @@ def _doppler_sigma_hz(nu0_hz, mass_kg, temperature_k):
     return nu0_hz * u / C_LIGHT
 
 
+def _frequencies(nu_hz) -> np.ndarray:
+    nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
+    if not np.all(np.isfinite(nu)):
+        raise ConfigError("probe frequencies must be finite")
+    return nu
+
+
 @dataclass
 class _LineArrays:
     nu0: np.ndarray
     amp: np.ndarray  # N * pop * d^2 / (eps0 hbar), angular-frequency units
     sigma_hz: np.ndarray
     lorentz_fwhm_hz: np.ndarray
+    field: np.ndarray  # index of each line's field (LineSet.field)
 
     @classmethod
     def from_lines(cls, line_sets, cell: VaporCellConfig, density_m3: float):
@@ -111,6 +124,7 @@ class _LineArrays:
             amp=amp,
             sigma_hz=sigma,
             lorentz_fwhm_hz=nat + cell.buffer_fwhm_hz,
+            field=np.concatenate([ls.field for ls in line_sets]),
         )
 
     def susceptibility(self, nu_hz: np.ndarray) -> np.ndarray:
@@ -126,15 +140,65 @@ class _LineArrays:
         return chi
 
 
+def _probe_susceptibility(arrays, nu_hz: float, n_fields: int) -> np.ndarray:
+    """chi at one frequency of each ``_LineArrays`` in ``arrays``, per field
+    index: shape (len(arrays), n_fields), from one Voigt call over all lines."""
+    def joined(name):
+        return np.concatenate([getattr(a, name) for a in arrays])
+
+    prof = voigt_profile_complex(nu_hz - joined("nu0"), joined("lorentz_fwhm_hz"), joined("sigma_hz"))
+    terms = joined("amp") * prof
+    group = np.concatenate([a.field + k * n_fields for k, a in enumerate(arrays)])
+    size = len(arrays) * n_fields
+    chi = np.bincount(group, terms.real, size) + 1j * np.bincount(group, terms.imag, size)
+    return 1j * chi.reshape(len(arrays), n_fields)
+
+
+def _slice_nodes(cell: VaporCellConfig, slices: int):
+    """Sorted two-point Gauss nodes of ``slices`` equal segments of the cell,
+    and the path length each node stands for."""
+    dz = cell.length_m / slices
+    starts = np.arange(slices) * dz
+    offset = 0.5 * dz / np.sqrt(3.0)
+    nodes = np.concatenate([starts + 0.5 * dz - offset, starts + 0.5 * dz + offset])
+    return np.sort(nodes), cell.length_m / nodes.size
+
+
+def _distinct_fields(node_fields) -> list[tuple[float, int]]:
+    """(field, multiplicity) of the node fields that agree to 1e-15 T, in node
+    order: both nodes of a uniform cell sit at one field, and a quadratic
+    droop pairs mirror nodes."""
+    fields: dict[float, list] = {}
+    for b in node_fields:
+        fields.setdefault(round(float(b), 15), [float(b), 0])[1] += 1
+    return [tuple(entry) for entry in fields.values()]
+
+
+def _transfer_from_log(log_t_plus, log_t_minus):
+    """(t+, t-, theta) from the summed log transfers, read-only.
+
+    Raises ValueError if either circular transfer exceeds unity (gain).
+    """
+    # singular values of diag(t+, t-) are |t+|, |t-|
+    gain = np.expm1(max(log_t_plus.real.max(), log_t_minus.real.max()))
+    if gain > 1e-12:
+        raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
+    # half the circular phase difference, summed slice by slice: unwrapped
+    theta = 0.5 * (log_t_plus.imag - log_t_minus.imag)
+    result = (np.exp(log_t_plus), np.exp(log_t_minus), theta)
+    for arr in result:
+        arr.flags.writeable = False
+    return result
+
+
 class VaporPath:
     """Pointwise-exact optical response of a cell at center field ``b_center_t``.
 
     The path is split into ``slices`` segments, each integrated with two
     Gauss nodes at the local axial field; diagonal circular Jones factors
     multiply in order.  At construction the node fields are grouped into
-    distinct fields with multiplicities (both nodes of a uniform cell sit at
-    one field, and a quadratic droop pairs mirror nodes), so one propagation
-    calls ``index_at`` once per distinct field and yields (t+, t-, theta)
+    distinct fields with multiplicities, so one propagation calls
+    ``index_at`` once per distinct field and yields (t+, t-, theta)
     together.  ``transfer_at`` and ``rotation_angle_at`` are views of that
     propagation; the last one is kept, so asking for both at the same
     frequencies evaluates the path once.
@@ -149,8 +213,8 @@ class VaporPath:
     ):
         if slices < 1:
             raise ConfigError("slices must be >= 1")
-        if b_center_t < 0:
-            raise ConfigError("field strength must be >= 0")
+        if not (np.isfinite(b_center_t) and b_center_t >= 0):
+            raise ConfigError(f"field strength must be finite and >= 0 (got {b_center_t!r})")
         self.atoms = atoms
         self.cell = cell
         self.b_center_t = b_center_t
@@ -161,16 +225,9 @@ class VaporPath:
 
         # two-point Gauss nodes per slice: the phase integral along z then
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
-        dz = cell.length_m / self.slices
-        starts = np.arange(self.slices) * dz
-        offset = 0.5 * dz / np.sqrt(3.0)
-        nodes = np.concatenate([starts + 0.5 * dz - offset, starts + 0.5 * dz + offset])
-        self._dz = cell.length_m / nodes.size
-        # distinct node fields -> [field, multiplicity], keyed as _slice_cache
-        fields: dict[float, list] = {}
-        for b in cell.field_at(np.sort(nodes), b_center_t):
-            fields.setdefault(round(float(b), 15), [float(b), 0])[1] += 1
-        self._fields = [tuple(entry) for entry in fields.values()]
+        nodes, self._dz = _slice_nodes(cell, self.slices)
+        # distinct node fields and multiplicities, rounded as _slice_cache keys
+        self._fields = _distinct_fields(cell.field_at(nodes, b_center_t))
 
     def _arrays_for_field(self, b_t: float) -> dict[str, _LineArrays]:
         key = round(float(b_t), 15)
@@ -187,7 +244,7 @@ class VaporPath:
     def index_at(self, nu_hz, b_t: float):
         """(n+, n-) at arbitrary frequencies for a uniform field ``b_t``."""
         arrays = self._arrays_for_field(b_t)
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
+        nu = _frequencies(nu_hz)
         n_plus = np.sqrt(1.0 + arrays["sigma+"].susceptibility(nu))
         n_minus = np.sqrt(1.0 + arrays["sigma-"].susceptibility(nu))
         return n_plus, n_minus
@@ -198,7 +255,7 @@ class VaporPath:
         Raises ValueError if either circular transfer exceeds unity (gain).
         The returned arrays are read-only, since the last result is reused.
         """
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
+        nu = _frequencies(nu_hz)
         if self._last is not None and np.array_equal(self._last[0], nu):
             return self._last[1]
         log_t_plus = np.zeros(nu.shape, dtype=complex)
@@ -208,15 +265,7 @@ class VaporPath:
             n_plus, n_minus = self.index_at(nu, b)
             log_t_plus += count * (k_vac * (n_plus - 1.0) * self._dz)
             log_t_minus += count * (k_vac * (n_minus - 1.0) * self._dz)
-        # singular values of diag(t+, t-) are |t+|, |t-|
-        gain = np.expm1(max(log_t_plus.real.max(), log_t_minus.real.max()))
-        if gain > 1e-12:
-            raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
-        # half the circular phase difference, summed slice by slice: unwrapped
-        theta = 0.5 * (log_t_plus.imag - log_t_minus.imag)
-        result = (np.exp(log_t_plus), np.exp(log_t_minus), theta)
-        for arr in result:
-            arr.flags.writeable = False
+        result = _transfer_from_log(log_t_plus, log_t_minus)
         self._last = (nu.copy(), result)
         return result
 
@@ -236,6 +285,61 @@ class VaporPath:
         beyond pi/2 are not wrapped.
         """
         return self._propagate(nu_hz)[2]
+
+
+def transfer_vs_field(
+    atoms: AtomLibrary,
+    cell: VaporCellConfig,
+    nu_hz: float,
+    b_centers_t,
+    slices: int = 16,
+):
+    """(t+, t-, theta) of the cell at the one frequency ``nu_hz``, one entry per
+    center field in ``b_centers_t``: ``VaporPath(atoms, cell, b, slices)``'s
+    ``transfer_at`` and ``rotation_angle_at`` for every ``b`` at once.
+
+    The centers are walked in blocks whose Gauss nodes number at most
+    ``BLOCK_POINTS`` dipole amplitudes of the line kernel.  A block's distinct
+    node fields go through the kernel together and through one Voigt call,
+    so memory follows the block, not the number of centers.  Raises
+    ValueError if a circular transfer exceeds unity (gain).
+    """
+    if slices < 1:
+        raise ConfigError("slices must be >= 1")
+    centers = np.asarray(b_centers_t, dtype=float)
+    if centers.ndim != 1 or centers.size == 0 or not np.all(np.isfinite(centers) & (centers >= 0)):
+        raise ConfigError("center fields must be a non-empty 1-D array of finite fields >= 0")
+    nu = _frequencies(nu_hz)
+    if nu.size != 1:
+        raise ConfigError("transfer_vs_field takes one probe frequency")
+    density = number_density(cell.temperature_k, atoms)
+    nodes, dz = _slice_nodes(cell, 1 if cell.droop_fraction == 0.0 else slices)
+    k_vac = 2j * np.pi * nu / C_LIGHT
+    per_block = max(1, BLOCK_POINTS // (nodes.size * amplitudes_per_field(atoms, cell.isotope_fractions)))
+
+    log_t_plus = np.zeros(centers.shape, dtype=complex)
+    log_t_minus = np.zeros(centers.shape, dtype=complex)
+    for a in range(0, centers.size, per_block):
+        # each center's distinct node fields, padded with its first field at
+        # multiplicity 0 so that every center has as many
+        grouped = [_distinct_fields(cell.field_at(nodes, b)) for b in centers[a : a + per_block]]
+        node_fields = np.empty((len(grouped), max(map(len, grouped))))
+        counts = np.zeros(node_fields.shape)
+        for row, entries in enumerate(grouped):
+            fields, mult = zip(*entries)
+            node_fields[row] = fields[0]
+            node_fields[row, : len(fields)] = fields
+            counts[row, : len(fields)] = mult
+        fields, where = np.unique(node_fields, return_inverse=True)
+        lines = lines_at_fields(atoms, cell.isotope_fractions, fields)
+        arrays = [_LineArrays.from_lines(lines[pol], cell, density) for pol in ("sigma+", "sigma-")]
+        n_plus, n_minus = np.sqrt(1.0 + _probe_susceptibility(arrays, nu[0], fields.size))
+        # summed node field by node field, in VaporPath's order
+        where = where.reshape(node_fields.shape)
+        for count, index in zip(counts.T, where.T):
+            log_t_plus[a : a + per_block] += count * (k_vac * (n_plus[index] - 1.0) * dz)
+            log_t_minus[a : a + per_block] += count * (k_vac * (n_minus[index] - 1.0) * dz)
+    return _transfer_from_log(log_t_plus, log_t_minus)
 
 
 def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):

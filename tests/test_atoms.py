@@ -8,6 +8,7 @@ from atompairs.atoms import (
     all_lines_for_cell,
     build_hamiltonian,
     diagonalize,
+    lines_at_fields,
     load_atom_data,
     transition_lines,
 )
@@ -258,6 +259,39 @@ def test_lines_match_blockwise_kernel(atoms):
                     assert np.array_equal(got.upper, upper)
                     np.testing.assert_allclose(got.frequency_hz, freq, rtol=1e-12, atol=0)
                     np.testing.assert_allclose(got.strength, strength, rtol=1e-12, atol=0)
+
+
+def test_lines_at_fields_rows_equal_all_lines_for_cell(atoms):
+    """Each field's rows of the batched kernel are the one-field call, exactly."""
+    fractions = {"Rb85": 0.5, "Rb87": 0.5}
+    fields = np.array([0.0, 1e-3, 23.7e-3, 58e-3, 1e-3])
+    for lib in (atoms, _retuned(atoms)):
+        batched = lines_at_fields(lib, fractions, fields)
+        for k, b in enumerate(fields):
+            one = all_lines_for_cell(lib, fractions, b)
+            for pol in ("sigma+", "sigma-"):
+                for got, want in zip(batched[pol], one[pol], strict=True):
+                    rows = got.field == k
+                    assert np.array_equal(want.field, np.zeros(len(want), dtype=int))
+                    for name in ("lower", "upper", "frequency_hz", "strength", "dipole_sq"):
+                        assert np.array_equal(getattr(got, name)[rows], getattr(want, name))
+                    assert (got.isotope, got.population) == (want.isotope, want.population)
+
+
+def test_stacked_checks_hold_field_by_field(atoms):
+    """B >= 0 and finite for every field, and the Hermiticity defect relative
+    to each field's own matrix, not to the largest in the stack."""
+    iso = atoms["Rb87"]
+    for bad in ([1e-3, -1e-3], [1e-3, np.nan], [np.inf], np.nan):
+        with pytest.raises(ConfigError, match="field"):
+            build_hamiltonian(iso, "5S1/2", bad)
+    from dataclasses import replace
+
+    ham = build_hamiltonian(iso, "5S1/2", np.array([0.0, 1e-3]))
+    small = np.eye(8)
+    small[0, 1] = 1e-3  # within 1e-9 of the other field's 3e9 Hz scale
+    with pytest.raises(NumericError):
+        diagonalize(replace(ham, matrix_hz=np.stack([3e9 * np.eye(8), small])))
 
 
 def test_mismatched_fields_rejected(atoms):

@@ -282,21 +282,49 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv_for):
     assert "configuration error:" in capsys.readouterr().err
 
 
-def test_noon_scan_and_fisher_block_share_probe_cells(tmp_path, monkeypatch):
-    """11 scan fields plus b* +- 0.25 mT; b* = 3 mT is a scan field."""
-    from atompairs import vapor
+def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
+    """The scan's 11 fields in one pass, the frozen-loss block's b* and b* +- h
+    in another, and one per field of the SQL reference; no VaporPath."""
+    from atompairs import noon, vapor
 
-    builds = []
+    builds, centers = [], []
     init = vapor.VaporPath.__init__
+    transfer_vs_field = vapor.transfer_vs_field
 
-    def counted(self, *args, **kwargs):
+    def counted_init(self, *args, **kwargs):
         builds.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(vapor.VaporPath, "__init__", counted)
+    def counted(atoms, cell, nu_hz, b_centers_t, *args, **kwargs):
+        centers.append(len(b_centers_t))
+        return transfer_vs_field(atoms, cell, nu_hz, b_centers_t, *args, **kwargs)
+
+    monkeypatch.setattr(vapor.VaporPath, "__init__", counted_init)
+    monkeypatch.setattr(noon, "transfer_vs_field", counted)
     argv = ["noon-scan", "--b-max-mT", "5", "--b-step-mT", "0.5", "--fisher-at-mT", "3"]
     assert main(["--out-dir", str(tmp_path)] + argv) == 0
-    assert len(builds) == 13
+    assert builds == []
+    assert sorted(centers) == [1, 1, 1, 3, 11]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--length-mm", "nan"],
+        ["--rb85-fraction", "nan"],
+        ["--detuning-GHz", "nan"],
+        ["--imbalance", "nan"],
+        ["--b-max-mT", "inf"],
+        ["--b-max-mT", "nan"],
+        ["--b-step-mT", "nan"],
+    ],
+)
+def test_non_finite_sensing_inputs_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "noon-scan", "--b-max-mT", "1"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Traceback" not in err
+    assert not (out / "scan.csv").exists()
 
 
 def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):

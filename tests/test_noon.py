@@ -430,6 +430,35 @@ def test_state_validation():
         TwoPhotonPolState(bad)
     with pytest.raises(ConfigError):
         TwoPhotonPolState(np.diag([1.0, 0.5, 0.0, 0.0]))
+    with pytest.raises(ConfigError, match="finite"):
+        TwoPhotonPolState(np.diag([np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ConfigError, match="finite"):
+        make_noon_from_pair(imbalance=np.nan)
+
+
+def test_probe_transfer_takes_one_field_or_many_and_holds_no_cache(atoms, sensing_cell, noon_line_hz):
+    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
+    assert not hasattr(transfer, "cache_info")
+    fields = np.array([0.0, 44e-3, 44.25e-3])
+    t_plus, t_minus, theta = transfer(fields)
+    for k, b in enumerate(fields):
+        one = transfer(b)
+        assert isinstance(one[2], float)
+        assert one == (t_plus[k], t_minus[k], theta[k])
+
+
+def test_scan_and_frozen_loss_call_the_transfer_once(atoms, sensing_cell, noon_line_hz):
+    calls = []
+    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
+
+    def counted(b):
+        calls.append(np.shape(b))
+        return transfer(b)
+
+    state = make_noon_from_pair(imbalance=0.15)
+    sensing_scan(state, counted, np.arange(0.0, 5.001e-3, 0.5e-3))
+    fisher_information_frozen_loss(state, counted, 3e-3)
+    assert calls == [(11,), (3,)]
 
 
 def test_element_guards():

@@ -16,6 +16,7 @@ from atompairs.vapor import (
     check_spacing,
     make_frequency_grid,
     number_density,
+    transfer_vs_field,
 )
 
 from reference import hilbert_transform, one_shot_susceptibility, steck_rb_number_density
@@ -373,6 +374,74 @@ def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
         assert np.abs(t_plus - np.exp(log_tp)).max() <= 1e-12
         assert np.abs(t_minus - np.exp(log_tm)).max() <= 1e-12
         assert np.abs(path.rotation_angle_at(grid) - theta).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block_centers", [None, 1])
+def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, monkeypatch, block_centers):
+    """The batched probe is VaporPath's transfer_at and rotation_angle_at, center
+    by center: at 0 mT, where all nodes coincide, and at 23.7, 44 and 58 mT,
+    for the drooping sensing cell and a uniform one; in the shipped blocks and
+    in blocks of one center."""
+    if block_centers is not None:
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", 32 * 416 * block_centers)
+    nu = np.array([noon_line_hz])
+    fields = np.array([0.0, 23.7e-3, 44e-3, 58e-3])
+    uniform = VaporCellConfig(
+        length_m=sensing_cell.length_m,
+        temperature_k=sensing_cell.temperature_k,
+        isotope_fractions=sensing_cell.isotope_fractions,
+    )
+    for cell in (sensing_cell, uniform):
+        t_plus, t_minus, theta = transfer_vs_field(atoms, cell, noon_line_hz, fields)
+        for k, b in enumerate(fields):
+            path = VaporPath(atoms, cell, b, slices=16)
+            want_plus, want_minus = path.transfer_at(nu)
+            np.testing.assert_allclose(t_plus[k], want_plus[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(t_minus[k], want_minus[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(theta[k], path.rotation_angle_at(nu)[0], rtol=1e-12, atol=1e-15)
+
+
+def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_line_hz, monkeypatch):
+    """A 2,001-center scan peaks at no more than 1.5x fig11's 101 centers, in
+    blocks of eight centers, so both scans span many blocks."""
+    monkeypatch.setattr(vapor, "BLOCK_POINTS", 32 * 416 * 8)
+    transfer_vs_field(atoms, sensing_cell, noon_line_hz, [10e-3])  # warm the caches
+    peaks = []
+    for centers in (101, 2001):
+        tracemalloc.start()
+        try:
+            transfer_vs_field(atoms, sensing_cell, noon_line_hz, np.linspace(0.0, 50e-3, centers))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize(
+    "fields, nu_offset",
+    [([np.nan], 0.0), ([np.inf], 0.0), ([1e-3, -1e-3], 0.0), ([], 0.0), ([1e-3], np.nan)],
+)
+def test_transfer_vs_field_rejects_bad_fields_and_frequencies(atoms, sensing_cell, noon_line_hz, fields, nu_offset):
+    with pytest.raises(ConfigError):
+        transfer_vs_field(atoms, sensing_cell, noon_line_hz + nu_offset, fields)
+
+
+def test_non_finite_cell_and_path_inputs_rejected(atoms, sensing_cell, noon_line_hz):
+    base = dict(length_m=0.075, temperature_k=343.15, isotope_fractions={"Rb85": 1.0})
+    for key, value in [
+        ("length_m", np.nan),
+        ("length_m", np.inf),
+        ("temperature_k", np.nan),
+        ("buffer_fwhm_hz", np.nan),
+        ("isotope_fractions", {"Rb85": np.nan, "Rb87": np.nan}),
+    ]:
+        with pytest.raises(ConfigError):
+            VaporCellConfig(**{**base, key: value})
+    with pytest.raises(ConfigError, match="finite"):
+        VaporPath(atoms, sensing_cell, np.nan)
+    path = VaporPath(atoms, sensing_cell, 10e-3)
+    with pytest.raises(ConfigError, match="finite"):
+        path.transfer_at(np.array([noon_line_hz, np.nan]))
 
 
 def test_sensing_cell_rotation_grows_and_transmits(atoms, sensing_cell, noon_line_hz):
