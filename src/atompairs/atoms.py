@@ -360,7 +360,9 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     groups, m_f_out, f_labels = _block_layout(ham.basis, ham.J, ham.I, a_hfs, b_hfs)
 
     energies = np.empty(h.shape[:-1])
-    vectors = np.zeros(h.shape, dtype=complex)
+    # the shipped manifolds give a real H, hence real eigenvectors and real
+    # dipole products: half the memory and time of complex ones, same values
+    vectors = np.zeros(h.shape, dtype=h.dtype)
     for rows, cols in groups:
         vals, vecs = np.linalg.eigh(h[..., rows[:, :, None], rows[:, None, :]])
         energies[..., cols] = vals
@@ -492,15 +494,16 @@ def lines_at_fields(
     return out
 
 
-def amplitudes_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
-    """Dipole amplitudes ``lines_at_fields`` forms per field: one dim_e x dim_g
-    matrix per isotope with nonzero fraction and circular polarization."""
+def kernel_elements_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
+    """Matrix elements ``lines_at_fields`` holds per field: for each isotope
+    with nonzero fraction, the ground and excited Hamiltonians and eigenvector
+    matrices, and one dim_e x dim_g amplitude matrix per circular polarization."""
     total = 0
     for name, frac in fractions.items():
         if frac > 0:
             iso = atoms[name]
             dim_g, dim_e = (len(product_basis(iso.manifold(label).J, iso.nuclear_spin)) for label in _D1)
-            total += 2 * dim_g * dim_e
+            total += 2 * (dim_g**2 + dim_e**2) + 2 * dim_g * dim_e
     return total
 
 

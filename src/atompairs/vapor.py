@@ -23,7 +23,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, all_lines_for_cell, amplitudes_per_field, lines_at_fields
+from atompairs.atoms import AtomLibrary, all_lines_for_cell, kernel_elements_per_field, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
@@ -32,7 +32,7 @@ _LN2 = np.log(2.0)
 # block's temporaries stay near 10 MB whatever the grid, every full block
 # still splits across the usable CPUs, and the per-block thread hand-off
 # costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
-# blocks hold this many dipole amplitudes of the line kernel (8 MB or so).
+# blocks hold this many matrix elements of the line kernel (about 1 MB).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -298,8 +298,8 @@ def transfer_vs_field(
     center field in ``b_centers_t``: ``VaporPath(atoms, cell, b, slices)``'s
     ``transfer_at`` and ``rotation_angle_at`` for every ``b`` at once.
 
-    The centers are walked in blocks whose Gauss nodes number at most
-    ``BLOCK_POINTS`` dipole amplitudes of the line kernel.  A block's distinct
+    The centers are walked in blocks whose Gauss nodes need at most
+    ``BLOCK_POINTS`` matrix elements of the line kernel.  A block's distinct
     node fields go through the kernel together and through one Voigt call,
     so memory follows the block, not the number of centers.  Raises
     ValueError if a circular transfer exceeds unity (gain).
@@ -315,7 +315,7 @@ def transfer_vs_field(
     density = number_density(cell.temperature_k, atoms)
     nodes, dz = _slice_nodes(cell, 1 if cell.droop_fraction == 0.0 else slices)
     k_vac = 2j * np.pi * nu / C_LIGHT
-    per_block = max(1, BLOCK_POINTS // (nodes.size * amplitudes_per_field(atoms, cell.isotope_fractions)))
+    per_block = max(1, BLOCK_POINTS // (nodes.size * kernel_elements_per_field(atoms, cell.isotope_fractions)))
 
     log_t_plus = np.zeros(centers.shape, dtype=complex)
     log_t_minus = np.zeros(centers.shape, dtype=complex)
@@ -326,10 +326,10 @@ def transfer_vs_field(
         node_fields = np.empty((len(grouped), max(map(len, grouped))))
         counts = np.zeros(node_fields.shape)
         for row, entries in enumerate(grouped):
-            fields, mult = zip(*entries)
-            node_fields[row] = fields[0]
-            node_fields[row, : len(fields)] = fields
-            counts[row, : len(fields)] = mult
+            values, mult = zip(*entries)
+            node_fields[row] = values[0]
+            node_fields[row, : len(values)] = values
+            counts[row, : len(values)] = mult
         fields, where = np.unique(node_fields, return_inverse=True)
         lines = lines_at_fields(atoms, cell.isotope_fractions, fields)
         arrays = [_LineArrays.from_lines(lines[pol], cell, density) for pol in ("sigma+", "sigma-")]

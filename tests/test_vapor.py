@@ -6,6 +6,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from atompairs import vapor
+from atompairs.atoms import kernel_elements_per_field
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import voigt_profile_complex
 from atompairs.noon import circular_jones
@@ -383,7 +384,8 @@ def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, 
     for the drooping sensing cell and a uniform one; in the shipped blocks and
     in blocks of one center."""
     if block_centers is not None:
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", 32 * 416 * block_centers)
+        per_center = 32 * kernel_elements_per_field(atoms, sensing_cell.isotope_fractions)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", per_center * block_centers)
     nu = np.array([noon_line_hz])
     fields = np.array([0.0, 23.7e-3, 44e-3, 58e-3])
     uniform = VaporCellConfig(
@@ -401,10 +403,12 @@ def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, 
             np.testing.assert_allclose(theta[k], path.rotation_angle_at(nu)[0], rtol=1e-12, atol=1e-15)
 
 
-def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_line_hz, monkeypatch):
-    """A 2,001-center scan peaks at no more than 1.5x fig11's 101 centers, in
-    blocks of eight centers, so both scans span many blocks."""
-    monkeypatch.setattr(vapor, "BLOCK_POINTS", 32 * 416 * 8)
+def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_line_hz):
+    """A 2,001-center scan peaks at no more than 1.5x fig11's 101 centers.  The
+    shipped block holds six centers of the 16-slice cell, so both scans span
+    many blocks."""
+    per_center = 32 * kernel_elements_per_field(atoms, sensing_cell.isotope_fractions)
+    assert vapor.BLOCK_POINTS // per_center <= 101 // 4
     transfer_vs_field(atoms, sensing_cell, noon_line_hz, [10e-3])  # warm the caches
     peaks = []
     for centers in (101, 2001):
