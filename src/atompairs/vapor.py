@@ -32,7 +32,7 @@ _LN2 = np.log(2.0)
 # block's temporaries stay near 10 MB whatever the grid, every full block
 # still splits across the usable CPUs, and the per-block thread hand-off
 # costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
-# blocks hold this many matrix elements of the line kernel (about 1 MB).
+# blocks hold this many matrix elements of the line kernel (under 2 MB).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -140,6 +140,11 @@ class _LineArrays:
         return chi
 
 
+def _group_sums(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sum of ``values`` per ``group`` index, each summed in input order."""
+    return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
+
+
 def _probe_susceptibility(arrays, nu_hz: float, n_fields: int) -> np.ndarray:
     """chi at one frequency of each ``_LineArrays`` in ``arrays``, per field
     index: shape (len(arrays), n_fields), from one Voigt call over all lines."""
@@ -147,10 +152,8 @@ def _probe_susceptibility(arrays, nu_hz: float, n_fields: int) -> np.ndarray:
         return np.concatenate([getattr(a, name) for a in arrays])
 
     prof = voigt_profile_complex(nu_hz - joined("nu0"), joined("lorentz_fwhm_hz"), joined("sigma_hz"))
-    terms = joined("amp") * prof
     group = np.concatenate([a.field + k * n_fields for k, a in enumerate(arrays)])
-    size = len(arrays) * n_fields
-    chi = np.bincount(group, terms.real, size) + 1j * np.bincount(group, terms.imag, size)
+    chi = _group_sums(group, joined("amp") * prof, len(arrays) * n_fields)
     return 1j * chi.reshape(len(arrays), n_fields)
 
 
@@ -317,29 +320,21 @@ def transfer_vs_field(
     k_vac = 2j * np.pi * nu / C_LIGHT
     per_block = max(1, BLOCK_POINTS // (nodes.size * kernel_elements_per_field(atoms, cell.isotope_fractions)))
 
-    log_t_plus = np.zeros(centers.shape, dtype=complex)
-    log_t_minus = np.zeros(centers.shape, dtype=complex)
+    log_t = np.empty((2, centers.size), dtype=complex)
     for a in range(0, centers.size, per_block):
-        # each center's distinct node fields, padded with its first field at
-        # multiplicity 0 so that every center has as many
         grouped = [_distinct_fields(cell.field_at(nodes, b)) for b in centers[a : a + per_block]]
-        node_fields = np.empty((len(grouped), max(map(len, grouped))))
-        counts = np.zeros(node_fields.shape)
-        for row, entries in enumerate(grouped):
-            values, mult = zip(*entries)
-            node_fields[row] = values[0]
-            node_fields[row, : len(values)] = values
-            counts[row, : len(values)] = mult
-        fields, where = np.unique(node_fields, return_inverse=True)
+        # every center's distinct node fields and multiplicities, center by center
+        center = np.repeat(np.arange(len(grouped)), [len(entries) for entries in grouped])
+        node_field, count = np.array([entry for entries in grouped for entry in entries]).T
+        fields, where = np.unique(node_field, return_inverse=True)
         lines = lines_at_fields(atoms, cell.isotope_fractions, fields)
         arrays = [_LineArrays.from_lines(lines[pol], cell, density) for pol in ("sigma+", "sigma-")]
-        n_plus, n_minus = np.sqrt(1.0 + _probe_susceptibility(arrays, nu[0], fields.size))
+        index = np.sqrt(1.0 + _probe_susceptibility(arrays, nu[0], fields.size))
         # summed node field by node field, in VaporPath's order
-        where = where.reshape(node_fields.shape)
-        for count, index in zip(counts.T, where.T):
-            log_t_plus[a : a + per_block] += count * (k_vac * (n_plus[index] - 1.0) * dz)
-            log_t_minus[a : a + per_block] += count * (k_vac * (n_minus[index] - 1.0) * dz)
-    return _transfer_from_log(log_t_plus, log_t_minus)
+        for log_t_pol, n in zip(log_t, index):
+            terms = count * (k_vac * (n[where] - 1.0) * dz)
+            log_t_pol[a : a + len(grouped)] = _group_sums(center, terms, len(grouped))
+    return _transfer_from_log(*log_t)
 
 
 def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):
