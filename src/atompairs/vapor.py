@@ -11,7 +11,7 @@ rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 
 ``VaporPath`` is the cell at one center field, at any frequencies;
 ``transfer_vs_field`` is the cell at one frequency over many center fields,
-with the lines of all their slice fields built in one batched pass.
+with the lines of their slice fields built in field-batched passes.
 """
 
 from __future__ import annotations
