@@ -37,11 +37,11 @@ def main():
     transfer = probe_transfer(cell, atoms, nu)
     scan = sensing_scan(state, transfer, b_list)
 
-    hh = np.array([p.probabilities.hh for p in scan])
-    sv = np.array([p.probabilities.singles_v for p in scan])
+    hh = scan.probabilities.hh
+    sv = scan.probabilities.singles_v
     print(f"probe at {(nu - atoms.d1_center_hz()) / 1e9:+.2f} GHz from the D1 centroid")
-    print(f"rotation at 50 mT: {np.degrees(scan[-1].rotation_rad):+.1f} deg")
-    print(f"transmission at 50 mT: {scan[-1].eta:.3f}")
+    print(f"rotation at 50 mT: {np.degrees(scan.rotation_rad[-1]):+.1f} deg")
+    print(f"transmission at 50 mT: {scan.eta[-1]:.3f}")
     print(f"HH oscillations: {count_oscillations(hh):.1f}  visibility {visibility(hh):.3f}")
     print(f"V-singles oscillations: {count_oscillations(sv):.1f}")
 

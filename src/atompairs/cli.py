@@ -368,25 +368,20 @@ def run_superresolution(p, atoms, sink, seed):
     qwp_back = noon.OpticalElement(kind="QWP", jones=noon.qwp_jones(np.pi / 4).conj().T)
     source_state = noon.apply_element(surrogate, qwp_back)
     single = noon.pure_state([1.0, 0, 0, 0])
-    singles, hh, vv, hv = [], [], [], []
-    for a in angles:
-        probs = noon.measurement_rates(source_state, analyzer_hwp_rad=a)
-        hh.append(probs.hh)
-        vv.append(probs.vv)
-        hv.append(probs.hv)
-        singles.append(noon.measurement_rates(single, analyzer_hwp_rad=a).singles_h)
+    singles = noon.measurement_rates(single, analyzer_hwp_rad=angles).singles_h
+    pair = noon.measurement_rates(source_state, analyzer_hwp_rad=angles)
     write_csv(
         sink.path("superresolution.csv"),
         ["hwp_deg", "singles_h", "coinc_hh", "coinc_hv", "coinc_vv"],
-        [np.degrees(angles), np.array(singles), np.array(hh), np.array(hv), np.array(vv)],
+        [np.degrees(angles), singles, pair.hh, pair.hv, pair.vv],
     )
     f_max, phi = noon.noon_fidelity(surrogate)
     write_json(sink.path("state.json"), rho_to_json(surrogate.rho))
     report = {
         "fidelity_max": f_max,
         "fidelity_two_phi": 2 * phi,
-        "coincidence_visibility": noon.visibility(hh),
-        "coincidence_oscillations": noon.count_oscillations(hh),
+        "coincidence_visibility": noon.visibility(pair.hh),
+        "coincidence_oscillations": noon.count_oscillations(pair.hh),
         "singles_oscillations": noon.count_oscillations(singles),
     }
     write_json(sink.path("superresolution.json"), report)
@@ -449,18 +444,19 @@ def run_noon_scan(p, atoms, sink, seed):
     b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)
     transfer = noon.probe_transfer(cell, atoms, nu)
     scan = noon.sensing_scan(state, transfer, b_list)
+    probs = scan.probabilities
     cols = {
-        "b_mT": np.array([s.b_t * 1e3 for s in scan]),
-        "rotation_rad": np.array([s.rotation_rad for s in scan]),
-        "eta": np.array([s.eta for s in scan]),
-        "singles_H": np.array([s.probabilities.singles_h for s in scan]),
-        "singles_V": np.array([s.probabilities.singles_v for s in scan]),
-        "coinc_HH": np.array([s.probabilities.hh for s in scan]),
-        "coinc_HV": np.array([s.probabilities.hv for s in scan]),
-        "coinc_VV": np.array([s.probabilities.vv for s in scan]),
-        "p_one_H": np.array([s.probabilities.one_h for s in scan]),
-        "p_one_V": np.array([s.probabilities.one_v for s in scan]),
-        "p_none": np.array([s.probabilities.none for s in scan]),
+        "b_mT": scan.b_t * 1e3,
+        "rotation_rad": scan.rotation_rad,
+        "eta": scan.eta,
+        "singles_H": probs.singles_h,
+        "singles_V": probs.singles_v,
+        "coinc_HH": probs.hh,
+        "coinc_HV": probs.hv,
+        "coinc_VV": probs.vv,
+        "p_one_H": probs.one_h,
+        "p_one_V": probs.one_v,
+        "p_none": probs.none,
     }
     write_csv(sink.path("scan.csv"), list(cols), list(cols.values()))
 

@@ -1,10 +1,12 @@
 """Two-photon polarization states through waveplates and a Faraday cell.
 
 States live in the ordered product basis {HH, HV, VH, VV}.  Loss is carried
-as a trace deficit: a contractive single-photon Jones J splits each photon
-into Kraus branches {detected: J, lost: sqrt(I - J^dag J)}, which yields the
-complete outcome classes (two detected, one detected, none) needed for the
-Fisher-information bookkeeping.
+as a trace deficit.  Behind a contractive Jones J and an analyzer HWP at angle
+a, each photon meets three effects: E_H and E_V, the outer products of the
+rows of hwp(a) J, and E_lost = I - J^dag J.  Pair outcome (a, b) has
+probability Tr[(E_a x E_b) rho]; these are the complete classes (two detected,
+one, none) of the Fisher-information bookkeeping.  The Jones builders and the
+outcome kernel take stacks of angles or channels; one is the 0-d case.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ _V_CIRC = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
 _PROB_FLOOR = 1e-12
 
 
-def hwp_jones(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(2 * angle_rad), np.sin(2 * angle_rad)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+def hwp_jones(angle_rad) -> np.ndarray:
+    """Half-wave plate at ``angle_rad``; an array of angles gives a stack."""
+    c, s = np.cos(2 * np.asarray(angle_rad)), np.sin(2 * np.asarray(angle_rad))
+    return np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2).astype(complex)
 
 
 def qwp_jones(angle_rad: float) -> np.ndarray:
@@ -36,14 +39,16 @@ def qwp_jones(angle_rad: float) -> np.ndarray:
     return r @ np.diag([1.0, 1.0j]) @ r.T
 
 
-def rotation_jones(theta_rad: float) -> np.ndarray:
+def rotation_jones(theta_rad) -> np.ndarray:
     """Lossless polarization rotation (ideal Faraday channel)."""
     return circular_jones(np.exp(1j * theta_rad), np.exp(-1j * theta_rad))
 
 
-def circular_jones(t_plus: complex, t_minus: complex) -> np.ndarray:
-    """H/V Jones of a medium diagonal in the circular basis."""
-    return _V_CIRC @ np.diag([t_plus, t_minus]) @ _V_CIRC.conj().T
+def circular_jones(t_plus, t_minus) -> np.ndarray:
+    """H/V Jones of a medium diagonal in the circular basis; arrays of
+    transfers give a stack."""
+    diag = np.stack(np.broadcast_arrays(t_plus, t_minus), -1)[..., None, :]
+    return (_V_CIRC * diag) @ _V_CIRC.conj().T
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,18 @@ def surrogate_noon_state(fidelity: float = 0.99, two_phi: float = 0.20) -> TwoPh
     return TwoPhotonPolState(fidelity * target + (1.0 - fidelity) * complement)
 
 
+def _check_passive(jones: np.ndarray, what: str):
+    """Raise ConfigError, naming the first bad index of a stack (..., 2, 2),
+    unless every Jones is finite with singular values <= 1 (no gain)."""
+    finite = np.isfinite(jones).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], jones, 0.0), compute_uv=False)
+    bad = ~finite | (sv[..., 0] > 1.0 + 1e-9)
+    if bad.any():
+        at = ", ".join(map(str, np.unravel_index(np.argmax(bad), bad.shape)))
+        where = f" at stack index {at}" if at else ""
+        raise ConfigError(f"{what}{where} is not finite or has gain (a singular value above 1)")
+
+
 @dataclass(frozen=True)
 class OpticalElement:
     """Single-photon element applied to both photons of the pair."""
@@ -130,9 +147,7 @@ class OpticalElement:
         j = np.asarray(self.jones, dtype=complex)
         if j.shape != (2, 2):
             raise ConfigError("Jones matrix must be 2x2")
-        sv = np.linalg.svd(j, compute_uv=False)
-        if sv.max() > 1.0 + 1e-9:
-            raise ConfigError("element has gain; Jones singular values must be <= 1")
+        _check_passive(j, "element")
         if self.kind in ("HWP", "QWP", "rotation"):
             if np.abs(j @ j.conj().T - np.eye(2)).max() > 1e-12:
                 raise ConfigError(f"{self.kind} Jones must be unitary")
@@ -145,70 +160,68 @@ def apply_element(state: TwoPhotonPolState, element: OpticalElement) -> TwoPhoto
 
 @dataclass(frozen=True)
 class OutcomeProbabilities:
-    """Complete detection classes for one pair through channel + analyzer."""
+    """Complete detection classes of one pair through channel + analyzer;
+    each is a float, or an array with one entry per stacked channel/angle."""
 
-    hh: float
-    hv: float
-    vv: float
-    one_h: float
-    one_v: float
-    none: float
+    hh: np.ndarray
+    hv: np.ndarray
+    vv: np.ndarray
+    one_h: np.ndarray
+    one_v: np.ndarray
+    none: np.ndarray
 
     def as_array(self) -> np.ndarray:
+        """The six classes along the first axis."""
         return np.array([self.hh, self.hv, self.vv, self.one_h, self.one_v, self.none])
 
     @property
-    def singles_h(self) -> float:
+    def singles_h(self):
         """Expected H detections per pair."""
         return 2 * self.hh + self.hv + self.one_h
 
     @property
-    def singles_v(self) -> float:
+    def singles_v(self):
         return 2 * self.vv + self.hv + self.one_v
 
     @property
-    def expected_lost(self) -> float:
+    def expected_lost(self):
         return self.one_h + self.one_v + 2 * self.none
-
-
-def _loss_kraus(jones: np.ndarray) -> np.ndarray:
-    """K with K^dag K = I - J^dag J (photon absorbed)."""
-    gram = np.eye(2) - jones.conj().T @ jones
-    vals, vecs = np.linalg.eigh(gram)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def measurement_rates(
     state: TwoPhotonPolState,
     channel: np.ndarray | None = None,
-    analyzer_hwp_rad: float = 0.0,
+    analyzer_hwp_rad=0.0,
 ) -> OutcomeProbabilities:
     """Project the pair onto the analyzer basis behind an optional channel.
 
     The analyzer is an HWP then a polarizing splitter; coincidences HH/HV/VV
     count unordered outcomes and the one-photon classes absorb the channel
-    loss.
+    loss.  ``channel`` may be a stack (..., 2, 2) and ``analyzer_hwp_rad`` an
+    array; they broadcast, and each class has their broadcast shape.  A
+    channel with gain (a singular value above 1) or a non-finite entry raises
+    ConfigError naming the first such stack index.
     """
     j = np.eye(2, dtype=complex) if channel is None else np.asarray(channel, complex)
+    if j.shape[-2:] != (2, 2):
+        raise ConfigError("channel must be a 2x2 Jones matrix or a stack of them")
+    _check_passive(j, "channel")
     m = hwp_jones(analyzer_hwp_rad) @ j
-    kraus = {
-        "H": np.outer([1.0, 0.0], m[0, :]),
-        "V": np.outer([0.0, 1.0], m[1, :]),
-        "L": _loss_kraus(j),
-    }
-
-    def prob(a, b):
-        k2 = np.kron(kraus[a], kraus[b])
-        return float(np.real(np.trace(k2 @ state.rho @ k2.conj().T)))
-
+    # per-photon effects E_H, E_V, E_lost along axis -3
+    detected = m.conj()[..., :, :, None] * m[..., :, None, :]
+    lost = np.eye(2) - np.swapaxes(j.conj(), -1, -2) @ j
+    lost = np.broadcast_to(lost[..., None, :, :], detected.shape[:-3] + (1, 2, 2))
+    effects = np.concatenate((detected, lost), axis=-3)
+    # p[a, b] = Tr[(E_a x E_b) rho], with rho[(j, l), (i, k)] = rho4[j, l, i, k]
+    rho4 = np.asarray(state.rho, dtype=complex).reshape(2, 2, 2, 2)
+    p = np.einsum("...aij,...bkl,jlik->ab...", effects, effects, rho4).real
     return OutcomeProbabilities(
-        hh=prob("H", "H"),
-        hv=prob("H", "V") + prob("V", "H"),
-        vv=prob("V", "V"),
-        one_h=prob("H", "L") + prob("L", "H"),
-        one_v=prob("V", "L") + prob("L", "V"),
-        none=prob("L", "L"),
+        hh=p[0, 0],
+        hv=p[0, 1] + p[1, 0],
+        vv=p[1, 1],
+        one_h=p[0, 2] + p[2, 0],
+        one_v=p[1, 2] + p[2, 1],
+        none=p[2, 2],
     )
 
 
@@ -230,11 +243,13 @@ def noon_fidelity(state: TwoPhotonPolState, phase_rad: float | None = None):
 
 
 @dataclass(frozen=True)
-class SensingScanPoint:
-    b_t: float
+class SensingScan:
+    """Pair outcome classes versus applied field, one array entry per field."""
+
+    b_t: np.ndarray
+    eta: np.ndarray  # transmitted fraction through the cell
+    rotation_rad: np.ndarray
     probabilities: OutcomeProbabilities
-    eta: float  # transmitted fraction through the cell
-    rotation_rad: float
 
 
 def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
@@ -253,21 +268,21 @@ def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
     return transfer
 
 
-def sensing_scan(state: TwoPhotonPolState, transfer, b_list_t) -> list[SensingScanPoint]:
+def sensing_scan(state: TwoPhotonPolState, transfer, b_list_t) -> SensingScan:
     """Pair outcome probabilities versus applied field at one probe frequency.
 
     ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
-    usually ``probe_transfer(...)``; it is called once, on the whole list.
+    usually ``probe_transfer(...)``; it is called once, on the whole list, and
+    the outcome classes come from one stacked ``measurement_rates`` call.
     """
-    b_list = np.asarray(b_list_t, dtype=float)
-    points = []
-    for b, t_plus, t_minus, theta in zip(b_list, *transfer(b_list)):
-        probs = measurement_rates(state, channel=circular_jones(t_plus, t_minus))
-        eta = float((np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2) / 2.0)
-        points.append(
-            SensingScanPoint(b_t=float(b), probabilities=probs, eta=eta, rotation_rad=float(theta))
-        )
-    return points
+    b = np.asarray(b_list_t, dtype=float)
+    t_plus, t_minus, theta = transfer(b)
+    return SensingScan(
+        b_t=b,
+        eta=(np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2) / 2.0,
+        rotation_rad=np.asarray(theta, dtype=float),
+        probabilities=measurement_rates(state, channel=circular_jones(t_plus, t_minus)),
+    )
 
 
 def count_oscillations(values) -> float:
@@ -307,7 +322,7 @@ class FisherReport:
     fi_per_scattered: float
 
 
-def fisher_information(scan: list[SensingScanPoint], at_b_t: float) -> FisherReport:
+def fisher_information(scan: SensingScan, at_b_t: float) -> FisherReport:
     """Multinomial Fisher information per pair at one scan point.
 
     Uses centred finite differences on the scan's own B grid and a
@@ -315,7 +330,7 @@ def fisher_information(scan: list[SensingScanPoint], at_b_t: float) -> FisherRep
     disagreement: the scan must be uniform with spacing <= 0.5 mT and
     contain at_b +- 2 steps.
     """
-    b = np.array([pt.b_t for pt in scan])
+    b = scan.b_t
     db = np.diff(b)
     if b.size < 5 or np.abs(db - db[0]).max() > 1e-12:
         raise ConfigError("scan must be uniform in B with at least 5 points")
@@ -326,10 +341,10 @@ def fisher_information(scan: list[SensingScanPoint], at_b_t: float) -> FisherRep
     if i < 2 or i > b.size - 3:
         raise ConfigError("need scan points at_b +- 2 steps for the Richardson check")
 
-    p_tab = np.stack([pt.probabilities.as_array() for pt in scan])
-    p0 = p_tab[i]
-    d_h = (p_tab[i + 1] - p_tab[i - 1]) / (2 * h)
-    d_2h = (p_tab[i + 2] - p_tab[i - 2]) / (4 * h)
+    p_tab = scan.probabilities.as_array()
+    p0 = p_tab[:, i]
+    d_h = (p_tab[:, i + 1] - p_tab[:, i - 1]) / (2 * h)
+    d_2h = (p_tab[:, i + 2] - p_tab[:, i - 2]) / (4 * h)
     fi_h = _fisher_from_probabilities(p0, d_h)
     d_rich = (4.0 * d_h - d_2h) / 3.0
     fi_rich = _fisher_from_probabilities(p0, d_rich)
@@ -339,7 +354,7 @@ def fisher_information(scan: list[SensingScanPoint], at_b_t: float) -> FisherRep
             f"vs Richardson {fi_rich:.4g}"
         )
 
-    lost = scan[i].probabilities.expected_lost
+    lost = scan.probabilities.expected_lost[i]
     return FisherReport(
         b_t=float(b[i]),
         fi_pair=fi_rich,
@@ -360,22 +375,17 @@ def fisher_information_frozen_loss(
     usually ``probe_transfer(...)``, called once on [b, b + h, b - h].
     Freezing replaces |t+-(B)| by its value at the operating point while the
     circular phases still follow B, isolating the information carried by the
-    field dependence of the absorption itself.
+    field dependence of the absorption itself.  The live and frozen channels
+    go through one stacked ``measurement_rates`` call.
     """
-    t_plus, t_minus, _ = transfer(np.array([at_b_t, at_b_t + h_t, at_b_t - h_t]))
-
-    def probs(k, frozen):
-        tp, tm = t_plus[k], t_minus[k]
-        if frozen:
-            tp = abs(t_plus[0]) * np.exp(1j * np.angle(tp))
-            tm = abs(t_minus[0]) * np.exp(1j * np.angle(tm))
-        return measurement_rates(state, channel=circular_jones(tp, tm)).as_array()
-
-    out = []
-    for frozen in (False, True):
-        dp = (probs(1, frozen) - probs(2, frozen)) / (2 * h_t)
-        out.append(_fisher_from_probabilities(probs(0, frozen), dp))
-    return out[0], out[1]
+    t = np.array(transfer(np.array([at_b_t, at_b_t + h_t, at_b_t - h_t]))[:2])
+    frozen = np.abs(t[:, :1]) * np.exp(1j * np.angle(t))
+    t_plus, t_minus = np.concatenate((t, frozen), axis=1)
+    # classes x (live, frozen) x (b, b + h, b - h)
+    p = measurement_rates(state, channel=circular_jones(t_plus, t_minus)).as_array()
+    p = p.reshape(6, 2, 3)
+    fi = _fisher_from_probabilities(p[..., 0], (p[..., 1] - p[..., 2]) / (2 * h_t))
+    return float(fi[0]), float(fi[1])
 
 
 def sql_fisher_information(channel_fn, at_b_t: float, h_t: float = 0.25e-3) -> float:

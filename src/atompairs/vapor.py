@@ -178,7 +178,7 @@ def _distinct_fields(node_fields) -> list[tuple[float, int]]:
 
 
 def _transfer_from_log(log_t_plus, log_t_minus):
-    """(t+, t-, theta) from the summed log transfers, read-only.
+    """(t+, t-, theta) from the summed log transfers.
 
     Raises ValueError if either circular transfer exceeds unity (gain).
     """
@@ -188,10 +188,7 @@ def _transfer_from_log(log_t_plus, log_t_minus):
         raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
     # half the circular phase difference, summed slice by slice: unwrapped
     theta = 0.5 * (log_t_plus.imag - log_t_minus.imag)
-    result = (np.exp(log_t_plus), np.exp(log_t_minus), theta)
-    for arr in result:
-        arr.flags.writeable = False
-    return result
+    return np.exp(log_t_plus), np.exp(log_t_minus), theta
 
 
 class VaporPath:
@@ -203,8 +200,7 @@ class VaporPath:
     distinct fields with multiplicities, so one propagation calls
     ``index_at`` once per distinct field and yields (t+, t-, theta)
     together.  ``transfer_at`` and ``rotation_angle_at`` are views of that
-    propagation; the last one is kept, so asking for both at the same
-    frequencies evaluates the path once.
+    propagation.
     """
 
     def __init__(
@@ -224,7 +220,6 @@ class VaporPath:
         self.slices = 1 if cell.droop_fraction == 0.0 else slices
         self.density_m3 = number_density(cell.temperature_k, atoms)
         self._slice_cache: dict[float, dict[str, _LineArrays]] = {}
-        self._last: tuple[np.ndarray, tuple] | None = None
 
         # two-point Gauss nodes per slice: the phase integral along z then
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
@@ -256,11 +251,8 @@ class VaporPath:
         """(t+, t-, theta) at ``nu_hz``: one ``index_at`` call per distinct field.
 
         Raises ValueError if either circular transfer exceeds unity (gain).
-        The returned arrays are read-only, since the last result is reused.
         """
         nu = _frequencies(nu_hz)
-        if self._last is not None and np.array_equal(self._last[0], nu):
-            return self._last[1]
         log_t_plus = np.zeros(nu.shape, dtype=complex)
         log_t_minus = np.zeros(nu.shape, dtype=complex)
         k_vac = 2j * np.pi * nu / C_LIGHT
@@ -268,9 +260,7 @@ class VaporPath:
             n_plus, n_minus = self.index_at(nu, b)
             log_t_plus += count * (k_vac * (n_plus - 1.0) * self._dz)
             log_t_minus += count * (k_vac * (n_minus - 1.0) * self._dz)
-        result = _transfer_from_log(log_t_plus, log_t_minus)
-        self._last = (nu.copy(), result)
-        return result
+        return _transfer_from_log(log_t_plus, log_t_minus)
 
     def transfer_at(self, nu_hz):
         """Circular-basis diagonal transfer (t+, t-) with the field profile.

@@ -197,6 +197,37 @@ def searched_sql_fisher(channel_fn, at_b_t, h_t=0.25e-3):
     return float(max(best, -res.fun))
 
 
+def kraus_measurement_rates(rho, channel, analyzer_hwp_rad):
+    """The six pair outcome classes (HH, HV, VV, one H, one V, none) of one
+    channel and one analyzer angle, from Kraus branches: detected through the
+    analyzer rows, lost through sqrt(I - J^dag J), each pair of branches
+    applied as a Kronecker sandwich."""
+    j = np.asarray(channel, dtype=complex)
+    c, s = np.cos(2 * analyzer_hwp_rad), np.sin(2 * analyzer_hwp_rad)
+    m = np.array([[c, s], [s, -c]]) @ j
+    vals, vecs = np.linalg.eigh(np.eye(2) - j.conj().T @ j)
+    kraus = {
+        "H": np.outer([1.0, 0.0], m[0, :]),
+        "V": np.outer([0.0, 1.0], m[1, :]),
+        "L": (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T,
+    }
+
+    def prob(a, b):
+        k2 = np.kron(kraus[a], kraus[b])
+        return float(np.real(np.trace(k2 @ rho @ k2.conj().T)))
+
+    return np.array(
+        [
+            prob("H", "H"),
+            prob("H", "V") + prob("V", "H"),
+            prob("V", "V"),
+            prob("H", "L") + prob("L", "H"),
+            prob("V", "L") + prob("L", "V"),
+            prob("L", "L"),
+        ]
+    )
+
+
 def steck_rb_number_density(temperature_k):
     """Rb vapor number density (m^-3) from Steck's fit after Alcock et al.
 

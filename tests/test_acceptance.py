@@ -226,10 +226,10 @@ def test_criterion_8_sensing_scan(sensing_scan_fine):
     # Fringes are counted per half-turn of the computed rotation, not over the
     # 0-50 mT window: the window holds ~119 deg at 70 C, so its crossing count
     # (printed for information) reads 1.5 for a coincidence order of 2.
-    theta = np.array([p.rotation_rad for p in sensing_scan_fine])
-    hh = np.array([p.probabilities.hh for p in sensing_scan_fine])
-    vv = np.array([p.probabilities.vv for p in sensing_scan_fine])
-    sv = np.array([p.probabilities.singles_v for p in sensing_scan_fine])
+    theta = sensing_scan_fine.rotation_rad
+    hh = sensing_scan_fine.probabilities.hh
+    vv = sensing_scan_fine.probabilities.vv
+    sv = sensing_scan_fine.probabilities.singles_v
     sweep = np.ptp(theta)
     hh_order = harmonic_order(theta, hh)
     sv_order = harmonic_order(theta, sv)
@@ -254,18 +254,22 @@ def test_criterion_8_sensing_scan(sensing_scan_fine):
 # 9 ------------------------------------------------------------------------
 
 
+def _lossless_rotation_scan(slope, b_grid):
+    """The pair through a lossless rotation by slope * b, in one stacked call."""
+    return noon.SensingScan(
+        b_t=b_grid,
+        eta=np.ones(b_grid.shape),
+        rotation_rad=slope * b_grid,
+        probabilities=noon.measurement_rates(
+            noon.make_noon_from_pair(), channel=noon.rotation_jones(slope * b_grid)
+        ),
+    )
+
+
 def test_criterion_9a_lossless_ratio():
     slope = 50.0
     b_grid = np.arange(15e-3, 25.001e-3, 0.1e-3)
-    scan = []
-    state = noon.make_noon_from_pair()
-    for b in b_grid:
-        probs = noon.measurement_rates(state, channel=noon.rotation_jones(slope * b))
-        scan.append(
-            noon.SensingScanPoint(
-                b_t=float(b), probabilities=probs, eta=1.0, rotation_rad=slope * b
-            )
-        )
+    scan = _lossless_rotation_scan(slope, b_grid)
     rep = noon.fisher_information(scan, 20e-3)
     sql = noon.sql_fisher_information(
         lambda b: noon.rotation_jones(slope * b), 20e-3, h_t=0.1e-3
@@ -282,15 +286,7 @@ def test_criterion_9a_lossless_ratio():
 def test_criterion_9b_finite_difference_matches_closed_form():
     slope = 50.0
     b_grid = np.arange(15e-3, 25.001e-3, 0.1e-3)
-    state = noon.make_noon_from_pair()
-    scan = []
-    for b in b_grid:
-        probs = noon.measurement_rates(state, channel=noon.rotation_jones(slope * b))
-        scan.append(
-            noon.SensingScanPoint(
-                b_t=float(b), probabilities=probs, eta=1.0, rotation_rad=slope * b
-            )
-        )
+    scan = _lossless_rotation_scan(slope, b_grid)
     rep = noon.fisher_information(scan, 20e-3)
     exact = ideal_noon_fisher_pair(slope)
     err = abs(rep.fi_pair - exact) / exact

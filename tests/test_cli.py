@@ -308,6 +308,30 @@ def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "preset, shapes",
+    [
+        # one call per state over the 91 analyzer angles
+        ("fig7-superresolution", [(91,), (91,)]),
+        # the 101-field scan, then live and frozen loss at b* and b* +- h
+        ("fig11-sensing", [(101, 2, 2), (6, 2, 2)]),
+    ],
+)
+def test_presets_call_the_outcome_kernel_twice(tmp_path, monkeypatch, preset, shapes):
+    from atompairs import noon
+
+    calls = []
+    kernel = noon.measurement_rates
+
+    def counted(state, channel=None, analyzer_hwp_rad=0.0):
+        calls.append(np.shape(analyzer_hwp_rad) if channel is None else np.shape(channel))
+        return kernel(state, channel, analyzer_hwp_rad)
+
+    monkeypatch.setattr(noon, "measurement_rates", counted)
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", preset]) == 0
+    assert calls == shapes
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--length-mm", "nan"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atompairs.errors import ConfigError, NumericError
@@ -21,6 +21,7 @@ from atompairs.noon import (
     pure_state,
     qwp_jones,
     rotation_jones,
+    SensingScan,
     sensing_scan,
     sql_fisher_information,
     surrogate_noon_state,
@@ -31,6 +32,7 @@ from reference import (
     harmonic_order,
     ideal_noon_fisher_pair,
     ideal_single_fisher,
+    kraus_measurement_rates,
     searched_sql_fisher,
 )
 
@@ -158,6 +160,79 @@ def test_outcome_classes_complete_under_loss():
     assert probs.none > 0.0
 
 
+_UNIT = st.floats(min_value=-1.0, max_value=1.0)
+_ANGLE = st.floats(min_value=0.0, max_value=np.pi)
+
+
+@st.composite
+def _mixed_states(draw):
+    """rho = t A A^dag / Tr(A A^dag) for a random complex 4x4 A and trace t <= 1."""
+    a = np.array(draw(st.lists(_UNIT, min_size=32, max_size=32))).reshape(2, 4, 4)
+    a = a[0] + 1j * a[1]
+    gram = a @ a.conj().T
+    norm = np.trace(gram).real
+    assume(norm > 1e-3)
+    rho = draw(st.floats(0.0, 1.0)) * gram / norm
+    return TwoPhotonPolState((rho + rho.conj().T) / 2.0)
+
+
+@st.composite
+def _contractive_channels(draw):
+    """Waveplate x diag(r1 e^{i phi1}, r2 e^{i phi2}) x waveplate with r <= 1:
+    a general contraction, not only a circular-diagonal one."""
+    r = np.array([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+    phase = np.array([draw(_ANGLE), draw(_ANGLE)]) * 2.0
+    left = qwp_jones(draw(_ANGLE)) @ hwp_jones(draw(_ANGLE))
+    right = hwp_jones(draw(_ANGLE)) @ qwp_jones(draw(_ANGLE))
+    return left @ np.diag(r * np.exp(1j * phase)) @ right
+
+
+@given(
+    state=_mixed_states(),
+    stack=st.lists(st.tuples(_contractive_channels(), _ANGLE), min_size=1, max_size=4),
+)
+@settings(max_examples=40)
+def test_stacked_kernel_matches_kraus_oracle(state, stack):
+    channels = np.array([c for c, _ in stack])
+    angles = np.array([a for _, a in stack])
+    got = measurement_rates(state, channel=channels, analyzer_hwp_rad=angles).as_array()
+    assert got.shape == (6, len(stack))
+    for k, (channel, angle) in enumerate(stack):
+        want = kraus_measurement_rates(state.rho, channel, angle)
+        np.testing.assert_allclose(got[:, k], want, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(got.sum(axis=0), state.trace, rtol=0.0, atol=1e-14)
+
+
+def test_kernel_single_case_is_the_stack_entry():
+    state = make_noon_from_pair(imbalance=0.15)
+    angles = np.array([0.0, 0.2, 1.1])
+    channels = circular_jones(np.array([0.8, 0.5j, 1.0]), np.array([0.6, 0.3, 1.0]))
+    by_angle = measurement_rates(state, analyzer_hwp_rad=angles).as_array()
+    by_channel = measurement_rates(state, channel=channels, analyzer_hwp_rad=0.2).as_array()
+    for k in range(3):
+        single = measurement_rates(state, analyzer_hwp_rad=angles[k])
+        assert isinstance(single.hh, float)
+        np.testing.assert_array_equal(single.as_array(), by_angle[:, k])
+        single = measurement_rates(state, channel=channels[k], analyzer_hwp_rad=0.2)
+        np.testing.assert_array_equal(single.as_array(), by_channel[:, k])
+
+
+def test_kernel_rejects_gain_and_non_finite_channels():
+    pair = make_noon_from_pair()
+    for bad in (1.5 * np.eye(2), np.full((2, 2), np.nan), np.diag([1.0, np.inf])):
+        with pytest.raises(ConfigError, match="gain"):
+            measurement_rates(pair, channel=bad)
+    # the boundary of the rule OpticalElement uses still passes
+    measurement_rates(pair, channel=(1.0 + 1e-10) * np.eye(2))
+    stack = np.array([np.eye(2), 0.5 * np.eye(2), 1.5 * np.eye(2), np.full((2, 2), np.nan)])
+    with pytest.raises(ConfigError, match="stack index 2 "):
+        measurement_rates(pair, channel=stack)
+    with pytest.raises(ConfigError, match="stack index 1 "):
+        measurement_rates(pair, channel=stack[[0, 3, 2]])
+    with pytest.raises(ConfigError, match="2x2"):
+        measurement_rates(pair, channel=np.eye(3))
+
+
 @given(
     t_plus=st.floats(min_value=0.2, max_value=1.0),
     t_minus=st.floats(min_value=0.2, max_value=1.0),
@@ -192,9 +267,9 @@ def test_two_hwp_applications_identity():
 
 
 def test_scan_oscillations_and_visibility(sensing_scan_fine):
-    hh = np.array([p.probabilities.hh for p in sensing_scan_fine])
-    vv = np.array([p.probabilities.vv for p in sensing_scan_fine])
-    sv = np.array([p.probabilities.singles_v for p in sensing_scan_fine])
+    hh = sensing_scan_fine.probabilities.hh
+    vv = sensing_scan_fine.probabilities.vv
+    sv = sensing_scan_fine.probabilities.singles_v
     assert visibility(hh) > 0.9
     assert visibility(vv) > 0.9
     assert visibility(hh) > 0.33  # classical bound for pair interference
@@ -212,25 +287,25 @@ def test_harmonic_order_of_pure_fringes(m, phase, sweep):
 
 
 def _lossless_rates(state, theta):
-    return [measurement_rates(state, channel=rotation_jones(t)) for t in theta]
+    return measurement_rates(state, channel=rotation_jones(theta))
 
 
 def test_harmonic_order_of_lossless_pair_scan(sensing_scan_fine):
-    theta = np.array([p.rotation_rad for p in sensing_scan_fine])
+    theta = sensing_scan_fine.rotation_rad
     balanced = _lossless_rates(make_noon_from_pair(), theta)
-    hh = [p.hh for p in balanced]
+    hh = balanced.hh
     assert harmonic_order(theta, hh) == pytest.approx(2.0, abs=1e-9)
     # against a doubled angle the same fringes read as order 1
     assert harmonic_order(2.0 * theta, hh) == pytest.approx(1.0, abs=1e-9)
     # the |VV> admixture adds a first harmonic to HH but none above one to singles
     imbalanced = _lossless_rates(make_noon_from_pair(imbalance=0.15), theta)
-    assert abs(harmonic_order(theta, [p.hh for p in imbalanced]) - 2.0) <= 0.25
-    assert harmonic_order(theta, [p.singles_v for p in imbalanced]) == pytest.approx(1.0, abs=1e-9)
+    assert abs(harmonic_order(theta, imbalanced.hh) - 2.0) <= 0.25
+    assert harmonic_order(theta, imbalanced.singles_v) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_harmonic_order_of_product_state(sensing_scan_fine):
-    theta = np.array([p.rotation_rad for p in sensing_scan_fine])
-    hh = [p.hh for p in _lossless_rates(pure_state([1.0, 0, 0, 0]), theta)]
+    theta = sensing_scan_fine.rotation_rad
+    hh = _lossless_rates(pure_state([1.0, 0, 0, 0]), theta).hh
     # cos^4 = (3 + 4 cos 2t + cos 4t) / 8: powers 1/4 and 1/64
     order = harmonic_order(theta, hh)
     assert order == pytest.approx(18.0 / 17.0, abs=1e-9)
@@ -238,15 +313,15 @@ def test_harmonic_order_of_product_state(sensing_scan_fine):
 
 
 def test_scan_zero_field_point(sensing_scan_fine):
-    p0 = sensing_scan_fine[0]
-    assert p0.rotation_rad == pytest.approx(0.0, abs=1e-9)
+    probs = sensing_scan_fine.probabilities
+    assert sensing_scan_fine.rotation_rad[0] == pytest.approx(0.0, abs=1e-9)
     # pair photons start as HV: coincidences all in the HV class
-    assert p0.probabilities.hv > 10 * (p0.probabilities.hh + p0.probabilities.vv)
-    assert 0.8 < p0.eta <= 1.0
+    assert probs.hv[0] > 10 * (probs.hh[0] + probs.vv[0])
+    assert 0.8 < sensing_scan_fine.eta[0] <= 1.0
 
 
 def test_scan_monotone_rotation(sensing_scan_fine):
-    theta = np.abs([p.rotation_rad for p in sensing_scan_fine])
+    theta = np.abs(sensing_scan_fine.rotation_rad)
     assert np.all(np.diff(theta) > -1e-9)
     assert theta[-1] > np.pi / 2  # more than 90 degrees by 50 mT
 
@@ -254,17 +329,17 @@ def test_scan_monotone_rotation(sensing_scan_fine):
 # ---------------------------------------------------------- Fisher information
 
 
-def _rotation_scan(slope, b_grid, state=None):
+def _rotation_scan(slope, b_grid, state=None, eta=1.0):
+    """One stacked call over the grid: the pair through a rotation by slope * b
+    with polarization-independent transmission eta."""
     state = state or make_noon_from_pair()
-    pts = []
-    from atompairs.noon import SensingScanPoint
-
-    for b in b_grid:
-        probs = measurement_rates(state, channel=rotation_jones(slope * b))
-        pts.append(
-            SensingScanPoint(b_t=float(b), probabilities=probs, eta=1.0, rotation_rad=slope * b)
-        )
-    return pts
+    b = np.asarray(b_grid, dtype=float)
+    return SensingScan(
+        b_t=b,
+        eta=np.full(b.shape, eta),
+        rotation_rad=slope * b,
+        probabilities=measurement_rates(state, channel=np.sqrt(eta) * rotation_jones(slope * b)),
+    )
 
 
 def test_fisher_lossless_noon_closed_form():
@@ -290,14 +365,14 @@ def test_fisher_zero_sensitivity_point():
     # quadratic rotation has zero slope at B = 0: no information there
     b_grid = np.arange(-0.5e-3, 0.5001e-3, 0.1e-3)
     state = make_noon_from_pair()
-    pts = []
-    from atompairs.noon import SensingScanPoint
-
-    for b in b_grid:
-        theta = 2e4 * b**2
-        probs = measurement_rates(state, channel=rotation_jones(theta))
-        pts.append(SensingScanPoint(b_t=float(b), probabilities=probs, eta=1.0, rotation_rad=theta))
-    rep = fisher_information(pts, 0.0)
+    theta = 2e4 * b_grid**2
+    scan = SensingScan(
+        b_t=b_grid,
+        eta=np.ones(b_grid.shape),
+        rotation_rad=theta,
+        probabilities=measurement_rates(state, channel=rotation_jones(theta)),
+    )
+    rep = fisher_information(scan, 0.0)
     assert rep.fi_pair == pytest.approx(0.0, abs=1e-4)
 
 
@@ -314,13 +389,11 @@ def test_fisher_detects_unstable_derivative():
     # corrupt one neighbour point to break the Richardson agreement
     import dataclasses
 
-    bad = scan[:]
     i = 10
-    probs = bad[i + 1].probabilities
-    bad[i + 1] = dataclasses.replace(
-        bad[i + 1],
-        probabilities=dataclasses.replace(probs, hv=probs.hv * 0.7, hh=probs.hh + probs.hv * 0.3),
-    )
+    probs = scan.probabilities
+    hv, hh = probs.hv.copy(), probs.hh.copy()
+    hv[i + 1], hh[i + 1] = probs.hv[i + 1] * 0.7, probs.hh[i + 1] + probs.hv[i + 1] * 0.3
+    bad = dataclasses.replace(scan, probabilities=dataclasses.replace(probs, hv=hv, hh=hh))
     with pytest.raises(NumericError):
         fisher_information(bad, float(b_grid[i]))
 
@@ -404,16 +477,9 @@ def test_fisher_per_scattered_uses_expected_loss():
     b_grid = np.arange(15e-3, 25.001e-3, 0.1e-3)
     # 20% per-photon loss, polarization independent
     state = make_noon_from_pair()
-    pts = []
-    from atompairs.noon import SensingScanPoint
-
-    t_amp = np.sqrt(0.8)
-    for b in b_grid:
-        jones = t_amp * rotation_jones(slope * b)
-        probs = measurement_rates(state, channel=jones)
-        pts.append(SensingScanPoint(b_t=float(b), probabilities=probs, eta=0.8, rotation_rad=slope * b))
-    rep = fisher_information(pts, 20e-3)
-    lost = pts[50].probabilities.expected_lost
+    scan = _rotation_scan(slope, b_grid, state, eta=0.8)
+    rep = fisher_information(scan, 20e-3)
+    lost = scan.probabilities.expected_lost[50]
     assert lost == pytest.approx(0.4, abs=1e-9)
     assert rep.fi_per_scattered == pytest.approx(rep.fi_pair / 0.4, rel=1e-9)
 
@@ -447,18 +513,29 @@ def test_probe_transfer_takes_one_field_or_many_and_holds_no_cache(atoms, sensin
         assert one == (t_plus[k], t_minus[k], theta[k])
 
 
-def test_scan_and_frozen_loss_call_the_transfer_once(atoms, sensing_cell, noon_line_hz):
-    calls = []
+def test_scan_and_frozen_loss_call_the_transfer_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
+    from atompairs import noon
+
+    calls, rates = [], []
     transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
+    kernel = noon.measurement_rates
 
     def counted(b):
         calls.append(np.shape(b))
         return transfer(b)
 
+    def counted_rates(state, channel=None, analyzer_hwp_rad=0.0):
+        rates.append(np.shape(channel))
+        return kernel(state, channel, analyzer_hwp_rad)
+
+    monkeypatch.setattr(noon, "measurement_rates", counted_rates)
     state = make_noon_from_pair(imbalance=0.15)
     sensing_scan(state, counted, np.arange(0.0, 5.001e-3, 0.5e-3))
     fisher_information_frozen_loss(state, counted, 3e-3)
     assert calls == [(11,), (3,)]
+    # one stacked kernel call each: the scan's fields, then live and frozen
+    # loss at b* and b* +- h
+    assert rates == [(11, 2, 2), (6, 2, 2)]
 
 
 def test_element_guards():
@@ -466,3 +543,5 @@ def test_element_guards():
         OpticalElement(kind="HWP", jones=np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ConfigError):
         OpticalElement(kind="cell", jones=np.array([[1.2, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ConfigError, match="not finite"):
+        OpticalElement(kind="cell", jones=np.array([[np.nan, 0.0], [0.0, 0.5]]))
