@@ -14,7 +14,8 @@ medians, and in how many pairs the change was better), and the per-layer
 metrics of the ``--trace 1`` runs.
 
 A pair is the k-th run with seed n on each side.  A side that holds the same
-run twice is rejected, since it would count one comparison twice.
+run twice is rejected, since it would count one comparison twice, and so is a
+run that failed an operation or a check.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ def load_side(root: Path) -> tuple[dict, dict]:
         elif run_env != env:
             raise SystemExit(f"{path} was recorded on other code or host than {files[0]}")
         args, result = record["args"], record["result"]
+        if not result["correct"] or result["failed"]:
+            raise SystemExit(f"{path} records a failing run (correct: {result['correct']}, "
+                             f"failed: {result['failed']}); its timings measure nothing")
         entry = workloads[args["workload"]]
         base = {"seed": args["seed"], "correct": result["correct"],
                 "attempted": result["attempted"], "failed": result["failed"]}

@@ -221,7 +221,7 @@ def _write_comb(sink, comb, passed):
 def run_matching(p, atoms, sink, seed):
     """filter, mirrored filter and pair comb"""
     spec, nu0, comb, passed = _matching_pieces(p, atoms)
-    mirror = spec(2 * nu0 - spec.grid_hz)
+    mirror = filters.mirrored_transmission(spec, nu0)
     write_csv(
         sink.path("matching.csv"),
         ["frequency_Hz", "transmission", "mirror_transmission", "pair_product"],
@@ -359,8 +359,8 @@ def run_reconstruct(p, atoms, sink, seed):
 
 def run_superresolution(p, atoms, sink, seed):
     """analyzer rotation scans: single photon vs pair super-resolution"""
-    if p["angle_step_deg"] <= 0:
-        raise ConfigError("params.angle_step_deg: must be > 0")
+    if not (np.isfinite(p["angle_step_deg"]) and p["angle_step_deg"] > 0):
+        raise ConfigError("params.angle_step_deg: must be finite and > 0")
     step = np.radians(p["angle_step_deg"])
     angles = np.arange(0.0, np.pi + step / 2, step)
     surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])

@@ -50,9 +50,27 @@ class FilterSpectrum:
         nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
         if self.fn is not None:
             return self.fn(nu)
-        if nu.min() < self.grid_hz[0] or nu.max() > self.grid_hz[-1]:
+        if np.any(nu < self.grid_hz[0]) or np.any(nu > self.grid_hz[-1]):
             raise CoverageError("frequency outside the filter grid")
         return np.interp(nu, self.grid_hz, self.transmission)
+
+
+def mirrored_transmission(spec: FilterSpectrum, nu0_hz: float) -> np.ndarray:
+    """T(2 nu0 - nu) at every grid frequency nu of ``spec``.
+
+    Where the reflected frequency is itself a grid point (bit for bit), its
+    transmission is read off the grid; only the rest goes through ``spec``.
+    On a uniform grid with nu0 = grid[i0] the mirror of index k is 2 i0 - k.
+    """
+    grid = spec.grid_hz
+    reflected = 2 * nu0_hz - grid
+    j = 2 * np.searchsorted(grid, nu0_hz) - np.arange(grid.size)
+    on_grid = (j >= 0) & (j < grid.size)
+    on_grid[on_grid] = grid[j[on_grid]] == reflected[on_grid]
+    mirror = np.empty_like(reflected)
+    mirror[on_grid] = spec.transmission[j[on_grid]]
+    mirror[~on_grid] = spec(reflected[~on_grid])
+    return mirror
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,15 @@ def _check_passive(jones: np.ndarray, what: str):
     sv = np.linalg.svd(np.where(finite[..., None, None], jones, 0.0), compute_uv=False)
     bad = ~finite | (sv[..., 0] > 1.0 + 1e-9)
     if bad.any():
-        at = ", ".join(map(str, np.unravel_index(np.argmax(bad), bad.shape)))
-        where = f" at stack index {at}" if at else ""
-        raise ConfigError(f"{what}{where} is not finite or has gain (a singular value above 1)")
+        raise ConfigError(
+            f"{what}{_first_index(bad)} is not finite or has gain (a singular value above 1)"
+        )
+
+
+def _first_index(bad: np.ndarray) -> str:
+    """" at stack index i, j" of the first true entry of ``bad``; "" when 0-d."""
+    at = ", ".join(map(str, np.unravel_index(np.argmax(bad), bad.shape)))
+    return f" at stack index {at}" if at else ""
 
 
 @dataclass(frozen=True)
@@ -199,13 +205,17 @@ def measurement_rates(
     count unordered outcomes and the one-photon classes absorb the channel
     loss.  ``channel`` may be a stack (..., 2, 2) and ``analyzer_hwp_rad`` an
     array; they broadcast, and each class has their broadcast shape.  A
-    channel with gain (a singular value above 1) or a non-finite entry raises
-    ConfigError naming the first such stack index.
+    channel with gain (a singular value above 1) or a non-finite entry, and a
+    non-finite analyzer angle, raise ConfigError naming the first such stack
+    index.
     """
     j = np.eye(2, dtype=complex) if channel is None else np.asarray(channel, complex)
     if j.shape[-2:] != (2, 2):
         raise ConfigError("channel must be a 2x2 Jones matrix or a stack of them")
     _check_passive(j, "channel")
+    bad_angle = ~np.isfinite(analyzer_hwp_rad)
+    if bad_angle.any():
+        raise ConfigError(f"analyzer angle{_first_index(bad_angle)} is not finite")
     m = hwp_jones(analyzer_hwp_rad) @ j
     # per-photon effects E_H, E_V, E_lost along axis -3
     detected = m.conj()[..., :, :, None] * m[..., :, None, :]

@@ -182,8 +182,9 @@ def _transfer_from_log(log_t_plus, log_t_minus):
 
     Raises ValueError if either circular transfer exceeds unity (gain).
     """
-    # singular values of diag(t+, t-) are |t+|, |t-|
-    gain = np.expm1(max(log_t_plus.real.max(), log_t_minus.real.max()))
+    # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
+    largest = max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf))
+    gain = np.expm1(largest)
     if gain > 1e-12:
         raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
     # half the circular phase difference, summed slice by slice: unwrapped

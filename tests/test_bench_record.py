@@ -13,7 +13,10 @@ bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
 
-def _write_run(root: Path, name: str, seed: int, run_s: list[float], wall_s: list[float]):
+def _write_run(
+    root: Path, name: str, seed: int, run_s: list[float], wall_s: list[float],
+    correct: bool = True, failed: int = 0,
+):
     results = root / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     samples = {
@@ -28,7 +31,7 @@ def _write_run(root: Path, name: str, seed: int, run_s: list[float], wall_s: lis
         "environment": {k: "x" for k in bench_record.SIDE_KEYS},
         "samples": samples,
         "result": {
-            "correct": True, "attempted": 2, "failed": 0,
+            "correct": correct, "attempted": 2, "failed": failed,
             "metrics": {
                 "run_s": {"value": sorted(run_s)[len(run_s) // 2]},
                 "setup_s": {"value": 0.8},
@@ -73,4 +76,12 @@ def test_the_same_run_twice_is_rejected(tmp_path):
     _write_run(tmp_path / "parent", "w-seed1-copy.json", 1, [10.0, 10.0], [11.0, 11.0])
     _write_run(tmp_path / "change", "w-seed1.json", 1, [9.0, 9.0], [10.0, 10.0])
     with pytest.raises(SystemExit, match="holds the same run"):
+        _record(tmp_path)
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
+def test_a_failing_run_is_refused(tmp_path, correct, failed):
+    _write_run(tmp_path / "parent", "w-seed1.json", 1, [10.0, 10.0], [11.0, 11.0])
+    _write_run(tmp_path / "change", "w-seed1.json", 1, [9.0, 9.0], [10.0, 10.0], correct, failed)
+    with pytest.raises(SystemExit, match=r"w-seed1\.json records a failing run"):
         _record(tmp_path)

@@ -331,6 +331,22 @@ def test_presets_call_the_outcome_kernel_twice(tmp_path, monkeypatch, preset, sh
     assert calls == shapes
 
 
+def test_matching_evaluates_only_the_mirror_off_the_grid(tmp_path, monkeypatch):
+    from atompairs import vapor
+
+    points = []
+    transfer_at = vapor.VaporPath.transfer_at
+
+    def counted(self, nu_hz):
+        points.append(np.size(nu_hz))
+        return transfer_at(self, nu_hz)
+
+    monkeypatch.setattr(vapor.VaporPath, "transfer_at", counted)
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", "fig3-matching"]) == 0
+    # the grid, the comb's Lorentzian nodes, then the mirror's off-grid tail
+    assert points == [32_001, 12_023, 11_262]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -524,6 +540,7 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--step-ns", "0"],
         ["interference", "--step-ns", "-1"],
         ["superresolution", "--angle-step-deg", "0"],
+        ["superresolution", "--angle-step-deg", "nan"],
         ["g2", "--fsr-MHz", "0"],
         ["g2", "--bins", "-5"],
         ["interference", "--exposure", "-1"],
@@ -531,8 +548,10 @@ def test_spectrum_format_json(tmp_path):
         ["fadof", "--window-GHz", "-1"],
     ],
 )
-def test_non_positive_grid_step_exit_2(tmp_path, argv):
+def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
     assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+    if argv[0] == "superresolution":
+        assert "params.angle_step_deg" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

@@ -10,6 +10,7 @@ from atompairs.filters import (
     dichroic_filter,
     fadof_spectrum,
     filter_metrics,
+    mirrored_transmission,
 )
 from atompairs.vapor import VaporCellConfig, make_frequency_grid
 
@@ -131,6 +132,37 @@ def test_dichroic_filter_parameter_guards():
         dichroic_filter(3.77e14, -1.0, 0.1, 35.0)
     with pytest.raises(ConfigError):
         dichroic_filter(3.77e14, 80e6, 0.4, 35.0)
+
+
+@pytest.mark.parametrize("offset", [300, 0, -300, 0.3])
+def test_mirror_equals_the_evaluator_at_the_reflected_frequencies(d1_center, offset):
+    # peak above, at and below the grid centre, and between two grid points
+    grid = make_frequency_grid(d1_center, 1e9, 0.5e6)
+    nu0 = d1_center + offset * 0.5e6 if offset % 1 else grid[grid.size // 2 + offset]
+    evaluated = []
+
+    def fn(nu):
+        evaluated.append(nu.size)
+        return 0.7 / (1.0 + ((nu - nu0) / 80e6) ** 2)
+
+    spec = FilterSpectrum(grid_hz=grid, transmission=fn(grid), fn=fn)
+    mirror = mirrored_transmission(spec, nu0)
+    assert np.array_equal(mirror, spec(2 * nu0 - grid))
+    # only the reflections that leave the grid (or miss it) are evaluated again
+    assert evaluated[1] == (grid.size if offset % 1 else 2 * abs(offset))
+    if offset == 0:  # nothing leaves the grid, so a grid-only filter needs no evaluator
+        grid_only = FilterSpectrum(grid_hz=grid, transmission=spec.transmission)
+        assert np.array_equal(mirrored_transmission(grid_only, nu0), spec.transmission[::-1])
+
+
+def test_shipped_matching_grid_reflects_onto_itself(fadof_main, fadof_grid):
+    # fig3's filter: the reflection about its peak lands on grid points bit for bit
+    i0 = int(np.argmax(fadof_main.transmission))
+    reflected = 2 * fadof_grid[i0] - fadof_grid
+    j = 2 * i0 - np.arange(fadof_grid.size)
+    on_grid = (j >= 0) & (j < fadof_grid.size)
+    assert np.array_equal(fadof_grid[j[on_grid]], reflected[on_grid])
+    assert (on_grid.sum(), (~on_grid).sum()) == (20_739, 11_262)
 
 
 def test_on_mode_degenerate_transmission(fadof_main):

@@ -231,6 +231,10 @@ def test_kernel_rejects_gain_and_non_finite_channels():
         measurement_rates(pair, channel=stack[[0, 3, 2]])
     with pytest.raises(ConfigError, match="2x2"):
         measurement_rates(pair, channel=np.eye(3))
+    with pytest.raises(ConfigError, match="analyzer angle is not finite"):
+        measurement_rates(pair, analyzer_hwp_rad=np.nan)
+    with pytest.raises(ConfigError, match="analyzer angle at stack index 2 "):
+        measurement_rates(pair, analyzer_hwp_rad=[0.0, 0.1, np.inf, np.nan])
 
 
 @given(

@@ -248,6 +248,12 @@ def test_transfer_rejects_gain(atoms, monkeypatch):
         path.transfer_at(np.array([1e14, 1.0001e14]))
 
 
+def test_no_frequencies_give_empty_transfers(atoms):
+    path = VaporPath(atoms, natural_cell(atoms), 4.5e-3, slices=1)
+    t_plus, t_minus = path.transfer_at(np.array([]))
+    assert t_plus.shape == t_minus.shape == path.rotation_angle_at([]).shape == (0,)
+
+
 def _fadof_path(atoms):
     cell = VaporCellConfig(
         length_m=0.10, temperature_k=365.0, isotope_fractions=atoms.natural_fractions()
