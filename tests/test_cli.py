@@ -540,12 +540,12 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--step-ns", "0"],
         ["interference", "--step-ns", "-1"],
         ["superresolution", "--angle-step-deg", "0"],
-        ["superresolution", "--angle-step-deg", "nan"],
         ["g2", "--fsr-MHz", "0"],
         ["g2", "--bins", "-5"],
         ["interference", "--exposure", "-1"],
         ["reconstruct", "--exposure", "0"],
         ["fadof", "--window-GHz", "-1"],
+        ["superresolution", "--angle-step-deg", "nan"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
