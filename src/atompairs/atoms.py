@@ -1,13 +1,20 @@
 """Hyperfine + Zeeman structure of the rubidium D1 manifolds.
 
-Builds product-basis Hamiltonians H = offset + A J.I (+ quadrupole) +
-mu_B B (g_J Jz + g_I Iz), diagonalizes them per m_F block and enumerates
-optical transition lines with Wigner-Eckart strengths.  Each step takes one
-field or an array of fields: the Hamiltonians of all fields are one stack,
-solved by one stacked eigh per m_F block size, and their dipole amplitudes
-are one batched product.  What does not depend on the field (H0 and the
-Zeeman operator per set of constants, the m_F block layout, the dipole
-blocks) is built once per process.  Everything is in Hz and Tesla;
+Builds product-basis Hamiltonians H = offset + A J.I + mu_B B (g_J Jz + g_I Iz)
+of J = 1/2 manifolds, solves them m_F block by m_F block and enumerates
+optical transition lines with Wigner-Eckart strengths.  With J = 1/2 every
+m_F block is 1x1 or 2x2 (Breit-Rabi structure), and each 2x2 block is solved
+in closed form by the LAPACK steps that ``numpy.linalg.eigh`` takes for it,
+so the levels are eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed
+from the few basis terms that the selection rule leaves.
+
+Each step takes one field or a 1-D array of fields.  ``build_hamiltonian`` ->
+``diagonalize`` -> ``transition_lines`` is the matrix route;
+``lines_at_fields`` reads the block entries straight from the field-free
+operators and forms no matrix per field.  Both share one block solver and one
+amplitude rule.  What does not depend on the field (H0 and the Zeeman
+operator per set of constants, their block entries, the m_F block layout, the
+amplitude terms) is built once per process.  Everything is in Hz and Tesla;
 constants come from the shipped data file (see data/rb_d1.yaml for sources)
 and can be overridden with a user file of the same schema.
 """
@@ -38,7 +45,6 @@ class ManifoldConstants:
     J: float
     g_J: float
     A_hfs_hz: float
-    B_hfs_hz: float = 0.0
     offset_hz: float = 0.0
 
 
@@ -116,6 +122,25 @@ class AtomLibrary:
         )
 
 
+def _j_half_manifold(isotope: str, label: str, m) -> ManifoldConstants:
+    """One manifold of the data file; only J = 1/2 without a quadrupole
+    constant, the manifolds whose m_F blocks are at most 2x2."""
+    con = ManifoldConstants(
+        label=label,
+        J=float(m["J"]),
+        g_J=float(m["g_J"]),
+        A_hfs_hz=float(m["A_hfs_hz"]),
+        offset_hz=float(m.get("offset_hz", 0.0)),
+    )
+    b_hfs = float(m.get("B_hfs_hz", 0.0))
+    if con.J != 0.5 or b_hfs != 0.0:
+        raise ConfigError(
+            f"{isotope} {label}: J = {con.J:g}, B_hfs_hz = {b_hfs:g}; only J = 1/2 "
+            "manifolds, which have no quadrupole term, are supported"
+        )
+    return con
+
+
 def load_atom_data(path=None) -> AtomLibrary:
     """Load isotope constants from ``path`` or from the shipped data file."""
     if path is None:
@@ -145,15 +170,7 @@ def load_atom_data(path=None) -> AtomLibrary:
         isotopes = {}
         for name, iso in raw["isotopes"].items():
             manifolds = {
-                label: ManifoldConstants(
-                    label=label,
-                    J=float(m["J"]),
-                    g_J=float(m["g_J"]),
-                    A_hfs_hz=float(m["A_hfs_hz"]),
-                    B_hfs_hz=float(m.get("B_hfs_hz", 0.0)),
-                    offset_hz=float(m.get("offset_hz", 0.0)),
-                )
-                for label, m in iso["manifolds"].items()
+                label: _j_half_manifold(name, label, m) for label, m in iso["manifolds"].items()
             }
             isotopes[name] = IsotopeData(
                 name=name,
@@ -192,6 +209,10 @@ def product_basis(J: float, I: float) -> tuple[tuple[float, float], ...]:
     )
 
 
+def _basis_m_f(basis) -> np.ndarray:
+    return np.array([mj + mi for mj, mi in basis])
+
+
 @dataclass(frozen=True)
 class ManifoldHamiltonian:
     isotope: str
@@ -208,7 +229,7 @@ class ManifoldHamiltonian:
         return self.matrix_hz.shape[-1]
 
     def m_f(self) -> np.ndarray:
-        return np.array([mj + mi for mj, mi in self.basis])
+        return _basis_m_f(self.basis)
 
 
 @functools.cache
@@ -216,25 +237,29 @@ def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
     """(H0, Z) of one manifold, so that H(B) = H0 + mu_B B Z.
 
     Keyed on the constants themselves, not the isotope name: a user atom-data
-    file may give the same isotope other constants.
+    file may give the same isotope other constants.  Both must be exactly
+    symmetric and zero between states of different m_F, or NumericError is
+    raised.  Then every fl(H0 + fl(mu_B B) Z) is exactly symmetric and
+    block-diagonal too, so ``lines_at_fields`` reads only the lower triangle
+    of each m_F block.
     """
     J = con.J
     jx, jy, jz = spin_matrices(J)
     ix, iy, iz = spin_matrices(I)
     eye_j = np.eye(round(2 * J + 1))
     eye_i = np.eye(round(2 * I + 1))
-
-    j_dot_i = (
-        np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
-    )
     # J.I is real in this basis (jy x iy product of two imaginary matrices)
+    j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
     h0 = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
-    if con.B_hfs_hz != 0.0:
-        denom = 2 * I * (2 * I - 1) * J * (2 * J - 1)
-        h0 = h0 + con.B_hfs_hz * (
-            3 * j_dot_i @ j_dot_i + 1.5 * j_dot_i - I * (I + 1) * J * (J + 1) * np.kron(eye_j, eye_i)
-        ) / denom
-    return _read_only(h0, con.g_J * np.kron(jz, eye_i) + g_I * np.kron(eye_j, iz))
+    zeeman = con.g_J * np.kron(jz, eye_i) + g_I * np.kron(eye_j, iz)
+    m_f = _basis_m_f(product_basis(J, I))
+    across = m_f[:, None] != m_f[None, :]
+    for name, op in (("H0", h0), ("Zeeman operator", zeeman)):
+        if not np.array_equal(op, op.T) or np.any(op[across]):
+            raise NumericError(
+                f"{con.label}: {name} is not exactly symmetric and zero between m_F blocks"
+            )
+    return _read_only(h0, zeeman)
 
 
 def _hermiticity_defect(h: np.ndarray, rtol: float):
@@ -245,6 +270,16 @@ def _hermiticity_defect(h: np.ndarray, rtol: float):
     return defect[bad].max() if bad.any() else None
 
 
+def _checked_fields(b_field_t) -> np.ndarray:
+    b = np.asarray(b_field_t, dtype=float)
+    if b.ndim > 1:
+        raise ConfigError("fields must be one field or a 1-D array of fields")
+    bad = b[~(np.isfinite(b) & (b >= 0))]
+    if bad.size:
+        raise ConfigError(f"field strength must be finite and >= 0 (got {float(bad[0])!r} T)")
+    return b
+
+
 def build_hamiltonian(
     iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray
 ) -> ManifoldHamiltonian:
@@ -253,18 +288,9 @@ def build_hamiltonian(
     ``b_field_t`` is one field or a 1-D array of fields; an array gives one
     matrix per field, stacked along a leading axis.
     """
-    b = np.asarray(b_field_t, dtype=float)
-    if b.ndim > 1:
-        raise ConfigError("fields must be one field or a 1-D array of fields")
-    bad = b[~(np.isfinite(b) & (b >= 0))]
-    if bad.size:
-        raise ConfigError(f"field strength must be finite and >= 0 (got {float(bad[0])!r} T)")
+    b = _checked_fields(b_field_t)
     con = iso.manifold(manifold)
     J, I = con.J, iso.nuclear_spin
-    if con.B_hfs_hz != 0.0 and (J <= 0.5 or I <= 0.5):
-        raise ConfigError(
-            f"{iso.name} {manifold}: quadrupole constant given but J or I is 1/2"
-        )
     h0, zeeman = _field_free_operators(con, I, iso.g_I)
     h = h0 + (MU_B_HZ_PER_T * b)[..., None, None] * zeeman
 
@@ -284,98 +310,239 @@ def build_hamiltonian(
     )
 
 
+def _zero_field_f_energies(J: float, I: float, A: float) -> dict[float, float]:
+    """Exact zero-field hyperfine energies per F (Lande interval formula)."""
+    out = {}
+    f = abs(J - I)
+    while f <= J + I + 1e-9:
+        out[f] = 0.5 * A * (f * (f + 1) - I * (I + 1) - J * (J + 1))
+        f += 1
+    return out
+
+
+@dataclass(frozen=True)
+class _BlockLayout:
+    """Where the m_F blocks of one basis sit, each block 1x1 or 2x2.
+
+    A block solve reads the lower-triangle entries at (``entry_rows``,
+    ``entry_cols``): the diagonal of the ``singles`` 1x1 blocks, then a, then
+    b, then c of the ``pairs`` 2x2 blocks [[a, b], [b, c]], each run in
+    ascending m_F.  It gives the levels in the same grouping: the 1x1
+    blocks', the lower level of each 2x2 block, then the upper one; ``m_f``
+    is per level.  Each level's eigenvector has one component per basis
+    state of its block, at (``vector_rows``, ``vector_levels``): the 1x1
+    blocks' ones, then v00, v10, v01 and v11 of the 2x2 blocks, v_kj being
+    component k of the block's level j.
+    """
+
+    singles: int
+    pairs: int
+    entry_rows: np.ndarray
+    entry_cols: np.ndarray
+    vector_rows: np.ndarray
+    vector_levels: np.ndarray
+    m_f: np.ndarray
+
+
+@functools.cache
+def _block_layout(basis) -> _BlockLayout:
+    """The m_F block layout of ``basis``; ConfigError for a block of more
+    than two states."""
+    mf = _basis_m_f(basis)
+    blocks = {1: [], 2: []}
+    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
+        rows = np.flatnonzero(np.abs(mf - mf_val) < 1e-9)
+        if rows.size > 2:
+            raise ConfigError(
+                f"m_F = {mf_val:g} block holds {rows.size} states; the block solver "
+                "takes at most 2 (J = 1/2)"
+            )
+        blocks[rows.size].append((mf_val, rows))
+    one = np.array([rows[0] for _, rows in blocks[1]], dtype=int)
+    r0, r1 = (np.array([rows[k] for _, rows in blocks[2]], dtype=int) for k in (0, 1))
+    n1, n2 = one.size, r0.size
+    low, high = n1 + np.arange(n2), n1 + n2 + np.arange(n2)
+    entry_rows, entry_cols, vector_rows, vector_levels, m_f = _read_only(
+        np.concatenate([one, r0, r1, r1]),
+        np.concatenate([one, r0, r0, r1]),
+        np.concatenate([one, r0, r1, r0, r1]),
+        np.concatenate([np.arange(n1), low, low, high, high]),
+        np.array([m for m, _ in blocks[1] + blocks[2] + blocks[2]]),
+    )
+    return _BlockLayout(
+        singles=n1,
+        pairs=n2,
+        entry_rows=entry_rows,
+        entry_cols=entry_cols,
+        vector_rows=vector_rows,
+        vector_levels=vector_levels,
+        m_f=m_f,
+    )
+
+
+@functools.cache
+def _f_labels(basis, J: float, I: float, a_hfs: float) -> np.ndarray:
+    """Adiabatic F label of each level of ``_block_layout(basis)``.  Within a
+    block levels do not cross, so the k-th level connects to the k-th lowest
+    zero-field F energy of that block; the sign of A matters (it sets which
+    F lies lower), the offset does not."""
+    layout = _block_layout(basis)
+    f_energy = _zero_field_f_energies(J, I, a_hfs)
+    position = [0] * (layout.singles + layout.pairs) + [1] * layout.pairs
+    labels = [
+        sorted((f for f in f_energy if abs(m) <= f + 1e-9), key=f_energy.get)[k]
+        for m, k in zip(layout.m_f, position)
+    ]
+    return _read_only(np.array(labels))[0]
+
+
+# LAPACK's dlamch("E") (the unit roundoff) and dlamch("S")
+_EPS = np.finfo(float).eps / 2
+_SAFMIN = np.finfo(float).tiny
+
+
+def _eigh_2x2(a, b, c):
+    """Eigen-decomposition of the real symmetric blocks [[a, b], [b, c]],
+    elementwise over arrays, bit for bit as ``np.linalg.eigh`` gives it.
+
+    For a 2x2 block, eigh's LAPACK dsyevd has nothing to reduce to
+    tridiagonal form, and dsteqr either splits the block, when b is
+    negligible next to a and c (levels a and c, unit vectors), or solves it
+    with one DLAEV2 and one plane rotation.  It then sorts the levels
+    ascending.  The transcription holds wherever neither routine rescales
+    the block: when max(|a|, |b|, |c|) is 0 or between 1e-120 and 1e145.
+    Returns ((w0, w1), (v00, v10, v01, v11)), levels ascending and v_kj
+    component k of level j.
+    """
+    abs_a, abs_c = np.abs(a), np.abs(c)
+    split = (np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
+        b * b <= (_EPS**2 * abs_a) * abs_c + _SAFMIN
+    )
+    # DLAEV2, whose result only an unsplit block (b != 0) keeps: rt1 is the
+    # level of larger magnitude and (cs1, sn1) its vector
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = np.abs(df), np.abs(tb)
+    a_larger = abs_a > abs_c
+    acmx, acmn = np.where(a_larger, a, c), np.where(a_larger, c, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # adf * sqrt(1 + (ab / adf)**2) or ab * sqrt(1 + (adf / ab)**2), the
+        # larger outside; equal ones give ab * sqrt(2) either way
+        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = big * np.sqrt(1.0 + (small / big) ** 2)
+        rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))
+        rt2 = np.where(sm != 0, (acmx / rt1) * acmn - (b / rt1) * b, -0.5 * rt)
+        df_negative = df < 0
+        cs = df + np.where(df_negative, -rt, rt)
+        cs_larger = np.abs(cs) > ab
+        # ct = -tb / cs, sn1 = 1 / sqrt(1 + ct**2), cs1 = ct sn1; or with
+        # tn = -cs / tb the same with sn1 and cs1 exchanged
+        t = np.where(cs_larger, -tb, -cs) / np.where(cs_larger, cs, tb)
+        u = 1.0 / np.sqrt(1.0 + t * t)
+    tu = t * u
+    cs1, sn1 = np.where(cs_larger, tu, u), np.where(cs_larger, u, tu)
+    exchange = (sm < 0) == df_negative  # DLAEV2's SGN1 = SGN2
+    cs1, sn1 = np.where(exchange, -sn1, cs1), np.where(exchange, cs1, sn1)
+    # dsteqr: rotate the unit vectors by (cs1, sn1) unless split; (cos, sin)
+    # is w_a's vector and (-sin, cos) w_b's
+    w_a, w_b = np.where(split, a, rt1), np.where(split, c, rt2)
+    cos, sin, minus_sin = np.where(split, 1.0, cs1), np.where(split, 0.0, sn1), np.where(split, 0.0, -sn1)
+    # sorted ascending: dsteqr swaps only a strictly smaller second level
+    flip = w_b < w_a
+
+    def ordered(first, second):
+        return np.where(flip, second, first), np.where(flip, first, second)
+
+    (v00, v01), (v10, v11) = ordered(cos, minus_sin), ordered(sin, cos)
+    return ordered(w_a, w_b), (v00, v10, v01, v11)
+
+
 @dataclass(frozen=True)
 class ZeemanSpectrum:
-    """Eigen-decomposition of a ManifoldHamiltonian, ordered by energy; every
-    array has the Hamiltonian's leading field axis, if it has one."""
+    """Levels of one manifold at one field, or at each of a 1-D array of
+    fields (every per-level array then has a leading field axis), solved m_F
+    block by m_F block.
 
-    hamiltonian: ManifoldHamiltonian
+    Levels are ordered by energy.  Levels of bitwise-equal energy are ordered
+    by m_F; levels degenerate only in exact arithmetic come out in the order
+    their rounded energies give.  At B = 0 the Rb85 ground F = 2 levels come
+    out as m_F = -2, 2, -1, 0, 1: reproducible, and the order that
+    ``np.linalg.eigh`` per block gives too.
+    """
+
+    isotope: str
+    manifold: str
+    J: float
+    field_t: float | np.ndarray
+    layout: _BlockLayout
     energies_hz: np.ndarray
-    eigenvectors: np.ndarray  # columns, |m_J m_I> components
-    m_f: np.ndarray  # exact total m_F per eigenstate
+    m_f: np.ndarray  # exact total m_F per level
     f_labels: np.ndarray  # adiabatic F quantum number at b -> 0
+    rank: np.ndarray  # the level index of each layout level
+    components: np.ndarray  # eigenvector components, placed as the layout says
 
     @property
     def dim(self) -> int:
         return self.energies_hz.shape[-1]
 
     @property
-    def field_t(self) -> float:
-        return self.hamiltonian.field_t
+    def eigenvectors(self) -> np.ndarray:
+        """Eigenvectors as the columns of a dense matrix in the |m_J m_I> basis."""
+        rank = self.rank.reshape(-1, self.dim)
+        dense = np.zeros((rank.shape[0], self.dim, self.dim))
+        dense[np.arange(rank.shape[0])[:, None], self.layout.vector_rows, rank[:, self.layout.vector_levels]] = (
+            self.components.reshape(rank.shape[0], -1)
+        )
+        return dense.reshape(self.energies_hz.shape + (self.dim,))
 
 
-def _zero_field_f_energies(J: float, I: float, A: float, B: float) -> dict[float, float]:
-    """Exact zero-field hyperfine energies per F (Lande interval formula)."""
-    out = {}
-    f = abs(J - I)
-    while f <= J + I + 1e-9:
-        k = f * (f + 1) - I * (I + 1) - J * (J + 1)
-        e = 0.5 * A * k
-        if B != 0.0:
-            denom = 2 * I * (2 * I - 1) * 2 * J * (2 * J - 1)
-            e += B * (1.5 * k * (k + 1) - 2 * I * (I + 1) * J * (J + 1)) / denom
-        out[f] = e
-        f += 1
-    return out
-
-
-@functools.cache
-def _block_layout(basis, J: float, I: float, a_hfs: float, b_hfs: float):
-    """The m_F blocks of ``basis``, ascending in m_F, grouped by block size.
-
-    Returns (groups, m_f, f_labels).  Each group is (rows, cols), both of
-    shape (n_blocks, size): the basis indices of its blocks and the output
-    columns of their eigenvectors.  ``m_f`` and ``f_labels`` are per output
-    column.  Within a block levels do not cross, so the k-th level connects
-    to the k-th lowest zero-field F energy of that block; the sign of A
-    matters (it sets which F lies lower), the offset does not.
-    """
-    mf = np.array([mj + mi for mj, mi in basis])
-    con_f = _zero_field_f_energies(J, I, a_hfs, b_hfs)
-    blocks: dict[int, list] = {}
-    m_f_out, f_labels = [], []
-    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
-        idx = np.where(np.abs(mf - mf_val) < 1e-9)[0]
-        fs = sorted((f for f in con_f if abs(mf_val) <= f + 1e-9), key=con_f.get)
-        blocks.setdefault(idx.size, []).append((idx, len(m_f_out) + np.arange(idx.size)))
-        m_f_out += [mf_val] * idx.size
-        f_labels += fs[: idx.size]
-    groups = tuple(_read_only(*map(np.array, zip(*same))) for same in blocks.values())
-    return (groups, *_read_only(np.array(m_f_out), np.array(f_labels)))
+def _solve(isotope: str, manifold: str, J: float, field_t, basis, f_labels, entries) -> ZeemanSpectrum:
+    """The spectrum whose m_F blocks have the lower-triangle ``entries``
+    (..., len(layout.entry_rows)) that ``_block_layout(basis)`` places."""
+    layout = _block_layout(basis)
+    n1, n2 = layout.singles, layout.pairs
+    single = entries[..., :n1]
+    (w0, w1), vectors = _eigh_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))
+    energies = np.concatenate([single, w0, w1], axis=-1)
+    shape, dim = energies.shape, energies.shape[-1]
+    energies = energies.reshape(-1, dim)
+    order = np.lexsort((np.broadcast_to(layout.m_f, energies.shape), energies))
+    field = np.arange(energies.shape[0])[:, None]
+    rank = np.empty_like(order)
+    rank[field, order] = np.arange(dim)
+    return ZeemanSpectrum(
+        isotope=isotope,
+        manifold=manifold,
+        J=J,
+        field_t=field_t,
+        layout=layout,
+        energies_hz=energies[field, order].reshape(shape),
+        m_f=layout.m_f[order].reshape(shape),
+        f_labels=f_labels[order].reshape(shape),
+        rank=rank.reshape(shape),
+        components=np.concatenate([np.ones_like(single), *vectors], axis=-1),
+    )
 
 
 def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
-    """Per-m_F block eigensolve; energies ascending, F labels adiabatic.
+    """Per-m_F block eigensolve of a real symmetric Hamiltonian; energies
+    ascending, F labels adiabatic.
 
-    The blocks of one size, of every field, are solved together by one
-    stacked ``eigh``.
+    Raises NumericError if a matrix is not Hermitian to 1e-9 of its scale,
+    and ConfigError for a complex matrix or an m_F block of more than two
+    states.
     """
     h = ham.matrix_hz
     defect = _hermiticity_defect(h, 1e-9)
     if defect is not None:
         raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
+    if np.iscomplexobj(h):
+        raise ConfigError("the block solver takes real symmetric Hamiltonians")
 
     a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
-    b_hfs = ham.constants.B_hfs_hz if ham.constants is not None else 0.0
-    groups, m_f_out, f_labels = _block_layout(ham.basis, ham.J, ham.I, a_hfs, b_hfs)
-
-    energies = np.empty(h.shape[:-1])
-    # the shipped manifolds give a real H, hence real eigenvectors and real
-    # dipole products: half the memory and time of complex ones, same values
-    vectors = np.zeros(h.shape, dtype=h.dtype)
-    for rows, cols in groups:
-        vals, vecs = np.linalg.eigh(h[..., rows[:, :, None], rows[:, None, :]])
-        energies[..., cols] = vals
-        vectors[..., rows[:, :, None], cols[:, None, :]] = vecs
-
-    order = np.lexsort((np.broadcast_to(m_f_out, energies.shape), energies), axis=-1)
-    return ZeemanSpectrum(
-        hamiltonian=ham,
-        energies_hz=np.take_along_axis(energies, order, -1),
-        eigenvectors=np.take_along_axis(vectors, order[..., None, :], -1),
-        m_f=m_f_out[order],
-        f_labels=f_labels[order],
-    )
+    layout = _block_layout(ham.basis)
+    f_labels = _f_labels(ham.basis, ham.J, ham.I, a_hfs)
+    entries = h[..., layout.entry_rows, layout.entry_cols]
+    return _solve(ham.isotope, ham.manifold, ham.J, ham.field_t, ham.basis, f_labels, entries)
 
 
 @dataclass(frozen=True)
@@ -399,19 +566,41 @@ class LineSet:
 
 
 @functools.cache
-def _dipole_block(Jg: float, Je: float, I: float, q: int) -> np.ndarray:
-    """<e_basis| d_q |g_basis> in units of <J'||d||J>, product bases."""
-    bg = product_basis(Jg, I)
-    be = product_basis(Je, I)
-    out = np.zeros((len(be), len(bg)))
+def _dipole_block(Jg: float, Je: float, I: float, q: int):
+    """<e|d_q|g> between the levels of two product bases, in units of
+    <J'||d||J>, in m_F block form.
+
+    Returns (lower, upper, g, e, d): the ground and excited layout level of
+    each level pair that d_q connects, and per basis term of its amplitude
+    sum_k (v_e[r_k] d_k) v_g[c_k], in ascending ground-basis order, the
+    ground and excited component indices and the dipole element, each of
+    shape (terms, pairs).  A pair with fewer terms than the most is padded
+    with zero elements.
+    """
+    bg, be = product_basis(Jg, I), product_basis(Je, I)
+    dense = np.zeros((len(be), len(bg)))
     for col, (mj, mi) in enumerate(bg):
         for row, (mj_e, mi_e) in enumerate(be):
             if abs(mi_e - mi) > 1e-9 or abs(mj_e - (mj + q)) > 1e-9:
                 continue
-            out[row, col] = (-1) ** round(Je - mj_e) * wigner_3j(
+            dense[row, col] = (-1) ** round(Je - mj_e) * wigner_3j(
                 Je, -mj_e, 1, q, Jg, mj
             )
-    return _read_only(out)[0]
+    ground, excited = _block_layout(bg), _block_layout(be)
+    pairs: dict[tuple[int, int], list] = {}
+    for g, (col, lower) in enumerate(zip(ground.vector_rows, ground.vector_levels)):
+        for e, (row, upper) in enumerate(zip(excited.vector_rows, excited.vector_levels)):
+            if dense[row, col] != 0.0:
+                pairs.setdefault((lower, upper), []).append((col, g, e, dense[row, col]))
+    depth = max(map(len, pairs.values()))
+    g_index = np.zeros((depth, len(pairs)), dtype=int)
+    e_index = np.zeros_like(g_index)
+    d = np.zeros(g_index.shape)
+    for k, terms in enumerate(pairs.values()):
+        for t, (_, g, e, element) in enumerate(sorted(terms)):
+            g_index[t, k], e_index[t, k], d[t, k] = g, e, element
+    lower, upper = np.array(list(pairs), dtype=int).T
+    return _read_only(lower, upper, g_index, e_index, d)
 
 
 def transition_lines(
@@ -422,7 +611,15 @@ def transition_lines(
     strength_cut: float = 1e-12,
 ) -> LineSet:
     """Enumerate allowed lines for one polarization at the spectra's field or
-    fields; lines come field by field, each field's in the same order.
+    fields; lines come field by field, each field's ordered by ground state,
+    then excited state.  A pair of levels that the selection rule does not
+    connect is never a line, whatever the cut.
+
+    Each amplitude is summed from its basis terms (v_e d) v_g in ascending
+    ground-basis order, as the dense product V_e^T D V_g sums them.  A
+    circular line has one term, so its amplitude is the dense product's bit
+    for bit; a pi line has two, which a BLAS product may fuse into one
+    multiply-add, so it can differ from that in the last bit.
 
     Lower-state populations are uniform over the ground manifold (hyperfine
     splittings are far below k_B T in the 300-380 K range this targets, so
@@ -436,27 +633,30 @@ def transition_lines(
             "ground and excited spectra evaluated at different fields "
             f"({ground.field_t} vs {excited.field_t} T)"
         )
-    if ground.hamiltonian.isotope != iso.name:
+    if ground.isotope != iso.name:
         raise ConfigError("isotope mismatch between spectra and constants")
 
-    q = _POLARIZATIONS[polarization]
-    d_block = _dipole_block(
-        ground.hamiltonian.J, excited.hamiltonian.J, iso.nuclear_spin, q
+    lower_level, upper_level, g_index, e_index, d = _dipole_block(
+        ground.J, excited.J, iso.nuclear_spin, _POLARIZATIONS[polarization]
     )
-    # amplitudes between dressed states, units of the reduced element; a
-    # single field is a stack of one
-    v_g = ground.eigenvectors.reshape(-1, ground.dim, ground.dim)
-    v_e = excited.eigenvectors.reshape(-1, excited.dim, excited.dim)
-    amps = v_e.conj().swapaxes(-1, -2) @ d_block @ v_g
+    # a single field is a stack of one
+    v_g = ground.components.reshape(-1, ground.components.shape[-1])
+    v_e = excited.components.reshape(-1, excited.components.shape[-1])
+    amps = (v_e[:, e_index[0]] * d[0]) * v_g[:, g_index[0]]
+    for g, e, d_term in zip(g_index[1:], e_index[1:], d[1:]):
+        amps = amps + (v_e[:, e] * d_term) * v_g[:, g]
     strengths = np.abs(amps) ** 2
 
-    # |<J'||d||J>|^2 consistent with Gamma = w^3 |d|^2 / (3 pi eps0 hbar c^3 (2J'+1))
-    dim_g = round(2 * ground.hamiltonian.J + 1)
-    reduced_sq = dim_g * iso.reduced_dipole_cm**2
-
+    field, pair = np.nonzero(strengths >= strength_cut)
+    lower = ground.rank.reshape(-1, ground.dim)[field, lower_level[pair]]
+    upper = excited.rank.reshape(-1, excited.dim)[field, upper_level[pair]]
     # field outermost, then ground state, excited state inner
-    field, lower, upper = np.nonzero(strengths.swapaxes(-1, -2) >= strength_cut)
-    s = strengths[field, upper, lower]
+    order = np.argsort((field * ground.dim + lower) * excited.dim + upper)
+    field, pair, lower, upper = field[order], pair[order], lower[order], upper[order]
+    s = strengths[field, pair]
+
+    # |<J'||d||J>|^2 consistent with Gamma = w^3 |d|^2 / (3 pi eps0 hbar c^3 (2J'+1))
+    reduced_sq = round(2 * ground.J + 1) * iso.reduced_dipole_cm**2
     e_g = ground.energies_hz.reshape(-1, ground.dim)
     e_e = excited.energies_hz.reshape(-1, excited.dim)
     return LineSet(
@@ -474,6 +674,18 @@ def transition_lines(
     )
 
 
+@functools.cache
+def _block_operators(con: ManifoldConstants, I: float, g_I: float):
+    """(basis, F labels, H0 entries, Z entries): the lower-triangle m_F block
+    entries of H0 and Z that a block solve reads, so that the entries of
+    H(B) are H0 + mu_B B Z, elementwise the arithmetic of ``build_hamiltonian``."""
+    h0, zeeman = _field_free_operators(con, I, g_I)
+    basis = product_basis(con.J, I)
+    layout = _block_layout(basis)
+    rows, cols = layout.entry_rows, layout.entry_cols
+    return (basis, _f_labels(basis, con.J, I, con.A_hfs_hz), *_read_only(h0[rows, cols], zeeman[rows, cols]))
+
+
 def lines_at_fields(
     atoms: AtomLibrary,
     fractions: Mapping[str, float],
@@ -481,30 +693,48 @@ def lines_at_fields(
 ) -> dict[str, list[LineSet]]:
     """Per circular polarization, one D1 LineSet for each isotope with nonzero
     fraction, holding the lines of every field of the 1-D ``fields_t``; a
-    line's ``field`` is its index there."""
-    fields = np.atleast_1d(np.asarray(fields_t, dtype=float))
+    line's ``field`` is its index there.
+
+    The same lines as ``transition_lines`` of ``diagonalize`` of
+    ``build_hamiltonian``, bit for bit, but each field's block entries are
+    read from the field-free operators: no matrix is formed per field.
+    """
+    fields = _checked_fields(np.atleast_1d(np.asarray(fields_t, dtype=float)))
+    zeeman_hz = (MU_B_HZ_PER_T * fields)[:, None]
     out = {"sigma+": [], "sigma-": []}
     for name, frac in fractions.items():
         if frac <= 0:
             continue
         iso = atoms[name]
-        g, e = (diagonalize(build_hamiltonian(iso, label, fields)) for label in _D1)
+        spectra = []
+        for label in _D1:
+            con = iso.manifold(label)
+            basis, f_labels, h0, zeeman = _block_operators(con, iso.nuclear_spin, iso.g_I)
+            spectra.append(_solve(iso.name, label, con.J, fields, basis, f_labels, h0 + zeeman_hz * zeeman))
         for pol in out:
-            out[pol].append(transition_lines(g, e, pol, iso))
+            out[pol].append(transition_lines(*spectra, pol, iso))
     return out
 
 
+# 8-byte words of line arrays that a field scan keeps per candidate line: the
+# LineSet's 6, vapor's _LineArrays' 5 and the probe sum's 9 (four joined line
+# arrays, a group index and two complex per-line terms).  tracemalloc puts a
+# block's peak at about 23 words a line, temporaries included.
+_LINE_WORDS = 20
+
+
 def kernel_elements_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
-    """Matrix elements ``lines_at_fields`` holds per field: for each isotope
-    with nonzero fraction, the ground and excited Hamiltonians and eigenvector
-    matrices, and one dim_e x dim_g amplitude matrix per circular polarization."""
+    """8-byte words of line arrays that a field scan holds per field:
+    ``_LINE_WORDS`` per candidate sigma+ and sigma- line (a level pair that
+    the selection rule connects) of each isotope with nonzero fraction;
+    64 lines and 1,280 words for the two isotopes."""
     total = 0
     for name, frac in fractions.items():
         if frac > 0:
             iso = atoms[name]
-            dim_g, dim_e = (len(product_basis(iso.manifold(label).J, iso.nuclear_spin)) for label in _D1)
-            total += 2 * (dim_g**2 + dim_e**2) + 2 * dim_g * dim_e
-    return total
+            j_g, j_e = (iso.manifold(label).J for label in _D1)
+            total += sum(_dipole_block(j_g, j_e, iso.nuclear_spin, q)[0].size for q in (1, -1))
+    return _LINE_WORDS * total
 
 
 def all_lines_for_cell(

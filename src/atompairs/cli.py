@@ -359,8 +359,10 @@ def run_reconstruct(p, atoms, sink, seed):
 
 def run_superresolution(p, atoms, sink, seed):
     """analyzer rotation scans: single photon vs pair super-resolution"""
-    if not (np.isfinite(p["angle_step_deg"]) and p["angle_step_deg"] > 0):
-        raise ConfigError("params.angle_step_deg: must be finite and > 0")
+    # the two-photon fringe repeats every 45 deg of wave-plate angle, so a
+    # step of half that or more aliases it
+    if not (np.isfinite(p["angle_step_deg"]) and 0 < p["angle_step_deg"] < 22.5):
+        raise ConfigError("params.angle_step_deg: must be finite, > 0 and < 22.5 (half the 45 deg fringe)")
     step = np.radians(p["angle_step_deg"])
     angles = np.arange(0.0, np.pi + step / 2, step)
     surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])

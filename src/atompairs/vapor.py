@@ -32,7 +32,7 @@ _LN2 = np.log(2.0)
 # block's temporaries stay near 10 MB whatever the grid, every full block
 # still splits across the usable CPUs, and the per-block thread hand-off
 # costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
-# blocks hold this many matrix elements of the line kernel (under 2 MB).
+# blocks hold at most this many 8-byte words of line arrays (2 MB).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -69,8 +69,9 @@ class VaporCellConfig:
         """"quadratic" when the field droops toward the faces, else "uniform"."""
         return "quadratic" if self.droop_fraction else "uniform"
 
-    def field_at(self, z_m, b_center_t: float):
-        """Axial field at position z in [0, L]."""
+    def field_at(self, z_m, b_center_t):
+        """Axial field at position z in [0, L]; an array of center fields
+        broadcasts against the positions."""
         if self.droop_fraction == 0.0:
             return b_center_t * np.ones_like(np.asarray(z_m, dtype=float))
         x = 2.0 * np.asarray(z_m, dtype=float) / self.length_m - 1.0
@@ -167,14 +168,42 @@ def _slice_nodes(cell: VaporCellConfig, slices: int):
     return np.sort(nodes), cell.length_m / nodes.size
 
 
-def _distinct_fields(node_fields) -> list[tuple[float, int]]:
-    """(field, multiplicity) of the node fields that agree to 1e-15 T, in node
-    order: both nodes of a uniform cell sit at one field, and a quadratic
-    droop pairs mirror nodes."""
-    fields: dict[float, list] = {}
-    for b in node_fields:
-        fields.setdefault(round(float(b), 15), [float(b), 0])[1] += 1
-    return [tuple(entry) for entry in fields.values()]
+def _field_keys(b: np.ndarray) -> np.ndarray:
+    """Python's ``round(b, 15)`` of every entry, with one Python call only
+    per entry that needs it.
+
+    rint(b 1e15) / 1e15 is the double nearest the correctly rounded decimal,
+    which is what ``round`` returns, unless b 1e15 lies within its own
+    rounding error of a half-integer or beyond 2^52; those entries go
+    through ``round``.
+    """
+    scaled = b * 1e15
+    k = np.rint(scaled)
+    keys = k / 1e15
+    unsure = ~(np.abs(np.abs(scaled - k) - 0.5) > np.spacing(scaled)) | ~(np.abs(scaled) < 2.0**52)
+    keys[unsure] = [round(x, 15) for x in b[unsure].tolist()]
+    return keys
+
+
+def _distinct_fields(node_fields: np.ndarray):
+    """Group each row of ``node_fields`` (centers x nodes) into the fields
+    that agree to 1e-15 T, keyed on ``round(b, 15)``: both nodes of a uniform
+    cell sit at one field, and a quadratic droop pairs mirror nodes.
+
+    Returns (row, field, count) per group, rows ascending and each row's
+    groups in node order; a group's field is that of its first node.
+    """
+    nodes = node_fields.shape[1]
+    key = _field_keys(node_fields).ravel()
+    row = np.repeat(np.arange(node_fields.shape[0]), nodes)
+    order = np.lexsort((key, row))  # stable: a group's nodes stay in node order
+    key, row = key[order], row[order]
+    starts = np.flatnonzero(np.concatenate([[True], (key[1:] != key[:-1]) | (row[1:] != row[:-1])]))
+    count = np.diff(np.append(starts, order.size))
+    first = order[starts]
+    by_node = np.argsort(first)
+    first = first[by_node]
+    return first // nodes, node_fields.ravel()[first], count[by_node]
 
 
 def _transfer_from_log(log_t_plus, log_t_minus):
@@ -226,7 +255,8 @@ class VaporPath:
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
         nodes, self._dz = _slice_nodes(cell, self.slices)
         # distinct node fields and multiplicities, rounded as _slice_cache keys
-        self._fields = _distinct_fields(cell.field_at(nodes, b_center_t))
+        _, fields, counts = _distinct_fields(cell.field_at(nodes, b_center_t)[None, :])
+        self._fields = list(zip(fields.tolist(), counts.tolist()))
 
     def _arrays_for_field(self, b_t: float) -> dict[str, _LineArrays]:
         key = round(float(b_t), 15)
@@ -293,7 +323,7 @@ def transfer_vs_field(
     ``transfer_at`` and ``rotation_angle_at`` for every ``b`` at once.
 
     The centers are walked in blocks whose Gauss nodes need at most
-    ``BLOCK_POINTS`` matrix elements of the line kernel.  A block's distinct
+    ``BLOCK_POINTS`` words of line arrays.  A block's distinct
     node fields go through the kernel together and through one Voigt call,
     so memory follows the block, not the number of centers.  Raises
     ValueError if a circular transfer exceeds unity (gain).
@@ -313,10 +343,9 @@ def transfer_vs_field(
 
     log_t = np.empty((2, centers.size), dtype=complex)
     for a in range(0, centers.size, per_block):
-        grouped = [_distinct_fields(cell.field_at(nodes, b)) for b in centers[a : a + per_block]]
+        block = centers[a : a + per_block]
         # every center's distinct node fields and multiplicities, center by center
-        center = np.repeat(np.arange(len(grouped)), [len(entries) for entries in grouped])
-        node_field, count = np.array([entry for entries in grouped for entry in entries]).T
+        center, node_field, count = _distinct_fields(cell.field_at(nodes, block[:, None]))
         fields, where = np.unique(node_field, return_inverse=True)
         lines = lines_at_fields(atoms, cell.isotope_fractions, fields)
         arrays = [_LineArrays.from_lines(lines[pol], cell, density) for pol in ("sigma+", "sigma-")]
@@ -324,7 +353,7 @@ def transfer_vs_field(
         # summed node field by node field, in VaporPath's order
         for log_t_pol, n in zip(log_t, index):
             terms = count * (k_vac * (n[where] - 1.0) * dz)
-            log_t_pol[a : a + len(grouped)] = _group_sums(center, terms, len(grouped))
+            log_t_pol[a : a + block.size] = _group_sums(center, terms, block.size)
     return _transfer_from_log(*log_t)
 
 

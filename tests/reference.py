@@ -50,7 +50,6 @@ def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     m_F block is solved on its own, in ascending m_F, with its adiabatic F
     labels read off the zero-field interval rule block by block.
     """
-    assert con.B_hfs_hz == 0.0  # the D1 manifolds carry no quadrupole term
     J = con.J
     jx, jy, jz = spin_matrices(J)
     ix, iy, iz = spin_matrices(i_spin)
@@ -83,6 +82,71 @@ def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     return energies[order], vectors[:, order], m_f[order], f_labels[order]
 
 
+def dipole_matrix(j_g, j_e, i_spin, polarization):
+    """<e|d_q|g> between the |m_J, m_I> product bases (m_J outer, m_I inner,
+    both ascending), in units of <J'||d||J>, by the Wigner-Eckart theorem."""
+    q = {"sigma+": 1, "pi": 0, "sigma-": -1}[polarization]
+    m_i = -i_spin + np.arange(round(2 * i_spin + 1))
+    basis_g, basis_e = (
+        [(mj, mi) for mj in -j + np.arange(round(2 * j + 1)) for mi in m_i] for j in (j_g, j_e)
+    )
+    dipole = np.zeros((len(basis_e), len(basis_g)))
+    for col, (mj, mi) in enumerate(basis_g):
+        for row, (mj_e, mi_e) in enumerate(basis_e):
+            if abs(mi_e - mi) > 1e-9 or abs(mj_e - (mj + q)) > 1e-9:
+                continue
+            dipole[row, col] = (-1) ** round(j_e - mj_e) * wigner_3j(j_e, -mj_e, 1, q, j_g, mj)
+    return dipole
+
+
+def dense_spectrum(h, m_f, j, i_spin, a_hfs_hz):
+    """Energies, eigenvectors, m_F and F labels of a stack of Hamiltonians
+    ``h`` (fields, dim, dim) whose basis states have total ``m_f``.
+
+    The dense kernel of the atoms module before it solved its m_F blocks in
+    closed form: the blocks of one size, of every field, go through one
+    stacked ``np.linalg.eigh``; the levels are sorted by energy, ties by m_F.
+    """
+    f_energy = {}
+    f = abs(j - i_spin)
+    while f <= j + i_spin + 1e-9:
+        f_energy[f] = 0.5 * a_hfs_hz * (f * (f + 1) - i_spin * (i_spin + 1) - j * (j + 1))
+        f += 1
+    groups, m_f_out, f_labels = {}, [], []
+    for mf_val in sorted(set(np.round(m_f * 2).astype(int) / 2)):
+        idx = np.where(np.abs(m_f - mf_val) < 1e-9)[0]
+        fs = sorted((f for f in f_energy if abs(mf_val) <= f + 1e-9), key=f_energy.get)
+        groups.setdefault(idx.size, []).append((idx, len(m_f_out) + np.arange(idx.size)))
+        m_f_out += [mf_val] * idx.size
+        f_labels += fs[: idx.size]
+    m_f_out, f_labels = np.array(m_f_out), np.array(f_labels)
+    energies = np.empty(h.shape[:-1])
+    vectors = np.zeros(h.shape)
+    for same in groups.values():
+        rows, cols = map(np.array, zip(*same))
+        vals, vecs = np.linalg.eigh(h[..., rows[:, :, None], rows[:, None, :]])
+        energies[..., cols] = vals
+        vectors[..., rows[:, :, None], cols[:, None, :]] = vecs
+    order = np.lexsort((np.broadcast_to(m_f_out, energies.shape), energies), axis=-1)
+    return (
+        np.take_along_axis(energies, order, -1),
+        np.take_along_axis(vectors, order[..., None, :], -1),
+        m_f_out[order],
+        f_labels[order],
+    )
+
+
+def dense_lines(ground, excited, dipole, strength_cut=1e-12):
+    """(field, lower, upper, frequency_hz, strength) of every level pair of
+    two ``dense_spectrum`` stacks above the cut, from the amplitude matrices
+    V_e^T D V_g of one batched product, field by field, ground state outer."""
+    e_g, v_g = ground[:2]
+    e_e, v_e = excited[:2]
+    strengths = np.abs(v_e.swapaxes(-1, -2) @ dipole @ v_g) ** 2
+    field, lower, upper = np.nonzero(strengths.swapaxes(-1, -2) >= strength_cut)
+    return field, lower, upper, e_e[field, upper] - e_g[field, lower], strengths[field, upper, lower]
+
+
 def blockwise_lines(iso, b_field_t, polarization, strength_cut=1e-12):
     """D1 lines of one isotope, enumerated one at a time.
 
@@ -97,20 +161,7 @@ def blockwise_lines(iso, b_field_t, polarization, strength_cut=1e-12):
     ground, excited = iso.manifolds["5S1/2"], iso.manifolds["5P1/2"]
     e_g, v_g, mf_g, f_g = _blockwise_spectrum(ground, iso.nuclear_spin, iso.g_I, b_field_t)
     e_e, v_e, mf_e, f_e = _blockwise_spectrum(excited, iso.nuclear_spin, iso.g_I, b_field_t)
-    q = {"sigma+": 1, "pi": 0, "sigma-": -1}[polarization]
-    m_i = -iso.nuclear_spin + np.arange(round(2 * iso.nuclear_spin + 1))
-    basis_g, basis_e = (
-        [(mj, mi) for mj in -con.J + np.arange(round(2 * con.J + 1)) for mi in m_i]
-        for con in (ground, excited)
-    )
-    dipole = np.zeros((len(basis_e), len(basis_g)))
-    for col, (mj, mi) in enumerate(basis_g):
-        for row, (mj_e, mi_e) in enumerate(basis_e):
-            if abs(mi_e - mi) > 1e-9 or abs(mj_e - (mj + q)) > 1e-9:
-                continue
-            dipole[row, col] = (-1) ** round(excited.J - mj_e) * wigner_3j(
-                excited.J, -mj_e, 1, q, ground.J, mj
-            )
+    dipole = dipole_matrix(ground.J, excited.J, iso.nuclear_spin, polarization)
     strengths = np.abs(v_e.conj().T @ dipole @ v_g) ** 2
     lines = []
     for g in range(e_g.size):

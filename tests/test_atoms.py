@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atompairs.atoms import (
@@ -15,7 +15,7 @@ from atompairs.atoms import (
 from atompairs.errors import ConfigError, NumericError
 from atompairs.wigner import spin_matrices, wigner_3j
 
-from reference import blockwise_lines, breit_rabi_energies
+from reference import blockwise_lines, breit_rabi_energies, dense_lines, dense_spectrum, dipole_matrix
 
 
 def test_spin_matrix_commutators():
@@ -103,8 +103,8 @@ def test_diagonalize_identity_scaled():
     )
     spec = diagonalize(ham)
     assert np.allclose(spec.energies_hz, 3.0e9)
-    # columns are basis vectors (a permutation of the identity: degenerate
-    # levels are ordered by m_F for determinism)
+    # columns are basis vectors (a permutation of the identity: levels of
+    # bitwise-equal energy, as all eight are here, are ordered by m_F)
     mags = np.abs(spec.eigenvectors)
     assert np.allclose(np.sort(mags, axis=0)[-1], 1.0)
     assert np.allclose(mags.sum(axis=0), 1.0)
@@ -342,3 +342,147 @@ def test_hermiticity_and_psd_spectrum_properties(b):
     assert np.abs(ham.matrix_hz - ham.matrix_hz.conj().T).max() < 1e-6
     spec = diagonalize(ham)
     assert np.all(np.diff(spec.energies_hz) >= -1e-6)
+
+
+D1_MANIFOLDS = [(name, label) for name in ("Rb85", "Rb87") for label in ("5S1/2", "5P1/2")]
+SCAN_FIELDS = np.linspace(0.0, 60e-3, 1201)  # B = 0 included
+
+
+def _dense(iso, label, fields):
+    ham = build_hamiltonian(iso, label, fields)
+    return dense_spectrum(ham.matrix_hz, ham.m_f(), ham.J, ham.I, ham.constants.A_hfs_hz)
+
+
+@pytest.mark.parametrize("name, label", D1_MANIFOLDS)
+def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
+    """Every 2x2 m_F block of the four D1 manifolds, at 1,201 fields from 0 to
+    60 mT, solves to eigh's eigenvalues and eigenvectors bit for bit, and so
+    does the whole spectrum to the stacked-eigh kernel's."""
+    from atompairs.atoms import _block_layout, _eigh_2x2
+
+    ham = build_hamiltonian(atoms[name], label, SCAN_FIELDS)
+    layout = _block_layout(ham.basis)
+    r0, r1 = layout.vector_rows[layout.singles :].reshape(4, -1)[:2]
+    assert r0.size > 0
+    for rows in zip(r0, r1):
+        block = ham.matrix_hz[:, rows][:, :, rows]
+        want_w, want_v = np.linalg.eigh(block)
+        (w0, w1), (v00, v10, v01, v11) = _eigh_2x2(block[:, 0, 0], block[:, 1, 0], block[:, 1, 1])
+        assert np.array_equal(np.stack([w0, w1], -1), want_w)
+        got_v = np.stack([np.stack([v00, v01], -1), np.stack([v10, v11], -1)], -2)
+        assert np.array_equal(np.abs(got_v), np.abs(want_v))
+    spec = diagonalize(ham)
+    energies, vectors, m_f, f_labels = _dense(atoms[name], label, SCAN_FIELDS)
+    assert np.array_equal(spec.energies_hz, energies)
+    assert np.array_equal(np.abs(spec.eigenvectors), np.abs(vectors))
+    assert np.array_equal(spec.m_f, m_f) and np.array_equal(spec.f_labels, f_labels)
+
+
+@st.composite
+def symmetric_2x2(draw):
+    """[[a, b], [b, c]] of integers scaled by a power of two, so that the ties
+    DLAEV2 branches on (a = c, b = 0, a + c = 0, |a - c| = |2b|) are exact."""
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    a = draw(st.integers(-(2**20), 2**20))
+    b = draw(st.one_of(st.just(0), st.integers(-(2**20), 2**20)))
+    c = draw(st.sampled_from(["free", "a", "-a", "a-2b", "a+2b"]))
+    c = {"a": a, "-a": -a, "a-2b": a - 2 * b, "a+2b": a + 2 * b}.get(c) if c != "free" else draw(
+        st.integers(-(2**20), 2**20)
+    )
+    return a * scale, b * scale, c * scale
+
+
+@given(abc=symmetric_2x2())
+@example(abc=(3.0, 1.0, 3.0))  # a = c
+@example(abc=(1.0, 0.0, 2.0))  # b = 0: split off
+@example(abc=(0.0, 0.0, 0.0))
+@example(abc=(-3.0, 1.0, -1.0))  # a + c < 0
+@example(abc=(1.0, 1.0, -1.0))  # a + c = 0
+@example(abc=(3.0, 1.0, 1.0))  # a + c > 0
+@example(abc=(1.0, 2.0, 0.0))  # |a - c| < |2b|
+@example(abc=(2.0, 1.0, 0.0))  # |a - c| = |2b|
+@example(abc=(5.0, 1.0, 0.0))  # |a - c| > |2b|
+@example(abc=(1.0, 1e-13, 1.0e9))  # b negligible next to a and c: split off
+@settings(max_examples=200)
+def test_block_solver_equals_eigh_in_every_branch(abc):
+    from atompairs.atoms import _eigh_2x2
+
+    a, b, c = abc
+    want_w, want_v = np.linalg.eigh(np.array([[a, b], [b, c]]))
+    (w0, w1), (v00, v10, v01, v11) = _eigh_2x2(*map(np.array, abc))
+    assert np.array_equal([w0, w1], want_w)
+    assert np.array_equal([[v00, v01], [v10, v11]], want_v)
+
+
+@pytest.mark.parametrize("name", ["Rb85", "Rb87"])
+def test_block_amplitudes_equal_the_dense_product(atoms, name):
+    """Both routes give the dense product's circular lines bit for bit, at
+    1,201 fields from 0 to 60 mT.  A pi amplitude has two basis terms, which
+    the BLAS product fuses into one multiply-add, so its strength may differ
+    in the last bits."""
+    iso = atoms[name]
+    dense = [_dense(iso, label, SCAN_FIELDS) for label in ("5S1/2", "5P1/2")]
+    spectra = [diagonalize(build_hamiltonian(iso, label, SCAN_FIELDS)) for label in ("5S1/2", "5P1/2")]
+    scan = lines_at_fields(atoms, {name: 1.0}, SCAN_FIELDS)
+    for pol in ("sigma+", "sigma-", "pi"):
+        want = dense_lines(*dense, dipole_matrix(0.5, 0.5, iso.nuclear_spin, pol))
+        routes = [transition_lines(*spectra, pol, iso)] + ([] if pol == "pi" else scan[pol])
+        for got in routes:
+            for name_, value in zip(("field", "lower", "upper", "frequency_hz"), want[:4]):
+                assert np.array_equal(getattr(got, name_), value)
+            if pol == "pi":
+                np.testing.assert_allclose(got.strength, want[4], rtol=0, atol=1e-15)
+            else:
+                assert np.array_equal(got.strength, want[4])
+
+
+def test_field_free_operators_are_checked_once_per_constants(atoms, monkeypatch):
+    """An operator that is not exactly symmetric and block-diagonal in m_F is
+    refused where H0 and Z are built, which both routes go through."""
+    from dataclasses import replace
+
+    from atompairs import atoms as atoms_module
+
+    spin_matrices = atoms_module.spin_matrices
+
+    def skewed(j):
+        jx, jy, jz = spin_matrices(j)
+        jx = jx.copy()
+        jx[0, 1] += 1e-12
+        return jx, jy, jz
+
+    monkeypatch.setattr(atoms_module, "spin_matrices", skewed)
+    iso = atoms["Rb87"]
+    iso = replace(iso, manifolds={k: replace(v, g_J=v.g_J + 1e-9) for k, v in iso.manifolds.items()})
+    lib = AtomLibrary(isotopes={"Rb87": iso}, vapor_pressure=atoms.vapor_pressure)
+    with pytest.raises(NumericError, match="symmetric"):
+        lines_at_fields(lib, {"Rb87": 1.0}, [1e-3])
+    with pytest.raises(NumericError, match="symmetric"):
+        build_hamiltonian(iso, "5S1/2", 1e-3)
+
+
+@pytest.mark.parametrize(
+    "manifold, change",
+    [("5P1/2", {"J": 1.5}), ("5S1/2", {"B_hfs_hz": 1.0e6}), ("5P1/2", {"J": 0.5, "B_hfs_hz": -2.0})],
+)
+def test_atom_data_refuses_what_the_block_solver_cannot_solve(tmp_path, manifold, change):
+    import yaml
+    from importlib import resources
+
+    payload = yaml.safe_load(resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text())
+    payload["isotopes"]["Rb87"]["manifolds"][manifold].update(change)
+    path = tmp_path / "atoms.yaml"
+    path.write_text(yaml.safe_dump(payload))
+    with pytest.raises(ConfigError, match=f"Rb87 {manifold}"):
+        load_atom_data(path)
+
+
+def test_diagonalize_refuses_blocks_larger_than_two():
+    from atompairs.atoms import ManifoldHamiltonian, product_basis
+
+    basis = product_basis(1.5, 1.5)
+    ham = ManifoldHamiltonian(
+        isotope="Rb87", manifold="5P3/2", J=1.5, I=1.5, basis=basis, matrix_hz=np.eye(16), field_t=0.0
+    )
+    with pytest.raises(ConfigError, match="block"):
+        diagonalize(ham)

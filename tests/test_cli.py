@@ -546,6 +546,10 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--exposure", "0"],
         ["fadof", "--window-GHz", "-1"],
         ["superresolution", "--angle-step-deg", "nan"],
+        ["superresolution", "--angle-step-deg", "22.5"],
+        ["superresolution", "--angle-step-deg", "30"],
+        ["superresolution", "--angle-step-deg", "45"],
+        ["superresolution", "--angle-step-deg", "1000"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):

@@ -523,3 +523,25 @@ def test_spectroscopy_broadening_monotone_in_field(atoms, sensing_cell):
 def test_frequency_grid_rejects_bad_steps(half_span_hz, spacing_hz):
     with pytest.raises(ConfigError):
         make_frequency_grid(377e12, half_span_hz, spacing_hz)
+
+
+def test_node_field_grouping_keys_on_pythons_round(sensing_cell):
+    """The block-wide grouping key is ``round(b, 15)`` on fig11's node fields
+    (101 scan centers and the Fisher block's three), on a 2,001-center scan
+    and on values next to a rounding tie; the groups, their order and their
+    multiplicities are those of a dict keyed on ``round`` center by center."""
+    nodes, _ = vapor._slice_nodes(sensing_cell, 16)
+    fig11 = np.concatenate([np.arange(0.0, 50e-3 + 1e-9, 0.5e-3), 44e-3 + np.array([-2.5e-4, 0.0, 2.5e-4])])
+    for centers in (fig11, np.linspace(0.0, 50e-3, 2001)):
+        node_fields = sensing_cell.field_at(nodes, centers[:, None])
+        keys = vapor._field_keys(node_fields)
+        assert np.array_equal(keys, [[round(b, 15) for b in row] for row in node_fields.tolist()])
+        want = []
+        for k, row in enumerate(node_fields.tolist()):
+            groups = {}
+            for b in row:
+                groups.setdefault(round(b, 15), [k, b, 0])[2] += 1
+            want += groups.values()
+        assert np.array_equal(np.column_stack(vapor._distinct_fields(node_fields)), want)
+    ties = np.concatenate([np.arange(1, 4001) * 0.5e-15, 0.0123 + np.arange(-50, 50) * 5e-16])
+    assert np.array_equal(vapor._field_keys(ties), [round(b, 15) for b in ties.tolist()])
