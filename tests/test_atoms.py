@@ -362,6 +362,7 @@ def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
 
     ham = build_hamiltonian(atoms[name], label, SCAN_FIELDS)
     layout = _block_layout(ham.basis)
+    # the v00 and v10 components of the 2x2 blocks sit on their two basis rows
     r0, r1 = layout.vector_rows[layout.singles :].reshape(4, -1)[:2]
     assert r0.size > 0
     for rows in zip(r0, r1):
@@ -385,10 +386,11 @@ def symmetric_2x2(draw):
     scale = 2.0 ** draw(st.integers(-60, 60))
     a = draw(st.integers(-(2**20), 2**20))
     b = draw(st.one_of(st.just(0), st.integers(-(2**20), 2**20)))
-    c = draw(st.sampled_from(["free", "a", "-a", "a-2b", "a+2b"]))
-    c = {"a": a, "-a": -a, "a-2b": a - 2 * b, "a+2b": a + 2 * b}.get(c) if c != "free" else draw(
-        st.integers(-(2**20), 2**20)
-    )
+    relation = draw(st.sampled_from(["free", "a", "-a", "a-2b", "a+2b"]))
+    if relation == "free":
+        c = draw(st.integers(-(2**20), 2**20))
+    else:
+        c = {"a": a, "-a": -a, "a-2b": a - 2 * b, "a+2b": a + 2 * b}[relation]
     return a * scale, b * scale, c * scale
 
 
