@@ -8,10 +8,11 @@ in closed form by the LAPACK steps that ``numpy.linalg.eigh`` takes for it,
 so the levels are eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed
 from the few basis terms that the selection rule leaves.
 
-Each step takes one field or a 1-D array of fields.  ``build_hamiltonian`` ->
-``diagonalize`` -> ``transition_lines`` is the matrix route;
-``lines_at_fields`` reads the block entries straight from the field-free
-operators and forms no matrix per field.  Both share one block solver and one
+Each step takes one field or a 1-D array of fields:
+``build_hamiltonian`` -> ``diagonalize`` -> ``transition_lines``.  The
+Hamiltonian comes as matrices, or in block form, which ``lines_at_fields``
+uses: only the m_F block entries, read from the field-free operators, so no
+matrix is formed per field.  Both forms go through one block solver and one
 amplitude rule.  What does not depend on the field (H0 and the Zeeman
 operator per set of constants, their block entries, the m_F block layout, the
 amplitude terms) is built once per process.  Everything is in Hz and Tesla;
@@ -220,13 +221,16 @@ class ManifoldHamiltonian:
     J: float
     I: float
     basis: tuple[tuple[float, float], ...]
-    matrix_hz: np.ndarray  # (dim, dim), or (fields, dim, dim) for an array of fields
+    matrix_hz: np.ndarray | None  # (dim, dim), or (fields, dim, dim) for an array of fields
     field_t: float | np.ndarray
     constants: ManifoldConstants | None = None
+    # block form, when matrix_hz is None: the lower-triangle m_F block entries
+    # that ``diagonalize`` reads, (entries,) or (fields, entries)
+    block_entries_hz: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.matrix_hz.shape[-1]
+        return len(self.basis)
 
     def m_f(self) -> np.ndarray:
         return _basis_m_f(self.basis)
@@ -240,8 +244,8 @@ def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
     file may give the same isotope other constants.  Both must be exactly
     symmetric and zero between states of different m_F, or NumericError is
     raised.  Then every fl(H0 + fl(mu_B B) Z) is exactly symmetric and
-    block-diagonal too, so ``lines_at_fields`` reads only the lower triangle
-    of each m_F block.
+    block-diagonal too, so the block form of ``build_hamiltonian`` holds only
+    the lower triangle of each m_F block.
     """
     J = con.J
     jx, jy, jz = spin_matrices(J)
@@ -281,22 +285,29 @@ def _checked_fields(b_field_t) -> np.ndarray:
 
 
 def build_hamiltonian(
-    iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray
+    iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray, blocks: bool = False
 ) -> ManifoldHamiltonian:
     """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis.
 
     ``b_field_t`` is one field or a 1-D array of fields; an array gives one
-    matrix per field, stacked along a leading axis.
+    matrix per field, stacked along a leading axis.  With ``blocks`` the
+    Hamiltonian comes in block form: no matrix, only the m_F block entries
+    that ``diagonalize`` reads, each H0 + mu_B B Z as in the matrix.  That
+    form needs no per-field Hermiticity check, because H0 and Z are checked
+    exactly symmetric once per set of constants.
     """
     b = _checked_fields(b_field_t)
     con = iso.manifold(manifold)
     J, I = con.J, iso.nuclear_spin
-    h0, zeeman = _field_free_operators(con, I, iso.g_I)
-    h = h0 + (MU_B_HZ_PER_T * b)[..., None, None] * zeeman
-
-    herm_defect = _hermiticity_defect(h, 1e-12)
-    if herm_defect is not None:
-        raise NumericError(f"constructed Hamiltonian not Hermitian (defect {herm_defect:g})")
+    if blocks:
+        h0, zeeman = _block_operators(con, I, iso.g_I)
+        h, entries = None, h0 + (MU_B_HZ_PER_T * b)[..., None] * zeeman
+    else:
+        h0, zeeman = _field_free_operators(con, I, iso.g_I)
+        h, entries = h0 + (MU_B_HZ_PER_T * b)[..., None, None] * zeeman, None
+        herm_defect = _hermiticity_defect(h, 1e-12)
+        if herm_defect is not None:
+            raise NumericError(f"constructed Hamiltonian not Hermitian (defect {herm_defect:g})")
 
     return ManifoldHamiltonian(
         isotope=iso.name,
@@ -307,6 +318,7 @@ def build_hamiltonian(
         matrix_hz=h,
         field_t=b if b.ndim else float(b),
         constants=con,
+        block_entries_hz=entries,
     )
 
 
@@ -378,6 +390,17 @@ def _block_layout(basis) -> _BlockLayout:
         vector_levels=vector_levels,
         m_f=m_f,
     )
+
+
+@functools.cache
+def _block_operators(con: ManifoldConstants, I: float, g_I: float):
+    """The m_F block entries of H0 and Z that a block solve reads, so that
+    the entries of H(B) are H0 + mu_B B Z, elementwise the arithmetic of the
+    matrix."""
+    h0, zeeman = _field_free_operators(con, I, g_I)
+    layout = _block_layout(product_basis(con.J, I))
+    rows, cols = layout.entry_rows, layout.entry_cols
+    return _read_only(h0[rows, cols], zeeman[rows, cols])
 
 
 @functools.cache
@@ -495,10 +518,28 @@ class ZeemanSpectrum:
         return dense.reshape(self.energies_hz.shape + (self.dim,))
 
 
-def _solve(isotope: str, manifold: str, J: float, field_t, basis, f_labels, entries) -> ZeemanSpectrum:
-    """The spectrum whose m_F blocks have the lower-triangle ``entries``
-    (..., len(layout.entry_rows)) that ``_block_layout(basis)`` places."""
-    layout = _block_layout(basis)
+def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
+    """Per-m_F block eigensolve of a real symmetric Hamiltonian, given as
+    matrices or in block form; energies ascending, F labels adiabatic.
+
+    Raises NumericError if a matrix is not Hermitian to 1e-9 of its scale,
+    and ConfigError for a complex matrix or an m_F block of more than two
+    states.
+    """
+    layout = _block_layout(ham.basis)
+    h = ham.matrix_hz
+    if h is None:
+        entries = ham.block_entries_hz
+    else:
+        defect = _hermiticity_defect(h, 1e-9)
+        if defect is not None:
+            raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
+        if np.iscomplexobj(h):
+            raise ConfigError("the block solver takes real symmetric Hamiltonians")
+        entries = h[..., layout.entry_rows, layout.entry_cols]
+
+    a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
+    f_labels = _f_labels(ham.basis, ham.J, ham.I, a_hfs)
     n1, n2 = layout.singles, layout.pairs
     single = entries[..., :n1]
     (w0, w1), vectors = _eigh_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))
@@ -510,10 +551,10 @@ def _solve(isotope: str, manifold: str, J: float, field_t, basis, f_labels, entr
     rank = np.empty_like(order)
     rank[field, order] = np.arange(dim)
     return ZeemanSpectrum(
-        isotope=isotope,
-        manifold=manifold,
-        J=J,
-        field_t=field_t,
+        isotope=ham.isotope,
+        manifold=ham.manifold,
+        J=ham.J,
+        field_t=ham.field_t,
         layout=layout,
         energies_hz=energies[field, order].reshape(shape),
         m_f=layout.m_f[order].reshape(shape),
@@ -521,28 +562,6 @@ def _solve(isotope: str, manifold: str, J: float, field_t, basis, f_labels, entr
         rank=rank.reshape(shape),
         components=np.concatenate([np.ones_like(single), *vectors], axis=-1),
     )
-
-
-def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
-    """Per-m_F block eigensolve of a real symmetric Hamiltonian; energies
-    ascending, F labels adiabatic.
-
-    Raises NumericError if a matrix is not Hermitian to 1e-9 of its scale,
-    and ConfigError for a complex matrix or an m_F block of more than two
-    states.
-    """
-    h = ham.matrix_hz
-    defect = _hermiticity_defect(h, 1e-9)
-    if defect is not None:
-        raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
-    if np.iscomplexobj(h):
-        raise ConfigError("the block solver takes real symmetric Hamiltonians")
-
-    a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
-    layout = _block_layout(ham.basis)
-    f_labels = _f_labels(ham.basis, ham.J, ham.I, a_hfs)
-    entries = h[..., layout.entry_rows, layout.entry_cols]
-    return _solve(ham.isotope, ham.manifold, ham.J, ham.field_t, ham.basis, f_labels, entries)
 
 
 @dataclass(frozen=True)
@@ -674,18 +693,6 @@ def transition_lines(
     )
 
 
-@functools.cache
-def _block_operators(con: ManifoldConstants, I: float, g_I: float):
-    """(basis, F labels, H0 entries, Z entries): the lower-triangle m_F block
-    entries of H0 and Z that a block solve reads, so that the entries of
-    H(B) are H0 + mu_B B Z, elementwise the arithmetic of ``build_hamiltonian``."""
-    h0, zeeman = _field_free_operators(con, I, g_I)
-    basis = product_basis(con.J, I)
-    layout = _block_layout(basis)
-    rows, cols = layout.entry_rows, layout.entry_cols
-    return (basis, _f_labels(basis, con.J, I, con.A_hfs_hz), *_read_only(h0[rows, cols], zeeman[rows, cols]))
-
-
 def lines_at_fields(
     atoms: AtomLibrary,
     fractions: Mapping[str, float],
@@ -695,46 +702,33 @@ def lines_at_fields(
     fraction, holding the lines of every field of the 1-D ``fields_t``; a
     line's ``field`` is its index there.
 
-    The same lines as ``transition_lines`` of ``diagonalize`` of
-    ``build_hamiltonian``, bit for bit, but each field's block entries are
-    read from the field-free operators: no matrix is formed per field.
+    ``transition_lines`` of ``diagonalize`` of the block-form
+    ``build_hamiltonian``: the same lines as the matrix route, bit for bit,
+    with no matrix formed per field.
     """
     fields = _checked_fields(np.atleast_1d(np.asarray(fields_t, dtype=float)))
-    zeeman_hz = (MU_B_HZ_PER_T * fields)[:, None]
     out = {"sigma+": [], "sigma-": []}
     for name, frac in fractions.items():
         if frac <= 0:
             continue
         iso = atoms[name]
-        spectra = []
-        for label in _D1:
-            con = iso.manifold(label)
-            basis, f_labels, h0, zeeman = _block_operators(con, iso.nuclear_spin, iso.g_I)
-            spectra.append(_solve(iso.name, label, con.J, fields, basis, f_labels, h0 + zeeman_hz * zeeman))
+        ground, excited = (diagonalize(build_hamiltonian(iso, label, fields, blocks=True)) for label in _D1)
         for pol in out:
-            out[pol].append(transition_lines(*spectra, pol, iso))
+            out[pol].append(transition_lines(ground, excited, pol, iso))
     return out
 
 
-# 8-byte words of line arrays that a field scan keeps per candidate line: the
-# LineSet's 6, vapor's _LineArrays' 5 and the probe sum's 9 (four joined line
-# arrays, a group index and two complex per-line terms).  tracemalloc puts a
-# block's peak at about 23 words a line, temporaries included.
-_LINE_WORDS = 20
-
-
-def kernel_elements_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
-    """8-byte words of line arrays that a field scan holds per field:
-    ``_LINE_WORDS`` per candidate sigma+ and sigma- line (a level pair that
-    the selection rule connects) of each isotope with nonzero fraction;
-    64 lines and 1,280 words for the two isotopes."""
+def circular_lines_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
+    """Candidate sigma+ and sigma- lines per field (level pairs that the
+    selection rule connects) of the isotopes with nonzero fraction: 64 for
+    the two isotopes."""
     total = 0
     for name, frac in fractions.items():
         if frac > 0:
             iso = atoms[name]
             j_g, j_e = (iso.manifold(label).J for label in _D1)
             total += sum(_dipole_block(j_g, j_e, iso.nuclear_spin, q)[0].size for q in (1, -1))
-    return _LINE_WORDS * total
+    return total
 
 
 def all_lines_for_cell(

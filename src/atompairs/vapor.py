@@ -23,7 +23,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, all_lines_for_cell, kernel_elements_per_field, lines_at_fields
+from atompairs.atoms import AtomLibrary, all_lines_for_cell, circular_lines_per_field, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
@@ -34,6 +34,14 @@ _LN2 = np.log(2.0)
 # costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
 # blocks hold at most this many 8-byte words of line arrays (2 MB).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
+# 8-byte words of line arrays a field scan counts per candidate circular line
+# and field: the LineSet's 6, _LineArrays' 5 and the probe sum's 9 (four
+# joined line arrays, a group index and two complex per-line terms).  That
+# sum was chosen because it keeps fig11's block at the six centers it had
+# when blocks were counted in matrix elements of the dense kernel;
+# tracemalloc puts a block's peak at about 23 words a line, temporaries
+# included.
+LINE_WORDS = 20
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
 POINTS_PER_FWHM = 100
@@ -168,23 +176,6 @@ def _slice_nodes(cell: VaporCellConfig, slices: int):
     return np.sort(nodes), cell.length_m / nodes.size
 
 
-def _field_keys(b: np.ndarray) -> np.ndarray:
-    """Python's ``round(b, 15)`` of every entry, with one Python call only
-    per entry that needs it.
-
-    rint(b 1e15) / 1e15 is the double nearest the correctly rounded decimal,
-    which is what ``round`` returns, unless b 1e15 lies within its own
-    rounding error of a half-integer or beyond 2^52; those entries go
-    through ``round``.
-    """
-    scaled = b * 1e15
-    k = np.rint(scaled)
-    keys = k / 1e15
-    unsure = ~(np.abs(np.abs(scaled - k) - 0.5) > np.spacing(scaled)) | ~(np.abs(scaled) < 2.0**52)
-    keys[unsure] = [round(x, 15) for x in b[unsure].tolist()]
-    return keys
-
-
 def _distinct_fields(node_fields: np.ndarray):
     """Group each row of ``node_fields`` (centers x nodes) into the fields
     that agree to 1e-15 T, keyed on ``round(b, 15)``: both nodes of a uniform
@@ -194,7 +185,7 @@ def _distinct_fields(node_fields: np.ndarray):
     groups in node order; a group's field is that of its first node.
     """
     nodes = node_fields.shape[1]
-    key = _field_keys(node_fields).ravel()
+    key = np.array([round(b, 15) for b in node_fields.ravel().tolist()])
     row = np.repeat(np.arange(node_fields.shape[0]), nodes)
     order = np.lexsort((key, row))  # stable: a group's nodes stay in node order
     key, row = key[order], row[order]
@@ -339,7 +330,8 @@ def transfer_vs_field(
     density = number_density(cell.temperature_k, atoms)
     nodes, dz = _slice_nodes(cell, 1 if cell.droop_fraction == 0.0 else slices)
     k_vac = 2j * np.pi * nu / C_LIGHT
-    per_block = max(1, BLOCK_POINTS // (nodes.size * kernel_elements_per_field(atoms, cell.isotope_fractions)))
+    words_per_center = nodes.size * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)
+    per_block = max(1, BLOCK_POINTS // words_per_center)
 
     log_t = np.empty((2, centers.size), dtype=complex)
     for a in range(0, centers.size, per_block):

@@ -357,7 +357,14 @@ def _dense(iso, label, fields):
 def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
     """Every 2x2 m_F block of the four D1 manifolds, at 1,201 fields from 0 to
     60 mT, solves to eigh's eigenvalues and eigenvectors bit for bit, and so
-    does the whole spectrum to the stacked-eigh kernel's."""
+    does the whole spectrum to the stacked-eigh kernel's, from the matrices
+    and from the block form alike.
+
+    The bitwise checks assume that numpy's eigh solves a 2x2 block as
+    reference LAPACK does (dsyevd -> dsteqr -> DLAEV2), which the solver
+    transcribes; a LAPACK that solves it otherwise fails them though the
+    levels are still right.  The residual and orthonormality checks hold on
+    any LAPACK."""
     from atompairs.atoms import _block_layout, _eigh_2x2
 
     ham = build_hamiltonian(atoms[name], label, SCAN_FIELDS)
@@ -373,10 +380,18 @@ def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
         got_v = np.stack([np.stack([v00, v01], -1), np.stack([v10, v11], -1)], -2)
         assert np.array_equal(np.abs(got_v), np.abs(want_v))
     spec = diagonalize(ham)
+    v, w = spec.eigenvectors, spec.energies_hz
+    scale = np.abs(ham.matrix_hz).max()
+    assert np.abs(ham.matrix_hz @ v - v * w[:, None, :]).max() <= 1e-13 * scale
+    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(ham.dim)).max() <= 1e-14
     energies, vectors, m_f, f_labels = _dense(atoms[name], label, SCAN_FIELDS)
     assert np.array_equal(spec.energies_hz, energies)
     assert np.array_equal(np.abs(spec.eigenvectors), np.abs(vectors))
     assert np.array_equal(spec.m_f, m_f) and np.array_equal(spec.f_labels, f_labels)
+    blocks = diagonalize(build_hamiltonian(atoms[name], label, SCAN_FIELDS, blocks=True))
+    assert blocks.field_t is ham.field_t or np.array_equal(blocks.field_t, ham.field_t)
+    for attr in ("energies_hz", "m_f", "f_labels", "rank", "components"):
+        assert np.array_equal(getattr(blocks, attr), getattr(spec, attr))
 
 
 @st.composite
@@ -407,13 +422,21 @@ def symmetric_2x2(draw):
 @example(abc=(1.0, 1e-13, 1.0e9))  # b negligible next to a and c: split off
 @settings(max_examples=200)
 def test_block_solver_equals_eigh_in_every_branch(abc):
+    """Levels and signed vectors equal eigh's bit for bit where eigh solves a
+    2x2 block as reference LAPACK does (dsyevd -> dsteqr -> DLAEV2); the
+    residual and orthonormality checks hold on any LAPACK."""
     from atompairs.atoms import _eigh_2x2
 
     a, b, c = abc
-    want_w, want_v = np.linalg.eigh(np.array([[a, b], [b, c]]))
+    m = np.array([[a, b], [b, c]])
     (w0, w1), (v00, v10, v01, v11) = _eigh_2x2(*map(np.array, abc))
-    assert np.array_equal([w0, w1], want_w)
-    assert np.array_equal([[v00, v01], [v10, v11]], want_v)
+    w, v = np.array([w0, w1]), np.array([[v00, v01], [v10, v11]])
+    assert w0 <= w1
+    assert np.abs(m @ v - v * w).max() <= 1e-15 * np.abs(m).max()
+    assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-15
+    want_w, want_v = np.linalg.eigh(m)
+    assert np.array_equal(w, want_w)
+    assert np.array_equal(v, want_v)
 
 
 @pytest.mark.parametrize("name", ["Rb85", "Rb87"])

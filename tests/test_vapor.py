@@ -6,7 +6,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from atompairs import vapor
-from atompairs.atoms import kernel_elements_per_field
+from atompairs.atoms import circular_lines_per_field
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import voigt_profile_complex
 from atompairs.noon import circular_jones
@@ -388,7 +388,7 @@ def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, 
     for the drooping sensing cell and a uniform one; in the shipped blocks and
     in blocks of one center."""
     if block_centers is not None:
-        per_center = 32 * kernel_elements_per_field(atoms, sensing_cell.isotope_fractions)
+        per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", per_center * block_centers)
     nu = np.array([noon_line_hz])
     fields = np.array([0.0, 23.7e-3, 44e-3, 58e-3])
@@ -411,7 +411,7 @@ def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_li
     """A 2,001-center scan peaks at no more than 1.5x fig11's 101 centers.  The
     shipped block holds six centers of the 16-slice cell, so both scans span
     many blocks."""
-    per_center = 32 * kernel_elements_per_field(atoms, sensing_cell.isotope_fractions)
+    per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
     assert vapor.BLOCK_POINTS // per_center <= 101 // 4
     transfer_vs_field(atoms, sensing_cell, noon_line_hz, [10e-3])  # warm the caches
     peaks = []
@@ -526,16 +526,19 @@ def test_frequency_grid_rejects_bad_steps(half_span_hz, spacing_hz):
 
 
 def test_node_field_grouping_keys_on_pythons_round(sensing_cell):
-    """The block-wide grouping key is ``round(b, 15)`` on fig11's node fields
-    (101 scan centers and the Fisher block's three), on a 2,001-center scan
-    and on values next to a rounding tie; the groups, their order and their
-    multiplicities are those of a dict keyed on ``round`` center by center."""
+    """The block-wide grouping of node fields equals a dict keyed on
+    ``round(b, 15)`` center by center, in groups, their order and their
+    multiplicities: on fig11's node fields (101 scan centers and the Fisher
+    block's three), on a 2,001-center scan and on rows of values next to a
+    rounding tie, which share keys across non-adjacent nodes."""
     nodes, _ = vapor._slice_nodes(sensing_cell, 16)
     fig11 = np.concatenate([np.arange(0.0, 50e-3 + 1e-9, 0.5e-3), 44e-3 + np.array([-2.5e-4, 0.0, 2.5e-4])])
-    for centers in (fig11, np.linspace(0.0, 50e-3, 2001)):
-        node_fields = sensing_cell.field_at(nodes, centers[:, None])
-        keys = vapor._field_keys(node_fields)
-        assert np.array_equal(keys, [[round(b, 15) for b in row] for row in node_fields.tolist()])
+    ties = np.concatenate([np.arange(1, 4001) * 0.5e-15, 0.0123 + np.arange(-50, 50) * 5e-16])
+    for node_fields in (
+        sensing_cell.field_at(nodes, fig11[:, None]),
+        sensing_cell.field_at(nodes, np.linspace(0.0, 50e-3, 2001)[:, None]),
+        np.random.default_rng(3).permutation(ties).reshape(41, 100),
+    ):
         want = []
         for k, row in enumerate(node_fields.tolist()):
             groups = {}
@@ -543,5 +546,3 @@ def test_node_field_grouping_keys_on_pythons_round(sensing_cell):
                 groups.setdefault(round(b, 15), [k, b, 0])[2] += 1
             want += groups.values()
         assert np.array_equal(np.column_stack(vapor._distinct_fields(node_fields)), want)
-    ties = np.concatenate([np.arange(1, 4001) * 0.5e-15, 0.0123 + np.arange(-50, 50) * 5e-16])
-    assert np.array_equal(vapor._field_keys(ties), [round(b, 15) for b in ties.tolist()])
