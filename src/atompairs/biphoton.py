@@ -40,8 +40,8 @@ class BiphotonWaveFunction:
 
 
 def symmetric_tau_grid(half_span_s: float, step_s: float) -> np.ndarray:
-    if step_s <= 0:
-        raise ConfigError("tau step must be > 0")
+    if not (np.isfinite(step_s) and step_s > 0 and np.isfinite(half_span_s)):
+        raise ConfigError("tau step must be finite and > 0 and half span finite")
     n = int(round(half_span_s / step_s))
     return step_s * np.arange(-n, n + 1)
 

@@ -339,7 +339,8 @@ def run_reconstruct(p, atoms, sink, seed):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"params.records: bad records bundle: {exc}") from exc
     else:
-        phases = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
+        # a negative count is no phases, which simulate_records refuses
+        phases = np.linspace(0.0, np.pi, max(p["n_phases"], 0), endpoint=False)
         records = biphoton.simulate_records(
             _ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed
         )
@@ -410,9 +411,8 @@ def run_spectroscopy(p, atoms, sink, seed):
     for temp_c in p["temps_c"]:
         cell = _sensing_cell(p, temp_c)
         vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-        for b_mt in p["fields_mt"]:
-            path = vapor.VaporPath(atoms, cell, b_mt * 1e-3, slices=p["slices"])
-            t_plus, t_minus = path.transfer_at(grid)
+        path = vapor.VaporPath(atoms, cell, np.array(p["fields_mt"]) * 1e-3, slices=p["slices"])
+        for b_mt, t_plus, t_minus in zip(p["fields_mt"], *path.transfer_at(grid)):
             trans = 0.5 * (np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2)
             header.append(f"T_{temp_c:g}C_{b_mt:g}mT")
             cols.append(trans)

@@ -9,9 +9,10 @@ Evaluation is pointwise and exact at any frequency.  A caller that exports a
 spectrum on a uniform grid first calls ``check_spacing``, the one resolution
 rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 
-``VaporPath`` is the cell at one center field, at any frequencies;
-``transfer_vs_field`` is the cell at one frequency over many center fields,
-with the lines of their slice fields built in field-batched passes.
+``VaporPath`` is the one propagation engine: the cell at one center field or
+a 1-D array of them, at any frequencies, with the lines of every distinct
+slice field built in one ``lines_at_fields`` pass.  ``transfer_vs_field`` is
+its one-frequency case over many center fields, walked in blocks of centers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, all_lines_for_cell, circular_lines_per_field, lines_at_fields
+from atompairs.atoms import AtomLibrary, circular_lines_per_field, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
@@ -34,13 +35,12 @@ _LN2 = np.log(2.0)
 # costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
 # blocks hold at most this many 8-byte words of line arrays (2 MB).
 BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
-# 8-byte words of line arrays a field scan counts per candidate circular line
-# and field: the LineSet's 6, _LineArrays' 5 and the probe sum's 9 (four
-# joined line arrays, a group index and two complex per-line terms).  That
-# sum was chosen because it keeps fig11's block at the six centers it had
-# when blocks were counted in matrix elements of the dense kernel;
-# tracemalloc puts a block's peak at about 23 words a line, temporaries
-# included.
+# 8-byte words a field scan budgets per candidate circular line and node
+# field of a block.  Chosen, not derived: 20 keeps fig11's blocks at the six
+# centers they have had since blocks were counted in matrix elements of the
+# dense kernel, and lies above the block's measured peak, which tracemalloc
+# puts at about 18.4 words a line (the LineSets, the rank-major line arrays
+# and the one-frequency chi sum's temporaries).
 LINE_WORDS = 20
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -111,59 +111,89 @@ def _frequencies(nu_hz) -> np.ndarray:
 
 @dataclass
 class _LineArrays:
+    """The sigma+ and sigma- lines of a path's fields, rank-major in ``group``
+    (see ``_group_sums``).  A line's group is its field's index, plus the
+    number of fields for sigma-."""
+
     nu0: np.ndarray
     amp: np.ndarray  # N * pop * d^2 / (eps0 hbar), angular-frequency units
     sigma_hz: np.ndarray
     lorentz_fwhm_hz: np.ndarray
-    field: np.ndarray  # index of each line's field (LineSet.field)
+    group: np.ndarray
 
     @classmethod
-    def from_lines(cls, line_sets, cell: VaporCellConfig, density_m3: float):
+    def from_lines(cls, lines, cell: VaporCellConfig, density_m3: float, n_fields: int):
+        line_sets = lines["sigma+"] + lines["sigma-"]
         counts = [len(ls) for ls in line_sets]
-        nu0 = np.concatenate([ls.frequency_hz for ls in line_sets])
-        d_sq = np.concatenate([ls.dipole_sq for ls in line_sets])
-        frac = np.repeat([cell.isotope_fractions.get(ls.isotope, 0.0) for ls in line_sets], counts)
-        pop = np.repeat([ls.population for ls in line_sets], counts)
-        mass = np.repeat([ls.mass_kg for ls in line_sets], counts)
-        nat = np.repeat([ls.natural_fwhm_hz for ls in line_sets], counts)
-        amp = density_m3 * frac * pop * d_sq / (epsilon_0 * hbar)
-        sigma = _doppler_sigma_hz(nu0, mass, cell.temperature_k)
-        return cls(
-            nu0=nu0,
-            amp=amp,
-            sigma_hz=sigma,
-            lorentz_fwhm_hz=nat + cell.buffer_fwhm_hz,
-            field=np.concatenate([ls.field for ls in line_sets]),
-        )
 
-    def susceptibility(self, nu_hz: np.ndarray) -> np.ndarray:
-        """chi(nu) on a 1-D grid, in blocks of at most ``BLOCK_POINTS`` line x
+        def joined(name):
+            return np.concatenate([getattr(ls, name) for ls in line_sets])
+
+        def each(values):
+            return np.repeat(values, counts)
+
+        nu0 = joined("frequency_hz")
+        frac = each([cell.isotope_fractions.get(ls.isotope, 0.0) for ls in line_sets])
+        amp = density_m3 * frac * each([ls.population for ls in line_sets]) * joined("dipole_sq") / (epsilon_0 * hbar)
+        sigma = _doppler_sigma_hz(nu0, each([ls.mass_kg for ls in line_sets]), cell.temperature_k)
+        lorentz = each([ls.natural_fwhm_hz for ls in line_sets]) + cell.buffer_fwhm_hz
+        group = joined("field") + each([n_fields * (ls.polarization == "sigma-") for ls in line_sets])
+        order = _rank_major(group)
+        return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
+
+    def susceptibility(self, nu: np.ndarray, groups: int) -> np.ndarray:
+        """chi of each of ``groups`` groups at the 1-D frequencies ``nu``, shape
+        (groups, nu.size), in blocks of at most ``BLOCK_POINTS`` line x
         frequency points, so peak memory follows the grid, not lines x grid."""
-        nu = np.asarray(nu_hz, dtype=float)
-        chi = np.empty(nu.shape, dtype=complex)
+        chi = np.empty((groups, nu.size), dtype=complex)
         step = max(1, BLOCK_POINTS // self.nu0.size)
         for a in range(0, nu.size, step):
             delta = nu[None, a : a + step] - self.nu0[:, None]
             prof = voigt_profile_complex(delta, self.lorentz_fwhm_hz[:, None], self.sigma_hz[:, None])
-            chi[a : a + step] = 1j * (self.amp @ prof)
+            chi[:, a : a + step] = 1j * _group_sums(self.group, self.amp, prof, groups)
         return chi
 
 
-def _group_sums(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Complex sum of ``values`` per ``group`` index, each summed in input order."""
-    return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
+def _rank_major(group: np.ndarray) -> np.ndarray:
+    """Stable order that lists every group's first row, then every group's
+    second row, and so on: the row order ``_group_sums`` loops least over."""
+    by_group = np.argsort(group, kind="stable")
+    counts = np.bincount(group)
+    # row of each (rank, group), read rank by rank
+    table = np.full((counts.max(initial=0), counts.size), -1)
+    table[np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts), group[by_group]] = by_group
+    return table[table >= 0]
 
 
-def _probe_susceptibility(arrays, nu_hz: float, n_fields: int) -> np.ndarray:
-    """chi at one frequency of each ``_LineArrays`` in ``arrays``, per field
-    index: shape (len(arrays), n_fields), from one Voigt call over all lines."""
-    def joined(name):
-        return np.concatenate([getattr(a, name) for a in arrays])
+def _group_sums(group: np.ndarray, weights: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the rows ``weights[i] * values[i]`` per ``group`` index, each
+    group's rows added in row order.
 
-    prof = voigt_profile_complex(nu_hz - joined("nu0"), joined("lorentz_fwhm_hz"), joined("sigma_hz"))
-    group = np.concatenate([a.field + k * n_fields for k, a in enumerate(arrays)])
-    chi = _group_sums(group, joined("amp") * prof, len(arrays) * n_fields)
-    return 1j * chi.reshape(len(arrays), n_fields)
+    Rows of one column go through ``np.add.at``, which adds in index order
+    and is the cheaper sum there.  Longer rows are weighted and added one run
+    of strictly ascending groups at a time, so each group's rows arrive in
+    order and each row is read once; rank-major rows make the loop as short
+    as the largest group.
+    """
+    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+    if values.shape[1] == 1:
+        np.add.at(out, group, weights[:, None] * values)
+        return out
+    cuts = np.flatnonzero(group[1:] <= group[:-1]) + 1
+    for a, b in zip(np.append(0, cuts), np.append(cuts, group.size)):
+        run = weights[a:b, None] * values[a:b]
+        if b - a == size:  # every group once, in group order
+            out += run
+        else:
+            out[group[a:b]] += run
+    return out
+
+
+def _slice_count(cell: VaporCellConfig, slices: int) -> int:
+    """Slices of the path: ``slices`` if the field droops, else one."""
+    if slices < 1:
+        raise ConfigError("slices must be >= 1")
+    return 1 if cell.droop_fraction == 0.0 else slices
 
 
 def _slice_nodes(cell: VaporCellConfig, slices: int):
@@ -197,92 +227,66 @@ def _distinct_fields(node_fields: np.ndarray):
     return first // nodes, node_fields.ravel()[first], count[by_node]
 
 
-def _transfer_from_log(log_t_plus, log_t_minus):
-    """(t+, t-, theta) from the summed log transfers.
-
-    Raises ValueError if either circular transfer exceeds unity (gain).
-    """
-    # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
-    largest = max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf))
-    gain = np.expm1(largest)
-    if gain > 1e-12:
-        raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
-    # half the circular phase difference, summed slice by slice: unwrapped
-    theta = 0.5 * (log_t_plus.imag - log_t_minus.imag)
-    return np.exp(log_t_plus), np.exp(log_t_minus), theta
-
-
 class VaporPath:
-    """Pointwise-exact optical response of a cell at center field ``b_center_t``.
+    """Pointwise-exact optical response of a cell at the center field
+    ``b_center_t``, one field or a 1-D array of them.
 
     The path is split into ``slices`` segments, each integrated with two
-    Gauss nodes at the local axial field; diagonal circular Jones factors
-    multiply in order.  At construction the node fields are grouped into
-    distinct fields with multiplicities, so one propagation calls
-    ``index_at`` once per distinct field and yields (t+, t-, theta)
-    together.  ``transfer_at`` and ``rotation_angle_at`` are views of that
-    propagation.
+    Gauss nodes at the local axial field.  At construction each center's
+    node fields are grouped into distinct fields with multiplicities, and the
+    lines of every distinct field of every center come from one
+    ``lines_at_fields`` call.  One propagation sums chi per field, each
+    field's lines in line order, then log t+- per center, each center's
+    fields in node order, and yields (t+, t-, theta) together: arrays over
+    the frequencies for one center, (centers, frequencies) for an array.
+    ``transfer_at`` and ``rotation_angle_at`` are views of that propagation.
     """
 
-    def __init__(
-        self,
-        atoms: AtomLibrary,
-        cell: VaporCellConfig,
-        b_center_t: float,
-        slices: int = 16,
-    ):
-        if slices < 1:
-            raise ConfigError("slices must be >= 1")
-        if not (np.isfinite(b_center_t) and b_center_t >= 0):
-            raise ConfigError(f"field strength must be finite and >= 0 (got {b_center_t!r})")
-        self.atoms = atoms
-        self.cell = cell
-        self.b_center_t = b_center_t
-        self.slices = 1 if cell.droop_fraction == 0.0 else slices
+    def __init__(self, atoms: AtomLibrary, cell: VaporCellConfig, b_center_t, slices: int = 16):
+        centers = np.atleast_1d(np.asarray(b_center_t, dtype=float))
+        if centers.ndim != 1 or centers.size == 0 or not np.all(np.isfinite(centers) & (centers >= 0)):
+            raise ConfigError(f"center fields must be finite and >= 0, one or a non-empty 1-D array (got {b_center_t!r})")
+        self.atoms, self.cell, self.b_center_t = atoms, cell, b_center_t
+        self.slices = _slice_count(cell, slices)
         self.density_m3 = number_density(cell.temperature_k, atoms)
-        self._slice_cache: dict[float, dict[str, _LineArrays]] = {}
 
         # two-point Gauss nodes per slice: the phase integral along z then
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
         nodes, self._dz = _slice_nodes(cell, self.slices)
-        # distinct node fields and multiplicities, rounded as _slice_cache keys
-        _, fields, counts = _distinct_fields(cell.field_at(nodes, b_center_t)[None, :])
-        self._fields = list(zip(fields.tolist(), counts.tolist()))
-
-    def _arrays_for_field(self, b_t: float) -> dict[str, _LineArrays]:
-        key = round(float(b_t), 15)
-        if key not in self._slice_cache:
-            lines = all_lines_for_cell(
-                self.atoms, self.cell.isotope_fractions, float(b_t)
-            )
-            self._slice_cache[key] = {
-                pol: _LineArrays.from_lines(lns, self.cell, self.density_m3)
-                for pol, lns in lines.items()
-            }
-        return self._slice_cache[key]
+        center, node_field, count = _distinct_fields(cell.field_at(nodes, centers[:, None]))
+        self._fields, where = np.unique(node_field, return_inverse=True)
+        order = _rank_major(center)
+        self._center, self._where, self._count = center[order], where[order], count[order]
+        lines = lines_at_fields(atoms, cell.isotope_fractions, self._fields)
+        self._lines = _LineArrays.from_lines(lines, cell, self.density_m3, self._fields.size)
 
     def index_at(self, nu_hz, b_t: float):
-        """(n+, n-) at arbitrary frequencies for a uniform field ``b_t``."""
-        arrays = self._arrays_for_field(b_t)
-        nu = _frequencies(nu_hz)
-        n_plus = np.sqrt(1.0 + arrays["sigma+"].susceptibility(nu))
-        n_minus = np.sqrt(1.0 + arrays["sigma-"].susceptibility(nu))
+        """(n+, n-) of the cell at arbitrary frequencies for a uniform field ``b_t``."""
+        lines = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
+        chi = _LineArrays.from_lines(lines, self.cell, self.density_m3, 1).susceptibility(_frequencies(nu_hz), 2)
+        n_plus, n_minus = np.sqrt(1.0 + chi)
         return n_plus, n_minus
 
     def _propagate(self, nu_hz):
-        """(t+, t-, theta) at ``nu_hz``: one ``index_at`` call per distinct field.
+        """(t+, t-, theta) at ``nu_hz``.
 
         Raises ValueError if either circular transfer exceeds unity (gain).
         """
         nu = _frequencies(nu_hz)
-        log_t_plus = np.zeros(nu.shape, dtype=complex)
-        log_t_minus = np.zeros(nu.shape, dtype=complex)
+        n_fields = self._fields.size
+        index = np.sqrt(1.0 + self._lines.susceptibility(nu, 2 * n_fields)).reshape(2, n_fields, nu.size)
         k_vac = 2j * np.pi * nu / C_LIGHT
-        for b, count in self._fields:
-            n_plus, n_minus = self.index_at(nu, b)
-            log_t_plus += count * (k_vac * (n_plus - 1.0) * self._dz)
-            log_t_minus += count * (k_vac * (n_minus - 1.0) * self._dz)
-        return _transfer_from_log(log_t_plus, log_t_minus)
+        centers = np.size(self.b_center_t)
+        log_t_plus, log_t_minus = (
+            _group_sums(self._center, self._count, k_vac * (n[self._where] - 1.0) * self._dz, centers) for n in index
+        )
+        # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
+        gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))
+        if gain > 1e-12:
+            raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
+        # half the circular phase difference, summed slice by slice: unwrapped
+        out = np.exp(log_t_plus), np.exp(log_t_minus), 0.5 * (log_t_plus.imag - log_t_minus.imag)
+        return tuple(x[0] for x in out) if np.ndim(self.b_center_t) == 0 else out
 
     def transfer_at(self, nu_hz):
         """Circular-basis diagonal transfer (t+, t-) with the field profile.
@@ -302,51 +306,24 @@ class VaporPath:
         return self._propagate(nu_hz)[2]
 
 
-def transfer_vs_field(
-    atoms: AtomLibrary,
-    cell: VaporCellConfig,
-    nu_hz: float,
-    b_centers_t,
-    slices: int = 16,
-):
+def transfer_vs_field(atoms: AtomLibrary, cell: VaporCellConfig, nu_hz: float, b_centers_t, slices: int = 16):
     """(t+, t-, theta) of the cell at the one frequency ``nu_hz``, one entry per
-    center field in ``b_centers_t``: ``VaporPath(atoms, cell, b, slices)``'s
-    ``transfer_at`` and ``rotation_angle_at`` for every ``b`` at once.
+    center field in ``b_centers_t``: ``VaporPath`` over blocks of the centers.
 
-    The centers are walked in blocks whose Gauss nodes need at most
-    ``BLOCK_POINTS`` words of line arrays.  A block's distinct
-    node fields go through the kernel together and through one Voigt call,
+    A block's Gauss nodes need at most ``BLOCK_POINTS`` words of line arrays,
     so memory follows the block, not the number of centers.  Raises
     ValueError if a circular transfer exceeds unity (gain).
     """
-    if slices < 1:
-        raise ConfigError("slices must be >= 1")
-    centers = np.asarray(b_centers_t, dtype=float)
-    if centers.ndim != 1 or centers.size == 0 or not np.all(np.isfinite(centers) & (centers >= 0)):
-        raise ConfigError("center fields must be a non-empty 1-D array of finite fields >= 0")
-    nu = _frequencies(nu_hz)
-    if nu.size != 1:
-        raise ConfigError("transfer_vs_field takes one probe frequency")
-    density = number_density(cell.temperature_k, atoms)
-    nodes, dz = _slice_nodes(cell, 1 if cell.droop_fraction == 0.0 else slices)
-    k_vac = 2j * np.pi * nu / C_LIGHT
-    words_per_center = nodes.size * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)
-    per_block = max(1, BLOCK_POINTS // words_per_center)
-
-    log_t = np.empty((2, centers.size), dtype=complex)
-    for a in range(0, centers.size, per_block):
-        block = centers[a : a + per_block]
-        # every center's distinct node fields and multiplicities, center by center
-        center, node_field, count = _distinct_fields(cell.field_at(nodes, block[:, None]))
-        fields, where = np.unique(node_field, return_inverse=True)
-        lines = lines_at_fields(atoms, cell.isotope_fractions, fields)
-        arrays = [_LineArrays.from_lines(lines[pol], cell, density) for pol in ("sigma+", "sigma-")]
-        index = np.sqrt(1.0 + _probe_susceptibility(arrays, nu[0], fields.size))
-        # summed node field by node field, in VaporPath's order
-        for log_t_pol, n in zip(log_t, index):
-            terms = count * (k_vac * (n[where] - 1.0) * dz)
-            log_t_pol[a : a + block.size] = _group_sums(center, terms, block.size)
-    return _transfer_from_log(*log_t)
+    centers, nu = np.asarray(b_centers_t, dtype=float), _frequencies(nu_hz)
+    if centers.ndim != 1 or centers.size == 0 or nu.size != 1:
+        raise ConfigError("transfer_vs_field takes one probe frequency and a non-empty 1-D array of center fields")
+    nodes = 2 * _slice_count(cell, slices)
+    per_block = max(1, BLOCK_POINTS // (nodes * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)))
+    blocks = [
+        VaporPath(atoms, cell, centers[a : a + per_block], slices)._propagate(nu)
+        for a in range(0, centers.size, per_block)
+    ]
+    return tuple(np.concatenate([block[i][:, 0] for block in blocks]) for i in range(3))
 
 
 def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):
@@ -383,7 +360,7 @@ def make_frequency_grid(
     center_hz: float, half_span_hz: float = 8e9, spacing_hz: float = 0.5e6
 ) -> np.ndarray:
     """Uniform grid center +- half_span; default resolves the natural width."""
-    if spacing_hz <= 0 or half_span_hz < 0:
-        raise ConfigError("grid spacing must be > 0 and half span >= 0")
+    if not (np.isfinite(spacing_hz) and spacing_hz > 0 and np.isfinite(half_span_hz) and half_span_hz >= 0):
+        raise ConfigError("grid spacing must be finite and > 0 and half span finite and >= 0")
     n = int(round(half_span_hz / spacing_hz))
     return center_hz + spacing_hz * np.arange(-n, n + 1)

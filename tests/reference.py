@@ -334,13 +334,17 @@ def harmonic_order(theta_rad, values):
 
 def one_shot_susceptibility(arrays, nu_hz):
     """chi(nu) of one polarization's line arrays, as a single lines x
-    frequencies evaluation: the expression blocked evaluation must reproduce."""
+    frequencies evaluation summed line by line in line order: the expression
+    blocked evaluation must reproduce."""
     nu = np.asarray(nu_hz, dtype=float)
     detuning = nu[None, :] - arrays.nu0[:, None]
     prof = voigt_profile_complex(
         detuning, arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
     )
-    return 1j * (arrays.amp @ prof)
+    chi = np.zeros(nu.shape, dtype=complex)
+    for amp, line in zip(arrays.amp, prof):
+        chi = chi + amp * line
+    return 1j * chi
 
 
 def one_shot_csv(path, header, columns):

@@ -284,16 +284,17 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv_for):
 
 def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
     """The scan's 11 fields in one pass, the frozen-loss block's b* and b* +- h
-    in another, and one per field of the SQL reference; no VaporPath."""
+    in another, and one per field of the SQL reference; each pass builds a
+    VaporPath per block of at most six centers, and no other is built."""
     from atompairs import noon, vapor
 
     builds, centers = [], []
     init = vapor.VaporPath.__init__
     transfer_vs_field = vapor.transfer_vs_field
 
-    def counted_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
+    def counted_init(self, atoms, cell, b_center_t, *args, **kwargs):
+        builds.append(np.size(b_center_t))
+        init(self, atoms, cell, b_center_t, *args, **kwargs)
 
     def counted(atoms, cell, nu_hz, b_centers_t, *args, **kwargs):
         centers.append(len(b_centers_t))
@@ -303,8 +304,26 @@ def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
     monkeypatch.setattr(noon, "transfer_vs_field", counted)
     argv = ["noon-scan", "--b-max-mT", "5", "--b-step-mT", "0.5", "--fisher-at-mT", "3"]
     assert main(["--out-dir", str(tmp_path)] + argv) == 0
-    assert builds == []
+    assert sorted(builds) == [1, 1, 1, 3, 5, 6]
     assert sorted(centers) == [1, 1, 1, 3, 11]
+
+
+def test_spectroscopy_builds_lines_once_per_temperature(tmp_path, monkeypatch):
+    """fig10's six fields at each of three temperatures are one VaporPath and
+    one line-kernel pass per temperature."""
+    from atompairs import vapor
+
+    calls = []
+    lines_at_fields = vapor.lines_at_fields
+
+    def counted(atoms, fractions, fields_t):
+        calls.append(len(fields_t))
+        return lines_at_fields(atoms, fractions, fields_t)
+
+    monkeypatch.setattr(vapor, "lines_at_fields", counted)
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", "fig10-spectroscopy"]) == 0
+    # two slices droop to two distinct node fields per center, one at 0 mT
+    assert calls == [11, 11, 11]
 
 
 @pytest.mark.parametrize(
@@ -550,12 +569,22 @@ def test_spectrum_format_json(tmp_path):
         ["superresolution", "--angle-step-deg", "30"],
         ["superresolution", "--angle-step-deg", "45"],
         ["superresolution", "--angle-step-deg", "1000"],
+        ["spectrum", "--half-span-GHz", "nan"],
+        ["spectrum", "--spacing-MHz", "nan"],
+        ["spectroscopy", "--half-span-GHz", "nan"],
+        ["interference", "--step-ns", "nan"],
+        ["interference", "--half-span-ns", "inf"],
+        ["reconstruct", "--half-span-ns", "nan"],
+        ["reconstruct", "--n-phases", "-1"],
+        ["reconstruct", "--n-phases", "0"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
     assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
     if argv[0] == "superresolution":
         assert "params.angle_step_deg" in capsys.readouterr().err
+    if argv[1] == "--n-phases":
+        assert "need at least 3 analyser phases" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

@@ -47,10 +47,8 @@ def test_rule_width_matches_a_root_found_voigt_fwhm(lorentz_fwhm_hz, sigma_hz):
 def test_rule_width_is_the_narrowest_line_at_any_field(atoms, sensing_cell, b_t):
     """Lines move with the field but keep their widths, so the cell-level
     width stands for every field and slice of the cell."""
-    arrays = VaporPath(atoms, sensing_cell, b_t, slices=1)._arrays_for_field(b_t)
-    narrowest = min(
-        vapor._voigt_fwhm_hz(lines.lorentz_fwhm_hz, lines.sigma_hz).min() for lines in arrays.values()
-    )
+    lines = VaporPath(atoms, sensing_cell, b_t, slices=1)._lines
+    narrowest = vapor._voigt_fwhm_hz(lines.lorentz_fwhm_hz, lines.sigma_hz).min()
     assert limit_hz(sensing_cell, atoms) * POINTS_PER_FWHM == pytest.approx(narrowest, rel=1e-4)
 
 

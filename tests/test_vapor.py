@@ -8,7 +8,6 @@ from scipy.constants import c as C_LIGHT
 from atompairs import vapor
 from atompairs.atoms import circular_lines_per_field
 from atompairs.errors import ConfigError, ResolutionError
-from atompairs.faddeeva import voigt_profile_complex
 from atompairs.noon import circular_jones
 from atompairs.vapor import (
     VaporCellConfig,
@@ -99,10 +98,8 @@ def test_partial_density_linear_in_fraction(atoms):
         )
     ods = []
     for cell in cells:
-        path = VaporPath(atoms, cell, 0.0, slices=1)
-        arrays = path._arrays_for_field(0.0)["sigma+"]
-        chi = arrays.susceptibility(grid)
-        ods.append(chi.imag[0])
+        n_plus, _ = VaporPath(atoms, cell, 0.0, slices=1).index_at(grid, 0.0)
+        ods.append((n_plus**2 - 1.0).imag[0])
     # 87Rb dominates at its own line; the 85Rb wing offsets exact doubling
     assert ods[1] / ods[0] == pytest.approx(2.0, rel=0.15)
 
@@ -240,12 +237,12 @@ def test_cell_transfer_op_matches_path_and_closed_form(atoms, d1_center):
     assert abs(d[0, 1]) < 1e-14 and abs(d[1, 0]) < 1e-14
 
 
-def test_transfer_rejects_gain(atoms, monkeypatch):
+def test_transfer_rejects_gain(atoms, d1_center, monkeypatch):
     path = VaporPath(atoms, natural_cell(atoms), 0.0, slices=1)
-    gain_medium = np.array([1.0 - 1e-6j, 1.0 + 1e-6j])  # Im n < 0 amplifies
-    monkeypatch.setattr(path, "index_at", lambda nu, b: (gain_medium, gain_medium))
+    # an inverted population: negative line strengths give Im n < 0, which amplifies
+    monkeypatch.setattr(path._lines, "amp", -path._lines.amp)
     with pytest.raises(ValueError, match="gain"):
-        path.transfer_at(np.array([1e14, 1.0001e14]))
+        path.transfer_at(np.array([d1_center, d1_center + 1e8]))
 
 
 def test_no_frequencies_give_empty_transfers(atoms):
@@ -265,32 +262,23 @@ def _fadof_path(atoms):
 @pytest.mark.parametrize("step", [7, None])
 def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
     """Every block boundary case, with a small block and with the shipped one
-    (whose blocks also split across CPUs).
-
-    A grid of one block is the one-shot call, bit for bit.  Across blocks
-    only the BLAS line sum may round differently: OpenBLAS sums the last
-    (rows mod 4) frequencies of each block, or thread slice, in another
-    order, so those stay within the summation bound L * eps * sum |terms|.
-    """
-    arrays = _fadof_path(atoms)._arrays_for_field(4.5e-3)[pol]
-    lines = arrays.nu0.size
+    (whose blocks also split across CPUs): the blocked sum is the one-shot
+    line-order sum bit for bit, since each frequency's lines are summed in
+    line order whatever the block."""
+    lines = _fadof_path(atoms)._lines
+    keep = lines.group == ("sigma+", "sigma-").index(pol)
+    arrays = vapor._LineArrays(
+        lines.nu0[keep], lines.amp[keep], lines.sigma_hz[keep], lines.lorentz_fwhm_hz[keep], lines.group[keep] * 0
+    )
+    count = arrays.nu0.size
     if step is None:
-        step = vapor.BLOCK_POINTS // lines
+        step = vapor.BLOCK_POINTS // count
     else:
         # a block constant that is not a multiple of the line count
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines + 3)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
     for n in (1, step - 1, step, step + 1, 3 * step + 5):
         nu = d1_center + np.linspace(-6e9, 6e9, n)
-        blocked = arrays.susceptibility(nu)
-        one_shot = one_shot_susceptibility(arrays, nu)
-        if n <= step:
-            assert np.array_equal(blocked, one_shot)
-        detuning = nu[None, :] - arrays.nu0[:, None]
-        prof = voigt_profile_complex(
-            detuning, arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
-        )
-        bound = lines * np.finfo(float).eps * (np.abs(arrays.amp) @ np.abs(prof))
-        assert np.all(np.abs(blocked - one_shot) <= bound)
+        assert np.array_equal(arrays.susceptibility(nu, 1)[0], one_shot_susceptibility(arrays, nu))
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
@@ -307,32 +295,33 @@ def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
     assert peak < 32e6
 
 
-def _count_index_calls(path, monkeypatch):
+def _count_kernel_fields(monkeypatch):
+    """The fields of each ``lines_at_fields`` call that ``vapor`` makes."""
     calls = []
-    index_at = path.index_at
+    lines_at_fields = vapor.lines_at_fields
 
-    def counted(nu_hz, b_t):
-        calls.append(b_t)
-        return index_at(nu_hz, b_t)
+    def counted(atoms, fractions, fields_t):
+        calls.append(np.asarray(fields_t).tolist())
+        return lines_at_fields(atoms, fractions, fields_t)
 
-    monkeypatch.setattr(path, "index_at", counted)
+    monkeypatch.setattr(vapor, "lines_at_fields", counted)
     return calls
 
 
 def test_each_distinct_slice_field_is_evaluated_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
     nu = np.array([noon_line_hz])
+    calls = _count_kernel_fields(monkeypatch)
     droop = VaporPath(atoms, sensing_cell, 40e-3, slices=16)
-    calls = _count_index_calls(droop, monkeypatch)
     droop.transfer_at(nu)
-    # 32 Gauss nodes pair up as mirror images about the cell center
-    assert len(calls) == 16 and len(set(calls)) == 16
     droop.transfer_at(nu + 1e6)
-    assert len(calls) == 32
+    # 32 Gauss nodes pair up as mirror images about the cell center; the
+    # lines are built once, at construction
+    assert len(calls) == 1 and len(calls[0]) == 16 and len(set(calls[0])) == 16
 
+    calls.clear()
     uniform = VaporPath(atoms, natural_cell(atoms), 5e-3, slices=16)
-    calls = _count_index_calls(uniform, monkeypatch)
     uniform.transfer_at(nu)
-    assert calls == [5e-3]
+    assert calls == [[5e-3]]
 
 
 def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
@@ -381,30 +370,48 @@ def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
         assert np.abs(path.rotation_angle_at(grid) - theta).max() <= 1e-12
 
 
+CROSS_CHECK_FIELDS = np.array([0.0, 23.7e-3, 44e-3, 58e-3])
+
+
+def _uniform_like(cell):
+    return VaporCellConfig(
+        length_m=cell.length_m, temperature_k=cell.temperature_k, isotope_fractions=cell.isotope_fractions
+    )
+
+
+@pytest.mark.parametrize("where", ["grid", "probe"])
+def test_each_center_row_is_the_one_center_path(atoms, sensing_cell, noon_line_hz, d1_center, where):
+    """A VaporPath over several center fields gives, row by row, what a
+    VaporPath at each center gives, bit for bit: at 0 mT, where all nodes
+    coincide, and at 23.7, 44 and 58 mT, for the drooping sensing cell and a
+    uniform one, on a grid and at the probe frequency."""
+    nu = make_frequency_grid(d1_center, 4e9, 20e6) if where == "grid" else np.array([noon_line_hz])
+    for cell in (sensing_cell, _uniform_like(sensing_cell)):
+        path = VaporPath(atoms, cell, CROSS_CHECK_FIELDS, slices=16)
+        rows = (*path.transfer_at(nu), path.rotation_angle_at(nu))
+        assert all(row.shape == (CROSS_CHECK_FIELDS.size, nu.size) for row in rows)
+        for k, b in enumerate(CROSS_CHECK_FIELDS):
+            one = VaporPath(atoms, cell, b, slices=16)
+            for got, want in zip(rows, (*one.transfer_at(nu), one.rotation_angle_at(nu))):
+                assert np.array_equal(got[k], want)
+
+
 @pytest.mark.parametrize("block_centers", [None, 1])
 def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, monkeypatch, block_centers):
-    """The batched probe is VaporPath's transfer_at and rotation_angle_at, center
-    by center: at 0 mT, where all nodes coincide, and at 23.7, 44 and 58 mT,
-    for the drooping sensing cell and a uniform one; in the shipped blocks and
-    in blocks of one center."""
+    """The field scan is VaporPath's transfer_at and rotation_angle_at, center
+    by center and bit for bit, on the cells and fields of the test above; in
+    the shipped blocks and in blocks of one center."""
     if block_centers is not None:
         per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", per_center * block_centers)
     nu = np.array([noon_line_hz])
-    fields = np.array([0.0, 23.7e-3, 44e-3, 58e-3])
-    uniform = VaporCellConfig(
-        length_m=sensing_cell.length_m,
-        temperature_k=sensing_cell.temperature_k,
-        isotope_fractions=sensing_cell.isotope_fractions,
-    )
-    for cell in (sensing_cell, uniform):
-        t_plus, t_minus, theta = transfer_vs_field(atoms, cell, noon_line_hz, fields)
-        for k, b in enumerate(fields):
+    for cell in (sensing_cell, _uniform_like(sensing_cell)):
+        t_plus, t_minus, theta = transfer_vs_field(atoms, cell, noon_line_hz, CROSS_CHECK_FIELDS)
+        for k, b in enumerate(CROSS_CHECK_FIELDS):
             path = VaporPath(atoms, cell, b, slices=16)
             want_plus, want_minus = path.transfer_at(nu)
-            np.testing.assert_allclose(t_plus[k], want_plus[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(t_minus[k], want_minus[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(theta[k], path.rotation_angle_at(nu)[0], rtol=1e-12, atol=1e-15)
+            assert t_plus[k] == want_plus[0] and t_minus[k] == want_minus[0]
+            assert theta[k] == path.rotation_angle_at(nu)[0]
 
 
 def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_line_hz):
