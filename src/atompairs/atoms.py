@@ -9,13 +9,12 @@ so the levels are eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed
 from the few basis terms that the selection rule leaves.
 
 Each step takes one field or a 1-D array of fields:
-``build_hamiltonian`` -> ``diagonalize`` -> ``transition_lines``.  The
-Hamiltonian comes as matrices, or in block form, which ``lines_at_fields``
-uses: only the m_F block entries, read from the field-free operators, so no
-matrix is formed per field.  Both forms go through one block solver and one
-amplitude rule.  What does not depend on the field (H0 and the Zeeman
-operator per set of constants, their block entries, the m_F block layout, the
-amplitude terms) is built once per process.  Everything is in Hz and Tesla;
+``build_hamiltonian`` -> ``diagonalize`` -> ``transition_lines``.  A
+Hamiltonian is held as its m_F block entries only, read from the field-free
+operators, so no matrix is formed per field; its dense matrix is a derived
+view.  What does not depend on the field (the block entries of H0 and the
+Zeeman operator per set of constants, the m_F block layout, the amplitude
+terms) is built once per process.  Everything is in Hz and Tesla;
 constants come from the shipped data file (see data/rb_d1.yaml for sources)
 and can be overridden with a user file of the same schema.
 """
@@ -221,12 +220,11 @@ class ManifoldHamiltonian:
     J: float
     I: float
     basis: tuple[tuple[float, float], ...]
-    matrix_hz: np.ndarray | None  # (dim, dim), or (fields, dim, dim) for an array of fields
     field_t: float | np.ndarray
-    constants: ManifoldConstants | None = None
-    # block form, when matrix_hz is None: the lower-triangle m_F block entries
-    # that ``diagonalize`` reads, (entries,) or (fields, entries)
-    block_entries_hz: np.ndarray | None = None
+    constants: ManifoldConstants
+    # the lower-triangle m_F block entries, placed as ``_block_layout(basis)``
+    # says: (entries,), or (fields, entries) for an array of fields
+    block_entries_hz: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -235,17 +233,24 @@ class ManifoldHamiltonian:
     def m_f(self) -> np.ndarray:
         return _basis_m_f(self.basis)
 
+    @property
+    def matrix_hz(self) -> np.ndarray:
+        """The block entries as a dense symmetric matrix in the |m_J m_I>
+        basis, (dim, dim) or (fields, dim, dim); zero between m_F blocks."""
+        layout = _block_layout(self.basis)
+        dense = np.zeros(self.block_entries_hz.shape[:-1] + (self.dim, self.dim))
+        dense[..., layout.entry_cols, layout.entry_rows] = self.block_entries_hz
+        dense[..., layout.entry_rows, layout.entry_cols] = self.block_entries_hz
+        return dense
 
-@functools.cache
+
 def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
     """(H0, Z) of one manifold, so that H(B) = H0 + mu_B B Z.
 
-    Keyed on the constants themselves, not the isotope name: a user atom-data
-    file may give the same isotope other constants.  Both must be exactly
-    symmetric and zero between states of different m_F, or NumericError is
-    raised.  Then every fl(H0 + fl(mu_B B) Z) is exactly symmetric and
-    block-diagonal too, so the block form of ``build_hamiltonian`` holds only
-    the lower triangle of each m_F block.
+    Both must be exactly symmetric and zero between states of different m_F,
+    or NumericError is raised.  Then every fl(H0 + fl(mu_B B) Z) is exactly
+    symmetric and block-diagonal too, so the lower triangle of each m_F
+    block holds all of it.
     """
     J = con.J
     jx, jy, jz = spin_matrices(J)
@@ -263,15 +268,7 @@ def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
             raise NumericError(
                 f"{con.label}: {name} is not exactly symmetric and zero between m_F blocks"
             )
-    return _read_only(h0, zeeman)
-
-
-def _hermiticity_defect(h: np.ndarray, rtol: float):
-    """Largest |H - H^dag| over the matrices of ``h`` whose defect exceeds
-    ``rtol`` times max(1, max |H|), or None if every matrix is within it."""
-    defect = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = defect > rtol * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    return defect[bad].max() if bad.any() else None
+    return h0, zeeman
 
 
 def _checked_fields(b_field_t) -> np.ndarray:
@@ -284,41 +281,26 @@ def _checked_fields(b_field_t) -> np.ndarray:
     return b
 
 
-def build_hamiltonian(
-    iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray, blocks: bool = False
-) -> ManifoldHamiltonian:
-    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis.
+def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float | np.ndarray) -> ManifoldHamiltonian:
+    """Hyperfine + Zeeman Hamiltonian of one manifold in the |m_J, m_I> basis,
+    as its m_F block entries H0 + mu_B B Z.
 
     ``b_field_t`` is one field or a 1-D array of fields; an array gives one
-    matrix per field, stacked along a leading axis.  With ``blocks`` the
-    Hamiltonian comes in block form: no matrix, only the m_F block entries
-    that ``diagonalize`` reads, each H0 + mu_B B Z as in the matrix.  That
-    form needs no per-field Hermiticity check, because H0 and Z are checked
-    exactly symmetric once per set of constants.
+    row of entries per field, stacked along a leading axis.
     """
     b = _checked_fields(b_field_t)
     con = iso.manifold(manifold)
     J, I = con.J, iso.nuclear_spin
-    if blocks:
-        h0, zeeman = _block_operators(con, I, iso.g_I)
-        h, entries = None, h0 + (MU_B_HZ_PER_T * b)[..., None] * zeeman
-    else:
-        h0, zeeman = _field_free_operators(con, I, iso.g_I)
-        h, entries = h0 + (MU_B_HZ_PER_T * b)[..., None, None] * zeeman, None
-        herm_defect = _hermiticity_defect(h, 1e-12)
-        if herm_defect is not None:
-            raise NumericError(f"constructed Hamiltonian not Hermitian (defect {herm_defect:g})")
-
+    h0, zeeman = _block_operators(con, I, iso.g_I)
     return ManifoldHamiltonian(
         isotope=iso.name,
         manifold=manifold,
         J=J,
         I=I,
         basis=product_basis(J, I),
-        matrix_hz=h,
         field_t=b if b.ndim else float(b),
         constants=con,
-        block_entries_hz=entries,
+        block_entries_hz=h0 + (MU_B_HZ_PER_T * b)[..., None] * zeeman,
     )
 
 
@@ -395,8 +377,11 @@ def _block_layout(basis) -> _BlockLayout:
 @functools.cache
 def _block_operators(con: ManifoldConstants, I: float, g_I: float):
     """The m_F block entries of H0 and Z that a block solve reads, so that
-    the entries of H(B) are H0 + mu_B B Z, elementwise the arithmetic of the
-    matrix."""
+    the entries of H(B) are H0 + mu_B B Z.
+
+    Keyed on the constants themselves, not the isotope name: a user atom-data
+    file may give the same isotope other constants.
+    """
     h0, zeeman = _field_free_operators(con, I, g_I)
     layout = _block_layout(product_basis(con.J, I))
     rows, cols = layout.entry_rows, layout.entry_cols
@@ -519,27 +504,13 @@ class ZeemanSpectrum:
 
 
 def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
-    """Per-m_F block eigensolve of a real symmetric Hamiltonian, given as
-    matrices or in block form; energies ascending, F labels adiabatic.
-
-    Raises NumericError if a matrix is not Hermitian to 1e-9 of its scale,
-    and ConfigError for a complex matrix or an m_F block of more than two
-    states.
+    """Per-m_F block eigensolve of a Hamiltonian's block entries; energies
+    ascending, F labels adiabatic.  ConfigError for an m_F block of more than
+    two states.
     """
     layout = _block_layout(ham.basis)
-    h = ham.matrix_hz
-    if h is None:
-        entries = ham.block_entries_hz
-    else:
-        defect = _hermiticity_defect(h, 1e-9)
-        if defect is not None:
-            raise NumericError(f"Hamiltonian not Hermitian within tolerance (defect {defect:g})")
-        if np.iscomplexobj(h):
-            raise ConfigError("the block solver takes real symmetric Hamiltonians")
-        entries = h[..., layout.entry_rows, layout.entry_cols]
-
-    a_hfs = ham.constants.A_hfs_hz if ham.constants is not None else 1.0
-    f_labels = _f_labels(ham.basis, ham.J, ham.I, a_hfs)
+    entries = ham.block_entries_hz
+    f_labels = _f_labels(ham.basis, ham.J, ham.I, ham.constants.A_hfs_hz)
     n1, n2 = layout.singles, layout.pairs
     single = entries[..., :n1]
     (w0, w1), vectors = _eigh_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))
@@ -702,9 +673,8 @@ def lines_at_fields(
     fraction, holding the lines of every field of the 1-D ``fields_t``; a
     line's ``field`` is its index there.
 
-    ``transition_lines`` of ``diagonalize`` of the block-form
-    ``build_hamiltonian``: the same lines as the matrix route, bit for bit,
-    with no matrix formed per field.
+    ``transition_lines`` of ``diagonalize`` of ``build_hamiltonian``, each
+    called once per manifold for all the fields.
     """
     fields = _checked_fields(np.atleast_1d(np.asarray(fields_t, dtype=float)))
     out = {"sigma+": [], "sigma-": []}
@@ -712,7 +682,7 @@ def lines_at_fields(
         if frac <= 0:
             continue
         iso = atoms[name]
-        ground, excited = (diagonalize(build_hamiltonian(iso, label, fields, blocks=True)) for label in _D1)
+        ground, excited = (diagonalize(build_hamiltonian(iso, label, fields)) for label in _D1)
         for pol in out:
             out[pol].append(transition_lines(ground, excited, pol, iso))
     return out

@@ -52,8 +52,10 @@ def ideal_opo_psi(bandwidth_fwhm_hz: float, phase_rad: float, tau_s) -> Biphoton
     |psi| = exp(-pi B |tau|), so the squared amplitude has full width at half
     maximum ln2 / (pi B); the phase is constant for an ideal cavity.
     """
-    if bandwidth_fwhm_hz <= 0:
-        raise ConfigError("bandwidth must be > 0")
+    if not (np.isfinite(bandwidth_fwhm_hz) and bandwidth_fwhm_hz > 0):
+        raise ConfigError("bandwidth must be finite and > 0")
+    if not np.isfinite(phase_rad):
+        raise ConfigError("pair phase must be finite")
     tau = np.asarray(tau_s, dtype=float)
     amp = np.exp(-np.pi * bandwidth_fwhm_hz * np.abs(tau))
     return BiphotonWaveFunction(tau_s=tau, psi=amp * np.exp(1j * phase_rad))
@@ -103,8 +105,10 @@ def simulate_records(
     ``exposure`` converts rates to expected counts; with ``noise`` the counts
     are Poisson-sampled (seeded), otherwise exact expectations are returned.
     """
-    if not exposure >= 0:
-        raise ConfigError("params.exposure: must be >= 0")
+    if not (np.isfinite(exposure) and exposure >= 0):
+        raise ConfigError("params.exposure: must be finite and >= 0")
+    if not np.isfinite(alpha):
+        raise ConfigError("params.alpha: must be finite")
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
@@ -138,12 +142,12 @@ def reconstruct_wavefunction(records: list[InterferenceRecord], alpha: float) ->
     Weighted least squares per tau; the phase uncertainty follows from the
     Poisson covariance of the fitted (x, y).
     """
-    if alpha <= 0:
-        raise ConfigError("reference amplitude must be > 0")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ConfigError("reference amplitude must be finite and > 0")
     if len(records) < 3:
         raise ConfigError("need at least 3 records")
-    if not all(r.exposure > 0 for r in records):
-        raise ConfigError("params.exposure: reconstruction needs an exposure > 0")
+    if not all(np.isfinite(r.exposure) and r.exposure > 0 for r in records):
+        raise ConfigError("params.exposure: reconstruction needs a finite exposure > 0")
     phases = np.array([r.phase_rad for r in records])
     # conditioning: phases must span the 2phi circle with >= 3 distinct points
     distinct = np.unique(np.round(np.mod(phases, np.pi) / np.pi * 1e6))

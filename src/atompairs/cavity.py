@@ -29,8 +29,9 @@ class CavityConfig:
     mode_count: int | None = None  # modes each side; None -> auto from tail cut
 
     def __post_init__(self):
-        if self.fsr_hz <= 0 or self.linewidth_hz <= 0 or self.envelope_fwhm_hz <= 0:
-            raise ConfigError("FSR, linewidth and envelope width must be > 0")
+        widths = (self.fsr_hz, self.linewidth_hz, self.envelope_fwhm_hz)
+        if not all(np.isfinite(w) and w > 0 for w in widths):
+            raise ConfigError("FSR, linewidth and envelope width must be finite and > 0")
         if self.linewidth_hz >= self.fsr_hz / 10:
             raise ConfigError("cavity linewidth must be well below the FSR")
         if self.mode_count is not None and self.mode_count < 0:

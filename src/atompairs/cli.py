@@ -324,8 +324,8 @@ def run_reconstruct(p, atoms, sink, seed):
         try:
             alpha = float(payload["alpha"])
             exposure = float(payload["exposure"])
-            if not exposure > 0:
-                raise ConfigError("params.records: the bundle's exposure must be > 0")
+            if not (np.isfinite(exposure) and exposure > 0):
+                raise ConfigError("params.records: the bundle's exposure must be finite and > 0")
             tau = np.asarray(payload["tau_ns"], dtype=float) * 1e-9
             records = [
                 biphoton.InterferenceRecord(

@@ -27,8 +27,8 @@ class G2Envelope:
     gamma2: float
 
     def __post_init__(self):
-        if self.gamma1 + self.gamma2 <= 0:
-            raise ConfigError("gamma1 + gamma2 must be > 0")
+        if not (np.isfinite(self.gamma1) and np.isfinite(self.gamma2) and self.gamma_sum > 0):
+            raise ConfigError("gamma1 and gamma2 must be finite and gamma1 + gamma2 > 0")
 
     @property
     def gamma_sum(self) -> float:
@@ -56,8 +56,11 @@ class DetectionModel:
     round_trip_s: float = 1.996e-9
 
     def __post_init__(self):
-        if self.t_bin_s <= 0:
-            raise ConfigError("bin width must be > 0")
+        for name in ("t_bin_s", "t0_s", "rate1_hz", "rate2_hz", "round_trip_s"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if self.t_bin_s <= 0 or self.round_trip_s <= 0:
+            raise ConfigError("bin width and round-trip time must be > 0")
         if self.rate1_hz < 0 or self.rate2_hz < 0:
             raise ConfigError("singles rates must be >= 0")
 

@@ -14,7 +14,7 @@ class ConfigError(AtomPairsError):
 
 
 class NumericError(AtomPairsError):
-    """A numerical contract was violated (non-Hermitian input, unstable derivative)."""
+    """A numerical contract was violated (non-symmetric operator, unstable derivative)."""
 
 
 class CoverageError(AtomPairsError):

@@ -43,6 +43,19 @@ def breit_rabi_energies(i_spin, g_j, g_i, a_hfs_hz, b_field_t):
     return np.sort(np.array(energies))
 
 
+def dense_hamiltonian(con, i_spin, g_i, b_field_t):
+    """offset + A J.I + mu_B B (g_J Jz + g_I Iz) of one manifold, from
+    Kronecker products in the |m_J, m_I> basis (m_J outer, m_I inner, both
+    ascending): (dim, dim) at one field, (fields, dim, dim) at a 1-D array."""
+    jx, jy, jz = spin_matrices(con.J)
+    ix, iy, iz = spin_matrices(i_spin)
+    eye_j, eye_i = np.eye(round(2 * con.J + 1)), np.eye(round(2 * i_spin + 1))
+    j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
+    h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
+    zeeman = con.g_J * np.kron(jz, eye_i) + g_i * np.kron(eye_j, iz)
+    return h + (MU_B * np.asarray(b_field_t, dtype=float))[..., None, None] * zeeman
+
+
 def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     """Energies, eigenvectors, m_F and F labels of one J = 1/2 manifold.
 
@@ -51,14 +64,9 @@ def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     labels read off the zero-field interval rule block by block.
     """
     J = con.J
-    jx, jy, jz = spin_matrices(J)
-    ix, iy, iz = spin_matrices(i_spin)
-    eye_j, eye_i = np.eye(round(2 * J + 1)), np.eye(round(2 * i_spin + 1))
-    j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
-    h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
-    h = h + MU_B * b_field_t * (con.g_J * np.kron(jz, eye_i) + g_i * np.kron(eye_j, iz))
-
-    mf = np.array([-J + kj - i_spin + ki for kj in range(eye_j.shape[0]) for ki in range(eye_i.shape[0])])
+    h = dense_hamiltonian(con, i_spin, g_i, b_field_t)
+    n_j, n_i = round(2 * J + 1), round(2 * i_spin + 1)
+    mf = np.array([-J + kj - i_spin + ki for kj in range(n_j) for ki in range(n_i)])
     f_energy = {}
     f = abs(J - i_spin)
     while f <= J + i_spin + 1e-9:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,24 @@ def test_zero_exposure_zero_counts():
     recs = simulate_records(psi, 1.0, [0.0, 0.5, 1.0], 0.0, noise=True, seed=5)
     for r in recs:
         assert np.all(r.counts == 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_psi_and_record_inputs_refused(value):
+    with pytest.raises(ConfigError, match="bandwidth"):
+        ideal_opo_psi(value, 0.0, TAU)
+    with pytest.raises(ConfigError, match="phase"):
+        ideal_opo_psi(8.1e6, value, TAU)
+    psi = ideal_opo_psi(8.1e6, 0.1, TAU)
+    with pytest.raises(ConfigError, match="alpha"):
+        simulate_records(psi, value, [0.0, 0.5, 1.0], 1.0)
+    with pytest.raises(ConfigError, match="exposure"):
+        simulate_records(psi, 1.0, [0.0, 0.5, 1.0], value)
+    records = simulate_records(psi, 1.0, [0.0, 0.5, 1.0], 1.0, noise=False)
+    with pytest.raises(ConfigError, match="reference amplitude"):
+        reconstruct_wavefunction(records, value)
+    with pytest.raises(ConfigError, match="exposure"):
+        reconstruct_wavefunction([replace(r, exposure=value) for r in records], 1.0)
 
 
 def test_needs_three_phases():

@@ -46,6 +46,14 @@ def test_truncated_comb_warns():
         mode_comb(cfg)
 
 
+@pytest.mark.parametrize("name", ["fsr_hz", "linewidth_hz", "envelope_fwhm_hz"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_refuses_non_finite_widths(name, value):
+    # an infinite envelope would keep mode_comb's tail search going forever
+    with pytest.raises(ConfigError, match="finite"):
+        CavityConfig(**{"fsr_hz": 501e6, "linewidth_hz": 8.4e6, "degenerate_hz": 3.77e14, name: value})
+
+
 def test_envelope_tail_cut():
     comb = mode_comb(type_i_config(), tail_cut=1e-4)
     edge_weight = comb.weight[0]

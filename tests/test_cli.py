@@ -144,15 +144,15 @@ def test_every_exported_grid_is_checked_at_the_limit(tmp_path, command, factor, 
 def test_records_bundle_exposure_must_be_positive(tmp_path, capsys):
     bundle = {
         "alpha": 1.0,
-        "exposure": 0.0,
         "tau_ns": [-1.0, 0.0, 1.0],
         "phases_rad": [0.0, 0.6, 1.2],
         "counts": [[1, 2, 1], [1, 2, 1], [1, 2, 1]],
     }
     path = tmp_path / "records.json"
-    path.write_text(json.dumps(bundle))
-    assert main(["--out-dir", str(tmp_path / "out"), "reconstruct", "--records", str(path)]) == 2
-    assert "params.records" in capsys.readouterr().err
+    for exposure in (0.0, float("inf")):  # json writes inf as Infinity
+        path.write_text(json.dumps({**bundle, "exposure": exposure}))
+        assert main(["--out-dir", str(tmp_path / "out"), "reconstruct", "--records", str(path)]) == 2
+        assert "params.records" in capsys.readouterr().err
 
 
 def test_records_bundle_lengths_must_agree(tmp_path, capsys):
@@ -577,6 +577,15 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--half-span-ns", "nan"],
         ["reconstruct", "--n-phases", "-1"],
         ["reconstruct", "--n-phases", "0"],
+        ["matching", "--envelope-GHz", "nan"],
+        ["g2", "--fsr-MHz", "nan"],
+        ["g2", "--linewidth-MHz", "nan"],
+        ["g2", "--tbin-ns", "nan"],
+        ["g2", "--t0-ns", "inf"],
+        ["g2", "--rate1-Hz", "nan"],
+        ["reconstruct", "--bandwidth-MHz", "nan"],
+        ["reconstruct", "--alpha", "inf"],
+        ["interference", "--bandwidth-MHz", "nan"],
     ],
 )
 def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):

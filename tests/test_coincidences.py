@@ -153,6 +153,16 @@ def test_detection_model_guards():
         DetectionModel(t_bin_s=1e-9, rate1_hz=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_envelope_and_detection_refused(value):
+    for gammas in ({"gamma1": value, "gamma2": 1e7}, {"gamma1": 1e7, "gamma2": value}):
+        with pytest.raises(ConfigError, match="finite"):
+            G2Envelope(**gammas)
+    for name in ("t_bin_s", "t0_s", "rate1_hz", "rate2_hz", "round_trip_s"):
+        with pytest.raises(ConfigError, match=name):
+            DetectionModel(**{"t_bin_s": 1e-9, name: value})
+
+
 @given(
     t0=st.floats(min_value=-40.0, max_value=40.0),
     gamma=st.floats(min_value=0.005, max_value=0.2),
