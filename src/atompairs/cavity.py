@@ -16,6 +16,9 @@ import numpy as np
 from atompairs.errors import ConfigError, CoverageError
 
 _LN2 = np.log(2.0)
+# modes each side of the degenerate one that a comb may hold: fig3's holds
+# 546, and 10,000 are already 220,011 filter evaluations in filtered_pair_rate
+MAX_MODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -34,8 +37,8 @@ class CavityConfig:
             raise ConfigError("FSR, linewidth and envelope width must be finite and > 0")
         if self.linewidth_hz >= self.fsr_hz / 10:
             raise ConfigError("cavity linewidth must be well below the FSR")
-        if self.mode_count is not None and self.mode_count < 0:
-            raise ConfigError("mode_count must be >= 0")
+        if self.mode_count is not None and not 0 <= self.mode_count <= MAX_MODES:
+            raise ConfigError(f"mode_count must lie in [0, {MAX_MODES}]")
 
 
 def _envelope_weight(cfg: CavityConfig, offset_hz):
@@ -57,17 +60,39 @@ class PairSpectralDensity:
         return int(np.where(self.k == 0)[0][0])
 
 
+def _closing_mode(cfg: CavityConfig, tail_cut: float) -> int:
+    """The first mode k >= 1 whose envelope weight is below ``tail_cut``.
+
+    The weight exp(-4 ln2 (k FSR / FWHM)^2) reaches the cut at the root
+    k = FWHM sqrt(ln(1/cut) / (4 ln2)) / FSR; the weight itself then moves
+    the rounded-up root across any rounding of it.  Raises ConfigError if the
+    root lies beyond ``MAX_MODES``.
+    """
+    if not 0.0 < tail_cut < 1.0:
+        raise ConfigError(f"tail_cut must lie in (0, 1) (got {tail_cut!r})")
+    root = cfg.envelope_fwhm_hz / cfg.fsr_hz * np.sqrt(np.log(1.0 / tail_cut) / (4.0 * _LN2))
+    if not root <= MAX_MODES:
+        raise ConfigError(
+            f"the envelope stays above {tail_cut:g} of its peak out to {root:.3g} modes from the "
+            f"degenerate one; a comb holds at most {MAX_MODES} modes each side"
+        )
+    n = max(1, int(np.ceil(root)))
+    while n > 1 and _envelope_weight(cfg, (n - 1) * cfg.fsr_hz) < tail_cut:
+        n -= 1
+    while _envelope_weight(cfg, n * cfg.fsr_hz) >= tail_cut:
+        n += 1
+    return n
+
+
 def mode_comb(cfg: CavityConfig, tail_cut: float = 1e-4) -> PairSpectralDensity:
-    """Modes at nu0 + k FSR weighted by the phase-matching envelope.
+    """Modes at nu0 + k FSR weighted by the phase-matching envelope, out to
+    +-``cfg.mode_count`` or, by default, to the first mode below ``tail_cut``.
 
     If ``cfg.mode_count`` is given but leaves more than ``tail_cut`` of the
     envelope outside the comb, a coverage warning is emitted.
     """
     if cfg.mode_count is None:
-        n = 0
-        while _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:
-            n += 1
-        n += 1  # first mode below the cut closes the comb
+        n = _closing_mode(cfg, tail_cut)
     else:
         n = cfg.mode_count
         if _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:

@@ -34,8 +34,9 @@ EXIT_NUMERIC = 3
 EXIT_COVERAGE = 4
 
 
-# rows formatted per block: the Python objects of one block stay at a few MB
-CSV_BLOCK_ROWS = 1 << 12
+# cells (rows x columns) formatted per block: the Python floats and row
+# strings of one block stay near 2 MB however wide the table
+CSV_BLOCK_CELLS = 1 << 15
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
@@ -43,10 +44,11 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     columns = [np.asarray(col) for col in columns]
     row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
     row += "\n"
+    rows = max(1, CSV_BLOCK_CELLS // len(columns))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for a in range(0, min(map(len, columns)), CSV_BLOCK_ROWS):
-            block = (col[a : a + CSV_BLOCK_ROWS].tolist() for col in columns)
+        for a in range(0, min(map(len, columns)), rows):
+            block = (col[a : a + rows].tolist() for col in columns)
             fh.writelines(row % values for values in zip(*block))
 
 

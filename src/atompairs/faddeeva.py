@@ -10,7 +10,9 @@ profile in the toolkit funnels through this one function.
 process's affinity mask; the calling thread computes one chunk and a
 process-wide thread pool the others, all into one output array.  Every
 element still comes from the same ``wofz``, so the result is bit-identical to
-one call.  Smaller inputs are one plain ``wofz`` call.
+one call.  Smaller inputs are one plain ``wofz`` call.  Both functions write
+into a caller's buffer when given ``out=``, so a blocked evaluation can reuse
+one workspace for every block.
 """
 
 from __future__ import annotations
@@ -55,21 +57,24 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def faddeeva(z):
+def faddeeva(z, out=None):
     """Evaluate w(z) elementwise; requires Im z >= 0.
 
     Relative accuracy is better than 1e-12 over the upper half plane
-    (unit-tested against mpmath at scattered points).
+    (unit-tested against mpmath at scattered points).  ``out``, a complex
+    array of z's shape, receives w and is returned; it may be ``z`` itself.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag < -1e-300):
+    if z.imag.min(initial=0.0) < -1e-300:
         raise ValueError("faddeeva() is only valid for Im z >= 0")
-    if z.size < SPLIT_MIN_POINTS or not z.flags.c_contiguous:
-        return wofz(z)
+    contiguous = z.flags.c_contiguous and (out is None or out.flags.c_contiguous)
+    if z.size < SPLIT_MIN_POINTS or not contiguous:
+        return wofz(z, out=out)
     chunks = _usable_cpus()
     if chunks < 2:
-        return wofz(z)
-    out = np.empty_like(z)
+        return wofz(z, out=out)
+    if out is None:
+        out = np.empty_like(z)
     z_flat, out_flat = z.reshape(-1), out.reshape(-1)
     bounds = [z.size * i // chunks for i in range(chunks + 1)]
     pool = _workers()
@@ -83,20 +88,25 @@ def faddeeva(z):
     return out
 
 
-def voigt_profile_complex(delta_hz, lorentz_fwhm_hz, gauss_sigma_hz):
+def voigt_profile_complex(delta_hz, lorentz_fwhm_hz, gauss_sigma_hz, out=None):
     """Complex Voigt response sqrt(pi) * w(z) / sigma_omega on a detuning grid.
 
     ``delta_hz`` is (nu - nu0) in Hz, ``lorentz_fwhm_hz`` the full Lorentzian
     width (natural + collisional), ``gauss_sigma_hz`` the 1/e Doppler
     half-width nu0*u/c in Hz.  The real part is the absorption profile, the
     imaginary part the matching dispersion; the susceptibility of a line is
-    i * (line factor) * this profile.
+    i * (line factor) * this profile.  ``out``, a complex array of the
+    broadcast shape, holds z and then the profile, and is returned.
     """
     sigma_w = 2.0 * np.pi * gauss_sigma_hz
     gamma = np.pi * lorentz_fwhm_hz  # angular HWHM
+    delta = np.asarray(delta_hz, dtype=float)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(delta.shape, np.shape(sigma_w), np.shape(gamma)), dtype=complex)
     # z = (2 pi delta + i gamma) / sigma_w; the widths are scaled before they
     # broadcast, so the full detuning array is touched twice, not five times
-    z = np.asarray(delta_hz, dtype=float) * (2.0 * np.pi / sigma_w) + 1j * (gamma / sigma_w)
-    w = faddeeva(z)
+    z = np.multiply(delta, 2.0 * np.pi / sigma_w, out=out)
+    z += 1j * (gamma / sigma_w)
+    w = faddeeva(z, out=z)
     w *= _SQRT_PI / sigma_w
     return w

@@ -11,8 +11,11 @@ rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies, with the lines of every distinct
-slice field built in one ``lines_at_fields`` pass.  ``transfer_vs_field`` is
-its one-frequency case over many center fields, walked in blocks of centers.
+slice field built in one ``lines_at_fields`` pass.  It walks the frequencies
+in blocks (``_index_blocks``, the one frequency-block walk), so its memory
+follows the block and its outputs, not fields x frequencies.
+``transfer_vs_field`` is its one-frequency case over many center fields,
+walked in blocks of centers.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
 _LN2 = np.log(2.0)
-# line x frequency points per block of the susceptibility sum (2^18): a
-# block's temporaries stay near 10 MB whatever the grid, every full block
-# still splits across the usable CPUs, and the per-block thread hand-off
-# costs about 3 % of a 32,001-point filter (7 % at 2^17).  A field scan's
-# blocks hold at most this many 8-byte words of line arrays (2 MB).
-BLOCK_POINTS = 4 * SPLIT_MIN_POINTS
+# line x frequency points per block of the frequency walk (2^17): one
+# workspace of detunings and profiles (3 MB) serves every block, and every
+# full block still gives each of two CPUs a whole faddeeva chunk
+BLOCK_POINTS = 2 * SPLIT_MIN_POINTS
+# 8-byte words of line arrays a field scan's block of centers may hold (2 MB)
+SCAN_BLOCK_WORDS = 4 * SPLIT_MIN_POINTS
 # 8-byte words a field scan budgets per candidate circular line and node
 # field of a block.  Chosen, not derived: 20 keeps fig11's blocks at the six
 # centers they have had since blocks were counted in matrix elements of the
@@ -141,17 +144,39 @@ class _LineArrays:
         order = _rank_major(group)
         return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
 
-    def susceptibility(self, nu: np.ndarray, groups: int) -> np.ndarray:
-        """chi of each of ``groups`` groups at the 1-D frequencies ``nu``, shape
-        (groups, nu.size), in blocks of at most ``BLOCK_POINTS`` line x
-        frequency points, so peak memory follows the grid, not lines x grid."""
-        chi = np.empty((groups, nu.size), dtype=complex)
-        step = max(1, BLOCK_POINTS // self.nu0.size)
-        for a in range(0, nu.size, step):
-            delta = nu[None, a : a + step] - self.nu0[:, None]
-            prof = voigt_profile_complex(delta, self.lorentz_fwhm_hz[:, None], self.sigma_hz[:, None])
-            chi[:, a : a + step] = 1j * _group_sums(self.group, self.amp, prof, groups)
-        return chi
+    def of_field(self, field: int, n_fields: int) -> "_LineArrays":
+        """The lines of field ``field`` alone, in their order: sigma+ is group
+        0 and sigma- group 1."""
+        keep = self.group % n_fields == field
+        return _LineArrays(
+            self.nu0[keep], self.amp[keep], self.sigma_hz[keep], self.lorentz_fwhm_hz[keep], self.group[keep] // n_fields
+        )
+
+
+def _index_blocks(lines: _LineArrays, nu: np.ndarray, groups: int):
+    """Walk the 1-D frequencies ``nu`` in contiguous blocks of at most
+    ``BLOCK_POINTS`` line x frequency points, yielding (columns, n) per block:
+    the complex index n = sqrt(1 + chi) of each of ``groups`` line groups at
+    ``nu[columns]``, shape (groups, block).
+
+    Each group's chi sums its lines in line order, so a frequency's value does
+    not depend on the block it falls in.  The detunings and the Voigt profiles
+    (z, then w in place) of every block go through one workspace, allocated
+    flat so that the short last block is contiguous too and still splits
+    across CPUs in ``faddeeva``.
+    """
+    count = lines.nu0.size
+    step = max(1, BLOCK_POINTS // count)
+    size = count * min(step, nu.size)
+    detuning, profile = np.empty(size), np.empty(size, dtype=complex)
+    nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
+    for a in range(0, nu.size, step):
+        block = nu[None, a : a + step]
+        shape = (count, block.size)
+        delta = np.subtract(block, nu0, out=detuning[: block.size * count].reshape(shape))
+        prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * count].reshape(shape))
+        chi = 1j * _group_sums(lines.group, lines.amp, prof, groups)
+        yield slice(a, a + block.size), np.sqrt(1.0 + chi)
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:
@@ -261,31 +286,45 @@ class VaporPath:
         self._lines = _LineArrays.from_lines(lines, cell, self.density_m3, self._fields.size)
 
     def index_at(self, nu_hz, b_t: float):
-        """(n+, n-) of the cell at arbitrary frequencies for a uniform field ``b_t``."""
-        lines = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
-        chi = _LineArrays.from_lines(lines, self.cell, self.density_m3, 1).susceptibility(_frequencies(nu_hz), 2)
-        n_plus, n_minus = np.sqrt(1.0 + chi)
+        """(n+, n-) of the cell at arbitrary frequencies for a uniform field
+        ``b_t``: from the path's own lines if ``b_t`` is one of its fields."""
+        nu = _frequencies(nu_hz)
+        held = np.flatnonzero(self._fields == b_t)
+        if held.size:
+            lines = self._lines.of_field(held[0], self._fields.size)
+        else:
+            built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
+            lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
+        index = np.empty((2, nu.size), dtype=complex)
+        for columns, n in _index_blocks(lines, nu, 2):
+            index[:, columns] = n
+        n_plus, n_minus = index
         return n_plus, n_minus
 
     def _propagate(self, nu_hz):
-        """(t+, t-, theta) at ``nu_hz``.
+        """(t+, t-, theta) at ``nu_hz``, block by block: each block's n+- of
+        every field become that block's columns of log t+- per center.
 
         Raises ValueError if either circular transfer exceeds unity (gain).
         """
         nu = _frequencies(nu_hz)
-        n_fields = self._fields.size
-        index = np.sqrt(1.0 + self._lines.susceptibility(nu, 2 * n_fields)).reshape(2, n_fields, nu.size)
-        k_vac = 2j * np.pi * nu / C_LIGHT
-        centers = np.size(self.b_center_t)
-        log_t_plus, log_t_minus = (
-            _group_sums(self._center, self._count, k_vac * (n[self._where] - 1.0) * self._dz, centers) for n in index
-        )
+        n_fields, centers = self._fields.size, np.size(self.b_center_t)
+        log_t = np.empty((2, centers, nu.size), dtype=complex)
+        for columns, index in _index_blocks(self._lines, nu, 2 * n_fields):
+            k_vac = 2j * np.pi * nu[columns] / C_LIGHT
+            for log_t_pol, n in zip(log_t, index.reshape(2, n_fields, -1)):
+                terms = k_vac * (n[self._where] - 1.0) * self._dz
+                log_t_pol[:, columns] = _group_sums(self._center, self._count, terms, centers)
+        log_t_plus, log_t_minus = log_t
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
         gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))
         if gain > 1e-12:
             raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
-        # half the circular phase difference, summed slice by slice: unwrapped
-        out = np.exp(log_t_plus), np.exp(log_t_minus), 0.5 * (log_t_plus.imag - log_t_minus.imag)
+        # half the circular phase difference, summed slice by slice: unwrapped;
+        # then t+- overwrite their logs
+        theta = np.subtract(log_t_plus.imag, log_t_minus.imag)
+        theta *= 0.5
+        out = np.exp(log_t_plus, out=log_t_plus), np.exp(log_t_minus, out=log_t_minus), theta
         return tuple(x[0] for x in out) if np.ndim(self.b_center_t) == 0 else out
 
     def transfer_at(self, nu_hz):
@@ -310,15 +349,15 @@ def transfer_vs_field(atoms: AtomLibrary, cell: VaporCellConfig, nu_hz: float, b
     """(t+, t-, theta) of the cell at the one frequency ``nu_hz``, one entry per
     center field in ``b_centers_t``: ``VaporPath`` over blocks of the centers.
 
-    A block's Gauss nodes need at most ``BLOCK_POINTS`` words of line arrays,
-    so memory follows the block, not the number of centers.  Raises
+    A block's Gauss nodes need at most ``SCAN_BLOCK_WORDS`` words of line
+    arrays, so memory follows the block, not the number of centers.  Raises
     ValueError if a circular transfer exceeds unity (gain).
     """
     centers, nu = np.asarray(b_centers_t, dtype=float), _frequencies(nu_hz)
     if centers.ndim != 1 or centers.size == 0 or nu.size != 1:
         raise ConfigError("transfer_vs_field takes one probe frequency and a non-empty 1-D array of center fields")
     nodes = 2 * _slice_count(cell, slices)
-    per_block = max(1, BLOCK_POINTS // (nodes * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)))
+    per_block = max(1, SCAN_BLOCK_WORDS // (nodes * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)))
     blocks = [
         VaporPath(atoms, cell, centers[a : a + per_block], slices)._propagate(nu)
         for a in range(0, centers.size, per_block)

@@ -11,7 +11,7 @@ import yaml
 
 from atompairs.atoms import load_atom_data
 from atompairs.cli import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_CELLS,
     PARAMS,
     PRESETS,
     RUNNERS,
@@ -406,11 +406,13 @@ def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
 
 
 def test_write_csv_blocks_match_one_shot(tmp_path):
-    rows = CSV_BLOCK_ROWS + 1
+    # a block holds CSV_BLOCK_CELLS // 3 rows of these three columns
+    block = CSV_BLOCK_CELLS // 3
+    rows = 2 * block + 1
     index = np.arange(rows) - 3
     values = np.linspace(-2.5, 7.0, rows) ** 3 * 1e-9
-    edges = [0, 1, 2, 3, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS]
-    values[edges] = [np.nan, np.inf, -np.inf, -0.0, np.nan, -0.0]
+    edges = [0, 1, 2, 3, block - 1, block, 2 * block]
+    values[edges] = [np.nan, np.inf, -np.inf, -0.0, np.nan, -0.0, np.inf]
     header = ["index", "value", "scaled"]
     columns = [index, values, values * 1e300]
     write_csv(tmp_path / "blocked.csv", header, columns)
@@ -578,6 +580,7 @@ def test_spectrum_format_json(tmp_path):
         ["reconstruct", "--n-phases", "-1"],
         ["reconstruct", "--n-phases", "0"],
         ["matching", "--envelope-GHz", "nan"],
+        ["matching", "--envelope-GHz", "1e6"],
         ["g2", "--fsr-MHz", "nan"],
         ["g2", "--linewidth-MHz", "nan"],
         ["g2", "--tbin-ns", "nan"],

@@ -83,6 +83,31 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, cpus, monkeypatch):
     assert np.array_equal(w, wofz(z))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("size", [SPLIT_MIN_POINTS + 7, 100])
+@pytest.mark.parametrize("into", ["buffer", "in-place", "strided"])
+def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, cpus, into, monkeypatch):
+    """``out=`` receives w, split or not, including z's own memory and a
+    strided view, which is never split."""
+    monkeypatch.setattr(faddeeva_module, "_usable_cpus", lambda: cpus)
+    z = _upper_half_plane(size, 9)
+    want = wofz(z)
+    out = {"buffer": np.empty_like(z), "in-place": z, "strided": np.empty(2 * size, dtype=complex)[::2]}[into]
+    assert faddeeva(z, out=out) is out
+    assert np.array_equal(out, want)
+
+
+def test_voigt_into_a_buffer_equals_a_fresh_profile():
+    delta = np.linspace(-5e9, 5e9, 2001)[None, :] - np.array([[0.0], [1e9]])
+    lorentz, sigma = np.array([[6e6], [8e6]]), np.array([[300e6], [280e6]])
+    out = np.full(delta.shape, np.nan, dtype=complex)
+    assert voigt_profile_complex(delta, lorentz, sigma, out=out) is out
+    sigma_w = 2.0 * np.pi * sigma
+    z = delta * (2.0 * np.pi / sigma_w) + 1j * (np.pi * lorentz / sigma_w)
+    assert np.array_equal(out, wofz(z) * (np.sqrt(np.pi) / sigma_w))
+    assert np.array_equal(voigt_profile_complex(delta, lorentz, sigma), out)
+
+
 def test_split_evaluation_rejects_lower_half_plane_in_last_chunk():
     z = _upper_half_plane(4 * SPLIT_MIN_POINTS, 6)
     z[-1] = 3.0 - 1e-3j

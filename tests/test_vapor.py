@@ -258,27 +258,86 @@ def _fadof_path(atoms):
     return VaporPath(atoms, cell, 4.5e-3, slices=1)
 
 
+def _walked_index(lines, nu, groups):
+    """The block walk's n over ``nu``, blocks joined, after checking that the
+    blocks are contiguous, in order and cover ``nu`` once."""
+    blocks = list(vapor._index_blocks(lines, nu, groups))
+    assert [(cols.start, cols.stop) for cols, _ in blocks] == [
+        (a, min(a + max(1, vapor.BLOCK_POINTS // lines.nu0.size), nu.size))
+        for a in range(0, nu.size, max(1, vapor.BLOCK_POINTS // lines.nu0.size))
+    ]
+    return np.concatenate([n for _, n in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+
+
+def _group_lines(lines, group):
+    keep = lines.group == group
+    return vapor._LineArrays(
+        lines.nu0[keep], lines.amp[keep], lines.sigma_hz[keep], lines.lorentz_fwhm_hz[keep], lines.group[keep] * 0
+    )
+
+
+def _edge_counts(step):
+    return (0, 1, step - 1, step, step + 1, 3 * step + 5)
+
+
 @pytest.mark.parametrize("pol", ["sigma+", "sigma-"])
 @pytest.mark.parametrize("step", [7, None])
 def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
     """Every block boundary case, with a small block and with the shipped one
-    (whose blocks also split across CPUs): the blocked sum is the one-shot
-    line-order sum bit for bit, since each frequency's lines are summed in
-    line order whatever the block."""
-    lines = _fadof_path(atoms)._lines
-    keep = lines.group == ("sigma+", "sigma-").index(pol)
-    arrays = vapor._LineArrays(
-        lines.nu0[keep], lines.amp[keep], lines.sigma_hz[keep], lines.lorentz_fwhm_hz[keep], lines.group[keep] * 0
-    )
+    (whose blocks also split across CPUs): the block walk's index is
+    sqrt(1 + chi) of the one-shot line-order sum bit for bit, since each
+    frequency's lines are summed in line order whatever the block."""
+    arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = arrays.nu0.size
     if step is None:
         step = vapor.BLOCK_POINTS // count
     else:
         # a block constant that is not a multiple of the line count
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
-    for n in (1, step - 1, step, step + 1, 3 * step + 5):
+    for n in _edge_counts(step):
         nu = d1_center + np.linspace(-6e9, 6e9, n)
-        assert np.array_equal(arrays.susceptibility(nu, 1)[0], one_shot_susceptibility(arrays, nu))
+        want = np.sqrt(1.0 + one_shot_susceptibility(arrays, nu))
+        assert np.array_equal(_walked_index(arrays, nu, 1)[0], want)
+
+
+@pytest.mark.parametrize("centers", [1, 6])
+def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers):
+    """A path over one center and over six (fig10's fields and slices) gives,
+    at every block edge of a small block, the (t+, t-, theta) of one block
+    over all frequencies, bit for bit; and each field's n+- in the walk is
+    sqrt(1 + chi) of its one-shot line-order sum."""
+    fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
+    path = VaporPath(atoms, sensing_cell, fields, slices=2)
+    lines = path._lines
+    step = 5
+    for n in _edge_counts(step):
+        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines.nu0.size + 3)
+        blocked = path._propagate(nu)
+        index = _walked_index(lines, nu, 2 * path._fields.size)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", max(1, n) * lines.nu0.size)
+        one_block = path._propagate(nu)
+        for got, want in zip(blocked, one_block):
+            assert got.shape == (centers, n) and np.array_equal(got, want)
+        for group in range(2 * path._fields.size):
+            arrays = _group_lines(lines, group)
+            assert np.array_equal(index[group], np.sqrt(1.0 + one_shot_susceptibility(arrays, nu)))
+
+
+def test_index_at_reads_the_paths_own_lines(atoms, d1_center, monkeypatch):
+    """``index_at`` at the path's field builds no lines of its own and gives
+    what a fresh build of that field's lines gives, bit for bit."""
+    path = _fadof_path(atoms)
+    nu = make_frequency_grid(d1_center, 1e9, 1e6)
+    calls = _count_kernel_fields(monkeypatch)
+    own = path.index_at(nu, 4.5e-3)
+    assert calls == []
+    fresh = path.index_at(nu, np.nextafter(4.5e-3, 1.0))  # not a field of the path
+    assert len(calls) == 1
+    monkeypatch.setattr(path, "_fields", np.array([-1.0]))  # force a fresh build at 4.5 mT
+    rebuilt = path.index_at(nu, 4.5e-3)
+    for a, b, c in zip(own, rebuilt, fresh):
+        assert np.array_equal(a, b) and np.abs(a - c).max() < 1e-12
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
@@ -293,6 +352,25 @@ def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_many_center_path_memory_grows_by_its_outputs_only(atoms, sensing_cell):
+    """On fig10's 12,001-point grid, a 24-center path peaks above a 6-center
+    one by no more than the extra centers' outputs (t+- in place of log t+-,
+    and theta: 40 bytes a center and frequency) plus 1 MB: the fields' chi
+    and n+- are held one block at a time, never over the whole grid."""
+    grid = make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)
+    assert grid.size == 12_001
+    VaporPath(atoms, sensing_cell, 10e-3, slices=2).transfer_at(grid[:10])  # warm the caches
+    peaks = []
+    for centers in (6, 24):
+        tracemalloc.start()
+        try:
+            VaporPath(atoms, sensing_cell, np.linspace(0.0, 58e-3, centers), slices=2).transfer_at(grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 18 * grid.size * 40 + 1e6
 
 
 def _count_kernel_fields(monkeypatch):
@@ -403,7 +481,7 @@ def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, 
     the shipped blocks and in blocks of one center."""
     if block_centers is not None:
         per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", per_center * block_centers)
+        monkeypatch.setattr(vapor, "SCAN_BLOCK_WORDS", per_center * block_centers)
     nu = np.array([noon_line_hz])
     for cell in (sensing_cell, _uniform_like(sensing_cell)):
         t_plus, t_minus, theta = transfer_vs_field(atoms, cell, noon_line_hz, CROSS_CHECK_FIELDS)
@@ -419,7 +497,7 @@ def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_li
     shipped block holds six centers of the 16-slice cell, so both scans span
     many blocks."""
     per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
-    assert vapor.BLOCK_POINTS // per_center <= 101 // 4
+    assert vapor.SCAN_BLOCK_WORDS // per_center <= 101 // 4
     transfer_vs_field(atoms, sensing_cell, noon_line_hz, [10e-3])  # warm the caches
     peaks = []
     for centers in (101, 2001):
