@@ -60,39 +60,27 @@ class PairSpectralDensity:
         return int(np.where(self.k == 0)[0][0])
 
 
-def _closing_mode(cfg: CavityConfig, tail_cut: float) -> int:
-    """The first mode k >= 1 whose envelope weight is below ``tail_cut``.
-
-    The weight exp(-4 ln2 (k FSR / FWHM)^2) reaches the cut at the root
-    k = FWHM sqrt(ln(1/cut) / (4 ln2)) / FSR; the weight itself then moves
-    the rounded-up root across any rounding of it.  Raises ConfigError if the
-    root lies beyond ``MAX_MODES``.
-    """
-    if not 0.0 < tail_cut < 1.0:
-        raise ConfigError(f"tail_cut must lie in (0, 1) (got {tail_cut!r})")
-    root = cfg.envelope_fwhm_hz / cfg.fsr_hz * np.sqrt(np.log(1.0 / tail_cut) / (4.0 * _LN2))
-    if not root <= MAX_MODES:
-        raise ConfigError(
-            f"the envelope stays above {tail_cut:g} of its peak out to {root:.3g} modes from the "
-            f"degenerate one; a comb holds at most {MAX_MODES} modes each side"
-        )
-    n = max(1, int(np.ceil(root)))
-    while n > 1 and _envelope_weight(cfg, (n - 1) * cfg.fsr_hz) < tail_cut:
-        n -= 1
-    while _envelope_weight(cfg, n * cfg.fsr_hz) >= tail_cut:
-        n += 1
-    return n
-
-
 def mode_comb(cfg: CavityConfig, tail_cut: float = 1e-4) -> PairSpectralDensity:
     """Modes at nu0 + k FSR weighted by the phase-matching envelope, out to
     +-``cfg.mode_count`` or, by default, to the first mode below ``tail_cut``.
 
     If ``cfg.mode_count`` is given but leaves more than ``tail_cut`` of the
-    envelope outside the comb, a coverage warning is emitted.
+    envelope outside the comb, a coverage warning is emitted.  Raises
+    ConfigError if ``tail_cut`` is outside (0, 1) or the envelope stays above
+    it beyond ``MAX_MODES`` modes.
     """
+    if not 0.0 < tail_cut < 1.0:
+        raise ConfigError(f"tail_cut must lie in (0, 1) (got {tail_cut!r})")
     if cfg.mode_count is None:
-        n = _closing_mode(cfg, tail_cut)
+        n = 0
+        while _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:
+            n += 1
+            if n >= MAX_MODES:
+                raise ConfigError(
+                    f"the envelope stays above {tail_cut:g} of its peak beyond {MAX_MODES} modes "
+                    f"from the degenerate one; a comb holds at most {MAX_MODES} modes each side"
+                )
+        n += 1  # first mode below the cut closes the comb
     else:
         n = cfg.mode_count
         if _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:

@@ -12,7 +12,7 @@ rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies, with the lines of every distinct
 slice field built in one ``lines_at_fields`` pass.  It walks the frequencies
-in blocks (``_index_blocks``, the one frequency-block walk), so its memory
+in blocks (``_chi_blocks``, the one frequency-block walk), so its memory
 follows the block and its outputs, not fields x frequencies.
 ``transfer_vs_field`` is its one-frequency case over many center fields,
 walked in blocks of centers.
@@ -144,19 +144,11 @@ class _LineArrays:
         order = _rank_major(group)
         return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
 
-    def of_field(self, field: int, n_fields: int) -> "_LineArrays":
-        """The lines of field ``field`` alone, in their order: sigma+ is group
-        0 and sigma- group 1."""
-        keep = self.group % n_fields == field
-        return _LineArrays(
-            self.nu0[keep], self.amp[keep], self.sigma_hz[keep], self.lorentz_fwhm_hz[keep], self.group[keep] // n_fields
-        )
 
-
-def _index_blocks(lines: _LineArrays, nu: np.ndarray, groups: int):
+def _chi_blocks(lines: _LineArrays, nu: np.ndarray, groups: int):
     """Walk the 1-D frequencies ``nu`` in contiguous blocks of at most
-    ``BLOCK_POINTS`` line x frequency points, yielding (columns, n) per block:
-    the complex index n = sqrt(1 + chi) of each of ``groups`` line groups at
+    ``BLOCK_POINTS`` line x frequency points, yielding (columns, chi) per
+    block: the susceptibility of each of ``groups`` line groups at
     ``nu[columns]``, shape (groups, block).
 
     Each group's chi sums its lines in line order, so a frequency's value does
@@ -175,8 +167,7 @@ def _index_blocks(lines: _LineArrays, nu: np.ndarray, groups: int):
         shape = (count, block.size)
         delta = np.subtract(block, nu0, out=detuning[: block.size * count].reshape(shape))
         prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * count].reshape(shape))
-        chi = 1j * _group_sums(lines.group, lines.amp, prof, groups)
-        yield slice(a, a + block.size), np.sqrt(1.0 + chi)
+        yield slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups)
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:
@@ -286,18 +277,13 @@ class VaporPath:
         self._lines = _LineArrays.from_lines(lines, cell, self.density_m3, self._fields.size)
 
     def index_at(self, nu_hz, b_t: float):
-        """(n+, n-) of the cell at arbitrary frequencies for a uniform field
-        ``b_t``: from the path's own lines if ``b_t`` is one of its fields."""
+        """(n+, n-) of the cell at arbitrary frequencies for a uniform field ``b_t``."""
         nu = _frequencies(nu_hz)
-        held = np.flatnonzero(self._fields == b_t)
-        if held.size:
-            lines = self._lines.of_field(held[0], self._fields.size)
-        else:
-            built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
-            lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
+        built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
+        lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
         index = np.empty((2, nu.size), dtype=complex)
-        for columns, n in _index_blocks(lines, nu, 2):
-            index[:, columns] = n
+        for columns, chi in _chi_blocks(lines, nu, 2):
+            index[:, columns] = np.sqrt(1.0 + chi)
         n_plus, n_minus = index
         return n_plus, n_minus
 
@@ -310,9 +296,9 @@ class VaporPath:
         nu = _frequencies(nu_hz)
         n_fields, centers = self._fields.size, np.size(self.b_center_t)
         log_t = np.empty((2, centers, nu.size), dtype=complex)
-        for columns, index in _index_blocks(self._lines, nu, 2 * n_fields):
+        for columns, chi in _chi_blocks(self._lines, nu, 2 * n_fields):
             k_vac = 2j * np.pi * nu[columns] / C_LIGHT
-            for log_t_pol, n in zip(log_t, index.reshape(2, n_fields, -1)):
+            for log_t_pol, n in zip(log_t, np.sqrt(1.0 + chi).reshape(2, n_fields, -1)):
                 terms = k_vac * (n[self._where] - 1.0) * self._dz
                 log_t_pol[:, columns] = _group_sums(self._center, self._count, terms, centers)
         log_t_plus, log_t_minus = log_t

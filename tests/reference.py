@@ -364,14 +364,3 @@ def one_shot_csv(path, header, columns):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
-
-
-def comb_edge_by_loop(cfg, tail_cut):
-    """The comb's closing mode as a search one mode at a time: the first k >= 1
-    whose envelope weight falls below ``tail_cut``."""
-    from atompairs.cavity import _envelope_weight
-
-    n = 1
-    while _envelope_weight(cfg, n * cfg.fsr_hz) >= tail_cut:
-        n += 1
-    return n

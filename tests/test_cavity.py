@@ -16,8 +16,6 @@ from atompairs.errors import ConfigError, CoverageError
 from atompairs.filters import FilterSpectrum
 from atompairs.vapor import blocking_cell_transmission, VaporCellConfig
 
-from reference import comb_edge_by_loop
-
 
 def type_i_config(nu0=3.77e14):
     return CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=nu0)
@@ -57,26 +55,17 @@ def test_config_refuses_non_finite_widths(name, value):
         CavityConfig(**{"fsr_hz": 501e6, "linewidth_hz": 8.4e6, "degenerate_hz": 3.77e14, name: value})
 
 
-@pytest.mark.parametrize("tail_cut", [1e-12, 1e-4, 0.01, 0.5])
-def test_closed_form_comb_edge_equals_the_search(tail_cut):
-    """The comb closes at the mode the one-at-a-time search finds, over
-    envelope/FSR ratios from a fraction of a mode to thousands, and at and
-    next to the ratios whose closed-form root is a whole mode."""
-    per_mode = np.sqrt(4.0 * np.log(2.0) / np.log(1.0 / tail_cut))  # ratio per mode of root
-    whole = np.arange(1, 60) * per_mode
-    ratios = np.concatenate(
-        [np.geomspace(0.01, 2000.0, 200), whole, np.nextafter(whole, 0.0), np.nextafter(whole, np.inf)]
-    )
-    for ratio in ratios:
-        cfg = CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=3.77e14, envelope_fwhm_hz=ratio * 501e6)
-        assert mode_comb(cfg, tail_cut).k[-1] == comb_edge_by_loop(cfg, tail_cut), ratio
-
-
 def test_comb_beyond_the_mode_limit_is_refused():
     # a 1e6 GHz envelope would need about 3.6 M modes each side
     cfg = CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=3.77e14, envelope_fwhm_hz=1e15)
     with pytest.raises(ConfigError, match="at most"):
         mode_comb(cfg)
+    # the widest comb accepted closes at MAX_MODES: its root lies half a mode inside
+    fwhm = (MAX_MODES - 0.5) * 501e6 / np.sqrt(np.log(1e4) / (4.0 * np.log(2.0)))
+    widest = CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=3.77e14, envelope_fwhm_hz=fwhm)
+    assert mode_comb(widest).k[-1] == MAX_MODES
+    with pytest.raises(ConfigError, match="at most"):
+        mode_comb(CavityConfig(**{**widest.__dict__, "envelope_fwhm_hz": fwhm * (MAX_MODES + 0.5) / (MAX_MODES - 0.5)}))
     with pytest.raises(ConfigError, match="mode_count"):
         CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=3.77e14, mode_count=MAX_MODES + 1)
     for tail_cut in (0.0, 1.0, -1e-4, np.nan):

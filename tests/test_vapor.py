@@ -258,15 +258,15 @@ def _fadof_path(atoms):
     return VaporPath(atoms, cell, 4.5e-3, slices=1)
 
 
-def _walked_index(lines, nu, groups):
-    """The block walk's n over ``nu``, blocks joined, after checking that the
+def _walked_chi(lines, nu, groups):
+    """The block walk's chi over ``nu``, blocks joined, after checking that the
     blocks are contiguous, in order and cover ``nu`` once."""
-    blocks = list(vapor._index_blocks(lines, nu, groups))
+    blocks = list(vapor._chi_blocks(lines, nu, groups))
     assert [(cols.start, cols.stop) for cols, _ in blocks] == [
         (a, min(a + max(1, vapor.BLOCK_POINTS // lines.nu0.size), nu.size))
         for a in range(0, nu.size, max(1, vapor.BLOCK_POINTS // lines.nu0.size))
     ]
-    return np.concatenate([n for _, n in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+    return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
 
 
 def _group_lines(lines, group):
@@ -284,9 +284,9 @@ def _edge_counts(step):
 @pytest.mark.parametrize("step", [7, None])
 def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
     """Every block boundary case, with a small block and with the shipped one
-    (whose blocks also split across CPUs): the block walk's index is
-    sqrt(1 + chi) of the one-shot line-order sum bit for bit, since each
-    frequency's lines are summed in line order whatever the block."""
+    (whose blocks also split across CPUs): the block walk's chi is the
+    one-shot line-order sum bit for bit, since each frequency's lines are
+    summed in line order whatever the block."""
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = arrays.nu0.size
     if step is None:
@@ -296,16 +296,15 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
     for n in _edge_counts(step):
         nu = d1_center + np.linspace(-6e9, 6e9, n)
-        want = np.sqrt(1.0 + one_shot_susceptibility(arrays, nu))
-        assert np.array_equal(_walked_index(arrays, nu, 1)[0], want)
+        assert np.array_equal(_walked_chi(arrays, nu, 1)[0], one_shot_susceptibility(arrays, nu))
 
 
 @pytest.mark.parametrize("centers", [1, 6])
 def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers):
     """A path over one center and over six (fig10's fields and slices) gives,
     at every block edge of a small block, the (t+, t-, theta) of one block
-    over all frequencies, bit for bit; and each field's n+- in the walk is
-    sqrt(1 + chi) of its one-shot line-order sum."""
+    over all frequencies, bit for bit; and each field's chi+- in the walk is
+    its one-shot line-order sum."""
     fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
     path = VaporPath(atoms, sensing_cell, fields, slices=2)
     lines = path._lines
@@ -314,30 +313,14 @@ def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monk
         nu = d1_center + np.linspace(-6e9, 6e9, n)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines.nu0.size + 3)
         blocked = path._propagate(nu)
-        index = _walked_index(lines, nu, 2 * path._fields.size)
+        chi = _walked_chi(lines, nu, 2 * path._fields.size)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", max(1, n) * lines.nu0.size)
         one_block = path._propagate(nu)
         for got, want in zip(blocked, one_block):
             assert got.shape == (centers, n) and np.array_equal(got, want)
         for group in range(2 * path._fields.size):
             arrays = _group_lines(lines, group)
-            assert np.array_equal(index[group], np.sqrt(1.0 + one_shot_susceptibility(arrays, nu)))
-
-
-def test_index_at_reads_the_paths_own_lines(atoms, d1_center, monkeypatch):
-    """``index_at`` at the path's field builds no lines of its own and gives
-    what a fresh build of that field's lines gives, bit for bit."""
-    path = _fadof_path(atoms)
-    nu = make_frequency_grid(d1_center, 1e9, 1e6)
-    calls = _count_kernel_fields(monkeypatch)
-    own = path.index_at(nu, 4.5e-3)
-    assert calls == []
-    fresh = path.index_at(nu, np.nextafter(4.5e-3, 1.0))  # not a field of the path
-    assert len(calls) == 1
-    monkeypatch.setattr(path, "_fields", np.array([-1.0]))  # force a fresh build at 4.5 mT
-    rebuilt = path.index_at(nu, 4.5e-3)
-    for a, b, c in zip(own, rebuilt, fresh):
-        assert np.array_equal(a, b) and np.abs(a - c).max() < 1e-12
+            assert np.array_equal(chi[group], one_shot_susceptibility(arrays, nu))
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
