@@ -10,17 +10,15 @@ import numpy as np
 from atompairs.atoms import load_atom_data
 from atompairs.cli import noon_frequency_hz
 from atompairs.noon import (
-    circular_jones,
     count_oscillations,
     fisher_information,
     fisher_information_frozen_loss,
     make_noon_from_pair,
-    probe_transfer,
     sensing_scan,
     sql_fisher_information,
     visibility,
 )
-from atompairs.vapor import VaporCellConfig
+from atompairs.vapor import VaporCellConfig, transfer_vs_field
 
 
 def main():
@@ -34,8 +32,12 @@ def main():
     )
     state = make_noon_from_pair(imbalance=0.15)
     b_list = np.arange(0.0, 50.001e-3, 0.5e-3)
-    transfer = probe_transfer(cell, atoms, nu)
-    scan = sensing_scan(state, transfer, b_list)
+    # one pass over the scan's fields, then b* and b* +- h of each Fisher point
+    h_t, fisher_mt = 0.25e-3, np.array([34.0, 40.0, 44.0, 48.0])
+    fisher_fields = (fisher_mt[:, None] * 1e-3 + [0.0, h_t, -h_t]).ravel()
+    transfer = transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
+    scan = sensing_scan(state, b_list, [t[: b_list.size] for t in transfer])
+    t_plus, t_minus, theta = (t[b_list.size :].reshape(-1, 3) for t in transfer)
 
     hh = scan.probabilities.hh
     sv = scan.probabilities.singles_v
@@ -45,16 +47,13 @@ def main():
     print(f"HH oscillations: {count_oscillations(hh):.1f}  visibility {visibility(hh):.3f}")
     print(f"V-singles oscillations: {count_oscillations(sv):.1f}")
 
-    def channel(b):
-        return circular_jones(*transfer(b)[:2])
-
     print(f"\n{'B [mT]':>7} {'FI/photon':>10} {'SQL':>10} {'ratio':>6}")
-    for b_mt in (34.0, 40.0, 44.0, 48.0):
+    for k, b_mt in enumerate(fisher_mt):
         rep = fisher_information(scan, b_mt * 1e-3)
-        sql = sql_fisher_information(channel, b_mt * 1e-3)
+        sql = sql_fisher_information(t_plus[k], t_minus[k], h_t)
         print(f"{b_mt:7.1f} {rep.fi_per_photon:10.0f} {sql:10.0f} {rep.fi_per_photon / sql:6.2f}")
 
-    full, frozen = fisher_information_frozen_loss(state, transfer, 44e-3)
+    full, frozen = fisher_information_frozen_loss(state, (t_plus[2], t_minus[2], theta[2]), h_t)
     print(f"\nloss-variation bonus at 44 mT: live {full:.0f} vs frozen {frozen:.0f}")
 
 

@@ -688,19 +688,6 @@ def lines_at_fields(
     return out
 
 
-def circular_lines_per_field(atoms: AtomLibrary, fractions: Mapping[str, float]) -> int:
-    """Candidate sigma+ and sigma- lines per field (level pairs that the
-    selection rule connects) of the isotopes with nonzero fraction: 64 for
-    the two isotopes."""
-    total = 0
-    for name, frac in fractions.items():
-        if frac > 0:
-            iso = atoms[name]
-            j_g, j_e = (iso.manifold(label).J for label in _D1)
-            total += sum(_dipole_block(j_g, j_e, iso.nuclear_spin, q)[0].size for q in (1, -1))
-    return total
-
-
 def all_lines_for_cell(
     atoms: AtomLibrary,
     fractions: Mapping[str, float],

@@ -139,21 +139,11 @@ def run_spectrum(p, atoms, sink, seed):
     vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
     path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
     n_plus, n_minus = path.index_at(grid, path.b_center_t)
-    if p["format"] == "json":
-        write_json(
-            sink.path("index.json"),
-            {
-                "frequency_hz": [float(x) for x in grid],
-                "n_plus": [[float(z.real), float(z.imag)] for z in n_plus],
-                "n_minus": [[float(z.real), float(z.imag)] for z in n_minus],
-            },
-        )
-    else:
-        write_csv(
-            sink.path("index.csv"),
-            ["frequency_Hz", "re_n_plus", "im_n_plus", "re_n_minus", "im_n_minus"],
-            [grid, n_plus.real, n_plus.imag, n_minus.real, n_minus.imag],
-        )
+    write_csv(
+        sink.path("index.csv"),
+        ["frequency_Hz", "re_n_plus", "im_n_plus", "re_n_minus", "im_n_minus"],
+        [grid, n_plus.real, n_plus.imag, n_minus.real, n_minus.imag],
+    )
     return {"center_hz": center, "points": int(grid.size)}
 
 
@@ -440,14 +430,18 @@ def run_noon_scan(p, atoms, sink, seed):
         state = noon.TwoPhotonPolState(rho_from_json(_read_json(p["state"])))
     else:
         state = noon.make_noon_from_pair(imbalance=p["imbalance"])
-    for key in ("b_step_mt", "b_max_mt"):
-        if not np.isfinite(p[key]):
+    for key in ("b_step_mt", "b_max_mt", "fisher_at_mt"):
+        if p[key] is not None and not np.isfinite(p[key]):
             raise ConfigError(f"params.{key}: must be finite, got {p[key]!r}")
     if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
         raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
     b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)
-    transfer = noon.probe_transfer(cell, atoms, nu)
-    scan = noon.sensing_scan(state, transfer, b_list)
+    # one pass over the scan's fields, then b* and b* +- h of the Fisher block
+    h_t, n = 0.25e-3, b_list.size
+    b_star = None if p["fisher_at_mt"] is None else p["fisher_at_mt"] * 1e-3
+    fisher_fields = [] if b_star is None else b_star + np.array([0.0, h_t, -h_t])
+    transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
+    scan = noon.sensing_scan(state, b_list, [t[:n] for t in transfer])
     probs = scan.probabilities
     cols = {
         "b_mT": scan.b_t * 1e3,
@@ -471,11 +465,11 @@ def run_noon_scan(p, atoms, sink, seed):
         "singles_v_oscillations": noon.count_oscillations(cols["singles_V"]),
         "probe_frequency_hz": nu,
     }
-    if p["fisher_at_mt"] is not None:
-        b_star = p["fisher_at_mt"] * 1e-3
+    if b_star is not None:
+        at_fisher = [t[n:] for t in transfer]
         fi = noon.fisher_information(scan, b_star)
-        sql = noon.sql_fisher_information(lambda b: noon.circular_jones(*transfer(b)[:2]), b_star)
-        full, frozen = noon.fisher_information_frozen_loss(state, transfer, b_star)
+        sql = noon.sql_fisher_information(*at_fisher[:2], h_t)
+        full, frozen = noon.fisher_information_frozen_loss(state, at_fisher, h_t)
         report["fisher"] = {
             "b_mT": p["fisher_at_mt"],
             "fi_per_photon": fi.fi_per_photon,
@@ -530,7 +524,7 @@ _SENSING_CELL = {"length_mm": 75.0, "rb85_fraction": 0.995, "droop_fraction": 0.
 PARAMS: dict[str, dict] = {
     "spectrum": {
         "field_mt": 0.0, "temp_k": 300.0, "length_cm": 10.0, "buffer_mhz": 0.0,
-        "half_span_ghz": 8.0, "spacing_mhz": 0.5, "format": ("csv", "json"),
+        "half_span_ghz": 8.0, "spacing_mhz": 0.5,
     },
     "fadof": {**_FADOF_CELL, "window_ghz": 3.0, "half_span_ghz": 8.0, "spacing_mhz": 0.5},
     "matching": _MATCHING,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from atompairs.errors import ConfigError, NumericError
-from atompairs.vapor import VaporCellConfig, transfer_vs_field
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -262,31 +261,17 @@ class SensingScan:
     probabilities: OutcomeProbabilities
 
 
-def probe_transfer(cell: VaporCellConfig, atoms, nu_hz: float):
-    """``b -> (t+, t-, theta)`` of the 16-slice cell at the probe frequency.
-
-    ``b`` is one field, giving scalars, or an array of fields, giving one
-    array each; an array is evaluated in one ``vapor.transfer_vs_field`` pass.
-    """
-
-    def transfer(b):
-        t_plus, t_minus, theta = transfer_vs_field(atoms, cell, nu_hz, np.ravel(b), slices=16)
-        if np.ndim(b) == 0:
-            return t_plus[0], t_minus[0], float(theta[0])
-        return t_plus, t_minus, theta
-
-    return transfer
-
-
-def sensing_scan(state: TwoPhotonPolState, transfer, b_list_t) -> SensingScan:
+def sensing_scan(state: TwoPhotonPolState, b_list_t, transfer) -> SensingScan:
     """Pair outcome probabilities versus applied field at one probe frequency.
 
-    ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
-    usually ``probe_transfer(...)``; it is called once, on the whole list, and
-    the outcome classes come from one stacked ``measurement_rates`` call.
+    ``transfer`` is the cell's (t+, t-, theta) at the probe frequency, one
+    entry per field of ``b_list_t``, as ``vapor.transfer_vs_field`` returns
+    it; the outcome classes come from one stacked ``measurement_rates`` call.
     """
     b = np.asarray(b_list_t, dtype=float)
-    t_plus, t_minus, theta = transfer(b)
+    t_plus, t_minus, theta = transfer
+    if any(np.shape(t) != b.shape for t in transfer):
+        raise ConfigError("sensing_scan needs one (t+, t-, theta) entry per field")
     return SensingScan(
         b_t=b,
         eta=(np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2) / 2.0,
@@ -373,22 +358,25 @@ def fisher_information(scan: SensingScan, at_b_t: float) -> FisherReport:
     )
 
 
-def fisher_information_frozen_loss(
-    state: TwoPhotonPolState,
-    transfer,
-    at_b_t: float,
-    h_t: float = 0.25e-3,
-) -> tuple[float, float]:
-    """(FI_pair with live loss, FI_pair with |t| frozen at at_b) per pair.
+def _at_three_fields(t_plus, t_minus) -> np.ndarray:
+    """(t+, t-) at (b*, b* + h, b* - h) as a 2 x 3 array; ConfigError unless
+    each has those three entries."""
+    if np.shape(t_plus) != (3,) or np.shape(t_minus) != (3,):
+        raise ConfigError("need the transfers at b*, b* + h and b* - h: three entries each")
+    return np.array([t_plus, t_minus], dtype=complex)
 
-    ``transfer(b) -> (t+, t-, theta)`` is the cell at the probe frequency,
-    usually ``probe_transfer(...)``, called once on [b, b + h, b - h].
-    Freezing replaces |t+-(B)| by its value at the operating point while the
-    circular phases still follow B, isolating the information carried by the
-    field dependence of the absorption itself.  The live and frozen channels
-    go through one stacked ``measurement_rates`` call.
+
+def fisher_information_frozen_loss(state: TwoPhotonPolState, transfer, h_t: float) -> tuple[float, float]:
+    """(FI_pair with live loss, FI_pair with |t| frozen at b*) per pair.
+
+    ``transfer`` is the cell's (t+, t-, theta) at (b*, b* + h, b* - h), as
+    ``vapor.transfer_vs_field`` returns it; theta is not read.  Freezing
+    replaces |t+-(B)| by its value at the operating point while the circular
+    phases still follow B, isolating the information carried by the field
+    dependence of the absorption itself.  The live and frozen channels go
+    through one stacked ``measurement_rates`` call.
     """
-    t = np.array(transfer(np.array([at_b_t, at_b_t + h_t, at_b_t - h_t]))[:2])
+    t = _at_three_fields(*transfer[:2])
     frozen = np.abs(t[:, :1]) * np.exp(1j * np.angle(t))
     t_plus, t_minus = np.concatenate((t, frozen), axis=1)
     # classes x (live, frozen) x (b, b + h, b - h)
@@ -398,9 +386,9 @@ def fisher_information_frozen_loss(
     return float(fi[0]), float(fi[1])
 
 
-def sql_fisher_information(channel_fn, at_b_t: float, h_t: float = 0.25e-3) -> float:
-    """Best single-photon Fisher information through ``channel_fn(b) -> 2x2``,
-    which must be diagonal in the circular basis at b* and b* +- h.
+def sql_fisher_information(t_plus, t_minus, h_t: float) -> float:
+    """Best single-photon Fisher information through a cell whose circular
+    transfers at (b*, b* + h, b* - h) are ``t_plus`` and ``t_minus``.
 
     For a probe of sigma+ weight x, the best analyzer (lost class counted)
     reaches the quantum Fisher information of {detected J psi, lost}
@@ -411,17 +399,10 @@ def sql_fisher_information(channel_fn, at_b_t: float, h_t: float = 0.25e-3) -> f
     A class whose probability (n or 1 - n) is at or below ``_PROB_FLOOR``
     adds no term, which drops the lost class of a lossless channel.
     """
-
-    def circular(b):
-        d = _V_CIRC.conj().T @ np.asarray(channel_fn(b), dtype=complex) @ _V_CIRC
-        if abs(d[0, 1]) + abs(d[1, 0]) > 1e-9 * np.abs(d).max():
-            raise ConfigError("SQL reference needs a channel diagonal in the circular basis")
-        return np.diag(d)
-
-    t = circular(at_b_t)
+    t, t_up, t_down = _at_three_fields(t_plus, t_minus).T
     # derivative of the amplitudes themselves; they are smooth in B, so this
     # avoids the dark-fringe artifact of differencing |amplitude|^2 directly
-    dt = (circular(at_b_t + h_t) - circular(at_b_t - h_t)) / (2 * h_t)
+    dt = (t_up - t_down) / (2 * h_t)
 
     def affine(per_circ):  # value at sigma- (x = 0) and slope towards sigma+
         return np.polynomial.Polynomial([per_circ[1], per_circ[0] - per_circ[1]])

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, circular_lines_per_field, lines_at_fields
+from atompairs.atoms import AtomLibrary, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
 
@@ -36,15 +36,9 @@ _LN2 = np.log(2.0)
 # workspace of detunings and profiles (3 MB) serves every block, and every
 # full block still gives each of two CPUs a whole faddeeva chunk
 BLOCK_POINTS = 2 * SPLIT_MIN_POINTS
-# 8-byte words of line arrays a field scan's block of centers may hold (2 MB)
-SCAN_BLOCK_WORDS = 4 * SPLIT_MIN_POINTS
-# 8-byte words a field scan budgets per candidate circular line and node
-# field of a block.  Chosen, not derived: 20 keeps fig11's blocks at the six
-# centers they have had since blocks were counted in matrix elements of the
-# dense kernel, and lies above the block's measured peak, which tracemalloc
-# puts at about 18.4 words a line (the LineSets, the rank-major line arrays
-# and the one-frequency chi sum's temporaries).
-LINE_WORDS = 20
+# Gauss-node fields per block of a field scan's centers: six centers of
+# fig11's 16-slice cell (32 nodes)
+SCAN_BLOCK_NODES = 192
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
 POINTS_PER_FWHM = 100
@@ -335,15 +329,14 @@ def transfer_vs_field(atoms: AtomLibrary, cell: VaporCellConfig, nu_hz: float, b
     """(t+, t-, theta) of the cell at the one frequency ``nu_hz``, one entry per
     center field in ``b_centers_t``: ``VaporPath`` over blocks of the centers.
 
-    A block's Gauss nodes need at most ``SCAN_BLOCK_WORDS`` words of line
-    arrays, so memory follows the block, not the number of centers.  Raises
-    ValueError if a circular transfer exceeds unity (gain).
+    A block holds at most ``SCAN_BLOCK_NODES`` Gauss-node fields, so memory
+    follows the block, not the number of centers.  Raises ValueError if a
+    circular transfer exceeds unity (gain).
     """
     centers, nu = np.asarray(b_centers_t, dtype=float), _frequencies(nu_hz)
     if centers.ndim != 1 or centers.size == 0 or nu.size != 1:
         raise ConfigError("transfer_vs_field takes one probe frequency and a non-empty 1-D array of center fields")
-    nodes = 2 * _slice_count(cell, slices)
-    per_block = max(1, SCAN_BLOCK_WORDS // (nodes * LINE_WORDS * circular_lines_per_field(atoms, cell.isotope_fractions)))
+    per_block = max(1, SCAN_BLOCK_NODES // (2 * _slice_count(cell, slices)))
     blocks = [
         VaporPath(atoms, cell, centers[a : a + per_block], slices)._propagate(nu)
         for a in range(0, centers.size, per_block)

@@ -69,8 +69,9 @@ def sensing_cell():
 @pytest.fixture(scope="session")
 def sensing_scan_fine(atoms, sensing_cell, noon_line_hz):
     """Shared 0..50 mT scan of the slightly imbalanced pair state."""
-    from atompairs.noon import make_noon_from_pair, probe_transfer, sensing_scan
+    from atompairs.noon import make_noon_from_pair, sensing_scan
+    from atompairs.vapor import transfer_vs_field
 
     state = make_noon_from_pair(imbalance=0.15)
     b_list = np.arange(0.0, 50.001e-3, 0.5e-3)
-    return sensing_scan(state, probe_transfer(sensing_cell, atoms, noon_line_hz), b_list)
+    return sensing_scan(state, b_list, transfer_vs_field(atoms, sensing_cell, noon_line_hz, b_list))

@@ -254,6 +254,17 @@ def test_criterion_8_sensing_scan(sensing_scan_fine):
 # 9 ------------------------------------------------------------------------
 
 
+def _at_fisher_fields(b_t, h_t):
+    """The fields b*, b* + h and b* - h of the Fisher derivatives."""
+    return b_t + np.array([0.0, h_t, -h_t])
+
+
+def _rotation_transfers(slope, b_t, h_t):
+    """Circular transfers exp(+-i slope b) of a lossless rotation at b* and b* +- h."""
+    theta = slope * _at_fisher_fields(b_t, h_t)
+    return np.exp(1j * theta), np.exp(-1j * theta)
+
+
 def _lossless_rotation_scan(slope, b_grid):
     """The pair through a lossless rotation by slope * b, in one stacked call."""
     return noon.SensingScan(
@@ -271,9 +282,7 @@ def test_criterion_9a_lossless_ratio():
     b_grid = np.arange(15e-3, 25.001e-3, 0.1e-3)
     scan = _lossless_rotation_scan(slope, b_grid)
     rep = noon.fisher_information(scan, 20e-3)
-    sql = noon.sql_fisher_information(
-        lambda b: noon.rotation_jones(slope * b), 20e-3, h_t=0.1e-3
-    )
+    sql = noon.sql_fisher_information(*_rotation_transfers(slope, 20e-3, 0.1e-3), 0.1e-3)
     ratio = rep.fi_per_photon / sql
     ok = abs(ratio - 2.0) <= 1e-3
     _report(
@@ -290,9 +299,7 @@ def test_criterion_9b_finite_difference_matches_closed_form():
     rep = noon.fisher_information(scan, 20e-3)
     exact = ideal_noon_fisher_pair(slope)
     err = abs(rep.fi_pair - exact) / exact
-    sql = noon.sql_fisher_information(
-        lambda b: noon.rotation_jones(slope * b), 20e-3, h_t=0.1e-3
-    )
+    sql = noon.sql_fisher_information(*_rotation_transfers(slope, 20e-3, 0.1e-3), 0.1e-3)
     err_sql = abs(sql - ideal_single_fisher(slope)) / ideal_single_fisher(slope)
     ok = err <= 1e-4 and err_sql <= 1e-4
     _report(
@@ -303,18 +310,13 @@ def test_criterion_9b_finite_difference_matches_closed_form():
 
 
 def test_criterion_9c_super_sql_window(atoms, sensing_cell, noon_line_hz, sensing_scan_fine):
-    from atompairs.vapor import VaporPath
-
     best = None
     for b_mt in (34.0, 40.0, 44.0, 48.0):
         rep = noon.fisher_information(sensing_scan_fine, b_mt * 1e-3)
 
-        def channel(b):
-            path = VaporPath(atoms, sensing_cell, float(b), slices=16)
-            t_plus, t_minus = path.transfer_at(np.array([noon_line_hz]))
-            return noon.circular_jones(t_plus[0], t_minus[0])
-
-        sql = noon.sql_fisher_information(channel, b_mt * 1e-3)
+        fields = _at_fisher_fields(b_mt * 1e-3, 0.25e-3)
+        t_plus, t_minus, _ = vapor.transfer_vs_field(atoms, sensing_cell, noon_line_hz, fields)
+        sql = noon.sql_fisher_information(t_plus, t_minus, 0.25e-3)
         if rep.fi_per_photon > sql:
             best = (b_mt, rep.fi_per_photon / sql)
             break
@@ -327,9 +329,8 @@ def test_criterion_9c_super_sql_window(atoms, sensing_cell, noon_line_hz, sensin
 
 
 def test_criterion_9d_loss_variation_bonus(atoms, sensing_cell, noon_line_hz):
-    full, frozen = noon.fisher_information_frozen_loss(
-        noon.make_noon_from_pair(), noon.probe_transfer(sensing_cell, atoms, noon_line_hz), 44e-3
-    )
+    transfer = vapor.transfer_vs_field(atoms, sensing_cell, noon_line_hz, _at_fisher_fields(44e-3, 0.25e-3))
+    full, frozen = noon.fisher_information_frozen_loss(noon.make_noon_from_pair(), transfer, 0.25e-3)
     ok = full > frozen
     _report(
         "#9d field-dependent loss adds information",

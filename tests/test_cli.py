@@ -283,10 +283,10 @@ def test_bad_input_files_exit_2(tmp_path, capsys, argv_for):
 
 
 def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
-    """The scan's 11 fields in one pass, the frozen-loss block's b* and b* +- h
-    in another, and one per field of the SQL reference; each pass builds a
-    VaporPath per block of at most six centers, and no other is built."""
-    from atompairs import noon, vapor
+    """The scan's 11 fields and the Fisher block's b* and b* +- h in one pass,
+    which builds a VaporPath per block of at most six centers; no other is
+    built."""
+    from atompairs import vapor
 
     builds, centers = [], []
     init = vapor.VaporPath.__init__
@@ -301,11 +301,11 @@ def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
         return transfer_vs_field(atoms, cell, nu_hz, b_centers_t, *args, **kwargs)
 
     monkeypatch.setattr(vapor.VaporPath, "__init__", counted_init)
-    monkeypatch.setattr(noon, "transfer_vs_field", counted)
+    monkeypatch.setattr(vapor, "transfer_vs_field", counted)
     argv = ["noon-scan", "--b-max-mT", "5", "--b-step-mT", "0.5", "--fisher-at-mT", "3"]
     assert main(["--out-dir", str(tmp_path)] + argv) == 0
-    assert sorted(builds) == [1, 1, 1, 3, 5, 6]
-    assert sorted(centers) == [1, 1, 1, 3, 11]
+    assert sorted(builds) == [2, 6, 6]
+    assert centers == [14]
 
 
 def test_spectroscopy_builds_lines_once_per_temperature(tmp_path, monkeypatch):
@@ -376,6 +376,7 @@ def test_matching_evaluates_only_the_mirror_off_the_grid(tmp_path, monkeypatch):
         ["--b-max-mT", "inf"],
         ["--b-max-mT", "nan"],
         ["--b-step-mT", "nan"],
+        ["--fisher-at-mT", "nan"],
     ],
 )
 def test_non_finite_sensing_inputs_exit_2(tmp_path, capsys, argv):
@@ -539,16 +540,11 @@ def test_format_is_not_a_global_option(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_spectrum_format_json(tmp_path):
-    out = tmp_path / "spec"
-    argv = ["spectrum", "--format", "json", "--half-span-GHz", "0.2"]
-    assert main(["--out-dir", str(out)] + argv) == 0
-    assert set(json.loads((out / "index.json").read_text())) == {
-        "frequency_hz",
-        "n_plus",
-        "n_minus",
-    }
-    assert not (out / "index.csv").exists()
+def test_spectrum_has_no_format_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "spectrum", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +22,6 @@ from atompairs.noon import (
     measurement_rates,
     noon_fidelity,
     noon_state,
-    probe_transfer,
     pure_state,
     qwp_jones,
     rotation_jones,
@@ -27,6 +31,7 @@ from atompairs.noon import (
     surrogate_noon_state,
     visibility,
 )
+from atompairs.vapor import transfer_vs_field
 
 from reference import (
     harmonic_order,
@@ -346,22 +351,27 @@ def _rotation_scan(slope, b_grid, state=None, eta=1.0):
     )
 
 
+def _at_fisher_fields(b_t, h_t):
+    """The fields b*, b* + h and b* - h of the Fisher derivatives."""
+    return b_t + np.array([0.0, h_t, -h_t])
+
+
 def test_fisher_lossless_noon_closed_form():
     slope = 50.0
     b_grid = np.arange(15e-3, 25.001e-3, 0.1e-3)
     scan = _rotation_scan(slope, b_grid)
     rep = fisher_information(scan, 20e-3)
     assert rep.fi_pair == pytest.approx(ideal_noon_fisher_pair(slope), rel=1e-4)
-    sql = sql_fisher_information(lambda b: rotation_jones(slope * b), 20e-3, h_t=0.1e-3)
+    theta = slope * _at_fisher_fields(20e-3, 0.1e-3)
+    t_plus, t_minus = np.exp(1j * theta), np.exp(-1j * theta)
+    sql = sql_fisher_information(t_plus, t_minus, 0.1e-3)
     assert sql == pytest.approx(ideal_single_fisher(slope), rel=1e-4)
     ratio = rep.fi_per_photon / sql
     assert ratio == pytest.approx(2.0, abs=1e-3)
     # polarization-independent loss scales it by eta; the best input is then
     # the interior x = 1/2, not a circular state
     eta = 0.64
-    lossy = sql_fisher_information(
-        lambda b: np.sqrt(eta) * rotation_jones(slope * b), 20e-3, h_t=0.1e-3
-    )
+    lossy = sql_fisher_information(np.sqrt(eta) * t_plus, np.sqrt(eta) * t_minus, 0.1e-3)
     assert lossy == pytest.approx(eta * ideal_single_fisher(slope), rel=1e-4)
 
 
@@ -403,18 +413,12 @@ def test_fisher_detects_unstable_derivative():
 
 
 def test_noon_beats_sql_in_operating_window(atoms, sensing_cell, noon_line_hz, sensing_scan_fine):
-    from atompairs.vapor import VaporPath
-
     found = None
     for b_mt in (34.0, 40.0, 44.0, 48.0):
         rep = fisher_information(sensing_scan_fine, b_mt * 1e-3)
-
-        def channel(b):
-            path = VaporPath(atoms, sensing_cell, float(b), slices=16)
-            t_plus, t_minus = path.transfer_at(np.array([noon_line_hz]))
-            return circular_jones(t_plus[0], t_minus[0])
-
-        sql = sql_fisher_information(channel, b_mt * 1e-3)
+        fields = _at_fisher_fields(b_mt * 1e-3, 0.25e-3)
+        t_plus, t_minus, _ = transfer_vs_field(atoms, sensing_cell, noon_line_hz, fields)
+        sql = sql_fisher_information(t_plus, t_minus, 0.25e-3)
         if rep.fi_per_photon > sql:
             found = (b_mt, rep.fi_per_photon / sql)
             break
@@ -424,12 +428,13 @@ def test_noon_beats_sql_in_operating_window(atoms, sensing_cell, noon_line_hz, s
 _B0 = 40e-3
 
 
-def _exponential_channel(t0, kappa):
-    """Circular-diagonal t+-(b) = t0+- exp(kappa+- (b - B0)) for complex kappa:
-    amplitude exponential and phase linear in b.  Its central difference keeps
-    Re(t* dt) = 0 wherever |t| = 1; a curved phase would not, and the lost
-    class would then make the Fisher information unbounded near that input."""
-    return lambda b: circular_jones(*(t0 * np.exp(kappa * (b - _B0))))
+def _exponential_transfers(t0, kappa, b_t):
+    """Circular t+-(b) = t0+- exp(kappa+- (b - B0)) at the fields ``b_t``, one
+    row per circular component, for complex kappa: amplitude exponential and
+    phase linear in b.  Its central difference keeps Re(t* dt) = 0 wherever
+    |t| = 1; a curved phase would not, and the lost class would then make the
+    Fisher information unbounded near that input."""
+    return t0[:, None] * np.exp(kappa[:, None] * (np.asarray(b_t) - _B0))
 
 
 @given(
@@ -447,32 +452,48 @@ def test_sql_closed_form_never_beaten_by_search(weight, log_slope, phase, phase_
     a = np.array(log_slope)
     r0 = np.array(weight) * np.exp(-np.abs(a) * h)  # r(b* +- h) <= weight <= 1
     kappa = a + 1j * np.array(phase_slope)
-    channel = _exponential_channel(r0 * np.exp(1j * np.array(phase)), kappa)
-    closed = sql_fisher_information(channel, _B0, h_t=h)
+    t0 = r0 * np.exp(1j * np.array(phase))
+    closed = sql_fisher_information(*_exponential_transfers(t0, kappa, _at_fisher_fields(_B0, h)), h)
+
+    def channel(b):
+        return circular_jones(*_exponential_transfers(t0, kappa, [b])[:, 0])
+
     assert searched_sql_fisher(channel, _B0, h_t=h) <= closed * (1.0 + 1e-9)
 
 
 def test_sql_closed_form_matches_search_on_fig11_cell(atoms, sensing_cell, noon_line_hz):
-    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
-
     def channel(b):
-        return circular_jones(*transfer(b)[:2])
+        t_plus, t_minus, _ = transfer_vs_field(atoms, sensing_cell, noon_line_hz, [b])
+        return circular_jones(t_plus[0], t_minus[0])
 
     for b_mt in (34.0, 40.0, 44.0, 48.0):
-        closed = sql_fisher_information(channel, b_mt * 1e-3)
+        fields = _at_fisher_fields(b_mt * 1e-3, 0.25e-3)
+        t_plus, t_minus, _ = transfer_vs_field(atoms, sensing_cell, noon_line_hz, fields)
+        closed = sql_fisher_information(t_plus, t_minus, 0.25e-3)
         assert closed == pytest.approx(searched_sql_fisher(channel, b_mt * 1e-3), rel=1e-12)
 
 
-def test_sql_needs_circular_diagonal_channel():
-    # a half-wave plate swaps sigma+ and sigma-: wholly off-diagonal there
-    with pytest.raises(ConfigError, match="circular basis"):
-        sql_fisher_information(lambda b: hwp_jones(0.3) @ rotation_jones(50.0 * b), 20e-3)
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1)])
+def test_fisher_blocks_refuse_other_than_three_fields(shape):
+    """The SQL reference and the frozen-loss block read b*, b* + h and b* - h:
+    one entry each, no more, no fewer."""
+    t = np.full(shape, 0.9 + 0.1j)
+    with pytest.raises(ConfigError, match="three entries"):
+        sql_fisher_information(t, t, 0.25e-3)
+    with pytest.raises(ConfigError, match="three entries"):
+        fisher_information_frozen_loss(make_noon_from_pair(), (t, t, np.zeros(shape)), 0.25e-3)
+
+
+def test_sensing_scan_needs_one_transfer_per_field():
+    b_list = np.arange(0.0, 2.001e-3, 0.5e-3)
+    t = np.full(b_list.size - 1, 0.9 + 0.1j)
+    with pytest.raises(ConfigError, match="one .* entry per field"):
+        sensing_scan(make_noon_from_pair(), b_list, (t, t, np.zeros(t.size)))
 
 
 def test_loss_variation_adds_information(atoms, sensing_cell, noon_line_hz):
-    full, frozen = fisher_information_frozen_loss(
-        make_noon_from_pair(), probe_transfer(sensing_cell, atoms, noon_line_hz), 44e-3
-    )
+    transfer = transfer_vs_field(atoms, sensing_cell, noon_line_hz, _at_fisher_fields(44e-3, 0.25e-3))
+    full, frozen = fisher_information_frozen_loss(make_noon_from_pair(), transfer, 0.25e-3)
     assert full > frozen
 
 
@@ -506,37 +527,37 @@ def test_state_validation():
         make_noon_from_pair(imbalance=np.nan)
 
 
-def test_probe_transfer_takes_one_field_or_many_and_holds_no_cache(atoms, sensing_cell, noon_line_hz):
-    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
-    assert not hasattr(transfer, "cache_info")
-    fields = np.array([0.0, 44e-3, 44.25e-3])
-    t_plus, t_minus, theta = transfer(fields)
-    for k, b in enumerate(fields):
-        one = transfer(b)
-        assert isinstance(one[2], float)
-        assert one == (t_plus[k], t_minus[k], theta[k])
+def test_noon_imports_neither_vapor_nor_scipy():
+    """The pair algebra is numpy only: importing it in a fresh process loads
+    neither the cell model nor scipy."""
+    code = "import sys, atompairs.noon; print([m for m in ('atompairs.vapor', 'scipy') if m in sys.modules])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scan_and_frozen_loss_call_the_transfer_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
+    """Each takes the transfers it reads as arrays and makes one stacked
+    outcome-kernel call."""
     from atompairs import noon
 
-    calls, rates = [], []
-    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
+    rates = []
     kernel = noon.measurement_rates
-
-    def counted(b):
-        calls.append(np.shape(b))
-        return transfer(b)
 
     def counted_rates(state, channel=None, analyzer_hwp_rad=0.0):
         rates.append(np.shape(channel))
         return kernel(state, channel, analyzer_hwp_rad)
 
+    b_list, fields = np.arange(0.0, 5.001e-3, 0.5e-3), _at_fisher_fields(3e-3, 0.25e-3)
+    scan_transfer = transfer_vs_field(atoms, sensing_cell, noon_line_hz, b_list)
+    fisher_transfer = transfer_vs_field(atoms, sensing_cell, noon_line_hz, fields)
     monkeypatch.setattr(noon, "measurement_rates", counted_rates)
     state = make_noon_from_pair(imbalance=0.15)
-    sensing_scan(state, counted, np.arange(0.0, 5.001e-3, 0.5e-3))
-    fisher_information_frozen_loss(state, counted, 3e-3)
-    assert calls == [(11,), (3,)]
+    sensing_scan(state, b_list, scan_transfer)
+    fisher_information_frozen_loss(state, fisher_transfer, 0.25e-3)
     # one stacked kernel call each: the scan's fields, then live and frozen
     # loss at b* and b* +- h
     assert rates == [(11, 2, 2), (6, 2, 2)]

@@ -6,7 +6,6 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from atompairs import vapor
-from atompairs.atoms import circular_lines_per_field
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.noon import circular_jones
 from atompairs.vapor import (
@@ -388,7 +387,7 @@ def test_each_distinct_slice_field_is_evaluated_once(atoms, sensing_cell, noon_l
 def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, monkeypatch):
     """A 101-field scan evaluates each dipole element once, not once per field."""
     from atompairs import atoms as atoms_module
-    from atompairs.noon import make_noon_from_pair, probe_transfer, sensing_scan
+    from atompairs.noon import make_noon_from_pair, sensing_scan
 
     calls = []
     wigner_3j = atoms_module.wigner_3j
@@ -400,8 +399,8 @@ def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, 
     monkeypatch.setattr(atoms_module, "wigner_3j", counted)
     atoms_module._dipole_block.cache_clear()
     b_list = np.linspace(0.0, 50e-3, 101)
-    transfer = probe_transfer(sensing_cell, atoms, noon_line_hz)
-    sensing_scan(make_noon_from_pair(imbalance=0.15), transfer, b_list)
+    transfer = transfer_vs_field(atoms, sensing_cell, noon_line_hz, b_list)
+    sensing_scan(make_noon_from_pair(imbalance=0.15), b_list, transfer)
     # one _dipole_block per (J_g, J_e, I, q): 12 elements for Rb85 and 8 for
     # Rb87 over sigma+ and sigma-
     assert 0 < len(calls) <= 20
@@ -463,8 +462,7 @@ def test_transfer_vs_field_equals_vapor_path(atoms, sensing_cell, noon_line_hz, 
     by center and bit for bit, on the cells and fields of the test above; in
     the shipped blocks and in blocks of one center."""
     if block_centers is not None:
-        per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
-        monkeypatch.setattr(vapor, "SCAN_BLOCK_WORDS", per_center * block_centers)
+        monkeypatch.setattr(vapor, "SCAN_BLOCK_NODES", 32 * block_centers)
     nu = np.array([noon_line_hz])
     for cell in (sensing_cell, _uniform_like(sensing_cell)):
         t_plus, t_minus, theta = transfer_vs_field(atoms, cell, noon_line_hz, CROSS_CHECK_FIELDS)
@@ -479,8 +477,7 @@ def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_li
     """A 2,001-center scan peaks at no more than 1.5x fig11's 101 centers.  The
     shipped block holds six centers of the 16-slice cell, so both scans span
     many blocks."""
-    per_center = 32 * vapor.LINE_WORDS * circular_lines_per_field(atoms, sensing_cell.isotope_fractions)
-    assert vapor.SCAN_BLOCK_WORDS // per_center <= 101 // 4
+    assert vapor.SCAN_BLOCK_NODES // 32 <= 101 // 4
     transfer_vs_field(atoms, sensing_cell, noon_line_hz, [10e-3])  # warm the caches
     peaks = []
     for centers in (101, 2001):
