@@ -8,7 +8,6 @@ outputs are ratios or weights relative to the envelope peak.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ _LN2 = np.log(2.0)
 # modes each side of the degenerate one that a comb may hold: fig3's holds
 # 546, and 10,000 are already 220,011 filter evaluations in filtered_pair_rate
 MAX_MODES = 10_000
+# envelope weight, relative to its peak, of the first mode outside a comb
+TAIL_CUT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class CavityConfig:
     linewidth_hz: float  # per-mode FWHM kappa
     degenerate_hz: float
     envelope_fwhm_hz: float = 150e9  # Gaussian phase-matching envelope
-    mode_count: int | None = None  # modes each side; None -> auto from tail cut
 
     def __post_init__(self):
         widths = (self.fsr_hz, self.linewidth_hz, self.envelope_fwhm_hz)
@@ -37,8 +37,6 @@ class CavityConfig:
             raise ConfigError("FSR, linewidth and envelope width must be finite and > 0")
         if self.linewidth_hz >= self.fsr_hz / 10:
             raise ConfigError("cavity linewidth must be well below the FSR")
-        if self.mode_count is not None and not 0 <= self.mode_count <= MAX_MODES:
-            raise ConfigError(f"mode_count must lie in [0, {MAX_MODES}]")
 
 
 def _envelope_weight(cfg: CavityConfig, offset_hz):
@@ -60,35 +58,22 @@ class PairSpectralDensity:
         return int(np.where(self.k == 0)[0][0])
 
 
-def mode_comb(cfg: CavityConfig, tail_cut: float = 1e-4) -> PairSpectralDensity:
+def mode_comb(cfg: CavityConfig) -> PairSpectralDensity:
     """Modes at nu0 + k FSR weighted by the phase-matching envelope, out to
-    +-``cfg.mode_count`` or, by default, to the first mode below ``tail_cut``.
+    the first mode below ``TAIL_CUT`` of its peak.
 
-    If ``cfg.mode_count`` is given but leaves more than ``tail_cut`` of the
-    envelope outside the comb, a coverage warning is emitted.  Raises
-    ConfigError if ``tail_cut`` is outside (0, 1) or the envelope stays above
-    it beyond ``MAX_MODES`` modes.
+    Raises ConfigError if the envelope stays above the cut beyond
+    ``MAX_MODES`` modes.
     """
-    if not 0.0 < tail_cut < 1.0:
-        raise ConfigError(f"tail_cut must lie in (0, 1) (got {tail_cut!r})")
-    if cfg.mode_count is None:
-        n = 0
-        while _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:
-            n += 1
-            if n >= MAX_MODES:
-                raise ConfigError(
-                    f"the envelope stays above {tail_cut:g} of its peak beyond {MAX_MODES} modes "
-                    f"from the degenerate one; a comb holds at most {MAX_MODES} modes each side"
-                )
-        n += 1  # first mode below the cut closes the comb
-    else:
-        n = cfg.mode_count
-        if _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= tail_cut:
-            warnings.warn(
-                f"comb truncated at +-{n} modes but the envelope tail is still "
-                f">= {tail_cut:g} of the peak there",
-                stacklevel=2,
+    n = 0
+    while _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= TAIL_CUT:
+        n += 1
+        if n >= MAX_MODES:
+            raise ConfigError(
+                f"the envelope stays above {TAIL_CUT:g} of its peak beyond {MAX_MODES} modes "
+                f"from the degenerate one; a comb holds at most {MAX_MODES} modes each side"
             )
+    n += 1  # first mode below the cut closes the comb
     k = np.arange(-n, n + 1)
     freq = cfg.degenerate_hz + k * cfg.fsr_hz
     weight = _envelope_weight(cfg, k * cfg.fsr_hz)

@@ -439,6 +439,8 @@ def run_noon_scan(p, atoms, sink, seed):
     # one pass over the scan's fields, then b* and b* +- h of the Fisher block
     h_t, n = 0.25e-3, b_list.size
     b_star = None if p["fisher_at_mt"] is None else p["fisher_at_mt"] * 1e-3
+    if b_star is not None and b_star < h_t:
+        raise ConfigError(f"params.fisher_at_mt: must be >= the {h_t * 1e3:g} mT Fisher step, got {p['fisher_at_mt']!r}")
     fisher_fields = [] if b_star is None else b_star + np.array([0.0, h_t, -h_t])
     transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
     scan = noon.sensing_scan(state, b_list, [t[:n] for t in transfer])

@@ -10,10 +10,13 @@ spectrum on a uniform grid first calls ``check_spacing``, the one resolution
 rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
-a 1-D array of them, at any frequencies, with the lines of every distinct
-slice field built in one ``lines_at_fields`` pass.  It walks the frequencies
-in blocks (``_chi_blocks``, the one frequency-block walk), so its memory
-follows the block and its outputs, not fields x frequencies.
+a 1-D array of them, at any frequencies.  The field droops symmetrically
+about the cell center, so the path is integrated over the Gauss nodes of the
+cell's first half, each standing for itself and its mirror image, and the
+lines of every distinct node field are built in one ``lines_at_fields``
+pass.  It walks the frequencies in blocks (``_chi_blocks``, the one
+frequency-block walk), so its memory follows the block and its outputs, not
+fields x frequencies.
 ``transfer_vs_field`` is its one-frequency case over many center fields,
 walked in blocks of centers.
 """
@@ -36,8 +39,8 @@ _LN2 = np.log(2.0)
 # workspace of detunings and profiles (3 MB) serves every block, and every
 # full block still gives each of two CPUs a whole faddeeva chunk
 BLOCK_POINTS = 2 * SPLIT_MIN_POINTS
-# Gauss-node fields per block of a field scan's centers: six centers of
-# fig11's 16-slice cell (32 nodes)
+# Gauss nodes, counted over both halves of the cell, per block of a field
+# scan's centers: six centers of fig11's 16-slice cell (32 nodes)
 SCAN_BLOCK_NODES = 192
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
@@ -179,16 +182,11 @@ def _group_sums(group: np.ndarray, weights: np.ndarray, values: np.ndarray, size
     """Sum of the rows ``weights[i] * values[i]`` per ``group`` index, each
     group's rows added in row order.
 
-    Rows of one column go through ``np.add.at``, which adds in index order
-    and is the cheaper sum there.  Longer rows are weighted and added one run
-    of strictly ascending groups at a time, so each group's rows arrive in
-    order and each row is read once; rank-major rows make the loop as short
-    as the largest group.
+    The rows are weighted and added one run of strictly ascending groups at a
+    time, so each group's rows arrive in order and each row is read once;
+    rank-major rows make the loop as short as the largest group.
     """
     out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    if values.shape[1] == 1:
-        np.add.at(out, group, weights[:, None] * values)
-        return out
     cuts = np.flatnonzero(group[1:] <= group[:-1]) + 1
     for a, b in zip(np.append(0, cuts), np.append(cuts, group.size)):
         run = weights[a:b, None] * values[a:b]
@@ -207,34 +205,15 @@ def _slice_count(cell: VaporCellConfig, slices: int) -> int:
 
 
 def _slice_nodes(cell: VaporCellConfig, slices: int):
-    """Sorted two-point Gauss nodes of ``slices`` equal segments of the cell,
-    and the path length each node stands for."""
+    """The ``slices`` lowest two-point Gauss nodes of ``slices`` equal
+    segments of the cell, sorted and all in its first half, and the path
+    length each stands for: its own and its mirror image's about the center,
+    where the field is the same."""
     dz = cell.length_m / slices
     starts = np.arange(slices) * dz
     offset = 0.5 * dz / np.sqrt(3.0)
     nodes = np.concatenate([starts + 0.5 * dz - offset, starts + 0.5 * dz + offset])
-    return np.sort(nodes), cell.length_m / nodes.size
-
-
-def _distinct_fields(node_fields: np.ndarray):
-    """Group each row of ``node_fields`` (centers x nodes) into the fields
-    that agree to 1e-15 T, keyed on ``round(b, 15)``: both nodes of a uniform
-    cell sit at one field, and a quadratic droop pairs mirror nodes.
-
-    Returns (row, field, count) per group, rows ascending and each row's
-    groups in node order; a group's field is that of its first node.
-    """
-    nodes = node_fields.shape[1]
-    key = np.array([round(b, 15) for b in node_fields.ravel().tolist()])
-    row = np.repeat(np.arange(node_fields.shape[0]), nodes)
-    order = np.lexsort((key, row))  # stable: a group's nodes stay in node order
-    key, row = key[order], row[order]
-    starts = np.flatnonzero(np.concatenate([[True], (key[1:] != key[:-1]) | (row[1:] != row[:-1])]))
-    count = np.diff(np.append(starts, order.size))
-    first = order[starts]
-    by_node = np.argsort(first)
-    first = first[by_node]
-    return first // nodes, node_fields.ravel()[first], count[by_node]
+    return np.sort(nodes)[:slices], dz
 
 
 class VaporPath:
@@ -242,13 +221,14 @@ class VaporPath:
     ``b_center_t``, one field or a 1-D array of them.
 
     The path is split into ``slices`` segments, each integrated with two
-    Gauss nodes at the local axial field.  At construction each center's
-    node fields are grouped into distinct fields with multiplicities, and the
-    lines of every distinct field of every center come from one
-    ``lines_at_fields`` call.  One propagation sums chi per field, each
-    field's lines in line order, then log t+- per center, each center's
-    fields in node order, and yields (t+, t-, theta) together: arrays over
-    the frequencies for one center, (centers, frequencies) for an array.
+    Gauss nodes at the local axial field.  The field is symmetric about the
+    cell center, so only the nodes of the first half are kept, each for twice
+    its path length.  At construction the lines of every distinct node field
+    of every center come from one ``lines_at_fields`` call.  One propagation
+    sums chi per field, each field's lines in line order, then log t+- per
+    center, each center's nodes in node order, and yields (t+, t-, theta)
+    together: arrays over the frequencies for one center, (centers,
+    frequencies) for an array.
     ``transfer_at`` and ``rotation_angle_at`` are views of that propagation.
     """
 
@@ -263,10 +243,8 @@ class VaporPath:
         # two-point Gauss nodes per slice: the phase integral along z then
         # converges fast enough that 16 vs 32 slices agree to < 1e-6
         nodes, self._dz = _slice_nodes(cell, self.slices)
-        center, node_field, count = _distinct_fields(cell.field_at(nodes, centers[:, None]))
-        self._fields, where = np.unique(node_field, return_inverse=True)
-        order = _rank_major(center)
-        self._center, self._where, self._count = center[order], where[order], count[order]
+        self._fields, where = np.unique(cell.field_at(nodes, centers[:, None]), return_inverse=True)
+        self._where = where.reshape(centers.size, nodes.size)
         lines = lines_at_fields(atoms, cell.isotope_fractions, self._fields)
         self._lines = _LineArrays.from_lines(lines, cell, self.density_m3, self._fields.size)
 
@@ -283,18 +261,20 @@ class VaporPath:
 
     def _propagate(self, nu_hz):
         """(t+, t-, theta) at ``nu_hz``, block by block: each block's n+- of
-        every field become that block's columns of log t+- per center.
+        every field become that block's columns of log t+- per center, each
+        center's nodes added one at a time in node order.
 
         Raises ValueError if either circular transfer exceeds unity (gain).
         """
         nu = _frequencies(nu_hz)
         n_fields, centers = self._fields.size, np.size(self.b_center_t)
-        log_t = np.empty((2, centers, nu.size), dtype=complex)
+        log_t = np.zeros((2, centers, nu.size), dtype=complex)
         for columns, chi in _chi_blocks(self._lines, nu, 2 * n_fields):
             k_vac = 2j * np.pi * nu[columns] / C_LIGHT
             for log_t_pol, n in zip(log_t, np.sqrt(1.0 + chi).reshape(2, n_fields, -1)):
-                terms = k_vac * (n[self._where] - 1.0) * self._dz
-                log_t_pol[:, columns] = _group_sums(self._center, self._count, terms, centers)
+                block = log_t_pol[:, columns]
+                for where in self._where.T:
+                    block += k_vac * (n[where] - 1.0) * self._dz
         log_t_plus, log_t_minus = log_t
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
         gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))

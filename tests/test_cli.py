@@ -521,6 +521,9 @@ def test_preset_sets_only_keys_away_from_the_defaults(name):
         ("g2", {"bins": 240.5}, ["params.bins"]),
         ("reconstruct", {"noise": 1}, ["params.noise"]),
         ("noon-scan", {"state": "no-such-state.json"}, ["params.state"]),
+        # b* - h < 0 below the 0.25 mT Fisher step
+        ("noon-scan", {"fisher_at_mt": 0.0}, ["params.fisher_at_mt"]),
+        ("noon-scan", {"fisher_at_mt": 0.2}, ["params.fisher_at_mt"]),
     ],
 )
 def test_bad_scenario_params_exit_2_naming_the_key(tmp_path, capsys, scenario, params, named):

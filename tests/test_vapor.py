@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -407,10 +408,12 @@ def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, 
 
 
 def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
-    """(t+, t-, theta) equal the sum over every Gauss node taken one by one."""
+    """(t+, t-, theta) of the half-cell nodes equal the sum over every Gauss
+    node of the whole cell taken one by one, also at 0 mT, where all nodes
+    of the drooping cell coincide."""
     grid = make_frequency_grid(d1_center, 4e9, 20e6)
-    for cell in (sensing_cell, natural_cell(atoms, temp_k=330.0)):
-        path = VaporPath(atoms, cell, 37e-3, slices=16)
+    for cell, b_center_t in itertools.product((sensing_cell, natural_cell(atoms, temp_k=330.0)), (0.0, 37e-3)):
+        path = VaporPath(atoms, cell, b_center_t, slices=16)
         dz = cell.length_m / path.slices
         mids = (np.arange(path.slices) + 0.5) * dz
         offset = 0.5 * dz / np.sqrt(3.0)
@@ -419,7 +422,7 @@ def test_grouped_fields_match_per_node_sum(atoms, sensing_cell, d1_center):
         log_tm = np.zeros(grid.shape, dtype=complex)
         theta = np.zeros(grid.shape)
         k_vac = 2j * np.pi * grid / C_LIGHT
-        for b in cell.field_at(nodes, 37e-3):
+        for b in cell.field_at(nodes, b_center_t):
             n_plus, n_minus = path.index_at(grid, b)
             log_tp += k_vac * (n_plus - 1.0) * cell.length_m / nodes.size
             log_tm += k_vac * (n_minus - 1.0) * cell.length_m / nodes.size
@@ -589,25 +592,3 @@ def test_frequency_grid_rejects_bad_steps(half_span_hz, spacing_hz):
     with pytest.raises(ConfigError):
         make_frequency_grid(377e12, half_span_hz, spacing_hz)
 
-
-def test_node_field_grouping_keys_on_pythons_round(sensing_cell):
-    """The block-wide grouping of node fields equals a dict keyed on
-    ``round(b, 15)`` center by center, in groups, their order and their
-    multiplicities: on fig11's node fields (101 scan centers and the Fisher
-    block's three), on a 2,001-center scan and on rows of values next to a
-    rounding tie, which share keys across non-adjacent nodes."""
-    nodes, _ = vapor._slice_nodes(sensing_cell, 16)
-    fig11 = np.concatenate([np.arange(0.0, 50e-3 + 1e-9, 0.5e-3), 44e-3 + np.array([-2.5e-4, 0.0, 2.5e-4])])
-    ties = np.concatenate([np.arange(1, 4001) * 0.5e-15, 0.0123 + np.arange(-50, 50) * 5e-16])
-    for node_fields in (
-        sensing_cell.field_at(nodes, fig11[:, None]),
-        sensing_cell.field_at(nodes, np.linspace(0.0, 50e-3, 2001)[:, None]),
-        np.random.default_rng(3).permutation(ties).reshape(41, 100),
-    ):
-        want = []
-        for k, row in enumerate(node_fields.tolist()):
-            groups = {}
-            for b in row:
-                groups.setdefault(round(b, 15), [k, b, 0])[2] += 1
-            want += groups.values()
-        assert np.array_equal(np.column_stack(vapor._distinct_fields(node_fields)), want)
