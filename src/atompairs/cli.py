@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,9 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, min(map(len, columns)), rows):
-            block = (col[a : a + rows].tolist() for col in columns)
-            fh.writelines(row % values for values in zip(*block))
+            block = [col[a : a + rows].tolist() for col in columns]
+            # one % over the block's rows, its cells in row order
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _sha256(path: Path) -> str:
@@ -441,6 +443,11 @@ def run_noon_scan(p, atoms, sink, seed):
     b_star = None if p["fisher_at_mt"] is None else p["fisher_at_mt"] * 1e-3
     if b_star is not None and b_star < h_t:
         raise ConfigError(f"params.fisher_at_mt: must be >= the {h_t * 1e3:g} mT Fisher step, got {p['fisher_at_mt']!r}")
+    if b_star is not None:
+        try:
+            noon.fisher_scan_index(b_list, b_star)
+        except ConfigError as exc:
+            raise ConfigError(f"params.fisher_at_mt: {exc}") from None
     fisher_fields = [] if b_star is None else b_star + np.array([0.0, h_t, -h_t])
     transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
     scan = noon.sensing_scan(state, b_list, [t[:n] for t in transfer])

@@ -317,24 +317,32 @@ class FisherReport:
     fi_per_scattered: float
 
 
+def fisher_scan_index(b_t, at_b_t: float) -> int:
+    """Index of the scan field nearest ``at_b_t``; ConfigError unless the scan
+    ``b_t`` has at least 5 uniform points, spacing <= 0.5 mT and that field
+    +- 2 steps inside it, as ``fisher_information`` needs."""
+    b = np.asarray(b_t, dtype=float)
+    db = np.diff(b)
+    if b.size < 5 or np.abs(db - db[0]).max() > 1e-12:
+        raise ConfigError("the Fisher information needs a scan uniform in B with at least 5 points")
+    if db[0] > 0.5e-3 + 1e-12:
+        raise ConfigError(f"the Fisher information needs scan steps <= 0.5 mT, got {db[0] * 1e3:g} mT")
+    i = int(np.argmin(np.abs(b - at_b_t)))
+    if i < 2 or i > b.size - 3:
+        raise ConfigError(f"{at_b_t * 1e3:g} mT needs scan points 2 steps either side; the scan spans {b[0] * 1e3:g} to {b[-1] * 1e3:g} mT")
+    return i
+
+
 def fisher_information(scan: SensingScan, at_b_t: float) -> FisherReport:
     """Multinomial Fisher information per pair at one scan point.
 
     Uses centred finite differences on the scan's own B grid and a
     step-halving (Richardson) consistency check, which fails above a 5 %
-    disagreement: the scan must be uniform with spacing <= 0.5 mT and
-    contain at_b +- 2 steps.
+    disagreement; the scan must pass ``fisher_scan_index``.
     """
     b = scan.b_t
-    db = np.diff(b)
-    if b.size < 5 or np.abs(db - db[0]).max() > 1e-12:
-        raise ConfigError("scan must be uniform in B with at least 5 points")
-    h = float(db[0])
-    if h > 0.5e-3 + 1e-12:
-        raise ConfigError("scan spacing must be <= 0.5 mT for stable derivatives")
-    i = int(np.argmin(np.abs(b - at_b_t)))
-    if i < 2 or i > b.size - 3:
-        raise ConfigError("need scan points at_b +- 2 steps for the Richardson check")
+    i = fisher_scan_index(b, at_b_t)
+    h = float(b[1] - b[0])
 
     p_tab = scan.probabilities.as_array()
     p0 = p_tab[:, i]

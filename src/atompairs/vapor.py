@@ -14,15 +14,21 @@ a 1-D array of them, at any frequencies.  The field droops symmetrically
 about the cell center, so the path is integrated over the Gauss nodes of the
 cell's first half, each standing for itself and its mirror image, and the
 lines of every distinct node field are built in one ``lines_at_fields``
-pass.  It walks the frequencies in blocks (``_chi_blocks``, the one
+pass.  It walks the frequencies in blocks (``_walk_chi``, the one
 frequency-block walk), so its memory follows the block and its outputs, not
 fields x frequencies.
 ``transfer_vs_field`` is its one-frequency case over many center fields,
 walked in blocks of centers.
+
+The walk is where the threads are: one contiguous span of the frequencies
+per usable CPU, each walked block by block on a thread of its own, with
+results bit-identical to one thread (see ``_walk_chi``).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,13 +38,13 @@ from scipy.constants import epsilon_0, hbar, k as K_B
 
 from atompairs.atoms import AtomLibrary, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
-from atompairs.faddeeva import SPLIT_MIN_POINTS, voigt_profile_complex
+from atompairs.faddeeva import voigt_profile_complex
 
 _LN2 = np.log(2.0)
-# line x frequency points per block of the frequency walk (2^17): one
-# workspace of detunings and profiles (3 MB) serves every block, and every
-# full block still gives each of two CPUs a whole faddeeva chunk
-BLOCK_POINTS = 2 * SPLIT_MIN_POINTS
+# line x frequency points per block of the frequency walk (2^17), shared by
+# its spans: the workspaces of detunings and profiles (3 MB in all) serve
+# every block
+BLOCK_POINTS = 1 << 17
 # Gauss nodes, counted over both halves of the cell, per block of a field
 # scan's centers: six centers of fig11's 16-slice cell (32 nodes)
 SCAN_BLOCK_NODES = 192
@@ -142,29 +148,61 @@ class _LineArrays:
         return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
 
 
-def _chi_blocks(lines: _LineArrays, nu: np.ndarray, groups: int):
-    """Walk the 1-D frequencies ``nu`` in contiguous blocks of at most
-    ``BLOCK_POINTS`` line x frequency points, yielding (columns, chi) per
-    block: the susceptibility of each of ``groups`` line groups at
-    ``nu[columns]``, shape (groups, block).
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Each group's chi sums its lines in line order, so a frequency's value does
-    not depend on the block it falls in.  The detunings and the Voigt profiles
-    (z, then w in place) of every block go through one workspace, allocated
-    flat so that the short last block is contiguous too and still splits
-    across CPUs in ``faddeeva``.
+
+def _new_pool() -> None:
+    # the walk's threads, one per CPU beyond the caller's; none starts before
+    # the first span is submitted, and a forked child, which inherits the pool
+    # but none of its threads, builds its own
+    global _pool
+    _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="vapor-walk")
+
+
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
+
+
+def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
+    """Walk the 1-D frequencies ``nu`` and call ``consume(columns, chi)`` once
+    per contiguous block: ``chi`` is the susceptibility of each of ``groups``
+    line groups at ``nu[columns]``, shape (groups, block).
+
+    The frequencies are cut into one contiguous span per usable CPU, but no
+    more spans than get a whole block each.  The calling thread walks the
+    first span and the pool the others, each in blocks of at most
+    ``BLOCK_POINTS / spans`` line x frequency points through its own
+    workspace, so ``consume`` runs on several threads at once, each on its own
+    columns.  Each group's chi sums its lines in line order, so a frequency's
+    value does not depend on its span or block.
     """
-    count = lines.nu0.size
-    step = max(1, BLOCK_POINTS // count)
-    size = count * min(step, nu.size)
-    detuning, profile = np.empty(size), np.empty(size, dtype=complex)
+    count, cpus = lines.nu0.size, _usable_cpus()
+    spans = max(1, min(cpus, nu.size // max(1, BLOCK_POINTS // (cpus * count))))
+    step = max(1, BLOCK_POINTS // (spans * count))
     nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
-    for a in range(0, nu.size, step):
-        block = nu[None, a : a + step]
-        shape = (count, block.size)
-        delta = np.subtract(block, nu0, out=detuning[: block.size * count].reshape(shape))
-        prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * count].reshape(shape))
-        yield slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups)
+
+    def walk(start, stop):
+        # flat, so that a short block's views are contiguous too
+        size = count * min(step, stop - start)
+        detuning, profile = np.empty(size), np.empty(size, dtype=complex)
+        for a in range(start, stop, step):
+            block = nu[None, a : min(a + step, stop)]
+            shape = (count, block.size)
+            delta = np.subtract(block, nu0, out=detuning[: block.size * count].reshape(shape))
+            prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * count].reshape(shape))
+            consume(slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups))
+
+    bounds = [nu.size * i // spans for i in range(spans + 1)]
+    pending = [_pool.submit(walk, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        walk(0, bounds[1])
+    finally:
+        wait(pending)
+    for job in pending:
+        job.result()
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:
@@ -254,8 +292,7 @@ class VaporPath:
         built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
         lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
         index = np.empty((2, nu.size), dtype=complex)
-        for columns, chi in _chi_blocks(lines, nu, 2):
-            index[:, columns] = np.sqrt(1.0 + chi)
+        _walk_chi(lines, nu, 2, lambda columns, chi: np.sqrt(1.0 + chi, out=index[:, columns]))
         n_plus, n_minus = index
         return n_plus, n_minus
 
@@ -269,12 +306,15 @@ class VaporPath:
         nu = _frequencies(nu_hz)
         n_fields, centers = self._fields.size, np.size(self.b_center_t)
         log_t = np.zeros((2, centers, nu.size), dtype=complex)
-        for columns, chi in _chi_blocks(self._lines, nu, 2 * n_fields):
+
+        def consume(columns, chi):
             k_vac = 2j * np.pi * nu[columns] / C_LIGHT
             for log_t_pol, n in zip(log_t, np.sqrt(1.0 + chi).reshape(2, n_fields, -1)):
                 block = log_t_pol[:, columns]
                 for where in self._where.T:
                     block += k_vac * (n[where] - 1.0) * self._dz
+
+        _walk_chi(self._lines, nu, 2 * n_fields, consume)
         log_t_plus, log_t_minus = log_t
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
         gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))

@@ -387,6 +387,32 @@ def test_non_finite_sensing_inputs_exit_2(tmp_path, capsys, argv):
     assert not (out / "scan.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--fisher-at-mT", "60"], "2 steps either side"),
+        (["--fisher-at-mT", "49.5"], "2 steps either side"),
+        (["--b-step-mT", "1", "--fisher-at-mT", "20"], "steps <= 0.5 mT"),
+        (["--b-max-mT", "1.5", "--fisher-at-mT", "1"], "at least 5 points"),
+    ],
+)
+def test_fisher_point_the_scan_cannot_serve_is_refused_before_the_cell_pass(tmp_path, capsys, monkeypatch, argv, named):
+    """A Fisher field without 2 scan steps either side, or a scan too coarse or
+    too short for the derivative, exits 2 naming the key, before any
+    propagation, and writes nothing."""
+    from atompairs import vapor
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the cell pass ran")
+
+    monkeypatch.setattr(vapor, "transfer_vs_field", no_pass)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "noon-scan"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: params.fisher_at_mt:" in err and named in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
     default, unbuffered = tmp_path / "default", tmp_path / "unbuffered"
     assert main(["--out-dir", str(default), "matching"]) == 0

@@ -1,4 +1,3 @@
-import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -6,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from atompairs import faddeeva as faddeeva_module
-from atompairs.faddeeva import SPLIT_MIN_POINTS, faddeeva, voigt_profile_complex
+from atompairs.faddeeva import faddeeva, voigt_profile_complex
+
+# points in a large input: about 11 ms of wofz
+LARGE = 1 << 16
 
 
 def _mp_faddeeva(z):
@@ -61,6 +62,11 @@ def test_large_argument_asymptote():
 def test_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         faddeeva(np.array([1.0 - 1.0j]))
+    # the whole input is checked, up to its last point
+    z = _upper_half_plane(4 * LARGE, 6)
+    z[-1] = 3.0 - 1e-3j
+    with pytest.raises(ValueError):
+        faddeeva(z)
 
 
 def _upper_half_plane(shape, seed):
@@ -68,33 +74,25 @@ def _upper_half_plane(shape, seed):
     return rng.uniform(-60, 60, shape) + 1j * 10.0 ** rng.uniform(-4, 1.5, shape)
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize(
-    "shape",
-    [(SPLIT_MIN_POINTS + 7,), (37, SPLIT_MIN_POINTS // 16), (SPLIT_MIN_POINTS - 1,)],
-    ids=["1d-split", "2d-split", "1d-below-threshold"],
-)
-def test_split_evaluation_is_bit_identical_to_wofz(shape, cpus, monkeypatch):
-    # chunk count as on a host with that many usable CPUs, whatever this one has
-    monkeypatch.setattr(faddeeva_module, "_usable_cpus", lambda: cpus)
-    z = _upper_half_plane(shape, 5)
-    w = faddeeva(z)
-    assert w.shape == z.shape and w.flags.c_contiguous
-    assert np.array_equal(w, wofz(z))
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("size", [SPLIT_MIN_POINTS + 7, 100])
+@pytest.mark.parametrize("callers", [1, 2])
+@pytest.mark.parametrize("size", [LARGE + 7, 100])
 @pytest.mark.parametrize("into", ["buffer", "in-place", "strided"])
-def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, cpus, into, monkeypatch):
-    """``out=`` receives w, split or not, including z's own memory and a
-    strided view, which is never split."""
-    monkeypatch.setattr(faddeeva_module, "_usable_cpus", lambda: cpus)
-    z = _upper_half_plane(size, 9)
-    want = wofz(z)
-    out = {"buffer": np.empty_like(z), "in-place": z, "strided": np.empty(2 * size, dtype=complex)[::2]}[into]
-    assert faddeeva(z, out=out) is out
-    assert np.array_equal(out, want)
+def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, callers, into):
+    """``out=`` receives w, also z's own memory and a strided view, with one
+    caller or several at once, each into its own buffer, as the frequency
+    walk's spans call it."""
+    inputs = [_upper_half_plane(size, 9 + k) for k in range(callers)]
+    wants = [wofz(z) for z in inputs]
+
+    def buffer(z):
+        return {"buffer": np.empty_like(z), "in-place": z, "strided": np.empty(2 * size, dtype=complex)[::2]}[into]
+
+    outs = [buffer(z) for z in inputs]
+    with ThreadPoolExecutor(callers) as pool:
+        results = list(pool.map(lambda z, out: faddeeva(z, out=out), inputs, outs))
+    for got, out, want in zip(results, outs, wants):
+        assert got is out
+        assert np.array_equal(out, want)
 
 
 def test_voigt_into_a_buffer_equals_a_fresh_profile():
@@ -108,44 +106,12 @@ def test_voigt_into_a_buffer_equals_a_fresh_profile():
     assert np.array_equal(voigt_profile_complex(delta, lorentz, sigma), out)
 
 
-def test_split_evaluation_rejects_lower_half_plane_in_last_chunk():
-    z = _upper_half_plane(4 * SPLIT_MIN_POINTS, 6)
-    z[-1] = 3.0 - 1e-3j
-    with pytest.raises(ValueError):
-        faddeeva(z)
-
-
 def test_concurrent_callers_get_their_own_results():
-    inputs = [_upper_half_plane(2 * SPLIT_MIN_POINTS + k, 20 + k) for k in range(6)]
+    inputs = [_upper_half_plane(2 * LARGE + k, 20 + k) for k in range(6)]
     with ThreadPoolExecutor(3) as callers:
         results = list(callers.map(faddeeva, inputs))
     for z, w in zip(inputs, results):
         assert np.array_equal(w, wofz(z))
-
-
-def _faddeeva_in_child(conn, z):
-    conn.send(bool(np.array_equal(faddeeva(z), wofz(z))))
-    conn.close()
-
-
-def test_split_evaluation_works_in_forked_child():
-    # the parent's pool threads do not survive fork; the child must build its own
-    z = _upper_half_plane(4 * SPLIT_MIN_POINTS, 8)
-    assert np.array_equal(faddeeva(z), wofz(z))
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_faddeeva_in_child, args=(send, z))
-    child.start()
-    send.close()
-    try:
-        assert receive.poll(60.0), "faddeeva() hung in a forked child"
-        assert receive.recv() is True
-        child.join(10.0)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-        child.join()
 
 
 def test_voigt_normalization_and_signs():

@@ -1,5 +1,8 @@
 import itertools
+import multiprocessing
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -258,15 +261,45 @@ def _fadof_path(atoms):
     return VaporPath(atoms, cell, 4.5e-3, slices=1)
 
 
-def _walked_chi(lines, nu, groups):
-    """The block walk's chi over ``nu``, blocks joined, after checking that the
-    blocks are contiguous, in order and cover ``nu`` once."""
-    blocks = list(vapor._chi_blocks(lines, nu, groups))
-    assert [(cols.start, cols.stop) for cols, _ in blocks] == [
-        (a, min(a + max(1, vapor.BLOCK_POINTS // lines.nu0.size), nu.size))
-        for a in range(0, nu.size, max(1, vapor.BLOCK_POINTS // lines.nu0.size))
+def _walk(lines, nu, groups):
+    """(columns, chi, thread) of each block the walk hands its callback, in
+    column order."""
+    blocks = []
+    vapor._walk_chi(lines, nu, groups, lambda cols, chi: blocks.append((cols, chi, threading.get_ident())))
+    return sorted(blocks, key=lambda block: block[0].start)
+
+
+def _walked_chi(lines, nu, groups, spans=1):
+    """The walk's chi over ``nu``, blocks joined, after checking that the blocks
+    are those of ``spans`` contiguous spans, each cut in blocks of at most
+    ``BLOCK_POINTS / spans`` line x frequency points, that they cover ``nu``
+    once, and that each span ran on a thread of its own."""
+    blocks = _walk(lines, nu, groups)
+    step = max(1, vapor.BLOCK_POINTS // (spans * lines.nu0.size))
+    bounds = [nu.size * i // spans for i in range(spans + 1)]
+    assert [(cols.start, cols.stop) for cols, _, _ in blocks] == [
+        (a, min(a + step, stop)) for start, stop in zip(bounds, bounds[1:]) for a in range(start, stop, step)
     ]
-    return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+    threads = [{t for cols, _, t in blocks if start <= cols.start < stop} for start, stop in zip(bounds, bounds[1:]) if stop > start]
+    assert threads[:1] in ([], [{threading.get_ident()}])
+    assert all(len(t) == 1 for t in threads) and len(set.union(set(), *threads)) == len(threads)
+    return np.concatenate([chi for _, chi, _ in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """``use_cpus(n)``: walk as on a host with n usable CPUs, whatever this one
+    has, through a pool of n - 1 threads that is shut down after the test."""
+    pools = []
+
+    def use(cpus):
+        monkeypatch.setattr(vapor, "_usable_cpus", lambda: cpus)
+        pools.append(ThreadPoolExecutor(cpus - 1) if cpus > 1 else None)
+        monkeypatch.setattr(vapor, "_pool", pools[-1])
+
+    yield use
+    for pool in filter(None, pools):
+        pool.shutdown()
 
 
 def _group_lines(lines, group):
@@ -282,11 +315,12 @@ def _edge_counts(step):
 
 @pytest.mark.parametrize("pol", ["sigma+", "sigma-"])
 @pytest.mark.parametrize("step", [7, None])
-def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
-    """Every block boundary case, with a small block and with the shipped one
-    (whose blocks also split across CPUs): the block walk's chi is the
-    one-shot line-order sum bit for bit, since each frequency's lines are
-    summed in line order whatever the block."""
+def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step, use_cpus):
+    """Every block boundary case of one span, with a small block and with the
+    shipped one: the walk's chi is the one-shot line-order sum bit for bit,
+    since each frequency's lines are summed in line order whatever the
+    block."""
+    use_cpus(1)
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = arrays.nu0.size
     if step is None:
@@ -300,11 +334,12 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
 
 
 @pytest.mark.parametrize("centers", [1, 6])
-def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers):
+def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers, use_cpus):
     """A path over one center and over six (fig10's fields and slices) gives,
     at every block edge of a small block, the (t+, t-, theta) of one block
     over all frequencies, bit for bit; and each field's chi+- in the walk is
     its one-shot line-order sum."""
+    use_cpus(1)
     fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
     path = VaporPath(atoms, sensing_cell, fields, slices=2)
     lines = path._lines
@@ -321,6 +356,82 @@ def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monk
         for group in range(2 * path._fields.size):
             arrays = _group_lines(lines, group)
             assert np.array_equal(chi[group], one_shot_susceptibility(arrays, nu))
+
+
+@pytest.mark.parametrize("spans", [2, 3])
+def test_spans_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch, spans, use_cpus):
+    """Cut in 2 or 3 spans, each on a thread of its own, the walk gives one
+    span's chi, and a path its (t+, t-, theta) and (n+, n-), bit for bit: in
+    the shipped blocks, and in blocks of 5 frequencies per span that fill
+    each span, leave one over, or end short."""
+    path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
+    lines = path._lines
+    count, shipped = lines.nu0.size, vapor.BLOCK_POINTS
+    cases = [(shipped, 3 * spans * (shipped // (spans * count)) + 5)]
+    cases += [(spans * 5 * count + 3, n) for n in (5 * spans, 5 * spans + 1, 15 * spans + 7)]
+    for block_points, n in cases:
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
+        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        outputs = {}
+        for cpus in (1, spans):
+            use_cpus(cpus)
+            outputs[cpus] = (_walked_chi(lines, nu, 2 * path._fields.size, cpus), *path._propagate(nu), *path.index_at(nu, 24e-3))
+        for got, want in zip(outputs[spans], outputs[1]):
+            assert np.array_equal(got, want)
+
+
+def test_inputs_too_small_for_a_block_per_cpu_stay_on_the_calling_thread(atoms, sensing_cell, d1_center, use_cpus):
+    """One frequency, as in a field scan, and one short of a block per CPU walk
+    on the calling thread; a block per CPU walks in two spans."""
+    use_cpus(2)
+    lines = VaporPath(atoms, sensing_cell, 24e-3, slices=2)._lines
+    per_span = vapor.BLOCK_POINTS // (2 * lines.nu0.size)
+    for n in (1, 2 * per_span - 1):
+        blocks = _walk(lines, d1_center + np.linspace(-6e9, 6e9, n), 4)
+        assert {thread for _, _, thread in blocks} == {threading.get_ident()}
+    _walked_chi(lines, d1_center + np.linspace(-6e9, 6e9, 2 * per_span), 4, spans=2)
+
+
+def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center, use_cpus):
+    """Several threads propagating at once share the walk's pool and each get
+    what it gets alone."""
+    use_cpus(2)
+    grid = make_frequency_grid(d1_center, 6e9, 2e6)
+    paths = [VaporPath(atoms, sensing_cell, b, slices=2) for b in (0.0, 12e-3, 37e-3, 58e-3)]
+    serial = [path._propagate(grid) for path in paths]
+    with ThreadPoolExecutor(len(paths)) as callers:
+        concurrent = list(callers.map(lambda path: path._propagate(grid), paths))
+    for got, want in zip(concurrent, serial):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def _transfer_in_child(conn, path, nu):
+    conn.send(path.transfer_at(nu))
+    conn.close()
+
+
+def test_walk_works_in_forked_child(atoms, sensing_cell, d1_center, use_cpus):
+    # the parent's pool threads do not survive fork; the child must build its own
+    use_cpus(2)
+    path = VaporPath(atoms, sensing_cell, 24e-3, slices=2)
+    nu = make_frequency_grid(d1_center, 6e9, 1e6)
+    want = path.transfer_at(nu)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_transfer_in_child, args=(send, path, nu))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60.0), "the frequency walk hung in a forked child"
+        for got, expected in zip(receive.recv(), want):
+            assert np.array_equal(got, expected)
+        child.join(10.0)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
