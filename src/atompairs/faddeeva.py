@@ -5,10 +5,9 @@ package (a continued fraction for large |z|, Zaghloul & Ali's Algorithm 916
 elsewhere) to near machine precision over the upper half plane.  Every Voigt
 profile in the toolkit funnels through this one function.
 
-``wofz`` is elementwise and releases the GIL.  This module runs no threads:
-a caller that walks many points, as ``vapor``'s frequency walk does, splits
-the work itself.  Both functions write into a caller's buffer when given
-``out=``, so a blocked evaluation can reuse one workspace for every block.
+``wofz`` is elementwise and releases the GIL; this module runs no threads,
+as ``vapor``'s frequency walk splits its own work.  Both functions write into
+a caller's ``out=`` buffer, so a blocked evaluation reuses one workspace.
 """
 
 from __future__ import annotations

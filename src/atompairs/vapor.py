@@ -22,7 +22,7 @@ walked in blocks of centers.
 
 The walk is where the threads are: one contiguous span of the frequencies
 per usable CPU, each walked block by block on a thread of its own, with
-results bit-identical to one thread (see ``_walk_chi``).
+results bit-identical to one thread (see ``_each_span`` and ``_walk_chi``).
 """
 
 from __future__ import annotations
@@ -166,43 +166,44 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
-    """Walk the 1-D frequencies ``nu`` and call ``consume(columns, chi)`` once
-    per contiguous block: ``chi`` is the susceptibility of each of ``groups``
-    line groups at ``nu[columns]``, shape (groups, block).
-
-    The frequencies are cut into one contiguous span per usable CPU, but no
-    more spans than get a whole block each.  The calling thread walks the
-    first span and the pool the others, each in blocks of at most
-    ``BLOCK_POINTS / spans`` line x frequency points through its own
-    workspace, so ``consume`` runs on several threads at once, each on its own
-    columns.  Each group's chi sums its lines in line order, so a frequency's
-    value does not depend on its span or block.
-    """
-    count, cpus = lines.nu0.size, _usable_cpus()
-    spans = max(1, min(cpus, nu.size // max(1, BLOCK_POINTS // (cpus * count))))
+def _each_span(n: int, count: int, walk) -> None:
+    """Call ``walk(start, stop, step)`` on each span of ``n`` frequencies of
+    ``count`` lines, one per usable CPU but no more than get a whole block of
+    ``step = BLOCK_POINTS / (spans * count)`` frequencies: the caller walks
+    the first, the pool the others.  A span's error is raised once all end."""
+    cpus = _usable_cpus()
+    spans = max(1, min(cpus, n // max(1, BLOCK_POINTS // (cpus * count))))
     step = max(1, BLOCK_POINTS // (spans * count))
-    nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
-
-    def walk(start, stop):
-        # flat, so that a short block's views are contiguous too
-        size = count * min(step, stop - start)
-        detuning, profile = np.empty(size), np.empty(size, dtype=complex)
-        for a in range(start, stop, step):
-            block = nu[None, a : min(a + step, stop)]
-            shape = (count, block.size)
-            delta = np.subtract(block, nu0, out=detuning[: block.size * count].reshape(shape))
-            prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * count].reshape(shape))
-            consume(slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups))
-
-    bounds = [nu.size * i // spans for i in range(spans + 1)]
-    pending = [_pool.submit(walk, a, b) for a, b in zip(bounds[1:-1], bounds[2:])]
+    bounds = [n * i // spans for i in range(spans + 1)]
+    pending = [_pool.submit(walk, a, b, step) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
-        walk(0, bounds[1])
+        walk(0, bounds[1], step)
     finally:
         wait(pending)
     for job in pending:
         job.result()
+
+
+def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
+    """Call ``consume(columns, chi)`` once per contiguous block of the 1-D
+    frequencies ``nu``; ``chi``, shape (groups, block), sums each line group's
+    lines in line order, so no value depends on its span of ``_each_span`` or
+    block.  Each span has its own workspace and calls ``consume`` on its own
+    thread, on its own columns."""
+    nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
+
+    def walk(start, stop, step):
+        # flat, so that a short block's views are contiguous too
+        size = nu0.size * min(step, stop - start)
+        detuning, profile = np.empty(size), np.empty(size, dtype=complex)
+        for a in range(start, stop, step):
+            block = nu[None, a : min(a + step, stop)]
+            shape = (nu0.size, block.size)
+            delta = np.subtract(block, nu0, out=detuning[: block.size * nu0.size].reshape(shape))
+            prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * nu0.size].reshape(shape))
+            consume(slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups))
+
+    _each_span(nu.size, nu0.size, walk)
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:

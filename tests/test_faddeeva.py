@@ -1,3 +1,4 @@
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
+from atompairs import vapor
 from atompairs.faddeeva import faddeeva, voigt_profile_complex
 
 # points in a large input: about 11 ms of wofz
@@ -74,6 +76,33 @@ def _upper_half_plane(shape, seed):
     return rng.uniform(-60, 60, shape) + 1j * 10.0 ** rng.uniform(-4, 1.5, shape)
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "shape, split",
+    [((vapor.BLOCK_POINTS + 7,), True), ((37, vapor.BLOCK_POINTS // 16), True), ((vapor.BLOCK_POINTS // 2 - 1,), False)],
+    ids=["1d-split", "2d-split", "1d-below-threshold"],
+)
+def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus):
+    """The last axis cut in spans as the frequency walk cuts its frequencies on
+    a host with that many usable CPUs, rows standing for lines: each span
+    evaluated on its own thread into its columns of one output gives wofz bit
+    for bit.  Below a block per CPU the input is one span, on the calling
+    thread."""
+    use_cpus(cpus)
+    z = _upper_half_plane(shape, 5)
+    w = np.empty_like(z)
+    spans = []
+
+    def walk(start, stop, step):
+        spans.append((start, threading.get_ident()))
+        faddeeva(z[..., start:stop], out=w[..., start:stop])
+
+    vapor._each_span(z.shape[-1], z[..., 0].size, walk)
+    assert len(spans) == (cpus if split else 1)
+    assert min(spans) == (0, threading.get_ident())
+    assert np.array_equal(w, wofz(z))
+
+
 @pytest.mark.parametrize("callers", [1, 2])
 @pytest.mark.parametrize("size", [LARGE + 7, 100])
 @pytest.mark.parametrize("into", ["buffer", "in-place", "strided"])
@@ -104,6 +133,15 @@ def test_voigt_into_a_buffer_equals_a_fresh_profile():
     z = delta * (2.0 * np.pi / sigma_w) + 1j * (np.pi * lorentz / sigma_w)
     assert np.array_equal(out, wofz(z) * (np.sqrt(np.pi) / sigma_w))
     assert np.array_equal(voigt_profile_complex(delta, lorentz, sigma), out)
+
+
+def test_split_evaluation_rejects_lower_half_plane_in_last_chunk(use_cpus):
+    # the last span is walked on a pool thread; its refusal reaches the caller
+    use_cpus(2)
+    z = _upper_half_plane(4 * LARGE, 6)
+    z[-1] = 3.0 - 1e-3j
+    with pytest.raises(ValueError):
+        vapor._each_span(z.size, 1, lambda start, stop, step: faddeeva(z[start:stop]))
 
 
 def test_concurrent_callers_get_their_own_results():
