@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Parameter fuzz: every numeric key of every command at edge values.
+
+Runs ``atompairs <command> <flag>=<value>`` for each numeric key of
+``atompairs.cli.PARAMS`` (int, float, optional float and float list) at 0,
+-1, nan, inf, 1e-300 and 1e300, each in a fresh process with its own output
+directory, a few at a time, each stopped at a time limit.  Prints one line
+per run that exits 1, runs past the limit, prints a traceback or writes NaN
+or Infinity into an output file, then the tallies, and exits 1 if any run
+did.  A sweep takes minutes, so it is not part of the test suite:
+
+    PYTHONPATH=src python3 scripts/fuzz_params.py [--jobs 2] [--timeout 40] [command ...]
+"""
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+from atompairs.cli import OPTIONAL_FLOAT, PARAMS, flag_of
+
+VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
+NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def numeric_keys(command: str) -> list[str]:
+    return [
+        key
+        for key, spec in PARAMS[command].items()
+        if spec is OPTIONAL_FLOAT or type(spec) in (int, float) or isinstance(spec, list)
+    ]
+
+
+def run(command: str, key: str, value: str, timeout: float) -> dict:
+    """One fresh-process run: its exit code (None past the time limit), wall
+    time, whether stderr holds a traceback and which outputs hold NaN or
+    Infinity."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as out:
+        argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", out, command, f"{flag_of(key)}={value}"]
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(argv, env=env, capture_output=True, timeout=timeout)
+            code, stderr = proc.returncode, proc.stderr
+        except subprocess.TimeoutExpired as exc:
+            code, stderr = None, exc.stderr or b""
+        wall = time.perf_counter() - start
+        non_finite = sorted(p.name for p in Path(out).iterdir() if NON_FINITE.search(p.read_bytes()))
+    return {
+        "run": f"{command} {flag_of(key)}={value}",
+        "code": code,
+        "wall_s": wall,
+        "traceback": b"Traceback" in stderr,
+        "non_finite": non_finite,
+        "last_line": stderr.decode(errors="replace").strip().splitlines()[-1:] or [""],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("commands", nargs="*", default=sorted(PARAMS), help="commands to fuzz (all by default)")
+    parser.add_argument("--jobs", type=int, default=2, help="runs at a time")
+    parser.add_argument("--timeout", type=float, default=40.0, help="seconds before a run is stopped")
+    args = parser.parse_args(argv)
+    cases = [(c, k, v) for c in args.commands for k in numeric_keys(c) for v in VALUES]
+    start = time.perf_counter()
+    with ThreadPoolExecutor(args.jobs) as pool:
+        results = list(pool.map(lambda case: run(*case, args.timeout), cases))
+    findings = 0
+    for r in results:
+        problems = [
+            label
+            for label, hit in (
+                ("exit 1", r["code"] == 1),
+                (f"past {args.timeout:g} s", r["code"] is None),
+                ("traceback", r["traceback"]),
+                (f"NaN/Infinity in {', '.join(r['non_finite'])}", bool(r["non_finite"])),
+            )
+            if hit
+        ]
+        if problems:
+            findings += 1
+            print(f"{r['run']}: {'; '.join(problems)} | {r['last_line'][0][:160]}")
+    codes = Counter("timeout" if r["code"] is None else f"exit {r['code']}" for r in results)
+    slowest = max(results, key=lambda r: r["wall_s"])
+    print(
+        f"{len(results)} runs of {len({(c, k) for c, k, _ in cases})} keys in "
+        f"{time.perf_counter() - start:.0f} s: "
+        + ", ".join(f"{n} {code}" for code, n in sorted(codes.items()))
+    )
+    print(f"tracebacks {sum(r['traceback'] for r in results)}, "
+          f"non-finite outputs {sum(bool(r['non_finite']) for r in results)}, "
+          f"slowest {slowest['wall_s']:.1f} s ({slowest['run']})")
+    return 1 if findings else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,19 +2,20 @@
 
 Builds product-basis Hamiltonians H = offset + A J.I + mu_B B (g_J Jz + g_I Iz)
 of J = 1/2 manifolds, solves them m_F block by m_F block and enumerates
-optical transition lines with Wigner-Eckart strengths.  With J = 1/2 every
-m_F block is 1x1 or 2x2 (Breit-Rabi structure), and each 2x2 block is solved
-in closed form by the LAPACK steps that ``numpy.linalg.eigh`` takes for it,
-so the levels are eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed
-from the few basis terms that the selection rule leaves.
+optical transition lines with Wigner-Eckart strengths.  With J = 1/2 the
+m_F blocks (Breit-Rabi structure) are the two stretched states and one pair
+of states per m_F between; their entries and adiabatic F labels are written
+in closed form, so no dense operator is built.  Each 2x2 block is solved by
+the LAPACK steps that ``numpy.linalg.eigh`` takes for it, so the levels are
+eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed from the few
+basis terms that the selection rule leaves.
 
 Each step takes one field or a 1-D array of fields:
 ``build_hamiltonian`` -> ``diagonalize`` -> ``transition_lines``.  A
-Hamiltonian is held as its m_F block entries only, read from the field-free
-operators, so no matrix is formed per field; its dense matrix is a derived
-view.  What does not depend on the field (the block entries of H0 and the
-Zeeman operator per set of constants, the m_F block layout, the amplitude
-terms) is built once per process.  Everything is in Hz and Tesla;
+Hamiltonian is held as its m_F block entries only; its dense matrix is a
+derived view.  What does not depend on the field (the block entries of H0
+and the Zeeman operator per set of constants, the m_F block layout, the
+amplitude terms) is built once per process.  Everything is in Hz and Tesla;
 constants come from the shipped data file (see data/rb_d1.yaml for sources)
 and can be overridden with a user file of the same schema.
 """
@@ -30,8 +31,8 @@ import numpy as np
 import yaml
 from scipy.constants import physical_constants
 
-from atompairs.errors import ConfigError, NumericError
-from atompairs.wigner import spin_matrices, wigner_3j
+from atompairs.errors import ConfigError
+from atompairs.wigner import wigner_3j
 
 MU_B_HZ_PER_T = physical_constants["Bohr magneton in Hz/T"][0]
 
@@ -209,10 +210,6 @@ def product_basis(J: float, I: float) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _basis_m_f(basis) -> np.ndarray:
-    return np.array([mj + mi for mj, mi in basis])
-
-
 @dataclass(frozen=True)
 class ManifoldHamiltonian:
     isotope: str
@@ -231,7 +228,7 @@ class ManifoldHamiltonian:
         return len(self.basis)
 
     def m_f(self) -> np.ndarray:
-        return _basis_m_f(self.basis)
+        return np.array([mj + mi for mj, mi in self.basis])
 
     @property
     def matrix_hz(self) -> np.ndarray:
@@ -242,33 +239,6 @@ class ManifoldHamiltonian:
         dense[..., layout.entry_cols, layout.entry_rows] = self.block_entries_hz
         dense[..., layout.entry_rows, layout.entry_cols] = self.block_entries_hz
         return dense
-
-
-def _field_free_operators(con: ManifoldConstants, I: float, g_I: float):
-    """(H0, Z) of one manifold, so that H(B) = H0 + mu_B B Z.
-
-    Both must be exactly symmetric and zero between states of different m_F,
-    or NumericError is raised.  Then every fl(H0 + fl(mu_B B) Z) is exactly
-    symmetric and block-diagonal too, so the lower triangle of each m_F
-    block holds all of it.
-    """
-    J = con.J
-    jx, jy, jz = spin_matrices(J)
-    ix, iy, iz = spin_matrices(I)
-    eye_j = np.eye(round(2 * J + 1))
-    eye_i = np.eye(round(2 * I + 1))
-    # J.I is real in this basis (jy x iy product of two imaginary matrices)
-    j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
-    h0 = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
-    zeeman = con.g_J * np.kron(jz, eye_i) + g_I * np.kron(eye_j, iz)
-    m_f = _basis_m_f(product_basis(J, I))
-    across = m_f[:, None] != m_f[None, :]
-    for name, op in (("H0", h0), ("Zeeman operator", zeeman)):
-        if not np.array_equal(op, op.T) or np.any(op[across]):
-            raise NumericError(
-                f"{con.label}: {name} is not exactly symmetric and zero between m_F blocks"
-            )
-    return h0, zeeman
 
 
 def _checked_fields(b_field_t) -> np.ndarray:
@@ -304,16 +274,6 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float | np.nda
     )
 
 
-def _zero_field_f_energies(J: float, I: float, A: float) -> dict[float, float]:
-    """Exact zero-field hyperfine energies per F (Lande interval formula)."""
-    out = {}
-    f = abs(J - I)
-    while f <= J + I + 1e-9:
-        out[f] = 0.5 * A * (f * (f + 1) - I * (I + 1) - J * (J + 1))
-        f += 1
-    return out
-
-
 @dataclass(frozen=True)
 class _BlockLayout:
     """Where the m_F blocks of one basis sit, each block 1x1 or 2x2.
@@ -340,68 +300,69 @@ class _BlockLayout:
 
 @functools.cache
 def _block_layout(basis) -> _BlockLayout:
-    """The m_F block layout of ``basis``; ConfigError for a block of more
-    than two states."""
-    mf = _basis_m_f(basis)
-    blocks = {1: [], 2: []}
-    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
-        rows = np.flatnonzero(np.abs(mf - mf_val) < 1e-9)
-        if rows.size > 2:
-            raise ConfigError(
-                f"m_F = {mf_val:g} block holds {rows.size} states; the block solver "
-                "takes at most 2 (J = 1/2)"
-            )
-        blocks[rows.size].append((mf_val, rows))
-    one = np.array([rows[0] for _, rows in blocks[1]], dtype=int)
-    r0, r1 = (np.array([rows[k] for _, rows in blocks[2]], dtype=int) for k in (0, 1))
-    n1, n2 = one.size, r0.size
-    low, high = n1 + np.arange(n2), n1 + n2 + np.arange(n2)
-    entry_rows, entry_cols, vector_rows, vector_levels, m_f = _read_only(
-        np.concatenate([one, r0, r1, r1]),
-        np.concatenate([one, r0, r0, r1]),
-        np.concatenate([one, r0, r1, r0, r1]),
-        np.concatenate([np.arange(n1), low, low, high, high]),
-        np.array([m for m, _ in blocks[1] + blocks[2] + blocks[2]]),
-    )
+    """The m_F block layout of the J = 1/2 product basis ``basis``: the
+    stretched states m_F = -(I + 1/2) and I + 1/2 are the 1x1 blocks, and
+    every m_F between holds the pair |m_J = -1/2, m_I = m_F + 1/2>,
+    |m_J = +1/2, m_I = m_F - 1/2>.  ConfigError for any other basis (with
+    J > 1/2 an m_F block holds more than two states)."""
+    J, I = basis[-1]
+    if basis != product_basis(0.5, I):
+        raise ConfigError(
+            f"got a J = {J:g} basis; the block solver takes J = 1/2 bases only, "
+            "whose m_F blocks hold at most two states"
+        )
+    n = len(basis) // 2  # 2I + 1 states per m_J
+    one, r0, r1 = np.array([0, 2 * n - 1]), np.arange(1, n), n + np.arange(n - 1)
+    low, high = 2 + np.arange(n - 1), n + 1 + np.arange(n - 1)
+    pair_m_f = -I + 0.5 + np.arange(n - 1)
     return _BlockLayout(
-        singles=n1,
-        pairs=n2,
-        entry_rows=entry_rows,
-        entry_cols=entry_cols,
-        vector_rows=vector_rows,
-        vector_levels=vector_levels,
-        m_f=m_f,
+        2,
+        n - 1,
+        *_read_only(
+            np.concatenate([one, r0, r1, r1]),  # entry_rows
+            np.concatenate([one, r0, r0, r1]),  # entry_cols
+            np.concatenate([one, r0, r1, r0, r1]),  # vector_rows
+            np.concatenate([np.arange(2), low, low, high, high]),  # vector_levels
+            np.concatenate([[-(I + 0.5), I + 0.5], pair_m_f, pair_m_f]),  # m_f
+        ),
     )
 
 
 @functools.cache
 def _block_operators(con: ManifoldConstants, I: float, g_I: float):
-    """The m_F block entries of H0 and Z that a block solve reads, so that
-    the entries of H(B) are H0 + mu_B B Z.
+    """The m_F block entries of H0 = offset + A J.I and Z = g_J Jz + g_I Iz
+    that a block solve reads, so that the entries of H(B) are H0 + mu_B B Z.
+
+    A diagonal entry is offset + A m_J m_I and g_J m_J + g_I m_I of its
+    state.  Within a pair, J.I couples the two states by
+    sqrt(I(I+1) - m(m+1)) / 2, m being the lower m_I, and Z by 0.  Each entry
+    is rounded as the Kronecker-product sum rounds it, zeros signed alike.
 
     Keyed on the constants themselves, not the isotope name: a user atom-data
     file may give the same isotope other constants.
     """
-    h0, zeeman = _field_free_operators(con, I, g_I)
-    layout = _block_layout(product_basis(con.J, I))
-    rows, cols = layout.entry_rows, layout.entry_cols
-    return _read_only(h0[rows, cols], zeeman[rows, cols])
+    basis = product_basis(con.J, I)
+    layout = _block_layout(basis)
+    m_j, m_i = np.array(basis)[layout.entry_rows].T
+    # the Kronecker sum adds +0.0 terms: m_J m_I = -0.0 gives +0.0
+    h0 = con.offset_hz + con.A_hfs_hz * (m_j * m_i + 0.0)
+    zeeman = con.g_J * m_j + g_I * m_i
+    b = slice(layout.singles + layout.pairs, layout.singles + 2 * layout.pairs)
+    m = m_i[b]  # row b is the pair's |+1/2, m> state
+    h0[b] = con.offset_hz * 0.0 + con.A_hfs_hz * (0.5 * np.sqrt(I * (I + 1) - m * (m + 1)))
+    zeeman[b] = con.g_J * 0.0 + g_I * 0.0
+    return _read_only(h0, zeeman)
 
 
 @functools.cache
-def _f_labels(basis, J: float, I: float, a_hfs: float) -> np.ndarray:
-    """Adiabatic F label of each level of ``_block_layout(basis)``.  Within a
-    block levels do not cross, so the k-th level connects to the k-th lowest
-    zero-field F energy of that block; the sign of A matters (it sets which
-    F lies lower), the offset does not."""
-    layout = _block_layout(basis)
-    f_energy = _zero_field_f_energies(J, I, a_hfs)
-    position = [0] * (layout.singles + layout.pairs) + [1] * layout.pairs
-    labels = [
-        sorted((f for f in f_energy if abs(m) <= f + 1e-9), key=f_energy.get)[k]
-        for m, k in zip(layout.m_f, position)
-    ]
-    return _read_only(np.array(labels))[0]
+def _f_labels(I: float, a_hfs: float) -> np.ndarray:
+    """Adiabatic F label of each level of the J = 1/2 block layout.  The
+    stretched states have F = I + 1/2.  Within a pair levels do not cross, so
+    the lower one connects to the F that lies lower at zero field: I - 1/2,
+    or I + 1/2 when A < 0; the offset does not matter."""
+    low, high = (I + 0.5, I - 0.5) if a_hfs < 0 else (I - 0.5, I + 0.5)
+    pairs = round(2 * I)
+    return _read_only(np.repeat([I + 0.5, low, high], [2, pairs, pairs]))[0]
 
 
 # LAPACK's dlamch("E") (the unit roundoff) and dlamch("S")
@@ -510,7 +471,7 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     """
     layout = _block_layout(ham.basis)
     entries = ham.block_entries_hz
-    f_labels = _f_labels(ham.basis, ham.J, ham.I, ham.constants.A_hfs_hz)
+    f_labels = _f_labels(ham.I, ham.constants.A_hfs_hz)
     n1, n2 = layout.singles, layout.pairs
     single = entries[..., :n1]
     (w0, w1), vectors = _eigh_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))

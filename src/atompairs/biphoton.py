@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from atompairs.errors import ConfigError, NumericError
+from atompairs.errors import ConfigError, NumericError, check_points
 
 _LN2 = np.log(2.0)
 
@@ -42,8 +42,9 @@ class BiphotonWaveFunction:
 def symmetric_tau_grid(half_span_s: float, step_s: float) -> np.ndarray:
     if not (np.isfinite(step_s) and step_s > 0 and np.isfinite(half_span_s)):
         raise ConfigError("tau step must be finite and > 0 and half span finite")
-    n = int(round(half_span_s / step_s))
-    return step_s * np.arange(-n, n + 1)
+    n = np.rint(half_span_s / step_s)
+    check_points(2 * n + 1, "tau grid")
+    return step_s * np.arange(-int(n), int(n) + 1)
 
 
 def ideal_opo_psi(bandwidth_fwhm_hz: float, phase_rad: float, tau_s) -> BiphotonWaveFunction:

@@ -20,6 +20,9 @@ _LN2 = np.log(2.0)
 MAX_MODES = 10_000
 # envelope weight, relative to its peak, of the first mode outside a comb
 TAIL_CUT = 1e-4
+# Gauss-Legendre nodes, and the half window in FWHM, of a mode's Lorentzian
+LORENTZIAN_NODES = 11
+LORENTZIAN_HALF_RANGE = 3.0
 
 
 @dataclass(frozen=True)
@@ -96,15 +99,16 @@ class FilteredPairs:
         return float(self.pair_weight[self.comb.degenerate_index] / self.total_pairs)
 
 
-def _lorentzian_average(transmission, centers_hz, fwhm_hz, points=11, half_range=3.0):
+def _lorentzian_average(transmission, centers_hz, fwhm_hz):
     """Filter transmission averaged over each mode's Lorentzian profile.
 
-    Gauss-Legendre quadrature on +-``half_range`` FWHM, weighted by the
-    truncated Lorentzian density (renormalized on the window).
+    ``LORENTZIAN_NODES``-point Gauss-Legendre quadrature on
+    +-``LORENTZIAN_HALF_RANGE`` FWHM, weighted by the truncated Lorentzian
+    density (renormalized on the window).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    half = half_range * fwhm_hz
-    offsets = nodes * half  # (points,)
+    nodes, weights = np.polynomial.legendre.leggauss(LORENTZIAN_NODES)
+    half = LORENTZIAN_HALF_RANGE * fwhm_hz
+    offsets = nodes * half  # (nodes,)
     lor = 1.0 / (1.0 + (2.0 * offsets / fwhm_hz) ** 2)
     dens = weights * lor
     dens = dens / dens.sum()

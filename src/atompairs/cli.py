@@ -28,7 +28,7 @@ import yaml
 
 from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
-from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError
+from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError, check_points
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -64,9 +64,22 @@ def _sha256(path: Path) -> str:
 
 
 def write_json(path: Path, payload):
+    """``payload`` as indented JSON; NumericError, before the file is opened,
+    if it holds a NaN or an infinity, which JSON cannot state."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _arange(stop: float, step: float, what: str) -> np.ndarray:
+    """``np.arange(0, stop, step)`` for a finite step > 0, refused by the
+    point cap before it is allocated."""
+    with np.errstate(divide="ignore", over="ignore"):
+        check_points(np.ceil(np.float64(stop) / step), what)
+    return np.arange(0.0, stop, step)
 
 
 class OutputSink:
@@ -268,7 +281,9 @@ def run_g2(p, atoms, sink, seed):
         rate2_hz=p["rate2_hz"],
         round_trip_s=1.0 / (p["fsr_mhz"] * 1e6),
     )
-    bins = np.arange(-p["bins"] // 2, p["bins"] // 2 + 1)
+    lo, hi = -p["bins"] // 2, p["bins"] // 2 + 1
+    check_points(hi - lo, "params.bins")
+    bins = np.arange(lo, hi)
     hist = coincidences.binned_histogram(env, det, p["mode"], bins)
     write_csv(
         sink.path("g2.csv"),
@@ -360,7 +375,7 @@ def run_superresolution(p, atoms, sink, seed):
     if not (np.isfinite(p["angle_step_deg"]) and 0 < p["angle_step_deg"] < 22.5):
         raise ConfigError("params.angle_step_deg: must be finite, > 0 and < 22.5 (half the 45 deg fringe)")
     step = np.radians(p["angle_step_deg"])
-    angles = np.arange(0.0, np.pi + step / 2, step)
+    angles = _arange(np.pi + step / 2, step, "params.angle_step_deg: the analyzer scan")
     surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
     # undo the basis-mapping quarter-wave plate to recover the source state
     qwp_back = noon.OpticalElement(kind="QWP", jones=noon.qwp_jones(np.pi / 4).conj().T)
@@ -438,7 +453,7 @@ def run_noon_scan(p, atoms, sink, seed):
             raise ConfigError(f"params.{key}: must be finite, got {p[key]!r}")
     if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
         raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
-    b_list = np.arange(0.0, p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3)
+    b_list = _arange(p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3, "params.b_step_mt: the field scan")
     # one pass over the scan's fields, then b* and b* +- h of the Fisher block
     h_t, n = 0.25e-3, b_list.size
     b_star = None if p["fisher_at_mt"] is None else p["fisher_at_mt"] * 1e-3
@@ -581,7 +596,8 @@ PRESETS: dict[str, dict] = {
 _UNITS = {"k": "K", "c": "C", "hz": "Hz", "mhz": "MHz", "ghz": "GHz", "mt": "mT"}
 
 
-def _flag(key: str) -> str:
+def flag_of(key: str) -> str:
+    """The command-line flag that sets parameter ``key``."""
     *words, last = key.split("_")
     return "--" + "-".join(words + [_UNITS.get(last, last)])
 
@@ -707,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
         for key, spec in table.items():
-            sp.add_argument(_flag(key), dest=key, help=key, **_argument(spec))
+            sp.add_argument(flag_of(key), dest=key, help=key, **_argument(spec))
 
     sc = sub.add_parser("scenario", help="run a named preset or scenario file")
     sc_sub = sc.add_subparsers(dest="scenario_command", required=True)

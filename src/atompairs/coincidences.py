@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from atompairs.errors import ConfigError, FitFailure
+from atompairs.errors import ConfigError, FitFailure, check_points
 
 _LN2 = np.log(2.0)
 
@@ -83,8 +83,9 @@ def g2_multi_weights(envelope: G2Envelope, det: DetectionModel):
     """
     weight_cut = 1e-6
     tau = det.round_trip_s
-    n_max = int(np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau)))
-    n = np.arange(-n_max, n_max + 1)
+    n_max = np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau))
+    check_points(2 * n_max + 1, "comb teeth")
+    n = np.arange(-int(n_max), int(n_max) + 1)
     delays = n * tau
     weights = g2_single(delays, envelope)
     keep = weights >= weight_cut
@@ -180,6 +181,7 @@ def binned_histogram(
 
     if mode == "multi":
         delays, weights = g2_multi_weights(envelope, det)
+        check_points(delays.size * bins.size, "tooth-bin tent table (teeth x bins)")
         pos = (delta + delays) / det.t_bin_s  # tooth centres in bin units, rel. bin k0
         tents = _tooth_bin_weights(pos, bins - k0)
         signal = weights @ tents

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the one cap on the
+points of a grid, scan or table.
 
 The CLI maps these onto distinct exit codes, so raising the right class
 matters for scripted use.
 """
+
+# The most points a grid, scan or table may hold, checked before it is
+# allocated.  README's 400,001-point ``fadof`` run is the largest shipped;
+# 2^20 superresolution angles peak near 0.65 GB.
+MAX_POINTS = 1 << 20
 
 
 class AtomPairsError(Exception):
@@ -14,7 +20,7 @@ class ConfigError(AtomPairsError):
 
 
 class NumericError(AtomPairsError):
-    """A numerical contract was violated (non-symmetric operator, unstable derivative)."""
+    """A numerical contract was violated (unstable derivative, non-finite result)."""
 
 
 class CoverageError(AtomPairsError):
@@ -36,3 +42,10 @@ class ResolutionError(CoverageError):
 
 class FitFailure(AtomPairsError):
     """Histogram fit could not identify a peak above the floor."""
+
+
+def check_points(points, what: str):
+    """ConfigError naming ``what`` if ``points`` (a count, possibly a float
+    or inf) exceeds MAX_POINTS."""
+    if not points <= MAX_POINTS:
+        raise ConfigError(f"{what} would hold {points:.4g} points; at most {MAX_POINTS} are allowed")

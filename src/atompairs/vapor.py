@@ -37,7 +37,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
 from atompairs.atoms import AtomLibrary, lines_at_fields
-from atompairs.errors import ConfigError, ResolutionError
+from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
 
 _LN2 = np.log(2.0)
@@ -401,5 +401,6 @@ def make_frequency_grid(
     """Uniform grid center +- half_span; default resolves the natural width."""
     if not (np.isfinite(spacing_hz) and spacing_hz > 0 and np.isfinite(half_span_hz) and half_span_hz >= 0):
         raise ConfigError("grid spacing must be finite and > 0 and half span finite and >= 0")
-    n = int(round(half_span_hz / spacing_hz))
-    return center_hz + spacing_hz * np.arange(-n, n + 1)
+    n = np.rint(half_span_hz / spacing_hz)
+    check_points(2 * n + 1, "frequency grid")
+    return center_hz + spacing_hz * np.arange(-int(n), int(n) + 1)

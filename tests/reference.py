@@ -43,43 +43,66 @@ def breit_rabi_energies(i_spin, g_j, g_i, a_hfs_hz, b_field_t):
     return np.sort(np.array(energies))
 
 
-def dense_hamiltonian(con, i_spin, g_i, b_field_t):
-    """offset + A J.I + mu_B B (g_J Jz + g_I Iz) of one manifold, from
-    Kronecker products in the |m_J, m_I> basis (m_J outer, m_I inner, both
-    ascending): (dim, dim) at one field, (fields, dim, dim) at a 1-D array."""
+def dense_operators(con, i_spin, g_i):
+    """(H0, Z) of one manifold, H0 = offset + A J.I and Z = g_J Jz + g_I Iz,
+    from Kronecker products in the |m_J, m_I> basis (m_J outer, m_I inner,
+    both ascending)."""
     jx, jy, jz = spin_matrices(con.J)
     ix, iy, iz = spin_matrices(i_spin)
     eye_j, eye_i = np.eye(round(2 * con.J + 1)), np.eye(round(2 * i_spin + 1))
     j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
     h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
     zeeman = con.g_J * np.kron(jz, eye_i) + g_i * np.kron(eye_j, iz)
+    return h, zeeman
+
+
+def dense_hamiltonian(con, i_spin, g_i, b_field_t):
+    """H0 + mu_B B Z of ``dense_operators``: (dim, dim) at one field,
+    (fields, dim, dim) at a 1-D array."""
+    h, zeeman = dense_operators(con, i_spin, g_i)
     return h + (MU_B * np.asarray(b_field_t, dtype=float))[..., None, None] * zeeman
+
+
+def m_f_blocks(m_f, j, i_spin, a_hfs_hz):
+    """(m_F, basis indices, F labels) of each m_F block of a basis whose
+    states have total ``m_f``, in ascending m_F.  The labels are the F values
+    that hold the block's m_F, lowest zero-field energy (interval rule) first,
+    so the k-th lowest level of the block connects to the k-th label."""
+    f_energy = {}
+    f = abs(j - i_spin)
+    while f <= j + i_spin + 1e-9:
+        f_energy[f] = 0.5 * a_hfs_hz * (f * (f + 1) - i_spin * (i_spin + 1) - j * (j + 1))
+        f += 1
+    return [
+        (
+            mf_val,
+            np.where(np.abs(m_f - mf_val) < 1e-9)[0],
+            sorted((f for f in f_energy if abs(mf_val) <= f + 1e-9), key=f_energy.get),
+        )
+        for mf_val in sorted(set(np.round(m_f * 2).astype(int) / 2))
+    ]
+
+
+def basis_m_f(j, i_spin):
+    """Total m_F of each |m_J, m_I> basis state (m_J outer, m_I inner)."""
+    n_j, n_i = round(2 * j + 1), round(2 * i_spin + 1)
+    return np.array([-j + kj - i_spin + ki for kj in range(n_j) for ki in range(n_i)])
 
 
 def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     """Energies, eigenvectors, m_F and F labels of one J = 1/2 manifold.
 
     The Hamiltonian is rebuilt from Kronecker products at every field and each
-    m_F block is solved on its own, in ascending m_F, with its adiabatic F
-    labels read off the zero-field interval rule block by block.
+    m_F block of ``m_f_blocks`` is solved on its own, in ascending m_F, with
+    its adiabatic F labels read off the zero-field interval rule.
     """
-    J = con.J
     h = dense_hamiltonian(con, i_spin, g_i, b_field_t)
-    n_j, n_i = round(2 * J + 1), round(2 * i_spin + 1)
-    mf = np.array([-J + kj - i_spin + ki for kj in range(n_j) for ki in range(n_i)])
-    f_energy = {}
-    f = abs(J - i_spin)
-    while f <= J + i_spin + 1e-9:
-        f_energy[f] = 0.5 * con.A_hfs_hz * (f * (f + 1) - i_spin * (i_spin + 1) - J * (J + 1))
-        f += 1
     dim = h.shape[0]
     energies, f_labels, m_f = np.empty(dim), np.empty(dim), np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
     col = 0
-    for mf_val in sorted(set(np.round(mf * 2).astype(int) / 2)):
-        idx = np.where(np.abs(mf - mf_val) < 1e-9)[0]
+    for mf_val, idx, fs in m_f_blocks(basis_m_f(con.J, i_spin), con.J, i_spin, con.A_hfs_hz):
         vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-        fs = sorted((f for f in f_energy if abs(mf_val) <= f + 1e-9), key=f_energy.get)
         for k in range(idx.size):
             energies[col + k] = vals[k]
             vectors[idx, col + k] = vecs[:, k]
@@ -115,15 +138,8 @@ def dense_spectrum(h, m_f, j, i_spin, a_hfs_hz):
     closed form: the blocks of one size, of every field, go through one
     stacked ``np.linalg.eigh``; the levels are sorted by energy, ties by m_F.
     """
-    f_energy = {}
-    f = abs(j - i_spin)
-    while f <= j + i_spin + 1e-9:
-        f_energy[f] = 0.5 * a_hfs_hz * (f * (f + 1) - i_spin * (i_spin + 1) - j * (j + 1))
-        f += 1
     groups, m_f_out, f_labels = {}, [], []
-    for mf_val in sorted(set(np.round(m_f * 2).astype(int) / 2)):
-        idx = np.where(np.abs(m_f - mf_val) < 1e-9)[0]
-        fs = sorted((f for f in f_energy if abs(mf_val) <= f + 1e-9), key=f_energy.get)
+    for mf_val, idx, fs in m_f_blocks(m_f, j, i_spin, a_hfs_hz):
         groups.setdefault(idx.size, []).append((idx, len(m_f_out) + np.arange(idx.size)))
         m_f_out += [mf_val] * idx.size
         f_labels += fs[: idx.size]

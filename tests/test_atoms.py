@@ -12,16 +12,19 @@ from atompairs.atoms import (
     load_atom_data,
     transition_lines,
 )
-from atompairs.errors import ConfigError, NumericError
+from atompairs.errors import ConfigError
 from atompairs.wigner import spin_matrices, wigner_3j
 
 from reference import (
+    basis_m_f,
     blockwise_lines,
     breit_rabi_energies,
     dense_hamiltonian,
     dense_lines,
+    dense_operators,
     dense_spectrum,
     dipole_matrix,
+    m_f_blocks,
 )
 
 
@@ -455,29 +458,45 @@ def test_block_amplitudes_equal_the_dense_product(atoms, name):
                 assert np.array_equal(got.strength, want[4])
 
 
-def test_field_free_operators_are_checked_once_per_constants(atoms, monkeypatch):
-    """An operator that is not exactly symmetric and block-diagonal in m_F is
-    refused where H0 and Z are built, which every Hamiltonian goes through."""
-    from dataclasses import replace
+def _bits(values):
+    """Float bits, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
 
-    from atompairs import atoms as atoms_module
 
-    spin_matrices = atoms_module.spin_matrices
+@pytest.mark.parametrize("two_i", range(1, 10))
+@pytest.mark.parametrize(
+    "a_hfs, offset",
+    [(3.417e9, 0.0), (-1.2e8, 0.0), (0.0, 0.0), (-0.0, 0.0), (8.16e8, 3.77e14), (-8.16e8, -2.0e9), (2.5e7, -0.0)],
+)
+def test_closed_form_blocks_equal_the_kronecker_oracle(two_i, a_hfs, offset):
+    """The closed-form J = 1/2 block structure, for I = 1/2 ... 9/2: the
+    block entries of H0 and Z are the Kronecker-product oracle's at the
+    layout's positions as float bits (signed zeros included), and the layout
+    and F labels are the oracle's m_F grouping and interval-rule labels."""
+    from atompairs.atoms import ManifoldConstants, _block_layout, _block_operators, _f_labels, product_basis
 
-    def skewed(j):
-        jx, jy, jz = spin_matrices(j)
-        jx = jx.copy()
-        jx[0, 1] += 1e-12
-        return jx, jy, jz
+    i_spin = two_i / 2
+    layout = _block_layout(product_basis(0.5, i_spin))
+    rows, cols = layout.entry_rows, layout.entry_cols
+    for g_j, g_i in ((2.0023, -2.9e-4), (-0.5, -1.0e-3), (0.666, 0.0)):
+        con = ManifoldConstants(label="x", J=0.5, g_J=g_j, A_hfs_hz=a_hfs, offset_hz=offset)
+        h0, zeeman = _block_operators(con, i_spin, g_i)
+        want_h0, want_zeeman = dense_operators(con, i_spin, g_i)
+        assert np.array_equal(_bits(h0), _bits(want_h0[rows, cols]))
+        assert np.array_equal(_bits(zeeman), _bits(want_zeeman[rows, cols]))
 
-    monkeypatch.setattr(atoms_module, "spin_matrices", skewed)
-    iso = atoms["Rb87"]
-    iso = replace(iso, manifolds={k: replace(v, g_J=v.g_J + 1e-9) for k, v in iso.manifolds.items()})
-    lib = AtomLibrary(isotopes={"Rb87": iso}, vapor_pressure=atoms.vapor_pressure)
-    with pytest.raises(NumericError, match="symmetric"):
-        lines_at_fields(lib, {"Rb87": 1.0}, [1e-3])
-    with pytest.raises(NumericError, match="symmetric"):
-        build_hamiltonian(iso, "5S1/2", 1e-3)
+    blocks = m_f_blocks(basis_m_f(0.5, i_spin), 0.5, i_spin, a_hfs)
+    singles = [block for block in blocks if block[1].size == 1]
+    pairs = [block for block in blocks if block[1].size == 2]
+    assert (layout.singles, layout.pairs) == (len(singles), len(pairs)) == (2, two_i)
+    one = [idx[0] for _, idx, _ in singles]
+    r0, r1 = ([idx[k] for _, idx, _ in pairs] for k in (0, 1))
+    assert np.array_equal(rows, one + r0 + r1 + r1)
+    assert np.array_equal(cols, one + r0 + r0 + r1)
+    m_f = [m for m, _, _ in singles + pairs + pairs]
+    labels = [fs[0] for _, _, fs in singles + pairs] + [fs[1] for _, _, fs in pairs]
+    assert np.array_equal(_bits(layout.m_f), _bits(m_f))
+    assert np.array_equal(_f_labels(i_spin, a_hfs), labels)
 
 
 @pytest.mark.parametrize(

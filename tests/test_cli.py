@@ -23,6 +23,7 @@ from atompairs.cli import (
     validate_scenario,
     write_csv,
 )
+from atompairs.errors import MAX_POINTS
 from atompairs.vapor import VaporCellConfig
 
 from reference import one_shot_csv
@@ -622,6 +623,45 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
         assert "params.angle_step_deg" in capsys.readouterr().err
     if argv[1] == "--n-phases":
         assert "need at least 3 analyser phases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--spacing-MHz", "1e-300"],
+        ["fadof", "--spacing-MHz", "1e-300"],
+        ["interference", "--step-ns", "1e-300"],
+        ["reconstruct", "--step-ns", "1e-300"],
+        ["superresolution", "--angle-step-deg", "1e-300"],
+        ["noon-scan", "--b-step-mT", "1e-300"],
+        ["g2", "--bins", "2000000000"],
+    ],
+)
+def test_grids_past_the_point_cap_exit_2_before_allocating(tmp_path, capsys, argv):
+    assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"at most {MAX_POINTS}" in err
+    assert "Traceback" not in err
+
+
+def test_point_cap_admits_the_largest_shipped_grid():
+    from atompairs.vapor import make_frequency_grid
+
+    # README's 400,001-point fadof run: +-10 GHz at 0.05 MHz
+    assert make_frequency_grid(0.0, 10e9, 0.05e6).size == 400_001 < MAX_POINTS
+
+
+def test_non_finite_report_value_exits_3_and_writes_no_json(tmp_path, capsys):
+    """At a probe 1e7 GHz off the line the cell is transparent, so the SQL
+    Fisher information is 0 and ``sql_ratio`` is 0/0: JSON cannot state it."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["--out-dir", str(out), "noon-scan", "--detuning-GHz", "1e7", "--fisher-at-mT", "44"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error:" in err and "fisher.json" in err and "Traceback" not in err
+    assert not (out / "fisher.json").exists() and not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))
