@@ -42,8 +42,11 @@ CSV_BLOCK_CELLS = 1 << 12
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    """One row per index; integer columns as ``%d``, all others as ``%.12g``."""
+    """One row per index; integer columns as ``%d``, all others as ``%.12g``.
+    NumericError, before the file is opened, if a cell is a NaN or infinite."""
     columns = [np.asarray(col) for col in columns]
+    if bad := [name for name, col in zip(header, columns) if not np.isfinite(col).all()]:
+        raise NumericError(f"{path}: non-finite values in column(s) {', '.join(bad)}")
     row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
     row += "\n"
     rows = max(1, CSV_BLOCK_CELLS // len(columns))

@@ -1,34 +1,76 @@
 """Complex Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
 
-Evaluated by ``scipy.special.wofz``, which wraps S. G. Johnson's Faddeeva
-package (a continued fraction for large |z|, Zaghloul & Ali's Algorithm 916
-elsewhere) to near machine precision over the upper half plane.  Every Voigt
-profile in the toolkit funnels through this one function.
-
-``wofz`` is elementwise and releases the GIL; this module runs no threads,
-as ``vapor``'s frequency walk splits its own work.  Both functions write into
-a caller's ``out=`` buffer, so a blocked evaluation reuses one workspace.
+Each point's method follows from its own z, so no split of the input moves a
+bit.  From |z| = ``WING_RADIUS`` on, w is the Laplace continued fraction
+(i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))) cut after
+``FRACTION_DEPTH`` levels (Gautschi, SIAM J. Numer. Anal. 7, 187 (1970)), as a
+ratio of polynomials in z^2 by Horner's rule: about a quarter of the cost of
+``scipy.special.wofz`` (S. G. Johnson's Faddeeva package), which evaluates
+every other point, non-finite ones included.  Every Voigt profile in the
+toolkit funnels through this module; it runs no threads, as ``vapor``'s
+frequency walk splits its own work.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.special import wofz
 
 _SQRT_PI = np.sqrt(np.pi)
+# |z| from which w is the continued fraction, and the smallest depth whose
+# truncation error there lies below rounding (tests/test_faddeeva.py)
+WING_RADIUS = 7.0
+FRACTION_DEPTH = 12
+
+
+def _fraction(depth: int):
+    """(i/sqrt(pi)) A and B, in powers of u = z^2 from the highest, such that
+    the fraction cut after an even ``depth`` is (i/sqrt(pi)) A(u) / (z B(u)):
+    Wallis' recurrence, exact, as every coefficient is a dyadic rational."""
+    z = Polynomial([0.0, 1.0])
+    a, a_prev, b, b_prev = Polynomial(1.0), Polynomial(0.0), z, Polynomial(1.0)
+    for k in range(1, depth + 1):
+        a, a_prev, b, b_prev = z * a - k / 2 * a_prev, a, z * b - k / 2 * b_prev, b
+    return 1j / _SQRT_PI * a.coef[::-2], b.coef[::-2]
+
+
+_NUMERATOR, _DENOMINATOR = _fraction(FRACTION_DEPTH)
+
+
+def _horner(coefficients, u, out, where):
+    np.copyto(out, coefficients[0], where=where)
+    for c in coefficients[1:]:
+        np.multiply(out, u, out=out, where=where)
+        np.add(out, c, out=out, where=where)
 
 
 def faddeeva(z, out=None):
     """Evaluate w(z) elementwise; requires Im z >= 0.
 
-    Relative accuracy is better than 1e-12 over the upper half plane
-    (unit-tested against mpmath at scattered points).  ``out``, a complex
-    array of z's shape, receives w and is returned; it may be ``z`` itself.
+    Relative accuracy is better than 1e-13 over the upper half plane
+    (unit-tested against mpmath and ``wofz``).  ``out``, a complex array of
+    z's shape, receives w and is returned; it may be ``z`` itself.
     """
     z = np.asarray(z, dtype=complex)
     if z.imag.min(initial=0.0) < -1e-300:
         raise ValueError("faddeeva() is only valid for Im z >= 0")
-    return wofz(z, out=out)
+    out = np.empty_like(z) if out is None else out
+    r = np.abs(z)
+    # past |z| = 1e20 the degree-13 denominator would overflow
+    wings = (r >= WING_RADIUS) & (r < 1e20)
+    del r
+    u, den = np.square(z, out=np.empty_like(z), where=wings), np.empty_like(z)
+    _horner(_DENOMINATOR, u, den, wings)
+    np.multiply(den, z, out=den, where=wings)  # the last read of z at the wings
+    _horner(_NUMERATOR, u, out, wings)
+    np.divide(out, den, out=out, where=wings)
+    del u, den  # 33 B of scratch a point, freed before the gather
+    # gathered: wofz(where=) in place corrupts the heap (scipy 1.17)
+    core = ~wings
+    w = z[core]
+    out[core] = wofz(w, out=w)
+    return out
 
 
 def voigt_profile_complex(delta_hz, lorentz_fwhm_hz, gauss_sigma_hz, out=None):

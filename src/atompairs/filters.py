@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from atompairs.atoms import AtomLibrary
-from atompairs.errors import ConfigError, CoverageError
+from atompairs.errors import ConfigError, CoverageError, NumericError
 from atompairs.vapor import VaporCellConfig, VaporPath, make_frequency_grid
 
 
@@ -117,7 +117,7 @@ def filter_metrics(spec: FilterSpectrum, passband_window_hz=None) -> FilterMetri
     i_max = int(np.argmax(t))
     t_max = float(t[i_max])
     if t_max <= 0:
-        raise ValueError("spectrum has no transmission")
+        raise NumericError("spectrum has no transmission anywhere on its grid; its metrics are undefined")
     if i_max in (0, t.size - 1):
         raise CoverageError("tallest peak sits on the grid edge; widen the grid")
 

@@ -41,10 +41,10 @@ from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
 
 _LN2 = np.log(2.0)
-# line x frequency points per block of the frequency walk (2^17), shared by
-# its spans: the workspaces of detunings and profiles (3 MB in all) serve
-# every block
-BLOCK_POINTS = 1 << 17
+# line x frequency points per block of the frequency walk, shared by its
+# spans: at 24 B of detunings and profiles per point, reused by every block,
+# and the 33 B of ``faddeeva``'s scratch, 2.8 MB in all
+BLOCK_POINTS = 3 << 14
 # Gauss nodes, counted over both halves of the cell, per block of a field
 # scan's centers: six centers of fig11's 16-slice cell (32 nodes)
 SCAN_BLOCK_NODES = 192
@@ -375,14 +375,17 @@ def check_spacing(cell: VaporCellConfig, atoms: AtomLibrary, spacing_hz: float):
     """Raise ResolutionError if ``spacing_hz`` puts fewer than ``POINTS_PER_FWHM``
     grid points across the cell's narrowest Voigt line.  The widths come from
     each isotope's D1 frequency and do not depend on the field."""
-    width = min(
-        _voigt_fwhm_hz(
-            atoms[name].natural_fwhm_hz + cell.buffer_fwhm_hz,
-            _doppler_sigma_hz(atoms[name].d1_frequency_hz, atoms[name].mass_kg, cell.temperature_k),
+    try:
+        width = min(
+            _voigt_fwhm_hz(
+                atoms[name].natural_fwhm_hz + cell.buffer_fwhm_hz,
+                _doppler_sigma_hz(atoms[name].d1_frequency_hz, atoms[name].mass_kg, cell.temperature_k),
+            )
+            for name, fraction in cell.isotope_fractions.items()
+            if fraction > 0
         )
-        for name, fraction in cell.isotope_fractions.items()
-        if fraction > 0
-    )
+    except OverflowError:
+        raise ConfigError(f"buffer broadening {cell.buffer_fwhm_hz:.3g} Hz overflows the Voigt line width") from None
     required = width / POINTS_PER_FWHM
     if spacing_hz > required * (1 + 1e-9):
         raise ResolutionError(spacing_hz, required)

@@ -23,7 +23,7 @@ from atompairs.cli import (
     validate_scenario,
     write_csv,
 )
-from atompairs.errors import MAX_POINTS
+from atompairs.errors import MAX_POINTS, NumericError
 from atompairs.vapor import VaporCellConfig
 
 from reference import one_shot_csv
@@ -440,7 +440,7 @@ def test_write_csv_blocks_match_one_shot(tmp_path):
     index = np.arange(rows) - 3
     values = np.linspace(-2.5, 7.0, rows) ** 3 * 1e-9
     edges = [0, 1, 2, 3, block - 1, block, 2 * block]
-    values[edges] = [np.nan, np.inf, -np.inf, -0.0, np.nan, -0.0, np.inf]
+    values[edges] = [5e-324, -1.5e8, 1e-300, -0.0, 0.0, -0.0, 1.7e8]
     header = ["index", "value", "scaled"]
     columns = [index, values, values * 1e300]
     write_csv(tmp_path / "blocked.csv", header, columns)
@@ -448,6 +448,12 @@ def test_write_csv_blocks_match_one_shot(tmp_path):
     blocked = (tmp_path / "blocked.csv").read_bytes()
     assert blocked == (tmp_path / "one_shot.csv").read_bytes()
     assert blocked.count(b"\n") == rows + 1
+    # a NaN or an infinity in any block is refused before the file is opened
+    for bad in (np.nan, np.inf, -np.inf):
+        values[2 * block] = bad
+        with pytest.raises(NumericError, match="value, scaled"):
+            write_csv(tmp_path / "refused.csv", header, columns[:1] + [values, values * 1e300])
+    assert not (tmp_path / "refused.csv").exists()
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):
@@ -662,6 +668,38 @@ def test_non_finite_report_value_exits_3_and_writes_no_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numeric error:" in err and "fisher.json" in err and "Traceback" not in err
     assert not (out / "fisher.json").exists() and not (out / "manifest.json").exists()
+
+
+def test_non_finite_csv_cell_exits_3_and_writes_no_table(tmp_path, capsys):
+    """At an exposure of 1e-300 no pair is recorded, so the reconstructed
+    phases have no error bar (0/0): the table is refused before it is opened."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["--out-dir", str(out), "reconstruct", "--exposure", "1e-300"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric error:" in err and "reconstruction.csv" in err and "Traceback" not in err
+    assert not (out / "reconstruction.csv").exists() and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        (["spectrum", "--buffer-MHz", "1e300"], 2, "overflows the Voigt line width"),
+        (["fadof", "--length-cm", "1e300"], 3, "spectrum has no transmission"),
+    ],
+    ids=["spectrum-buffer", "fadof-length"],
+)
+def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, capsys):
+    """A buffer width whose square overflows, and a cell so long that the
+    filter passes nothing, are refused by their library checks; they died
+    with an OverflowError and a bare ValueError (exit 1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import wofz
 
 from atompairs import vapor
-from atompairs.faddeeva import faddeeva, voigt_profile_complex
+from atompairs.faddeeva import WING_RADIUS, faddeeva, voigt_profile_complex
 
 # points in a large input: about 11 ms of wofz
 LARGE = 1 << 16
@@ -76,6 +76,60 @@ def _upper_half_plane(shape, seed):
     return rng.uniform(-60, 60, shape) + 1j * 10.0 ** rng.uniform(-4, 1.5, shape)
 
 
+def _one_call(z):
+    """The oracle of the split, buffer and thread tests: one ``faddeeva`` call
+    on the calling thread into a fresh array.  Its core points are ``wofz``'s
+    bits."""
+    w = faddeeva(z)
+    core = np.abs(z) < WING_RADIUS
+    assert 0 < core.sum() < z.size
+    assert np.array_equal(w[core], wofz(z[core]))
+    return w
+
+
+def test_wings_match_mpmath_across_the_switch():
+    """|z| from 6.5 to 8, at angles down to the real axis, both sides of the
+    switch from wofz to the continued fraction at |z| = 7.
+
+    Everywhere: complex relative error <= 1e-13, and <= 1e-12 in Re w for
+    Im z >= 1e-6, where Re w is down to ~1e-8 of |w|.  A radius of 6 fails
+    this: at |z| = 6.5 the fraction omits e^(-z^2), 3.3e-11 of Re w at Im z =
+    1e-6.  On the fraction's side it must be as good as its rounding, which
+    fixes its depth: complex <= 2e-15 and Re w <= 1e-13; 11 levels give 4.3e-15
+    and 1.6e-13 at |z| = 7, 12 levels 1.0e-15 and 6.8e-14."""
+    mpmath.mp.dps = 40
+    radii = np.array([6.5, 6.75, 6.9, 6.99, 7.0, 7.01, 7.1, 7.25, 7.5, 7.75, 8.0])
+    heights = np.concatenate([10.0 ** np.arange(-8.0, 1.0), [2.0, 4.0, 6.0]])
+    r, y = np.meshgrid(radii, heights)
+    r, y = r[y < r], y[y < r]
+    x = np.sqrt(r**2 - y**2)
+    # the imaginary axis and angles between
+    phi = np.linspace(np.pi / 2, np.pi, 7)[1:]
+    zs = np.concatenate([x + 1j * y, -x + 1j * y, 1j * radii, (radii[:, None] * np.exp(1j * phi)).ravel()])
+    ours = faddeeva(zs)
+    ref = np.array([_mp_faddeeva(z) for z in zs])
+    err = np.abs(ours - ref) / np.abs(ref)
+    re_err = np.abs(ours.real - ref.real) / np.abs(ref.real)
+    resolved = zs.imag >= 1e-6
+    wings = np.abs(zs) >= WING_RADIUS
+    assert err.max() <= 1e-13
+    assert re_err[resolved].max() <= 1e-12
+    assert err[wings].max() <= 2e-15
+    assert re_err[wings & resolved].max() <= 1e-13
+
+
+def test_matches_wofz_at_random_points_and_passes_non_finite_ones_to_it():
+    rng = np.random.default_rng(17)
+    z = rng.uniform(-60, 60, 100_000) + 1j * 10.0 ** rng.uniform(-8, 2, 100_000)
+    assert np.abs(z).min() < WING_RADIUS < np.abs(z).max()
+    assert (np.abs(faddeeva(z) - wofz(z)) / np.abs(wofz(z))).max() <= 1e-13
+    # non-finite points and those too far out for the fraction are wofz's
+    inf, nan = np.inf, np.nan
+    odd = np.array([inf, -inf, nan, 1j * inf, complex(inf, inf), complex(-inf, 1.0), complex(1.0, nan),
+                    complex(nan, 1.0), complex(nan, nan), 1e25 + 1j, 1j * 1e300, complex(1e200, 1e200)])
+    np.testing.assert_array_equal(faddeeva(odd), wofz(odd))
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize(
     "shape, split",
@@ -85,9 +139,9 @@ def _upper_half_plane(shape, seed):
 def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus):
     """The last axis cut in spans as the frequency walk cuts its frequencies on
     a host with that many usable CPUs, rows standing for lines: each span
-    evaluated on its own thread into its columns of one output gives wofz bit
-    for bit.  Below a block per CPU the input is one span, on the calling
-    thread."""
+    evaluated on its own thread into its columns of one output gives one call's
+    result (wofz's at the core) bit for bit.  Below a block per CPU the input
+    is one span, on the calling thread."""
     use_cpus(cpus)
     z = _upper_half_plane(shape, 5)
     w = np.empty_like(z)
@@ -100,7 +154,7 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus)
     vapor._each_span(z.shape[-1], z[..., 0].size, walk)
     assert len(spans) == (cpus if split else 1)
     assert min(spans) == (0, threading.get_ident())
-    assert np.array_equal(w, wofz(z))
+    assert np.array_equal(w, _one_call(z))
 
 
 @pytest.mark.parametrize("callers", [1, 2])
@@ -109,9 +163,9 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus)
 def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, callers, into):
     """``out=`` receives w, also z's own memory and a strided view, with one
     caller or several at once, each into its own buffer, as the frequency
-    walk's spans call it."""
+    walk's spans call it: one call's result (wofz's at the core) bit for bit."""
     inputs = [_upper_half_plane(size, 9 + k) for k in range(callers)]
-    wants = [wofz(z) for z in inputs]
+    wants = [_one_call(z) for z in inputs]
 
     def buffer(z):
         return {"buffer": np.empty_like(z), "in-place": z, "strided": np.empty(2 * size, dtype=complex)[::2]}[into]
@@ -131,7 +185,7 @@ def test_voigt_into_a_buffer_equals_a_fresh_profile():
     assert voigt_profile_complex(delta, lorentz, sigma, out=out) is out
     sigma_w = 2.0 * np.pi * sigma
     z = delta * (2.0 * np.pi / sigma_w) + 1j * (np.pi * lorentz / sigma_w)
-    assert np.array_equal(out, wofz(z) * (np.sqrt(np.pi) / sigma_w))
+    assert np.array_equal(out, faddeeva(z) * (np.sqrt(np.pi) / sigma_w))
     assert np.array_equal(voigt_profile_complex(delta, lorentz, sigma), out)
 
 
@@ -149,7 +203,7 @@ def test_concurrent_callers_get_their_own_results():
     with ThreadPoolExecutor(3) as callers:
         results = list(callers.map(faddeeva, inputs))
     for z, w in zip(inputs, results):
-        assert np.array_equal(w, wofz(z))
+        assert np.array_equal(w, _one_call(z))
 
 
 def test_voigt_normalization_and_signs():
