@@ -16,6 +16,10 @@ import numpy as np
 from atompairs.errors import ConfigError, NumericError, check_points
 
 _LN2 = np.log(2.0)
+# the largest reference amplitude whose coincidence rate alpha^4 / 4 is a float
+_ALPHA_MAX = np.finfo(float).max ** 0.25
+# the largest mean numpy's Poisson sampler draws from
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,8 @@ def simulate_records(
     """
     if not (np.isfinite(exposure) and exposure >= 0):
         raise ConfigError("params.exposure: must be finite and >= 0")
-    if not np.isfinite(alpha):
-        raise ConfigError("params.alpha: must be finite")
+    if not abs(alpha) < _ALPHA_MAX:
+        raise ConfigError(f"params.alpha: must be finite and below {_ALPHA_MAX:.4g}, where alpha^4 overflows")
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
@@ -118,6 +122,8 @@ def simulate_records(
     for phi in phases:
         rate = coincidence_rate(psi, CoherentRef(alpha=alpha, phase_rad=phi))
         expected = exposure * rate
+        if noise and not expected.max() <= _POISSON_MAX:
+            raise ConfigError(f"params.exposure: {expected.max():.3g} counts expected in a bin exceed the Poisson sampler")
         counts = rng.poisson(expected).astype(float) if noise else expected
         records.append(
             InterferenceRecord(
@@ -143,8 +149,8 @@ def reconstruct_wavefunction(records: list[InterferenceRecord], alpha: float) ->
     Weighted least squares per tau; the phase uncertainty follows from the
     Poisson covariance of the fitted (x, y).
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ConfigError("reference amplitude must be finite and > 0")
+    if not 0 < alpha < _ALPHA_MAX:
+        raise ConfigError(f"params.alpha: the reference amplitude must be > 0 and below {_ALPHA_MAX:.4g}")
     if len(records) < 3:
         raise ConfigError("need at least 3 records")
     if not all(np.isfinite(r.exposure) and r.exposure > 0 for r in records):

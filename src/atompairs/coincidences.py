@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.special import exprel
 
-from atompairs.errors import ConfigError, FitFailure, check_points
+from atompairs.errors import ConfigError, FitFailure, NumericError, check_points
 
 _LN2 = np.log(2.0)
+_SECOND_DIFFERENCE = np.array([1.0, -2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,9 @@ class DetectionModel:
             raise ConfigError("bin width and round-trip time must be > 0")
         if self.rate1_hz < 0 or self.rate2_hz < 0:
             raise ConfigError("singles rates must be >= 0")
+        # binned_histogram shifts the bins by round(t0 / t_bin), an exact int64
+        if not abs(self.t0_s) < 2.0**53 * self.t_bin_s:
+            raise ConfigError(f"params.t0_ns: channel delay of {self.t0_s / self.t_bin_s:.3g} bins, not under 2^53")
 
     @property
     def accidental_rate(self) -> float:
@@ -123,39 +128,32 @@ def _tooth_bin_weights(position_bins, bins):
     return np.clip(1.0 - np.abs(pos - idx), 0.0, 1.0)
 
 
+def _ramp(x):
+    """(exp(-x) - 1 + x) / x^2 at x >= 0, by its Taylor series below 0.01."""
+    big = np.maximum(x, 0.01)
+    series = 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720)))
+    return np.where(x < 0.01, series, (np.expm1(-big) + big) / big**2)
+
+
 def _smooth_bin_average(envelope, offset_bins, bins, t_bin):
-    """Tent-weighted bin values of the smooth envelope (exact closed form).
+    """Tent-weighted bin values of the smooth envelope, in closed form.
 
-    For bin i the detector averages exp(-gamma |u|) against a unit-area tent
-    of full width two bins centred at u = i - offset (all in bin units).
-    The integral is done piecewise on intervals where both |u| and |u - c|
-    keep a fixed sign.
+    For bin i the detector averages exp(-g |u|), g = gamma t_bin, against a
+    unit-area tent of full width two bins centred at c = i - offset (all in
+    bin units).  That is the second difference F(|c|+1) - 2 F(|c|) + F(|c|-1)
+    of F(u) = (exp(-g |u|) - 1 + g |u|) / g^2, which for |c| >= 1 is
+    exp(-g (|c| - 1)) ((1 - exp(-g)) / g)^2.
     """
-    g = envelope.gamma_sum * t_bin  # decay per bin unit
-
-    def integral(a, b, q, alpha, beta):
-        # int_a^b exp(-q u) (alpha + beta u) du, exact
-        if q == 0.0:
-            return alpha * (b - a) + beta * (b * b - a * a) / 2.0
-        ea, eb = np.exp(-q * a), np.exp(-q * b)
-        i0 = (ea - eb) / q
-        i1 = (a * ea - b * eb) / q + i0 / q
-        return alpha * i0 + beta * i1
-
-    out = np.empty(len(bins))
-    for j, i in enumerate(np.asarray(bins, dtype=float)):
-        c = i - float(offset_bins)  # tent apex
-        cuts = sorted({c - 1.0, c, c + 1.0, min(max(0.0, c - 1.0), c + 1.0)})
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            mid = 0.5 * (a + b)
-            s_tent = 1.0 if mid > c else -1.0  # sign of (u - c)
-            s_u = 1.0 if mid >= 0 else -1.0  # sign of u
-            # weight = 1 - s_tent (u - c); envelope = exp(-g s_u u)
-            total += integral(a, b, g * s_u, 1.0 + s_tent * c, -s_tent)
-        out[j] = total
+    g = envelope.gamma_sum * t_bin
+    c = np.abs(np.asarray(bins, dtype=float) - float(offset_bins))
+    near = c < 1.0
+    out = np.empty_like(c)
+    out[~near] = np.exp(-g * (c[~near] - 1.0)) * exprel(-g) ** 2
+    u = np.stack([1.0 + c[near], c[near], 1.0 - c[near]])
+    if g < 1.0:  # F(u) = u^2 _ramp(g u), each term accurate
+        out[near] = _SECOND_DIFFERENCE @ (u**2 * _ramp(g * u))
+    else:  # the linear parts of F summed exactly: 2 (1 - |c|) / g
+        out[near] = (2.0 * u[2] + _SECOND_DIFFERENCE @ np.exp(-g * u) / g) / g
     return out
 
 
@@ -263,7 +261,11 @@ def fit_envelope(hist: CoincidenceHistogram) -> EnvelopeFit:
     half = floor0 + (peak - floor0) / 2.0
     above = np.where(y > half)[0]
     half_width = max((t[above[-1]] - t[above[0]]) / 2.0, hist.t_bin_s)
-    gamma_seed = 2.0 * _LN2 / (2.0 * half_width)
+    with np.errstate(over="ignore"):  # refused just below
+        gamma_seed = 2.0 * _LN2 / (2.0 * half_width)
+        gamma_max = gamma_seed * 100.0
+    if not np.isfinite(gamma_max):
+        raise NumericError(f"the fit's decay-rate bound overflows at {hist.t_bin_s:.3g} s bins")
 
     span = t[-1] - t[0]
     if span < 3.0 * (2.0 * _LN2 / gamma_seed):
@@ -275,7 +277,7 @@ def fit_envelope(hist: CoincidenceHistogram) -> EnvelopeFit:
 
     p0 = np.array([gamma_seed, t0_seed, floor0, peak - floor0])
     lower = [gamma_seed / 100.0, t[0], 0.0, 0.0]
-    upper = [gamma_seed * 100.0, t[-1], peak, 2.0 * peak]
+    upper = [gamma_max, t[-1], peak, 2.0 * peak]
     res = least_squares(
         lambda p: model(p) - y, p0, bounds=(lower, upper), max_nfev=200
     )

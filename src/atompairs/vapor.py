@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -86,8 +87,6 @@ class VaporCellConfig:
     def field_at(self, z_m, b_center_t):
         """Axial field at position z in [0, L]; an array of center fields
         broadcasts against the positions."""
-        if self.droop_fraction == 0.0:
-            return b_center_t * np.ones_like(np.asarray(z_m, dtype=float))
         x = 2.0 * np.asarray(z_m, dtype=float) / self.length_m - 1.0
         return b_center_t * (1.0 - self.droop_fraction * x**2)
 
@@ -262,8 +261,9 @@ class VaporPath:
     The path is split into ``slices`` segments, each integrated with two
     Gauss nodes at the local axial field.  The field is symmetric about the
     cell center, so only the nodes of the first half are kept, each for twice
-    its path length.  At construction the lines of every distinct node field
-    of every center come from one ``lines_at_fields`` call.  One propagation
+    its path length.  The lines of every distinct node field of every center
+    come from one ``lines_at_fields`` call, made by the first propagation, so
+    a path that only serves ``index_at`` never builds them.  One propagation
     sums chi per field, each field's lines in line order, then log t+- per
     center, each center's nodes in node order, and yields (t+, t-, theta)
     together: arrays over the frequencies for one center, (centers,
@@ -284,8 +284,12 @@ class VaporPath:
         nodes, self._dz = _slice_nodes(cell, self.slices)
         self._fields, where = np.unique(cell.field_at(nodes, centers[:, None]), return_inverse=True)
         self._where = where.reshape(centers.size, nodes.size)
-        lines = lines_at_fields(atoms, cell.isotope_fractions, self._fields)
-        self._lines = _LineArrays.from_lines(lines, cell, self.density_m3, self._fields.size)
+
+    @cached_property
+    def _lines(self) -> _LineArrays:
+        """The lines of every node field, built at the first propagation."""
+        lines = lines_at_fields(self.atoms, self.cell.isotope_fractions, self._fields)
+        return _LineArrays.from_lines(lines, self.cell, self.density_m3, self._fields.size)
 
     def index_at(self, nu_hz, b_t: float):
         """(n+, n-) of the cell at arbitrary frequencies for a uniform field ``b_t``."""

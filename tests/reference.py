@@ -5,6 +5,7 @@ J = 1/2 Zeeman energies, textbook filter integrals and FFT-based Hilbert
 transforms act as cross-checks on the production implementations.
 """
 
+import mpmath
 import numpy as np
 from scipy.constants import physical_constants
 from scipy.optimize import minimize
@@ -380,3 +381,20 @@ def one_shot_csv(path, header, columns):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(col.tolist() for col in columns)))
+
+
+def tent_bin_averages(g, offset, bins, dps=120):
+    """The average of exp(-g |u|) against a unit-area tent of full width 2
+    about each apex c = i - offset (bin units), to ``dps`` digits: the second
+    difference F(c+1) - 2 F(c) + F(c-1) of F(u) = (exp(-g|u|) - 1 + g|u|) / g^2,
+    with the exponential and linear parts summed apart so that neither has
+    to cancel the other.  Returns mpmath numbers, one per bin."""
+    with mpmath.workdps(dps):
+        g, offset = mpmath.mpf(g), mpmath.mpf(offset)
+        ks = range(int(bins[0]) - 1, int(bins[-1]) + 2)
+        decay = {k: mpmath.exp(-g * abs(k - offset)) for k in ks}
+        out = []
+        for i in map(int, bins):
+            linear = abs(i + 1 - offset) - 2 * abs(i - offset) + abs(i - 1 - offset)
+            out.append((decay[i + 1] - 2 * decay[i] + decay[i - 1]) / g**2 + linear / g)
+        return out

@@ -327,6 +327,25 @@ def test_spectroscopy_builds_lines_once_per_temperature(tmp_path, monkeypatch):
     assert calls == [11, 11, 11]
 
 
+def test_spectrum_builds_its_lines_once(tmp_path, monkeypatch):
+    """``spectrum`` reads n+- off a one-slice path at its own field: one
+    line-kernel call, made by ``index_at``; the path, which never
+    propagates, builds none."""
+    from atompairs import vapor
+
+    calls = []
+    lines_at_fields = vapor.lines_at_fields
+
+    def counted(atoms, fractions, fields_t):
+        calls.append(len(fields_t))
+        return lines_at_fields(atoms, fractions, fields_t)
+
+    monkeypatch.setattr(vapor, "lines_at_fields", counted)
+    argv = ["spectrum", "--field-mT", "5", "--half-span-GHz", "0.5"]
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    assert calls == [1]
+
+
 @pytest.mark.parametrize(
     "preset, shapes",
     [
@@ -700,6 +719,26 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, rc, message",
+    [
+        (["g2", "--tbin-ns", "1e-300"], 3, "decay-rate bound overflows"),
+        (["g2", "--t0-ns", "1e300"], 2, "params.t0_ns"),
+        (["interference", "--alpha", "1e300"], 2, "params.alpha"),
+        (["reconstruct", "--alpha", "1e300"], 2, "params.alpha"),
+        (["reconstruct", "--exposure", "1e300"], 2, "params.exposure"),
+    ],
+    ids=["g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure"],
+)
+def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, capsys):
+    """A bin width whose fit bound overflows, a channel delay past 2^53 bins,
+    a reference amplitude whose alpha^4 overflows and a mean count past the
+    Poisson sampler's limit: each died with a traceback (exit 1)."""
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

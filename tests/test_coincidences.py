@@ -16,6 +16,8 @@ from atompairs.coincidences import (
 )
 from atompairs.errors import ConfigError, FitFailure
 
+from reference import tent_bin_averages
+
 ENV = G2Envelope.from_linewidth(8.4e6)
 
 
@@ -62,6 +64,40 @@ def test_histogram_shifts_bitwise_with_t0():
     hs_a = binned_histogram(env, det_a, "single", np.arange(-60, 140))
     hs_b = binned_histogram(env, det_b, "single", np.arange(-59, 141))
     assert np.array_equal(hs_a.values, hs_b.values)
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [(1e-6, 1e-9), (1e-4, 5e-12), (0.0528, 5e-12), (1.0, 5e-12), (30.0, 5e-12), (800.0, 5e-12), (5000.0, 5e-12)],
+)
+def test_single_mode_bins_match_the_tent_oracle(g, bound):
+    """Every single-mode bin against a 120-digit tent average, with the tent
+    apex on a bin centre, between two and just short of the next; 0.0528 is
+    fig4's cavity at 1 ns bins.  With 1 s bins the decay per bin is g and
+    the apex offset is t0, both exact."""
+    bins = np.arange(-400, 400)
+    for offset in (0.0, 0.37, 0.5, 1.0 - 1e-6):
+        det = DetectionModel(t_bin_s=1.0, t0_s=offset)
+        got = binned_histogram(G2Envelope(gamma1=g, gamma2=0.0), det, "single", bins).values
+        want = tent_bin_averages(g, offset, bins)
+        assert np.all(np.isfinite(got))
+        for value, exact in zip(got, want):
+            if exact > 1e-300:
+                assert abs((value - exact) / exact) <= bound, (offset, value)
+            else:  # past the float range: underflows to (nearly) zero
+                assert value <= 1e-300
+
+
+def test_single_mode_bins_stay_finite_at_every_decay():
+    """A decay per bin that underflows to 0 gives the flat average 1, and
+    decays of 1e4 per bin and far beyond give finite values."""
+    bins = np.arange(-50, 50)
+    det = DetectionModel(t_bin_s=1e-300, t0_s=3e-301)
+    flat = binned_histogram(G2Envelope(gamma1=1e-300, gamma2=0.0), det, "single", bins)
+    assert np.allclose(flat.values, 1.0, rtol=1e-15, atol=0.0)
+    for g in (1e4, 1e8, 1e200):
+        h = binned_histogram(G2Envelope(gamma1=g, gamma2=0.0), DetectionModel(t_bin_s=1.0, t0_s=0.3), "single", bins)
+        assert np.all(np.isfinite(h.values)) and h.values.max() > 0.0
 
 
 def test_zero_rates_zero_floor():

@@ -130,6 +130,16 @@ def test_matches_wofz_at_random_points_and_passes_non_finite_ones_to_it():
     np.testing.assert_array_equal(faddeeva(odd), wofz(odd))
 
 
+def test_limits_at_infinity():
+    """w(z) -> 0 as |z| -> inf in the upper half plane, so i inf and +-inf + i
+    give 0.  ``1j * np.inf`` is nan + inf j in Python (0 * inf is NaN), a NaN
+    point, and gets NaN."""
+    inf = np.inf
+    limits = np.array([complex(0.0, inf), complex(inf, 1.0), complex(-inf, 1.0)])
+    assert np.array_equal(faddeeva(limits), np.zeros(3))
+    assert np.isnan(1j * inf) and np.isnan(faddeeva(np.array([1j * inf]))).all()
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize(
     "shape, split",
