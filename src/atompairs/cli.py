@@ -274,9 +274,15 @@ def run_purity(p, atoms, sink, seed):
 
 def run_g2(p, atoms, sink, seed):
     """pair correlation histogram and fit"""
-    if p["fsr_mhz"] <= 0 or p["bins"] < 1:
-        raise ConfigError("params.fsr_mhz must be > 0 and params.bins >= 1")
-    env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
+    for key in ("tbin_ns", "fsr_mhz"):
+        if not (np.isfinite(p[key]) and p[key] > 0):
+            raise ConfigError(f"params.{key}: must be finite and > 0, got {p[key]!r}")
+    if p["bins"] < 1:
+        raise ConfigError("params.bins must be >= 1")
+    try:
+        env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
+    except ConfigError as exc:
+        raise ConfigError(f"params.linewidth_mhz: {exc}") from None
     det = coincidences.DetectionModel(
         t_bin_s=p["tbin_ns"] * 1e-9,
         t0_s=p["t0_ns"] * 1e-9,

@@ -5,9 +5,17 @@ chi_q(nu) as a sum of complex Voigt profiles -> n_q = sqrt(1 + chi_q) ->
 diagonal circular-basis Jones factors exp[i 2 pi nu (n_q - 1) dz / c]
 composed along the beam path with a position-dependent axial field.
 
-Evaluation is pointwise and exact at any frequency.  A caller that exports a
-spectrum on a uniform grid first calls ``check_spacing``, the one resolution
-rule: ``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.
+Any frequencies may be asked for.  A caller that exports a spectrum on a
+uniform grid first calls ``check_spacing``, the one resolution rule:
+``POINTS_PER_FWHM`` grid points per Voigt FWHM of the narrowest line.  On a
+uniform grid at least a few times finer than that, every line's z moves by
+one real step h per grid point, and w' = -2 z w + 2i / sqrt(pi) (Abramowitz &
+Stegun 7.1.20) gives every Taylor coefficient of w from w itself.  So the
+Voigt profiles are evaluated only at anchors, one per cell of up to
+``ANCHOR_CELL`` grid points, their Taylor terms are summed over each line
+group, and chi is filled from those sums: Im chi to 1e-12 and chi to 1e-11
+of the pointwise line sum (tests/test_vapor.py).  Other frequencies, such as
+a coarse grid, a comb or one probe frequency, are evaluated line by line.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies.  The field droops symmetrically
@@ -44,7 +52,8 @@ from atompairs.faddeeva import voigt_profile_complex
 _LN2 = np.log(2.0)
 # line x frequency points per block of the frequency walk, shared by its
 # spans: at 24 B of detunings and profiles per point, reused by every block,
-# and the 33 B of ``faddeeva``'s scratch, 2.8 MB in all
+# and the 33 B of ``faddeeva``'s scratch, 2.8 MB in all.  The anchor fill
+# counts two points per line and anchor and two per group and grid point.
 BLOCK_POINTS = 3 << 14
 # Gauss nodes, counted over both halves of the cell, per block of a field
 # scan's centers: six centers of fig11's 16-slice cell (32 nodes)
@@ -52,6 +61,15 @@ SCAN_BLOCK_NODES = 192
 # grid points per Voigt FWHM of a cell's narrowest line, set by the refinement
 # study in tests/test_resolution.py (README, Grid resolution)
 POINTS_PER_FWHM = 100
+# the anchor fill of a uniform grid (``_walk_chi``): at most ``ANCHOR_CELL``
+# grid points per anchor, ``TAYLOR_TERMS`` Taylor terms past the profile, at
+# most ``ANCHOR_REACH`` from the anchor in z, and 2 |z| |z - z_anchor| at most
+# ``ANCHOR_GROWTH``, as the forward recurrence amplifies rounding by about
+# exp(2 |z| |z - z_anchor|); set by the accuracy study in tests/test_vapor.py
+ANCHOR_CELL = 64
+TAYLOR_TERMS = 12
+ANCHOR_REACH = 0.06
+ANCHOR_GROWTH = 5.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,7 @@ def _frequencies(nu_hz) -> np.ndarray:
 @dataclass
 class _LineArrays:
     """The sigma+ and sigma- lines of a path's fields, rank-major in ``group``
-    (see ``_group_sums``).  A line's group is its field's index, plus the
+    (see ``_group_runs``).  A line's group is its field's index, plus the
     number of fields for sigma-."""
 
     nu0: np.ndarray
@@ -165,15 +183,17 @@ _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
 
 
-def _each_span(n: int, count: int, walk) -> None:
-    """Call ``walk(start, stop, step)`` on each span of ``n`` frequencies of
-    ``count`` lines, one per usable CPU but no more than get a whole block of
-    ``step = BLOCK_POINTS / (spans * count)`` frequencies: the caller walks
-    the first, the pool the others.  A span's error is raised once all end."""
-    cpus = _usable_cpus()
-    spans = max(1, min(cpus, n // max(1, BLOCK_POINTS // (cpus * count))))
-    step = max(1, BLOCK_POINTS // (spans * count))
-    bounds = [n * i // spans for i in range(spans + 1)]
+def _each_span(n: int, count: int, walk, cell: int = 1) -> None:
+    """Call ``walk(start, stop, step)`` on each span of ``n`` frequencies, in
+    cells of ``cell`` frequencies that take ``count`` points of the
+    ``BLOCK_POINTS`` budget each: one span per usable CPU but no more than get
+    a whole block of ``step = BLOCK_POINTS / (spans * count)`` cells.  The
+    caller walks the first span, the pool the others.  A span's error is
+    raised once all end."""
+    cpus, cells = _usable_cpus(), -(-n // cell)
+    spans = max(1, min(cpus, cells // max(1, BLOCK_POINTS // (cpus * count))))
+    step = max(1, BLOCK_POINTS // (spans * count)) * cell
+    bounds = [min(n, cells * i // spans * cell) for i in range(spans + 1)]
     pending = [_pool.submit(walk, a, b, step) for a, b in zip(bounds[1:-1], bounds[2:])]
     try:
         walk(0, bounds[1], step)
@@ -183,13 +203,47 @@ def _each_span(n: int, count: int, walk) -> None:
         job.result()
 
 
+def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
+    """Grid points m per anchor of the fill: the largest power of two up to
+    ``ANCHOR_CELL`` that keeps every line's |z - z_anchor| within
+    ``ANCHOR_REACH`` and 2 |z| |z - z_anchor| within ``ANCHOR_GROWTH``; 0, for
+    the pointwise walk, if that is below 8, if ``nu`` holds fewer than m
+    points or if it is not uniform to a few ulp."""
+    n = nu.size
+    if n < 8 or lines.nu0.size == 0:
+        return 0
+    spacing = (nu[-1] - nu[0]) / (n - 1)
+    ulp = np.spacing(max(abs(nu[0]), abs(nu[-1])))
+    if spacing == 0 or np.abs(nu - (nu[0] + spacing * np.arange(n))).max() > 4 * ulp:
+        return 0
+    h = abs(spacing) / lines.sigma_hz
+    # |z| of each line at the farthest anchor, which lies up to half a cell
+    # past the grid
+    far = np.maximum(abs(nu[0] - lines.nu0), abs(nu[-1] - lines.nu0)) + abs(spacing) * ANCHOR_CELL / 2
+    z_max = np.hypot(far, 0.5 * lines.lorentz_fwhm_hz) / lines.sigma_hz
+    half = min(ANCHOR_REACH / h.max(), ANCHOR_GROWTH / (2 * (h * z_max).max()))
+    cell = ANCHOR_CELL
+    while cell >= 8 and cell // 2 > half:
+        cell //= 2
+    return cell if 8 <= cell <= n else 0
+
+
 def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
     """Call ``consume(columns, chi)`` once per contiguous block of the 1-D
     frequencies ``nu``; ``chi``, shape (groups, block), sums each line group's
     lines in line order, so no value depends on its span of ``_each_span`` or
     block.  Each span has its own workspace and calls ``consume`` on its own
-    thread, on its own columns."""
+    thread, on its own columns.
+
+    On a uniform grid with an anchor cell m (``_anchor_cell``), the Voigt
+    profiles are evaluated only at anchors, one per cell of m grid points at
+    the cell's middle, and chi is filled from their Taylor series: the lines'
+    terms are summed per group, so the line sum is made once per anchor.
+    Elsewhere every line is evaluated at every frequency.
+    """
     nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
+    amp = lines.amp[:, None]
+    cell, runs = _anchor_cell(lines, nu), _group_runs(lines.group, groups)
 
     def walk(start, stop, step):
         # flat, so that a short block's views are contiguous too
@@ -200,14 +254,70 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
             shape = (nu0.size, block.size)
             delta = np.subtract(block, nu0, out=detuning[: block.size * nu0.size].reshape(shape))
             prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * nu0.size].reshape(shape))
-            consume(slice(a, a + block.size), 1j * _group_sums(lines.group, lines.amp, prof, groups))
+            prof *= amp
+            consume(slice(a, a + block.size), 1j * _group_sums(runs, prof, groups))
 
-    _each_span(nu.size, nu0.size, walk)
+    def fill(start, stop, step):
+        # the scaled Taylor terms u_k = h^k q^(k)(z) of a line's term q = i amp
+        # sqrt(pi) w(z) / sigma_w of chi, in the step h = dz per grid step,
+        # follow from w' = -2 z w + 2i / sqrt(pi): u_1 = h (-2 z q - 2 amp /
+        # sigma_w) and u_(k+1) = -2 h z u_k - 2 k h^2 u_(k-1).  Each is summed
+        # per group as it is made, so a line holds two terms, and divided by k!
+        # there.
+        spacing = (nu[-1] - nu[0]) / (nu.size - 1)
+        sigma_w = 2.0 * np.pi * sigma
+        h = spacing / sigma
+        size = nu0.size * (step // cell)
+        z, prev, term, scratch = (np.empty(size, dtype=complex) for _ in range(4))
+        factorials = np.cumprod([1.0] + list(range(1, TAYLOR_TERMS + 1)))[:, None, None]
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            anchors = -(-(b - a) // cell)
+            at = nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
+            shape = (nu0.size, anchors)
+            az, u0, u1, tmp = (x[: nu0.size * anchors].reshape(shape) for x in (z, prev, term, scratch))
+            delta = np.subtract(at, nu0, out=tmp.real)
+            voigt_profile_complex(delta, lorentz, sigma, out=u0)
+            u0 *= 1j * amp
+            np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
+            az += 1j * np.pi * lorentz / sigma_w
+            az *= -2.0 * h
+            np.multiply(az, u0, out=u1)
+            u1 -= 2.0 * h * amp / sigma_w
+            sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
+            sums[0] = _group_sums(runs, u0, groups)
+            sums[1] = _group_sums(runs, u1, groups)
+            for k in range(1, TAYLOR_TERMS):
+                np.multiply(az, u1, out=tmp)
+                u0 *= -2.0 * k * h**2
+                u0 += tmp
+                u0, u1 = u1, u0
+                sums[k + 1] = _group_sums(runs, u1, groups)
+            sums /= factorials
+            # each point's offset from its anchor in grid steps, exact on an
+            # exactly uniform grid; Horner's rule in it fills every group
+            offset = np.zeros(anchors * cell)
+            offset[: b - a] = nu[a:b] - np.repeat(at, cell)[: b - a]
+            offset = (offset / spacing).reshape(anchors, cell)
+            sums = sums[..., None]
+            chi = np.multiply(sums[TAYLOR_TERMS], offset)
+            for k in range(TAYLOR_TERMS - 1, 0, -1):
+                chi += sums[k]
+                chi *= offset
+            chi += sums[0]
+            consume(slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
+
+    if cell:
+        # an anchor's line holds four complex numbers and a cell's chi entry
+        # is chi, 1 + chi and n+- in ``consume``: about two points each
+        _each_span(nu.size, 2 * (nu0.size + groups * cell), fill, cell)
+    else:
+        _each_span(nu.size, nu0.size, walk)
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:
     """Stable order that lists every group's first row, then every group's
-    second row, and so on: the row order ``_group_sums`` loops least over."""
+    second row, and so on: the row order ``_group_runs`` cuts into fewest runs."""
     by_group = np.argsort(group, kind="stable")
     counts = np.bincount(group)
     # row of each (rank, group), read rank by rank
@@ -216,22 +326,25 @@ def _rank_major(group: np.ndarray) -> np.ndarray:
     return table[table >= 0]
 
 
-def _group_sums(group: np.ndarray, weights: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum of the rows ``weights[i] * values[i]`` per ``group`` index, each
-    group's rows added in row order.
+def _group_runs(group: np.ndarray, size: int) -> list:
+    """The runs of strictly ascending ``group`` indices, in row order: each
+    its rows, and its groups, or None where it holds every group of ``size``
+    once in group order.  Rank-major rows make the list as short as the
+    largest group."""
+    cuts = np.concatenate([[0], np.flatnonzero(group[1:] <= group[:-1]) + 1, [group.size]])
+    return [(slice(a, b), None if b - a == size else group[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    The rows are weighted and added one run of strictly ascending groups at a
-    time, so each group's rows arrive in order and each row is read once;
-    rank-major rows make the loop as short as the largest group.
-    """
+
+def _group_sums(runs: list, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum of the rows of ``values`` per group of ``size``, each group's rows
+    added in row order: one run of ``_group_runs`` at a time, so each group's
+    rows arrive in order and each row is read once."""
     out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    cuts = np.flatnonzero(group[1:] <= group[:-1]) + 1
-    for a, b in zip(np.append(0, cuts), np.append(cuts, group.size)):
-        run = weights[a:b, None] * values[a:b]
-        if b - a == size:  # every group once, in group order
-            out += run
+    for rows, where in runs:
+        if where is None:
+            out += values[rows]
         else:
-            out[group[a:b]] += run
+            out[where] += values[rows]
     return out
 
 
@@ -255,8 +368,8 @@ def _slice_nodes(cell: VaporCellConfig, slices: int):
 
 
 class VaporPath:
-    """Pointwise-exact optical response of a cell at the center field
-    ``b_center_t``, one field or a 1-D array of them.
+    """Optical response of a cell at the center field ``b_center_t``, one
+    field or a 1-D array of them, at any frequencies.
 
     The path is split into ``slices`` segments, each integrated with two
     Gauss nodes at the local axial field.  The field is symmetric about the
@@ -397,7 +510,7 @@ def check_spacing(cell: VaporCellConfig, atoms: AtomLibrary, spacing_hz: float):
 
 def blocking_cell_transmission(cell: VaporCellConfig, atoms: AtomLibrary):
     """Zero-field attenuation ``nu -> |t+|^2`` of a (typically hot, buffered)
-    cell, exact at any frequency: no grid, so no spacing to check."""
+    cell at any frequencies: it exports no grid, so no spacing to check."""
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
     return lambda nu_hz: np.abs(path.transfer_at(nu_hz)[0]) ** 2
 

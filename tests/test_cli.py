@@ -651,6 +651,25 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--tbin-ns=nan"], "tbin_ns"),
+        (["--tbin-ns=0"], "tbin_ns"),
+        (["--linewidth-MHz=-1"], "linewidth_mhz"),
+        (["--linewidth-MHz=nan"], "linewidth_mhz"),
+        (["--fsr-MHz=inf"], "fsr_mhz"),
+        (["--fsr-MHz=nan"], "fsr_mhz"),
+    ],
+)
+def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
+    """The bin width, linewidth and FSR reach ``DetectionModel`` and
+    ``G2Envelope``, whose own refusals name their fields; the runner names
+    the key the user set."""
+    assert main(["--out-dir", str(tmp_path / "out"), "g2"] + argv) == 2
+    assert f"configuration error: params.{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--spacing-MHz", "1e-300"],

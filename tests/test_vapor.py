@@ -4,12 +4,15 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 from scipy.constants import c as C_LIGHT
 
 from atompairs import vapor
+from atompairs.atoms import lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.noon import circular_jones
 from atompairs.vapor import (
@@ -295,6 +298,15 @@ def _group_lines(lines, group):
     )
 
 
+def _nonuniform(center, n):
+    """``center + linspace(-6e9, 6e9, n)`` with every third point moved by a
+    seventh of the spacing: no uniform grid, so the walk evaluates every line
+    at every frequency."""
+    nu = center + np.linspace(-6e9, 6e9, n)
+    nu[1::3] += 12e9 / max(n - 1, 1) / 7
+    return nu
+
+
 def _edge_counts(step):
     return (0, 1, step - 1, step, step + 1, 3 * step + 5)
 
@@ -303,9 +315,9 @@ def _edge_counts(step):
 @pytest.mark.parametrize("step", [7, None])
 def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step, use_cpus):
     """Every block boundary case of one span, with a small block and with the
-    shipped one: the walk's chi is the one-shot line-order sum bit for bit,
-    since each frequency's lines are summed in line order whatever the
-    block."""
+    shipped one, on frequencies that form no uniform grid: the pointwise
+    walk's chi is the one-shot line-order sum bit for bit, since each
+    frequency's lines are summed in line order whatever the block."""
     use_cpus(1)
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = arrays.nu0.size
@@ -315,7 +327,7 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         # a block constant that is not a multiple of the line count
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
     for n in _edge_counts(step):
-        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        nu = _nonuniform(d1_center, n)
         assert np.array_equal(_walked_chi(arrays, nu, 1)[0], one_shot_susceptibility(arrays, nu))
 
 
@@ -324,14 +336,15 @@ def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monk
     """A path over one center and over six (fig10's fields and slices) gives,
     at every block edge of a small block, the (t+, t-, theta) of one block
     over all frequencies, bit for bit; and each field's chi+- in the walk is
-    its one-shot line-order sum."""
+    its one-shot line-order sum.  The frequencies form no uniform grid, so
+    the walk is pointwise."""
     use_cpus(1)
     fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
     path = VaporPath(atoms, sensing_cell, fields, slices=2)
     lines = path._lines
     step = 5
     for n in _edge_counts(step):
-        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        nu = _nonuniform(d1_center, n)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines.nu0.size + 3)
         blocked = path._propagate(nu)
         chi = _walked_chi(lines, nu, 2 * path._fields.size)
@@ -349,7 +362,8 @@ def test_spans_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeyp
     """Cut in 2 or 3 spans, each on a thread of its own, the walk gives one
     span's chi, and a path its (t+, t-, theta) and (n+, n-), bit for bit: in
     the shipped blocks, and in blocks of 5 frequencies per span that fill
-    each span, leave one over, or end short."""
+    each span, leave one over, or end short.  The frequencies form no
+    uniform grid, so the walk is pointwise."""
     path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
     lines = path._lines
     count, shipped = lines.nu0.size, vapor.BLOCK_POINTS
@@ -357,7 +371,7 @@ def test_spans_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeyp
     cases += [(spans * 5 * count + 3, n) for n in (5 * spans, 5 * spans + 1, 15 * spans + 7)]
     for block_points, n in cases:
         monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
-        nu = d1_center + np.linspace(-6e9, 6e9, n)
+        nu = _nonuniform(d1_center, n)
         outputs = {}
         for cpus in (1, spans):
             use_cpus(cpus)
@@ -368,14 +382,15 @@ def test_spans_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeyp
 
 def test_inputs_too_small_for_a_block_per_cpu_stay_on_the_calling_thread(atoms, sensing_cell, d1_center, use_cpus):
     """One frequency, as in a field scan, and one short of a block per CPU walk
-    on the calling thread; a block per CPU walks in two spans."""
+    on the calling thread; a block per CPU walks in two spans (pointwise, on
+    frequencies that form no uniform grid)."""
     use_cpus(2)
     lines = VaporPath(atoms, sensing_cell, 24e-3, slices=2)._lines
     per_span = vapor.BLOCK_POINTS // (2 * lines.nu0.size)
     for n in (1, 2 * per_span - 1):
-        blocks = _walk(lines, d1_center + np.linspace(-6e9, 6e9, n), 4)
+        blocks = _walk(lines, _nonuniform(d1_center, n), 4)
         assert {thread for _, _, thread in blocks} == {threading.get_ident()}
-    _walked_chi(lines, d1_center + np.linspace(-6e9, 6e9, 2 * per_span), 4, spans=2)
+    _walked_chi(lines, _nonuniform(d1_center, 2 * per_span), 4, spans=2)
 
 
 def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center, use_cpus):
@@ -418,6 +433,138 @@ def test_walk_works_in_forked_child(atoms, sensing_cell, d1_center, use_cpus):
         if child.is_alive():
             child.kill()
         child.join()
+
+
+def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch, use_cpus):
+    """On a uniform grid the walk fills chi from anchors.  Cut in 1, 2 or 3
+    spans, in the shipped blocks and in blocks of one anchor cell, two, or
+    two and a short one, it gives the one-span chi, (t+, t-, theta) and
+    (n+, n-) bit for bit, every block starting on a whole anchor cell."""
+    path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
+    lines, groups = path._lines, 2 * path._fields.size
+    nu = make_frequency_grid(d1_center, 2e9, 2e6)
+    cell = vapor._anchor_cell(lines, nu)
+    assert cell == 16
+    per_cell = 2 * (lines.nu0.size + groups * cell)
+    outputs = []
+    for block_points in (vapor.BLOCK_POINTS, per_cell, 2 * per_cell, 3 * per_cell - 1):
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
+        for cpus in (1, 2, 3):
+            use_cpus(cpus)
+            blocks = _walk(lines, nu, groups)
+            assert all(cols.start % cell == 0 for cols, _, _ in blocks)
+            assert [cols.stop for cols, _, _ in blocks[:-1]] == [cols.start for cols, _, _ in blocks[1:]]
+            assert blocks[0][0].start == 0 and blocks[-1][0].stop == nu.size
+            chi = np.concatenate([chi for _, chi, _ in blocks], axis=1)
+            outputs.append((chi, *path._propagate(nu), *path.index_at(nu, 24e-3)))
+    for output in outputs[1:]:
+        for got, want in zip(output, outputs[0]):
+            assert np.array_equal(got, want)
+
+
+def _one_field_lines(atoms, cell, b_t):
+    built = lines_at_fields(atoms, cell.isotope_fractions, [b_t])
+    return vapor._LineArrays.from_lines(built, cell, number_density(cell.temperature_k, atoms), 1)
+
+
+@hypothesis.given(
+    temp_k=st.floats(251.0, 449.0),
+    buffer_mhz=st.floats(0.0, 178.0),
+    field_mt=st.floats(0.0, 60.0),
+    spacing_share=st.floats(0.02, 1.0),
+    start_ghz=st.one_of(st.floats(-8.0, 8.0), st.floats(-100.0, 100.0)),
+    n=st.integers(8, 2000),
+    exact=st.booleans(),
+)
+def test_anchor_fill_matches_pointwise_lines(atoms, d1_center, temp_k, buffer_mhz, field_mt, spacing_share, start_ghz, n, exact):
+    """The accuracy study behind ``TAYLOR_TERMS``, ``ANCHOR_REACH`` and
+    ``ANCHOR_GROWTH``: over 251-449 K, 0-178 MHz of buffer gas, spacings up to
+    the ``check_spacing`` limit and grids anywhere within +-100 GHz of the D1
+    line, built by ``make_frequency_grid`` or ``np.linspace``, the walk's chi
+    matches the one-shot pointwise line sum: Im chi to 1e-12 relative at
+    every point, chi to 1e-11 of |chi|, and Im chi stays >= 0."""
+    cell = natural_cell(atoms, temp_k=temp_k, buffer_mhz=buffer_mhz)
+    with pytest.raises(ResolutionError) as limit:
+        check_spacing(cell, atoms, 1e12)
+    spacing = spacing_share * limit.value.required_hz
+    start = d1_center + start_ghz * 1e9
+    if exact:
+        nu = make_frequency_grid(start + n // 2 * spacing, n // 2 * spacing, spacing)
+    else:
+        nu = np.linspace(start, start + (n - 1) * spacing, n)
+    lines = _one_field_lines(atoms, cell, field_mt * 1e-3)
+    chi = np.empty((2, nu.size), dtype=complex)
+    vapor._walk_chi(lines, nu, 2, lambda cols, block: chi.__setitem__((slice(None), cols), block))
+    for group in range(2):
+        want = one_shot_susceptibility(_group_lines(lines, group), nu)
+        assert np.all(chi[group].imag >= 0.0)
+        assert np.all(np.abs(chi[group].imag - want.imag) <= 1e-12 * want.imag)
+        assert np.all(np.abs(chi[group] - want) <= 1e-11 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "temp_k, buffer_mhz, start_ghz, spacing_share",
+    [(251.0, 0.0, -8.0, 0.25), (449.0, 178.0, 3.0, 0.25), (251.0, 0.0, 90.0, 0.05), (449.0, 0.0, -60.0, 0.1)],
+)
+def test_anchor_fill_matches_pointwise_at_the_corners(atoms, d1_center, temp_k, buffer_mhz, start_ghz, spacing_share):
+    """The study's corners, each on a grid fine enough for the fill (at the
+    ``check_spacing`` limit itself a cell would hold fewer than 8 points): the
+    coldest narrowest and the hottest broadest lines near the lines, and far
+    wings, where the anchor cell shrinks to keep 2 |z| |z - z_anchor| small."""
+    cell = natural_cell(atoms, temp_k=temp_k, buffer_mhz=buffer_mhz)
+    with pytest.raises(ResolutionError) as limit:
+        check_spacing(cell, atoms, 1e12)
+    spacing = spacing_share * limit.value.required_hz
+    nu = make_frequency_grid(d1_center + start_ghz * 1e9 + 2000 * spacing, 2000 * spacing, spacing)
+    lines = _one_field_lines(atoms, cell, 30e-3)
+    assert vapor._anchor_cell(lines, nu) >= 8
+    chi = np.empty((2, nu.size), dtype=complex)
+    vapor._walk_chi(lines, nu, 2, lambda cols, block: chi.__setitem__((slice(None), cols), block))
+    for group in range(2):
+        want = one_shot_susceptibility(_group_lines(lines, group), nu)
+        assert np.all(np.abs(chi[group].imag - want.imag) <= 1e-12 * want.imag)
+        assert np.all(np.abs(chi[group] - want) <= 1e-11 * np.abs(want))
+
+
+def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
+    """A uniform grid too coarse for the fill (the 50 MHz grid of
+    ``test_zero_field_no_rotation``, and the 501 MHz comb that ``purity``
+    reads through the hot cell), a short one, a non-uniform one and a single
+    frequency all take the pointwise walk."""
+    from atompairs import cli
+
+    zero_field = _one_field_lines(atoms, natural_cell(atoms, temp_k=320.0), 0.0)
+    assert vapor._anchor_cell(zero_field, make_frequency_grid(d1_center, 4e9, 50e6)) == 0
+    _, params = cli.validate_scenario({"scenario": "purity"})
+    comb = cli._matching_pieces(params, atoms)[2].frequency_hz
+    assert np.allclose(np.diff(comb), params["fsr_mhz"] * 1e6, rtol=1e-12, atol=0.0)
+    hot = natural_cell(atoms, temp_k=params["hot_cell_temp_k"], buffer_mhz=params["hot_cell_buffer_mhz"])
+    assert vapor._anchor_cell(_one_field_lines(atoms, hot, 0.0), comb) == 0
+    fine = make_frequency_grid(d1_center, 6e9, 1e6)
+    assert vapor._anchor_cell(zero_field, fine) == 32
+    assert vapor._anchor_cell(zero_field, fine[:7]) == 0
+    assert vapor._anchor_cell(zero_field, _nonuniform(d1_center, fine.size)) == 0
+    assert vapor._anchor_cell(zero_field, fine[:1]) == 0
+
+
+def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch, use_cpus):
+    """fig2's grid takes anchor cells of 64 points and evaluates each line at
+    no more than ceil(n / 64) frequencies; fig10's takes cells of 32."""
+    use_cpus(2)
+    points = []
+    voigt = vapor.voigt_profile_complex
+
+    def counted(delta, *args, **kwargs):
+        points.append(np.size(delta))
+        return voigt(delta, *args, **kwargs)
+
+    monkeypatch.setattr(vapor, "voigt_profile_complex", counted)
+    path = _fadof_path(atoms)
+    assert vapor._anchor_cell(path._lines, fadof_grid) == 64
+    path.transfer_at(fadof_grid)
+    assert sum(points) <= path._lines.nu0.size * -(-fadof_grid.size // 64)
+    fig10 = VaporPath(atoms, sensing_cell, np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3]), slices=2)
+    assert vapor._anchor_cell(fig10._lines, make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)) == 32
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
