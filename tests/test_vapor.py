@@ -467,6 +467,22 @@ def _one_field_lines(atoms, cell, b_t):
     return vapor._LineArrays.from_lines(built, cell, number_density(cell.temperature_k, atoms), 1)
 
 
+def _assert_walk_matches_pointwise(lines, nu):
+    """The walk's chi+- of one field against the one-shot pointwise line sum:
+    Im chi >= 0 and to 1e-12 relative at every point, chi to 1e-11 of |chi|."""
+    chi = np.empty((2, nu.size), dtype=complex)
+
+    def keep(columns, block):
+        chi[:, columns] = block
+
+    vapor._walk_chi(lines, nu, 2, keep)
+    for group in range(2):
+        want = one_shot_susceptibility(_group_lines(lines, group), nu)
+        assert np.all(chi[group].imag >= 0.0)
+        assert np.all(np.abs(chi[group].imag - want.imag) <= 1e-12 * want.imag)
+        assert np.all(np.abs(chi[group] - want) <= 1e-11 * np.abs(want))
+
+
 @hypothesis.given(
     temp_k=st.floats(251.0, 449.0),
     buffer_mhz=st.floats(0.0, 178.0),
@@ -492,14 +508,7 @@ def test_anchor_fill_matches_pointwise_lines(atoms, d1_center, temp_k, buffer_mh
         nu = make_frequency_grid(start + n // 2 * spacing, n // 2 * spacing, spacing)
     else:
         nu = np.linspace(start, start + (n - 1) * spacing, n)
-    lines = _one_field_lines(atoms, cell, field_mt * 1e-3)
-    chi = np.empty((2, nu.size), dtype=complex)
-    vapor._walk_chi(lines, nu, 2, lambda cols, block: chi.__setitem__((slice(None), cols), block))
-    for group in range(2):
-        want = one_shot_susceptibility(_group_lines(lines, group), nu)
-        assert np.all(chi[group].imag >= 0.0)
-        assert np.all(np.abs(chi[group].imag - want.imag) <= 1e-12 * want.imag)
-        assert np.all(np.abs(chi[group] - want) <= 1e-11 * np.abs(want))
+    _assert_walk_matches_pointwise(_one_field_lines(atoms, cell, field_mt * 1e-3), nu)
 
 
 @pytest.mark.parametrize(
@@ -518,12 +527,7 @@ def test_anchor_fill_matches_pointwise_at_the_corners(atoms, d1_center, temp_k, 
     nu = make_frequency_grid(d1_center + start_ghz * 1e9 + 2000 * spacing, 2000 * spacing, spacing)
     lines = _one_field_lines(atoms, cell, 30e-3)
     assert vapor._anchor_cell(lines, nu) >= 8
-    chi = np.empty((2, nu.size), dtype=complex)
-    vapor._walk_chi(lines, nu, 2, lambda cols, block: chi.__setitem__((slice(None), cols), block))
-    for group in range(2):
-        want = one_shot_susceptibility(_group_lines(lines, group), nu)
-        assert np.all(np.abs(chi[group].imag - want.imag) <= 1e-12 * want.imag)
-        assert np.all(np.abs(chi[group] - want) <= 1e-11 * np.abs(want))
+    _assert_walk_matches_pointwise(lines, nu)
 
 
 def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
