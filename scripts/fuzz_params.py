@@ -5,9 +5,10 @@ Runs ``atompairs <command> <flag>=<value>`` for each numeric key of
 ``atompairs.cli.PARAMS`` (int, float, optional float and float list) at 0,
 -1, nan, inf, 1e-300 and 1e300, each in a fresh process with its own output
 directory, a few at a time, each stopped at a time limit.  Prints one line
-per run that exits 1, runs past the limit, prints a traceback or writes NaN
-or Infinity into an output file, then the tallies, and exits 1 if any run
-did.  A sweep takes minutes, so it is not part of the test suite:
+per run that exits 1, runs past the limit, prints a traceback, writes NaN
+or Infinity into an output file, or exits non-zero and leaves a file in its
+output directory; then the tallies, and exits 1 if any run did.  A sweep
+takes minutes, so it is not part of the test suite:
 
     PYTHONPATH=src python3 scripts/fuzz_params.py [--jobs 2] [--timeout 40] [command ...]
 """
@@ -40,11 +41,15 @@ def numeric_keys(command: str) -> list[str]:
 
 def run(command: str, key: str, value: str, timeout: float) -> dict:
     """One fresh-process run: its exit code (None past the time limit), wall
-    time, whether stderr holds a traceback and which outputs hold NaN or
-    Infinity."""
+    time, whether stderr holds a traceback, which outputs hold NaN or
+    Infinity, and which files it leaves if it exits non-zero."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as tmp:
+        # its own directory, so that the run's staging directory beside it
+        # goes with it
+        out = Path(tmp, "out")
+        out.mkdir()
         argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", out, command, f"{flag_of(key)}={value}"]
         start = time.perf_counter()
         try:
@@ -53,13 +58,15 @@ def run(command: str, key: str, value: str, timeout: float) -> dict:
         except subprocess.TimeoutExpired as exc:
             code, stderr = None, exc.stderr or b""
         wall = time.perf_counter() - start
-        non_finite = sorted(p.name for p in Path(out).iterdir() if NON_FINITE.search(p.read_bytes()))
+        files = sorted(out.iterdir())
+        non_finite = [p.name for p in files if NON_FINITE.search(p.read_bytes())]
     return {
         "run": f"{command} {flag_of(key)}={value}",
         "code": code,
         "wall_s": wall,
         "traceback": b"Traceback" in stderr,
         "non_finite": non_finite,
+        "partial": [p.name for p in files] if code not in (0, None) else [],
         "last_line": stderr.decode(errors="replace").strip().splitlines()[-1:] or [""],
     }
 
@@ -83,6 +90,7 @@ def main(argv=None) -> int:
                 (f"past {args.timeout:g} s", r["code"] is None),
                 ("traceback", r["traceback"]),
                 (f"NaN/Infinity in {', '.join(r['non_finite'])}", bool(r["non_finite"])),
+                (f"exit {r['code']} leaves {', '.join(r['partial'])}", bool(r["partial"])),
             )
             if hit
         ]
@@ -98,6 +106,7 @@ def main(argv=None) -> int:
     )
     print(f"tracebacks {sum(r['traceback'] for r in results)}, "
           f"non-finite outputs {sum(bool(r['non_finite']) for r in results)}, "
+          f"partial outputs {sum(bool(r['partial']) for r in results)}, "
           f"slowest {slowest['wall_s']:.1f} s ({slowest['run']})")
     return 1 if findings else 0
 

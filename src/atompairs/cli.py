@@ -18,7 +18,9 @@ import argparse
 import difflib
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -86,21 +88,30 @@ def _arange(stop: float, step: float, what: str) -> np.ndarray:
 
 
 class OutputSink:
-    """Collects produced files and writes the manifest at the end."""
+    """Collects produced files in a staging directory beside ``out_dir`` and
+    writes the manifest there; ``commit`` moves them into ``out_dir``, so a
+    run refused before then leaves ``out_dir`` as it found it."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir.parent.mkdir(parents=True, exist_ok=True)
+        self.staging = Path(tempfile.mkdtemp(prefix=f".{self.out_dir.name}.", dir=self.out_dir.parent))
         self.files: list[Path] = []
 
     def path(self, name: str) -> Path:
-        p = self.out_dir / name
+        p = self.staging / name
         self.files.append(p)
         return p
 
     def manifest(self, meta: dict):
         files = {p.name: _sha256(p) for p in self.files}
-        write_json(self.out_dir / "manifest.json", {"meta": meta, "files": files})
+        write_json(self.staging / "manifest.json", {"meta": meta, "files": files})
+
+    def commit(self):
+        """Move the files into ``out_dir``, the manifest last."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for p in [*self.files, self.staging / "manifest.json"]:
+            shutil.move(p, self.out_dir / p.name)
 
 
 def rho_to_json(rho: np.ndarray) -> dict:
@@ -689,10 +700,16 @@ def validate_scenario(cfg: dict) -> tuple[str, dict]:
 
 
 def run_scenario(cfg: dict, atoms, out_dir, seed: int) -> dict:
+    """Run one scenario; its files and manifest reach ``out_dir`` only if it
+    completes."""
     name, params = validate_scenario(cfg)
     sink = OutputSink(Path(out_dir))
-    report = RUNNERS[name](params, atoms, sink, seed)
-    sink.manifest({"scenario": name, "seed": seed, "report": report})
+    try:
+        report = RUNNERS[name](params, atoms, sink, seed)
+        sink.manifest({"scenario": name, "seed": seed, "report": report})
+        sink.commit()
+    finally:
+        shutil.rmtree(sink.staging, ignore_errors=True)
     return report
 
 

@@ -7,8 +7,7 @@ bit.  From |z| = ``WING_RADIUS`` on, w is the Laplace continued fraction
 ratio of polynomials in z^2 by Horner's rule: about a quarter of the cost of
 ``scipy.special.wofz`` (S. G. Johnson's Faddeeva package), which evaluates
 every other point, non-finite ones included.  Every Voigt profile in the
-toolkit funnels through this module; it runs no threads, as ``vapor``'s
-frequency walk splits its own work.
+toolkit funnels through this module, on its caller's thread.
 """
 
 from __future__ import annotations

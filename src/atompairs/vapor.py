@@ -15,28 +15,22 @@ Voigt profiles are evaluated only at anchors, one per cell of up to
 ``ANCHOR_CELL`` grid points, their Taylor terms are summed over each line
 group, and chi is filled from those sums: Im chi to 1e-12 and chi to 1e-11
 of the pointwise line sum (tests/test_vapor.py).  Other frequencies, such as
-a coarse grid, a comb or one probe frequency, are evaluated line by line.
+a coarse grid, a comb or one probe frequency, are each their own anchor.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies.  The field droops symmetrically
 about the cell center, so the path is integrated over the Gauss nodes of the
 cell's first half, each standing for itself and its mirror image, and the
 lines of every distinct node field are built in one ``lines_at_fields``
-pass.  It walks the frequencies in blocks (``_walk_chi``, the one
-frequency-block walk), so its memory follows the block and its outputs, not
-fields x frequencies.
+pass.  It walks the frequencies in blocks on the calling thread
+(``_walk_chi``, the one frequency-block walk), so its memory follows the
+block and its outputs, not fields x frequencies.
 ``transfer_vs_field`` is its one-frequency case over many center fields,
 walked in blocks of centers.
-
-The walk is where the threads are: one contiguous span of the frequencies
-per usable CPU, each walked block by block on a thread of its own, with
-results bit-identical to one thread (see ``_each_span`` and ``_walk_chi``).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -50,10 +44,8 @@ from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
 
 _LN2 = np.log(2.0)
-# line x frequency points per block of the frequency walk, shared by its
-# spans: at 24 B of detunings and profiles per point, reused by every block,
-# and the 33 B of ``faddeeva``'s scratch, 2.8 MB in all.  The anchor fill
-# counts two points per line and anchor and two per group and grid point.
+# line x frequency points per block of the frequency walk: two per line and
+# anchor and two per group and grid point (``_walk_chi``)
 BLOCK_POINTS = 3 << 14
 # Gauss nodes, counted over both halves of the cell, per block of a field
 # scan's centers: six centers of fig11's 16-slice cell (32 nodes)
@@ -165,57 +157,19 @@ class _LineArrays:
         return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _new_pool() -> None:
-    # the walk's threads, one per CPU beyond the caller's; none starts before
-    # the first span is submitted, and a forked child, which inherits the pool
-    # but none of its threads, builds its own
-    global _pool
-    _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1), thread_name_prefix="vapor-walk")
-
-
-_new_pool()
-os.register_at_fork(after_in_child=_new_pool)
-
-
-def _each_span(n: int, count: int, walk, cell: int = 1) -> None:
-    """Call ``walk(start, stop, step)`` on each span of ``n`` frequencies, in
-    cells of ``cell`` frequencies that take ``count`` points of the
-    ``BLOCK_POINTS`` budget each: one span per usable CPU but no more than get
-    a whole block of ``step = BLOCK_POINTS / (spans * count)`` cells.  The
-    caller walks the first span, the pool the others.  A span's error is
-    raised once all end."""
-    cpus, cells = _usable_cpus(), -(-n // cell)
-    spans = max(1, min(cpus, cells // max(1, BLOCK_POINTS // (cpus * count))))
-    step = max(1, BLOCK_POINTS // (spans * count)) * cell
-    bounds = [min(n, cells * i // spans * cell) for i in range(spans + 1)]
-    pending = [_pool.submit(walk, a, b, step) for a, b in zip(bounds[1:-1], bounds[2:])]
-    try:
-        walk(0, bounds[1], step)
-    finally:
-        wait(pending)
-    for job in pending:
-        job.result()
-
-
 def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
-    """Grid points m per anchor of the fill: the largest power of two up to
+    """Grid points m per anchor of the walk: the largest power of two up to
     ``ANCHOR_CELL`` that keeps every line's |z - z_anchor| within
-    ``ANCHOR_REACH`` and 2 |z| |z - z_anchor| within ``ANCHOR_GROWTH``; 0, for
-    the pointwise walk, if that is below 8, if ``nu`` holds fewer than m
-    points or if it is not uniform to a few ulp."""
+    ``ANCHOR_REACH`` and 2 |z| |z - z_anchor| within ``ANCHOR_GROWTH``; 1,
+    each frequency its own anchor, if that is below 8, if ``nu`` holds fewer
+    than m points or if it is not uniform to a few ulp."""
     n = nu.size
     if n < 8 or lines.nu0.size == 0:
-        return 0
+        return 1
     spacing = (nu[-1] - nu[0]) / (n - 1)
     ulp = np.spacing(max(abs(nu[0]), abs(nu[-1])))
     if spacing == 0 or np.abs(nu - (nu[0] + spacing * np.arange(n))).max() > 4 * ulp:
-        return 0
+        return 1
     h = abs(spacing) / lines.sigma_hz
     # |z| of each line at the farthest anchor, which lies up to half a cell
     # past the grid
@@ -225,94 +179,79 @@ def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
     cell = ANCHOR_CELL
     while cell >= 8 and cell // 2 > half:
         cell //= 2
-    return cell if 8 <= cell <= n else 0
+    return cell if 8 <= cell <= n else 1
 
 
 def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
-    """Call ``consume(columns, chi)`` once per contiguous block of the 1-D
-    frequencies ``nu``; ``chi``, shape (groups, block), sums each line group's
-    lines in line order, so no value depends on its span of ``_each_span`` or
-    block.  Each span has its own workspace and calls ``consume`` on its own
-    thread, on its own columns.
+    """Call ``consume(columns, chi)`` on the calling thread once per
+    contiguous block of the 1-D frequencies ``nu``, in order; ``chi``, shape
+    (groups, block), sums each line group's lines in line order, so no value
+    depends on its block.  Blocks are cut on whole anchor cells and share one
+    workspace.
 
-    On a uniform grid with an anchor cell m (``_anchor_cell``), the Voigt
-    profiles are evaluated only at anchors, one per cell of m grid points at
-    the cell's middle, and chi is filled from their Taylor series: the lines'
-    terms are summed per group, so the line sum is made once per anchor.
-    Elsewhere every line is evaluated at every frequency.
+    The Voigt profiles are evaluated only at anchors, one per cell of m grid
+    points (``_anchor_cell``) at the cell's middle.  Where m > 1, chi is
+    filled from their Taylor series: the lines' terms are summed per group,
+    so the line sum is made once per anchor.  Where m = 1, each frequency is
+    its own anchor and chi is the group sum of its lines' terms.
     """
     nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
     amp = lines.amp[:, None]
     cell, runs = _anchor_cell(lines, nu), _group_runs(lines.group, groups)
-
-    def walk(start, stop, step):
-        # flat, so that a short block's views are contiguous too
-        size = nu0.size * min(step, stop - start)
-        detuning, profile = np.empty(size), np.empty(size, dtype=complex)
-        for a in range(start, stop, step):
-            block = nu[None, a : min(a + step, stop)]
-            shape = (nu0.size, block.size)
-            delta = np.subtract(block, nu0, out=detuning[: block.size * nu0.size].reshape(shape))
-            prof = voigt_profile_complex(delta, lorentz, sigma, out=profile[: block.size * nu0.size].reshape(shape))
-            prof *= amp
-            consume(slice(a, a + block.size), 1j * _group_sums(runs, prof, groups))
-
-    def fill(start, stop, step):
-        # the scaled Taylor terms u_k = h^k q^(k)(z) of a line's term q = i amp
-        # sqrt(pi) w(z) / sigma_w of chi, in the step h = dz per grid step,
-        # follow from w' = -2 z w + 2i / sqrt(pi): u_1 = h (-2 z q - 2 amp /
-        # sigma_w) and u_(k+1) = -2 h z u_k - 2 k h^2 u_(k-1).  Each is summed
-        # per group as it is made, so a line holds two terms, and divided by k!
-        # there.
-        spacing = (nu[-1] - nu[0]) / (nu.size - 1)
-        sigma_w = 2.0 * np.pi * sigma
-        h = spacing / sigma
-        size = nu0.size * (step // cell)
-        z, prev, term, scratch = (np.empty(size, dtype=complex) for _ in range(4))
-        factorials = np.cumprod([1.0] + list(range(1, TAYLOR_TERMS + 1)))[:, None, None]
-        for a in range(start, stop, step):
-            b = min(a + step, stop)
-            anchors = -(-(b - a) // cell)
-            at = nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
-            shape = (nu0.size, anchors)
-            az, u0, u1, tmp = (x[: nu0.size * anchors].reshape(shape) for x in (z, prev, term, scratch))
-            delta = np.subtract(at, nu0, out=tmp.real)
-            voigt_profile_complex(delta, lorentz, sigma, out=u0)
-            u0 *= 1j * amp
-            np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
-            az += 1j * np.pi * lorentz / sigma_w
-            az *= -2.0 * h
-            np.multiply(az, u0, out=u1)
-            u1 -= 2.0 * h * amp / sigma_w
-            sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
-            sums[0] = _group_sums(runs, u0, groups)
-            sums[1] = _group_sums(runs, u1, groups)
-            for k in range(1, TAYLOR_TERMS):
-                np.multiply(az, u1, out=tmp)
-                u0 *= -2.0 * k * h**2
-                u0 += tmp
-                u0, u1 = u1, u0
-                sums[k + 1] = _group_sums(runs, u1, groups)
-            sums /= factorials
-            # each point's offset from its anchor in grid steps, exact on an
-            # exactly uniform grid; Horner's rule in it fills every group
-            offset = np.zeros(anchors * cell)
-            offset[: b - a] = nu[a:b] - np.repeat(at, cell)[: b - a]
-            offset = (offset / spacing).reshape(anchors, cell)
-            sums = sums[..., None]
-            chi = np.multiply(sums[TAYLOR_TERMS], offset)
-            for k in range(TAYLOR_TERMS - 1, 0, -1):
-                chi += sums[k]
-                chi *= offset
-            chi += sums[0]
-            consume(slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
-
-    if cell:
-        # an anchor's line holds four complex numbers and a cell's chi entry
-        # is chi, 1 + chi and n+- in ``consume``: about two points each
-        _each_span(nu.size, 2 * (nu0.size + groups * cell), fill, cell)
-    else:
-        _each_span(nu.size, nu0.size, walk)
+    # the scaled Taylor terms u_k = h^k q^(k)(z) of a line's term q = i amp
+    # sqrt(pi) w(z) / sigma_w of chi, in the step h = dz per grid step, follow
+    # from w' = -2 z w + 2i / sqrt(pi): u_1 = h (-2 z q - 2 amp / sigma_w) and
+    # u_(k+1) = -2 h z u_k - 2 k h^2 u_(k-1).  Each is summed per group as it
+    # is made, so a line holds two terms, and divided by k! there.
+    spacing = (nu[-1] - nu[0]) / (nu.size - 1) if cell > 1 else 0.0
+    sigma_w = 2.0 * np.pi * sigma
+    h = spacing / sigma
+    factorials = np.cumprod([1.0] + list(range(1, TAYLOR_TERMS + 1)))[:, None, None]
+    # an anchor's line holds four complex numbers and a cell's chi entry is
+    # chi, 1 + chi and n+- in ``consume``: about two points each
+    step = max(1, BLOCK_POINTS // (2 * (nu0.size + groups * cell))) * cell
+    # flat, so that a short block's views are contiguous too
+    size = nu0.size * min(step // cell, -(-nu.size // cell))
+    z, prev, term, scratch = (np.empty(size, dtype=complex) for _ in range(4))
+    for a in range(0, nu.size, step):
+        b = min(a + step, nu.size)
+        anchors = -(-(b - a) // cell)
+        at = nu[a:b] if cell == 1 else nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
+        shape = (nu0.size, anchors)
+        az, u0, u1, tmp = (x[: nu0.size * anchors].reshape(shape) for x in (z, prev, term, scratch))
+        delta = np.subtract(at, nu0, out=tmp.real)
+        voigt_profile_complex(delta, lorentz, sigma, out=u0)
+        u0 *= 1j * amp
+        if cell == 1:
+            consume(slice(a, b), _group_sums(runs, u0, groups))
+            continue
+        np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
+        az += 1j * np.pi * lorentz / sigma_w
+        az *= -2.0 * h
+        np.multiply(az, u0, out=u1)
+        u1 -= 2.0 * h * amp / sigma_w
+        sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
+        sums[0] = _group_sums(runs, u0, groups)
+        sums[1] = _group_sums(runs, u1, groups)
+        for k in range(1, TAYLOR_TERMS):
+            np.multiply(az, u1, out=tmp)
+            u0 *= -2.0 * k * h**2
+            u0 += tmp
+            u0, u1 = u1, u0
+            sums[k + 1] = _group_sums(runs, u1, groups)
+        sums /= factorials
+        # each point's offset from its anchor in grid steps, exact on an
+        # exactly uniform grid; Horner's rule in it fills every group
+        offset = np.zeros(anchors * cell)
+        offset[: b - a] = nu[a:b] - np.repeat(at, cell)[: b - a]
+        offset = (offset / spacing).reshape(anchors, cell)
+        sums = sums[..., None]
+        chi = np.multiply(sums[TAYLOR_TERMS], offset)
+        for k in range(TAYLOR_TERMS - 1, 0, -1):
+            chi += sums[k]
+            chi *= offset
+        chi += sums[0]
+        consume(slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
 
 
 def _rank_major(group: np.ndarray) -> np.ndarray:

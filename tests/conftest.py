@@ -1,11 +1,9 @@
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis
 import numpy as np
 import pytest
 
-from atompairs import vapor
 from atompairs.atoms import load_atom_data
 from atompairs.filters import PolarizerPair, fadof_spectrum
 from atompairs.vapor import VaporCellConfig, make_frequency_grid
@@ -78,18 +76,3 @@ def sensing_scan_fine(atoms, sensing_cell, noon_line_hz):
     b_list = np.arange(0.0, 50.001e-3, 0.5e-3)
     return sensing_scan(state, b_list, transfer_vs_field(atoms, sensing_cell, noon_line_hz, b_list))
 
-
-@pytest.fixture
-def use_cpus(monkeypatch):
-    """``use_cpus(n)``: walk as on a host with n usable CPUs, whatever this one
-    has, through a pool of n - 1 threads that is shut down after the test."""
-    pools = []
-
-    def use(cpus):
-        monkeypatch.setattr(vapor, "_usable_cpus", lambda: cpus)
-        pools.append(ThreadPoolExecutor(cpus - 1) if cpus > 1 else None)
-        monkeypatch.setattr(vapor, "_pool", pools[-1])
-
-    yield use
-    for pool in filter(None, pools):
-        pool.shutdown()

@@ -196,6 +196,30 @@ def test_numeric_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def _tree(path: Path) -> dict:
+    """Each file under ``path``: its bytes, inode and modification time."""
+    return {p: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in path.rglob("*") if p.is_file()}
+
+
+def test_a_refused_run_leaves_its_output_directory_as_it_found_it(tmp_path, capsys):
+    """Far off resonance every Fisher value is 0 and ``sql_ratio`` is 0/0, so
+    the run exits 3 after ``scan.csv`` is written: no file of the output
+    directory is added or replaced, and no staging directory is left."""
+    argv = ["noon-scan", "--detuning-GHz", "1e6", "--fisher-at-mT", "44"]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "scan.csv").write_text("an earlier run's table\n")
+    (out / "notes.txt").write_text("kept\n")
+    before = _tree(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["--out-dir", str(out)] + argv) == 3
+        assert main(["--out-dir", str(tmp_path / "new")] + argv) == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 def test_records_roundtrip_through_cli(tmp_path):
     from atompairs.biphoton import ideal_opo_psi, simulate_records, symmetric_tau_grid
 

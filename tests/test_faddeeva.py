@@ -1,4 +1,3 @@
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -140,30 +139,27 @@ def test_limits_at_infinity():
     assert np.isnan(1j * inf) and np.isnan(faddeeva(np.array([1j * inf]))).all()
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+def _blocks(n, count):
+    """``count`` contiguous slices that cover ``range(n)``."""
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("blocks", [2, 3])
 @pytest.mark.parametrize(
-    "shape, split",
-    [((vapor.BLOCK_POINTS + 7,), True), ((37, vapor.BLOCK_POINTS // 16), True), ((vapor.BLOCK_POINTS // 2 - 1,), False)],
+    "shape",
+    [(vapor.BLOCK_POINTS + 7,), (37, vapor.BLOCK_POINTS // 16), (vapor.BLOCK_POINTS // 2 - 1,)],
     ids=["1d-split", "2d-split", "1d-below-threshold"],
 )
-def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus):
-    """The last axis cut in spans as the frequency walk cuts its frequencies on
-    a host with that many usable CPUs, rows standing for lines: each span
-    evaluated on its own thread into its columns of one output gives one call's
-    result (wofz's at the core) bit for bit.  Below a block per CPU the input
-    is one span, on the calling thread."""
-    use_cpus(cpus)
+def test_split_evaluation_is_bit_identical_to_wofz(shape, blocks):
+    """The last axis cut by plain slicing in 2 or 3 blocks, rows standing for
+    lines as in the frequency walk: each block evaluated into its columns of
+    one output gives one call's result (wofz's at the core) bit for bit,
+    over a walk block and under half of one."""
     z = _upper_half_plane(shape, 5)
     w = np.empty_like(z)
-    spans = []
-
-    def walk(start, stop, step):
-        spans.append((start, threading.get_ident()))
-        faddeeva(z[..., start:stop], out=w[..., start:stop])
-
-    vapor._each_span(z.shape[-1], z[..., 0].size, walk)
-    assert len(spans) == (cpus if split else 1)
-    assert min(spans) == (0, threading.get_ident())
+    for columns in _blocks(z.shape[-1], blocks):
+        faddeeva(z[..., columns], out=w[..., columns])
     assert np.array_equal(w, _one_call(z))
 
 
@@ -172,8 +168,8 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, split, cpus, use_cpus)
 @pytest.mark.parametrize("into", ["buffer", "in-place", "strided"])
 def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, callers, into):
     """``out=`` receives w, also z's own memory and a strided view, with one
-    caller or several at once, each into its own buffer, as the frequency
-    walk's spans call it: one call's result (wofz's at the core) bit for bit."""
+    caller or several at once on threads of their own, each into its own
+    buffer: one call's result (wofz's at the core) bit for bit."""
     inputs = [_upper_half_plane(size, 9 + k) for k in range(callers)]
     wants = [_one_call(z) for z in inputs]
 
@@ -199,13 +195,13 @@ def test_voigt_into_a_buffer_equals_a_fresh_profile():
     assert np.array_equal(voigt_profile_complex(delta, lorentz, sigma), out)
 
 
-def test_split_evaluation_rejects_lower_half_plane_in_last_chunk(use_cpus):
-    # the last span is walked on a pool thread; its refusal reaches the caller
-    use_cpus(2)
+def test_split_evaluation_rejects_lower_half_plane_in_last_chunk():
+    # the last block's refusal reaches the caller
     z = _upper_half_plane(4 * LARGE, 6)
     z[-1] = 3.0 - 1e-3j
     with pytest.raises(ValueError):
-        vapor._each_span(z.size, 1, lambda start, stop, step: faddeeva(z[start:stop]))
+        for columns in _blocks(z.size, 2):
+            faddeeva(z[columns])
 
 
 def test_concurrent_callers_get_their_own_results():

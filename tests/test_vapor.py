@@ -1,5 +1,4 @@
 import itertools
-import multiprocessing
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -265,30 +264,33 @@ def _fadof_path(atoms):
 
 
 def _walk(lines, nu, groups):
-    """(columns, chi, thread) of each block the walk hands its callback, in
-    column order."""
-    blocks = []
-    vapor._walk_chi(lines, nu, groups, lambda cols, chi: blocks.append((cols, chi, threading.get_ident())))
-    return sorted(blocks, key=lambda block: block[0].start)
+    """(columns, chi) of each block the walk hands its callback, after
+    checking that it handed every block over on the calling thread."""
+    blocks, threads = [], set()
+
+    def keep(cols, chi):
+        blocks.append((cols, chi))
+        threads.add(threading.get_ident())
+
+    vapor._walk_chi(lines, nu, groups, keep)
+    assert threads <= {threading.get_ident()}
+    return blocks
 
 
-def _walked_chi(lines, nu, groups, spans=1):
-    """The walk's chi over ``nu``, blocks joined, after checking that the blocks
-    are those of ``spans`` contiguous spans, each cut in blocks of at most
-    ``BLOCK_POINTS / spans`` line x frequency points, that they cover ``nu``
-    once, and that each span ran on one thread: the first on the calling
-    thread, the others on the pool's."""
+def _per_cell(lines, groups, cell=1):
+    """``BLOCK_POINTS`` that each anchor cell of a block takes: two per line
+    and two per group and frequency."""
+    return 2 * (lines.nu0.size + groups * cell)
+
+
+def _walked_chi(lines, nu, groups):
+    """The walk's chi over ``nu``, blocks joined, after checking that the
+    blocks of one-point cells cover ``nu`` once, in order, in blocks of
+    ``BLOCK_POINTS / _per_cell`` frequencies."""
     blocks = _walk(lines, nu, groups)
-    step = max(1, vapor.BLOCK_POINTS // (spans * lines.nu0.size))
-    bounds = [nu.size * i // spans for i in range(spans + 1)]
-    assert [(cols.start, cols.stop) for cols, _, _ in blocks] == [
-        (a, min(a + step, stop)) for start, stop in zip(bounds, bounds[1:]) for a in range(start, stop, step)
-    ]
-    threads = [{t for cols, _, t in blocks if start <= cols.start < stop} for start, stop in zip(bounds, bounds[1:]) if stop > start]
-    assert threads[:1] in ([], [{threading.get_ident()}])
-    # a pool thread that ends its span before another starts may take the next
-    assert all(len(t) == 1 for t in threads) and threading.get_ident() not in set.union(set(), *threads[1:])
-    return np.concatenate([chi for _, chi, _ in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+    step = max(1, vapor.BLOCK_POINTS // _per_cell(lines, groups))
+    assert [(cols.start, cols.stop) for cols, _ in blocks] == [(a, min(a + step, nu.size)) for a in range(0, nu.size, step)]
+    return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
 
 
 def _group_lines(lines, group):
@@ -313,18 +315,17 @@ def _edge_counts(step):
 
 @pytest.mark.parametrize("pol", ["sigma+", "sigma-"])
 @pytest.mark.parametrize("step", [7, None])
-def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step, use_cpus):
-    """Every block boundary case of one span, with a small block and with the
-    shipped one, on frequencies that form no uniform grid: the pointwise
-    walk's chi is the one-shot line-order sum bit for bit, since each
-    frequency's lines are summed in line order whatever the block."""
-    use_cpus(1)
+def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
+    """Every block boundary case, with a small block and with the shipped
+    one, on frequencies that form no uniform grid: the one-point cells' chi
+    is the one-shot line-order sum bit for bit, since each frequency's lines
+    are summed in line order whatever the block."""
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
-    count = arrays.nu0.size
+    count = _per_cell(arrays, 1)
     if step is None:
         step = vapor.BLOCK_POINTS // count
     else:
-        # a block constant that is not a multiple of the line count
+        # a block constant that is not a multiple of a frequency's count
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
     for n in _edge_counts(step):
         nu = _nonuniform(d1_center, n)
@@ -332,71 +333,49 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
 
 
 @pytest.mark.parametrize("centers", [1, 6])
-def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers, use_cpus):
+def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers):
     """A path over one center and over six (fig10's fields and slices) gives,
     at every block edge of a small block, the (t+, t-, theta) of one block
     over all frequencies, bit for bit; and each field's chi+- in the walk is
     its one-shot line-order sum.  The frequencies form no uniform grid, so
-    the walk is pointwise."""
-    use_cpus(1)
+    each is its own anchor."""
     fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
     path = VaporPath(atoms, sensing_cell, fields, slices=2)
-    lines = path._lines
-    step = 5
+    lines, groups = path._lines, 2 * path._fields.size
+    count, step = _per_cell(lines, groups), 5
     for n in _edge_counts(step):
         nu = _nonuniform(d1_center, n)
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * lines.nu0.size + 3)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
         blocked = path._propagate(nu)
-        chi = _walked_chi(lines, nu, 2 * path._fields.size)
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", max(1, n) * lines.nu0.size)
+        chi = _walked_chi(lines, nu, groups)
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", max(1, n) * count)
         one_block = path._propagate(nu)
         for got, want in zip(blocked, one_block):
             assert got.shape == (centers, n) and np.array_equal(got, want)
-        for group in range(2 * path._fields.size):
+        for group in range(groups):
             arrays = _group_lines(lines, group)
             assert np.array_equal(chi[group], one_shot_susceptibility(arrays, nu))
 
 
-@pytest.mark.parametrize("spans", [2, 3])
-def test_spans_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch, spans, use_cpus):
-    """Cut in 2 or 3 spans, each on a thread of its own, the walk gives one
-    span's chi, and a path its (t+, t-, theta) and (n+, n-), bit for bit: in
-    the shipped blocks, and in blocks of 5 frequencies per span that fill
-    each span, leave one over, or end short.  The frequencies form no
-    uniform grid, so the walk is pointwise."""
-    path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
-    lines = path._lines
-    count, shipped = lines.nu0.size, vapor.BLOCK_POINTS
-    cases = [(shipped, 3 * spans * (shipped // (spans * count)) + 5)]
-    cases += [(spans * 5 * count + 3, n) for n in (5 * spans, 5 * spans + 1, 15 * spans + 7)]
-    for block_points, n in cases:
-        monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
-        nu = _nonuniform(d1_center, n)
-        outputs = {}
-        for cpus in (1, spans):
-            use_cpus(cpus)
-            outputs[cpus] = (_walked_chi(lines, nu, 2 * path._fields.size, cpus), *path._propagate(nu), *path.index_at(nu, 24e-3))
-        for got, want in zip(outputs[spans], outputs[1]):
-            assert np.array_equal(got, want)
+def test_walk_runs_on_the_calling_thread(atoms, sensing_cell, d1_center, monkeypatch):
+    """fig10's six fields on its 12,001-point grid, walked in many blocks:
+    every Voigt evaluation runs on the calling thread."""
+    threads = []
+    voigt = vapor.voigt_profile_complex
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return voigt(*args, **kwargs)
+
+    monkeypatch.setattr(vapor, "voigt_profile_complex", recorded)
+    grid = make_frequency_grid(d1_center, 6e9, 1e6)
+    VaporPath(atoms, sensing_cell, np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3]), slices=2).transfer_at(grid)
+    assert len(threads) > 1 and set(threads) == {threading.get_ident()}
 
 
-def test_inputs_too_small_for_a_block_per_cpu_stay_on_the_calling_thread(atoms, sensing_cell, d1_center, use_cpus):
-    """One frequency, as in a field scan, and one short of a block per CPU walk
-    on the calling thread; a block per CPU walks in two spans (pointwise, on
-    frequencies that form no uniform grid)."""
-    use_cpus(2)
-    lines = VaporPath(atoms, sensing_cell, 24e-3, slices=2)._lines
-    per_span = vapor.BLOCK_POINTS // (2 * lines.nu0.size)
-    for n in (1, 2 * per_span - 1):
-        blocks = _walk(lines, _nonuniform(d1_center, n), 4)
-        assert {thread for _, _, thread in blocks} == {threading.get_ident()}
-    _walked_chi(lines, _nonuniform(d1_center, 2 * per_span), 4, spans=2)
-
-
-def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center, use_cpus):
-    """Several threads propagating at once share the walk's pool and each get
-    what it gets alone."""
-    use_cpus(2)
+def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center):
+    """Library callers that propagate paths on threads of their own each get
+    what they get alone."""
     grid = make_frequency_grid(d1_center, 6e9, 2e6)
     paths = [VaporPath(atoms, sensing_cell, b, slices=2) for b in (0.0, 12e-3, 37e-3, 58e-3)]
     serial = [path._propagate(grid) for path in paths]
@@ -407,56 +386,26 @@ def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center
             assert np.array_equal(a, b)
 
 
-def _transfer_in_child(conn, path, nu):
-    conn.send(path.transfer_at(nu))
-    conn.close()
-
-
-def test_walk_works_in_forked_child(atoms, sensing_cell, d1_center, use_cpus):
-    # the parent's pool threads do not survive fork; the child must build its own
-    use_cpus(2)
-    path = VaporPath(atoms, sensing_cell, 24e-3, slices=2)
-    nu = make_frequency_grid(d1_center, 6e9, 1e6)
-    want = path.transfer_at(nu)
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_transfer_in_child, args=(send, path, nu))
-    child.start()
-    send.close()
-    try:
-        assert receive.poll(60.0), "the frequency walk hung in a forked child"
-        for got, expected in zip(receive.recv(), want):
-            assert np.array_equal(got, expected)
-        child.join(10.0)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-        child.join()
-
-
-def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch, use_cpus):
-    """On a uniform grid the walk fills chi from anchors.  Cut in 1, 2 or 3
-    spans, in the shipped blocks and in blocks of one anchor cell, two, or
-    two and a short one, it gives the one-span chi, (t+, t-, theta) and
-    (n+, n-) bit for bit, every block starting on a whole anchor cell."""
+def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch):
+    """On a uniform grid the walk fills chi from anchors.  In the shipped
+    blocks and in blocks of one anchor cell, two, or two and a short one, it
+    gives the same chi, (t+, t-, theta) and (n+, n-) bit for bit, every block
+    starting on a whole anchor cell."""
     path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
     lines, groups = path._lines, 2 * path._fields.size
     nu = make_frequency_grid(d1_center, 2e9, 2e6)
     cell = vapor._anchor_cell(lines, nu)
     assert cell == 16
-    per_cell = 2 * (lines.nu0.size + groups * cell)
+    per_cell = _per_cell(lines, groups, cell)
     outputs = []
     for block_points in (vapor.BLOCK_POINTS, per_cell, 2 * per_cell, 3 * per_cell - 1):
         monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
-        for cpus in (1, 2, 3):
-            use_cpus(cpus)
-            blocks = _walk(lines, nu, groups)
-            assert all(cols.start % cell == 0 for cols, _, _ in blocks)
-            assert [cols.stop for cols, _, _ in blocks[:-1]] == [cols.start for cols, _, _ in blocks[1:]]
-            assert blocks[0][0].start == 0 and blocks[-1][0].stop == nu.size
-            chi = np.concatenate([chi for _, chi, _ in blocks], axis=1)
-            outputs.append((chi, *path._propagate(nu), *path.index_at(nu, 24e-3)))
+        blocks = _walk(lines, nu, groups)
+        assert all(cols.start % cell == 0 for cols, _ in blocks)
+        assert [cols.stop for cols, _ in blocks[:-1]] == [cols.start for cols, _ in blocks[1:]]
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == nu.size
+        chi = np.concatenate([chi for _, chi in blocks], axis=1)
+        outputs.append((chi, *path._propagate(nu), *path.index_at(nu, 24e-3)))
     for output in outputs[1:]:
         for got, want in zip(output, outputs[0]):
             assert np.array_equal(got, want)
@@ -534,27 +483,26 @@ def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
     """A uniform grid too coarse for the fill (the 50 MHz grid of
     ``test_zero_field_no_rotation``, and the 501 MHz comb that ``purity``
     reads through the hot cell), a short one, a non-uniform one and a single
-    frequency all take the pointwise walk."""
+    frequency all take one-point cells: each frequency is its own anchor."""
     from atompairs import cli
 
     zero_field = _one_field_lines(atoms, natural_cell(atoms, temp_k=320.0), 0.0)
-    assert vapor._anchor_cell(zero_field, make_frequency_grid(d1_center, 4e9, 50e6)) == 0
+    assert vapor._anchor_cell(zero_field, make_frequency_grid(d1_center, 4e9, 50e6)) == 1
     _, params = cli.validate_scenario({"scenario": "purity"})
     comb = cli._matching_pieces(params, atoms)[2].frequency_hz
     assert np.allclose(np.diff(comb), params["fsr_mhz"] * 1e6, rtol=1e-12, atol=0.0)
     hot = natural_cell(atoms, temp_k=params["hot_cell_temp_k"], buffer_mhz=params["hot_cell_buffer_mhz"])
-    assert vapor._anchor_cell(_one_field_lines(atoms, hot, 0.0), comb) == 0
+    assert vapor._anchor_cell(_one_field_lines(atoms, hot, 0.0), comb) == 1
     fine = make_frequency_grid(d1_center, 6e9, 1e6)
     assert vapor._anchor_cell(zero_field, fine) == 32
-    assert vapor._anchor_cell(zero_field, fine[:7]) == 0
-    assert vapor._anchor_cell(zero_field, _nonuniform(d1_center, fine.size)) == 0
-    assert vapor._anchor_cell(zero_field, fine[:1]) == 0
+    assert vapor._anchor_cell(zero_field, fine[:7]) == 1
+    assert vapor._anchor_cell(zero_field, _nonuniform(d1_center, fine.size)) == 1
+    assert vapor._anchor_cell(zero_field, fine[:1]) == 1
 
 
-def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch, use_cpus):
+def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch):
     """fig2's grid takes anchor cells of 64 points and evaluates each line at
     no more than ceil(n / 64) frequencies; fig10's takes cells of 32."""
-    use_cpus(2)
     points = []
     voigt = vapor.voigt_profile_complex
 
