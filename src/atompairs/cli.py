@@ -48,7 +48,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     NumericError, before the file is opened, if a cell is a NaN or infinite."""
     columns = [np.asarray(col) for col in columns]
     if bad := [name for name, col in zip(header, columns) if not np.isfinite(col).all()]:
-        raise NumericError(f"{path}: non-finite values in column(s) {', '.join(bad)}")
+        raise NumericError(f"{Path(path).name}: non-finite values in column(s) {', '.join(bad)}")
     row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
     row += "\n"
     rows = max(1, CSV_BLOCK_CELLS // len(columns))
@@ -74,7 +74,7 @@ def write_json(path: Path, payload):
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise NumericError(f"{path}: {exc}") from None
+        raise NumericError(f"{Path(path).name}: {exc}") from None
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 

@@ -215,7 +215,7 @@ def test_a_refused_run_leaves_its_output_directory_as_it_found_it(tmp_path, caps
         warnings.simplefilter("ignore", RuntimeWarning)
         assert main(["--out-dir", str(out)] + argv) == 3
         assert main(["--out-dir", str(tmp_path / "new")] + argv) == 3
-    assert "not JSON compliant" in capsys.readouterr().err
+    assert "numeric error: fisher.json: Out of range float values are not JSON compliant" in capsys.readouterr().err
     assert _tree(tmp_path) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
