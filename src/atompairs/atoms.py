@@ -5,10 +5,10 @@ of J = 1/2 manifolds, solves them m_F block by m_F block and enumerates
 optical transition lines with Wigner-Eckart strengths.  With J = 1/2 the
 m_F blocks (Breit-Rabi structure) are the two stretched states and one pair
 of states per m_F between; their entries and adiabatic F labels are written
-in closed form, so no dense operator is built.  Each 2x2 block is solved by
-the LAPACK steps that ``numpy.linalg.eigh`` takes for it, so the levels are
-eigh's bit for bit.  A line's amplitude <e|d_q|g> is summed from the few
-basis terms that the selection rule leaves.
+in closed form, so no dense operator is built.  Each 2x2 block is solved in
+closed form too, its levels and vectors read off one mixing angle.  A line's
+amplitude <e|d_q|g> is summed from the few basis terms that the selection
+rule leaves.
 
 Each step takes one field or a 1-D array of fields:
 ``build_hamiltonian`` -> ``diagonalize`` -> ``transition_lines``.  A
@@ -365,64 +365,19 @@ def _f_labels(I: float, a_hfs: float) -> np.ndarray:
     return _read_only(np.repeat([I + 0.5, low, high], [2, pairs, pairs]))[0]
 
 
-# LAPACK's dlamch("E") (the unit roundoff) and dlamch("S")
-_EPS = np.finfo(float).eps / 2
-_SAFMIN = np.finfo(float).tiny
-
-
-def _eigh_2x2(a, b, c):
-    """Eigen-decomposition of the real symmetric blocks [[a, b], [b, c]],
-    elementwise over arrays, bit for bit as ``np.linalg.eigh`` gives it.
-
-    For a 2x2 block, eigh's LAPACK dsyevd has nothing to reduce to
-    tridiagonal form, and dsteqr either splits the block, when b is
-    negligible next to a and c (levels a and c, unit vectors), or solves it
-    with one DLAEV2 and one plane rotation.  It then sorts the levels
-    ascending.  The transcription holds wherever neither routine rescales
-    the block: when max(|a|, |b|, |c|) is 0 or between 1e-120 and 1e145.
+def _solve_2x2(a, b, c):
+    """Levels and vectors of the real symmetric blocks [[a, b], [b, c]],
+    elementwise over arrays, in the Breit-Rabi closed form: with
+    h = (a - c)/2, r = hypot(h, b) and the mixing angle phi = atan2(b, h)/2,
+    the levels are (a + c)/2 -+ r, the upper one's vector (cos phi, sin phi)
+    and the lower one's (-sin phi, cos phi).
     Returns ((w0, w1), (v00, v10, v01, v11)), levels ascending and v_kj
     component k of level j.
     """
-    abs_a, abs_c = np.abs(a), np.abs(c)
-    split = (np.abs(b) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS) | (
-        b * b <= (_EPS**2 * abs_a) * abs_c + _SAFMIN
-    )
-    # DLAEV2, whose result only an unsplit block (b != 0) keeps: rt1 is the
-    # level of larger magnitude and (cs1, sn1) its vector
-    sm, df, tb = a + c, a - c, b + b
-    adf, ab = np.abs(df), np.abs(tb)
-    a_larger = abs_a > abs_c
-    acmx, acmn = np.where(a_larger, a, c), np.where(a_larger, c, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # adf * sqrt(1 + (ab / adf)**2) or ab * sqrt(1 + (adf / ab)**2), the
-        # larger outside; equal ones give ab * sqrt(2) either way
-        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
-        rt = big * np.sqrt(1.0 + (small / big) ** 2)
-        rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))
-        rt2 = np.where(sm != 0, (acmx / rt1) * acmn - (b / rt1) * b, -0.5 * rt)
-        df_negative = df < 0
-        cs = df + np.where(df_negative, -rt, rt)
-        cs_larger = np.abs(cs) > ab
-        # ct = -tb / cs, sn1 = 1 / sqrt(1 + ct**2), cs1 = ct sn1; or with
-        # tn = -cs / tb the same with sn1 and cs1 exchanged
-        t = np.where(cs_larger, -tb, -cs) / np.where(cs_larger, cs, tb)
-        u = 1.0 / np.sqrt(1.0 + t * t)
-    tu = t * u
-    cs1, sn1 = np.where(cs_larger, tu, u), np.where(cs_larger, u, tu)
-    exchange = (sm < 0) == df_negative  # DLAEV2's SGN1 = SGN2
-    cs1, sn1 = np.where(exchange, -sn1, cs1), np.where(exchange, cs1, sn1)
-    # dsteqr: rotate the unit vectors by (cs1, sn1) unless split; (cos, sin)
-    # is w_a's vector and (-sin, cos) w_b's
-    w_a, w_b = np.where(split, a, rt1), np.where(split, c, rt2)
-    cos, sin, minus_sin = np.where(split, 1.0, cs1), np.where(split, 0.0, sn1), np.where(split, 0.0, -sn1)
-    # sorted ascending: dsteqr swaps only a strictly smaller second level
-    flip = w_b < w_a
-
-    def ordered(first, second):
-        return np.where(flip, second, first), np.where(flip, first, second)
-
-    (v00, v01), (v10, v11) = ordered(cos, minus_sin), ordered(sin, cos)
-    return ordered(w_a, w_b), (v00, v10, v01, v11)
+    h = 0.5 * (a - c)
+    mean, r, phi = 0.5 * (a + c), np.hypot(h, b), 0.5 * np.arctan2(b, h)
+    cos, sin = np.cos(phi), np.sin(phi)
+    return (mean - r, mean + r), (-sin, cos, cos, sin)
 
 
 @dataclass(frozen=True)
@@ -431,11 +386,9 @@ class ZeemanSpectrum:
     fields (every per-level array then has a leading field axis), solved m_F
     block by m_F block.
 
-    Levels are ordered by energy.  Levels of bitwise-equal energy are ordered
-    by m_F; levels degenerate only in exact arithmetic come out in the order
-    their rounded energies give.  At B = 0 the Rb85 ground F = 2 levels come
-    out as m_F = -2, 2, -1, 0, 1: reproducible, and the order that
-    ``np.linalg.eigh`` per block gives too.
+    Levels are ordered by energy, levels of bitwise-equal energy by m_F.
+    Levels degenerate only in exact arithmetic, such as the m_F of one F at
+    B = 0, come out in the order their rounded energies give.
     """
 
     isotope: str
@@ -474,7 +427,7 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     f_labels = _f_labels(ham.I, ham.constants.A_hfs_hz)
     n1, n2 = layout.singles, layout.pairs
     single = entries[..., :n1]
-    (w0, w1), vectors = _eigh_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))
+    (w0, w1), vectors = _solve_2x2(*(entries[..., n1 + k * n2 : n1 + (k + 1) * n2] for k in range(3)))
     energies = np.concatenate([single, w0, w1], axis=-1)
     shape, dim = energies.shape, energies.shape[-1]
     energies = energies.reshape(-1, dim)
@@ -567,10 +520,8 @@ def transition_lines(
     connect is never a line, whatever the cut.
 
     Each amplitude is summed from its basis terms (v_e d) v_g in ascending
-    ground-basis order, as the dense product V_e^T D V_g sums them.  A
-    circular line has one term, so its amplitude is the dense product's bit
-    for bit; a pi line has two, which a BLAS product may fuse into one
-    multiply-add, so it can differ from that in the last bit.
+    ground-basis order, as the dense product V_e^T D V_g sums them: one term
+    for a circular line, two for a pi line.
 
     Lower-state populations are uniform over the ground manifold (hyperfine
     splittings are far below k_B T in the 300-380 K range this targets, so

@@ -288,6 +288,11 @@ def run_g2(p, atoms, sink, seed):
     for key in ("tbin_ns", "fsr_mhz"):
         if not (np.isfinite(p[key]) and p[key] > 0):
             raise ConfigError(f"params.{key}: must be finite and > 0, got {p[key]!r}")
+    for key in ("rate1_hz", "rate2_hz"):
+        if not (np.isfinite(p[key]) and p[key] >= 0):
+            raise ConfigError(f"params.{key}: must be finite and >= 0, got {p[key]!r}")
+    if not np.isfinite(p["t0_ns"]):
+        raise ConfigError(f"params.t0_ns: must be finite, got {p['t0_ns']!r}")
     if p["bins"] < 1:
         raise ConfigError("params.bins must be >= 1")
     try:
@@ -514,6 +519,8 @@ def run_noon_scan(p, atoms, sink, seed):
         at_fisher = [t[n:] for t in transfer]
         fi = noon.fisher_information(scan, b_star)
         sql = noon.sql_fisher_information(*at_fisher[:2], h_t)
+        if sql == 0:  # the probe does not sense the field: sql_ratio would be 0/0 or infinite
+            raise NumericError(f"sql_ratio: the SQL Fisher information is 0 at params.detuning_ghz = {p['detuning_ghz']!r}")
         full, frozen = noon.fisher_information_frozen_loss(state, at_fisher, h_t)
         report["fisher"] = {
             "b_mT": p["fisher_at_mt"],

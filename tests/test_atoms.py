@@ -83,19 +83,20 @@ def test_zero_field_degeneracy_within_f_levels(atoms):
 
 
 def test_breit_rabi_equivalence_random_fields(atoms):
+    """Levels within 8 ulp of the manifold's largest |E| of the Breit-Rabi
+    formula, at B = 0 and 100 random fields up to 60 mT."""
     rng = np.random.default_rng(42)
-    fields = rng.uniform(0.0, 60e-3, size=100)
+    fields = np.concatenate([[0.0], rng.uniform(0.0, 60e-3, size=100)])
     for name in ("Rb85", "Rb87"):
         iso = atoms[name]
         for manifold in ("5S1/2", "5P1/2"):
             con = iso.manifolds[manifold]
-            scale = (iso.nuclear_spin + 0.5) * con.A_hfs_hz
             for b in fields:
                 numeric = diagonalize(build_hamiltonian(iso, manifold, b)).energies_hz
                 exact = breit_rabi_energies(
                     iso.nuclear_spin, con.g_J, iso.g_I, con.A_hfs_hz, b
                 ) + con.offset_hz
-                assert np.abs(numeric - exact).max() < 1e-9 * scale
+                assert np.abs(numeric - exact).max() <= 8 * np.spacing(np.abs(exact).max())
 
 
 def test_diagonalize_identity_scaled(atoms):
@@ -236,8 +237,23 @@ def _retuned(atoms):
     return AtomLibrary(isotopes=isotopes, vapor_pressure=atoms.vapor_pressure)
 
 
+def _by_label(lines, labels_g, labels_e):
+    """Lines (lower, upper, frequency, strength) with each level renamed by
+    its rank in (F, m_F) order, sorted by those names: a level's name at
+    B = 0, whatever order its degenerate F level comes out in."""
+    lower, upper, freq, strength = lines
+    rank_g, rank_e = (np.argsort(np.lexsort(labels[::-1])) for labels in (labels_g, labels_e))
+    lower, upper = rank_g[lower], rank_e[upper]
+    order = np.lexsort((upper, lower))
+    return lower[order], upper[order], freq[order], strength[order]
+
+
 def test_lines_match_blockwise_kernel(atoms):
     """all_lines_for_cell and its spectra equal the per-block, per-line oracle.
+
+    At B = 0 the levels of one F are degenerate and the two solvers round
+    them into different orders, so there the levels and lines are compared
+    by their (F, m_F) labels; at every other field, in order.
 
     The user library keeps the isotope names but not the constants, so a
     cache of field-independent operators keyed on the name fails here.
@@ -251,18 +267,24 @@ def test_lines_match_blockwise_kernel(atoms):
                 spectra = [
                     diagonalize(build_hamiltonian(iso, label, b)) for label in ("5S1/2", "5P1/2")
                 ]
+                labels = [(spec.m_f, spec.f_labels) for spec in spectra]
                 for pol in ("sigma+", "sigma-"):
                     labels_g, labels_e, expected = blockwise_lines(iso, b, pol)
-                    for spec, (m_f, f_labels) in zip(spectra, (labels_g, labels_e)):
-                        assert np.array_equal(spec.m_f, m_f)
-                        assert np.array_equal(spec.f_labels, f_labels)
+                    for (m_f, f_labels), (want_m_f, want_f_labels) in zip(labels, (labels_g, labels_e)):
+                        assert np.array_equal(f_labels, want_f_labels)
+                        if b == 0:  # the same m_F in each F level, in any order
+                            m_f, want_m_f = (x[np.lexsort((x, f_labels))] for x in (m_f, want_m_f))
+                        assert np.array_equal(m_f, want_m_f)
                     got = lines[pol][k]
                     assert got.isotope == name and got.polarization == pol
-                    lower, upper, freq, strength = map(np.array, zip(*expected))
-                    assert np.array_equal(got.lower, lower)
-                    assert np.array_equal(got.upper, upper)
-                    np.testing.assert_allclose(got.frequency_hz, freq, rtol=1e-12, atol=0)
-                    np.testing.assert_allclose(got.strength, strength, rtol=1e-12, atol=0)
+                    want = tuple(map(np.array, zip(*expected)))
+                    have = (got.lower, got.upper, got.frequency_hz, got.strength)
+                    if b == 0:
+                        want, have = _by_label(want, labels_g, labels_e), _by_label(have, *labels)
+                    assert np.array_equal(have[0], want[0])
+                    assert np.array_equal(have[1], want[1])
+                    np.testing.assert_allclose(have[2], want[2], rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(have[3], want[3], rtol=1e-12, atol=0)
 
 
 def test_lines_at_fields_rows_equal_all_lines_for_cell(atoms):
@@ -354,16 +376,15 @@ def _dense(iso, label, fields):
 @pytest.mark.parametrize("name, label", D1_MANIFOLDS)
 def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
     """Every 2x2 m_F block of the four D1 manifolds, at 1,201 fields from 0 to
-    60 mT, of the Kronecker-product oracle's matrices solves to eigh's
-    eigenvalues and eigenvectors bit for bit, and so does the whole spectrum
-    to the stacked-eigh kernel's; ``matrix_hz`` is the oracle's matrix.
+    60 mT, of the Kronecker-product oracle's matrices solves to eigh's levels
+    within 8 ulp of the block's largest and to its |eigenvector| components
+    within 1e-15, and so does the whole spectrum to the stacked-eigh
+    kernel's; ``matrix_hz`` is the oracle's matrix.
 
-    The bitwise checks assume that numpy's eigh solves a 2x2 block as
-    reference LAPACK does (dsyevd -> dsteqr -> DLAEV2), which the solver
-    transcribes; a LAPACK that solves it otherwise fails them though the
-    levels are still right.  The residual and orthonormality checks hold on
-    any LAPACK."""
-    from atompairs.atoms import _block_layout, _eigh_2x2
+    The levels come out in the oracle's order, with its m_F and F labels, at
+    every B > 0.  At B = 0 the levels of one F are degenerate and their
+    order follows rounding, so there each F level holds the same m_F."""
+    from atompairs.atoms import _block_layout, _solve_2x2
 
     iso = atoms[name]
     ham = build_hamiltonian(iso, label, SCAN_FIELDS)
@@ -376,25 +397,33 @@ def test_block_solver_equals_eigh_on_every_d1_block(atoms, name, label):
     for rows in zip(r0, r1):
         block = h[:, rows][:, :, rows]
         want_w, want_v = np.linalg.eigh(block)
-        (w0, w1), (v00, v10, v01, v11) = _eigh_2x2(block[:, 0, 0], block[:, 1, 0], block[:, 1, 1])
-        assert np.array_equal(np.stack([w0, w1], -1), want_w)
+        (w0, w1), (v00, v10, v01, v11) = _solve_2x2(block[:, 0, 0], block[:, 1, 0], block[:, 1, 1])
+        ulp = np.spacing(np.abs(want_w).max(-1, keepdims=True))
+        assert np.all(np.abs(np.stack([w0, w1], -1) - want_w) <= 8 * ulp)
         got_v = np.stack([np.stack([v00, v01], -1), np.stack([v10, v11], -1)], -2)
-        assert np.array_equal(np.abs(got_v), np.abs(want_v))
+        assert np.abs(np.abs(got_v) - np.abs(want_v)).max() <= 1e-15
     spec = diagonalize(ham)
     v, w = spec.eigenvectors, spec.energies_hz
     scale = np.abs(h).max()
     assert np.abs(h @ v - v * w[:, None, :]).max() <= 1e-13 * scale
     assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(ham.dim)).max() <= 1e-14
     energies, vectors, m_f, f_labels = _dense(iso, label, SCAN_FIELDS)
-    assert np.array_equal(spec.energies_hz, energies)
-    assert np.array_equal(np.abs(spec.eigenvectors), np.abs(vectors))
-    assert np.array_equal(spec.m_f, m_f) and np.array_equal(spec.f_labels, f_labels)
+    ulp = np.spacing(np.abs(energies).max(-1, keepdims=True))
+    assert np.all(np.abs(spec.energies_hz - energies) <= 8 * ulp)
+    assert np.array_equal(spec.f_labels, f_labels)
+    assert SCAN_FIELDS[0] == 0 and np.all(SCAN_FIELDS[1:] > 0)
+    assert np.abs(np.abs(spec.eigenvectors[1:]) - np.abs(vectors[1:])).max() <= 1e-15
+    assert np.array_equal(spec.m_f[1:], m_f[1:])
+    for f in np.unique(f_labels[0]):
+        level = f_labels[0] == f
+        assert np.array_equal(np.sort(spec.m_f[0][level]), np.sort(m_f[0][level]))
 
 
 @st.composite
 def symmetric_2x2(draw):
-    """[[a, b], [b, c]] of integers scaled by a power of two, so that the ties
-    DLAEV2 branches on (a = c, b = 0, a + c = 0, |a - c| = |2b|) are exact."""
+    """[[a, b], [b, c]] of integers scaled by a power of two, so that the
+    edge cases a = c (mixing angle +-pi/4), b = 0 (0 or pi/2), a + c = 0 and
+    |a - c| = |2b| are exact."""
     scale = 2.0 ** draw(st.integers(-60, 60))
     a = draw(st.integers(-(2**20), 2**20))
     b = draw(st.one_of(st.just(0), st.integers(-(2**20), 2**20)))
@@ -408,7 +437,9 @@ def symmetric_2x2(draw):
 
 @given(abc=symmetric_2x2())
 @example(abc=(3.0, 1.0, 3.0))  # a = c
-@example(abc=(1.0, 0.0, 2.0))  # b = 0: split off
+@example(abc=(1.0, 0.0, 2.0))  # b = 0
+@example(abc=(2.0, 0.0, 1.0))  # b = 0, a > c
+@example(abc=(2.0, -0.0, 1.0))  # b = -0
 @example(abc=(0.0, 0.0, 0.0))
 @example(abc=(-3.0, 1.0, -1.0))  # a + c < 0
 @example(abc=(1.0, 1.0, -1.0))  # a + c = 0
@@ -416,32 +447,31 @@ def symmetric_2x2(draw):
 @example(abc=(1.0, 2.0, 0.0))  # |a - c| < |2b|
 @example(abc=(2.0, 1.0, 0.0))  # |a - c| = |2b|
 @example(abc=(5.0, 1.0, 0.0))  # |a - c| > |2b|
-@example(abc=(1.0, 1e-13, 1.0e9))  # b negligible next to a and c: split off
+@example(abc=(1.0, 1e-13, 1.0e9))  # b negligible next to a and c
 @settings(max_examples=200)
 def test_block_solver_equals_eigh_in_every_branch(abc):
-    """Levels and signed vectors equal eigh's bit for bit where eigh solves a
-    2x2 block as reference LAPACK does (dsyevd -> dsteqr -> DLAEV2); the
-    residual and orthonormality checks hold on any LAPACK."""
-    from atompairs.atoms import _eigh_2x2
+    """Levels ascending and within 4 ulp of eigh's largest, with a residual
+    and an orthonormality error within 1e-15, at every tie."""
+    from atompairs.atoms import _solve_2x2
 
     a, b, c = abc
     m = np.array([[a, b], [b, c]])
-    (w0, w1), (v00, v10, v01, v11) = _eigh_2x2(*map(np.array, abc))
+    (w0, w1), (v00, v10, v01, v11) = _solve_2x2(*map(np.array, abc))
     w, v = np.array([w0, w1]), np.array([[v00, v01], [v10, v11]])
     assert w0 <= w1
     assert np.abs(m @ v - v * w).max() <= 1e-15 * np.abs(m).max()
     assert np.abs(v.T @ v - np.eye(2)).max() <= 1e-15
-    want_w, want_v = np.linalg.eigh(m)
-    assert np.array_equal(w, want_w)
-    assert np.array_equal(v, want_v)
+    want_w = np.linalg.eigvalsh(m)
+    assert np.abs(w - want_w).max() <= 4 * np.spacing(np.abs(want_w).max())
 
 
 @pytest.mark.parametrize("name", ["Rb85", "Rb87"])
 def test_block_amplitudes_equal_the_dense_product(atoms, name):
     """``transition_lines`` and ``lines_at_fields`` give the dense product's
-    circular lines bit for bit, at 1,201 fields from 0 to 60 mT.  A pi
-    amplitude has two basis terms, which the BLAS product fuses into one
-    multiply-add, so its strength may differ in the last bits."""
+    lines at 1,200 fields in (0, 60 mT]: the same lines in the same order,
+    frequencies within 2 ulp and strengths within 1e-15.  (At B = 0 the
+    levels of one F come out in another order; the blockwise-kernel test
+    compares them by label.)"""
     iso = atoms[name]
     dense = [_dense(iso, label, SCAN_FIELDS) for label in ("5S1/2", "5P1/2")]
     spectra = [diagonalize(build_hamiltonian(iso, label, SCAN_FIELDS)) for label in ("5S1/2", "5P1/2")]
@@ -449,13 +479,15 @@ def test_block_amplitudes_equal_the_dense_product(atoms, name):
     for pol in ("sigma+", "sigma-", "pi"):
         want = dense_lines(*dense, dipole_matrix(0.5, 0.5, iso.nuclear_spin, pol))
         routes = [transition_lines(*spectra, pol, iso)] + ([] if pol == "pi" else scan[pol])
+        at_field = want[0] > 0
+        field, lower, upper, freq, strength = (value[at_field] for value in want)
         for got in routes:
-            for name_, value in zip(("field", "lower", "upper", "frequency_hz"), want[:4]):
-                assert np.array_equal(getattr(got, name_), value)
-            if pol == "pi":
-                np.testing.assert_allclose(got.strength, want[4], rtol=0, atol=1e-15)
-            else:
-                assert np.array_equal(got.strength, want[4])
+            rows = got.field > 0
+            assert np.count_nonzero(~rows) == np.count_nonzero(~at_field)
+            for name_, value in zip(("field", "lower", "upper"), (field, lower, upper)):
+                assert np.array_equal(getattr(got, name_)[rows], value)
+            assert np.all(np.abs(got.frequency_hz[rows] - freq) <= 2 * np.spacing(freq))
+            assert np.abs(got.strength[rows] - strength).max() <= 1e-15
 
 
 def _bits(values):

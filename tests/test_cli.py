@@ -22,6 +22,7 @@ from atompairs.cli import (
     rho_to_json,
     validate_scenario,
     write_csv,
+    write_json,
 )
 from atompairs.errors import MAX_POINTS, NumericError
 from atompairs.vapor import VaporCellConfig
@@ -203,8 +204,9 @@ def _tree(path: Path) -> dict:
 
 def test_a_refused_run_leaves_its_output_directory_as_it_found_it(tmp_path, capsys):
     """Far off resonance every Fisher value is 0 and ``sql_ratio`` is 0/0, so
-    the run exits 3 after ``scan.csv`` is written: no file of the output
-    directory is added or replaced, and no staging directory is left."""
+    the run exits 3, before the division, after ``scan.csv`` is written: no
+    file of the output directory is added or replaced, and no staging
+    directory is left."""
     argv = ["noon-scan", "--detuning-GHz", "1e6", "--fisher-at-mT", "44"]
     out = tmp_path / "out"
     out.mkdir()
@@ -212,10 +214,11 @@ def test_a_refused_run_leaves_its_output_directory_as_it_found_it(tmp_path, caps
     (out / "notes.txt").write_text("kept\n")
     before = _tree(tmp_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert main(["--out-dir", str(out)] + argv) == 3
         assert main(["--out-dir", str(tmp_path / "new")] + argv) == 3
-    assert "numeric error: fisher.json: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric error: sql_ratio: the SQL Fisher information is 0 at params.detuning_ghz = 1000000.0" in err
     assert _tree(tmp_path) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
@@ -683,12 +686,15 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
         (["--linewidth-MHz=nan"], "linewidth_mhz"),
         (["--fsr-MHz=inf"], "fsr_mhz"),
         (["--fsr-MHz=nan"], "fsr_mhz"),
+        (["--rate1-Hz=-1"], "rate1_hz"),
+        (["--rate2-Hz=inf"], "rate2_hz"),
+        (["--t0-ns=nan"], "t0_ns"),
     ],
 )
 def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
-    """The bin width, linewidth and FSR reach ``DetectionModel`` and
-    ``G2Envelope``, whose own refusals name their fields; the runner names
-    the key the user set."""
+    """The bin width, singles rates, channel delay, linewidth and FSR reach
+    ``DetectionModel`` and ``G2Envelope``, whose own refusals name their
+    fields; the runner names the key the user set."""
     assert main(["--out-dir", str(tmp_path / "out"), "g2"] + argv) == 2
     assert f"configuration error: params.{key}:" in capsys.readouterr().err
 
@@ -721,15 +727,23 @@ def test_point_cap_admits_the_largest_shipped_grid():
 
 def test_non_finite_report_value_exits_3_and_writes_no_json(tmp_path, capsys):
     """At a probe 1e7 GHz off the line the cell is transparent, so the SQL
-    Fisher information is 0 and ``sql_ratio`` is 0/0: JSON cannot state it."""
+    Fisher information is 0 and ``sql_ratio`` would be 0/0: the run refuses
+    it before the division and writes no report."""
     out = tmp_path / "out"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         rc = main(["--out-dir", str(out), "noon-scan", "--detuning-GHz", "1e7", "--fisher-at-mT", "44"])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numeric error:" in err and "fisher.json" in err and "Traceback" not in err
+    assert "numeric error: sql_ratio:" in err and "params.detuning_ghz" in err and "Traceback" not in err
     assert not (out / "fisher.json").exists() and not (out / "manifest.json").exists()
+
+
+def test_write_json_refuses_non_finite_values_before_opening_the_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericError, match="report.json: Out of range float values are not JSON compliant"):
+        write_json(path, {"ratio": float("nan")})
+    assert not path.exists()
 
 
 def test_non_finite_csv_cell_exits_3_and_writes_no_table(tmp_path, capsys):
