@@ -242,7 +242,7 @@ def _by_label(lines, labels_g, labels_e):
     its rank in (F, m_F) order, sorted by those names: a level's name at
     B = 0, whatever order its degenerate F level comes out in."""
     lower, upper, freq, strength = lines
-    rank_g, rank_e = (np.argsort(np.lexsort(labels[::-1])) for labels in (labels_g, labels_e))
+    rank_g, rank_e = (np.argsort(np.lexsort(labels)) for labels in (labels_g, labels_e))
     lower, upper = rank_g[lower], rank_e[upper]
     order = np.lexsort((upper, lower))
     return lower[order], upper[order], freq[order], strength[order]
