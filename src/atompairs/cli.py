@@ -288,24 +288,23 @@ def run_g2(p, atoms, sink, seed):
     for key in ("tbin_ns", "fsr_mhz"):
         if not (np.isfinite(p[key]) and p[key] > 0):
             raise ConfigError(f"params.{key}: must be finite and > 0, got {p[key]!r}")
-    for key in ("rate1_hz", "rate2_hz"):
-        if not (np.isfinite(p[key]) and p[key] >= 0):
-            raise ConfigError(f"params.{key}: must be finite and >= 0, got {p[key]!r}")
-    if not np.isfinite(p["t0_ns"]):
-        raise ConfigError(f"params.t0_ns: must be finite, got {p['t0_ns']!r}")
     if p["bins"] < 1:
         raise ConfigError("params.bins must be >= 1")
     try:
         env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
     except ConfigError as exc:
         raise ConfigError(f"params.linewidth_mhz: {exc}") from None
-    det = coincidences.DetectionModel(
-        t_bin_s=p["tbin_ns"] * 1e-9,
-        t0_s=p["t0_ns"] * 1e-9,
-        rate1_hz=p["rate1_hz"],
-        rate2_hz=p["rate2_hz"],
-        round_trip_s=1.0 / (p["fsr_mhz"] * 1e6),
-    )
+    try:
+        det = coincidences.DetectionModel(
+            t_bin_s=p["tbin_ns"] * 1e-9,
+            t0_s=p["t0_ns"] * 1e-9,
+            rate1_hz=p["rate1_hz"],
+            rate2_hz=p["rate2_hz"],
+            round_trip_s=1.0 / (p["fsr_mhz"] * 1e6),
+        )
+    except ConfigError as exc:  # each refusal begins with the field it refuses
+        keys = {"t_bin_s": "tbin_ns", "t0_s": "t0_ns", "rate1_hz": "rate1_hz", "rate2_hz": "rate2_hz", "round_trip_s": "fsr_mhz"}
+        raise ConfigError(f"params.{keys[str(exc).split()[0]]}: {exc}") from None
     lo, hi = -p["bins"] // 2, p["bins"] // 2 + 1
     check_points(hi - lo, "params.bins")
     bins = np.arange(lo, hi)

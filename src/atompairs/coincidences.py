@@ -61,13 +61,15 @@ class DetectionModel:
         for name in ("t_bin_s", "t0_s", "rate1_hz", "rate2_hz", "round_trip_s"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if self.t_bin_s <= 0 or self.round_trip_s <= 0:
-            raise ConfigError("bin width and round-trip time must be > 0")
-        if self.rate1_hz < 0 or self.rate2_hz < 0:
-            raise ConfigError("singles rates must be >= 0")
+        for name in ("t_bin_s", "round_trip_s"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("rate1_hz", "rate2_hz"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         # binned_histogram shifts the bins by round(t0 / t_bin), an exact int64
         if not abs(self.t0_s) < 2.0**53 * self.t_bin_s:
-            raise ConfigError(f"params.t0_ns: channel delay of {self.t0_s / self.t_bin_s:.3g} bins, not under 2^53")
+            raise ConfigError(f"t0_s is {self.t0_s / self.t_bin_s:.3g} bins, not under 2^53")
 
     @property
     def accidental_rate(self) -> float:
