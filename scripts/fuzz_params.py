@@ -3,8 +3,11 @@
 
 Runs ``atompairs <command> <flag>=<value>`` for each numeric key of
 ``atompairs.cli.PARAMS`` (int, float, optional float and float list) at 0,
--1, nan, inf, 1e-300 and 1e300, each in a fresh process with its own output
-directory, a few at a time, each stopped at a time limit.  Prints one line
+-1, nan, inf, 1e-300 and 1e300, on top of the command's defaults and again
+on top of each ``PRESETS`` entry of the command that sets keys (fig11's
+``--fisher-at-mT``, say, whose Fisher block the defaults never run), each in
+a fresh process with its own output directory, a few at a time, each
+stopped at a time limit.  Prints one line
 per run that exits 1, runs past the limit, prints a traceback, writes NaN
 or Infinity into an output file, or exits non-zero and leaves a file in its
 output directory; then the tallies, and exits 1 if any run did.  A sweep
@@ -24,7 +27,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from atompairs.cli import OPTIONAL_FLOAT, PARAMS, flag_of
+from atompairs.cli import OPTIONAL_FLOAT, PARAMS, PRESETS, flag_of
 
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -39,7 +42,14 @@ def numeric_keys(command: str) -> list[str]:
     ]
 
 
-def run(command: str, key: str, value: str, timeout: float) -> dict:
+def bases(command: str) -> list[list[str]]:
+    """The flags each key is swept on top of: none (the command's defaults),
+    then those of each preset of the command that sets keys."""
+    presets = [p["params"] for _, p in sorted(PRESETS.items()) if p["scenario"] == command and p["params"]]
+    return [[]] + [[f"{flag_of(k)}={v}" for k, v in params.items()] for params in presets]
+
+
+def run(command: str, base: list[str], key: str, value: str, timeout: float) -> dict:
     """One fresh-process run: its exit code (None past the time limit), wall
     time, whether stderr holds a traceback, which outputs hold NaN or
     Infinity, and which files it leaves if it exits non-zero."""
@@ -50,7 +60,9 @@ def run(command: str, key: str, value: str, timeout: float) -> dict:
         # goes with it
         out = Path(tmp, "out")
         out.mkdir()
-        argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", out, command, f"{flag_of(key)}={value}"]
+        # the swept flag last, so that it overrides a preset's value
+        args = [command, *base, f"{flag_of(key)}={value}"]
+        argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", out, *args]
         start = time.perf_counter()
         try:
             proc = subprocess.run(argv, env=env, capture_output=True, timeout=timeout)
@@ -61,7 +73,7 @@ def run(command: str, key: str, value: str, timeout: float) -> dict:
         files = sorted(out.iterdir())
         non_finite = [p.name for p in files if NON_FINITE.search(p.read_bytes())]
     return {
-        "run": f"{command} {flag_of(key)}={value}",
+        "run": " ".join(args),
         "code": code,
         "wall_s": wall,
         "traceback": b"Traceback" in stderr,
@@ -77,7 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2, help="runs at a time")
     parser.add_argument("--timeout", type=float, default=40.0, help="seconds before a run is stopped")
     args = parser.parse_args(argv)
-    cases = [(c, k, v) for c in args.commands for k in numeric_keys(c) for v in VALUES]
+    cases = [(c, b, k, v) for c in args.commands for b in bases(c) for k in numeric_keys(c) for v in VALUES]
     start = time.perf_counter()
     with ThreadPoolExecutor(args.jobs) as pool:
         results = list(pool.map(lambda case: run(*case, args.timeout), cases))
@@ -100,7 +112,8 @@ def main(argv=None) -> int:
     codes = Counter("timeout" if r["code"] is None else f"exit {r['code']}" for r in results)
     slowest = max(results, key=lambda r: r["wall_s"])
     print(
-        f"{len(results)} runs of {len({(c, k) for c, k, _ in cases})} keys in "
+        f"{len(results)} runs of {len({(c, k) for c, _, k, _ in cases})} keys on "
+        f"{len({(c, tuple(b)) for c, b, _, _ in cases})} bases in "
         f"{time.perf_counter() - start:.0f} s: "
         + ", ".join(f"{n} {code}" for code, n in sorted(codes.items()))
     )

@@ -21,6 +21,7 @@ import json
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -156,6 +157,17 @@ def noon_frequency_hz(atoms: AtomLibrary) -> float:
 # ``PARAMS`` (all keys present, each of its default's type).
 
 
+@contextmanager
+def _naming(**keys):
+    """Re-raise a library ConfigError under the ``params.`` key of its first word."""
+    try:
+        yield
+    except ConfigError as exc:
+        if (key := keys.get(str(exc).split()[0])) is None:
+            raise
+        raise ConfigError(f"params.{key}: {exc}") from None
+
+
 def run_spectrum(p, atoms, sink, seed):
     """complex refractive index n+/n- of a cell"""
     cell = vapor.VaporCellConfig(
@@ -185,7 +197,8 @@ def _fadof(p, atoms, half_span_hz, spacing_hz):
         isotope_fractions=atoms.natural_fractions(),
     )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    pol = filters.PolarizerPair(extinction=p["extinction"])
+    with _naming(extinction="extinction"):
+        pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
     vapor.check_spacing(cell, atoms, spacing_hz)
     spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
@@ -221,12 +234,13 @@ def run_fadof(p, atoms, sink, seed):
 def _matching_pieces(p, atoms):
     spec, _ = _fadof(p, atoms, 8e9, 0.5e6)
     nu0 = float(spec.grid_hz[int(np.argmax(spec.transmission))])
-    cfg = cavity.CavityConfig(
-        fsr_hz=p["fsr_mhz"] * 1e6,
-        linewidth_hz=p["linewidth_mhz"] * 1e6,
-        degenerate_hz=nu0,
-        envelope_fwhm_hz=p["envelope_ghz"] * 1e9,
-    )
+    with _naming(cavity="fsr_mhz and params.linewidth_mhz"):
+        cfg = cavity.CavityConfig(
+            fsr_hz=p["fsr_mhz"] * 1e6,
+            linewidth_hz=p["linewidth_mhz"] * 1e6,
+            degenerate_hz=nu0,
+            envelope_fwhm_hz=p["envelope_ghz"] * 1e9,
+        )
     comb = cavity.mode_comb(cfg)
     passed = cavity.filtered_pair_rate(comb, spec)
     return spec, nu0, comb, passed
@@ -265,7 +279,8 @@ def run_purity(p, atoms, sink, seed):
         buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
     )
     hot_t = vapor.blocking_cell_transmission(hot, atoms)
-    rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
+    with _naming(leak="leak_fraction"):
+        rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
     _write_comb(sink, comb, passed)
     report = {
         "spectral_purity": rep.spectral_purity,
@@ -290,11 +305,9 @@ def run_g2(p, atoms, sink, seed):
             raise ConfigError(f"params.{key}: must be finite and > 0, got {p[key]!r}")
     if p["bins"] < 1:
         raise ConfigError("params.bins must be >= 1")
-    try:
+    # each refusal begins with the field it refuses
+    with _naming(gamma1="linewidth_mhz", t_bin_s="tbin_ns", t0_s="t0_ns", rate1_hz="rate1_hz", rate2_hz="rate2_hz", round_trip_s="fsr_mhz"):
         env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
-    except ConfigError as exc:
-        raise ConfigError(f"params.linewidth_mhz: {exc}") from None
-    try:
         det = coincidences.DetectionModel(
             t_bin_s=p["tbin_ns"] * 1e-9,
             t0_s=p["t0_ns"] * 1e-9,
@@ -302,9 +315,6 @@ def run_g2(p, atoms, sink, seed):
             rate2_hz=p["rate2_hz"],
             round_trip_s=1.0 / (p["fsr_mhz"] * 1e6),
         )
-    except ConfigError as exc:  # each refusal begins with the field it refuses
-        keys = {"t_bin_s": "tbin_ns", "t0_s": "t0_ns", "rate1_hz": "rate1_hz", "rate2_hz": "rate2_hz", "round_trip_s": "fsr_mhz"}
-        raise ConfigError(f"params.{keys[str(exc).split()[0]]}: {exc}") from None
     lo, hi = -p["bins"] // 2, p["bins"] // 2 + 1
     check_points(hi - lo, "params.bins")
     bins = np.arange(lo, hi)
@@ -375,9 +385,10 @@ def run_reconstruct(p, atoms, sink, seed):
     else:
         # a negative count is no phases, which simulate_records refuses
         phases = np.linspace(0.0, np.pi, max(p["n_phases"], 0), endpoint=False)
-        records = biphoton.simulate_records(
-            _ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed
-        )
+        with _naming(need="n_phases"):
+            records = biphoton.simulate_records(
+                _ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed
+            )
     rec = biphoton.reconstruct_wavefunction(records, alpha)
     wf = rec.wavefunction
     write_csv(
@@ -400,7 +411,8 @@ def run_superresolution(p, atoms, sink, seed):
         raise ConfigError("params.angle_step_deg: must be finite, > 0 and < 22.5 (half the 45 deg fringe)")
     step = np.radians(p["angle_step_deg"])
     angles = _arange(np.pi + step / 2, step, "params.angle_step_deg: the analyzer scan")
-    surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
+    with _naming(fidelity="fidelity", state="two_phi"):
+        surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
     # undo the basis-mapping quarter-wave plate to recover the source state
     qwp_back = noon.OpticalElement(kind="QWP", jones=noon.qwp_jones(np.pi / 4).conj().T)
     source_state = noon.apply_element(surrogate, qwp_back)
@@ -445,7 +457,8 @@ def run_spectroscopy(p, atoms, sink, seed):
     for temp_c in p["temps_c"]:
         cell = _sensing_cell(p, temp_c)
         vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-        path = vapor.VaporPath(atoms, cell, np.array(p["fields_mt"]) * 1e-3, slices=p["slices"])
+        with _naming(slices="slices", center="fields_mt"):
+            path = vapor.VaporPath(atoms, cell, np.array(p["fields_mt"]) * 1e-3, slices=p["slices"])
         for b_mt, t_plus, t_minus in zip(p["fields_mt"], *path.transfer_at(grid)):
             trans = 0.5 * (np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2)
             header.append(f"T_{temp_c:g}C_{b_mt:g}mT")

@@ -4,10 +4,10 @@ Each point's method follows from its own z, so no split of the input moves a
 bit.  From |z| = ``WING_RADIUS`` on, w is the Laplace continued fraction
 (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))) cut after
 ``FRACTION_DEPTH`` levels (Gautschi, SIAM J. Numer. Anal. 7, 187 (1970)), as a
-ratio of polynomials in z^2 by Horner's rule: about a quarter of the cost of
-``scipy.special.wofz`` (S. G. Johnson's Faddeeva package), which evaluates
-every other point, non-finite ones included.  Every Voigt profile in the
-toolkit funnels through this module, on its caller's thread.
+ratio of polynomials in z^2 by Horner's rule, unmasked over the whole array:
+a quarter of the cost of ``scipy.special.wofz`` (S. G. Johnson's Faddeeva
+package), which then overwrites every other point, non-finite ones included.
+Every Voigt profile funnels through this module, on its caller's thread.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ def _fraction(depth: int):
 _NUMERATOR, _DENOMINATOR = _fraction(FRACTION_DEPTH)
 
 
-def _horner(coefficients, u, out, where):
-    np.copyto(out, coefficients[0], where=where)
+def _horner(coefficients, u, out):
+    out[...] = coefficients[0]
     for c in coefficients[1:]:
-        np.multiply(out, u, out=out, where=where)
-        np.add(out, c, out=out, where=where)
+        out *= u
+        out += c
 
 
 def faddeeva(z, out=None):
@@ -57,17 +57,16 @@ def faddeeva(z, out=None):
     out = np.empty_like(z) if out is None else out
     r = np.abs(z)
     # past |z| = 1e20 the degree-13 denominator would overflow
-    wings = (r >= WING_RADIUS) & (r < 1e20)
+    core = ~((r >= WING_RADIUS) & (r < 1e20))
     del r
-    u, den = np.square(z, out=np.empty_like(z), where=wings), np.empty_like(z)
-    _horner(_DENOMINATOR, u, den, wings)
-    np.multiply(den, z, out=den, where=wings)  # the last read of z at the wings
-    _horner(_NUMERATOR, u, out, wings)
-    np.divide(out, den, out=out, where=wings)
-    del u, den  # 33 B of scratch a point, freed before the gather
-    # gathered: wofz(where=) in place corrupts the heap (scipy 1.17)
-    core = ~wings
-    w = z[core]
+    w = z[core]  # gathered: wofz(where=) in place corrupts the heap (scipy 1.17)
+    # the fraction at every point, the core's overwritten below
+    with np.errstate(all="ignore"):
+        u, den = np.square(z), np.empty_like(z)
+        _horner(_DENOMINATOR, u, den)
+        den *= z  # the last read of z
+        _horner(_NUMERATOR, u, out)
+        out /= den
     out[core] = wofz(w, out=w)
     return out
 

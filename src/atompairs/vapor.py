@@ -13,9 +13,9 @@ one real step h per grid point, and w' = -2 z w + 2i / sqrt(pi) (Abramowitz &
 Stegun 7.1.20) gives every Taylor coefficient of w from w itself.  So the
 Voigt profiles are evaluated only at anchors, one per cell of up to
 ``ANCHOR_CELL`` grid points, their Taylor terms are summed over each line
-group, and chi is filled from those sums: Im chi to 1e-12 and chi to 1e-11
-of the pointwise line sum (tests/test_vapor.py).  Other frequencies, such as
-a coarse grid, a comb or one probe frequency, are each their own anchor.
+group in one reduction, and chi is filled from those sums: Im chi to 1e-12
+and chi to 1e-11 of the pointwise line sum (tests/test_vapor.py).  Other
+frequencies, such as a comb or one probe frequency, are each their own anchor.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies.  The field droops symmetrically
@@ -126,15 +126,14 @@ def _frequencies(nu_hz) -> np.ndarray:
 
 @dataclass
 class _LineArrays:
-    """The sigma+ and sigma- lines of a path's fields, rank-major in ``group``
-    (see ``_group_runs``).  A line's group is its field's index, plus the
-    number of fields for sigma-."""
+    """The sigma+ and sigma- lines of a path's fields as a rank x group table
+    (``_rank_major``); a line's group is its field's index, plus the number of
+    fields for sigma-.  A short group ends in its first line at amplitude 0."""
 
     nu0: np.ndarray
     amp: np.ndarray  # N * pop * d^2 / (eps0 hbar), angular-frequency units
     sigma_hz: np.ndarray
     lorentz_fwhm_hz: np.ndarray
-    group: np.ndarray
 
     @classmethod
     def from_lines(cls, lines, cell: VaporCellConfig, density_m3: float, n_fields: int):
@@ -153,8 +152,8 @@ class _LineArrays:
         sigma = _doppler_sigma_hz(nu0, each([ls.mass_kg for ls in line_sets]), cell.temperature_k)
         lorentz = each([ls.natural_fwhm_hz for ls in line_sets]) + cell.buffer_fwhm_hz
         group = joined("field") + each([n_fields * (ls.polarization == "sigma-") for ls in line_sets])
-        order = _rank_major(group)
-        return cls(nu0[order], amp[order], sigma[order], lorentz[order], group[order])
+        order, pad = _rank_major(group, 2 * n_fields)
+        return cls(nu0[order], np.where(pad, 0.0, amp[order]), sigma[order], lorentz[order])
 
 
 def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
@@ -182,10 +181,10 @@ def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
     return cell if 8 <= cell <= n else 1
 
 
-def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
+def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     """Call ``consume(columns, chi)`` on the calling thread once per
     contiguous block of the 1-D frequencies ``nu``, in order; ``chi``, shape
-    (groups, block), sums each line group's lines in line order, so no value
+    (groups, block), sums each line group's lines in rank order, so no value
     depends on its block.  Blocks are cut on whole anchor cells and share one
     workspace.
 
@@ -195,9 +194,8 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
     so the line sum is made once per anchor.  Where m = 1, each frequency is
     its own anchor and chi is the group sum of its lines' terms.
     """
-    nu0, lorentz, sigma = lines.nu0[:, None], lines.lorentz_fwhm_hz[:, None], lines.sigma_hz[:, None]
-    amp = lines.amp[:, None]
-    cell, runs = _anchor_cell(lines, nu), _group_runs(lines.group, groups)
+    nu0, amp, sigma, lorentz = (x.reshape(-1, 1) for x in (lines.nu0, lines.amp, lines.sigma_hz, lines.lorentz_fwhm_hz))
+    groups, cell = lines.nu0.shape[1], _anchor_cell(lines, nu)
     # the scaled Taylor terms u_k = h^k q^(k)(z) of a line's term q = i amp
     # sqrt(pi) w(z) / sigma_w of chi, in the step h = dz per grid step, follow
     # from w' = -2 z w + 2i / sqrt(pi): u_1 = h (-2 z q - 2 amp / sigma_w) and
@@ -223,7 +221,7 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
         voigt_profile_complex(delta, lorentz, sigma, out=u0)
         u0 *= 1j * amp
         if cell == 1:
-            consume(slice(a, b), _group_sums(runs, u0, groups))
+            consume(slice(a, b), _group_sums(u0, groups))
             continue
         np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
         az += 1j * np.pi * lorentz / sigma_w
@@ -231,14 +229,14 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
         np.multiply(az, u0, out=u1)
         u1 -= 2.0 * h * amp / sigma_w
         sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
-        sums[0] = _group_sums(runs, u0, groups)
-        sums[1] = _group_sums(runs, u1, groups)
+        sums[0] = _group_sums(u0, groups)
+        sums[1] = _group_sums(u1, groups)
         for k in range(1, TAYLOR_TERMS):
             np.multiply(az, u1, out=tmp)
             u0 *= -2.0 * k * h**2
             u0 += tmp
             u0, u1 = u1, u0
-            sums[k + 1] = _group_sums(runs, u1, groups)
+            sums[k + 1] = _group_sums(u1, groups)
         sums /= factorials
         # each point's offset from its anchor in grid steps, exact on an
         # exactly uniform grid; Horner's rule in it fills every group
@@ -252,39 +250,29 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, groups: int, consume):
             chi *= offset
         chi += sums[0]
         consume(slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
+        del sums, chi  # freed before the next block's faddeeva scratch
 
 
-def _rank_major(group: np.ndarray) -> np.ndarray:
-    """Stable order that lists every group's first row, then every group's
-    second row, and so on: the row order ``_group_runs`` cuts into fewest runs."""
+def _rank_major(group: np.ndarray, size: int):
+    """The (rank x group) table of row indices that lists each of ``size``
+    groups' rows down its column in row order, and where it is padding: a
+    group with fewer rows than the largest ends in copies of its first row."""
     by_group = np.argsort(group, kind="stable")
-    counts = np.bincount(group)
-    # row of each (rank, group), read rank by rank
-    table = np.full((counts.max(initial=0), counts.size), -1)
-    table[np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts), group[by_group]] = by_group
-    return table[table >= 0]
+    counts = np.bincount(group, minlength=size)
+    starts = np.cumsum(counts) - counts
+    table = np.tile(by_group[starts], (counts.max(), 1))
+    table[np.arange(group.size) - np.repeat(starts, counts), group[by_group]] = by_group
+    return table, np.arange(len(table))[:, None] >= counts
 
 
-def _group_runs(group: np.ndarray, size: int) -> list:
-    """The runs of strictly ascending ``group`` indices, in row order: each
-    its rows, and its groups, or None where it holds every group of ``size``
-    once in group order.  Rank-major rows make the list as short as the
-    largest group."""
-    cuts = np.concatenate([[0], np.flatnonzero(group[1:] <= group[:-1]) + 1, [group.size]])
-    return [(slice(a, b), None if b - a == size else group[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-
-
-def _group_sums(runs: list, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum of the rows of ``values`` per group of ``size``, each group's rows
-    added in row order: one run of ``_group_runs`` at a time, so each group's
-    rows arrive in order and each row is read once."""
-    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    for rows, where in runs:
-        if where is None:
-            out += values[rows]
-        else:
-            out[where] += values[rows]
-    return out
+def _group_sums(values: np.ndarray, size: int) -> np.ndarray:
+    """Per group of ``size``, the sum of the rank-major rows of ``values`` in
+    rank order: one reduction over the rank axis, which numpy adds row by row,
+    but a lone column, which numpy would sum pairwise, is accumulated."""
+    table = values.reshape(-1, size, values.shape[1])
+    if size * values.shape[1] == 1:
+        return np.add.accumulate(table)[-1]
+    return np.add.reduce(table, axis=0)
 
 
 def _slice_count(cell: VaporCellConfig, slices: int) -> int:
@@ -349,7 +337,7 @@ class VaporPath:
         built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
         lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
         index = np.empty((2, nu.size), dtype=complex)
-        _walk_chi(lines, nu, 2, lambda columns, chi: np.sqrt(1.0 + chi, out=index[:, columns]))
+        _walk_chi(lines, nu, lambda columns, chi: np.sqrt(1.0 + chi, out=index[:, columns]))
         n_plus, n_minus = index
         return n_plus, n_minus
 
@@ -371,7 +359,7 @@ class VaporPath:
                 for where in self._where.T:
                     block += k_vac * (n[where] - 1.0) * self._dz
 
-        _walk_chi(self._lines, nu, 2 * n_fields, consume)
+        _walk_chi(self._lines, nu, consume)
         log_t_plus, log_t_minus = log_t
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
         gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))

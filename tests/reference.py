@@ -362,12 +362,12 @@ def one_shot_susceptibility(arrays, nu_hz):
     frequencies evaluation summed line by line in line order: the expression
     blocked evaluation must reproduce."""
     nu = np.asarray(nu_hz, dtype=float)
-    detuning = nu[None, :] - arrays.nu0[:, None]
+    detuning = nu[None, :] - arrays.nu0.reshape(-1, 1)
     prof = voigt_profile_complex(
-        detuning, arrays.lorentz_fwhm_hz[:, None], arrays.sigma_hz[:, None]
+        detuning, arrays.lorentz_fwhm_hz.reshape(-1, 1), arrays.sigma_hz.reshape(-1, 1)
     )
     chi = np.zeros(nu.shape, dtype=complex)
-    for amp, line in zip(arrays.amp, prof):
+    for amp, line in zip(arrays.amp.ravel(), prof):
         chi = chi + amp * line
     return 1j * chi
 

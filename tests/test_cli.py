@@ -700,6 +700,28 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["spectroscopy", "--slices", "0"], ["slices"]),
+        (["spectroscopy", "--fields-mT", "-1"], ["fields_mt"]),
+        (["purity", "--leak-fraction", "1"], ["leak_fraction"]),
+        (["matching", "--fsr-MHz", "1"], ["fsr_mhz", "linewidth_mhz"]),
+        (["superresolution", "--fidelity", "2"], ["fidelity"]),
+        (["superresolution", "--two-phi", "nan"], ["two_phi"]),
+        (["reconstruct", "--n-phases", "1"], ["n_phases"]),
+        (["fadof", "--extinction", "1"], ["extinction"]),
+    ],
+)
+def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
+    """A refusal raised by a library check, which names its own field, exits
+    2 under the ``params.`` key(s) the user set."""
+    assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: params.{keys[0]}") and "Traceback" not in err
+    assert all(f"params.{key}" in err for key in keys)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--spacing-MHz", "1e-300"],

@@ -263,7 +263,7 @@ def _fadof_path(atoms):
     return VaporPath(atoms, cell, 4.5e-3, slices=1)
 
 
-def _walk(lines, nu, groups):
+def _walk(lines, nu):
     """(columns, chi) of each block the walk hands its callback, after
     checking that it handed every block over on the calling thread."""
     blocks, threads = [], set()
@@ -272,32 +272,32 @@ def _walk(lines, nu, groups):
         blocks.append((cols, chi))
         threads.add(threading.get_ident())
 
-    vapor._walk_chi(lines, nu, groups, keep)
+    vapor._walk_chi(lines, nu, keep)
     assert threads <= {threading.get_ident()}
     return blocks
 
 
-def _per_cell(lines, groups, cell=1):
+def _per_cell(lines, cell=1):
     """``BLOCK_POINTS`` that each anchor cell of a block takes: two per line
     and two per group and frequency."""
-    return 2 * (lines.nu0.size + groups * cell)
+    return 2 * (lines.nu0.size + lines.nu0.shape[1] * cell)
 
 
-def _walked_chi(lines, nu, groups):
+def _walked_chi(lines, nu):
     """The walk's chi over ``nu``, blocks joined, after checking that the
     blocks of one-point cells cover ``nu`` once, in order, in blocks of
     ``BLOCK_POINTS / _per_cell`` frequencies."""
-    blocks = _walk(lines, nu, groups)
-    step = max(1, vapor.BLOCK_POINTS // _per_cell(lines, groups))
+    blocks = _walk(lines, nu)
+    step = max(1, vapor.BLOCK_POINTS // _per_cell(lines))
     assert [(cols.start, cols.stop) for cols, _ in blocks] == [(a, min(a + step, nu.size)) for a in range(0, nu.size, step)]
-    return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((groups, 0), dtype=complex)
+    return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((lines.nu0.shape[1], 0), dtype=complex)
 
 
 def _group_lines(lines, group):
-    keep = lines.group == group
-    return vapor._LineArrays(
-        lines.nu0[keep], lines.amp[keep], lines.sigma_hz[keep], lines.lorentz_fwhm_hz[keep], lines.group[keep] * 0
-    )
+    """One group's lines as a one-group table, its padding rows (amplitude 0)
+    left out."""
+    keep = lines.amp[:, group] != 0
+    return vapor._LineArrays(*(x[keep][:, [group]] for x in (lines.nu0, lines.amp, lines.sigma_hz, lines.lorentz_fwhm_hz)))
 
 
 def _nonuniform(center, n):
@@ -321,7 +321,7 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
     is the one-shot line-order sum bit for bit, since each frequency's lines
     are summed in line order whatever the block."""
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
-    count = _per_cell(arrays, 1)
+    count = _per_cell(arrays)
     if step is None:
         step = vapor.BLOCK_POINTS // count
     else:
@@ -329,29 +329,35 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
     for n in _edge_counts(step):
         nu = _nonuniform(d1_center, n)
-        assert np.array_equal(_walked_chi(arrays, nu, 1)[0], one_shot_susceptibility(arrays, nu))
+        assert np.array_equal(_walked_chi(arrays, nu)[0], one_shot_susceptibility(arrays, nu))
 
 
-@pytest.mark.parametrize("centers", [1, 6])
-def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, centers):
-    """A path over one center and over six (fig10's fields and slices) gives,
-    at every block edge of a small block, the (t+, t-, theta) of one block
-    over all frequencies, bit for bit; and each field's chi+- in the walk is
-    its one-shot line-order sum.  The frequencies form no uniform grid, so
-    each is its own anchor."""
-    fields = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])[:centers]
+FIG10_FIELDS = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])
+
+
+@pytest.mark.parametrize("fields", [FIG10_FIELDS[:1], FIG10_FIELDS, np.array([0.0, 30.0, 45.0])], ids=["1", "6", "ragged"])
+def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, fields):
+    """A path over one center, over six (fig10's fields and slices) and over
+    0, 30 and 45 T, where the strength cut leaves some groups fewer lines
+    than others, gives, at every block edge of a small block, the
+    (t+, t-, theta) of one block over all frequencies, bit for bit; and each
+    field's chi+- in the walk is its one-shot line-order sum, padding rows
+    left out.  The frequencies form no uniform grid, so each is its own
+    anchor."""
     path = VaporPath(atoms, sensing_cell, fields, slices=2)
     lines, groups = path._lines, 2 * path._fields.size
-    count, step = _per_cell(lines, groups), 5
+    assert lines.nu0.shape[1] == groups
+    assert np.any(lines.amp == 0) == (fields.max() > 1.0)
+    count, step = _per_cell(lines), 5
     for n in _edge_counts(step):
         nu = _nonuniform(d1_center, n)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", step * count + 3)
         blocked = path._propagate(nu)
-        chi = _walked_chi(lines, nu, groups)
+        chi = _walked_chi(lines, nu)
         monkeypatch.setattr(vapor, "BLOCK_POINTS", max(1, n) * count)
         one_block = path._propagate(nu)
         for got, want in zip(blocked, one_block):
-            assert got.shape == (centers, n) and np.array_equal(got, want)
+            assert got.shape == (fields.size, n) and np.array_equal(got, want)
         for group in range(groups):
             arrays = _group_lines(lines, group)
             assert np.array_equal(chi[group], one_shot_susceptibility(arrays, nu))
@@ -369,7 +375,7 @@ def test_walk_runs_on_the_calling_thread(atoms, sensing_cell, d1_center, monkeyp
 
     monkeypatch.setattr(vapor, "voigt_profile_complex", recorded)
     grid = make_frequency_grid(d1_center, 6e9, 1e6)
-    VaporPath(atoms, sensing_cell, np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3]), slices=2).transfer_at(grid)
+    VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2).transfer_at(grid)
     assert len(threads) > 1 and set(threads) == {threading.get_ident()}
 
 
@@ -392,15 +398,15 @@ def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1
     gives the same chi, (t+, t-, theta) and (n+, n-) bit for bit, every block
     starting on a whole anchor cell."""
     path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
-    lines, groups = path._lines, 2 * path._fields.size
+    lines = path._lines
     nu = make_frequency_grid(d1_center, 2e9, 2e6)
     cell = vapor._anchor_cell(lines, nu)
     assert cell == 16
-    per_cell = _per_cell(lines, groups, cell)
+    per_cell = _per_cell(lines, cell)
     outputs = []
     for block_points in (vapor.BLOCK_POINTS, per_cell, 2 * per_cell, 3 * per_cell - 1):
         monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
-        blocks = _walk(lines, nu, groups)
+        blocks = _walk(lines, nu)
         assert all(cols.start % cell == 0 for cols, _ in blocks)
         assert [cols.stop for cols, _ in blocks[:-1]] == [cols.start for cols, _ in blocks[1:]]
         assert blocks[0][0].start == 0 and blocks[-1][0].stop == nu.size
@@ -424,7 +430,7 @@ def _assert_walk_matches_pointwise(lines, nu):
     def keep(columns, block):
         chi[:, columns] = block
 
-    vapor._walk_chi(lines, nu, 2, keep)
+    vapor._walk_chi(lines, nu, keep)
     for group in range(2):
         want = one_shot_susceptibility(_group_lines(lines, group), nu)
         assert np.all(chi[group].imag >= 0.0)
@@ -515,7 +521,7 @@ def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensi
     assert vapor._anchor_cell(path._lines, fadof_grid) == 64
     path.transfer_at(fadof_grid)
     assert sum(points) <= path._lines.nu0.size * -(-fadof_grid.size // 64)
-    fig10 = VaporPath(atoms, sensing_cell, np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3]), slices=2)
+    fig10 = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
     assert vapor._anchor_cell(fig10._lines, make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)) == 32
 
 
