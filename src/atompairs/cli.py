@@ -348,9 +348,10 @@ def run_interference(p, atoms, sink, seed):
     """two-photon interference against the coherent reference"""
     psi = _ideal_psi(p)
     phases = np.radians(p["phases_deg"])
-    records = biphoton.simulate_records(
-        psi, p["alpha"], phases, p["exposure"], noise=p["noise"], seed=seed
-    )
+    with _naming(need="phases_deg"):
+        records = biphoton.simulate_records(
+            psi, p["alpha"], phases, p["exposure"], noise=p["noise"], seed=seed
+        )
     write_csv(
         sink.path("interference.csv"),
         ["tau_ns"] + [f"phase_{np.degrees(r.phase_rad):g}deg" for r in records],
@@ -532,7 +533,8 @@ def run_noon_scan(p, atoms, sink, seed):
         fi = noon.fisher_information(scan, b_star)
         sql = noon.sql_fisher_information(*at_fisher[:2], h_t)
         if sql == 0:  # the probe does not sense the field: sql_ratio would be 0/0 or infinite
-            raise NumericError(f"sql_ratio: the SQL Fisher information is 0 at params.detuning_ghz = {p['detuning_ghz']!r}")
+            keys = f"params.detuning_ghz = {p['detuning_ghz']!r}, params.length_mm = {p['length_mm']!r}"
+            raise NumericError(f"sql_ratio: the SQL Fisher information is 0 at the probe frequency {nu!r} Hz ({keys})")
         full, frozen = noon.fisher_information_frozen_loss(state, at_fisher, h_t)
         report["fisher"] = {
             "b_mT": p["fisher_at_mt"],

@@ -15,7 +15,8 @@ Voigt profiles are evaluated only at anchors, one per cell of up to
 ``ANCHOR_CELL`` grid points, their Taylor terms are summed over each line
 group in one reduction, and chi is filled from those sums: Im chi to 1e-12
 and chi to 1e-11 of the pointwise line sum (tests/test_vapor.py).  Other
-frequencies, such as a comb or one probe frequency, are each their own anchor.
+frequencies are each their own anchor, but far from every line, as most of a
+pair comb is, chi is a series in 1 / (nu - nu_c) per group (``_far_series``).
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies.  The field droops symmetrically
@@ -62,6 +63,10 @@ ANCHOR_CELL = 64
 TAYLOR_TERMS = 12
 ANCHOR_REACH = 0.06
 ANCHOR_GROWTH = 5.0
+# ``_far_series``'s radius and terms, set by the accuracy study in tests/test_vapor.py
+FAR_SPREAD = 4.0
+FAR_WIDTHS = 25.0
+FAR_TERMS = 26
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,40 @@ def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
     return cell if 8 <= cell <= n else 1
 
 
+def _far_series(lines: _LineArrays, nu: np.ndarray):
+    """(far, fill) of a walk of one-point cells, or None if no frequency is
+    far: ``far`` marks those at least R = max(``FAR_SPREAD`` |e|, ``FAR_WIDTHS``
+    sigma) from the lines' midpoint nu_c, with e = nu0 - nu_c - i Gamma / 2 of
+    the extreme lines, and ``fill(near, a, b)`` is chi over ``nu[a:b]``, the
+    group sums ``near`` at the others.  There a line's term, -amp E[1 / (2 pi
+    (nu - nu_c - e - X))] over its Doppler shift X, is -amp / (2 pi R) sum_p
+    M_(p-1) x^p in x = R / (nu - nu_c) and units of R, with M_k = E[(e + X)^k]
+    = e M_(k-1) + (k - 1) sigma^2 M_(k-2) / 2 (A&S 7.1.23 re-expanded about
+    nu_c), summed per group and cut after ``FAR_TERMS``: no power exceeds 1."""
+    lo, hi = float(lines.nu0.min()), float(lines.nu0.max())
+    center = 0.5 * (lo + hi)
+    spread = float(np.hypot(hi - lo, lines.lorentz_fwhm_hz.max())) / 2
+    radius = max(FAR_SPREAD * spread, FAR_WIDTHS * float(lines.sigma_hz.max()))
+    far = np.abs(nu - center) >= radius
+    if not far.any():
+        return None
+    e = (lines.nu0 - center - 0.5j * lines.lorentz_fwhm_hz) / radius
+    var, weight = 0.5 * (lines.sigma_hz / radius) ** 2, lines.amp / (-2.0 * np.pi * radius)
+    moment, previous, coefficients = np.ones_like(e), np.zeros_like(e), []
+    for k in range(FAR_TERMS):
+        coefficients.append((weight * moment).sum(axis=0))
+        moment, previous = e * moment + k * var * previous, moment
+
+    def fill(near, a, b):
+        chi, here = np.empty((len(near), b - a), dtype=complex), far[a:b]
+        chi[:, ~here] = near
+        x = radius / (nu[a:b][here] - center)
+        chi[:, here] = x * np.polynomial.polynomial.polyval(x, coefficients)
+        return chi
+
+    return far, fill
+
+
 def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     """Call ``consume(columns, chi)`` on the calling thread once per
     contiguous block of the 1-D frequencies ``nu``, in order; ``chi``, shape
@@ -192,10 +231,12 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     points (``_anchor_cell``) at the cell's middle.  Where m > 1, chi is
     filled from their Taylor series: the lines' terms are summed per group,
     so the line sum is made once per anchor.  Where m = 1, each frequency is
-    its own anchor and chi is the group sum of its lines' terms.
+    its own anchor and chi the group sum of its lines' terms, or far from
+    every line each group's series in 1 / (nu - nu_c) (``_far_series``).
     """
     nu0, amp, sigma, lorentz = (x.reshape(-1, 1) for x in (lines.nu0, lines.amp, lines.sigma_hz, lines.lorentz_fwhm_hz))
     groups, cell = lines.nu0.shape[1], _anchor_cell(lines, nu)
+    series = _far_series(lines, nu) if cell == 1 and lines.nu0.size else None
     # the scaled Taylor terms u_k = h^k q^(k)(z) of a line's term q = i amp
     # sqrt(pi) w(z) / sigma_w of chi, in the step h = dz per grid step, follow
     # from w' = -2 z w + 2i / sqrt(pi): u_1 = h (-2 z q - 2 amp / sigma_w) and
@@ -215,13 +256,15 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
         b = min(a + step, nu.size)
         anchors = -(-(b - a) // cell)
         at = nu[a:b] if cell == 1 else nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
-        shape = (nu0.size, anchors)
-        az, u0, u1, tmp = (x[: nu0.size * anchors].reshape(shape) for x in (z, prev, term, scratch))
+        at = at if series is None else at[~series[0][a:b]]
+        shape = (nu0.size, at.size)
+        az, u0, u1, tmp = (x[: nu0.size * at.size].reshape(shape) for x in (z, prev, term, scratch))
         delta = np.subtract(at, nu0, out=tmp.real)
         voigt_profile_complex(delta, lorentz, sigma, out=u0)
         u0 *= 1j * amp
         if cell == 1:
-            consume(slice(a, b), _group_sums(u0, groups))
+            chi = _group_sums(u0, groups)
+            consume(slice(a, b), chi if series is None else series[1](chi, a, b))
             continue
         np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
         az += 1j * np.pi * lorentz / sigma_w
@@ -269,7 +312,7 @@ def _group_sums(values: np.ndarray, size: int) -> np.ndarray:
     """Per group of ``size``, the sum of the rank-major rows of ``values`` in
     rank order: one reduction over the rank axis, which numpy adds row by row,
     but a lone column, which numpy would sum pairwise, is accumulated."""
-    table = values.reshape(-1, size, values.shape[1])
+    table = values.reshape(len(values) // size, size, values.shape[1])
     if size * values.shape[1] == 1:
         return np.add.accumulate(table)[-1]
     return np.add.reduce(table, axis=0)

@@ -218,7 +218,11 @@ def test_a_refused_run_leaves_its_output_directory_as_it_found_it(tmp_path, caps
         assert main(["--out-dir", str(out)] + argv) == 3
         assert main(["--out-dir", str(tmp_path / "new")] + argv) == 3
     err = capsys.readouterr().err
-    assert "numeric error: sql_ratio: the SQL Fisher information is 0 at params.detuning_ghz = 1000000.0" in err
+    nu = load_atom_data().d1_center_hz() + 1e15
+    assert (
+        f"numeric error: sql_ratio: the SQL Fisher information is 0 at the probe frequency {nu!r} Hz "
+        "(params.detuning_ghz = 1000000.0, params.length_mm = 75.0)"
+    ) in err
     assert _tree(tmp_path) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
@@ -710,6 +714,7 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
         (["superresolution", "--two-phi", "nan"], ["two_phi"]),
         (["reconstruct", "--n-phases", "1"], ["n_phases"]),
         (["fadof", "--extinction", "1"], ["extinction"]),
+        (["interference", "--phases-deg", "0", "45"], ["phases_deg"]),
     ],
 )
 def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
@@ -748,17 +753,20 @@ def test_point_cap_admits_the_largest_shipped_grid():
 
 
 def test_non_finite_report_value_exits_3_and_writes_no_json(tmp_path, capsys):
-    """At a probe 1e7 GHz off the line the cell is transparent, so the SQL
-    Fisher information is 0 and ``sql_ratio`` would be 0/0: the run refuses
-    it before the division and writes no report."""
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["--out-dir", str(out), "noon-scan", "--detuning-GHz", "1e7", "--fisher-at-mT", "44"])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "numeric error: sql_ratio:" in err and "params.detuning_ghz" in err and "Traceback" not in err
-    assert not (out / "fisher.json").exists() and not (out / "manifest.json").exists()
+    """At a probe 1e7 GHz off the line, or through a cell 1e-300 mm long, the
+    cell is transparent, so the SQL Fisher information is 0 and ``sql_ratio``
+    would be 0/0: the run refuses it before the division, names the probe
+    frequency and both keys, and writes no report."""
+    for i, argv in enumerate([["--detuning-GHz", "1e7"], ["--length-mm", "1e-300"]]):
+        out = tmp_path / f"out{i}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["--out-dir", str(out), "noon-scan", *argv, "--fisher-at-mT", "44"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric error: sql_ratio:" in err and "at the probe frequency" in err and "Traceback" not in err
+        assert "params.detuning_ghz" in err and "params.length_mm" in err
+        assert not (out / "fisher.json").exists() and not (out / "manifest.json").exists()
 
 
 def test_write_json_refuses_non_finite_values_before_opening_the_file(tmp_path):

@@ -300,13 +300,20 @@ def _group_lines(lines, group):
     return vapor._LineArrays(*(x[keep][:, [group]] for x in (lines.nu0, lines.amp, lines.sigma_hz, lines.lorentz_fwhm_hz)))
 
 
-def _nonuniform(center, n):
-    """``center + linspace(-6e9, 6e9, n)`` with every third point moved by a
-    seventh of the spacing: no uniform grid, so the walk evaluates every line
-    at every frequency."""
-    nu = center + np.linspace(-6e9, 6e9, n)
-    nu[1::3] += 12e9 / max(n - 1, 1) / 7
+def _nonuniform(center, n, half_span=6e9):
+    """``center + linspace(-half_span, half_span, n)`` with every third point
+    moved by a seventh of the spacing: no uniform grid, so the walk evaluates
+    every line at every frequency, or its far-field series past
+    ``_far_series``'s radius."""
+    nu = center + np.linspace(-half_span, half_span, n)
+    nu[1::3] += 2 * half_span / max(n - 1, 1) / 7
     return nu
+
+
+def _near(lines, nu):
+    """Where the walk evaluates the lines of ``nu``, not its far series."""
+    series = vapor._far_series(lines, nu)
+    return np.ones(nu.size, dtype=bool) if series is None else ~series[0]
 
 
 def _edge_counts(step):
@@ -319,7 +326,9 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
     """Every block boundary case, with a small block and with the shipped
     one, on frequencies that form no uniform grid: the one-point cells' chi
     is the one-shot line-order sum bit for bit, since each frequency's lines
-    are summed in line order whatever the block."""
+    are summed in line order whatever the block.  Out to +-60 GHz, where
+    most frequencies take the far-field series, the chi of one block is
+    reproduced bit for bit, and so is the one-shot sum at the others."""
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = _per_cell(arrays)
     if step is None:
@@ -330,6 +339,14 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
     for n in _edge_counts(step):
         nu = _nonuniform(d1_center, n)
         assert np.array_equal(_walked_chi(arrays, nu)[0], one_shot_susceptibility(arrays, nu))
+        mixed = _nonuniform(d1_center, n, 60e9)
+        near = _near(arrays, mixed)
+        assert n < 3 or 0 < near.sum() < n
+        chi = _walked_chi(arrays, mixed)[0]
+        with monkeypatch.context() as m:
+            m.setattr(vapor, "BLOCK_POINTS", max(n, 1) * count)
+            assert np.array_equal(chi, _walked_chi(arrays, mixed)[0])
+        assert np.array_equal(chi[near], one_shot_susceptibility(arrays, mixed[near]))
 
 
 FIG10_FIELDS = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])
@@ -485,6 +502,31 @@ def test_anchor_fill_matches_pointwise_at_the_corners(atoms, d1_center, temp_k, 
     _assert_walk_matches_pointwise(lines, nu)
 
 
+@hypothesis.given(
+    temp_k=st.floats(251.0, 449.0),
+    buffer_mhz=st.floats(0.0, 178.0),
+    field_mt=st.floats(0.0, 60.0),
+    shares=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=40),
+    far_ghz=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=40),
+    near_ghz=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+)
+def test_far_series_matches_pointwise_lines(atoms, d1_center, temp_k, buffer_mhz, field_mt, shares, far_ghz, near_ghz):
+    """The accuracy study behind ``FAR_SPREAD``, ``FAR_WIDTHS`` and
+    ``FAR_TERMS``: over 251-449 K, 0-178 MHz of buffer gas and 0-60 mT, on
+    frequency sets that mix points near the lines, points at half to twice
+    the series' radius R = max(4 max |e|, 25 max sigma) from the lines'
+    midpoint, either side, and points out to +-1,000 GHz, the walk's chi
+    matches the one-shot pointwise line sum at the bounds of the anchor fill."""
+    cell = natural_cell(atoms, temp_k=temp_k, buffer_mhz=buffer_mhz)
+    lines = _one_field_lines(atoms, cell, field_mt * 1e-3)
+    center = 0.5 * (lines.nu0.min() + lines.nu0.max())
+    spread = np.abs(lines.nu0 - center - 0.5j * lines.lorentz_fwhm_hz).max()
+    radius = max(vapor.FAR_SPREAD * spread, vapor.FAR_WIDTHS * lines.sigma_hz.max())
+    signs = np.resize([1.0, -1.0], len(shares))
+    nu = np.concatenate([center + signs * radius * np.array(shares), d1_center + 1e9 * np.array(far_ghz + near_ghz)])
+    _assert_walk_matches_pointwise(lines, nu)
+
+
 def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
     """A uniform grid too coarse for the fill (the 50 MHz grid of
     ``test_zero_field_no_rotation``, and the 501 MHz comb that ``purity``
@@ -506,9 +548,7 @@ def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
     assert vapor._anchor_cell(zero_field, fine[:1]) == 1
 
 
-def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch):
-    """fig2's grid takes anchor cells of 64 points and evaluates each line at
-    no more than ceil(n / 64) frequencies; fig10's takes cells of 32."""
+def _count_voigt_points(monkeypatch):
     points = []
     voigt = vapor.voigt_profile_complex
 
@@ -517,12 +557,66 @@ def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensi
         return voigt(delta, *args, **kwargs)
 
     monkeypatch.setattr(vapor, "voigt_profile_complex", counted)
+    return points
+
+
+def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch):
+    """fig2's grid takes anchor cells of 64 points and evaluates each line at
+    no more than ceil(n / 64) frequencies; fig10's takes cells of 32."""
+    points = _count_voigt_points(monkeypatch)
     path = _fadof_path(atoms)
     assert vapor._anchor_cell(path._lines, fadof_grid) == 64
     path.transfer_at(fadof_grid)
     assert sum(points) <= path._lines.nu0.size * -(-fadof_grid.size // 64)
     fig10 = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
     assert vapor._anchor_cell(fig10._lines, make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)) == 32
+
+
+def _record_far_series(monkeypatch):
+    """What each walk's ``_far_series`` returns: None where it builds no
+    coefficients."""
+    returned = []
+    far_series = vapor._far_series
+
+    def recorded(*args):
+        returned.append(far_series(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(vapor, "_far_series", recorded)
+    return returned
+
+
+def test_comb_reaches_faddeeva_only_near_the_lines(atoms, monkeypatch):
+    """fig3's comb, 1,093 modes x 11 Lorentzian nodes out to +-274 GHz, is
+    read pointwise: each line's Voigt profile is evaluated only at the
+    frequencies within the series' radius, at most 792 of the 12,023, and the
+    series' coefficients are built once."""
+    from atompairs import cavity, cli
+
+    _, params = cli.validate_scenario({"scenario": "matching"})
+    spec, _, comb, _ = cli._matching_pieces(params, atoms)
+    nodes, _ = np.polynomial.legendre.leggauss(cavity.LORENTZIAN_NODES)
+    nu = (comb.frequency_hz[:, None] + nodes * cavity.LORENTZIAN_HALF_RANGE * comb.linewidth_hz).ravel()
+    assert nu.size == 12_023
+    lines = _fadof_path(atoms)._lines
+    near = _near(lines, nu).sum()
+    series = _record_far_series(monkeypatch)
+    points = _count_voigt_points(monkeypatch)
+    spec(nu)
+    assert near <= 792 and sum(points) == lines.nu0.size * near <= 64 * 792
+    assert [s is not None for s in series] == [True]
+
+
+@pytest.mark.parametrize("preset", ["fig2-fadof", "fig10-spectroscopy", "fig11-sensing"])
+def test_grids_and_field_scans_never_build_the_far_series(tmp_path, monkeypatch, preset):
+    """fig2's and fig10's grids are filled from anchors, so they never test
+    for far frequencies; fig11's scan reads its probe on the lines, so it
+    tests each block of centers and builds no coefficients."""
+    from atompairs.cli import main
+
+    series = _record_far_series(monkeypatch)
+    assert main(["--out-dir", str(tmp_path), "scenario", "run", preset]) == 0
+    assert all(s is None for s in series) and (len(series) > 0) == (preset == "fig11-sensing")
 
 
 def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
