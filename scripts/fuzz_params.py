@@ -8,9 +8,10 @@ on top of each ``PRESETS`` entry of the command that sets keys (fig11's
 ``--fisher-at-mT``, say, whose Fisher block the defaults never run), each in
 a fresh process with its own output directory, a few at a time, each
 stopped at a time limit.  Prints one line
-per run that exits 1, runs past the limit, prints a traceback, writes NaN
-or Infinity into an output file, or exits non-zero and leaves a file in its
-output directory; then the tallies, and exits 1 if any run did.  A sweep
+per run that exits 1, runs past the limit, prints a traceback, exits 0
+after numpy printed a RuntimeWarning, writes NaN or Infinity into an output
+file, or exits non-zero and leaves a file in its output directory; then the
+tallies, and exits 1 if any run did.  A sweep
 takes minutes, so it is not part of the test suite:
 
     PYTHONPATH=src python3 scripts/fuzz_params.py [--jobs 2] [--timeout 40] [command ...]
@@ -31,6 +32,8 @@ from atompairs.cli import OPTIONAL_FLOAT, PARAMS, PRESETS, flag_of
 
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
+# a warning as Python prints it: "<file>:<line>: RuntimeWarning: <message>"
+RUNTIME_WARNING = re.compile(r"[^\s/]+:\d+: RuntimeWarning: .*")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -51,8 +54,9 @@ def bases(command: str) -> list[list[str]]:
 
 def run(command: str, base: list[str], key: str, value: str, timeout: float) -> dict:
     """One fresh-process run: its exit code (None past the time limit), wall
-    time, whether stderr holds a traceback, which outputs hold NaN or
-    Infinity, and which files it leaves if it exits non-zero."""
+    time, whether stderr holds a traceback, its first RuntimeWarning (or
+    ""), which outputs hold NaN or Infinity, and which files it leaves if it
+    exits non-zero."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,15 +76,35 @@ def run(command: str, base: list[str], key: str, value: str, timeout: float) -> 
         wall = time.perf_counter() - start
         files = sorted(out.iterdir())
         non_finite = [p.name for p in files if NON_FINITE.search(p.read_bytes())]
+    text = stderr.decode(errors="replace")
+    warning = RUNTIME_WARNING.search(text)
     return {
         "run": " ".join(args),
         "code": code,
         "wall_s": wall,
         "traceback": b"Traceback" in stderr,
+        "warning": warning.group(0) if warning else "",
         "non_finite": non_finite,
         "partial": [p.name for p in files] if code not in (0, None) else [],
-        "last_line": stderr.decode(errors="replace").strip().splitlines()[-1:] or [""],
+        "last_line": text.strip().splitlines()[-1:] or [""],
     }
+
+
+def problems(r: dict, timeout: float) -> list[str]:
+    """What is wrong with the run ``r`` (as ``run`` returns it), one label
+    each: none for a clean run, whatever its exit code."""
+    return [
+        label
+        for label, hit in (
+            ("exit 1", r["code"] == 1),
+            (f"past {timeout:g} s", r["code"] is None),
+            ("traceback", r["traceback"]),
+            (f"exit 0 after {r['warning']}", r["code"] == 0 and bool(r["warning"])),
+            (f"NaN/Infinity in {', '.join(r['non_finite'])}", bool(r["non_finite"])),
+            (f"exit {r['code']} leaves {', '.join(r['partial'])}", bool(r["partial"])),
+        )
+        if hit
+    ]
 
 
 def main(argv=None) -> int:
@@ -95,20 +119,9 @@ def main(argv=None) -> int:
         results = list(pool.map(lambda case: run(*case, args.timeout), cases))
     findings = 0
     for r in results:
-        problems = [
-            label
-            for label, hit in (
-                ("exit 1", r["code"] == 1),
-                (f"past {args.timeout:g} s", r["code"] is None),
-                ("traceback", r["traceback"]),
-                (f"NaN/Infinity in {', '.join(r['non_finite'])}", bool(r["non_finite"])),
-                (f"exit {r['code']} leaves {', '.join(r['partial'])}", bool(r["partial"])),
-            )
-            if hit
-        ]
-        if problems:
+        if found := problems(r, args.timeout):
             findings += 1
-            print(f"{r['run']}: {'; '.join(problems)} | {r['last_line'][0][:160]}")
+            print(f"{r['run']}: {'; '.join(found)} | {r['last_line'][0][:160]}")
     codes = Counter("timeout" if r["code"] is None else f"exit {r['code']}" for r in results)
     slowest = max(results, key=lambda r: r["wall_s"])
     print(
@@ -118,6 +131,8 @@ def main(argv=None) -> int:
         + ", ".join(f"{n} {code}" for code, n in sorted(codes.items()))
     )
     print(f"tracebacks {sum(r['traceback'] for r in results)}, "
+          f"RuntimeWarnings {sum(bool(r['warning']) for r in results)} "
+          f"({sum(bool(r['warning']) and r['code'] == 0 for r in results)} at exit 0), "
           f"non-finite outputs {sum(bool(r['non_finite']) for r in results)}, "
           f"partial outputs {sum(bool(r['partial']) for r in results)}, "
           f"slowest {slowest['wall_s']:.1f} s ({slowest['run']})")

@@ -179,7 +179,8 @@ def run_spectrum(p, atoms, sink, seed):
     center = atoms.d1_center_hz(cell.isotope_fractions)
     grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-    path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
+    with _naming(field="field_mt", center="field_mt"):
+        path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
     n_plus, n_minus = path.index_at(grid, path.b_center_t)
     write_csv(
         sink.path("index.csv"),
@@ -201,7 +202,8 @@ def _fadof(p, atoms, half_span_hz, spacing_hz):
         pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
     vapor.check_spacing(cell, atoms, spacing_hz)
-    spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
+    with _naming(field="field_mt", center="field_mt"):
+        spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
     return spec, center
 
 
@@ -458,13 +460,15 @@ def run_spectroscopy(p, atoms, sink, seed):
     for temp_c in p["temps_c"]:
         cell = _sensing_cell(p, temp_c)
         vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-        with _naming(slices="slices", center="fields_mt"):
+        with _naming(slices="slices", center="fields_mt", field="fields_mt"):
             path = vapor.VaporPath(atoms, cell, np.array(p["fields_mt"]) * 1e-3, slices=p["slices"])
-        for b_mt, t_plus, t_minus in zip(p["fields_mt"], *path.transfer_at(grid)):
-            trans = 0.5 * (np.abs(t_plus) ** 2 + np.abs(t_minus) ** 2)
+        # one row per field; the (2, fields, grid) transmissions are not kept
+        trans = np.add(*path.transmission_at(grid))
+        trans *= 0.5
+        for b_mt, row in zip(p["fields_mt"], trans):
             header.append(f"T_{temp_c:g}C_{b_mt:g}mT")
-            cols.append(trans)
-            absorb = 1.0 - trans
+            cols.append(row)
+            absorb = 1.0 - row
             if absorb.sum() > 0:
                 mu = float((grid * absorb).sum() / absorb.sum())
                 widths[f"{temp_c:g}C_{b_mt:g}mT"] = float(

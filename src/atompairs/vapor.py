@@ -11,8 +11,9 @@ uniform grid first calls ``check_spacing``, the one resolution rule:
 uniform grid at least a few times finer than that, every line's z moves by
 one real step h per grid point, and w' = -2 z w + 2i / sqrt(pi) (Abramowitz &
 Stegun 7.1.20) gives every Taylor coefficient of w from w itself.  So the
-Voigt profiles are evaluated only at anchors, one per cell of up to
-``ANCHOR_CELL`` grid points, their Taylor terms are summed over each line
+Voigt profiles are evaluated only at anchors, one in the middle of each cell
+of as many grid points as the fill's accuracy bounds allow, up to
+``ANCHOR_CELL``, their Taylor terms are summed over each line
 group in one reduction, and chi is filled from those sums: Im chi to 1e-12
 and chi to 1e-11 of the pointwise line sum (tests/test_vapor.py).  Other
 frequencies are each their own anchor, but far from every line, as most of a
@@ -25,9 +26,12 @@ cell's first half, each standing for itself and its mirror image, and the
 lines of every distinct node field are built in one ``lines_at_fields``
 pass.  It walks the frequencies in blocks on the calling thread
 (``_walk_chi``, the one frequency-block walk), so its memory follows the
-block and its outputs, not fields x frequencies.
-``transfer_vs_field`` is its one-frequency case over many center fields,
-walked in blocks of centers.
+block and its outputs, not fields x frequencies.  A propagation ends in
+log t+-, and each view reads what it needs from them: ``transfer_at``
+exponentiates them, ``transmission_at`` takes |t+-|^2 = exp(2 Re log t+-)
+with no complex exponential, and ``rotation_angle_at`` half the difference
+of their phases.  ``transfer_vs_field`` is its one-frequency case over many
+center fields, walked in blocks of centers.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.constants import epsilon_0, hbar, k as K_B
 
-from atompairs.atoms import AtomLibrary, lines_at_fields
+from atompairs.atoms import MU_B_HZ_PER_T, AtomLibrary, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
 
@@ -162,11 +166,11 @@ class _LineArrays:
 
 
 def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
-    """Grid points m per anchor of the walk: the largest power of two up to
-    ``ANCHOR_CELL`` that keeps every line's |z - z_anchor| within
-    ``ANCHOR_REACH`` and 2 |z| |z - z_anchor| within ``ANCHOR_GROWTH``; 1,
-    each frequency its own anchor, if that is below 8, if ``nu`` holds fewer
-    than m points or if it is not uniform to a few ulp."""
+    """Grid points m per anchor of the walk: the most, up to ``ANCHOR_CELL``,
+    that keep every line's |z - z_anchor| within ``ANCHOR_REACH`` and
+    2 |z| |z - z_anchor| within ``ANCHOR_GROWTH``; 1, each frequency its own
+    anchor, if that is below 8, if ``nu`` holds fewer than m points or if it
+    is not uniform to a few ulp."""
     n = nu.size
     if n < 8 or lines.nu0.size == 0:
         return 1
@@ -180,9 +184,9 @@ def _anchor_cell(lines: _LineArrays, nu: np.ndarray) -> int:
     far = np.maximum(abs(nu[0] - lines.nu0), abs(nu[-1] - lines.nu0)) + abs(spacing) * ANCHOR_CELL / 2
     z_max = np.hypot(far, 0.5 * lines.lorentz_fwhm_hz) / lines.sigma_hz
     half = min(ANCHOR_REACH / h.max(), ANCHOR_GROWTH / (2 * (h * z_max).max()))
-    cell = ANCHOR_CELL
-    while cell >= 8 and cell // 2 > half:
-        cell //= 2
+    # the odd cell of 2 floor(half) + 1 points reaches floor(half) steps either
+    # side of its middle anchor; min before int, so an infinite half is the cap
+    cell = int(min(ANCHOR_CELL, 2 * np.floor(half) + 1))
     return cell if 8 <= cell <= n else 1
 
 
@@ -348,16 +352,21 @@ class VaporPath:
     come from one ``lines_at_fields`` call, made by the first propagation, so
     a path that only serves ``index_at`` never builds them.  One propagation
     sums chi per field, each field's lines in line order, then log t+- per
-    center, each center's nodes in node order, and yields (t+, t-, theta)
-    together: arrays over the frequencies for one center, (centers,
-    frequencies) for an array.
-    ``transfer_at`` and ``rotation_angle_at`` are views of that propagation.
+    center, each center's nodes in node order: arrays over the frequencies
+    for one center, (centers, frequencies) for an array.  Its three views
+    are ``transfer_at``, (t+, t-); ``transmission_at``, (|t+|^2, |t-|^2),
+    read off Re log t+- alone; and ``rotation_angle_at``, theta.
     """
 
     def __init__(self, atoms: AtomLibrary, cell: VaporCellConfig, b_center_t, slices: int = 16):
         centers = np.atleast_1d(np.asarray(b_center_t, dtype=float))
         if centers.ndim != 1 or centers.size == 0 or not np.all(np.isfinite(centers) & (centers >= 0)):
             raise ConfigError(f"center fields must be finite and >= 0, one or a non-empty 1-D array (got {b_center_t!r})")
+        # a D1 line lies within 1.34 mu_B B plus its hyperfine splittings of
+        # the D1 frequency, so below this limit each line stays finite and > 0
+        limit_t = 0.5 * atoms.d1_center_hz(cell.isotope_fractions) / MU_B_HZ_PER_T
+        if centers.max() >= limit_t:
+            raise ConfigError(f"field {centers.max():.6g} T is not below {limit_t:.6g} T, where mu_B B reaches half the D1 frequency")
         self.atoms, self.cell, self.b_center_t = atoms, cell, b_center_t
         self.slices = _slice_count(cell, slices)
         self.density_m3 = number_density(cell.temperature_k, atoms)
@@ -385,9 +394,10 @@ class VaporPath:
         return n_plus, n_minus
 
     def _propagate(self, nu_hz):
-        """(t+, t-, theta) at ``nu_hz``, block by block: each block's n+- of
-        every field become that block's columns of log t+- per center, each
-        center's nodes added one at a time in node order.
+        """log t+- at ``nu_hz``, shape (2, frequencies) for one center and
+        (2, centers, frequencies) for an array, block by block: each block's
+        n+- of every field become that block's columns of log t+- per center,
+        each center's nodes added one at a time in node order.
 
         Raises ValueError if either circular transfer exceeds unity (gain).
         """
@@ -403,17 +413,11 @@ class VaporPath:
                     block += k_vac * (n[where] - 1.0) * self._dz
 
         _walk_chi(self._lines, nu, consume)
-        log_t_plus, log_t_minus = log_t
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
-        gain = np.expm1(max(log_t_plus.real.max(initial=-np.inf), log_t_minus.real.max(initial=-np.inf)))
+        gain = np.expm1(log_t.real.max(initial=-np.inf))
         if gain > 1e-12:
             raise ValueError(f"cell transfer has gain ({gain:.3g} above unity)")
-        # half the circular phase difference, summed slice by slice: unwrapped;
-        # then t+- overwrite their logs
-        theta = np.subtract(log_t_plus.imag, log_t_minus.imag)
-        theta *= 0.5
-        out = np.exp(log_t_plus, out=log_t_plus), np.exp(log_t_minus, out=log_t_minus), theta
-        return tuple(x[0] for x in out) if np.ndim(self.b_center_t) == 0 else out
+        return log_t[:, 0] if np.ndim(self.b_center_t) == 0 else log_t
 
     def transfer_at(self, nu_hz):
         """Circular-basis diagonal transfer (t+, t-) with the field profile.
@@ -421,7 +425,15 @@ class VaporPath:
         The common vacuum phase exp(i 2 pi nu L / c) is dropped; only the
         differential phase and the attenuation are physical here.
         """
-        t_plus, t_minus, _ = self._propagate(nu_hz)
+        log_t = self._propagate(nu_hz)
+        t_plus, t_minus = np.exp(log_t, out=log_t)
+        return t_plus, t_minus
+
+    def transmission_at(self, nu_hz):
+        """Intensity transmissions (|t+|^2, |t-|^2) = exp(2 Re log t+-), with
+        no complex exponential."""
+        trans = self._propagate(nu_hz).real * 2.0
+        t_plus, t_minus = np.exp(trans, out=trans)
         return t_plus, t_minus
 
     def rotation_angle_at(self, nu_hz):
@@ -430,7 +442,8 @@ class VaporPath:
         Summed slice by slice rather than read off angle(t+/t-), so rotations
         beyond pi/2 are not wrapped.
         """
-        return self._propagate(nu_hz)[2]
+        log_t_plus, log_t_minus = self._propagate(nu_hz)
+        return 0.5 * (log_t_plus.imag - log_t_minus.imag)
 
 
 def transfer_vs_field(atoms: AtomLibrary, cell: VaporCellConfig, nu_hz: float, b_centers_t, slices: int = 16):
@@ -445,11 +458,11 @@ def transfer_vs_field(atoms: AtomLibrary, cell: VaporCellConfig, nu_hz: float, b
     if centers.ndim != 1 or centers.size == 0 or nu.size != 1:
         raise ConfigError("transfer_vs_field takes one probe frequency and a non-empty 1-D array of center fields")
     per_block = max(1, SCAN_BLOCK_NODES // (2 * _slice_count(cell, slices)))
-    blocks = [
-        VaporPath(atoms, cell, centers[a : a + per_block], slices)._propagate(nu)
-        for a in range(0, centers.size, per_block)
-    ]
-    return tuple(np.concatenate([block[i][:, 0] for block in blocks]) for i in range(3))
+    paths = (VaporPath(atoms, cell, centers[a : a + per_block], slices) for a in range(0, centers.size, per_block))
+    log_t = np.concatenate([path._propagate(nu)[..., 0] for path in paths], axis=1)
+    theta = 0.5 * (log_t[0].imag - log_t[1].imag)
+    t_plus, t_minus = np.exp(log_t, out=log_t)
+    return t_plus, t_minus, theta
 
 
 def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):
@@ -482,7 +495,7 @@ def blocking_cell_transmission(cell: VaporCellConfig, atoms: AtomLibrary):
     """Zero-field attenuation ``nu -> |t+|^2`` of a (typically hot, buffered)
     cell at any frequencies: it exports no grid, so no spacing to check."""
     path = VaporPath(atoms, cell, b_center_t=0.0, slices=1)
-    return lambda nu_hz: np.abs(path.transfer_at(nu_hz)[0]) ** 2
+    return lambda nu_hz: path.transmission_at(nu_hz)[0]
 
 
 def make_frequency_grid(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import runpy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from atompairs.cli import (
     main,
     rho_from_json,
     rho_to_json,
+    run_scenario,
     validate_scenario,
     write_csv,
     write_json,
@@ -356,6 +358,34 @@ def test_spectroscopy_builds_lines_once_per_temperature(tmp_path, monkeypatch):
     assert main(["--out-dir", str(tmp_path), "scenario", "run", "fig10-spectroscopy"]) == 0
     # two slices droop to two distinct node fields per center, one at 0 mT
     assert calls == [11, 11, 11]
+
+
+def test_spectroscopy_peak_memory_is_its_table_and_one_propagation(tmp_path, atoms):
+    """A reduced fig10 (three temperatures, six fields, 4,001 points) peaks
+    at no more than its table's columns plus the largest peak of one
+    temperature's propagation: each temperature's (2, fields, grid)
+    transmissions are freed before the next walk."""
+    from atompairs import vapor
+
+    cfg = {"scenario": "spectroscopy", "params": {"spacing_mhz": 1.0, "slices": 2, "half_span_ghz": 2.0}}
+    _, p = validate_scenario(cfg)
+    grid = vapor.make_frequency_grid(atoms.d1_center_hz(), 2e9, 1e6)
+    run_scenario(cfg, atoms, tmp_path / "warm", 0)  # warm the caches
+    peaks = []
+    for temp_c in [None] + p["temps_c"]:
+        tracemalloc.start()
+        try:
+            if temp_c is None:
+                run_scenario(cfg, atoms, tmp_path / "out", 0)
+            else:
+                path = vapor.VaporPath(atoms, _sensing_cell(p, temp_c), np.array(p["fields_mt"]) * 1e-3, slices=2)
+                path.transmission_at(grid)
+                del path
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    table = (2 + len(p["temps_c"]) * len(p["fields_mt"])) * grid.size * 8
+    assert peaks[0] <= table + max(peaks[1:])
 
 
 def test_spectrum_builds_its_lines_once(tmp_path, monkeypatch):
@@ -708,6 +738,11 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
     [
         (["spectroscopy", "--slices", "0"], ["slices"]),
         (["spectroscopy", "--fields-mT", "-1"], ["fields_mt"]),
+        (["spectroscopy", "--fields-mT", "0", "1e300"], ["fields_mt"]),
+        (["spectrum", "--field-mT", "1e300"], ["field_mt"]),
+        (["fadof", "--field-mT", "1e300"], ["field_mt"]),
+        (["matching", "--field-mT", "1e300"], ["field_mt"]),
+        (["purity", "--field-mT", "1e300"], ["field_mt"]),
         (["purity", "--leak-fraction", "1"], ["leak_fraction"]),
         (["matching", "--fsr-MHz", "1"], ["fsr_mhz", "linewidth_mhz"]),
         (["superresolution", "--fidelity", "2"], ["fidelity"]),
@@ -719,8 +754,10 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
 )
 def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
     """A refusal raised by a library check, which names its own field, exits
-    2 under the ``params.`` key(s) the user set."""
-    assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
+    2 under the ``params.`` key(s) the user set, before numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out-dir", str(tmp_path / "out")] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: params.{keys[0]}") and "Traceback" not in err
     assert all(f"params.{key}" in err for key in keys)

@@ -1,6 +1,7 @@
 import itertools
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis
@@ -11,7 +12,7 @@ import pytest
 from scipy.constants import c as C_LIGHT
 
 from atompairs import vapor
-from atompairs.atoms import lines_at_fields
+from atompairs.atoms import MU_B_HZ_PER_T, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError
 from atompairs.noon import circular_jones
 from atompairs.vapor import (
@@ -25,6 +26,9 @@ from atompairs.vapor import (
 )
 
 from reference import hilbert_transform, one_shot_susceptibility, steck_rb_number_density
+
+
+FIG10_FIELDS = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])
 
 
 def natural_cell(atoms, temp_k=300.0, length_m=0.10, buffer_mhz=0.0):
@@ -254,6 +258,19 @@ def test_no_frequencies_give_empty_transfers(atoms):
     path = VaporPath(atoms, natural_cell(atoms), 4.5e-3, slices=1)
     t_plus, t_minus = path.transfer_at(np.array([]))
     assert t_plus.shape == t_minus.shape == path.rotation_angle_at([]).shape == (0,)
+    assert all(t.shape == (0,) for t in path.transmission_at([]))
+
+
+@pytest.mark.parametrize("centers", [24e-3, FIG10_FIELDS], ids=["one", "many"])
+def test_transmission_is_the_squared_transfer(atoms, sensing_cell, d1_center, centers):
+    """(|t+|^2, |t-|^2) read as exp(2 Re log t+-) equal |t+-|^2 of the complex
+    transfer to 1e-15 relative on fig10's grid, with the shapes of
+    ``transfer_at``, where the transmissions fall to 2e-17."""
+    path = VaporPath(atoms, sensing_cell, centers, slices=2)
+    grid = make_frequency_grid(d1_center, 6e9, 1e6)
+    for trans, t in zip(path.transmission_at(grid), path.transfer_at(grid)):
+        assert trans.shape == t.shape == np.shape(centers) + grid.shape
+        assert np.all(np.abs(trans - np.abs(t) ** 2) <= 1e-15 * np.abs(t) ** 2)
 
 
 def _fadof_path(atoms):
@@ -349,9 +366,6 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         assert np.array_equal(chi[near], one_shot_susceptibility(arrays, mixed[near]))
 
 
-FIG10_FIELDS = np.array([0.0, 12e-3, 24e-3, 37e-3, 49e-3, 58e-3])
-
-
 @pytest.mark.parametrize("fields", [FIG10_FIELDS[:1], FIG10_FIELDS, np.array([0.0, 30.0, 45.0])], ids=["1", "6", "ragged"])
 def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monkeypatch, fields):
     """A path over one center, over six (fig10's fields and slices) and over
@@ -410,15 +424,15 @@ def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center
 
 
 def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch):
-    """On a uniform grid the walk fills chi from anchors.  In the shipped
-    blocks and in blocks of one anchor cell, two, or two and a short one, it
-    gives the same chi, (t+, t-, theta) and (n+, n-) bit for bit, every block
-    starting on a whole anchor cell."""
+    """On a uniform grid the walk fills chi from anchors, here in odd cells of
+    19 points.  In the shipped blocks and in blocks of one anchor cell, two,
+    or two and a short one, it gives the same chi, log t+- and (n+, n-) bit
+    for bit, every block starting on a whole anchor cell."""
     path = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
     lines = path._lines
     nu = make_frequency_grid(d1_center, 2e9, 2e6)
     cell = vapor._anchor_cell(lines, nu)
-    assert cell == 16
+    assert cell == 19
     per_cell = _per_cell(lines, cell)
     outputs = []
     for block_points in (vapor.BLOCK_POINTS, per_cell, 2 * per_cell, 3 * per_cell - 1):
@@ -527,6 +541,38 @@ def test_far_series_matches_pointwise_lines(atoms, d1_center, temp_k, buffer_mhz
     _assert_walk_matches_pointwise(lines, nu)
 
 
+@hypothesis.given(
+    temp_k=st.floats(251.0, 449.0),
+    buffer_mhz=st.floats(0.0, 178.0),
+    field_mt=st.floats(0.0, 60.0),
+    spacing_share=st.floats(0.005, 1.0),
+    start_ghz=st.one_of(st.floats(-8.0, 8.0), st.floats(-100.0, 100.0)),
+    n=st.integers(2, 2000),
+)
+def test_anchor_cell_is_the_widest_the_bounds_allow(atoms, d1_center, temp_k, buffer_mhz, field_mt, spacing_share, start_ghz, n):
+    """With half the largest offset in grid steps that ``ANCHOR_REACH`` and
+    ``ANCHOR_GROWTH`` allow, a cell of m points reaches m // 2 <= half steps
+    from its anchor, and one more point would pass the bound unless m is
+    ``ANCHOR_CELL``; the walk is pointwise only where no such cell of 8 to n
+    points exists."""
+    cell = natural_cell(atoms, temp_k=temp_k, buffer_mhz=buffer_mhz)
+    with pytest.raises(ResolutionError) as limit:
+        check_spacing(cell, atoms, 1e12)
+    spacing = spacing_share * limit.value.required_hz
+    nu = d1_center + start_ghz * 1e9 + spacing * np.arange(n)
+    lines = _one_field_lines(atoms, cell, field_mt * 1e-3)
+    h = spacing / lines.sigma_hz
+    far = np.maximum(abs(nu[0] - lines.nu0), abs(nu[-1] - lines.nu0)) + spacing * vapor.ANCHOR_CELL / 2
+    z_max = np.hypot(far, 0.5 * lines.lorentz_fwhm_hz) / lines.sigma_hz
+    half = min(vapor.ANCHOR_REACH / h.max(), vapor.ANCHOR_GROWTH / (2 * (h * z_max).max()))
+    m = vapor._anchor_cell(lines, nu)
+    if m == 1:
+        assert not 8 <= min(vapor.ANCHOR_CELL, 2 * np.floor(half) + 1) <= n
+    else:
+        assert 8 <= m <= min(n, vapor.ANCHOR_CELL)
+        assert m // 2 <= half and (m == vapor.ANCHOR_CELL or (m + 1) // 2 > half)
+
+
 def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
     """A uniform grid too coarse for the fill (the 50 MHz grid of
     ``test_zero_field_no_rotation``, and the 501 MHz comb that ``purity``
@@ -542,7 +588,7 @@ def test_coarse_and_irregular_frequencies_walk_pointwise(atoms, d1_center):
     hot = natural_cell(atoms, temp_k=params["hot_cell_temp_k"], buffer_mhz=params["hot_cell_buffer_mhz"])
     assert vapor._anchor_cell(_one_field_lines(atoms, hot, 0.0), comb) == 1
     fine = make_frequency_grid(d1_center, 6e9, 1e6)
-    assert vapor._anchor_cell(zero_field, fine) == 32
+    assert vapor._anchor_cell(zero_field, fine) == 37
     assert vapor._anchor_cell(zero_field, fine[:7]) == 1
     assert vapor._anchor_cell(zero_field, _nonuniform(d1_center, fine.size)) == 1
     assert vapor._anchor_cell(zero_field, fine[:1]) == 1
@@ -562,14 +608,15 @@ def _count_voigt_points(monkeypatch):
 
 def test_fill_reaches_faddeeva_once_per_anchor_and_line(atoms, fadof_grid, sensing_cell, monkeypatch):
     """fig2's grid takes anchor cells of 64 points and evaluates each line at
-    no more than ceil(n / 64) frequencies; fig10's takes cells of 32."""
+    no more than ceil(n / 64) frequencies; fig10's fields and grid take cells
+    of 39 at 70 C."""
     points = _count_voigt_points(monkeypatch)
     path = _fadof_path(atoms)
     assert vapor._anchor_cell(path._lines, fadof_grid) == 64
     path.transfer_at(fadof_grid)
     assert sum(points) <= path._lines.nu0.size * -(-fadof_grid.size // 64)
     fig10 = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
-    assert vapor._anchor_cell(fig10._lines, make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)) == 32
+    assert vapor._anchor_cell(fig10._lines, make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)) == 39
 
 
 def _record_far_series(monkeypatch):
@@ -635,8 +682,8 @@ def test_transfer_peak_memory_follows_the_grid(atoms, d1_center):
 
 def test_many_center_path_memory_grows_by_its_outputs_only(atoms, sensing_cell):
     """On fig10's 12,001-point grid, a 24-center path peaks above a 6-center
-    one by no more than the extra centers' outputs (t+- in place of log t+-,
-    and theta: 40 bytes a center and frequency) plus 1 MB: the fields' chi
+    one by no more than the extra centers' outputs (t+- in place of log t+-:
+    32 bytes a center and frequency, allowed 40) plus 1 MB: the fields' chi
     and n+- are held one block at a time, never over the whole grid."""
     grid = make_frequency_grid(atoms.d1_center_hz(), 6e9, 1e6)
     assert grid.size == 12_001
@@ -796,6 +843,24 @@ def test_transfer_vs_field_memory_follows_the_block(atoms, sensing_cell, noon_li
 def test_transfer_vs_field_rejects_bad_fields_and_frequencies(atoms, sensing_cell, noon_line_hz, fields, nu_offset):
     with pytest.raises(ConfigError):
         transfer_vs_field(atoms, sensing_cell, noon_line_hz + nu_offset, fields)
+
+
+@pytest.mark.parametrize("centers", [1e297, [0.0, 1e297], 1e5, 1.7e308], ids=["1e297", "array", "1e5", "max"])
+def test_fields_whose_lines_leave_the_optical_range_are_refused(atoms, sensing_cell, centers, monkeypatch):
+    """Past the field where mu_B B reaches half the D1 frequency, a path is
+    refused at construction, before any line is built or numpy warns: from
+    about 2e4 T a sigma- line lies below 0 Hz, and at 1e297 T the Doppler
+    widths overflow.  Just below it every line frequency and Doppler width is
+    finite and > 0."""
+    monkeypatch.setattr(vapor, "lines_at_fields", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^field "):
+            VaporPath(atoms, sensing_cell, centers)
+    monkeypatch.undo()
+    below = np.nextafter(0.5 * atoms.d1_center_hz(sensing_cell.isotope_fractions) / MU_B_HZ_PER_T, 0.0)
+    lines = VaporPath(atoms, sensing_cell, below)._lines
+    assert np.all(np.isfinite(lines.sigma_hz)) and lines.nu0.min() > 0 and lines.sigma_hz.min() > 0
 
 
 def test_non_finite_cell_and_path_inputs_rejected(atoms, sensing_cell, noon_line_hz):
