@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from atompairs.errors import ConfigError, CoverageError
+from atompairs.errors import ConfigError, CoverageError, NumericError
 
 _LN2 = np.log(2.0)
 # modes each side of the degenerate one that a comb may hold: fig3's holds
@@ -43,8 +43,9 @@ class CavityConfig:
 
 
 def _envelope_weight(cfg: CavityConfig, offset_hz):
-    x = np.asarray(offset_hz, dtype=float) / cfg.envelope_fwhm_hz
-    return np.exp(-4.0 * _LN2 * x**2)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the weight's limit
+        x = np.asarray(offset_hz, dtype=float) / cfg.envelope_fwhm_hz
+        return np.exp(-4.0 * _LN2 * x**2)
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,8 @@ class FilteredPairs:
         return float(self.pair_weight.sum())
 
     def degenerate_pair_fraction(self) -> float:
+        if self.total_pairs == 0:
+            raise NumericError("degenerate_pair_fraction: no pair passes the filter, so the fraction is 0/0")
         return float(self.pair_weight[self.comb.degenerate_index] / self.total_pairs)
 
 

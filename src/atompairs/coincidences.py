@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import exprel
 
 from atompairs.errors import ConfigError, FitFailure, NumericError, check_points
@@ -278,12 +277,9 @@ def fit_envelope(hist: CoincidenceHistogram) -> EnvelopeFit:
         return floor + amp * np.exp(-np.abs(t - t0) * gamma)
 
     p0 = np.array([gamma_seed, t0_seed, floor0, peak - floor0])
-    lower = [gamma_seed / 100.0, t[0], 0.0, 0.0]
-    upper = [gamma_max, t[-1], peak, 2.0 * peak]
-    res = least_squares(
-        lambda p: model(p) - y, p0, bounds=(lower, upper), max_nfev=200
-    )
-    gamma, t0, floor, amp = res.x
+    lower = np.array([gamma_seed / 100.0, t[0], 0.0, 0.0])
+    upper = np.array([gamma_max, t[-1], peak, 2.0 * peak])
+    gamma, t0, floor, amp = _trf_fit(lambda p: model(p) - y, p0, lower, upper)
     return EnvelopeFit(
         gamma_sum=float(gamma),
         t0_s=float(t0),
@@ -291,3 +287,248 @@ def fit_envelope(hist: CoincidenceHistogram) -> EnvelopeFit:
         amplitude=float(amp),
         fwhm_s=2.0 * _LN2 / float(gamma),
     )
+
+
+# The fit's solver: the trust-region-reflective method of Branch, Coleman & Li,
+# SIAM J. Sci. Comput. 21, 1 (1999), ported from scipy 1.17's
+# least_squares(method='trf') along the one path fit_envelope takes: finite
+# bounds, unit x_scale, linear loss, the SVD ("exact") trust-region solver, a
+# 2-point Jacobian, ftol = xtol = gtol = 1e-8 and at most 200 residual
+# evaluations.  Each step keeps scipy's arithmetic in scipy's order, so with
+# the same SVD the two return the same parameters bit for bit.
+
+_EPS = np.finfo(float).eps
+_TOL = 1e-8
+_MAX_NFEV = 200
+
+
+def _strictly_feasible(x, lb, ub, rstep):
+    """Move components within ``rstep`` (relative) of a bound inside it;
+    with ``rstep`` 0, those on or past a bound to the next float inside."""
+    if rstep == 0:
+        upper = x >= ub
+        lower = (x <= lb) & ~upper
+        x = np.where(lower, np.nextafter(lb, ub), np.where(upper, np.nextafter(ub, lb), x))
+    else:
+        lo_step, hi_step = rstep * np.maximum(1, np.abs(lb)), rstep * np.maximum(1, np.abs(ub))
+        upper = ub - x <= np.minimum(x - lb, hi_step)
+        lower = (x - lb <= np.minimum(ub - x, lo_step)) & ~upper
+        x = np.where(lower, lb + lo_step, np.where(upper, ub - hi_step, x))
+    return np.where((x < lb) | (x > ub), 0.5 * (lb + ub), x)
+
+
+def _jacobian(fun, x, f, lb, ub):
+    """Forward differences with step sqrt(eps) sign(x) max(1, |x|), reversed
+    where it would leave the bounds, else cut to the farther bound."""
+    h = _EPS**0.5 * ((x >= 0) * 2.0 - 1) * np.maximum(1.0, np.abs(x))
+    lo_dist, hi_dist = x - lb, ub - x
+    fits = np.abs(h) <= np.maximum(lo_dist, hi_dist)
+    h = np.where(((x + h < lb) | (x + h > ub)) & fits, -h, h)
+    h = np.where(fits, h, np.where(hi_dist >= lo_dist, hi_dist, -lo_dist))
+    jt = np.empty((x.size, f.size))
+    for i in range(x.size):
+        x1 = x.copy()
+        x1[i] = x[i] + h[i]
+        jt[i] = (fun(x1) - f) / ((x[i] + h[i]) - x[i])
+    return jt.T
+
+
+def _scaling(x, g, lb, ub):
+    """Coleman-Li scaling v (distance to the bound the gradient points to,
+    else 1) and its derivative dv/dx."""
+    v = np.where(g < 0, ub - x, np.where(g > 0, x - lb, 1.0))
+    return v, np.where(g < 0, -1.0, np.where(g > 0, 1.0, 0.0))
+
+
+def _to_bound(x, s, lb, ub):
+    """Smallest t >= 0 with x + t s on a bound, and the components that reach it there."""
+    steps = np.full_like(x, np.inf)
+    moving = s != 0
+    with np.errstate(over="ignore"):
+        steps[moving] = np.maximum((lb - x)[moving] / s[moving], (ub - x)[moving] / s[moving])
+    t = np.min(steps)
+    return t, (steps == t) & moving
+
+
+def _quadratic(J, g, s, diag):
+    """0.5 s.(J^T J + diag) s + g.s"""
+    Js = J.dot(s)
+    return 0.5 * (np.dot(Js, Js) + np.dot(s * diag, s)) + np.dot(s, g)
+
+
+def _quadratic_1d(J, g, s, diag, s0=None):
+    """Coefficients a, b (and c with ``s0``) of _quadratic(s0 + t s) = a t^2 + b t + c."""
+    v = J.dot(s)
+    a = 0.5 * (np.dot(v, v) + np.dot(s * diag, s))
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_1d(a, b, lo, hi, c=0):
+    """Minimum (t, value) of a t^2 + b t + c over lo <= t <= hi."""
+    t = [lo, hi]
+    if a != 0 and lo < -0.5 * b / a < hi:
+        t.append(-0.5 * b / a)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    i = np.argmin(y)
+    return t[i], y[i]
+
+
+def _trust_region_step(m, uf, s, V, delta, alpha):
+    """More's iteration for the Levenberg-Marquardt parameter alpha of the
+    step of length delta, on the SVD (U, s, V) of the scaled Jacobian."""
+    suf = s * uf
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    full_rank = m >= s.size and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if np.linalg.norm(p) <= delta:
+            return p, 0.0
+    alpha_upper = np.linalg.norm(suf) / delta
+    alpha_lower = 0.0
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    elif alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    return p * (delta / np.linalg.norm(p)), alpha
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
+    """The best of the trust-region step (cut back theta of the way to the
+    bound it crosses), its reflection off that bound, and the anti-gradient
+    step: (step, scaled step, predicted reduction)."""
+    if np.all((x + p >= lb) & (x + p <= ub)):
+        return p, p_h, -_quadratic(J_h, g_h, p_h, diag_h)
+    p_stride, hits = _to_bound(x, p, lb, ub)
+    r_h = p_h.copy()
+    r_h[hits] *= -1
+    r = d * r_h
+    p, p_h = p * p_stride, p_h * p_stride
+
+    # the reflected ray leaves the trust region at the positive root of
+    # |p_h + t r_h| = delta, taken without cancellation
+    rr, pr, c = np.dot(r_h, r_h), np.dot(p_h, r_h), np.dot(p_h, p_h) - delta**2
+    q = -(pr + np.copysign(np.sqrt(pr * pr - rr * c), pr))
+    to_tr = max(q / rr, c / q)
+    to_bound, _ = _to_bound(x + p, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    r_lo, r_hi = 0, -1
+    if r_stride > 0:
+        r_lo = (1 - theta) * p_stride / r_stride
+        r_hi = theta * to_bound if r_stride == to_bound else to_tr
+    r_value = np.inf
+    if r_lo <= r_hi:
+        a, b, c = _quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_1d(a, b, r_lo, r_hi, c)
+        r_h = r_h * r_stride + p_h
+        r = r_h * d
+
+    p, p_h = p * theta, p_h * theta
+    p_value = _quadratic(J_h, g_h, p_h, diag_h)
+
+    ag_h = -g_h
+    to_tr = delta / np.linalg.norm(ag_h)
+    to_bound, _ = _to_bound(x, d * ag_h, lb, ub)
+    a, b = _quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_1d(a, b, 0, theta * to_bound if to_bound < to_tr else to_tr)
+
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return d * ag_h * ag_stride, ag_h * ag_stride, -ag_value
+
+
+def _trf_fit(fun, x0, lb, ub):
+    """Parameters minimizing |fun(x)|^2 within lb <= x <= ub, from x0."""
+    x = _strictly_feasible(x0, lb, ub, 1e-10)
+    f = fun(x)
+    J = _jacobian(fun, x, f, lb, ub)
+    nfev = 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = np.linalg.norm(x / _scaling(x, g, lb, ub)[0] ** 0.5)
+    if delta == 0:
+        delta = 1.0
+    alpha = 0.0  # the Levenberg-Marquardt parameter, carried from step to step
+    J_aug, f_aug = np.empty((m + n, n)), np.zeros(m + n)
+    while nfev < _MAX_NFEV:
+        v, dv = _scaling(x, g, lb, ub)
+        g_norm = np.linalg.norm(g * v, ord=np.inf)
+        if g_norm < _TOL:
+            break
+        d = v**0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_aug[:m] = f
+        J_aug[:m] = J * d
+        J_aug[m:] = np.diag(diag_h**0.5)
+        U, s, Vt = np.linalg.svd(J_aug, full_matrices=False)
+        V, uf = Vt.T, U.T.dot(f_aug)
+        theta = max(0.995, 1 - g_norm)
+
+        reduction = -1
+        while reduction <= 0 and nfev < _MAX_NFEV:
+            p_h, alpha = _trust_region_step(m, uf, s, V, delta, alpha)
+            step, step_h, predicted = _select_step(
+                x, J_aug[:m], diag_h, g_h, d * p_h, p_h, d, delta, lb, ub, theta
+            )
+            x_new = _strictly_feasible(x + step, lb, ub, 0)
+            f_new = fun(x_new)
+            nfev += 1
+            step_h_norm = np.linalg.norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            reduction = cost - cost_new
+            if predicted > 0:
+                ratio = reduction / predicted
+            else:
+                ratio = 1 if predicted == reduction == 0 else 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                delta_new = 2.0 * delta
+            converged = (reduction < _TOL * cost and ratio > 0.25) or (
+                np.linalg.norm(step) < _TOL * (_TOL + np.linalg.norm(x))
+            )
+            if converged:
+                return x_new if reduction > 0 else x
+            alpha *= delta / delta_new
+            delta = delta_new
+        if reduction <= 0:
+            break
+        x, f, cost = x_new, f_new, cost_new
+        if nfev < _MAX_NFEV:
+            J = _jacobian(fun, x, f, lb, ub)
+            g = J.T.dot(f)
+    return x

@@ -110,12 +110,16 @@ class VaporCellConfig:
         return b_center_t * (1.0 - self.droop_fraction * x**2)
 
 
-def number_density(temperature_k: float, atoms: AtomLibrary) -> float:
-    """Total Rb number density in m^-3 from the configured vapor pressure."""
+def _check_temperature(temperature_k: float):
     if not 250.0 < temperature_k < 450.0:
         raise ConfigError(
             f"temperature {temperature_k} K outside the validated range (250, 450) K"
         )
+
+
+def number_density(temperature_k: float, atoms: AtomLibrary) -> float:
+    """Total Rb number density in m^-3 from the configured vapor pressure."""
+    _check_temperature(temperature_k)
     p = atoms.vapor_pressure.pressure_pa(temperature_k)
     return p / (K_B * temperature_k)
 
@@ -474,7 +478,9 @@ def _voigt_fwhm_hz(lorentz_fwhm_hz, sigma_hz):
 def check_spacing(cell: VaporCellConfig, atoms: AtomLibrary, spacing_hz: float):
     """Raise ResolutionError if ``spacing_hz`` puts fewer than ``POINTS_PER_FWHM``
     grid points across the cell's narrowest Voigt line.  The widths come from
-    each isotope's D1 frequency and do not depend on the field."""
+    each isotope's D1 frequency and do not depend on the field.  A temperature
+    outside ``number_density``'s validated range is refused first."""
+    _check_temperature(cell.temperature_k)
     try:
         width = min(
             _voigt_fwhm_hz(

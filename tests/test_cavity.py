@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from atompairs.cavity import (
     mode_comb,
     spectral_purity,
 )
-from atompairs.errors import ConfigError, CoverageError
+from atompairs.errors import ConfigError, CoverageError, NumericError
 from atompairs.filters import FilterSpectrum
 from atompairs.vapor import blocking_cell_transmission, VaporCellConfig
 
@@ -77,6 +79,27 @@ def test_delta_filter_keeps_only_degenerate():
     passed = filtered_pair_rate(comb, delta_filter)
     assert passed.degenerate_pair_fraction() == pytest.approx(1.0)
     assert passed.pair_weight[comb.degenerate_index] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_opaque_filter_has_no_degenerate_fraction():
+    comb = mode_comb(type_i_config())
+    passed = filtered_pair_rate(comb, lambda nu: np.zeros_like(np.asarray(nu)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="^degenerate_pair_fraction: no pair passes"):
+            passed.degenerate_pair_fraction()
+
+
+@pytest.mark.parametrize("fsr_hz, envelope_fwhm_hz", [(1e306, 150e9), (501e6, 1e-291)])
+def test_comb_past_the_envelope_is_its_degenerate_mode_quietly(fsr_hz, envelope_fwhm_hz):
+    """Mode offsets whose square over the envelope width overflows weigh
+    exp(-inf) = 0, with no overflow warning."""
+    cfg = CavityConfig(fsr_hz=fsr_hz, linewidth_hz=8.4e6, degenerate_hz=3.77e14, envelope_fwhm_hz=envelope_fwhm_hz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comb = mode_comb(cfg)
+    assert comb.k.tolist() == [-1, 0, 1]
+    assert comb.weight.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_flat_filter_passes_source_weights():

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import runpy
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -853,16 +856,46 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         (["interference", "--alpha", "1e300"], 2, "params.alpha"),
         (["reconstruct", "--alpha", "1e300"], 2, "params.alpha"),
         (["reconstruct", "--exposure", "1e300"], 2, "params.exposure"),
+        (["matching", "--fsr-MHz", "1e300"], 0, ""),
+        (["matching", "--envelope-GHz", "1e-300"], 0, ""),
+        (["matching", "--length-cm", "1e300"], 3, "degenerate_pair_fraction: no pair passes the filter"),
+        (["matching", "--temp-K", "1e300"], 2, "outside the validated range (250, 450) K"),
+        (["spectroscopy", "--temps-C", "1e300"], 2, "outside the validated range (250, 450) K"),
     ],
-    ids=["g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure"],
+    ids=[
+        "g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure",
+        "matching-fsr", "matching-envelope", "matching-length", "matching-temp", "spectroscopy-temps",
+    ],
 )
 def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, capsys):
     """A bin width whose fit bound overflows, a channel delay past 2^53 bins,
     a reference amplitude whose alpha^4 overflows and a mean count past the
-    Poisson sampler's limit: each died with a traceback (exit 1)."""
-    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
+    Poisson sampler's limit: each died with a traceback (exit 1).  A comb
+    whose mode offsets overflow the envelope's square is its degenerate mode;
+    a cell that passes no pair has no degenerate fraction; a temperature
+    outside the validated range is refused before the grid check computes a
+    line width.  None of them warns on the way: pytest records warnings
+    rather than printing them, so they are raised here as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err and "Warning" not in err
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    """The g2 fit runs its own solver, so the front end's start-up loads
+    neither scipy.optimize nor the linear-algebra stack under it."""
+    code = (
+        "import sys, atompairs.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])"
+    )
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

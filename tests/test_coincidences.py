@@ -1,13 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+from atompairs import coincidences
 from atompairs.coincidences import (
     CoincidenceHistogram,
     DetectionModel,
     G2Envelope,
     _tooth_bin_weights,
+    _trf_fit,
     binned_histogram,
     fit_envelope,
     g2_multi_weights,
@@ -150,6 +156,67 @@ def test_simulated_fit_roundtrip():
     assert fit.gamma_sum == pytest.approx(ENV.gamma_sum, rel=0.03)
     assert abs(fit.t0_s - 37.4e-9) < 0.5e-9
     assert fit.fwhm_s == pytest.approx(26e-9, abs=1e-9)
+
+
+# fig4's histogram as cli.run_g2 builds it (37.4 * 1e-9 is not 37.4e-9)
+FIG4 = binned_histogram(
+    ENV, DetectionModel(t_bin_s=1e-9, t0_s=37.4 * 1e-9, round_trip_s=1 / 501e6), "multi", np.arange(-120, 121)
+)
+
+
+def _port_and_scipy(hist, monkeypatch):
+    """fit_envelope's parameters and scipy's least_squares on the same
+    residuals, bounds and start."""
+    problem = {}
+
+    def spy(fun, x0, lb, ub):
+        problem.update(fun=fun, x0=x0, bounds=(lb, ub))
+        return _trf_fit(fun, x0, lb, ub)
+
+    monkeypatch.setattr(coincidences, "_trf_fit", spy)
+    fit = fit_envelope(hist)
+    oracle = least_squares(problem["fun"], problem["x0"], bounds=problem["bounds"], max_nfev=200)
+    return np.array([fit.gamma_sum, fit.t0_s, fit.floor, fit.amplitude]), oracle.x
+
+
+def _faithfulness_histograms():
+    for mode, t0_ns, linewidth_mhz, t_bin_ns, rate in itertools.product(
+        ("single", "multi"), (0.0, 37.4, -20.0, 5.3), (3.0, 8.4, 20.0), (0.5, 1.0, 2.0), (0.0, 1e3)
+    ):
+        det = DetectionModel(
+            t_bin_s=t_bin_ns * 1e-9, t0_s=t0_ns * 1e-9, rate1_hz=rate, rate2_hz=rate, round_trip_s=1 / 501e6
+        )
+        yield binned_histogram(G2Envelope.from_linewidth(linewidth_mhz * 1e6), det, mode, np.arange(-300, 301))
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        env = G2Envelope.from_linewidth(rng.uniform(3.0, 20.0) * 1e6)
+        det = DetectionModel(
+            t_bin_s=1e-9, t0_s=rng.uniform(-30.0, 40.0) * 1e-9, rate1_hz=1e4, rate2_hz=1e4, round_trip_s=1 / 501e6
+        )
+        mode = ("single", "multi")[seed % 2]
+        yield simulate_histogram(env, det, mode, np.arange(-120, 121), n_pairs=50_000, duration_s=2.0, seed=seed)
+    yield FIG4
+
+
+def test_fit_is_scipy_trf_bit_for_bit_with_the_same_svd(monkeypatch):
+    """With scipy's SVD in place of numpy's, the ported solver returns
+    least_squares' parameters exactly: 144 deterministic histograms (both
+    modes, four delays, three linewidths, three bin widths, with and without
+    accidentals), 16 seeded noisy ones and fig4's."""
+    monkeypatch.setattr(np.linalg, "svd", scipy.linalg.svd)
+    fits = 0
+    for hist in _faithfulness_histograms():
+        port, oracle = _port_and_scipy(hist, monkeypatch)
+        np.testing.assert_array_equal(port, oracle)
+        fits += 1
+    assert fits == 161
+
+
+def test_fig4_fit_with_numpy_svd_is_within_1e_6_of_scipy(monkeypatch):
+    """numpy's and scipy's LAPACK builds differ, so the SVD differs at
+    rounding; fig4's four parameters stay within 1e-6 relative."""
+    port, oracle = _port_and_scipy(FIG4, monkeypatch)
+    np.testing.assert_allclose(port, oracle, rtol=1e-6, atol=0)
 
 
 def test_fit_flat_histogram_fails():

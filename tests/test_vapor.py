@@ -92,6 +92,16 @@ def test_density_range_check(atoms):
         number_density(460.0, atoms)
 
 
+@pytest.mark.parametrize("temp_k", [200.0, 460.0, 1e300])
+def test_spacing_check_refuses_the_temperature_first(atoms, temp_k):
+    """The grid check refuses a temperature outside the validated range
+    before it computes a Voigt width, so 1e300 K warns of no overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"validated range \(250, 450\) K"):
+            check_spacing(natural_cell(atoms, temp_k=temp_k), atoms, 0.5e6)
+
+
 def test_partial_density_linear_in_fraction(atoms):
     # doubling an isotope fraction doubles that isotope's contribution:
     # absorption depth scales accordingly on an isolated line
