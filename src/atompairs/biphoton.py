@@ -15,7 +15,6 @@ import numpy as np
 
 from atompairs.errors import ConfigError, NumericError, check_points
 
-_LN2 = np.log(2.0)
 # the largest reference amplitude whose coincidence rate alpha^4 / 4 is a float
 _ALPHA_MAX = np.finfo(float).max ** 0.25
 # the largest mean numpy's Poisson sampler draws from
@@ -66,35 +65,28 @@ def ideal_opo_psi(bandwidth_fwhm_hz: float, phase_rad: float, tau_s) -> Biphoton
     return BiphotonWaveFunction(tau_s=tau, psi=amp * np.exp(1j * phase_rad))
 
 
-@dataclass(frozen=True)
-class CoherentRef:
-    """CW reference: amplitude alpha (flux-normalized) and analyser phase."""
-
-    alpha: complex
-    phase_rad: float = 0.0
-
-    @property
-    def pair_amplitude(self) -> complex:
-        """Two-photon amplitude alpha^2 / 2 contributed by the coherent state."""
-        return self.alpha**2 / 2.0
-
-
-def coincidence_rate(psi: BiphotonWaveFunction, ref: CoherentRef) -> np.ndarray:
-    """R_phi(tau) = |psi(tau) + (alpha^2/2) exp(2 i phi)|^2."""
-    interferent = ref.pair_amplitude * np.exp(2j * ref.phase_rad)
-    return np.abs(psi.psi + interferent) ** 2
+def coincidence_rate(psi: BiphotonWaveFunction, alpha: float, phase_rad) -> np.ndarray:
+    """R_phi(tau) = |psi(tau) + (alpha^2/2) exp(2 i phi)|^2; a column of
+    phases gives one row per phase."""
+    return np.abs(psi.psi + alpha**2 / 2.0 * np.exp(2j * phase_rad)) ** 2
 
 
 @dataclass(frozen=True)
-class InterferenceRecord:
-    phase_rad: float
+class InterferenceRecords:
+    """Coincidence counts of one experiment: one row per analyser phase and
+    one column per tau point, all under one exposure."""
+
+    phases_rad: np.ndarray
     tau_s: np.ndarray
     counts: np.ndarray
     exposure: float
 
     def __post_init__(self):
+        shape = (np.size(self.phases_rad), np.size(self.tau_s))
+        if np.shape(self.counts) != shape:
+            raise ConfigError(f"records: counts are shaped {np.shape(self.counts)}, not (phases, tau) = {shape}")
         if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
+            raise ConfigError("records: counts must be nonnegative")
 
 
 def simulate_records(
@@ -104,7 +96,7 @@ def simulate_records(
     exposure: float,
     noise: bool = True,
     seed: int = 0,
-) -> list[InterferenceRecord]:
+) -> InterferenceRecords:
     """Coincidence histograms for each analyser phase.
 
     ``exposure`` converts rates to expected counts; with ``noise`` the counts
@@ -117,20 +109,11 @@ def simulate_records(
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
-    rng = np.random.default_rng(seed)
-    records = []
-    for phi in phases:
-        rate = coincidence_rate(psi, CoherentRef(alpha=alpha, phase_rad=phi))
-        expected = exposure * rate
-        if noise and not expected.max() <= _POISSON_MAX:
-            raise ConfigError(f"params.exposure: {expected.max():.3g} counts expected in a bin exceed the Poisson sampler")
-        counts = rng.poisson(expected).astype(float) if noise else expected
-        records.append(
-            InterferenceRecord(
-                phase_rad=float(phi), tau_s=psi.tau_s, counts=counts, exposure=exposure
-            )
-        )
-    return records
+    expected = exposure * coincidence_rate(psi, alpha, phases[:, None])
+    if noise and not expected.max() <= _POISSON_MAX:
+        raise ConfigError(f"params.exposure: {expected.max():.3g} counts expected in a bin exceed the Poisson sampler")
+    counts = np.random.default_rng(seed).poisson(expected).astype(float) if noise else expected
+    return InterferenceRecords(phases_rad=phases, tau_s=psi.tau_s, counts=counts, exposure=exposure)
 
 
 @dataclass(frozen=True)
@@ -141,61 +124,50 @@ class Reconstruction:
     clipped_points: int
 
 
-def reconstruct_wavefunction(records: list[InterferenceRecord], alpha: float) -> Reconstruction:
+def reconstruct_wavefunction(records: InterferenceRecords, alpha: float) -> Reconstruction:
     """Per-tau inversion of the interference records.
 
     With c = alpha^2/2 the model is R = (|psi|^2 + c^2) + 2c Re(psi) cos(2phi)
     + 2c Im(psi) sin(2phi): linear in (u, x, y) = (|psi|^2 + c^2, Re, Im).
-    Weighted least squares per tau; the phase uncertainty follows from the
-    Poisson covariance of the fitted (x, y).
+    Unweighted least squares per tau through the pseudo-inverse of the phase
+    design, from its one SVD; the phase uncertainty follows from the Poisson
+    covariance of the fitted (x, y).
     """
     if not 0 < alpha < _ALPHA_MAX:
         raise ConfigError(f"params.alpha: the reference amplitude must be > 0 and below {_ALPHA_MAX:.4g}")
-    if len(records) < 3:
-        raise ConfigError("need at least 3 records")
-    if not all(np.isfinite(r.exposure) and r.exposure > 0 for r in records):
+    phases = records.phases_rad
+    if phases.size < 3:
+        raise ConfigError("need at least 3 analyser phases")
+    exposure = records.exposure
+    if not (np.isfinite(exposure) and exposure > 0):
         raise ConfigError("params.exposure: reconstruction needs a finite exposure > 0")
-    phases = np.array([r.phase_rad for r in records])
     # conditioning: phases must span the 2phi circle with >= 3 distinct points
     distinct = np.unique(np.round(np.mod(phases, np.pi) / np.pi * 1e6))
     if distinct.size < 3:
         raise NumericError("analyser phases are degenerate modulo pi")
 
-    tau = records[0].tau_s
-    for r in records:
-        if r.tau_s.shape != tau.shape or not np.allclose(r.tau_s, tau):
-            raise ConfigError("records must share one tau grid")
-
     c = alpha**2 / 2.0
     a_mat = np.column_stack(
         [np.ones_like(phases), 2.0 * c * np.cos(2 * phases), 2.0 * c * np.sin(2 * phases)]
     )
-    counts = np.stack([r.counts for r in records])  # (n_phi, n_tau)
-    exposure = np.array([r.exposure for r in records])[:, None]
-    rates = counts / exposure
+    left, s, right = np.linalg.svd(a_mat, full_matrices=False)
+    if not s[0] <= 1e8 * s[-1]:  # cond = s[0] / s[-1] above 1e8, or s[-1] = 0
+        raise NumericError(f"phase design matrix ill-conditioned (cond={s[0] / s[-1] if s[-1] else np.inf:.2g})")
+    pinv = right.T @ ((1.0 / s)[:, None] * left.T)  # (3, n_phi)
 
-    cond = np.linalg.cond(a_mat)
-    if cond > 1e8:
-        raise NumericError(f"phase design matrix ill-conditioned (cond={cond:.2g})")
-
-    coef, *_ = np.linalg.lstsq(a_mat, rates, rcond=None)
-    u, x, y = coef
-    psi = x + 1j * y
+    u, x, y = pinv @ (records.counts / exposure)
     amp_sq = x**2 + y**2
-
+    # |psi|^4 divides the phase variance; where it underflows to 0 no
+    # interference was recorded and the phase has no error bar
+    if blind := np.count_nonzero(amp_sq**2 == 0):
+        raise NumericError(
+            f"params.exposure: {blind} of {amp_sq.size} tau points hold no interference "
+            f"(|psi|^2 = 0 to rounding), so their phase is undefined; raise the exposure"
+        )
     # error propagation: per-record rate variance from Poisson counts
-    var_rates = np.maximum(counts, 1.0) / exposure**2
-    pinv = np.linalg.pinv(a_mat)  # (3, n_phi)
-    var_x = (pinv[1] ** 2)[:, None] * var_rates
-    var_y = (pinv[2] ** 2)[:, None] * var_rates
-    cov_xy = (pinv[1] * pinv[2])[:, None] * var_rates
-    var_x = var_x.sum(axis=0)
-    var_y = var_y.sum(axis=0)
-    cov_xy = cov_xy.sum(axis=0)
-    denom = np.maximum(amp_sq, 1e-300)
-    sigma_phase = np.sqrt(
-        np.abs(y**2 * var_x + x**2 * var_y - 2 * x * y * cov_xy) / denom**2
-    )
+    var_rates = np.maximum(records.counts, 1.0) / exposure**2
+    var_x, var_y, cov_xy = ((pinv[[1, 2, 1]] * pinv[[1, 2, 2]])[:, :, None] * var_rates).sum(axis=1)
+    sigma_phase = np.sqrt(np.abs(y**2 * var_x + x**2 * var_y - 2 * x * y * cov_xy) / amp_sq**2)
 
     # independent amplitude estimate from the phi-average, clipped at zero
     mean_based = u - c**2
@@ -203,7 +175,7 @@ def reconstruct_wavefunction(records: list[InterferenceRecord], alpha: float) ->
     amp_sq_mean = np.maximum(mean_based, 0.0)
 
     return Reconstruction(
-        wavefunction=BiphotonWaveFunction(tau_s=tau, psi=psi),
+        wavefunction=BiphotonWaveFunction(tau_s=records.tau_s, psi=x + 1j * y),
         phase_sigma_rad=sigma_phase,
         amplitude_sq_from_mean=amp_sq_mean,
         clipped_points=clipped,

@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
+# faddeeva (unused here) ahead of filters, so that scipy.special loads before
+# scipy.constants: the other order starts about 5 % slower (perfbench setup_s)
+from atompairs import biphoton, cavity, coincidences, faddeeva, filters, noon, vapor  # noqa: F401
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
 from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError, check_points
 
@@ -356,11 +358,11 @@ def run_interference(p, atoms, sink, seed):
         )
     write_csv(
         sink.path("interference.csv"),
-        ["tau_ns"] + [f"phase_{np.degrees(r.phase_rad):g}deg" for r in records],
-        [psi.tau_s * 1e9] + [r.counts for r in records],
+        ["tau_ns"] + [f"phase_{np.degrees(ph):g}deg" for ph in records.phases_rad],
+        [psi.tau_s * 1e9, *records.counts],
     )
     floor = p["alpha"] ** 4 / 4.0 * p["exposure"]
-    return {"coherent_floor_counts": floor, "n_phases": len(records)}
+    return {"coherent_floor_counts": floor, "n_phases": len(records.phases_rad)}
 
 
 def run_reconstruct(p, atoms, sink, seed):
@@ -370,21 +372,16 @@ def run_reconstruct(p, atoms, sink, seed):
         payload = _read_json(p["records"])
         try:
             alpha = float(payload["alpha"])
-            exposure = float(payload["exposure"])
-            if not (np.isfinite(exposure) and exposure > 0):
-                raise ConfigError("params.records: the bundle's exposure must be finite and > 0")
-            tau = np.asarray(payload["tau_ns"], dtype=float) * 1e-9
-            records = [
-                biphoton.InterferenceRecord(
-                    phase_rad=float(ph),
-                    tau_s=tau,
-                    counts=np.asarray(counts, dtype=float),
-                    exposure=exposure,
-                )
-                for ph, counts in zip(payload["phases_rad"], payload["counts"], strict=True)
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            records = biphoton.InterferenceRecords(
+                phases_rad=np.asarray(payload["phases_rad"], dtype=float),
+                tau_s=np.asarray(payload["tau_ns"], dtype=float) * 1e-9,
+                counts=np.asarray(payload["counts"], dtype=float),
+                exposure=float(payload["exposure"]),
+            )
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"params.records: bad records bundle: {exc}") from exc
+        if not (np.isfinite(records.exposure) and records.exposure > 0):
+            raise ConfigError("params.records: the bundle's exposure must be finite and > 0")
     else:
         # a negative count is no phases, which simulate_records refuses
         phases = np.linspace(0.0, np.pi, max(p["n_phases"], 0), endpoint=False)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exprel
 
 from atompairs.errors import ConfigError, FitFailure, NumericError, check_points
 
@@ -149,7 +148,8 @@ def _smooth_bin_average(envelope, offset_bins, bins, t_bin):
     c = np.abs(np.asarray(bins, dtype=float) - float(offset_bins))
     near = c < 1.0
     out = np.empty_like(c)
-    out[~near] = np.exp(-g * (c[~near] - 1.0)) * exprel(-g) ** 2
+    shrink = -np.expm1(-g) / g if g > 0 else 1.0  # (1 - exp(-g)) / g, 1 at g = 0
+    out[~near] = np.exp(-g * (c[~near] - 1.0)) * shrink**2
     u = np.stack([1.0 + c[near], c[near], 1.0 - c[near]])
     if g < 1.0:  # F(u) = u^2 _ramp(g u), each term accurate
         out[near] = _SECOND_DIFFERENCE @ (u**2 * _ramp(g * u))

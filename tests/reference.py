@@ -398,3 +398,16 @@ def tent_bin_averages(g, offset, bins, dps=120):
             linear = abs(i + 1 - offset) - 2 * abs(i - offset) + abs(i - 1 - offset)
             out.append((decay[i + 1] - 2 * decay[i] + decay[i - 1]) / g**2 + linear / g)
         return out
+
+
+def per_phase_counts(psi, alpha, phases_rad, exposure, noise=True, seed=0):
+    """Coincidence counts drawn one analyser phase at a time from one seeded
+    generator, the loop that the one-call table replaced: expected counts
+    exposure |psi + (alpha^2/2) e^{2 i phi}|^2, Poisson-sampled with
+    ``noise``.  Returns the rows stacked, one per phase."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for phi in np.atleast_1d(np.asarray(phases_rad, dtype=float)):
+        expected = exposure * np.abs(psi.psi + alpha**2 / 2.0 * np.exp(2j * phi)) ** 2
+        rows.append(rng.poisson(expected).astype(float) if noise else expected)
+    return np.stack(rows)

@@ -146,13 +146,13 @@ def test_criterion_5_interference_periodicity():
     alpha = np.sqrt(2.0)
     worst = 0.0
     for phi in np.linspace(0.0, np.pi, 17):
-        r1 = biphoton.coincidence_rate(psi, biphoton.CoherentRef(alpha, phi))
-        r2 = biphoton.coincidence_rate(psi, biphoton.CoherentRef(alpha, phi + np.pi))
+        r1 = biphoton.coincidence_rate(psi, alpha, phi)
+        r2 = biphoton.coincidence_rate(psi, alpha, phi + np.pi)
         worst = max(worst, float(np.abs(r1 - r2).max() / r1.max()))
     floor = alpha**4 / 4.0
     i0 = np.argmin(np.abs(tau))
-    con = biphoton.coincidence_rate(psi, biphoton.CoherentRef(alpha, 0.0))[i0]
-    des = biphoton.coincidence_rate(psi, biphoton.CoherentRef(alpha, np.pi / 2))[i0]
+    con = biphoton.coincidence_rate(psi, alpha, 0.0)[i0]
+    des = biphoton.coincidence_rate(psi, alpha, np.pi / 2)[i0]
     ok = worst <= 1e-12 and des < floor < con
     _report(
         "#5 two-photon interference",

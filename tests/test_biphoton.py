@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from atompairs.biphoton import (
     BiphotonWaveFunction,
-    CoherentRef,
+    InterferenceRecords,
     coincidence_rate,
     ideal_opo_psi,
     reconstruct_wavefunction,
@@ -15,6 +16,8 @@ from atompairs.biphoton import (
     symmetric_tau_grid,
 )
 from atompairs.errors import ConfigError, NumericError
+
+from reference import per_phase_counts
 
 TAU = symmetric_tau_grid(120e-9, 1e-9)
 
@@ -51,21 +54,21 @@ def test_psi_grid_validation():
 
 def test_rate_coherent_only():
     psi = BiphotonWaveFunction(tau_s=TAU, psi=np.zeros_like(TAU, dtype=complex))
-    rate = coincidence_rate(psi, CoherentRef(alpha=1.3, phase_rad=0.4))
+    rate = coincidence_rate(psi, 1.3, 0.4)
     assert np.allclose(rate, 1.3**4 / 4.0)
 
 
 def test_rate_pairs_only():
     psi = ideal_opo_psi(8.1e6, 0.2, TAU)
-    rate = coincidence_rate(psi, CoherentRef(alpha=0.0, phase_rad=0.0))
+    rate = coincidence_rate(psi, 0.0, 0.0)
     assert np.allclose(rate, psi.amplitude**2)
 
 
 def test_rate_pi_periodic():
     psi = ideal_opo_psi(8.1e6, 0.7, TAU)
     for phi in (0.0, 0.3, 1.1, 2.9):
-        r1 = coincidence_rate(psi, CoherentRef(1.1, phi))
-        r2 = coincidence_rate(psi, CoherentRef(1.1, phi + np.pi))
+        r1 = coincidence_rate(psi, 1.1, phi)
+        r2 = coincidence_rate(psi, 1.1, phi + np.pi)
         assert np.abs(r1 - r2).max() <= 1e-12 * r1.max()
 
 
@@ -74,9 +77,7 @@ def test_visibility_identity():
     psi = ideal_opo_psi(8.1e6, 0.9, TAU)
     alpha = 1.2
     phis = np.linspace(0, np.pi, 2001, endpoint=False)
-    rates = np.stack(
-        [coincidence_rate(psi, CoherentRef(alpha, p)) for p in phis]
-    )
+    rates = coincidence_rate(psi, alpha, phis[:, None])
     swing = rates.max(axis=0) - rates.min(axis=0)
     assert np.allclose(swing, 2 * psi.amplitude * alpha**2, rtol=1e-5, atol=1e-9)
 
@@ -85,8 +86,8 @@ def test_destructive_dips_below_coherent_floor():
     psi = ideal_opo_psi(8.1e6, 0.0, TAU)
     alpha = np.sqrt(2.0)  # matched amplitudes
     floor = alpha**4 / 4.0
-    constructive = coincidence_rate(psi, CoherentRef(alpha, 0.0))
-    destructive = coincidence_rate(psi, CoherentRef(alpha, np.pi / 2))
+    constructive = coincidence_rate(psi, alpha, 0.0)
+    destructive = coincidence_rate(psi, alpha, np.pi / 2)
     i0 = np.argmin(np.abs(TAU))
     assert constructive[i0] > floor
     assert destructive[i0] < floor
@@ -99,15 +100,13 @@ def test_records_deterministic_without_noise():
     psi = ideal_opo_psi(8.1e6, 0.1, TAU)
     a = simulate_records(psi, 1.0, [0.0, 0.5, 1.0, 1.5], 10.0, noise=False)
     b = simulate_records(psi, 1.0, [0.0, 0.5, 1.0, 1.5], 10.0, noise=False)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.counts, rb.counts)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_zero_exposure_zero_counts():
     psi = ideal_opo_psi(8.1e6, 0.1, TAU)
     recs = simulate_records(psi, 1.0, [0.0, 0.5, 1.0], 0.0, noise=True, seed=5)
-    for r in recs:
-        assert np.all(r.counts == 0)
+    assert recs.counts.shape == (3, TAU.size) and np.all(recs.counts == 0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -125,7 +124,77 @@ def test_non_finite_psi_and_record_inputs_refused(value):
     with pytest.raises(ConfigError, match="reference amplitude"):
         reconstruct_wavefunction(records, value)
     with pytest.raises(ConfigError, match="exposure"):
-        reconstruct_wavefunction([replace(r, exposure=value) for r in records], 1.0)
+        reconstruct_wavefunction(replace(records, exposure=value), 1.0)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    phases=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=9),
+    exposure=st.sampled_from([0.0, 1e-3, 0.5, 7.0, 2000.0, 1e9]) | st.floats(min_value=0.0, max_value=1e6),
+    alpha=st.floats(min_value=0.0, max_value=3.0),
+    noise=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_records_table_is_the_per_phase_loop_bit_for_bit(seed, phases, exposure, alpha, noise):
+    """One Poisson call over the (phases, tau) table draws exactly what one
+    call per phase drew from the same generator."""
+    psi = ideal_opo_psi(8.1e6, 0.3, TAU)
+    recs = simulate_records(psi, alpha, phases, exposure, noise=noise, seed=seed)
+    assert recs.counts.shape == (len(phases), TAU.size)
+    assert np.array_equal(recs.counts, per_phase_counts(psi, alpha, phases, exposure, noise=noise, seed=seed))
+    assert np.array_equal(recs.phases_rad, phases) and recs.tau_s is psi.tau_s
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.ones((3, TAU.size - 1)), r"\(phases, tau\)"),
+        (np.ones((4, TAU.size)), r"\(phases, tau\)"),
+        (np.ones(3 * TAU.size), r"\(phases, tau\)"),
+        (-np.ones((3, TAU.size)), "nonnegative"),
+    ],
+)
+def test_records_refuse_counts_off_the_phases_by_tau_table(counts, message):
+    with pytest.raises(ConfigError, match=message):
+        InterferenceRecords(phases_rad=np.array([0.0, 0.5, 1.0]), tau_s=TAU, counts=counts, exposure=1.0)
+
+
+def test_reconstruction_factors_its_design_once(monkeypatch):
+    """The coefficients, the condition number and the (x, y) covariance all
+    come from one SVD of the phase design."""
+    psi = ideal_opo_psi(8.1e6, 0.35, TAU)
+    recs = simulate_records(psi, np.sqrt(2.0), np.linspace(0, np.pi, 12, endpoint=False), 7.0, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the design is factored by svd alone")
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    for name in ("cond", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rec = reconstruct_wavefunction(recs, np.sqrt(2.0))
+    assert calls == [(12, 3)]
+    assert np.all(np.isfinite(rec.phase_sigma_rad))
+
+
+def test_reconstruction_refuses_tau_points_without_interference():
+    """Where no coincidence was counted at any phase the amplitude estimate
+    is 0 and its phase has no error bar: refused by count, naming the
+    exposure, before any 0/0."""
+    psi = ideal_opo_psi(8.1e6, 0.35, TAU)
+    recs = simulate_records(psi, np.sqrt(2.0), np.linspace(0, np.pi, 8, endpoint=False), 7.0, seed=3)
+    counts = recs.counts.copy()
+    counts[:, :5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"params\.exposure: 5 of 241 tau points hold no interference"):
+            reconstruct_wavefunction(replace(recs, counts=counts), np.sqrt(2.0))
 
 
 def test_needs_three_phases():
@@ -205,7 +274,7 @@ def test_reconstruction_recovers_phase_ramp():
 @settings(max_examples=20)
 def test_rate_nonnegative_property(phi, alpha):
     psi = ideal_opo_psi(8.1e6, 1.1, TAU)
-    rate = coincidence_rate(psi, CoherentRef(alpha, phi))
+    rate = coincidence_rate(psi, alpha, phi)
     assert np.all(rate >= 0.0)
 
 

@@ -163,19 +163,28 @@ def test_records_bundle_exposure_must_be_positive(tmp_path, capsys):
 
 
 def test_records_bundle_lengths_must_agree(tmp_path, capsys):
+    """``counts`` holds one row per phase and one column per tau point: a
+    missing row, rows shorter or longer than ``tau_ns`` and ragged rows are
+    each refused before anything is written."""
     bundle = {
         "alpha": 1.0,
         "exposure": 1.0,
         "tau_ns": [-1.0, 0.0, 1.0],
         "phases_rad": [0.0, 0.6, 1.2, 1.8],
-        "counts": [[1, 2, 1], [1, 2, 1], [1, 2, 1]],
     }
     path = tmp_path / "records.json"
-    path.write_text(json.dumps(bundle))
     out = tmp_path / "out"
-    assert main(["--out-dir", str(out), "reconstruct", "--records", str(path)]) == 2
-    assert "params.records" in capsys.readouterr().err
-    assert not (out / "reconstruction.csv").exists()
+    for counts in (
+        [[1, 2, 1]] * 3,
+        [[1, 2]] * 4,
+        [[1, 2, 1, 2]] * 4,
+        [[1, 2, 1], [1, 2], [1, 2, 1], [1, 2, 1]],
+    ):
+        path.write_text(json.dumps({**bundle, "counts": counts}))
+        assert main(["--out-dir", str(out), "reconstruct", "--records", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "params.records" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_fadof_window_holding_the_grid_refused_up_front(tmp_path, capsys):
@@ -242,8 +251,8 @@ def test_records_roundtrip_through_cli(tmp_path):
         "alpha": 1.0,
         "exposure": 100.0,
         "tau_ns": (tau * 1e9).tolist(),
-        "phases_rad": [r.phase_rad for r in recs],
-        "counts": [r.counts.tolist() for r in recs],
+        "phases_rad": recs.phases_rad.tolist(),
+        "counts": recs.counts.tolist(),
     }
     path = tmp_path / "records.json"
     path.write_text(json.dumps(bundle))
@@ -817,12 +826,21 @@ def test_write_json_refuses_non_finite_values_before_opening_the_file(tmp_path):
 
 
 def test_non_finite_csv_cell_exits_3_and_writes_no_table(tmp_path, capsys):
-    """At an exposure of 1e-300 no pair is recorded, so the reconstructed
-    phases have no error bar (0/0): the table is refused before it is opened."""
+    """A records bundle holding a NaN count (json reads NaN) reconstructs a
+    NaN at that tau point: the table is refused before it is opened."""
+    bundle = {
+        "alpha": 1.0,
+        "exposure": 1.0,
+        "tau_ns": [-1.0, 0.0, 1.0],
+        "phases_rad": [0.0, 0.6, 1.2],
+        "counts": [[1, 2, 1], [1, float("nan"), 1], [1, 3, 1]],
+    }
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(bundle))
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["--out-dir", str(out), "reconstruct", "--exposure", "1e-300"])
+        rc = main(["--out-dir", str(out), "reconstruct", "--records", str(path)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "numeric error:" in err and "reconstruction.csv" in err and "Traceback" not in err
@@ -856,6 +874,9 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         (["interference", "--alpha", "1e300"], 2, "params.alpha"),
         (["reconstruct", "--alpha", "1e300"], 2, "params.alpha"),
         (["reconstruct", "--exposure", "1e300"], 2, "params.exposure"),
+        (["reconstruct", "--exposure", "0.5"], 3, "params.exposure: 1 of 241 tau points hold no interference"),
+        (["reconstruct", "--exposure", "1e-300"], 3, "params.exposure: 241 of 241 tau points hold no interference"),
+        (["reconstruct", "--alpha", "1e-300"], 3, "phase design matrix ill-conditioned (cond=inf)"),
         (["matching", "--fsr-MHz", "1e300"], 0, ""),
         (["matching", "--envelope-GHz", "1e-300"], 0, ""),
         (["matching", "--length-cm", "1e300"], 3, "degenerate_pair_fraction: no pair passes the filter"),
@@ -864,6 +885,7 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
     ],
     ids=[
         "g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure",
+        "reconstruct-exposure-0.5", "reconstruct-exposure-1e-300", "reconstruct-alpha-1e-300",
         "matching-fsr", "matching-envelope", "matching-length", "matching-temp", "spectroscopy-temps",
     ],
 )
@@ -874,8 +896,11 @@ def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, 
     whose mode offsets overflow the envelope's square is its degenerate mode;
     a cell that passes no pair has no degenerate fraction; a temperature
     outside the validated range is refused before the grid check computes a
-    line width.  None of them warns on the way: pytest records warnings
-    rather than printing them, so they are raised here as errors."""
+    line width; an exposure at which some tau points record no pair at any
+    phase is refused by their count before a 0/0, and a reference too faint
+    for the phase design by its condition number.  None of them warns on the
+    way: pytest records warnings rather than printing them, so they are
+    raised here as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc

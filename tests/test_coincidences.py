@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,17 @@ def test_single_mode_bins_stay_finite_at_every_decay():
     for g in (1e4, 1e8, 1e200):
         h = binned_histogram(G2Envelope(gamma1=g, gamma2=0.0), DetectionModel(t_bin_s=1.0, t0_s=0.3), "single", bins)
         assert np.all(np.isfinite(h.values)) and h.values.max() > 0.0
+
+
+def test_coincidences_import_loads_no_scipy():
+    """The histogram model and its fit are numpy only."""
+    code = "import sys, atompairs.coincidences; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zero_rates_zero_floor():
