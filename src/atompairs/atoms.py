@@ -29,12 +29,12 @@ from typing import Mapping
 
 import numpy as np
 import yaml
-from scipy.constants import physical_constants
 
 from atompairs.errors import ConfigError
 from atompairs.wigner import wigner_3j
 
-MU_B_HZ_PER_T = physical_constants["Bohr magneton in Hz/T"][0]
+# Bohr magneton in Hz/T, CODATA 2022
+MU_B_HZ_PER_T = 13996244917.1
 
 _POLARIZATIONS = {"sigma+": 1, "pi": 0, "sigma-": -1}
 _D1 = ("5S1/2", "5P1/2")  # ground and excited manifold of the lines

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from atompairs.errors import ConfigError, NumericError, check_points
 
@@ -112,7 +113,7 @@ def simulate_records(
     expected = exposure * coincidence_rate(psi, alpha, phases[:, None])
     if noise and not expected.max() <= _POISSON_MAX:
         raise ConfigError(f"params.exposure: {expected.max():.3g} counts expected in a bin exceed the Poisson sampler")
-    counts = np.random.default_rng(seed).poisson(expected).astype(float) if noise else expected
+    counts = default_rng(seed).poisson(expected).astype(float) if noise else expected
     return InterferenceRecords(phases_rad=phases, tau_s=psi.tau_s, counts=counts, exposure=exposure)
 
 
@@ -141,9 +142,10 @@ def reconstruct_wavefunction(records: InterferenceRecords, alpha: float) -> Reco
     exposure = records.exposure
     if not (np.isfinite(exposure) and exposure > 0):
         raise ConfigError("params.exposure: reconstruction needs a finite exposure > 0")
-    # conditioning: phases must span the 2phi circle with >= 3 distinct points
-    distinct = np.unique(np.round(np.mod(phases, np.pi) / np.pi * 1e6))
-    if distinct.size < 3:
+    # conditioning: phases must span the 2phi circle with >= 3 distinct points,
+    # counted as steps between the sorted keys (np.unique would import numpy.ma)
+    keys = np.sort(np.round(np.mod(phases, np.pi) / np.pi * 1e6))
+    if np.count_nonzero(np.diff(keys)) < 2:
         raise NumericError("analyser phases are degenerate modulo pi")
 
     c = alpha**2 / 2.0
@@ -164,8 +166,15 @@ def reconstruct_wavefunction(records: InterferenceRecords, alpha: float) -> Reco
             f"params.exposure: {blind} of {amp_sq.size} tau points hold no interference "
             f"(|psi|^2 = 0 to rounding), so their phase is undefined; raise the exposure"
         )
-    # error propagation: per-record rate variance from Poisson counts
-    var_rates = np.maximum(records.counts, 1.0) / exposure**2
+    # error propagation: per-record rate variance from Poisson counts, at
+    # least one count's
+    with np.errstate(over="ignore", divide="ignore"):
+        var_rates = np.maximum(records.counts, 1.0) / exposure**2
+    if np.isinf(var_rates).any():
+        raise NumericError(
+            f"params.exposure: at exposure {exposure:.3g} the rate variance, counts / exposure^2, "
+            f"overflows; raise the exposure"
+        )
     var_x, var_y, cov_xy = ((pinv[[1, 2, 1]] * pinv[[1, 2, 2]])[:, :, None] * var_rates).sum(axis=1)
     sigma_phase = np.sqrt(np.abs(y**2 * var_x + x**2 * var_y - 2 * x * y * cov_xy) / amp_sq**2)
 

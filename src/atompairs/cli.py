@@ -29,9 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-# faddeeva (unused here) ahead of filters, so that scipy.special loads before
-# scipy.constants: the other order starts about 5 % slower (perfbench setup_s)
-from atompairs import biphoton, cavity, coincidences, faddeeva, filters, noon, vapor  # noqa: F401
+from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
 from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError, check_points
 
@@ -522,9 +520,15 @@ def run_noon_scan(p, atoms, sink, seed):
     }
     write_csv(sink.path("scan.csv"), list(cols), list(cols.values()))
 
+    # an opaque cell or a probe on the line leaves no rate to read
+    keys = f"params.detuning_ghz = {p['detuning_ghz']!r}, params.length_mm = {p['length_mm']!r}"
+    try:
+        visibilities = noon.visibility(cols["coinc_HH"]), noon.visibility(cols["coinc_VV"])
+    except NumericError as exc:
+        raise NumericError(f"{exc} at the probe frequency {nu!r} Hz ({keys})") from None
     report = {
-        "hh_visibility": noon.visibility(cols["coinc_HH"]),
-        "vv_visibility": noon.visibility(cols["coinc_VV"]),
+        "hh_visibility": visibilities[0],
+        "vv_visibility": visibilities[1],
         "hh_oscillations": noon.count_oscillations(cols["coinc_HH"]),
         "singles_v_oscillations": noon.count_oscillations(cols["singles_V"]),
         "probe_frequency_hz": nu,
@@ -534,7 +538,6 @@ def run_noon_scan(p, atoms, sink, seed):
         fi = noon.fisher_information(scan, b_star)
         sql = noon.sql_fisher_information(*at_fisher[:2], h_t)
         if sql == 0:  # the probe does not sense the field: sql_ratio would be 0/0 or infinite
-            keys = f"params.detuning_ghz = {p['detuning_ghz']!r}, params.length_mm = {p['length_mm']!r}"
             raise NumericError(f"sql_ratio: the SQL Fisher information is 0 at the probe frequency {nu!r} Hz ({keys})")
         full, frozen = noon.fisher_information_frozen_loss(state, at_fisher, h_t)
         report["fisher"] = {
@@ -723,13 +726,18 @@ def validate_scenario(cfg: dict) -> tuple[str, dict]:
 
 def run_scenario(cfg: dict, atoms, out_dir, seed: int) -> dict:
     """Run one scenario; its files and manifest reach ``out_dir`` only if it
-    completes."""
+    completes.  A numpy overflow, division by zero or invalid operation in the
+    runner is a NumericError naming the scenario; underflow stays silent, so
+    that deep absorption reads 0."""
     name, params = validate_scenario(cfg)
     sink = OutputSink(Path(out_dir))
     try:
-        report = RUNNERS[name](params, atoms, sink, seed)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = RUNNERS[name](params, atoms, sink, seed)
         sink.manifest({"scenario": name, "seed": seed, "report": report})
         sink.commit()
+    except FloatingPointError as exc:
+        raise NumericError(f"{name}: {exc}") from None
     finally:
         shutil.rmtree(sink.staging, ignore_errors=True)
     return report

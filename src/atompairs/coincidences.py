@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from atompairs.errors import ConfigError, FitFailure, NumericError, check_points
 
@@ -205,7 +206,7 @@ def simulate_histogram(
     accidentals as a Poisson floor.  Deterministic for a fixed seed."""
     if mode not in ("single", "multi"):
         raise ConfigError("mode must be 'single' or 'multi'")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     bins = np.asarray(bins, dtype=int)
 
     # delays relative to T0; Laplace is the double exponential
@@ -248,7 +249,11 @@ def fit_envelope(hist: CoincidenceHistogram) -> EnvelopeFit:
     """
     t = hist.delays_s.astype(float)
     y = hist.values.astype(float)
-    floor0 = float(np.median(y))
+    # the median, as np.median takes it, from one partition: np.median would
+    # import numpy.ma at its first call
+    lower, upper = (y.size - 1) // 2, y.size // 2
+    mid = np.partition(y, [lower, upper])
+    floor0 = float(mid[lower] + mid[upper]) / 2.0
     peak = float(y.max())
     # noise scale from the sub-median bins: for Poisson counts this is the
     # usual sqrt(rate), for noiseless rate tables it collapses to ~0

@@ -84,7 +84,8 @@ class TwoPhotonPolState:
 
 def pure_state(vec) -> TwoPhotonPolState:
     v = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(v)
     if not (np.isfinite(norm) and norm > 0):
         raise ConfigError("state vector must be finite and nonzero")
     v = v / norm
@@ -98,13 +99,14 @@ def make_noon_from_pair(imbalance: float = 0.0) -> TwoPhotonPolState:
     asymmetry that makes singles rates field-dependent in practice.
     """
     v = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    if imbalance:
-        v = v + imbalance * np.array([0.0, 0.0, 0.0, 1.0])
+    v[3] = imbalance
     return pure_state(v)
 
 
 def noon_state(phase_rad: float = 0.0) -> TwoPhotonPolState:
     """(|HH> + e^{2 i phi} |VV>)/sqrt(2)."""
+    if not np.isfinite(phase_rad):
+        raise ConfigError("state phase must be finite")
     v = np.array([1.0, 0.0, 0.0, np.exp(2j * phase_rad)]) / np.sqrt(2.0)
     return pure_state(v)
 
@@ -299,6 +301,8 @@ def count_oscillations(values) -> float:
 
 def visibility(values) -> float:
     v = np.asarray(values, dtype=float)
+    if v.max() + v.min() == 0:
+        raise NumericError("visibility: every rate is 0, so the fringe visibility is undefined")
     return float((v.max() - v.min()) / (v.max() + v.min()))
 
 

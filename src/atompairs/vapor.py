@@ -41,13 +41,16 @@ from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.constants import epsilon_0, hbar, k as K_B
 
 from atompairs.atoms import MU_B_HZ_PER_T, AtomLibrary, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
 
+# CODATA 2022, as scipy.constants 1.17 states them
+C_LIGHT = 299792458.0  # m/s
+EPSILON_0 = 8.8541878188e-12  # F/m
+HBAR = 1.0545718176461565e-34  # J s, h / (2 pi)
+K_B = 1.380649e-23  # J/K
 _LN2 = np.log(2.0)
 # line x frequency points per block of the frequency walk: two per line and
 # anchor and two per group and grid point (``_walk_chi``)
@@ -161,7 +164,7 @@ class _LineArrays:
 
         nu0 = joined("frequency_hz")
         frac = each([cell.isotope_fractions.get(ls.isotope, 0.0) for ls in line_sets])
-        amp = density_m3 * frac * each([ls.population for ls in line_sets]) * joined("dipole_sq") / (epsilon_0 * hbar)
+        amp = density_m3 * frac * each([ls.population for ls in line_sets]) * joined("dipole_sq") / (EPSILON_0 * HBAR)
         sigma = _doppler_sigma_hz(nu0, each([ls.mass_kg for ls in line_sets]), cell.temperature_k)
         lorentz = each([ls.natural_fwhm_hz for ls in line_sets]) + cell.buffer_fwhm_hz
         group = joined("field") + each([n_fields * (ls.polarization == "sigma-") for ls in line_sets])

@@ -323,6 +323,17 @@ def test_mismatched_fields_rejected(atoms):
         transition_lines(g, e, "sigma+", iso)
 
 
+def test_pinned_constants_are_scipys_codata_bit_for_bit():
+    """The package states its physical constants as literals; scipy is their
+    oracle, at the CODATA release that scipy ships."""
+    from scipy.constants import c, epsilon_0, hbar, k, physical_constants
+
+    from atompairs import atoms, vapor
+
+    assert atoms.MU_B_HZ_PER_T == physical_constants["Bohr magneton in Hz/T"][0]
+    assert (vapor.C_LIGHT, vapor.EPSILON_0, vapor.HBAR, vapor.K_B) == (c, epsilon_0, hbar, k)
+
+
 def test_constants_internally_consistent(atoms):
     """Shipped linewidth and dipole element agree through the decay formula."""
     from scipy.constants import c, epsilon_0, hbar, pi

@@ -470,6 +470,7 @@ def test_matching_evaluates_only_the_mirror_off_the_grid(tmp_path, monkeypatch):
         ["--b-max-mT", "nan"],
         ["--b-step-mT", "nan"],
         ["--fisher-at-mT", "nan"],
+        ["--imbalance", "inf"],
     ],
 )
 def test_non_finite_sensing_inputs_exit_2(tmp_path, capsys, argv):
@@ -762,6 +763,7 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
         (["reconstruct", "--n-phases", "1"], ["n_phases"]),
         (["fadof", "--extinction", "1"], ["extinction"]),
         (["interference", "--phases-deg", "0", "45"], ["phases_deg"]),
+        (["superresolution", "--two-phi", "inf"], ["two_phi"]),
     ],
 )
 def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
@@ -877,16 +879,22 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         (["reconstruct", "--exposure", "0.5"], 3, "params.exposure: 1 of 241 tau points hold no interference"),
         (["reconstruct", "--exposure", "1e-300"], 3, "params.exposure: 241 of 241 tau points hold no interference"),
         (["reconstruct", "--alpha", "1e-300"], 3, "phase design matrix ill-conditioned (cond=inf)"),
+        (["reconstruct", "--no-noise", "--exposure", "1e-160"], 3, "params.exposure: at exposure 1e-160 the rate variance"),
+        (["reconstruct", "--no-noise", "--exposure", "1e-200"], 3, "params.exposure: at exposure 1e-200 the rate variance"),
         (["matching", "--fsr-MHz", "1e300"], 0, ""),
         (["matching", "--envelope-GHz", "1e-300"], 0, ""),
         (["matching", "--length-cm", "1e300"], 3, "degenerate_pair_fraction: no pair passes the filter"),
         (["matching", "--temp-K", "1e300"], 2, "outside the validated range (250, 450) K"),
         (["spectroscopy", "--temps-C", "1e300"], 2, "outside the validated range (250, 450) K"),
+        (["noon-scan", "--imbalance", "1e300"], 2, "state vector must be finite and nonzero"),
+        (["noon-scan", "--length-mm", "1e300"], 3, "params.length_mm = 1e+300"),
     ],
     ids=[
         "g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure",
         "reconstruct-exposure-0.5", "reconstruct-exposure-1e-300", "reconstruct-alpha-1e-300",
+        "reconstruct-no-noise-exposure-1e-160", "reconstruct-no-noise-exposure-1e-200",
         "matching-fsr", "matching-envelope", "matching-length", "matching-temp", "spectroscopy-temps",
+        "noon-scan-imbalance", "noon-scan-length",
     ],
 )
 def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, capsys):
@@ -897,8 +905,11 @@ def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, 
     a cell that passes no pair has no degenerate fraction; a temperature
     outside the validated range is refused before the grid check computes a
     line width; an exposure at which some tau points record no pair at any
-    phase is refused by their count before a 0/0, and a reference too faint
-    for the phase design by its condition number.  None of them warns on the
+    phase is refused by their count before a 0/0, one whose square leaves
+    the float range by the rate variance that it would overflow, and a
+    reference too faint for the phase design by its condition number.  A
+    state vector whose norm overflows is refused, and so is the visibility
+    of a scan through an opaque cell.  None of them warns on the
     way: pytest records warnings rather than printing them, so they are
     raised here as errors."""
     with warnings.catch_warnings():
@@ -908,19 +919,45 @@ def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, 
     assert message in err and "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy_optimize():
-    """The g2 fit runs its own solver, so the front end's start-up loads
-    neither scipy.optimize nor the linear-algebra stack under it."""
-    code = (
-        "import sys, atompairs.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])"
-    )
-    src = str(ROOT / "src")
+PRESETS_IMPORT = """
+import sys, tempfile
+import atompairs.cli as cli
+from atompairs.atoms import load_atom_data
+atoms = load_atom_data()
+loaded = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    for name in cli.PRESETS:
+        cli.run_scenario(cli.load_scenario_config(name), atoms, f"{out}/{name}", 0)
+print(sorted(set(sys.modules) - loaded))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_presets_import_nothing_after_start_up_and_no_scipy():
+    """In a fresh process, start-up (the front end and the atom data) loads
+    every module that the eight presets use, so no preset pays an import
+    inside its run, and none of it is scipy: the runtime needs numpy and
+    PyYAML only."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "ignore", "-c", PRESETS_IMPORT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_floating_point_errors_in_a_run_exit_3_naming_the_scenario(tmp_path, capsys, monkeypatch):
+    """A runner that overflows is a numeric error (exit 3) naming its
+    scenario, with no traceback and no output directory; one whose result
+    underflows to 0 runs on."""
+    monkeypatch.setitem(RUNNERS, "spectrum", lambda params, atoms, sink, seed: {"x": float(np.exp(np.array(1e3)))})
+    assert main(["--out-dir", str(tmp_path / "out"), "spectrum"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error: spectrum: overflow encountered in exp" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setitem(RUNNERS, "spectrum", lambda params, atoms, sink, seed: {"x": float(np.exp(np.array(-1e3)))})
+    assert main(["--out-dir", str(tmp_path / "out"), "spectrum"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"x": 0.0}
 
 
 @pytest.mark.parametrize("command", sorted(RUNNERS))

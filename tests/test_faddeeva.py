@@ -1,4 +1,7 @@
+import runpy
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from scipy.special import wofz
 
 from atompairs import vapor
-from atompairs.faddeeva import WING_RADIUS, faddeeva, voigt_profile_complex
+from atompairs.faddeeva import DAWSON_HEIGHT, NODES_PER_UNIT, WING_RADIUS, faddeeva, voigt_profile_complex
 
 # points in a large input: about 11 ms of wofz
 LARGE = 1 << 16
@@ -77,18 +80,21 @@ def _upper_half_plane(shape, seed):
 
 def _one_call(z):
     """The oracle of the split, buffer and thread tests: one ``faddeeva`` call
-    on the calling thread into a fresh array.  Its core points are ``wofz``'s
-    bits."""
+    on the calling thread into a fresh array, which holds points of every
+    method and agrees with ``wofz`` within the 1e-13 of
+    ``test_matches_wofz_at_random_and_non_finite_points``."""
     w = faddeeva(z)
-    core = np.abs(z) < WING_RADIUS
-    assert 0 < core.sum() < z.size
-    assert np.array_equal(w[core], wofz(z[core]))
+    r = np.abs(z)
+    assert (r < WING_RADIUS).any() and (r >= WING_RADIUS).any()
+    assert (z.imag[r < WING_RADIUS] < DAWSON_HEIGHT).any() and (z.imag[r < WING_RADIUS] >= DAWSON_HEIGHT).any()
+    assert (np.abs(w - wofz(z)) / np.abs(wofz(z))).max() <= 1e-13
     return w
 
 
 def test_wings_match_mpmath_across_the_switch():
     """|z| from 6.5 to 8, at angles down to the real axis, both sides of the
-    switch from wofz to the continued fraction at |z| = 7.
+    switch from the Dawson band and the rational form to the continued
+    fraction at |z| = 7.
 
     Everywhere: complex relative error <= 1e-13, and <= 1e-12 in Re w for
     Im z >= 1e-6, where Re w is down to ~1e-8 of |w|.  A radius of 6 fails
@@ -117,16 +123,72 @@ def test_wings_match_mpmath_across_the_switch():
     assert re_err[wings & resolved].max() <= 1e-13
 
 
-def test_matches_wofz_at_random_points_and_passes_non_finite_ones_to_it():
+def _assert_matches_mpmath(zs):
+    """The accuracy contract: complex relative error <= 1e-13, and <= 1e-12 in
+    Re w for Im z >= 1e-6."""
+    mpmath.mp.dps = 40
+    ours = faddeeva(zs)
+    ref = np.array([_mp_faddeeva(z) for z in zs])
+    assert (np.abs(ours - ref) / np.abs(ref)).max() <= 1e-13
+    resolved = zs.imag >= 1e-6
+    assert (np.abs(ours.real - ref.real) / np.abs(ref.real))[resolved].max() <= 1e-12
+
+
+def test_dawson_band_matches_mpmath_midway_between_its_nodes():
+    """Points as far from a Taylor node as the band has, every sixth node
+    out to |z| = 7, from Im z = 1e-8 to just below DAWSON_HEIGHT."""
+    x = (np.arange(-349, 350, 6) + 0.5) / NODES_PER_UNIT
+    heights = np.concatenate([10.0 ** np.arange(-8.0, -1.0), [0.05, np.nextafter(DAWSON_HEIGHT, 0.0)]])
+    zs = (x[None, :] + 1j * heights[:, None]).ravel()
+    _assert_matches_mpmath(zs[np.abs(zs) < WING_RADIUS])
+
+
+@pytest.mark.parametrize("height", [np.nextafter(DAWSON_HEIGHT, 0.0), DAWSON_HEIGHT], ids=["dawson", "rational"])
+def test_both_sides_of_the_dawson_height_match_mpmath(height):
+    _assert_matches_mpmath(np.linspace(-6.99, 6.99, 141) + 1j * height)
+
+
+@pytest.mark.parametrize("radius", [np.nextafter(WING_RADIUS, 0.0), WING_RADIUS], ids=["core", "fraction"])
+def test_both_sides_of_the_wing_radius_match_mpmath(radius):
+    zs = radius * np.exp(1j * np.linspace(0.0, np.pi, 181))
+    zs.imag = np.maximum(zs.imag, 0.0)  # sin(pi) > 0 by rounding only
+    _assert_matches_mpmath(zs)
+
+
+def test_dawson_table_matches_mpmath_at_20_random_nodes():
+    """Each row of the shipped table against mpmath's own Taylor expansion of
+    the Dawson function (numerical differentiation, not the table's
+    recurrence) at 50 digits, to 2 ulp of the row's largest term."""
+    with resources.files("atompairs.data").joinpath("dawson_taylor.txt").open() as fh:
+        table = np.loadtxt(fh)
+    dawson = lambda t: mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-t * t) * mpmath.erfi(t)  # noqa: E731
+    with mpmath.workdps(50):
+        for i in np.random.default_rng(23).choice(table.shape[0], 20, replace=False):
+            ref = np.array([float(c) for c in mpmath.taylor(dawson, i / NODES_PER_UNIT, table.shape[1] - 1)])
+            np.testing.assert_allclose(table[i], ref, rtol=0, atol=4.5e-16 * np.abs(ref).max())
+
+
+def test_the_table_script_writes_the_shipped_table(tmp_path):
+    script = runpy.run_path(str(Path(__file__).resolve().parent.parent / "scripts" / "faddeeva_table.py"))
+    assert script["NODES_PER_UNIT"] == NODES_PER_UNIT
+    script["main"]([str(tmp_path / "table.txt")])
+    shipped = resources.files("atompairs.data").joinpath("dawson_taylor.txt").read_text()
+    assert (tmp_path / "table.txt").read_text() == shipped
+
+
+def test_matches_wofz_at_random_and_non_finite_points():
+    """Within 1e-13 of ``wofz`` at random points of every method, and at the
+    points too far out for the fraction, i / (sqrt(pi) z), and non-finite
+    ones, with ``wofz``'s zeros and NaNs."""
     rng = np.random.default_rng(17)
     z = rng.uniform(-60, 60, 100_000) + 1j * 10.0 ** rng.uniform(-8, 2, 100_000)
     assert np.abs(z).min() < WING_RADIUS < np.abs(z).max()
     assert (np.abs(faddeeva(z) - wofz(z)) / np.abs(wofz(z))).max() <= 1e-13
-    # non-finite points and those too far out for the fraction are wofz's
     inf, nan = np.inf, np.nan
     odd = np.array([inf, -inf, nan, 1j * inf, complex(inf, inf), complex(-inf, 1.0), complex(1.0, nan),
-                    complex(nan, 1.0), complex(nan, nan), 1e25 + 1j, 1j * 1e300, complex(1e200, 1e200)])
-    np.testing.assert_array_equal(faddeeva(odd), wofz(odd))
+                    complex(nan, 1.0), complex(nan, nan), 1e25 + 1j, 1j * 1e300, complex(1e200, 1e200),
+                    complex(-inf, inf), complex(1.5e308, 1.5e308), 1e20, -1e20 + 5j])
+    np.testing.assert_allclose(faddeeva(odd), wofz(odd), rtol=1e-13, atol=0)
 
 
 def test_limits_at_infinity():
@@ -154,8 +216,8 @@ def _blocks(n, count):
 def test_split_evaluation_is_bit_identical_to_wofz(shape, blocks):
     """The last axis cut by plain slicing in 2 or 3 blocks, rows standing for
     lines as in the frequency walk: each block evaluated into its columns of
-    one output gives one call's result (wofz's at the core) bit for bit,
-    over a walk block and under half of one."""
+    one output gives one call's result bit for bit, over a walk block and
+    under half of one."""
     z = _upper_half_plane(shape, 5)
     w = np.empty_like(z)
     for columns in _blocks(z.shape[-1], blocks):
@@ -169,7 +231,7 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, blocks):
 def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, callers, into):
     """``out=`` receives w, also z's own memory and a strided view, with one
     caller or several at once on threads of their own, each into its own
-    buffer: one call's result (wofz's at the core) bit for bit."""
+    buffer: one call's result bit for bit."""
     inputs = [_upper_half_plane(size, 9 + k) for k in range(callers)]
     wants = [_one_call(z) for z in inputs]
 

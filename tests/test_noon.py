@@ -447,7 +447,12 @@ def _exponential_transfers(t0, kappa, b_t):
 def test_sql_closed_form_never_beaten_by_search(weight, log_slope, phase, phase_slope):
     """No input polarization and analyzer basis that the grid + Nelder-Mead
     search finds beats the closed form, on random contractive channels
-    t+-(b) = r+-(b) e^{i phi+-(b)} with r+- <= 1 at b* and b* +- h."""
+    t+-(b) = r+-(b) e^{i phi+-(b)} with r+- <= 1 at b* and b* +- h.  Where
+    the closed form is 0 (one circular component dark, the other a pure
+    phase) the search reads rounding noise: at r = 1 the lost class, 1 - |t|^2
+    in part, cancels to a rounding unit eps |t0|^2, and an outcome that small
+    whose difference over the step is as large carries eps |t0|^2 / (4 h^2).
+    The bound allows that on top of the relative 1e-9."""
     h = 0.25e-3
     a = np.array(log_slope)
     r0 = np.array(weight) * np.exp(-np.abs(a) * h)  # r(b* +- h) <= weight <= 1
@@ -455,10 +460,12 @@ def test_sql_closed_form_never_beaten_by_search(weight, log_slope, phase, phase_
     t0 = r0 * np.exp(1j * np.array(phase))
     closed = sql_fisher_information(*_exponential_transfers(t0, kappa, _at_fisher_fields(_B0, h)), h)
 
+    rounding = np.finfo(float).eps * (np.abs(t0) ** 2).max() / (4 * h**2)
+
     def channel(b):
         return circular_jones(*_exponential_transfers(t0, kappa, [b])[:, 0])
 
-    assert searched_sql_fisher(channel, _B0, h_t=h) <= closed * (1.0 + 1e-9)
+    assert searched_sql_fisher(channel, _B0, h_t=h) <= closed * (1.0 + 1e-9) + rounding
 
 
 def test_sql_closed_form_matches_search_on_fig11_cell(atoms, sensing_cell, noon_line_hz):
