@@ -16,19 +16,19 @@ Hamiltonian is held as its m_F block entries only; its dense matrix is a
 derived view.  What does not depend on the field (the block entries of H0
 and the Zeeman operator per set of constants, the m_F block layout, the
 amplitude terms) is built once per process.  Everything is in Hz and Tesla;
-constants come from the shipped data file (see data/rb_d1.yaml for sources)
-and can be overridden with a user file of the same schema.
+constants come from the shipped data/rb_d1.json, whose "notes" give the
+schema and sources; a user's YAML or JSON file of the same schema overrides them.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
 import numpy as np
-import yaml
 
 from atompairs.errors import ConfigError
 from atompairs.wigner import wigner_3j
@@ -143,19 +143,18 @@ def _j_half_manifold(isotope: str, label: str, m) -> ManifoldConstants:
 
 
 def load_atom_data(path=None) -> AtomLibrary:
-    """Load isotope constants from ``path`` or from the shipped data file."""
+    """Load isotope constants from a YAML or JSON file at ``path``, else the shipped JSON."""
     if path is None:
-        text = resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text()
+        raw = json.loads(resources.files("atompairs.data").joinpath("rb_d1.json").read_text())
     else:
+        import yaml  # only a user's file needs it, so start-up does not pay its import
         try:
             with open(path, "r") as fh:
-                text = fh.read()
+                raw = yaml.safe_load(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read atom data: {exc}") from exc
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse atom data: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse atom data: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("atom data must hold a mapping")
 

@@ -15,7 +15,6 @@ Exit codes: 0 ok, 2 configuration error, 3 numeric error, 4 coverage error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import hashlib
 import json
 import shutil
@@ -27,7 +26,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
@@ -693,6 +691,7 @@ def load_scenario_config(source: str) -> dict:
             f"{source!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor an existing file"
         )
+    import yaml  # only a scenario file needs it, so start-up does not pay its import
     try:
         payload = yaml.safe_load(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
@@ -717,6 +716,7 @@ def validate_scenario(cfg: dict) -> tuple[str, dict]:
     table = PARAMS[name]
     for key in given:
         if key not in table:
+            import difflib  # only this refusal needs it
             close = difflib.get_close_matches(key, table, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"params.{key}: unknown key for {name}{hint}")

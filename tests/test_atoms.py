@@ -1,5 +1,10 @@
+import json
+from dataclasses import replace
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -349,21 +354,21 @@ def test_abundances_sum_to_one(atoms):
     assert sum(i.abundance for i in atoms.isotopes.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_atom_data_override(tmp_path, atoms):
-    import yaml
+def _shipped_payload() -> dict:
+    return json.loads(resources.files("atompairs.data").joinpath("rb_d1.json").read_text())
 
-    path = tmp_path / "atoms.yaml"
-    with open("/dev/null", "w"):
-        pass
-    from importlib import resources
 
-    text = resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text()
-    payload = yaml.safe_load(text)
+@pytest.mark.parametrize("suffix, dump", [("yaml", yaml.safe_dump), ("json", json.dumps)], ids=["yaml", "json"])
+def test_atom_data_override(tmp_path, atoms, suffix, dump):
+    """A user's YAML or JSON file gives the shipped library with only the two
+    abundances changed."""
+    payload = _shipped_payload()
     payload["isotopes"]["Rb85"]["abundance"] = 0.5
     payload["isotopes"]["Rb87"]["abundance"] = 0.5
-    path.write_text(yaml.safe_dump(payload))
-    lib = load_atom_data(path)
-    assert lib["Rb85"].abundance == 0.5
+    path = tmp_path / f"atoms.{suffix}"
+    path.write_text(dump(payload))
+    expected = {name: replace(iso, abundance=0.5) for name, iso in atoms.isotopes.items()}
+    assert load_atom_data(path) == replace(atoms, isotopes=expected)
 
 
 @given(b=st.floats(min_value=0.0, max_value=60e-3))
@@ -559,10 +564,7 @@ def test_closed_form_blocks_equal_the_kronecker_oracle(two_i, a_hfs, offset):
     [("5P1/2", {"J": 1.5}), ("5S1/2", {"B_hfs_hz": 1.0e6}), ("5P1/2", {"J": 0.5, "B_hfs_hz": -2.0})],
 )
 def test_atom_data_refuses_what_the_block_solver_cannot_solve(tmp_path, manifold, change):
-    import yaml
-    from importlib import resources
-
-    payload = yaml.safe_load(resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text())
+    payload = _shipped_payload()
     payload["isotopes"]["Rb87"]["manifolds"][manifold].update(change)
     path = tmp_path / "atoms.yaml"
     path.write_text(yaml.safe_dump(payload))

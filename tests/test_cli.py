@@ -269,7 +269,7 @@ def test_records_roundtrip_through_cli(tmp_path):
 def _shipped_atom_data() -> dict:
     from importlib import resources
 
-    return yaml.safe_load(resources.files("atompairs.data").joinpath("rb_d1.yaml").read_text())
+    return json.loads(resources.files("atompairs.data").joinpath("rb_d1.json").read_text())
 
 
 def test_atom_data_override_flag(tmp_path):
@@ -311,21 +311,29 @@ def _mass_not_a_number(tmp_path):
     return _atom_data_argv(tmp_path, payload)
 
 
+def _malformed_atom_yaml(tmp_path):
+    path = tmp_path / "atoms.yaml"
+    path.write_text("isotopes: {Rb85: [\n")
+    return ["--atom-data", str(path), "g2"]
+
+
 @pytest.mark.parametrize(
-    "argv_for",
+    "argv_for, message",
     [
-        lambda tmp: ["--atom-data", str(tmp / "missing.yaml"), "g2"],
-        _isotopes_not_a_mapping,
-        _mass_not_a_number,
-        lambda tmp: _atom_data_argv(tmp, [1, 2]),
-        lambda tmp: ["scenario", "run", str(tmp)],
+        (lambda tmp: ["--atom-data", str(tmp / "missing.yaml"), "g2"], "cannot read atom data"),
+        (_isotopes_not_a_mapping, "wrongly typed field"),
+        (_mass_not_a_number, "wrongly typed field"),
+        (lambda tmp: _atom_data_argv(tmp, [1, 2]), "atom data must hold a mapping"),
+        (lambda tmp: ["scenario", "run", str(tmp)], "cannot read scenario file"),
+        (_malformed_atom_yaml, "cannot parse atom data"),
     ],
-    ids=["missing-atom-file", "isotopes-3", "mass-heavy", "top-level-list", "scenario-directory"],
+    ids=["missing-atom-file", "isotopes-3", "mass-heavy", "top-level-list", "scenario-directory", "malformed-atom-yaml"],
 )
-def test_bad_input_files_exit_2(tmp_path, capsys, argv_for):
+def test_bad_input_files_exit_2(tmp_path, capsys, argv_for, message):
     rc = main(["--out-dir", str(tmp_path / "out")] + argv_for(tmp_path))
     assert rc == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and message in err
 
 
 def test_noon_scan_reads_the_probe_in_one_pass_per_call(tmp_path, monkeypatch):
@@ -550,12 +558,15 @@ def test_write_csv_blocks_match_one_shot(tmp_path):
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):
-    cfg = tmp_path / "scenario.yaml"
-    cfg.write_text(yaml.safe_dump(PRESETS["fig4-g2-comb"]))
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    """A YAML and a JSON scenario file of a preset's dict write its outputs."""
+    out_a = tmp_path / "a"
     assert main(["--out-dir", str(out_a), "scenario", "run", "fig4-g2-comb"]) == 0
-    assert main(["--out-dir", str(out_b), "scenario", "run", str(cfg)]) == 0
-    assert _hash_dir(out_a) == _hash_dir(out_b)
+    for suffix, dump in (("yaml", yaml.safe_dump), ("json", json.dumps)):
+        cfg = tmp_path / f"scenario.{suffix}"
+        cfg.write_text(dump(PRESETS["fig4-g2-comb"]))
+        out_b = tmp_path / suffix
+        assert main(["--out-dir", str(out_b), "scenario", "run", str(cfg)]) == 0
+        assert _hash_dir(out_a) == _hash_dir(out_b)
 
 
 def test_fadof_preset_matches_reported_metrics(tmp_path):
@@ -650,6 +661,7 @@ def test_preset_sets_only_keys_away_from_the_defaults(name):
         # b* - h < 0 below the 0.25 mT Fisher step
         ("noon-scan", {"fisher_at_mt": 0.0}, ["params.fisher_at_mt"]),
         ("noon-scan", {"fisher_at_mt": 0.2}, ["params.fisher_at_mt"]),
+        ("fadof", {"temp_kk": 300}, ["params.temp_kk: unknown key for fadof; did you mean 'temp_k'?"]),
     ],
 )
 def test_bad_scenario_params_exit_2_naming_the_key(tmp_path, capsys, scenario, params, named):
@@ -930,20 +942,22 @@ with tempfile.TemporaryDirectory() as out:
         cli.run_scenario(cli.load_scenario_config(name), atoms, f"{out}/{name}", 0)
 print(sorted(set(sys.modules) - loaded))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("yaml", "difflib")))
 """
 
 
 def test_presets_import_nothing_after_start_up_and_no_scipy():
     """In a fresh process, start-up (the front end and the atom data) loads
     every module that the eight presets use, so no preset pays an import
-    inside its run, and none of it is scipy: the runtime needs numpy and
-    PyYAML only."""
+    inside its run, and none of it is scipy: the runtime needs numpy only.
+    PyYAML is only for a user's scenario or atom-data file, and difflib only
+    for the unknown-key refusal, so neither start-up nor a preset loads them."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-W", "ignore", "-c", PRESETS_IMPORT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 def test_floating_point_errors_in_a_run_exit_3_naming_the_scenario(tmp_path, capsys, monkeypatch):
