@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Compare the outputs of two checkouts of the package, file by file.
 
-Runs every preset (``scenario run <preset> --seed 0``) and every command at
-its defaults, each in a fresh process against ``PARENT/src`` and then
-``CHANGE/src``, each writing into its own scratch directory.  For every run
-it prints its exit codes, whether stdout differs and one of, per file:
+Runs every preset (``scenario run <preset> --seed 0``), every command at its
+defaults and every ``studies/*.yaml`` (``scenario run <file>``, so a change
+that moves a study shows), each in a fresh process against ``PARENT/src`` and
+then ``CHANGE/src``, into its own scratch directory; a run one side does not
+declare is a difference.  For every run it prints its exit codes, whether
+stdout differs and one of, per file:
 
 - byte-identical
 - for a CSV, the largest |delta| and relative delta per column, with the row
@@ -38,16 +40,17 @@ def _env(root: Path) -> dict:
 
 def runs_of(root: Path) -> dict:
     """Run name -> CLI arguments: the presets at seed 0, the commands at their
-    defaults, as the checkout at ``root`` declares them."""
+    defaults and the study files, as the checkout at ``root`` declares them."""
     out = subprocess.run([sys.executable, "-c", LIST_RUNS], env=_env(root), capture_output=True, text=True, check=True)
     presets, commands = json.loads(out.stdout)
-    return {**{p: ["scenario", "run", p] for p in presets}, **{c: [c] for c in commands}}
+    studies = {f"studies/{f.name}": ["scenario", "run", str(f)] for f in sorted(root.glob("studies/*.yaml"))}
+    return {**{p: ["scenario", "run", p] for p in presets}, **{c: [c] for c in commands}, **studies}
 
 
 def run(root: Path, args: list, out_dir: Path) -> tuple:
     """One fresh-process run into ``out_dir``: its exit code, and its stdout
     and each file it wrote, by name."""
-    out_dir.parent.mkdir(exist_ok=True)
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
     argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", str(out_dir), "--seed", "0", *args]
     proc = subprocess.run(argv, env=_env(root), cwd=out_dir.parent, capture_output=True)
     found = sorted(out_dir.iterdir()) if out_dir.is_dir() else []
@@ -208,7 +211,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout compared with it")
     parser.add_argument("--max-abs", type=float, default=0.0, help="largest |delta| allowed")
     parser.add_argument("--max-rel", type=float, default=0.0, help="largest relative delta allowed")
-    parser.add_argument("--only", nargs="+", metavar="RUN", help="run only these presets or commands")
+    parser.add_argument("--only", nargs="+", metavar="RUN", help="run only these presets, commands or studies/<file>")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     totals = [0, 0, 0]

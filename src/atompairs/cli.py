@@ -2,10 +2,11 @@
 
 One subcommand per scenario (spectrum, fadof, matching, purity, g2,
 interference, reconstruct, superresolution, spectroscopy, noon-scan) plus
-``scenario run <preset|path>``.  Each scenario's parameters, with their
-defaults, are declared once in ``PARAMS``: the subcommand flags, the checks on
-scenario files and the values the runners read all derive from that table,
-and a preset in ``PRESETS`` sets only the keys its figure changes.  All
+``scenario run SOURCE [SOURCE ...]`` of presets and scenario files.  Each
+scenario's parameters, with their defaults, are declared once in ``PARAMS``:
+the subcommand flags, the checks on scenario files and the values the runners
+read all derive from that table, and a preset in ``PRESETS`` sets only the
+keys its figure changes.  All
 outputs are plain CSV/JSON tables; a manifest with SHA-256 hashes accompanies
 every run so that seeded runs can be verified byte for byte.
 
@@ -20,6 +21,7 @@ import json
 import shutil
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -89,10 +91,13 @@ def _arange(stop: float, step: float, what: str) -> np.ndarray:
 class OutputSink:
     """Collects produced files in a staging directory beside ``out_dir`` and
     writes the manifest there; ``commit`` moves them into ``out_dir``, so a
-    run refused before then leaves ``out_dir`` as it found it."""
+    run refused before then leaves ``out_dir`` as it found it.  An ``out_dir``
+    that is, or lies under, a file is refused before anything is staged."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
+        if file := next((p for p in [self.out_dir, *self.out_dir.parents] if p.exists() and not p.is_dir()), None):
+            raise ConfigError(f"--out-dir {self.out_dir}: {file} is a file, not a directory")
         self.out_dir.parent.mkdir(parents=True, exist_ok=True)
         self.staging = Path(tempfile.mkdtemp(prefix=f".{self.out_dir.name}.", dir=self.out_dir.parent))
         self.files: list[Path] = []
@@ -743,6 +748,17 @@ def run_scenario(cfg: dict, atoms, out_dir, seed: int) -> dict:
     return report
 
 
+def _scenario_runs(sources: list[str], out_dir: str):
+    """(config, output directory) of each source, loaded when its turn comes:
+    one source writes into ``out_dir``, several each into ``out_dir/<preset
+    name or file stem>``, and two of one name are refused before any run."""
+    names = [s if s in PRESETS else Path(s).stem for s in sources]
+    if twice := sorted({n for n in names if names.count(n) > 1}):
+        raise ConfigError(f"scenario run: two sources named {twice[0]!r} would write into one directory")
+    for source, name in zip(sources, names):
+        yield load_scenario_config(source), out_dir if len(sources) == 1 else Path(out_dir, name)
+
+
 # -------------------------------------------------------------------- main
 
 
@@ -781,10 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
         for key, spec in table.items():
             sp.add_argument(flag_of(key), dest=key, help=key, **_argument(spec))
 
-    sc = sub.add_parser("scenario", help="run a named preset or scenario file")
+    sc = sub.add_parser("scenario", help="run named presets or scenario files")
     sc_sub = sc.add_subparsers(dest="scenario_command", required=True)
     sc_run = sc_sub.add_parser("run")
-    sc_run.add_argument("source", help="preset name or YAML/JSON scenario file")
+    sc_run.add_argument("source", nargs="+", help="preset name or YAML/JSON scenario file; several run in turn, "
+                        "each into --out-dir/<preset name or file stem>, up to the first refusal")
     return p
 
 
@@ -802,12 +819,14 @@ def main(argv=None) -> int:
     try:
         atoms = load_atom_data(args.atom_data)
         if args.command == "scenario":
-            cfg = load_scenario_config(args.source)
+            runs = _scenario_runs(args.source, args.out_dir)
         else:
             params = {key: getattr(args, key) for key in PARAMS[args.command]}
-            cfg = {"scenario": args.command, "params": params}
-        report = run_scenario(cfg, atoms, args.out_dir, args.seed)
-        print(json.dumps(report, indent=2, sort_keys=True))
+            runs = [({"scenario": args.command, "params": params}, args.out_dir)]
+        for cfg, out_dir in runs:
+            with warnings.catch_warnings():  # each run shows its warnings, as its own process would
+                report = run_scenario(cfg, atoms, out_dir, args.seed)
+            print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -569,6 +569,78 @@ def test_scenario_file_equivalent_to_preset(tmp_path):
         assert _hash_dir(out_a) == _hash_dir(out_b)
 
 
+def test_one_source_writes_into_the_out_dir_and_prints_its_report(tmp_path, capsys):
+    atoms = load_atom_data()
+    report = run_scenario(PRESETS["fig4-g2-comb"], atoms, tmp_path / "direct", 0)
+    assert main(["--out-dir", str(tmp_path / "out"), "scenario", "run", "fig4-g2-comb"]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert _hash_dir(tmp_path / "out") == _hash_dir(tmp_path / "direct")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "out"]
+
+
+def test_several_sources_each_write_what_a_single_run_writes(tmp_path, capsys):
+    """Each source into ``--out-dir/<preset name or file stem>``, the reports
+    in the order of the sources."""
+    cfg = tmp_path / "g2-single.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": "g2", "params": {"mode": "single"}}))
+    sources = ["fig7-superresolution", str(cfg), "fig4-g2-comb"]
+    singles = []
+    for source in sources:
+        assert main(["--out-dir", str(tmp_path / "single" / Path(source).stem), "scenario", "run", source]) == 0
+        singles.append(capsys.readouterr().out)
+    assert main(["--out-dir", str(tmp_path / "one"), "scenario", "run", *sources]) == 0
+    assert capsys.readouterr().out == "".join(singles)
+    names = ["fig7-superresolution", "g2-single", "fig4-g2-comb"]
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == sorted(names)
+    for name in names:
+        assert _hash_dir(tmp_path / "one" / name) == _hash_dir(tmp_path / "single" / name)
+
+
+def test_each_of_several_sources_shows_its_own_warnings(tmp_path):
+    """Two runs that raise the same warning each show it, as two processes
+    would, although the default filter shows a warning once per location."""
+    same = tmp_path / "same.yaml"
+    same.write_text(yaml.safe_dump({"scenario": "fadof", "params": {}}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        assert main(["--out-dir", str(tmp_path / "out"), "scenario", "run", "fig2-fadof", str(same)]) == 0
+    assert len([w for w in seen if "ENBW may be truncated" in str(w.message)]) == 2
+
+
+def test_several_sources_stop_at_the_first_refusal(tmp_path, capsys):
+    """The runs before the refusal stay committed, the refused run and those
+    after it leave no directory, and the exit code is the refusal's."""
+    coarse = tmp_path / "coarse.yaml"
+    coarse.write_text(yaml.safe_dump({"scenario": "fadof", "params": {"spacing_mhz": 20.0}}))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "scenario", "run", "fig4-g2-comb", str(coarse), "fig7-superresolution"]) == 4
+    assert "coverage error" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["fig4-g2-comb"]
+    assert sorted(p.name for p in (out / "fig4-g2-comb").iterdir()) == ["g2.csv", "g2_fit.json", "manifest.json"]
+
+
+def test_two_sources_of_one_name_exit_2_before_any_run(tmp_path, capsys):
+    twin = tmp_path / "fig4-g2-comb.json"
+    twin.write_text(json.dumps(PRESETS["fig4-g2-comb"]))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "scenario", "run", "fig7-superresolution", "fig4-g2-comb", str(twin)]) == 2
+    assert "two sources named 'fig4-g2-comb'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sources", [["fig7-superresolution"], ["fig7-superresolution", "fig4-g2-comb"]])
+@pytest.mark.parametrize("under", ["", "out"], ids=["is-a-file", "under-a-file"])
+def test_an_out_dir_that_is_or_lies_under_a_file_exits_2_naming_it(tmp_path, capsys, under, sources):
+    """Refused before the runner starts, with no traceback, and no staging
+    directory left beside the file."""
+    file = tmp_path / "taken"
+    file.write_text("kept\n")
+    assert main(["--out-dir", str(file / under), "scenario", "run", *sources]) == 2
+    err = capsys.readouterr().err
+    assert f"{file} is a file, not a directory" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept\n"
+
+
 def test_fadof_preset_matches_reported_metrics(tmp_path):
     out = tmp_path / "fadof"
     assert main(["--out-dir", str(out), "scenario", "run", "fig2-fadof"]) == 0

@@ -34,3 +34,9 @@ def test_csv_report_per_column():
     assert not relabelled.within(1.0, 1.0)
     assert COMPARE["compare_csv"](parent, parent.replace("T", "t")).mismatches
     assert COMPARE["compare_bytes"]("a.csv", b"x\n1\n", b"x\n1.0\n").mismatches == ["bytes differ, every value is equal"]
+
+
+def test_each_study_file_is_a_run():
+    runs = COMPARE["runs_of"](ROOT)
+    studies = sorted(ROOT.glob("studies/*.yaml"))
+    assert studies and all(runs[f"studies/{f.name}"] == ["scenario", "run", str(f)] for f in studies)

@@ -216,8 +216,8 @@ def _blocks(n, count):
 def test_split_evaluation_is_bit_identical_to_wofz(shape, blocks):
     """The last axis cut by plain slicing in 2 or 3 blocks, rows standing for
     lines as in the frequency walk: each block evaluated into its columns of
-    one output gives one call's result bit for bit, over a walk block and
-    under half of one."""
+    one output gives one call's result (``_one_call``, itself within 1e-13 of
+    ``wofz``) bit for bit, over a walk block and under half of one."""
     z = _upper_half_plane(shape, 5)
     w = np.empty_like(z)
     for columns in _blocks(z.shape[-1], blocks):
@@ -225,25 +225,28 @@ def test_split_evaluation_is_bit_identical_to_wofz(shape, blocks):
     assert np.array_equal(w, _one_call(z))
 
 
-@pytest.mark.parametrize("callers", [1, 2])
+@pytest.mark.parametrize("callers", [1, 2, 3])
 @pytest.mark.parametrize("size", [LARGE + 7, 100])
-@pytest.mark.parametrize("into", ["buffer", "in-place", "strided"])
+@pytest.mark.parametrize("into", ["buffer", "in-place", "strided", "fresh"])
 def test_evaluation_into_a_buffer_is_bit_identical_to_wofz(size, callers, into):
-    """``out=`` receives w, also z's own memory and a strided view, with one
-    caller or several at once on threads of their own, each into its own
-    buffer: one call's result bit for bit."""
-    inputs = [_upper_half_plane(size, 9 + k) for k in range(callers)]
+    """``out=`` receives w, also z's own memory and a strided view, and with
+    no ``out=`` w comes in a fresh array; with one caller or several at once
+    on threads of their own, two inputs each, each into its own buffer: one
+    call's result (``_one_call``, itself within 1e-13 of ``wofz``) bit for
+    bit."""
+    inputs = [_upper_half_plane(size, 9 + k) for k in range(2 * callers)]
     wants = [_one_call(z) for z in inputs]
 
     def buffer(z):
-        return {"buffer": np.empty_like(z), "in-place": z, "strided": np.empty(2 * size, dtype=complex)[::2]}[into]
+        strided = np.empty(2 * size, dtype=complex)[::2]
+        return {"buffer": np.empty_like(z), "in-place": z, "strided": strided, "fresh": None}[into]
 
     outs = [buffer(z) for z in inputs]
     with ThreadPoolExecutor(callers) as pool:
         results = list(pool.map(lambda z, out: faddeeva(z, out=out), inputs, outs))
     for got, out, want in zip(results, outs, wants):
-        assert got is out
-        assert np.array_equal(out, want)
+        assert out is None or got is out
+        assert np.array_equal(got, want)
 
 
 def test_voigt_into_a_buffer_equals_a_fresh_profile():
@@ -264,14 +267,6 @@ def test_split_evaluation_rejects_lower_half_plane_in_last_chunk():
     with pytest.raises(ValueError):
         for columns in _blocks(z.size, 2):
             faddeeva(z[columns])
-
-
-def test_concurrent_callers_get_their_own_results():
-    inputs = [_upper_half_plane(2 * LARGE + k, 20 + k) for k in range(6)]
-    with ThreadPoolExecutor(3) as callers:
-        results = list(callers.map(faddeeva, inputs))
-    for z, w in zip(inputs, results):
-        assert np.array_equal(w, _one_call(z))
 
 
 def test_voigt_normalization_and_signs():

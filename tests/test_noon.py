@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atompairs.errors import ConfigError, NumericError
@@ -444,6 +444,10 @@ def _exponential_transfers(t0, kappa, b_t):
     phase_slope=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
 )
 @settings(max_examples=20)
+# one circular component dark, the other a pure phase: the channels that read
+# only the search's rounding noise, 1.9e-28 and 9.7e-30 against 8.9e-10
+@example(weight=(0.0, 1.0), log_slope=(0.0, 0.0), phase=(0.0, 0.0), phase_slope=(0.0, 1.0))
+@example(weight=(1.0, 0.0), log_slope=(0.0, 0.0), phase=(0.0, 0.0), phase_slope=(0.5, 0.0))
 def test_sql_closed_form_never_beaten_by_search(weight, log_slope, phase, phase_slope):
     """No input polarization and analyzer basis that the grid + Nelder-Mead
     search finds beats the closed form, on random contractive channels
