@@ -3,16 +3,19 @@
 
 Runs ``atompairs <command> <flag>=<value>`` for each numeric key of
 ``atompairs.cli.PARAMS`` (int, float, optional float and float list) at 0,
--1, nan, inf, 1e-300 and 1e300, on top of the command's defaults and again
+-1, nan, inf, 1e-300 and 1e300 and just outside the key's interval in
+``atompairs.cli.DOMAINS`` (each end itself where it is open, else the next
+number beyond it), a list key's value repeated to the fewest entries its
+domain allows, on top of the command's defaults and again
 on top of each ``PRESETS`` entry of the command that sets keys (fig11's
 ``--fisher-at-mT``, say, whose Fisher block the defaults never run), each in
 a fresh process with its own output directory, a few at a time, each
 stopped at a time limit.  Prints one line
 per run that exits 1, runs past the limit, prints a traceback, exits 0
-after numpy printed a RuntimeWarning, writes NaN or Infinity into an output
-file, or exits non-zero and leaves a file in its output directory; then the
-tallies, and exits 1 if any run did.  A sweep
-takes minutes, so it is not part of the test suite:
+after numpy printed a RuntimeWarning, exits 0 at a value outside the key's
+domain, writes NaN or Infinity into an output file, or exits non-zero and
+leaves a file in its output directory; then the tallies, and exits 1 if any
+run did.  A sweep takes minutes, so it is not part of the test suite:
 
     PYTHONPATH=src python3 scripts/fuzz_params.py [--jobs 2] [--timeout 40] [command ...]
 """
@@ -28,7 +31,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from atompairs.cli import OPTIONAL_FLOAT, PARAMS, PRESETS, flag_of
+from atompairs.cli import DOMAINS, OPTIONAL_FLOAT, PARAMS, PRESETS, flag_of
 
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -45,6 +48,13 @@ def numeric_keys(command: str) -> list[str]:
     ]
 
 
+def values(command: str, key: str) -> list[str]:
+    """``VALUES``, then the numbers just outside ``key``'s domain that they do
+    not already hold."""
+    outside, _ = DOMAINS[key].edges(integer=type(PARAMS[command][key]) is int)
+    return [*VALUES, *(v for v in map(repr, outside) if v not in VALUES)]
+
+
 def bases(command: str) -> list[list[str]]:
     """The flags each key is swept on top of: none (the command's defaults),
     then those of each preset of the command that sets keys."""
@@ -54,9 +64,9 @@ def bases(command: str) -> list[list[str]]:
 
 def run(command: str, base: list[str], key: str, value: str, timeout: float) -> dict:
     """One fresh-process run: its exit code (None past the time limit), wall
-    time, whether stderr holds a traceback, its first RuntimeWarning (or
-    ""), which outputs hold NaN or Infinity, and which files it leaves if it
-    exits non-zero."""
+    time, whether the value lies outside the key's domain, whether stderr
+    holds a traceback, its first RuntimeWarning (or ""), which outputs hold
+    NaN or Infinity, and which files it leaves if it exits non-zero."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,8 +74,11 @@ def run(command: str, base: list[str], key: str, value: str, timeout: float) -> 
         # goes with it
         out = Path(tmp, "out")
         out.mkdir()
-        # the swept flag last, so that it overrides a preset's value
-        args = [command, *base, f"{flag_of(key)}={value}"]
+        # the swept flag last, so that it overrides a preset's value; a list
+        # of several entries as separate words
+        least = DOMAINS[key].least
+        swept = [flag_of(key), *[value] * least] if least > 1 else [f"{flag_of(key)}={value}"]
+        args = [command, *base, *swept]
         argv = [sys.executable, "-m", "atompairs.cli", "--out-dir", out, *args]
         start = time.perf_counter()
         try:
@@ -82,6 +95,7 @@ def run(command: str, base: list[str], key: str, value: str, timeout: float) -> 
         "run": " ".join(args),
         "code": code,
         "wall_s": wall,
+        "outside": float(value) not in DOMAINS[key],
         "traceback": b"Traceback" in stderr,
         "warning": warning.group(0) if warning else "",
         "non_finite": non_finite,
@@ -100,6 +114,7 @@ def problems(r: dict, timeout: float) -> list[str]:
             (f"past {timeout:g} s", r["code"] is None),
             ("traceback", r["traceback"]),
             (f"exit 0 after {r['warning']}", r["code"] == 0 and bool(r["warning"])),
+            ("exit 0 outside the domain", r["code"] == 0 and r["outside"]),
             (f"NaN/Infinity in {', '.join(r['non_finite'])}", bool(r["non_finite"])),
             (f"exit {r['code']} leaves {', '.join(r['partial'])}", bool(r["partial"])),
         )
@@ -113,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=2, help="runs at a time")
     parser.add_argument("--timeout", type=float, default=40.0, help="seconds before a run is stopped")
     args = parser.parse_args(argv)
-    cases = [(c, b, k, v) for c in args.commands for b in bases(c) for k in numeric_keys(c) for v in VALUES]
+    cases = [(c, b, k, v) for c in args.commands for b in bases(c) for k in numeric_keys(c) for v in values(c, k)]
     start = time.perf_counter()
     with ThreadPoolExecutor(args.jobs) as pool:
         results = list(pool.map(lambda case: run(*case, args.timeout), cases))

@@ -17,7 +17,7 @@ from numpy.random import default_rng
 from atompairs.errors import ConfigError, NumericError, check_points
 
 # the largest reference amplitude whose coincidence rate alpha^4 / 4 is a float
-_ALPHA_MAX = np.finfo(float).max ** 0.25
+ALPHA_MAX = float(np.finfo(float).max ** 0.25)
 # the largest mean numpy's Poisson sampler draws from
 _POISSON_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -105,8 +105,8 @@ def simulate_records(
     """
     if not (np.isfinite(exposure) and exposure >= 0):
         raise ConfigError("params.exposure: must be finite and >= 0")
-    if not abs(alpha) < _ALPHA_MAX:
-        raise ConfigError(f"params.alpha: must be finite and below {_ALPHA_MAX:.4g}, where alpha^4 overflows")
+    if not abs(alpha) < ALPHA_MAX:
+        raise ConfigError(f"params.alpha: must be finite and below {ALPHA_MAX:.4g}, where alpha^4 overflows")
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
@@ -134,8 +134,8 @@ def reconstruct_wavefunction(records: InterferenceRecords, alpha: float) -> Reco
     design, from its one SVD; the phase uncertainty follows from the Poisson
     covariance of the fitted (x, y).
     """
-    if not 0 < alpha < _ALPHA_MAX:
-        raise ConfigError(f"params.alpha: the reference amplitude must be > 0 and below {_ALPHA_MAX:.4g}")
+    if not 0 < alpha < ALPHA_MAX:
+        raise ConfigError(f"params.alpha: the reference amplitude must be > 0 and below {ALPHA_MAX:.4g}")
     phases = records.phases_rad
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -182,7 +183,7 @@ def run_spectrum(p, atoms, sink, seed):
     center = atoms.d1_center_hz(cell.isotope_fractions)
     grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-    with _naming(field="field_mt", center="field_mt"):
+    with _naming(field="field_mt"):
         path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
     n_plus, n_minus = path.index_at(grid, path.b_center_t)
     write_csv(
@@ -201,20 +202,17 @@ def _fadof(p, atoms, half_span_hz, spacing_hz):
         isotope_fractions=atoms.natural_fractions(),
     )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    with _naming(extinction="extinction"):
-        pol = filters.PolarizerPair(extinction=p["extinction"])
+    pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
     vapor.check_spacing(cell, atoms, spacing_hz)
-    with _naming(field="field_mt", center="field_mt"):
+    with _naming(field="field_mt"):
         spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
     return spec, center
 
 
 def run_fadof(p, atoms, sink, seed):
     """Faraday filter spectrum and metrics"""
-    if not p["window_ghz"] > 0:
-        raise ConfigError("params.window_ghz: must be > 0")
-    if 0 <= p["half_span_ghz"] <= p["window_ghz"] / 2:  # holds the grid wherever the peak falls
+    if p["half_span_ghz"] <= p["window_ghz"] / 2:  # holds the grid wherever the peak falls
         raise CoverageError("passband window holds the whole grid; no stopband to reject")
     spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     window = p["window_ghz"] * 1e9
@@ -284,8 +282,7 @@ def run_purity(p, atoms, sink, seed):
         buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
     )
     hot_t = vapor.blocking_cell_transmission(hot, atoms)
-    with _naming(leak="leak_fraction"):
-        rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
+    rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
     _write_comb(sink, comb, passed)
     report = {
         "spectral_purity": rep.spectral_purity,
@@ -305,13 +302,9 @@ def run_purity(p, atoms, sink, seed):
 
 def run_g2(p, atoms, sink, seed):
     """pair correlation histogram and fit"""
-    for key in ("tbin_ns", "fsr_mhz"):
-        if not (np.isfinite(p[key]) and p[key] > 0):
-            raise ConfigError(f"params.{key}: must be finite and > 0, got {p[key]!r}")
-    if p["bins"] < 1:
-        raise ConfigError("params.bins must be >= 1")
-    # each refusal begins with the field it refuses
-    with _naming(gamma1="linewidth_mhz", t_bin_s="tbin_ns", t0_s="t0_ns", rate1_hz="rate1_hz", rate2_hz="rate2_hz", round_trip_s="fsr_mhz"):
+    # each refusal begins with the field it refuses: t0 past 2^53 bins, or a
+    # value in its domain whose unit conversion leaves the float range
+    with _naming(gamma1="linewidth_mhz", t_bin_s="tbin_ns", t0_s="t0_ns", round_trip_s="fsr_mhz"):
         env = coincidences.G2Envelope.from_linewidth(p["linewidth_mhz"] * 1e6)
         det = coincidences.DetectionModel(
             t_bin_s=p["tbin_ns"] * 1e-9,
@@ -353,10 +346,7 @@ def run_interference(p, atoms, sink, seed):
     """two-photon interference against the coherent reference"""
     psi = _ideal_psi(p)
     phases = np.radians(p["phases_deg"])
-    with _naming(need="phases_deg"):
-        records = biphoton.simulate_records(
-            psi, p["alpha"], phases, p["exposure"], noise=p["noise"], seed=seed
-        )
+    records = biphoton.simulate_records(psi, p["alpha"], phases, p["exposure"], noise=p["noise"], seed=seed)
     write_csv(
         sink.path("interference.csv"),
         ["tau_ns"] + [f"phase_{np.degrees(ph):g}deg" for ph in records.phases_rad],
@@ -384,12 +374,8 @@ def run_reconstruct(p, atoms, sink, seed):
         if not (np.isfinite(records.exposure) and records.exposure > 0):
             raise ConfigError("params.records: the bundle's exposure must be finite and > 0")
     else:
-        # a negative count is no phases, which simulate_records refuses
-        phases = np.linspace(0.0, np.pi, max(p["n_phases"], 0), endpoint=False)
-        with _naming(need="n_phases"):
-            records = biphoton.simulate_records(
-                _ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed
-            )
+        phases = np.linspace(0.0, np.pi, p["n_phases"], endpoint=False)
+        records = biphoton.simulate_records(_ideal_psi(p), alpha, phases, p["exposure"], noise=p["noise"], seed=seed)
     rec = biphoton.reconstruct_wavefunction(records, alpha)
     wf = rec.wavefunction
     write_csv(
@@ -406,14 +392,9 @@ def run_reconstruct(p, atoms, sink, seed):
 
 def run_superresolution(p, atoms, sink, seed):
     """analyzer rotation scans: single photon vs pair super-resolution"""
-    # the two-photon fringe repeats every 45 deg of wave-plate angle, so a
-    # step of half that or more aliases it
-    if not (np.isfinite(p["angle_step_deg"]) and 0 < p["angle_step_deg"] < 22.5):
-        raise ConfigError("params.angle_step_deg: must be finite, > 0 and < 22.5 (half the 45 deg fringe)")
     step = np.radians(p["angle_step_deg"])
     angles = _arange(np.pi + step / 2, step, "params.angle_step_deg: the analyzer scan")
-    with _naming(fidelity="fidelity", state="two_phi"):
-        surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
+    surrogate = noon.surrogate_noon_state(p["fidelity"], p["two_phi"])
     # undo the basis-mapping quarter-wave plate to recover the source state
     qwp_back = noon.OpticalElement(kind="QWP", jones=noon.qwp_jones(np.pi / 4).conj().T)
     source_state = noon.apply_element(surrogate, qwp_back)
@@ -458,7 +439,7 @@ def run_spectroscopy(p, atoms, sink, seed):
     for temp_c in p["temps_c"]:
         cell = _sensing_cell(p, temp_c)
         vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
-        with _naming(slices="slices", center="fields_mt", field="fields_mt"):
+        with _naming(field="fields_mt"):
             path = vapor.VaporPath(atoms, cell, np.array(p["fields_mt"]) * 1e-3, slices=p["slices"])
         # one row per field; the (2, fields, grid) transmissions are not kept
         trans = np.add(*path.transmission_at(grid))
@@ -488,22 +469,17 @@ def run_noon_scan(p, atoms, sink, seed):
         state = noon.TwoPhotonPolState(rho_from_json(_read_json(p["state"])))
     else:
         state = noon.make_noon_from_pair(imbalance=p["imbalance"])
-    for key in ("b_step_mt", "b_max_mt", "fisher_at_mt"):
-        if p[key] is not None and not np.isfinite(p[key]):
-            raise ConfigError(f"params.{key}: must be finite, got {p[key]!r}")
-    if p["b_step_mt"] <= 0 or p["b_max_mt"] < 0:
-        raise ConfigError("params.b_step_mt must be > 0 and params.b_max_mt >= 0")
     b_list = _arange(p["b_max_mt"] * 1e-3 + 1e-9, p["b_step_mt"] * 1e-3, "params.b_step_mt: the field scan")
     # one pass over the scan's fields, then b* and b* +- h of the Fisher block
-    h_t, n = 0.25e-3, b_list.size
+    h_t, n = FISHER_STEP_MT * 1e-3, b_list.size
     b_star = None if p["fisher_at_mt"] is None else p["fisher_at_mt"] * 1e-3
-    if b_star is not None and b_star < h_t:
-        raise ConfigError(f"params.fisher_at_mt: must be >= the {h_t * 1e3:g} mT Fisher step, got {p['fisher_at_mt']!r}")
     if b_star is not None:
         try:
             noon.fisher_scan_index(b_list, b_star)
         except ConfigError as exc:
             raise ConfigError(f"params.fisher_at_mt: {exc}") from None
+    if n < 2:  # a single field has no fringe to count or to read a visibility from
+        raise CoverageError(f"params.b_max_mt and params.b_step_mt: the field scan holds {n} field; it needs at least 2")
     fisher_fields = [] if b_star is None else b_star + np.array([0.0, h_t, -h_t])
     transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
     scan = noon.sensing_scan(state, b_list, [t[:n] for t in transfer])
@@ -627,6 +603,59 @@ PARAMS: dict[str, dict] = {
     },
 }
 
+@dataclass(frozen=True)
+class Domain:
+    """A numeric key's values: finite, from ``lo`` to ``hi``, each end closed
+    ("[", "]") or open as ``ends`` says; a list holds at least ``least`` such."""
+
+    lo: float
+    hi: float
+    ends: str = "()"
+    least: int = 0
+
+    def __str__(self):
+        return f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}" + (f", at least {self.least}" if self.least else "")
+
+    def __contains__(self, x):
+        above = self.lo <= x if self.ends[0] == "[" else self.lo < x
+        return above and (x <= self.hi if self.ends[1] == "]" else x < self.hi)
+
+    def edges(self, integer: bool = False) -> tuple[list, list]:
+        """The numbers just outside: nan, +-inf and each finite end, itself where
+        open, else the next number beyond it (the next int if ``integer``); and
+        the numbers just inside each finite end."""
+        outside, within = [math.nan, math.inf, -math.inf], []
+        for end, closed, away in [(self.lo, self.ends[0] == "[", -1), (self.hi, self.ends[1] == "]", 1)]:
+            if math.isfinite(end):
+                near = [end + d if integer else math.nextafter(end, d * math.inf) for d in (away, -away)]
+                outside.append(near[0] if closed else end)
+                within.append(end if closed else near[1])
+        return outside, within
+
+
+# One domain per key name, shared by every scenario.  Temperatures: number_density's
+# (250, 450) K, in deg C from the least whose sum with 273.15 exceeds 250; analyzer
+# step: below half the 45 deg two-photon fringe; alpha: alpha^4 a float; phases (rad
+# or deg): within 1e6, where floats are 1.2e-10 apart; Fisher point: its field step.
+FISHER_STEP_MT = 0.25  # noon-scan's Fisher block reads the scan at b* and b* +- this
+_ANY, _POSITIVE, _NON_NEGATIVE = Domain(-math.inf, math.inf), Domain(0, math.inf), Domain(0, math.inf, "[)")
+_KELVIN, _CELSIUS = Domain(250, 450), Domain(-23.14999999999996, 176.85, "[)")
+_PHASE, _FRACTION, _COUNT = Domain(-(10**6), 10**6, "[]"), Domain(0, 1, "[)"), Domain(1, math.inf, "[)")
+DOMAINS = {
+    **dict.fromkeys(["t0_ns", "detuning_ghz", "imbalance"], _ANY),
+    **dict.fromkeys(["length_cm", "length_mm", "spacing_mhz", "window_ghz", "fsr_mhz", "linewidth_mhz",
+                     "envelope_ghz", "tbin_ns", "half_span_ns", "step_ns", "bandwidth_mhz", "b_step_mt"], _POSITIVE),
+    **dict.fromkeys(["field_mt", "buffer_mhz", "hot_cell_buffer_mhz", "half_span_ghz", "rate1_hz", "rate2_hz",
+                     "exposure", "b_max_mt"], _NON_NEGATIVE),
+    "temp_k": _KELVIN, "hot_cell_temp_k": _KELVIN, "temps_c": _CELSIUS, "cell_temp_c": _CELSIUS,
+    "pair_phase_rad": _PHASE, "two_phi": _PHASE, "phases_deg": Domain(-(10**6), 10**6, "[]", least=3),
+    "extinction": _FRACTION, "leak_fraction": _FRACTION, "rb85_fraction": Domain(0, 1, "[]"),
+    "droop_fraction": Domain(0, 0.5, "[)"), "fidelity": Domain(0.25, 1, "[]"), "angle_step_deg": Domain(0, 22.5),
+    "fields_mt": Domain(0, math.inf, "[)", least=1), "slices": _COUNT, "bins": _COUNT,
+    "n_phases": Domain(3, math.inf, "[)"), "alpha": Domain(-biphoton.ALPHA_MAX, biphoton.ALPHA_MAX),
+    "fisher_at_mt": Domain(FISHER_STEP_MT, math.inf, "[)"),
+}
+
 # The paper's figures: each names its scenario and only the keys it sets away
 # from that scenario's defaults in PARAMS.  A dump of one is a scenario file.
 PRESETS: dict[str, dict] = {
@@ -671,7 +700,7 @@ _TYPES = {
 
 
 def _check(key: str, spec, value):
-    """``value`` for ``key`` in the type its default ``spec`` declares."""
+    """``value`` for ``key``, of the type its default ``spec`` declares and in the key's domain."""
     if isinstance(spec, tuple):
         if value in spec:
             return value
@@ -683,7 +712,14 @@ def _check(key: str, spec, value):
     if not accepts(value):
         expected = "an existing file" if kind is Path else kind.__name__
         raise ConfigError(f"params.{key}: expected {expected}, got {value!r}")
-    return store(value)
+    value = store(value)
+    if domain := DOMAINS.get(key):
+        entries = value if isinstance(value, list) else [value]
+        if len(entries) < domain.least:
+            raise ConfigError(f"params.{key}: needs at least {domain.least} entries, got {len(entries)}")
+        if bad := [x for x in entries if x not in domain]:
+            raise ConfigError(f"params.{key}: {bad[0]!r} is not in {domain}")
+    return value
 
 
 def load_scenario_config(source: str) -> dict:
@@ -795,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
         for key, spec in table.items():
-            sp.add_argument(flag_of(key), dest=key, help=key, **_argument(spec))
+            sp.add_argument(flag_of(key), dest=key, help=f"{key} in {DOMAINS[key]}" if key in DOMAINS else key, **_argument(spec))
 
     sc = sub.add_parser("scenario", help="run named presets or scenario files")
     sc_sub = sc.add_subparsers(dest="scenario_command", required=True)

@@ -16,6 +16,8 @@ import yaml
 from atompairs.atoms import load_atom_data
 from atompairs.cli import (
     CSV_BLOCK_CELLS,
+    DOMAINS,
+    OPTIONAL_FLOAT,
     PARAMS,
     PRESETS,
     RUNNERS,
@@ -29,8 +31,8 @@ from atompairs.cli import (
     write_csv,
     write_json,
 )
-from atompairs.errors import MAX_POINTS, NumericError
-from atompairs.vapor import VaporCellConfig
+from atompairs.errors import MAX_POINTS, ConfigError, NumericError
+from atompairs.vapor import VaporCellConfig, check_spacing
 
 from reference import one_shot_csv
 from test_resolution import limit_hz
@@ -720,6 +722,42 @@ def test_preset_sets_only_keys_away_from_the_defaults(name):
         assert value != defaults[key], (name, key)
 
 
+_NUMERIC = [
+    (name, key)
+    for name, table in PARAMS.items()
+    for key, spec in table.items()
+    if spec is OPTIONAL_FLOAT or type(spec) in (int, float, list)
+]
+
+
+@pytest.mark.parametrize("scenario, key", _NUMERIC)
+def test_values_just_outside_a_keys_domain_are_refused_naming_it(scenario, key, atoms):
+    """nan, +-inf and each finite end of the key's interval (the end itself
+    where it is open, else the next number beyond it) are refused under the
+    key, and the number just inside each end resolves, a deg C one also to
+    a kelvin temperature that the cell accepts; so do the scenario's defaults
+    and presets.  A list key is tried with its first default entry replaced,
+    and with one entry fewer than it needs."""
+    default, domain = PARAMS[scenario][key], DOMAINS[key]
+    outside, inside = domain.edges(integer=type(default) is int)
+
+    def params(x):
+        return {key: [x, *default[1:]] if isinstance(default, list) else x}
+
+    for x in outside:
+        with pytest.raises(ConfigError, match=rf"^params\.{key}: "):
+            validate_scenario({"scenario": scenario, "params": params(x)})
+    for x in inside:
+        _, resolved = validate_scenario({"scenario": scenario, "params": params(x)})
+        if key in ("temps_c", "cell_temp_c"):  # the runner adds 273.15, which rounds
+            check_spacing(_sensing_cell(resolved, x), atoms, 1.0)
+    if domain.least:
+        with pytest.raises(ConfigError, match=rf"^params\.{key}: needs at least {domain.least} entries"):
+            validate_scenario({"scenario": scenario, "params": {key: default[: domain.least - 1]}})
+    for cfg in [{"scenario": scenario}, *(p for p in PRESETS.values() if p["scenario"] == scenario)]:
+        validate_scenario(cfg)
+
+
 @pytest.mark.parametrize(
     "scenario, params, named",
     [
@@ -805,7 +843,7 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
     if argv[0] == "superresolution":
         assert "params.angle_step_deg" in capsys.readouterr().err
     if argv[1] == "--n-phases":
-        assert "need at least 3 analyser phases" in capsys.readouterr().err
+        assert "configuration error: params.n_phases:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -820,12 +858,16 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
         (["--rate1-Hz=-1"], "rate1_hz"),
         (["--rate2-Hz=inf"], "rate2_hz"),
         (["--t0-ns=nan"], "t0_ns"),
+        (["--linewidth-MHz=1e303"], "linewidth_mhz"),
+        (["--fsr-MHz=1e-320"], "fsr_mhz"),
+        (["--tbin-ns=1e-320"], "tbin_ns"),
     ],
 )
 def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
     """The bin width, singles rates, channel delay, linewidth and FSR reach
     ``DetectionModel`` and ``G2Envelope``, whose own refusals name their
-    fields; the runner names the key the user set."""
+    fields; the runner names the key the user set, also where a value in the
+    key's domain leaves the float range on its way to seconds or Hz."""
     assert main(["--out-dir", str(tmp_path / "out"), "g2"] + argv) == 2
     assert f"configuration error: params.{key}:" in capsys.readouterr().err
 
@@ -968,8 +1010,8 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         (["matching", "--fsr-MHz", "1e300"], 0, ""),
         (["matching", "--envelope-GHz", "1e-300"], 0, ""),
         (["matching", "--length-cm", "1e300"], 3, "degenerate_pair_fraction: no pair passes the filter"),
-        (["matching", "--temp-K", "1e300"], 2, "outside the validated range (250, 450) K"),
-        (["spectroscopy", "--temps-C", "1e300"], 2, "outside the validated range (250, 450) K"),
+        (["matching", "--temp-K", "1e300"], 2, "params.temp_k: 1e+300 is not in (250, 450)"),
+        (["spectroscopy", "--temps-C", "1e300"], 2, "params.temps_c: 1e+300 is not in [-23.14999999999996, 176.85)"),
         (["noon-scan", "--imbalance", "1e300"], 2, "state vector must be finite and nonzero"),
         (["noon-scan", "--length-mm", "1e300"], 3, "params.length_mm = 1e+300"),
     ],
@@ -987,8 +1029,8 @@ def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, 
     Poisson sampler's limit: each died with a traceback (exit 1).  A comb
     whose mode offsets overflow the envelope's square is its degenerate mode;
     a cell that passes no pair has no degenerate fraction; a temperature
-    outside the validated range is refused before the grid check computes a
-    line width; an exposure at which some tau points record no pair at any
+    outside number_density's validated range is refused under its key
+    before the grid check computes a line width; an exposure at which some tau points record no pair at any
     phase is refused by their count before a 0/0, one whose square leaves
     the float range by the rate variance that it would overflow, and a
     reference too faint for the phase design by its condition number.  A
@@ -1051,7 +1093,10 @@ def test_every_scenario_has_a_subcommand_with_help(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
-    assert "(default:" in capsys.readouterr().out
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(default:" in out
+    for key in PARAMS[command].keys() & DOMAINS.keys():
+        assert f"{key} in {DOMAINS[key]} (default:" in out
 
 
 def test_readme_examples_parse():

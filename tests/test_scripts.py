@@ -17,6 +17,7 @@ def _fuzz_result(code, stderr="", **fields):
         "run": "spectrum --field-mT=1e300",
         "code": code,
         "wall_s": 1.0,
+        "outside": False,
         "traceback": "Traceback" in stderr,
         "warning": warning.group(0) if warning else "",
         "non_finite": [],
@@ -44,12 +45,13 @@ WARNED = (
         (None, "", {}, ["past 40 s"]),
         (0, "", {"non_finite": ["index.csv"]}, ["NaN/Infinity in index.csv"]),
         (3, "", {"partial": ["scan.csv"]}, ["exit 3 leaves scan.csv"]),
+        (0, "", {"outside": True}, ["exit 0 outside the domain"]),
     ],
 )
 def test_fuzz_reports_each_faulty_run(code, stderr, fields, found):
     """The sweep's classification of one run: an exit 0 that numpy warned on
-    is a finding, as are exit 1, a time-out, a traceback, a non-finite output
-    and a refused run's leftovers; a refusal, warned or not, or a
-    UserWarning, is not."""
+    is a finding, as are an exit 0 at a value outside the key's domain, exit
+    1, a time-out, a traceback, a non-finite output and a refused run's
+    leftovers; a refusal, warned or not, or a UserWarning, is not."""
     problems, result = _fuzz_result(code, stderr, **fields)
     assert problems(result, 40.0) == found
