@@ -42,9 +42,10 @@ class CavityConfig:
             raise ConfigError("cavity linewidth must be well below the FSR")
 
 
-def _envelope_weight(cfg: CavityConfig, offset_hz):
+def _envelope_weight(cfg: CavityConfig, k):
+    """Envelope weight of the modes ``k`` FSR from the degenerate one."""
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the weight's limit
-        x = np.asarray(offset_hz, dtype=float) / cfg.envelope_fwhm_hz
+        x = np.asarray(k) * cfg.fsr_hz / cfg.envelope_fwhm_hz
         return np.exp(-4.0 * _LN2 * x**2)
 
 
@@ -69,18 +70,16 @@ def mode_comb(cfg: CavityConfig) -> PairSpectralDensity:
     Raises ConfigError if the envelope stays above the cut beyond
     ``MAX_MODES`` modes.
     """
-    n = 0
-    while _envelope_weight(cfg, (n + 1) * cfg.fsr_hz) >= TAIL_CUT:
-        n += 1
-        if n >= MAX_MODES:
-            raise ConfigError(
-                f"the envelope stays above {TAIL_CUT:g} of its peak beyond {MAX_MODES} modes "
-                f"from the degenerate one; a comb holds at most {MAX_MODES} modes each side"
-            )
-    n += 1  # first mode below the cut closes the comb
+    below = _envelope_weight(cfg, np.arange(1, MAX_MODES + 1)) < TAIL_CUT
+    if not below.any():
+        raise ConfigError(
+            f"the envelope stays above {TAIL_CUT:g} of its peak beyond {MAX_MODES} modes "
+            f"from the degenerate one; a comb holds at most {MAX_MODES} modes each side"
+        )
+    n = int(below.argmax()) + 1  # first mode below the cut closes the comb
     k = np.arange(-n, n + 1)
     freq = cfg.degenerate_hz + k * cfg.fsr_hz
-    weight = _envelope_weight(cfg, k * cfg.fsr_hz)
+    weight = _envelope_weight(cfg, k)
     return PairSpectralDensity(k=k, frequency_hz=freq, weight=weight, linewidth_hz=cfg.linewidth_hz)
 
 

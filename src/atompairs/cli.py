@@ -174,12 +174,13 @@ def _naming(**keys):
 
 def run_spectrum(p, atoms, sink, seed):
     """complex refractive index n+/n- of a cell"""
-    cell = vapor.VaporCellConfig(
-        length_m=p["length_cm"] / 100.0,
-        temperature_k=p["temp_k"],
-        isotope_fractions=atoms.natural_fractions(),
-        buffer_fwhm_hz=p["buffer_mhz"] * 1e6,
-    )
+    with _naming(cell="length_cm", buffer="buffer_mhz"):
+        cell = vapor.VaporCellConfig(
+            length_m=p["length_cm"] / 100.0,
+            temperature_k=p["temp_k"],
+            isotope_fractions=atoms.natural_fractions(),
+            buffer_fwhm_hz=p["buffer_mhz"] * 1e6,
+        )
     center = atoms.d1_center_hz(cell.isotope_fractions)
     grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
@@ -196,11 +197,12 @@ def run_spectrum(p, atoms, sink, seed):
 
 def _fadof(p, atoms, half_span_hz, spacing_hz):
     """(spectrum, D1 center) of the Faraday filter on a grid about the center."""
-    cell = vapor.VaporCellConfig(
-        length_m=p["length_cm"] / 100.0,
-        temperature_k=p["temp_k"],
-        isotope_fractions=atoms.natural_fractions(),
-    )
+    with _naming(cell="length_cm"):
+        cell = vapor.VaporCellConfig(
+            length_m=p["length_cm"] / 100.0,
+            temperature_k=p["temp_k"],
+            isotope_fractions=atoms.natural_fractions(),
+        )
     center = atoms.d1_center_hz(cell.isotope_fractions)
     pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
@@ -275,12 +277,13 @@ def run_matching(p, atoms, sink, seed):
 def run_purity(p, atoms, sink, seed):
     """filtered-comb spectral purity report"""
     spec, nu0, comb, passed = _matching_pieces(p, atoms)
-    hot = vapor.VaporCellConfig(
-        length_m=0.10,
-        temperature_k=p["hot_cell_temp_k"],
-        isotope_fractions=atoms.natural_fractions(),
-        buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
-    )
+    with _naming(buffer="hot_cell_buffer_mhz"):
+        hot = vapor.VaporCellConfig(
+            length_m=0.10,
+            temperature_k=p["hot_cell_temp_k"],
+            isotope_fractions=atoms.natural_fractions(),
+            buffer_fwhm_hz=p["hot_cell_buffer_mhz"] * 1e6,
+        )
     hot_t = vapor.blocking_cell_transmission(hot, atoms)
     rep = cavity.spectral_purity(passed, p["leak_fraction"], hot_t)
     _write_comb(sink, comb, passed)
@@ -421,12 +424,13 @@ def run_superresolution(p, atoms, sink, seed):
 
 def _sensing_cell(p, temp_c):
     frac = p["rb85_fraction"]
-    return vapor.VaporCellConfig(
-        length_m=p["length_mm"] / 1e3,
-        temperature_k=temp_c + 273.15,
-        isotope_fractions={"Rb85": frac, "Rb87": 1.0 - frac},
-        droop_fraction=p["droop_fraction"],
-    )
+    with _naming(cell="length_mm"):
+        return vapor.VaporCellConfig(
+            length_m=p["length_mm"] / 1e3,
+            temperature_k=temp_c + 273.15,
+            isotope_fractions={"Rb85": frac, "Rb87": 1.0 - frac},
+            droop_fraction=p["droop_fraction"],
+        )
 
 
 def run_spectroscopy(p, atoms, sink, seed):
@@ -652,7 +656,7 @@ DOMAINS = {
     "extinction": _FRACTION, "leak_fraction": _FRACTION, "rb85_fraction": Domain(0, 1, "[]"),
     "droop_fraction": Domain(0, 0.5, "[)"), "fidelity": Domain(0.25, 1, "[]"), "angle_step_deg": Domain(0, 22.5),
     "fields_mt": Domain(0, math.inf, "[)", least=1), "slices": _COUNT, "bins": _COUNT,
-    "n_phases": Domain(3, math.inf, "[)"), "alpha": Domain(-biphoton.ALPHA_MAX, biphoton.ALPHA_MAX),
+    "n_phases": Domain(3, math.inf, "[)"), "alpha": Domain(0, biphoton.ALPHA_MAX, "[)"),
     "fisher_at_mt": Domain(FISHER_STEP_MT, math.inf, "[)"),
 }
 

@@ -17,7 +17,9 @@ of as many grid points as the fill's accuracy bounds allow, up to
 group in one reduction, and chi is filled from those sums: Im chi to 1e-12
 and chi to 1e-11 of the pointwise line sum (tests/test_vapor.py).  Other
 frequencies are each their own anchor, but far from every line, as most of a
-pair comb is, chi is a series in 1 / (nu - nu_c) per group (``_far_series``).
+pair comb is, chi is a series in 1 / (nu - nu_c) per group (``_far_series``),
+and only the near ones take the Voigt workspace, so such a walk's blocks are
+cut by their count of near frequencies: fig3's comb walks in 2 blocks.
 
 ``VaporPath`` is the one propagation engine: the cell at one center field or
 a 1-D array of them, at any frequencies.  The field droops symmetrically
@@ -236,7 +238,9 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     contiguous block of the 1-D frequencies ``nu``, in order; ``chi``, shape
     (groups, block), sums each line group's lines in rank order, so no value
     depends on its block.  Blocks are cut on whole anchor cells and share one
-    workspace.
+    workspace: every ``step`` frequencies, but in a walk of one-point cells
+    that reaches ``_far_series``, where only the near frequencies use the
+    workspace, after every ``step`` near ones and at most every ``cap``.
 
     The Voigt profiles are evaluated only at anchors, one per cell of m grid
     points (``_anchor_cell``) at the cell's middle.  Where m > 1, chi is
@@ -263,8 +267,12 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     # flat, so that a short block's views are contiguous too
     size = nu0.size * min(step // cell, -(-nu.size // cell))
     z, prev, term, scratch = (np.empty(size, dtype=complex) for _ in range(4))
-    for a in range(0, nu.size, step):
-        b = min(a + step, nu.size)
+    starts = range(0, nu.size, step)
+    if series is not None:
+        # a block's chi and far fill take two points per group and frequency
+        cap = max(step, BLOCK_POINTS // (2 * groups))
+        starts = sorted({*range(0, nu.size, cap), *np.flatnonzero(~series[0])[step::step].tolist()})
+    for a, b in zip(starts, [*starts[1:], nu.size]):
         anchors = -(-(b - a) // cell)
         at = nu[a:b] if cell == 1 else nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
         at = at if series is None else at[~series[0][a:b]]

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from atompairs.cavity import (
     MAX_MODES,
+    TAIL_CUT,
     CavityConfig,
     FilteredPairs,
     PairSpectralDensity,
+    _envelope_weight,
     filtered_pair_rate,
     mode_comb,
     spectral_purity,
@@ -60,6 +62,37 @@ def test_comb_beyond_the_mode_limit_is_refused():
     assert mode_comb(widest).k[-1] == MAX_MODES
     with pytest.raises(ConfigError, match="at most"):
         mode_comb(CavityConfig(**{**widest.__dict__, "envelope_fwhm_hz": fwhm * (MAX_MODES + 0.5) / (MAX_MODES - 0.5)}))
+
+
+def _scalar_comb_edge(cfg):
+    """The first mode k >= 1 whose weight, evaluated alone, is below
+    ``TAIL_CUT``, or None if none is up to ``MAX_MODES``."""
+    for k in range(1, MAX_MODES + 1):
+        if _envelope_weight(cfg, k) < TAIL_CUT:
+            return k
+    return None
+
+
+def test_comb_edge_is_the_scalar_search():
+    """The comb closes at the mode a one-mode-at-a-time search finds, on
+    random (FSR, envelope) pairs, on envelopes whose tail cut falls on a mode
+    to within a few ulp, and at the ``MAX_MODES`` boundary, where both refuse."""
+    rng = np.random.default_rng(37)
+    root = np.sqrt(np.log(1.0 / TAIL_CUT) / (4.0 * np.log(2.0)))
+    widths = [(fsr, fsr * 10 ** rng.uniform(-1, 3.5)) for fsr in 10 ** rng.uniform(6, 11, 60)]
+    widths += [(fsr, k * fsr / root * (1 + ulps * 2.2e-16)) for fsr, k, ulps in zip(
+        10 ** rng.uniform(6, 11, 60), rng.integers(1, 2_000, 60), rng.integers(-4, 5, 60))]
+    widths += [(501e6, (MAX_MODES + d) * 501e6 / root) for d in (-0.5, 0.0, 0.5)]
+    for fsr, fwhm in widths:
+        cfg = CavityConfig(fsr_hz=fsr, linewidth_hz=fsr / 20, degenerate_hz=3.77e14, envelope_fwhm_hz=fwhm)
+        want = _scalar_comb_edge(cfg)
+        if want is None:
+            with pytest.raises(ConfigError, match="at most"):
+                mode_comb(cfg)
+        else:
+            assert mode_comb(cfg).k[-1] == want
+    assert _scalar_comb_edge(CavityConfig(fsr_hz=501e6, linewidth_hz=8.4e6, degenerate_hz=3.77e14,
+                                          envelope_fwhm_hz=(MAX_MODES + 0.5) * 501e6 / root)) is None
 
 
 def test_envelope_tail_cut():

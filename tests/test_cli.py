@@ -890,6 +890,11 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
         (["fadof", "--extinction", "1"], ["extinction"]),
         (["interference", "--phases-deg", "0", "45"], ["phases_deg"]),
         (["superresolution", "--two-phi", "inf"], ["two_phi"]),
+        # in the key's domain, but 0 m or an infinite width once converted
+        *[([command, "--length-cm", "5e-324"], ["length_cm"]) for command in ("fadof", "spectrum", "matching", "purity")],
+        *[([command, "--length-mm", "5e-324"], ["length_mm"]) for command in ("spectroscopy", "noon-scan")],
+        (["spectrum", "--buffer-MHz", "1e303"], ["buffer_mhz"]),
+        (["purity", "--hot-cell-buffer-MHz", "1e303"], ["hot_cell_buffer_mhz"]),
     ],
 )
 def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
@@ -1136,6 +1141,16 @@ def test_interference_default_alpha_is_fig5s(tmp_path):
     assert main(["--out-dir", str(out_file), "scenario", "run", str(cfg)]) == 0
     assert main(["--out-dir", str(out_flag), "interference", "--alpha", "1.4142135623730951"]) == 0
     assert _hash_dir(out_file) == _hash_dir(out_flag)
+
+
+@pytest.mark.parametrize("command, alpha, rc", [("interference", "-1", 2), ("interference", "0", 0), ("reconstruct", "0", 2)])
+def test_alpha_is_a_non_negative_amplitude(tmp_path, capsys, command, alpha, rc):
+    """A negative reference amplitude is refused under its key, where
+    ``interference`` once wrote the table of |alpha|; 0, the pair light
+    alone, runs, and ``reconstruct`` refuses it with its own message."""
+    assert main(["--out-dir", str(tmp_path), command, f"--alpha={alpha}"]) == rc
+    err = capsys.readouterr().err
+    assert (err == "") if rc == 0 else err.startswith("configuration error: params.alpha: ")
 
 
 def test_reconstruct_defaults_agree_between_flags_and_file(tmp_path):

@@ -312,11 +312,20 @@ def _per_cell(lines, cell=1):
 
 def _walked_chi(lines, nu):
     """The walk's chi over ``nu``, blocks joined, after checking that the
-    blocks of one-point cells cover ``nu`` once, in order, in blocks of
-    ``BLOCK_POINTS / _per_cell`` frequencies."""
+    blocks of one-point cells cover ``nu`` once, in order, each holding at
+    most ``step`` = ``BLOCK_POINTS / _per_cell`` near frequencies (``_near``)
+    and at most max(``step``, ``BLOCK_POINTS`` / (2 groups)) in all; where no
+    frequency is far, in blocks of ``step``."""
     blocks = _walk(lines, nu)
     step = max(1, vapor.BLOCK_POINTS // _per_cell(lines))
-    assert [(cols.start, cols.stop) for cols, _ in blocks] == [(a, min(a + step, nu.size)) for a in range(0, nu.size, step)]
+    edges = [(cols.start, cols.stop) for cols, _ in blocks]
+    near = _near(lines, nu)
+    if near.all():
+        assert edges == [(a, min(a + step, nu.size)) for a in range(0, nu.size, step)]
+    else:
+        cap = max(step, vapor.BLOCK_POINTS // (2 * lines.nu0.shape[1]))
+        assert [a for a, _ in edges] == [0] + [b for _, b in edges[:-1]] and edges[-1][1] == nu.size
+        assert all(0 < b - a <= cap and near[a:b].sum() <= step for a, b in edges)
     return np.concatenate([chi for _, chi in blocks], axis=1) if blocks else np.empty((lines.nu0.shape[1], 0), dtype=complex)
 
 
@@ -347,6 +356,15 @@ def _edge_counts(step):
     return (0, 1, step - 1, step, step + 1, 3 * step + 5)
 
 
+def _near_among_far(center, near, far):
+    """``near`` frequencies within 2 GHz of ``center`` shuffled among ``far``
+    ones 20-60 GHz either side, past ``_far_series``' radius of the 365 K
+    cell's lines."""
+    rng = np.random.default_rng(near)
+    nu = np.concatenate([_nonuniform(center, near, 2e9), center + rng.choice([-1, 1], far) * rng.uniform(20e9, 60e9, far)])
+    return rng.permutation(nu)
+
+
 @pytest.mark.parametrize("pol", ["sigma+", "sigma-"])
 @pytest.mark.parametrize("step", [7, None])
 def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, pol, step):
@@ -355,7 +373,9 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
     is the one-shot line-order sum bit for bit, since each frequency's lines
     are summed in line order whatever the block.  Out to +-60 GHz, where
     most frequencies take the far-field series, the chi of one block is
-    reproduced bit for bit, and so is the one-shot sum at the others."""
+    reproduced bit for bit, and so is the one-shot sum at the others; also
+    with step - 1, step and step + 1 near frequencies shuffled among far
+    ones, where blocks end by their near count and by their size."""
     arrays = _group_lines(_fadof_path(atoms)._lines, ("sigma+", "sigma-").index(pol))
     count = _per_cell(arrays)
     if step is None:
@@ -372,6 +392,17 @@ def test_blocked_susceptibility_equals_one_shot(atoms, d1_center, monkeypatch, p
         chi = _walked_chi(arrays, mixed)[0]
         with monkeypatch.context() as m:
             m.setattr(vapor, "BLOCK_POINTS", max(n, 1) * count)
+            assert np.array_equal(chi, _walked_chi(arrays, mixed)[0])
+        assert np.array_equal(chi[near], one_shot_susceptibility(arrays, mixed[near]))
+    # step - 1, step and step + 1 near frequencies among more far ones than
+    # two blocks of ``BLOCK_POINTS`` / 2 hold
+    for k in (step - 1, step, step + 1):
+        mixed = _near_among_far(d1_center, k, vapor.BLOCK_POINTS + 5)
+        near = _near(arrays, mixed)
+        assert near.sum() == k
+        chi = _walked_chi(arrays, mixed)[0]
+        with monkeypatch.context() as m:
+            m.setattr(vapor, "BLOCK_POINTS", mixed.size * count)
             assert np.array_equal(chi, _walked_chi(arrays, mixed)[0])
         assert np.array_equal(chi[near], one_shot_susceptibility(arrays, mixed[near]))
 
@@ -643,11 +674,9 @@ def _record_far_series(monkeypatch):
     return returned
 
 
-def test_comb_reaches_faddeeva_only_near_the_lines(atoms, monkeypatch):
-    """fig3's comb, 1,093 modes x 11 Lorentzian nodes out to +-274 GHz, is
-    read pointwise: each line's Voigt profile is evaluated only at the
-    frequencies within the series' radius, at most 792 of the 12,023, and the
-    series' coefficients are built once."""
+def _fig3_comb(atoms):
+    """fig3's filter and the frequencies its comb reads it at: 1,093 modes x
+    11 Lorentzian nodes out to +-274 GHz."""
     from atompairs import cavity, cli
 
     _, params = cli.validate_scenario({"scenario": "matching"})
@@ -655,6 +684,14 @@ def test_comb_reaches_faddeeva_only_near_the_lines(atoms, monkeypatch):
     nodes, _ = np.polynomial.legendre.leggauss(cavity.LORENTZIAN_NODES)
     nu = (comb.frequency_hz[:, None] + nodes * cavity.LORENTZIAN_HALF_RANGE * comb.linewidth_hz).ravel()
     assert nu.size == 12_023
+    return spec, nu
+
+
+def test_comb_reaches_faddeeva_only_near_the_lines(atoms, monkeypatch):
+    """fig3's comb is read pointwise: each line's Voigt profile is evaluated
+    only at the frequencies within the series' radius, at most 792 of the
+    12,023, and the series' coefficients are built once."""
+    spec, nu = _fig3_comb(atoms)
     lines = _fadof_path(atoms)._lines
     near = _near(lines, nu).sum()
     series = _record_far_series(monkeypatch)
@@ -662,6 +699,30 @@ def test_comb_reaches_faddeeva_only_near_the_lines(atoms, monkeypatch):
     spec(nu)
     assert near <= 792 and sum(points) == lines.nu0.size * near <= 64 * 792
     assert [s is not None for s in series] == [True]
+
+
+def test_comb_walks_in_two_blocks_within_its_memory(atoms, monkeypatch):
+    """fig3's comb holds 689 near frequencies, two blocks' worth of 372 for
+    its 64 lines, so it walks in 2 blocks, not in 33 blocks of 372
+    frequencies; and its read peaks below 2.9 MB under ``tracemalloc``
+    (2.82 MB, and 2.77 MB in the 33 blocks)."""
+    spec, nu = _fig3_comb(atoms)
+    spec(nu)  # warm the caches
+    tracemalloc.start()
+    try:
+        spec(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.9e6
+    blocks, walk = [], vapor._walk_chi
+
+    def recorded(lines, frequencies, consume):
+        walk(lines, frequencies, lambda columns, chi: (blocks.append(columns), consume(columns, chi)))
+
+    monkeypatch.setattr(vapor, "_walk_chi", recorded)
+    spec(nu)
+    assert [(cols.start, cols.stop) for cols in blocks] == [(0, 5993), (5993, 12_023)]
 
 
 @pytest.mark.parametrize("preset", ["fig2-fadof", "fig10-spectroscopy", "fig11-sensing"])
