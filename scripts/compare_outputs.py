@@ -2,8 +2,9 @@
 """Compare the outputs of two checkouts of the package, file by file.
 
 Runs every preset (``scenario run <preset> --seed 0``), every command at its
-defaults and every ``studies/*.yaml`` (``scenario run <file>``, so a change
-that moves a study shows), each in a fresh process against ``PARENT/src`` and
+defaults and with ``--help`` (so a change to the parameter schema shows), and
+every ``studies/*.yaml`` (``scenario run <file>``, so a change that moves a
+study shows), each in a fresh process against ``PARENT/src`` and
 then ``CHANGE/src``, into its own scratch directory; a run one side does not
 declare is a difference.  For every run it prints its exit codes, whether
 stdout differs and one of, per file:
@@ -40,11 +41,13 @@ def _env(root: Path) -> dict:
 
 def runs_of(root: Path) -> dict:
     """Run name -> CLI arguments: the presets at seed 0, the commands at their
-    defaults and the study files, as the checkout at ``root`` declares them."""
+    defaults and with ``--help``, and the study files, as the checkout at
+    ``root`` declares them."""
     out = subprocess.run([sys.executable, "-c", LIST_RUNS], env=_env(root), capture_output=True, text=True, check=True)
     presets, commands = json.loads(out.stdout)
     studies = {f"studies/{f.name}": ["scenario", "run", str(f)] for f in sorted(root.glob("studies/*.yaml"))}
-    return {**{p: ["scenario", "run", p] for p in presets}, **{c: [c] for c in commands}, **studies}
+    helps = {f"{c} --help": [c, "--help"] for c in commands}
+    return {**{p: ["scenario", "run", p] for p in presets}, **{c: [c] for c in commands}, **helps, **studies}
 
 
 def run(root: Path, args: list, out_dir: Path) -> tuple:

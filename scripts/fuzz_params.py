@@ -31,7 +31,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from atompairs.cli import DOMAINS, OPTIONAL_FLOAT, PARAMS, PRESETS, flag_of
+from atompairs.cli import DOMAINS, PARAMS, PRESETS, flag_of
 
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
 NON_FINITE = re.compile(rb"\b(nan|inf|infinity)\b", re.IGNORECASE)
@@ -44,7 +44,7 @@ def numeric_keys(command: str) -> list[str]:
     return [
         key
         for key, spec in PARAMS[command].items()
-        if spec is OPTIONAL_FLOAT or type(spec) in (int, float) or isinstance(spec, list)
+        if spec is float or type(spec) in (int, float) or isinstance(spec, list)
     ]
 
 

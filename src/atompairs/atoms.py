@@ -43,7 +43,6 @@ _D1 = ("5S1/2", "5P1/2")  # ground and excited manifold of the lines
 @dataclass(frozen=True)
 class ManifoldConstants:
     label: str
-    J: float
     g_J: float
     A_hfs_hz: float
     offset_hz: float = 0.0
@@ -126,20 +125,19 @@ class AtomLibrary:
 def _j_half_manifold(isotope: str, label: str, m) -> ManifoldConstants:
     """One manifold of the data file; only J = 1/2 without a quadrupole
     constant, the manifolds whose m_F blocks are at most 2x2."""
-    con = ManifoldConstants(
+    j = float(m["J"])
+    b_hfs = float(m.get("B_hfs_hz", 0.0))
+    if j != 0.5 or b_hfs != 0.0:
+        raise ConfigError(
+            f"{isotope} {label}: J = {j:g}, B_hfs_hz = {b_hfs:g}; only J = 1/2 "
+            "manifolds, which have no quadrupole term, are supported"
+        )
+    return ManifoldConstants(
         label=label,
-        J=float(m["J"]),
         g_J=float(m["g_J"]),
         A_hfs_hz=float(m["A_hfs_hz"]),
         offset_hz=float(m.get("offset_hz", 0.0)),
     )
-    b_hfs = float(m.get("B_hfs_hz", 0.0))
-    if con.J != 0.5 or b_hfs != 0.0:
-        raise ConfigError(
-            f"{isotope} {label}: J = {con.J:g}, B_hfs_hz = {b_hfs:g}; only J = 1/2 "
-            "manifolds, which have no quadrupole term, are supported"
-        )
-    return con
 
 
 def load_atom_data(path=None) -> AtomLibrary:
@@ -202,10 +200,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @functools.cache
-def product_basis(J: float, I: float) -> tuple[tuple[float, float], ...]:
-    """Ordered |m_J, m_I> basis: m_J ascending (outer), m_I ascending (inner)."""
+def product_basis(I: float) -> tuple[tuple[float, float], ...]:
+    """Ordered |m_J, m_I> basis of J = 1/2 and nuclear spin ``I``: m_J
+    ascending (outer), m_I ascending (inner)."""
     return tuple(
-        (-J + kj, -I + ki) for kj in range(round(2 * J + 1)) for ki in range(round(2 * I + 1))
+        (m_j, -I + ki) for m_j in (-0.5, 0.5) for ki in range(round(2 * I + 1))
     )
 
 
@@ -213,7 +212,6 @@ def product_basis(J: float, I: float) -> tuple[tuple[float, float], ...]:
 class ManifoldHamiltonian:
     isotope: str
     manifold: str
-    J: float
     I: float
     basis: tuple[tuple[float, float], ...]
     field_t: float | np.ndarray
@@ -259,14 +257,13 @@ def build_hamiltonian(iso: IsotopeData, manifold: str, b_field_t: float | np.nda
     """
     b = _checked_fields(b_field_t)
     con = iso.manifold(manifold)
-    J, I = con.J, iso.nuclear_spin
+    I = iso.nuclear_spin
     h0, zeeman = _block_operators(con, I, iso.g_I)
     return ManifoldHamiltonian(
         isotope=iso.name,
         manifold=manifold,
-        J=J,
         I=I,
-        basis=product_basis(J, I),
+        basis=product_basis(I),
         field_t=b if b.ndim else float(b),
         constants=con,
         block_entries_hz=h0 + (MU_B_HZ_PER_T * b)[..., None] * zeeman,
@@ -302,14 +299,8 @@ def _block_layout(basis) -> _BlockLayout:
     """The m_F block layout of the J = 1/2 product basis ``basis``: the
     stretched states m_F = -(I + 1/2) and I + 1/2 are the 1x1 blocks, and
     every m_F between holds the pair |m_J = -1/2, m_I = m_F + 1/2>,
-    |m_J = +1/2, m_I = m_F - 1/2>.  ConfigError for any other basis (with
-    J > 1/2 an m_F block holds more than two states)."""
-    J, I = basis[-1]
-    if basis != product_basis(0.5, I):
-        raise ConfigError(
-            f"got a J = {J:g} basis; the block solver takes J = 1/2 bases only, "
-            "whose m_F blocks hold at most two states"
-        )
+    |m_J = +1/2, m_I = m_F - 1/2>."""
+    I = basis[-1][1]
     n = len(basis) // 2  # 2I + 1 states per m_J
     one, r0, r1 = np.array([0, 2 * n - 1]), np.arange(1, n), n + np.arange(n - 1)
     low, high = 2 + np.arange(n - 1), n + 1 + np.arange(n - 1)
@@ -340,7 +331,7 @@ def _block_operators(con: ManifoldConstants, I: float, g_I: float):
     Keyed on the constants themselves, not the isotope name: a user atom-data
     file may give the same isotope other constants.
     """
-    basis = product_basis(con.J, I)
+    basis = product_basis(I)
     layout = _block_layout(basis)
     m_j, m_i = np.array(basis)[layout.entry_rows].T
     # the Kronecker sum adds +0.0 terms: m_J m_I = -0.0 gives +0.0
@@ -392,7 +383,6 @@ class ZeemanSpectrum:
 
     isotope: str
     manifold: str
-    J: float
     field_t: float | np.ndarray
     layout: _BlockLayout
     energies_hz: np.ndarray
@@ -418,9 +408,7 @@ class ZeemanSpectrum:
 
 def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     """Per-m_F block eigensolve of a Hamiltonian's block entries; energies
-    ascending, F labels adiabatic.  ConfigError for an m_F block of more than
-    two states.
-    """
+    ascending, F labels adiabatic."""
     layout = _block_layout(ham.basis)
     entries = ham.block_entries_hz
     f_labels = _f_labels(ham.I, ham.constants.A_hfs_hz)
@@ -437,7 +425,6 @@ def diagonalize(ham: ManifoldHamiltonian) -> ZeemanSpectrum:
     return ZeemanSpectrum(
         isotope=ham.isotope,
         manifold=ham.manifold,
-        J=ham.J,
         field_t=ham.field_t,
         layout=layout,
         energies_hz=energies[field, order].reshape(shape),
@@ -469,9 +456,10 @@ class LineSet:
 
 
 @functools.cache
-def _dipole_block(Jg: float, Je: float, I: float, q: int):
-    """<e|d_q|g> between the levels of two product bases, in units of
-    <J'||d||J>, in m_F block form.
+def _dipole_block(I: float, q: int):
+    """<e|d_q|g> between the levels of the J = 1/2 ground and excited
+    product bases of nuclear spin ``I``, in units of <J'||d||J>, in m_F
+    block form.
 
     Returns (lower, upper, g, e, d): the ground and excited layout level of
     each level pair that d_q connects, and per basis term of its amplitude
@@ -480,19 +468,19 @@ def _dipole_block(Jg: float, Je: float, I: float, q: int):
     shape (terms, pairs).  A pair with fewer terms than the most is padded
     with zero elements.
     """
-    bg, be = product_basis(Jg, I), product_basis(Je, I)
-    dense = np.zeros((len(be), len(bg)))
-    for col, (mj, mi) in enumerate(bg):
-        for row, (mj_e, mi_e) in enumerate(be):
+    basis = product_basis(I)
+    dense = np.zeros((len(basis), len(basis)))
+    for col, (mj, mi) in enumerate(basis):
+        for row, (mj_e, mi_e) in enumerate(basis):
             if abs(mi_e - mi) > 1e-9 or abs(mj_e - (mj + q)) > 1e-9:
                 continue
-            dense[row, col] = (-1) ** round(Je - mj_e) * wigner_3j(
-                Je, -mj_e, 1, q, Jg, mj
+            dense[row, col] = (-1) ** round(0.5 - mj_e) * wigner_3j(
+                0.5, -mj_e, 1, q, 0.5, mj
             )
-    ground, excited = _block_layout(bg), _block_layout(be)
+    layout = _block_layout(basis)
     pairs: dict[tuple[int, int], list] = {}
-    for g, (col, lower) in enumerate(zip(ground.vector_rows, ground.vector_levels)):
-        for e, (row, upper) in enumerate(zip(excited.vector_rows, excited.vector_levels)):
+    for g, (col, lower) in enumerate(zip(layout.vector_rows, layout.vector_levels)):
+        for e, (row, upper) in enumerate(zip(layout.vector_rows, layout.vector_levels)):
             if dense[row, col] != 0.0:
                 pairs.setdefault((lower, upper), []).append((col, g, e, dense[row, col]))
     depth = max(map(len, pairs.values()))
@@ -538,7 +526,7 @@ def transition_lines(
         raise ConfigError("isotope mismatch between spectra and constants")
 
     lower_level, upper_level, g_index, e_index, d = _dipole_block(
-        ground.J, excited.J, iso.nuclear_spin, _POLARIZATIONS[polarization]
+        iso.nuclear_spin, _POLARIZATIONS[polarization]
     )
     # a single field is a stack of one
     v_g = ground.components.reshape(-1, ground.components.shape[-1])
@@ -556,8 +544,8 @@ def transition_lines(
     field, pair, lower, upper = field[order], pair[order], lower[order], upper[order]
     s = strengths[field, pair]
 
-    # |<J'||d||J>|^2 consistent with Gamma = w^3 |d|^2 / (3 pi eps0 hbar c^3 (2J'+1))
-    reduced_sq = round(2 * ground.J + 1) * iso.reduced_dipole_cm**2
+    # |<J'||d||J>|^2 = (2J + 1) |d|^2 at J = 1/2, consistent with Gamma = w^3 |d|^2 / (3 pi eps0 hbar c^3 (2J'+1))
+    reduced_sq = 2 * iso.reduced_dipole_cm**2
     e_g = ground.energies_hz.reshape(-1, ground.dim)
     e_e = excited.energies_hz.reshape(-1, excited.dim)
     return LineSet(

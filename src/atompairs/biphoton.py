@@ -110,7 +110,10 @@ def simulate_records(
     phases = np.atleast_1d(np.asarray(phases_rad, dtype=float))
     if phases.size < 3:
         raise ConfigError("need at least 3 analyser phases for reconstructability")
-    expected = exposure * coincidence_rate(psi, alpha, phases[:, None])
+    with np.errstate(over="ignore"):
+        expected = exposure * coincidence_rate(psi, alpha, phases[:, None])
+    if not np.isfinite(expected).all():
+        raise ConfigError(f"params.alpha and params.exposure: the expected counts overflow at alpha {alpha!r}, exposure {exposure!r}")
     if noise and not expected.max() <= _POISSON_MAX:
         raise ConfigError(f"params.exposure: {expected.max():.3g} counts expected in a bin exceed the Poisson sampler")
     counts = default_rng(seed).poisson(expected).astype(float) if noise else expected

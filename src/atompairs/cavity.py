@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from atompairs.errors import ConfigError, CoverageError, NumericError
+from atompairs.errors import ConfigError, NumericError
 
 _LN2 = np.log(2.0)
 # modes each side of the degenerate one that a comb may hold: fig3's holds
@@ -122,8 +122,8 @@ def _lorentzian_average(transmission, centers_hz, fwhm_hz):
 def filtered_pair_rate(comb: PairSpectralDensity, filter_spectrum) -> FilteredPairs:
     """Pair pass weights for every comb mode behind a filter.
 
-    ``filter_spectrum`` is any callable nu -> T; a FilterSpectrum without an
-    exact evaluator raises CoverageError when modes fall outside its grid.
+    ``filter_spectrum`` is any callable nu -> T, such as a FilterSpectrum,
+    which evaluates its filter at any frequency.
     """
     tbar = _lorentzian_average(filter_spectrum, comb.frequency_hz, comb.linewidth_hz)
     tbar = np.clip(tbar, 0.0, 1.0)

@@ -172,6 +172,10 @@ def _naming(**keys):
         raise ConfigError(f"params.{key}: {exc}") from None
 
 
+# a frequency grid's refusals ("frequency grid would ...", "grid spacing must ...") name both its keys
+_FREQUENCY_GRID = dict.fromkeys(["frequency", "grid"], "spacing_mhz and params.half_span_ghz")
+
+
 def run_spectrum(p, atoms, sink, seed):
     """complex refractive index n+/n- of a cell"""
     with _naming(cell="length_cm", buffer="buffer_mhz"):
@@ -182,7 +186,8 @@ def run_spectrum(p, atoms, sink, seed):
             buffer_fwhm_hz=p["buffer_mhz"] * 1e6,
         )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    with _naming(**_FREQUENCY_GRID):
+        grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     vapor.check_spacing(cell, atoms, p["spacing_mhz"] * 1e6)
     with _naming(field="field_mt"):
         path = vapor.VaporPath(atoms, cell, p["field_mt"] * 1e-3, slices=1)
@@ -204,11 +209,10 @@ def _fadof(p, atoms, half_span_hz, spacing_hz):
             isotope_fractions=atoms.natural_fractions(),
         )
     center = atoms.d1_center_hz(cell.isotope_fractions)
-    pol = filters.PolarizerPair(extinction=p["extinction"])
     grid = vapor.make_frequency_grid(center, half_span_hz, spacing_hz)
     vapor.check_spacing(cell, atoms, spacing_hz)
     with _naming(field="field_mt"):
-        spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, pol, grid, atoms)
+        spec = filters.fadof_spectrum(cell, p["field_mt"] * 1e-3, p["extinction"], grid, atoms)
     return spec, center
 
 
@@ -216,7 +220,8 @@ def run_fadof(p, atoms, sink, seed):
     """Faraday filter spectrum and metrics"""
     if p["half_span_ghz"] <= p["window_ghz"] / 2:  # holds the grid wherever the peak falls
         raise CoverageError("passband window holds the whole grid; no stopband to reject")
-    spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    with _naming(**_FREQUENCY_GRID):
+        spec, center = _fadof(p, atoms, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     window = p["window_ghz"] * 1e9
     peak = float(spec.grid_hz[int(np.argmax(spec.transmission))])
     metrics = filters.filter_metrics(spec, (peak - window, peak + window))
@@ -319,7 +324,8 @@ def run_g2(p, atoms, sink, seed):
     lo, hi = -p["bins"] // 2, p["bins"] // 2 + 1
     check_points(hi - lo, "params.bins")
     bins = np.arange(lo, hi)
-    hist = coincidences.binned_histogram(env, det, p["mode"], bins)
+    with _naming(comb="linewidth_mhz and params.fsr_mhz"):  # comb teeth past the point cap
+        hist = coincidences.binned_histogram(env, det, p["mode"], bins)
     write_csv(
         sink.path("g2.csv"),
         ["bin_index", "delay_ns", "rate"],
@@ -341,8 +347,9 @@ def run_g2(p, atoms, sink, seed):
 
 
 def _ideal_psi(p):
-    tau = biphoton.symmetric_tau_grid(p["half_span_ns"] * 1e-9, p["step_ns"] * 1e-9)
-    return biphoton.ideal_opo_psi(p["bandwidth_mhz"] * 1e6, p["pair_phase_rad"], tau)
+    with _naming(tau="step_ns and params.half_span_ns", bandwidth="bandwidth_mhz"):
+        tau = biphoton.symmetric_tau_grid(p["half_span_ns"] * 1e-9, p["step_ns"] * 1e-9)
+        return biphoton.ideal_opo_psi(p["bandwidth_mhz"] * 1e6, p["pair_phase_rad"], tau)
 
 
 def run_interference(p, atoms, sink, seed):
@@ -436,7 +443,8 @@ def _sensing_cell(p, temp_c):
 def run_spectroscopy(p, atoms, sink, seed):
     """transmission spectroscopy grid of the sensing cell"""
     center = atoms.d1_center_hz()
-    grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
+    with _naming(**_FREQUENCY_GRID):
+        grid = vapor.make_frequency_grid(center, p["half_span_ghz"] * 1e9, p["spacing_mhz"] * 1e6)
     header = ["frequency_Hz", "detuning_GHz"]
     cols = [grid, (grid - center) / 1e9]
     widths = {}
@@ -485,7 +493,8 @@ def run_noon_scan(p, atoms, sink, seed):
     if n < 2:  # a single field has no fringe to count or to read a visibility from
         raise CoverageError(f"params.b_max_mt and params.b_step_mt: the field scan holds {n} field; it needs at least 2")
     fisher_fields = [] if b_star is None else b_star + np.array([0.0, h_t, -h_t])
-    transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
+    with _naming(probe="detuning_ghz"):
+        transfer = vapor.transfer_vs_field(atoms, cell, nu, np.concatenate([b_list, fisher_fields]))
     scan = noon.sensing_scan(state, b_list, [t[:n] for t in transfer])
     probs = scan.probabilities
     cols = {
@@ -553,20 +562,10 @@ RUNNERS = {
 # --------------------------------------------------------- parameter tables
 
 
-@dataclass(frozen=True)
-class Unset:
-    """Default of a key left unset unless given: an optional ``float``, or the
-    path of an existing file (``Path``)."""
-
-    kind: type
-
-
-OPTIONAL_FLOAT = Unset(float)
-FILE = Unset(Path)
-
 # One table per scenario: each key maps to its one default, and the default's
 # type is the key's type.  A tuple lists a string key's choices, the first
-# being the default.
+# being the default.  A type is the default of a key left unset unless given:
+# ``float`` an optional number, ``Path`` the path of an existing file.
 _FADOF_CELL = {"field_mt": 4.5, "temp_k": 365.0, "length_cm": 10.0, "extinction": 1.8e-6}
 _MATCHING = {
     **_FADOF_CELL, "fsr_mhz": 501.0, "linewidth_mhz": 8.4, "envelope_ghz": 150.0,
@@ -592,7 +591,7 @@ PARAMS: dict[str, dict] = {
     },
     "reconstruct": {
         **_TAU_GRID, "pair_phase_rad": 0.35, "alpha": 2.0**0.5, "n_phases": 12,
-        "exposure": 7.0, "noise": True, "records": FILE,
+        "exposure": 7.0, "noise": True, "records": Path,
     },
     "superresolution": {"fidelity": 0.99, "two_phi": 0.20, "angle_step_deg": 2.0},
     "spectroscopy": {
@@ -601,9 +600,9 @@ PARAMS: dict[str, dict] = {
         "half_span_ghz": 6.0, "spacing_mhz": 0.5, "slices": 8,
     },
     "noon-scan": {
-        **_SENSING_CELL, "cell_temp_c": 70.0, "detuning_ghz": OPTIONAL_FLOAT,
+        **_SENSING_CELL, "cell_temp_c": 70.0, "detuning_ghz": float,
         "imbalance": 0.15, "b_max_mt": 50.0, "b_step_mt": 0.5,
-        "fisher_at_mt": OPTIONAL_FLOAT, "state": FILE,
+        "fisher_at_mt": float, "state": Path,
     },
 }
 
@@ -686,7 +685,7 @@ def flag_of(key: str) -> str:
 def _default(spec):
     if isinstance(spec, tuple):
         return spec[0]
-    return None if isinstance(spec, Unset) else spec
+    return None if isinstance(spec, type) else spec
 
 
 def _number(value) -> bool:
@@ -709,9 +708,9 @@ def _check(key: str, spec, value):
         if value in spec:
             return value
         raise ConfigError(f"params.{key}: {value!r} is not one of {', '.join(spec)}")
-    if isinstance(spec, Unset) and value is None:
+    if isinstance(spec, type) and value is None:
         return None
-    kind = spec.kind if isinstance(spec, Unset) else type(spec)
+    kind = spec if isinstance(spec, type) else type(spec)
     accepts, store = _TYPES[kind]
     if not accepts(value):
         expected = "an existing file" if kind is Path else kind.__name__
@@ -813,8 +812,8 @@ def _argument(spec) -> dict:
     """argparse keywords of a flag whose default is ``spec``."""
     if isinstance(spec, tuple):
         return {"choices": spec, "default": spec[0]}
-    if isinstance(spec, Unset):
-        return {"type": str if spec.kind is Path else spec.kind, "default": None}
+    if isinstance(spec, type):
+        return {"type": str if spec is Path else spec, "default": None}
     if isinstance(spec, bool):
         return {"action": argparse.BooleanOptionalAction, "default": spec}
     if isinstance(spec, list):

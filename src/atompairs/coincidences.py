@@ -89,7 +89,8 @@ def g2_multi_weights(envelope: G2Envelope, det: DetectionModel):
     """
     weight_cut = 1e-6
     tau = det.round_trip_s
-    n_max = np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau))
+    with np.errstate(divide="ignore", over="ignore"):  # gamma * tau may underflow: inf teeth, refused below
+        n_max = np.ceil(-np.log(weight_cut) / (envelope.gamma_sum * tau))
     check_points(2 * n_max + 1, "comb teeth")
     n = np.arange(-int(n_max), int(n_max) + 1)
     delays = n * tau

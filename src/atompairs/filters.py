@@ -8,7 +8,7 @@ since only its passband parameters matter downstream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,48 +19,33 @@ from atompairs.vapor import VaporCellConfig, VaporPath, make_frequency_grid
 
 
 @dataclass(frozen=True)
-class PolarizerPair:
-    """Input/output polarizers around the cell; ``extinction`` is the
-    crossed-channel intensity leakage."""
-
-    extinction: float = 1.8e-6
-
-    def __post_init__(self):
-        if not 0.0 <= self.extinction < 1.0:
-            raise ConfigError("extinction ratio must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
 class FilterSpectrum:
-    """Intensity transmission on a grid, with optional exact evaluator."""
+    """Intensity transmission ``fn(nu)``, sampled once on ``grid_hz`` as
+    ``transmission``; a call evaluates ``fn``."""
 
     grid_hz: np.ndarray
-    transmission: np.ndarray
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    transmission: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid_hz, dtype=float)
-        if grid.size >= 2 and np.any(np.diff(grid) <= 0):
+        object.__setattr__(self, "grid_hz", np.asarray(self.grid_hz, dtype=float))
+        if self.grid_hz.size >= 2 and np.any(np.diff(self.grid_hz) <= 0):
             raise ConfigError("filter grid must be strictly increasing")
-        t = np.asarray(self.transmission, dtype=float)
+        t = self.fn(self.grid_hz)
         if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-9):
             raise ValueError("transmission must lie in [0, 1]")
+        object.__setattr__(self, "transmission", t)
 
     def __call__(self, nu_hz):
-        nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-        if self.fn is not None:
-            return self.fn(nu)
-        if np.any(nu < self.grid_hz[0]) or np.any(nu > self.grid_hz[-1]):
-            raise CoverageError("frequency outside the filter grid")
-        return np.interp(nu, self.grid_hz, self.transmission)
+        return self.fn(np.atleast_1d(np.asarray(nu_hz, dtype=float)))
 
 
 def mirrored_transmission(spec: FilterSpectrum, nu0_hz: float) -> np.ndarray:
     """T(2 nu0 - nu) at every grid frequency nu of ``spec``.
 
     Where the reflected frequency is itself a grid point (bit for bit), its
-    transmission is read off the grid; only the rest goes through ``spec``.
-    On a uniform grid with nu0 = grid[i0] the mirror of index k is 2 i0 - k.
+    transmission is read off ``spec``'s samples; only the rest goes through
+    ``spec``.  On a uniform grid with nu0 = grid[i0] the mirror of index k is 2 i0 - k.
     """
     grid = spec.grid_hz
     reflected = 2 * nu0_hz - grid
@@ -82,28 +67,26 @@ class FilterMetrics:
     rejection_db: float
 
 
-def _fadof_transmission(t_plus, t_minus, pol: PolarizerPair):
-    crossed = np.abs(t_plus - t_minus) ** 2 / 4.0
-    parallel = np.abs(t_plus + t_minus) ** 2 / 4.0
-    return np.clip(crossed + pol.extinction * parallel, 0.0, 1.0)
-
-
 def fadof_spectrum(
     cell: VaporCellConfig,
     b_field_t: float,
-    pol: PolarizerPair,
+    extinction: float,
     grid_hz: np.ndarray,
     atoms: AtomLibrary,
 ) -> FilterSpectrum:
-    """Faraday-filter transmission on ``grid_hz`` plus an exact evaluator."""
+    """Faraday filter: the cell between crossed polarizers, ``extinction``
+    being their crossed-channel intensity leakage, sampled on ``grid_hz``."""
+    if not 0.0 <= extinction < 1.0:
+        raise ConfigError("extinction ratio must lie in [0, 1)")
     path = VaporPath(atoms, cell, b_field_t, slices=16)
 
     def fn(nu):
         t_plus, t_minus = path.transfer_at(nu)
-        return _fadof_transmission(t_plus, t_minus, pol)
+        crossed = np.abs(t_plus - t_minus) ** 2 / 4.0
+        parallel = np.abs(t_plus + t_minus) ** 2 / 4.0
+        return np.clip(crossed + extinction * parallel, 0.0, 1.0)
 
-    grid = np.asarray(grid_hz, dtype=float)
-    return FilterSpectrum(grid_hz=grid, transmission=fn(grid), fn=fn)
+    return FilterSpectrum(grid_hz, fn)
 
 
 def filter_metrics(spec: FilterSpectrum, passband_window_hz=None) -> FilterMetrics:
@@ -192,5 +175,4 @@ def dichroic_filter(
 
     if grid_hz is None:
         grid_hz = make_frequency_grid(center_hz, half_span_hz=5e9, spacing_hz=1e6)
-    grid = np.asarray(grid_hz, dtype=float)
-    return FilterSpectrum(grid_hz=grid, transmission=fn(grid), fn=fn)
+    return FilterSpectrum(grid_hz, fn)

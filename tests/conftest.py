@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from atompairs.atoms import load_atom_data
-from atompairs.filters import PolarizerPair, fadof_spectrum
+from atompairs.filters import fadof_spectrum
 from atompairs.vapor import VaporCellConfig, make_frequency_grid
 
 hypothesis.settings.register_profile(
@@ -37,7 +37,7 @@ def fadof_main(atoms, fadof_grid):
     cell = VaporCellConfig(
         length_m=0.10, temperature_k=365.0, isotope_fractions=atoms.natural_fractions()
     )
-    return fadof_spectrum(cell, 4.5e-3, PolarizerPair(), fadof_grid, atoms)
+    return fadof_spectrum(cell, 4.5e-3, 1.8e-6, fadof_grid, atoms)
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +46,7 @@ def fadof_hot(atoms, fadof_grid):
     cell = VaporCellConfig(
         length_m=0.10, temperature_k=353.0, isotope_fractions=atoms.natural_fractions()
     )
-    return fadof_spectrum(cell, 18.0e-3, PolarizerPair(), fadof_grid, atoms)
+    return fadof_spectrum(cell, 18.0e-3, 1.8e-6, fadof_grid, atoms)
 
 
 @pytest.fixture(scope="session")

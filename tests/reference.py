@@ -45,12 +45,12 @@ def breit_rabi_energies(i_spin, g_j, g_i, a_hfs_hz, b_field_t):
 
 
 def dense_operators(con, i_spin, g_i):
-    """(H0, Z) of one manifold, H0 = offset + A J.I and Z = g_J Jz + g_I Iz,
+    """(H0, Z) of one J = 1/2 manifold, H0 = offset + A J.I and Z = g_J Jz + g_I Iz,
     from Kronecker products in the |m_J, m_I> basis (m_J outer, m_I inner,
     both ascending)."""
-    jx, jy, jz = spin_matrices(con.J)
+    jx, jy, jz = spin_matrices(0.5)
     ix, iy, iz = spin_matrices(i_spin)
-    eye_j, eye_i = np.eye(round(2 * con.J + 1)), np.eye(round(2 * i_spin + 1))
+    eye_j, eye_i = np.eye(2), np.eye(round(2 * i_spin + 1))
     j_dot_i = np.kron(jx, ix) + np.kron(jy, iy).real + np.kron(jz, iz)
     h = con.offset_hz * np.kron(eye_j, eye_i) + con.A_hfs_hz * j_dot_i
     zeeman = con.g_J * np.kron(jz, eye_i) + g_i * np.kron(eye_j, iz)
@@ -102,7 +102,7 @@ def _blockwise_spectrum(con, i_spin, g_i, b_field_t):
     energies, f_labels, m_f = np.empty(dim), np.empty(dim), np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
     col = 0
-    for mf_val, idx, fs in m_f_blocks(basis_m_f(con.J, i_spin), con.J, i_spin, con.A_hfs_hz):
+    for mf_val, idx, fs in m_f_blocks(basis_m_f(0.5, i_spin), 0.5, i_spin, con.A_hfs_hz):
         vals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
         for k in range(idx.size):
             energies[col + k] = vals[k]
@@ -186,7 +186,7 @@ def blockwise_lines(iso, b_field_t, polarization, strength_cut=1e-12):
     ground, excited = iso.manifolds["5S1/2"], iso.manifolds["5P1/2"]
     e_g, v_g, mf_g, f_g = _blockwise_spectrum(ground, iso.nuclear_spin, iso.g_I, b_field_t)
     e_e, v_e, mf_e, f_e = _blockwise_spectrum(excited, iso.nuclear_spin, iso.g_I, b_field_t)
-    dipole = dipole_matrix(ground.J, excited.J, iso.nuclear_spin, polarization)
+    dipole = dipole_matrix(0.5, 0.5, iso.nuclear_spin, polarization)
     strengths = np.abs(v_e.conj().T @ dipole @ v_g) ** 2
     lines = []
     for g in range(e_g.size):

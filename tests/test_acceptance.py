@@ -37,7 +37,7 @@ def test_criterion_1_fadof_metrics(atoms, fadof_grid):
             length_m=0.10, temperature_k=temp, isotope_fractions=atoms.natural_fractions()
         )
         start = time.perf_counter()
-        spec = filters.fadof_spectrum(cell, b, filters.PolarizerPair(), fadof_grid, atoms)
+        spec = filters.fadof_spectrum(cell, b, 1.8e-6, fadof_grid, atoms)
         runtime = time.perf_counter() - start
         m = filters.filter_metrics(spec)
         checks = {"runtime": runtime < 30.0}

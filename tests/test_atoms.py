@@ -110,12 +110,11 @@ def test_breit_rabi_equivalence_random_fields(atoms):
 def test_diagonalize_identity_scaled(atoms):
     from atompairs.atoms import ManifoldHamiltonian, _block_layout, product_basis
 
-    basis = tuple(product_basis(0.5, 1.5))
+    basis = tuple(product_basis(1.5))
     layout = _block_layout(basis)
     ham = ManifoldHamiltonian(
         isotope="Rb87",
         manifold="5S1/2",
-        J=0.5,
         I=1.5,
         basis=basis,
         field_t=0.0,
@@ -389,7 +388,7 @@ def _dense(iso, label, fields):
     con = iso.manifold(label)
     h = dense_hamiltonian(con, iso.nuclear_spin, iso.g_I, fields)
     m_f = build_hamiltonian(iso, label, 0.0).m_f()
-    return dense_spectrum(h, m_f, con.J, iso.nuclear_spin, con.A_hfs_hz)
+    return dense_spectrum(h, m_f, 0.5, iso.nuclear_spin, con.A_hfs_hz)
 
 
 @pytest.mark.parametrize("name, label", D1_MANIFOLDS)
@@ -536,10 +535,10 @@ def test_closed_form_blocks_equal_the_kronecker_oracle(two_i, a_hfs, offset):
     from atompairs.atoms import ManifoldConstants, _block_layout, _block_operators, _f_labels, product_basis
 
     i_spin = two_i / 2
-    layout = _block_layout(product_basis(0.5, i_spin))
+    layout = _block_layout(product_basis(i_spin))
     rows, cols = layout.entry_rows, layout.entry_cols
     for g_j, g_i in ((2.0023, -2.9e-4), (-0.5, -1.0e-3), (0.666, 0.0)):
-        con = ManifoldConstants(label="x", J=0.5, g_J=g_j, A_hfs_hz=a_hfs, offset_hz=offset)
+        con = ManifoldConstants(label="x", g_J=g_j, A_hfs_hz=a_hfs, offset_hz=offset)
         h0, zeeman = _block_operators(con, i_spin, g_i)
         want_h0, want_zeeman = dense_operators(con, i_spin, g_i)
         assert np.array_equal(_bits(h0), _bits(want_h0[rows, cols]))
@@ -570,15 +569,3 @@ def test_atom_data_refuses_what_the_block_solver_cannot_solve(tmp_path, manifold
     path.write_text(yaml.safe_dump(payload))
     with pytest.raises(ConfigError, match=f"Rb87 {manifold}"):
         load_atom_data(path)
-
-
-def test_diagonalize_refuses_blocks_larger_than_two():
-    from atompairs.atoms import ManifoldConstants, ManifoldHamiltonian, product_basis
-
-    con = ManifoldConstants(label="5P3/2", J=1.5, g_J=4 / 3, A_hfs_hz=84.7e6)
-    ham = ManifoldHamiltonian(
-        isotope="Rb87", manifold="5P3/2", J=1.5, I=1.5, basis=product_basis(1.5, 1.5),
-        field_t=0.0, constants=con, block_entries_hz=np.ones(16),
-    )
-    with pytest.raises(ConfigError, match="block"):
-        diagonalize(ham)

@@ -16,8 +16,7 @@ from atompairs.cavity import (
     mode_comb,
     spectral_purity,
 )
-from atompairs.errors import ConfigError, CoverageError, NumericError
-from atompairs.filters import FilterSpectrum
+from atompairs.errors import ConfigError, NumericError
 from atompairs.vapor import blocking_cell_transmission, VaporCellConfig
 
 
@@ -169,14 +168,6 @@ def test_pairing_symmetry_under_mirroring():
     p2 = filtered_pair_rate(comb, mirrored).pair_weight
     assert np.allclose(p1, p1[::-1], rtol=1e-12)
     assert np.allclose(p1, p2, rtol=1e-12)
-
-
-def test_grid_only_filter_coverage_error():
-    comb = mode_comb(type_i_config())
-    grid = np.linspace(comb.frequency_hz[0] + 1e9, comb.frequency_hz[-1] - 1e9, 1001)
-    spec = FilterSpectrum(grid_hz=grid, transmission=np.full(1001, 0.5))
-    with pytest.raises(CoverageError):
-        filtered_pair_rate(comb, spec)
 
 
 def test_purity_trivial_cases():

@@ -17,7 +17,6 @@ from atompairs.atoms import load_atom_data
 from atompairs.cli import (
     CSV_BLOCK_CELLS,
     DOMAINS,
-    OPTIONAL_FLOAT,
     PARAMS,
     PRESETS,
     RUNNERS,
@@ -726,7 +725,7 @@ _NUMERIC = [
     (name, key)
     for name, table in PARAMS.items()
     for key, spec in table.items()
-    if spec is OPTIONAL_FLOAT or type(spec) in (int, float, list)
+    if spec is float or type(spec) in (int, float, list)
 ]
 
 
@@ -849,25 +848,16 @@ def test_non_positive_grid_step_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv, key",
     [
-        (["--tbin-ns=nan"], "tbin_ns"),
-        (["--tbin-ns=0"], "tbin_ns"),
-        (["--linewidth-MHz=-1"], "linewidth_mhz"),
-        (["--linewidth-MHz=nan"], "linewidth_mhz"),
-        (["--fsr-MHz=inf"], "fsr_mhz"),
-        (["--fsr-MHz=nan"], "fsr_mhz"),
-        (["--rate1-Hz=-1"], "rate1_hz"),
-        (["--rate2-Hz=inf"], "rate2_hz"),
-        (["--t0-ns=nan"], "t0_ns"),
-        (["--linewidth-MHz=1e303"], "linewidth_mhz"),
-        (["--fsr-MHz=1e-320"], "fsr_mhz"),
-        (["--tbin-ns=1e-320"], "tbin_ns"),
+        pytest.param(["--linewidth-MHz=1e303"], "linewidth_mhz", id="argv9-linewidth_mhz"),
+        pytest.param(["--fsr-MHz=1e-320"], "fsr_mhz", id="argv10-fsr_mhz"),
+        pytest.param(["--tbin-ns=1e-320"], "tbin_ns", id="argv11-tbin_ns"),
     ],
 )
 def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
-    """The bin width, singles rates, channel delay, linewidth and FSR reach
-    ``DetectionModel`` and ``G2Envelope``, whose own refusals name their
-    fields; the runner names the key the user set, also where a value in the
-    key's domain leaves the float range on its way to seconds or Hz."""
+    """A linewidth, FSR or bin width in its key's domain that leaves the
+    float range on its way to Hz or seconds is refused by ``G2Envelope`` or
+    ``DetectionModel``, which name their own fields; the runner names the
+    key the user set.  Values outside a domain are the domain sweep's."""
     assert main(["--out-dir", str(tmp_path / "out"), "g2"] + argv) == 2
     assert f"configuration error: params.{key}:" in capsys.readouterr().err
 
@@ -895,6 +885,16 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
         *[([command, "--length-mm", "5e-324"], ["length_mm"]) for command in ("spectroscopy", "noon-scan")],
         (["spectrum", "--buffer-MHz", "1e303"], ["buffer_mhz"]),
         (["purity", "--hot-cell-buffer-MHz", "1e303"], ["hot_cell_buffer_mhz"]),
+        # in the key's domain, but a grid, tau grid, bandwidth or probe out of range once converted
+        *[([command, "--spacing-MHz", "5e-324"], ["spacing_mhz", "half_span_ghz"]) for command in ("spectrum", "fadof", "spectroscopy")],
+        (["spectrum", "--half-span-GHz", "1e300"], ["spacing_mhz", "half_span_ghz"]),
+        (["fadof", "--spacing-MHz", "1e303"], ["spacing_mhz", "half_span_ghz"]),
+        (["interference", "--half-span-ns", "5e-324"], ["step_ns", "half_span_ns"]),
+        (["interference", "--half-span-ns", "1e300"], ["step_ns", "half_span_ns"]),
+        (["reconstruct", "--step-ns", "5e-324"], ["step_ns", "half_span_ns"]),
+        (["interference", "--step-ns", "1e303"], ["step_ns", "half_span_ns"]),
+        (["interference", "--bandwidth-MHz", "1e303"], ["bandwidth_mhz"]),
+        (["noon-scan", "--detuning-GHz", "1e300"], ["detuning_ghz"]),
     ],
 )
 def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
@@ -1019,13 +1019,17 @@ def test_overflowing_cells_exit_with_a_message(argv, rc, message, tmp_path, caps
         (["spectroscopy", "--temps-C", "1e300"], 2, "params.temps_c: 1e+300 is not in [-23.14999999999996, 176.85)"),
         (["noon-scan", "--imbalance", "1e300"], 2, "state vector must be finite and nonzero"),
         (["noon-scan", "--length-mm", "1e300"], 3, "params.length_mm = 1e+300"),
+        (["g2", "--linewidth-MHz", "5e-324"], 2, "configuration error: params.linewidth_mhz and params.fsr_mhz: comb teeth"),
+        *[([c, "--alpha", "1.1579208923731618e+77"], 2, "configuration error: params.alpha and params.exposure:")
+          for c in ("interference", "reconstruct")],
     ],
     ids=[
         "g2-tbin", "g2-t0", "interference-alpha", "reconstruct-alpha", "reconstruct-exposure",
         "reconstruct-exposure-0.5", "reconstruct-exposure-1e-300", "reconstruct-alpha-1e-300",
         "reconstruct-no-noise-exposure-1e-160", "reconstruct-no-noise-exposure-1e-200",
         "matching-fsr", "matching-envelope", "matching-length", "matching-temp", "spectroscopy-temps",
-        "noon-scan-imbalance", "noon-scan-length",
+        "noon-scan-imbalance", "noon-scan-length", "g2-linewidth-underflow", "interference-alpha-max",
+        "reconstruct-alpha-max",
     ],
 )
 def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, capsys):
@@ -1040,9 +1044,12 @@ def test_extreme_finite_inputs_exit_with_a_message(argv, rc, message, tmp_path, 
     the float range by the rate variance that it would overflow, and a
     reference too faint for the phase design by its condition number.  A
     state vector whose norm overflows is refused, and so is the visibility
-    of a scan through an opaque cell.  None of them warns on the
-    way: pytest records warnings rather than printing them, so they are
-    raised here as errors."""
+    of a scan through an opaque cell.  A linewidth whose decay rate times
+    the round trip underflows is refused by its comb teeth (exit 3 before),
+    and a reference amplitude just below the alpha^4 limit by its expected
+    counts (their product with the exposure overflowed: exit 3).  None of
+    them warns on the way: pytest records warnings rather than printing
+    them, so they are raised here as errors."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc

@@ -40,3 +40,4 @@ def test_each_study_file_is_a_run():
     runs = COMPARE["runs_of"](ROOT)
     studies = sorted(ROOT.glob("studies/*.yaml"))
     assert studies and all(runs[f"studies/{f.name}"] == ["scenario", "run", str(f)] for f in studies)
+    assert runs["fadof --help"] == ["fadof", "--help"]

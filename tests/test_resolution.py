@@ -90,8 +90,7 @@ def _fig2_cell(atoms):
 def _fadof_at(atoms, spacing_hz):
     p = cli.PARAMS["fadof"]
     grid = vapor.make_frequency_grid(atoms.d1_center_hz(), p["half_span_ghz"] * 1e9, spacing_hz)
-    pol = filters.PolarizerPair(extinction=p["extinction"])
-    return filters.fadof_spectrum(_fig2_cell(atoms), p["field_mt"] * 1e-3, pol, grid, atoms)
+    return filters.fadof_spectrum(_fig2_cell(atoms), p["field_mt"] * 1e-3, p["extinction"], grid, atoms)
 
 
 def _fig10_width(atoms, out_dir, temp_c, b_mt, spacing_mhz) -> float:

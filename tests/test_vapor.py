@@ -816,7 +816,7 @@ def test_field_independent_work_happens_once(atoms, sensing_cell, noon_line_hz, 
     b_list = np.linspace(0.0, 50e-3, 101)
     transfer = transfer_vs_field(atoms, sensing_cell, noon_line_hz, b_list)
     sensing_scan(make_noon_from_pair(imbalance=0.15), b_list, transfer)
-    # one _dipole_block per (J_g, J_e, I, q): 12 elements for Rb85 and 8 for
+    # one _dipole_block per (I, q): 12 elements for Rb85 and 8 for
     # Rb87 over sigma+ and sigma-
     assert 0 < len(calls) <= 20
 
