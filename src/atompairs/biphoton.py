@@ -31,8 +31,10 @@ class BiphotonWaveFunction:
 
     def __post_init__(self):
         tau = np.asarray(self.tau_s, dtype=float)
-        if tau.size < 3 or np.abs(tau + tau[::-1]).max() > 1e-15 * np.abs(tau).max():
-            raise ConfigError("tau grid must be uniform and symmetric about 0")
+        if tau.size < 3:
+            raise ConfigError(f"tau grid needs at least 3 points (got {tau.size})")
+        if np.abs(tau + tau[::-1]).max() > 1e-15 * np.abs(tau).max():
+            raise ConfigError("tau grid must be symmetric about 0")
 
     @property
     def amplitude(self) -> np.ndarray:

@@ -19,9 +19,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,23 +45,78 @@ EXIT_COVERAGE = 4
 # tuple of them and its formatted text stay near 0.3 MB however wide the
 # table; 2^15 cells wrote no faster and held 2.1 MB
 CSV_BLOCK_CELLS = 1 << 12
+# cells from which a table is formatted in two processes: on a 2-core host
+# the fork broke even at about 24k cells of 4 columns and saved a quarter
+# of the time at 2^16
+PARALLEL_CELLS = 1 << 16
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """One row per index; integer columns as ``%d``, all others as ``%.12g``.
-    NumericError, before the file is opened, if a cell is a NaN or infinite."""
+    NumericError, before the file is opened, if a cell is a NaN or infinite.
+    A table of ``PARALLEL_CELLS`` cells or more is formatted in two processes
+    where ``os.fork`` exists and no other thread runs (see ``_write_split``)."""
     columns = [np.asarray(col) for col in columns]
     if bad := [name for name, col in zip(header, columns) if not np.isfinite(col).all()]:
         raise NumericError(f"{Path(path).name}: non-finite values in column(s) {', '.join(bad)}")
     row = ",".join("%d" if np.issubdtype(col.dtype, np.integer) else "%.12g" for col in columns)
     row += "\n"
-    rows = max(1, CSV_BLOCK_CELLS // len(columns))
+    blocks = range(0, min(map(len, columns)), max(1, CSV_BLOCK_CELLS // len(columns)))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for a in range(0, min(map(len, columns)), rows):
-            block = [col[a : a + rows].tolist() for col in columns]
-            # one % over the block's rows, its cells in row order
-            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+        if blocks.stop * len(columns) >= PARALLEL_CELLS and hasattr(os, "fork") and threading.active_count() == 1:
+            _write_split(fh, row, columns, blocks)
+        else:
+            _write_rows(fh, row, columns, blocks)
+
+
+def _write_rows(fh, row: str, columns: list, blocks: range):
+    """The rows of ``blocks``, one ``%`` per block over the row template
+    repeated, with the block's cells in row order."""
+    for a in blocks:
+        block = [col[a : a + blocks.step].tolist() for col in columns]
+        fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+
+def _write_split(fh, row: str, columns: list, blocks: range):
+    """The rows of ``blocks``, the ones from the block boundary nearest the
+    middle formatted by a forked child into an unnamed file while this
+    process formats the head, then appended; all in this process if no child
+    can be forked.  OSError, after the child is reaped, if it failed; the
+    child writes the cause to stderr."""
+    half = round(blocks.stop / 2 / blocks.step)
+    head, rest = blocks[:half], blocks[half:]
+    with tempfile.TemporaryFile(dir=Path(fh.name).parent) as tail:
+        try:
+            with warnings.catch_warnings():
+                # from Python 3.12 a fork beside native threads warns; those
+                # are a BLAS pool's, and the child calls no BLAS
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            return _write_rows(fh, row, columns, blocks)
+        if pid == 0:
+            status = 1
+            try:
+                with open(tail.fileno(), "w", newline="\n", closefd=False) as out:
+                    _write_rows(out, row, columns, rest)
+                status = 0
+            except BaseException as exc:
+                # the cause, straight to the descriptor past every buffer
+                cause = f"{Path(fh.name).name}: rows {rest.start} to {blocks.stop}: {type(exc).__name__}: {exc}\n"
+                os.write(2, cause.encode(errors="replace"))
+            finally:
+                # never unwinds into the caller's handlers or flushes its buffers
+                os._exit(status)
+        try:
+            _write_rows(fh, row, columns, head)
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise OSError(f"{Path(fh.name).name}: the process formatting rows {rest.start} to {blocks.stop} exited with {status}")
+        fh.flush()
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh.buffer, 1 << 16)
 
 
 def _sha256(path: Path) -> str:

@@ -46,8 +46,10 @@ def test_ideal_psi_width_and_phase():
 
 
 def test_psi_grid_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^tau grid must be symmetric about 0$"):
         BiphotonWaveFunction(tau_s=np.array([0.0, 1e-9, 2e-9]), psi=np.ones(3))
+    with pytest.raises(ConfigError, match=r"^tau grid needs at least 3 points \(got 2\)$"):
+        BiphotonWaveFunction(tau_s=np.array([-1e-9, 1e-9]), psi=np.ones(2))
     with pytest.raises(ConfigError):
         ideal_opo_psi(-1.0, 0.0, TAU)
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,6 +19,7 @@ from atompairs.atoms import load_atom_data
 from atompairs.cli import (
     CSV_BLOCK_CELLS,
     DOMAINS,
+    PARALLEL_CELLS,
     PARAMS,
     PRESETS,
     RUNNERS,
@@ -535,7 +538,7 @@ def test_matching_ignores_the_hot_cell_that_only_purity_reads(tmp_path):
     assert (tmp_path / "bare" / "purity.json").read_bytes() != report
 
 
-def test_write_csv_blocks_match_one_shot(tmp_path):
+def test_write_csv_blocks_match_one_shot(tmp_path, monkeypatch):
     # a block holds CSV_BLOCK_CELLS // 3 rows of these three columns
     block = CSV_BLOCK_CELLS // 3
     rows = 2 * block + 1
@@ -556,6 +559,116 @@ def test_write_csv_blocks_match_one_shot(tmp_path):
         with pytest.raises(NumericError, match="value, scaled"):
             write_csv(tmp_path / "refused.csv", header, columns[:1] + [values, values * 1e300])
     assert not (tmp_path / "refused.csv").exists()
+
+    # from PARALLEL_CELLS cells a forked child formats the rows from the block
+    # boundary nearest the middle: at the threshold, with that boundary 1 row
+    # either side of the middle, and below it, the bytes are those of the
+    # one-process loop and of the reference
+    from atompairs import cli
+
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    middle = 9 * (CSV_BLOCK_CELLS // 3)  # the split of 2 * middle rows of 3 columns
+    cases = [
+        (1, PARALLEL_CELLS), (1, PARALLEL_CELLS - 1), (1, 1),
+        (3, -(-PARALLEL_CELLS // 3)), (3, 2 * middle - 1), (3, 2 * middle), (3, 2 * middle + 1),
+        (20, -(-PARALLEL_CELLS // 20)), (20, PARALLEL_CELLS // 20), (20, 1),
+    ]
+    for width, rows in cases:
+        header, columns = _csv_table(width, rows)
+        forks.clear()
+        write_csv(tmp_path / "split.csv", header, columns)
+        assert forks == ([os.getpid()] if width * rows >= PARALLEL_CELLS else [])
+        with monkeypatch.context() as one_process:
+            one_process.setattr(cli, "PARALLEL_CELLS", np.inf)
+            write_csv(tmp_path / "one_process.csv", header, columns)
+        one_shot_csv(tmp_path / "one_shot.csv", header, columns)
+        split = (tmp_path / "split.csv").read_bytes()
+        assert split == (tmp_path / "one_process.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+        assert split.count(b"\n") == rows + 1
+    # with a second live thread nothing is forked; a fork that fails leaves
+    # this process to format every row; the bytes are the same
+    header, columns = _csv_table(3, 2 * middle + 1)
+    one_shot_csv(tmp_path / "one_shot.csv", header, columns)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        forks.clear()
+        write_csv(tmp_path / "threaded.csv", header, columns)
+        assert forks == []
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    # a fork that warns, as Python 3.12 does beside a BLAS pool's native
+    # threads, still splits where warnings are errors
+    def warning_fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return counted_fork()
+
+    def no_fork():
+        forks.append(os.getpid())
+        raise BlockingIOError(errno.EAGAIN, "no process")
+
+    counted_fork = os.fork
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_csv(tmp_path / "warned.csv", header, columns)
+    assert forks == [os.getpid()]
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_csv(tmp_path / "unforked.csv", header, columns)
+    assert forks == [os.getpid()] * 2
+    for name in ("threaded.csv", "warned.csv", "unforked.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "blocked.csv", "one_process.csv", "one_shot.csv", "split.csv", "threaded.csv", "unforked.csv", "warned.csv"
+    ]
+
+
+def _csv_table(width: int, rows: int) -> tuple[list[str], list[np.ndarray]]:
+    """``width`` columns of ``rows`` rows, float and integer by turns, the
+    floats with signed zeros, a subnormal and huge values among them."""
+    columns = []
+    for k in range(width):
+        if k % 2 == 0:
+            values = np.linspace(-2.5, 7.0, rows) ** 3 * 10.0 ** (8 * k - 80)
+            values[k % rows :: 997] = [5e-324, -0.0, 0.0, 1.7e308][k // 2 % 4]
+            columns.append(values)
+        else:
+            columns.append(np.arange(rows) * (k + 1) - 3 * rows)
+    return [f"c{k}" for k in range(width)], columns
+
+
+def test_a_failed_split_writer_raises_and_leaves_no_file_or_process(tmp_path, monkeypatch, capfd):
+    """A forked child that fails writes its cause to stderr and is reaped,
+    and ``write_csv`` raises in the parent; no temporary file is left, and
+    ``run_scenario`` stages nothing."""
+    from atompairs import cli
+
+    parent, write_rows = os.getpid(), cli._write_rows
+
+    def fails_in_the_child(*args):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_rows(*args)
+
+    monkeypatch.setattr(cli, "_write_rows", fails_in_the_child)
+    header, columns = _csv_table(1, PARALLEL_CELLS)
+    with pytest.raises(OSError, match=f"split.csv: the process formatting rows {PARALLEL_CELLS // 2} to {PARALLEL_CELLS} exited with 1"):
+        write_csv(tmp_path / "split.csv", header, columns)
+    cause = f"split.csv: rows {PARALLEL_CELLS // 2} to {PARALLEL_CELLS}: OSError: [Errno 28] No space left on device\n"
+    assert capfd.readouterr().err == cause
+    assert [p.name for p in tmp_path.iterdir()] == ["split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    fig2 = pytest.warns(UserWarning, match="ENBW may be truncated")
+    with fig2, pytest.raises(OSError, match="fadof.csv: the process formatting rows"):
+        run_scenario(PRESETS["fig2-fadof"], load_atom_data(), tmp_path / "fig2", 0)
+    assert [p.name for p in tmp_path.iterdir()] == ["split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_scenario_file_equivalent_to_preset(tmp_path):
@@ -862,6 +975,13 @@ def test_g2_refusals_name_the_key_set(tmp_path, capsys, argv, key):
     assert f"configuration error: params.{key}:" in capsys.readouterr().err
 
 
+# refusals whose message must also state the cause
+REFUSAL_CAUSES = {
+    ("interference", "--half-span-ns", "5e-324"): ": tau grid needs at least 3 points (got 1)\n",
+    ("interference", "--step-ns", "1e303"): ": tau grid needs at least 3 points (got 1)\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, keys",
     [
@@ -906,6 +1026,7 @@ def test_library_refusals_name_the_key_set(tmp_path, capsys, argv, keys):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: params.{keys[0]}") and "Traceback" not in err
     assert all(f"params.{key}" in err for key in keys)
+    assert REFUSAL_CAUSES.get(tuple(argv), "") in err
 
 
 @pytest.mark.parametrize(
