@@ -19,11 +19,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
-import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,6 +33,7 @@ import numpy as np
 from atompairs import biphoton, cavity, coincidences, filters, noon, vapor
 from atompairs.atoms import AtomLibrary, build_hamiltonian, diagonalize, load_atom_data
 from atompairs.errors import ConfigError, CoverageError, FitFailure, NumericError, check_points
+from atompairs.parallel import fork_join
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -55,7 +54,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """One row per index; integer columns as ``%d``, all others as ``%.12g``.
     NumericError, before the file is opened, if a cell is a NaN or infinite.
     A table of ``PARALLEL_CELLS`` cells or more is formatted in two processes
-    where ``os.fork`` exists and no other thread runs (see ``_write_split``)."""
+    where a child can be forked (see ``_write_split``)."""
     columns = [np.asarray(col) for col in columns]
     if bad := [name for name, col in zip(header, columns) if not np.isfinite(col).all()]:
         raise NumericError(f"{Path(path).name}: non-finite values in column(s) {', '.join(bad)}")
@@ -64,7 +63,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     blocks = range(0, min(map(len, columns)), max(1, CSV_BLOCK_CELLS // len(columns)))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if blocks.stop * len(columns) >= PARALLEL_CELLS and hasattr(os, "fork") and threading.active_count() == 1:
+        if blocks.stop * len(columns) >= PARALLEL_CELLS:
             _write_split(fh, row, columns, blocks)
         else:
             _write_rows(fh, row, columns, blocks)
@@ -80,40 +79,24 @@ def _write_rows(fh, row: str, columns: list, blocks: range):
 
 def _write_split(fh, row: str, columns: list, blocks: range):
     """The rows of ``blocks``, the ones from the block boundary nearest the
-    middle formatted by a forked child into an unnamed file while this
-    process formats the head, then appended; all in this process if no child
-    can be forked.  OSError, after the child is reaped, if it failed; the
-    child writes the cause to stderr."""
+    middle formatted by a forked child (``parallel.fork_join``) into an
+    unnamed file while this process formats the head, then appended; all in
+    this process if no child can be forked.  OSError, after the child is
+    reaped, if it failed; the child writes the cause to stderr."""
     half = round(blocks.stop / 2 / blocks.step)
     head, rest = blocks[:half], blocks[half:]
+    name = Path(fh.name).name
     with tempfile.TemporaryFile(dir=Path(fh.name).parent) as tail:
-        try:
-            with warnings.catch_warnings():
-                # from Python 3.12 a fork beside native threads warns; those
-                # are a BLAS pool's, and the child calls no BLAS
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
+
+        def child():
+            with open(tail.fileno(), "w", newline="\n", closefd=False) as out:
+                _write_rows(out, row, columns, rest)
+
+        status = fork_join(child, lambda: _write_rows(fh, row, columns, head), f"{name}: rows {rest.start} to {blocks.stop}")
+        if status is None:
             return _write_rows(fh, row, columns, blocks)
-        if pid == 0:
-            status = 1
-            try:
-                with open(tail.fileno(), "w", newline="\n", closefd=False) as out:
-                    _write_rows(out, row, columns, rest)
-                status = 0
-            except BaseException as exc:
-                # the cause, straight to the descriptor past every buffer
-                cause = f"{Path(fh.name).name}: rows {rest.start} to {blocks.stop}: {type(exc).__name__}: {exc}\n"
-                os.write(2, cause.encode(errors="replace"))
-            finally:
-                # never unwinds into the caller's handlers or flushes its buffers
-                os._exit(status)
-        try:
-            _write_rows(fh, row, columns, head)
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status:
-            raise OSError(f"{Path(fh.name).name}: the process formatting rows {rest.start} to {blocks.stop} exited with {status}")
+            raise OSError(f"{name}: the process formatting rows {rest.start} to {blocks.stop} exited with {status}")
         fh.flush()
         tail.seek(0)
         shutil.copyfileobj(tail, fh.buffer, 1 << 16)

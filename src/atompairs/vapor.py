@@ -28,7 +28,9 @@ cell's first half, each standing for itself and its mirror image, and the
 lines of every distinct node field are built in one ``lines_at_fields``
 pass.  It walks the frequencies in blocks on the calling thread
 (``_walk_chi``, the one frequency-block walk), so its memory follows the
-block and its outputs, not fields x frequencies.  A propagation ends in
+block and its outputs, not fields x frequencies; a walk of
+``PARALLEL_BLOCKS`` blocks or more, as fig10's, hands its later half to a
+forked child and reads the child's columns back.  A propagation ends in
 log t+-, and each view reads what it needs from them: ``transfer_at``
 exponentiates them, ``transmission_at`` takes |t+-|^2 = exp(2 Re log t+-)
 with no complex exponential, and ``rotation_angle_at`` half the difference
@@ -47,6 +49,7 @@ import numpy as np
 from atompairs.atoms import MU_B_HZ_PER_T, AtomLibrary, lines_at_fields
 from atompairs.errors import ConfigError, ResolutionError, check_points
 from atompairs.faddeeva import voigt_profile_complex
+from atompairs.parallel import fork_columns
 
 # CODATA 2022, as scipy.constants 1.17 states them
 C_LIGHT = 299792458.0  # m/s
@@ -57,6 +60,11 @@ _LN2 = np.log(2.0)
 # line x frequency points per block of the frequency walk: two per line and
 # anchor and two per group and grid point (``_walk_chi``)
 BLOCK_POINTS = 3 << 14
+# blocks from which a walk hands its later half to a forked child
+# (``parallel.fork_columns``): on a 2-core host walks of fig10's fields broke
+# even at about 6 blocks and of fig2's one field at about 14, and both saved
+# a fifth at 16
+PARALLEL_BLOCKS = 16
 # Gauss nodes, counted over both halves of the cell, per block of a field
 # scan's centers: six centers of fig11's 16-slice cell (32 nodes)
 SCAN_BLOCK_NODES = 192
@@ -93,8 +101,9 @@ class VaporCellConfig:
             raise ConfigError(f"cell length must be finite and > 0 (got {self.length_m!r})")
         if not (np.isfinite(self.temperature_k) and self.temperature_k > 0):
             raise ConfigError(f"cell temperature must be finite and > 0 (got {self.temperature_k!r})")
-        if not all(np.isfinite(f) and f >= 0 for f in self.isotope_fractions.values()):
-            raise ConfigError("isotope fractions must be finite and >= 0")
+        for name, fraction in self.isotope_fractions.items():
+            if not (np.isfinite(fraction) and fraction >= 0):
+                raise ConfigError(f"isotope fraction {name} must be finite and >= 0 (got {fraction!r})")
         total = sum(self.isotope_fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"isotope fractions sum to {total!r}, expected 1")
@@ -233,14 +242,19 @@ def _far_series(lines: _LineArrays, nu: np.ndarray):
     return far, fill
 
 
-def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
-    """Call ``consume(columns, chi)`` on the calling thread once per
-    contiguous block of the 1-D frequencies ``nu``, in order; ``chi``, shape
-    (groups, block), sums each line group's lines in rank order, so no value
-    depends on its block.  Blocks are cut on whole anchor cells and share one
-    workspace: every ``step`` frequencies, but in a walk of one-point cells
-    that reaches ``_far_series``, where only the near frequencies use the
-    workspace, after every ``step`` near ones and at most every ``cap``.
+def _walk_chi(lines: _LineArrays, nu: np.ndarray, rows: tuple, consume) -> np.ndarray:
+    """The walk's output ``out``, zeros of shape ``rows + (frequencies,)``,
+    filled block by block: ``consume(out[..., columns], columns, chi)`` once
+    per contiguous block of the 1-D frequencies ``nu``, in order, so that
+    ``consume`` sees only its block's columns and the walk alone knows which
+    columns cross a fork; ``chi``, shape (groups, block), sums each line
+    group's lines in rank order, so no value depends on its block.  Blocks
+    are cut on whole anchor cells and share one workspace: every ``step``
+    frequencies, but in a walk of one-point cells that reaches
+    ``_far_series``, where only the near frequencies use the workspace,
+    after every ``step`` near ones and at most every ``cap``.  A walk of
+    ``PARALLEL_BLOCKS`` blocks or more hands its later half to a forked
+    child (``parallel.fork_columns``).
 
     The Voigt profiles are evaluated only at anchors, one per cell of m grid
     points (``_anchor_cell``) at the cell's middle.  Where m > 1, chi is
@@ -249,6 +263,7 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
     its own anchor and chi the group sum of its lines' terms, or far from
     every line each group's series in 1 / (nu - nu_c) (``_far_series``).
     """
+    out = np.zeros((*rows, nu.size), dtype=complex)
     nu0, amp, sigma, lorentz = (x.reshape(-1, 1) for x in (lines.nu0, lines.amp, lines.sigma_hz, lines.lorentz_fwhm_hz))
     groups, cell = lines.nu0.shape[1], _anchor_cell(lines, nu)
     series = _far_series(lines, nu) if cell == 1 and lines.nu0.size else None
@@ -272,47 +287,56 @@ def _walk_chi(lines: _LineArrays, nu: np.ndarray, consume):
         # a block's chi and far fill take two points per group and frequency
         cap = max(step, BLOCK_POINTS // (2 * groups))
         starts = sorted({*range(0, nu.size, cap), *np.flatnonzero(~series[0])[step::step].tolist()})
-    for a, b in zip(starts, [*starts[1:], nu.size]):
-        anchors = -(-(b - a) // cell)
-        at = nu[a:b] if cell == 1 else nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
-        at = at if series is None else at[~series[0][a:b]]
-        shape = (nu0.size, at.size)
-        az, u0, u1, tmp = (x[: nu0.size * at.size].reshape(shape) for x in (z, prev, term, scratch))
-        delta = np.subtract(at, nu0, out=tmp.real)
-        voigt_profile_complex(delta, lorentz, sigma, out=u0)
-        u0 *= 1j * amp
-        if cell == 1:
-            chi = _group_sums(u0, groups)
-            consume(slice(a, b), chi if series is None else series[1](chi, a, b))
-            continue
-        np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
-        az += 1j * np.pi * lorentz / sigma_w
-        az *= -2.0 * h
-        np.multiply(az, u0, out=u1)
-        u1 -= 2.0 * h * amp / sigma_w
-        sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
-        sums[0] = _group_sums(u0, groups)
-        sums[1] = _group_sums(u1, groups)
-        for k in range(1, TAYLOR_TERMS):
-            np.multiply(az, u1, out=tmp)
-            u0 *= -2.0 * k * h**2
-            u0 += tmp
-            u0, u1 = u1, u0
-            sums[k + 1] = _group_sums(u1, groups)
-        sums /= factorials
-        # each point's offset from its anchor in grid steps, exact on an
-        # exactly uniform grid; Horner's rule in it fills every group
-        offset = np.zeros(anchors * cell)
-        offset[: b - a] = nu[a:b] - np.repeat(at, cell)[: b - a]
-        offset = (offset / spacing).reshape(anchors, cell)
-        sums = sums[..., None]
-        chi = np.multiply(sums[TAYLOR_TERMS], offset)
-        for k in range(TAYLOR_TERMS - 1, 0, -1):
-            chi += sums[k]
-            chi *= offset
-        chi += sums[0]
-        consume(slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
-        del sums, chi  # freed before the next block's faddeeva scratch
+    blocks = list(zip(starts, [*starts[1:], nu.size]))
+
+    def walk(blocks):
+        for a, b in blocks:
+            anchors = -(-(b - a) // cell)
+            at = nu[a:b] if cell == 1 else nu[0] + spacing * np.arange(a + cell // 2, a + anchors * cell, cell)
+            at = at if series is None else at[~series[0][a:b]]
+            shape = (nu0.size, at.size)
+            az, u0, u1, tmp = (x[: nu0.size * at.size].reshape(shape) for x in (z, prev, term, scratch))
+            delta = np.subtract(at, nu0, out=tmp.real)
+            voigt_profile_complex(delta, lorentz, sigma, out=u0)
+            u0 *= 1j * amp
+            if cell == 1:
+                chi = _group_sums(u0, groups)
+                consume(out[..., a:b], slice(a, b), chi if series is None else series[1](chi, a, b))
+                continue
+            np.multiply(2.0 * np.pi / sigma_w, delta, out=az)
+            az += 1j * np.pi * lorentz / sigma_w
+            az *= -2.0 * h
+            np.multiply(az, u0, out=u1)
+            u1 -= 2.0 * h * amp / sigma_w
+            sums = np.empty((TAYLOR_TERMS + 1, groups, anchors), dtype=complex)
+            sums[0] = _group_sums(u0, groups)
+            sums[1] = _group_sums(u1, groups)
+            for k in range(1, TAYLOR_TERMS):
+                np.multiply(az, u1, out=tmp)
+                u0 *= -2.0 * k * h**2
+                u0 += tmp
+                u0, u1 = u1, u0
+                sums[k + 1] = _group_sums(u1, groups)
+            sums /= factorials
+            # each point's offset from its anchor in grid steps, exact on an
+            # exactly uniform grid; Horner's rule in it fills every group
+            offset = np.zeros(anchors * cell)
+            offset[: b - a] = nu[a:b] - np.repeat(at, cell)[: b - a]
+            offset = (offset / spacing).reshape(anchors, cell)
+            sums = sums[..., None]
+            chi = np.multiply(sums[TAYLOR_TERMS], offset)
+            for k in range(TAYLOR_TERMS - 1, 0, -1):
+                chi += sums[k]
+                chi *= offset
+            chi += sums[0]
+            consume(out[..., a:b], slice(a, b), chi.reshape(groups, anchors * cell)[:, : b - a])
+            del sums, chi  # freed before the next block's faddeeva scratch
+
+    if len(blocks) < PARALLEL_BLOCKS:
+        walk(blocks)
+    else:
+        fork_columns(walk, out, blocks)
+    return out
 
 
 def _rank_major(group: np.ndarray, size: int):
@@ -403,8 +427,7 @@ class VaporPath:
         nu = _frequencies(nu_hz)
         built = lines_at_fields(self.atoms, self.cell.isotope_fractions, [b_t])
         lines = _LineArrays.from_lines(built, self.cell, self.density_m3, 1)
-        index = np.empty((2, nu.size), dtype=complex)
-        _walk_chi(lines, nu, lambda columns, chi: np.sqrt(1.0 + chi, out=index[:, columns]))
+        index = _walk_chi(lines, nu, (2,), lambda block, columns, chi: np.sqrt(1.0 + chi, out=block))
         n_plus, n_minus = index
         return n_plus, n_minus
 
@@ -418,16 +441,14 @@ class VaporPath:
         """
         nu = _frequencies(nu_hz)
         n_fields, centers = self._fields.size, np.size(self.b_center_t)
-        log_t = np.zeros((2, centers, nu.size), dtype=complex)
 
-        def consume(columns, chi):
+        def consume(block, columns, chi):
             k_vac = 2j * np.pi * nu[columns] / C_LIGHT
-            for log_t_pol, n in zip(log_t, np.sqrt(1.0 + chi).reshape(2, n_fields, -1)):
-                block = log_t_pol[:, columns]
+            for log_t_pol, n in zip(block, np.sqrt(1.0 + chi).reshape(2, n_fields, -1)):
                 for where in self._where.T:
-                    block += k_vac * (n[where] - 1.0) * self._dz
+                    log_t_pol += k_vac * (n[where] - 1.0) * self._dz
 
-        _walk_chi(self._lines, nu, consume)
+        log_t = _walk_chi(self._lines, nu, (2, centers), consume)
         # singular values of diag(t+, t-) are |t+|, |t-|; no frequencies, no gain
         gain = np.expm1(log_t.real.max(initial=-np.inf))
         if gain > 1e-12:

@@ -1,4 +1,7 @@
+import errno
 import itertools
+import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -292,15 +295,21 @@ def _fadof_path(atoms):
 
 def _walk(lines, nu):
     """(columns, chi) of each block the walk hands its callback, after
-    checking that it handed every block over on the calling thread."""
+    checking that it handed every block over on the calling thread, and
+    into its own columns of the walk's output.  The walk stays in one
+    process, so that every block reaches the callback."""
     blocks, threads = [], set()
 
-    def keep(cols, chi):
+    def keep(block, cols, chi):
         blocks.append((cols, chi))
         threads.add(threading.get_ident())
+        block[...] = chi
 
-    vapor._walk_chi(lines, nu, keep)
+    with pytest.MonkeyPatch.context() as one_process:
+        one_process.setattr(vapor, "PARALLEL_BLOCKS", np.inf)
+        out = vapor._walk_chi(lines, nu, (lines.nu0.shape[1],), keep)
     assert threads <= {threading.get_ident()}
+    assert all(np.array_equal(out[:, cols], chi) for cols, chi in blocks)
     return blocks
 
 
@@ -437,7 +446,8 @@ def test_propagation_blocks_equal_one_block(atoms, sensing_cell, d1_center, monk
 
 def test_walk_runs_on_the_calling_thread(atoms, sensing_cell, d1_center, monkeypatch):
     """fig10's six fields on its 12,001-point grid, walked in many blocks:
-    every Voigt evaluation runs on the calling thread."""
+    every Voigt evaluation of this process runs on the calling thread (the
+    later half of the blocks runs in a forked child)."""
     threads = []
     voigt = vapor.voigt_profile_complex
 
@@ -462,6 +472,156 @@ def test_concurrent_paths_give_the_serial_results(atoms, sensing_cell, d1_center
     for got, want in zip(concurrent, serial):
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+def _count_forks(monkeypatch):
+    """The pid of each process that calls ``os.fork``, which still forks."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _one_process(monkeypatch, run):
+    with monkeypatch.context() as one_process:
+        one_process.setattr(vapor, "PARALLEL_BLOCKS", np.inf)
+        return run()
+
+
+def test_split_walks_are_the_one_process_walks(atoms, sensing_cell, d1_center, monkeypatch):
+    """A walk of ``PARALLEL_BLOCKS`` blocks or more forks once and gives the
+    one-process walk's outputs bit for bit: fig10's anchored 70 C cell on its
+    12,001-point grid (21 blocks), and, with the gate lowered to 2 blocks,
+    ``index_at`` on fig2's grid (4 blocks), fig3's far-series comb (2
+    blocks of one-point cells) and a small path in blocks of one anchor cell
+    (an odd count, and one block with the gate at 1: the child walks it
+    all).  No process is left."""
+    forks = _count_forks(monkeypatch)
+    grid = make_frequency_grid(d1_center, 6e9, 1e6)
+    fig10 = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
+    fadof = _fadof_path(atoms)
+    spec, comb = _fig3_comb(atoms)
+    small = VaporPath(atoms, sensing_cell, np.array([0.0, 24e-3, 49e-3]), slices=2)
+    small_grid = make_frequency_grid(d1_center, 2e9, 2e6)[: 5 * 19 + 3]
+    one_cell = _per_cell(small._lines, 19)
+    cases = [  # (gate, BLOCK_POINTS, walk)
+        (vapor.PARALLEL_BLOCKS, vapor.BLOCK_POINTS, lambda: fig10._propagate(grid)),
+        (2, vapor.BLOCK_POINTS, lambda: fadof.index_at(make_frequency_grid(d1_center, 8e9, 0.5e6), 4.5e-3)),
+        (2, vapor.BLOCK_POINTS, lambda: spec(comb)),
+        (2, one_cell, lambda: small._propagate(small_grid)),
+        (1, one_cell, lambda: small._propagate(small_grid[:19])),
+    ]
+    for gate, block_points, walk in cases:
+        monkeypatch.setattr(vapor, "BLOCK_POINTS", block_points)
+        want = _one_process(monkeypatch, walk)
+        monkeypatch.setattr(vapor, "PARALLEL_BLOCKS", gate)
+        forks.clear()
+        got = walk()
+        assert forks == [os.getpid()]
+        for a, b in zip(np.atleast_2d(got), np.atleast_2d(want)):
+            assert np.array_equal(a, b)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_walk_child_leaves_its_blocks_to_this_process(atoms, sensing_cell, d1_center, tmp_path, monkeypatch, capfd):
+    """A child that raises only because it is the child is reaped and its
+    blocks walked here: the outputs are the one-process walk's, bit for bit.
+    A fault in the later half that any process meets is met here again, so
+    fig10 refuses with the one-process walk's NumericError text and exit
+    code, with nothing more on stderr; and the warnings of a walk under
+    numpy's default error state reach the caller as they do from one
+    process.  A fault in this process's own half is raised once the child
+    is reaped.  No process is left."""
+    from atompairs.cli import main
+
+    parent, voigt = os.getpid(), vapor.voigt_profile_complex
+    grid = make_frequency_grid(d1_center, 6e9, 1e6)
+    path = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
+    want = _one_process(monkeypatch, lambda: path._propagate(grid))
+
+    def fails_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise FloatingPointError("overflow encountered in exp")
+        return voigt(*args, **kwargs)
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(vapor, "voigt_profile_complex", fails_in_the_child)
+    for got, one in zip(path._propagate(grid), want):
+        assert np.array_equal(got, one)
+    assert forks == [parent]
+
+    # a fault at the blocks that hold the last quarter of fig10's grid
+    edge = grid[3 * grid.size // 4] - path._lines.nu0.min()
+
+    def overflows_late(delta, *args, **kwargs):
+        if np.max(delta) >= edge:
+            np.exp(np.array(1e3))
+        return voigt(delta, *args, **kwargs)
+
+    monkeypatch.setattr(vapor, "voigt_profile_complex", overflows_late)
+    argv = ["--out-dir", str(tmp_path / "out"), "scenario", "run", "fig10-spectroscopy"]
+    errors = []
+    for gate in (np.inf, vapor.PARALLEL_BLOCKS):
+        with monkeypatch.context() as m:
+            m.setattr(vapor, "PARALLEL_BLOCKS", gate)
+            forks.clear()
+            assert main(argv) == 3
+        errors.append(capfd.readouterr().err)
+        assert forks == ([] if gate == np.inf else [parent])
+    assert errors[0] == errors[1] == "numeric error: spectroscopy: overflow encountered in exp\n"
+    assert not (tmp_path / "out").exists()
+
+    def warned():
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            return path._propagate(grid), [str(w.message) for w in caught]
+
+    want, want_warnings = _one_process(monkeypatch, warned)
+    forks.clear()
+    got, got_warnings = warned()
+    assert forks == [parent] and got_warnings == want_warnings and len(want_warnings) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def fails_here(*args, **kwargs):
+        if os.getpid() == parent:
+            raise FloatingPointError("overflow encountered in exp")
+        return voigt(*args, **kwargs)
+
+    monkeypatch.setattr(vapor, "voigt_profile_complex", fails_here)
+    forks.clear()
+    with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+        path._propagate(grid)
+    assert forks == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_second_thread_or_a_failing_fork_walks_in_one_process(atoms, sensing_cell, d1_center, monkeypatch):
+    """With a second live thread nothing is forked, and a fork that fails
+    leaves this process to walk every block; the outputs are the same."""
+    grid = make_frequency_grid(d1_center, 6e9, 1e6)
+    path = VaporPath(atoms, sensing_cell, FIG10_FIELDS, slices=2)
+    want = _one_process(monkeypatch, lambda: path._propagate(grid))
+    forks = _count_forks(monkeypatch)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        threaded = path._propagate(grid)
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive() and forks == []
+
+    def no_fork():
+        forks.append(os.getpid())
+        raise BlockingIOError(errno.EAGAIN, "no process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    unforked = path._propagate(grid)
+    assert forks == [os.getpid()]
+    for got in (threaded, unforked):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_fill_spans_and_blocks_give_the_one_span_results(atoms, sensing_cell, d1_center, monkeypatch):
@@ -497,12 +657,7 @@ def _one_field_lines(atoms, cell, b_t):
 def _assert_walk_matches_pointwise(lines, nu):
     """The walk's chi+- of one field against the one-shot pointwise line sum:
     Im chi >= 0 and to 1e-12 relative at every point, chi to 1e-11 of |chi|."""
-    chi = np.empty((2, nu.size), dtype=complex)
-
-    def keep(columns, block):
-        chi[:, columns] = block
-
-    vapor._walk_chi(lines, nu, keep)
+    chi = vapor._walk_chi(lines, nu, (2,), lambda block, columns, walked: np.copyto(block, walked))
     for group in range(2):
         want = one_shot_susceptibility(_group_lines(lines, group), nu)
         assert np.all(chi[group].imag >= 0.0)
@@ -717,8 +872,8 @@ def test_comb_walks_in_two_blocks_within_its_memory(atoms, monkeypatch):
     assert peak < 2.9e6
     blocks, walk = [], vapor._walk_chi
 
-    def recorded(lines, frequencies, consume):
-        walk(lines, frequencies, lambda columns, chi: (blocks.append(columns), consume(columns, chi)))
+    def recorded(lines, frequencies, rows, consume):
+        return walk(lines, frequencies, rows, lambda block, columns, chi: (blocks.append(columns), consume(block, columns, chi)))
 
     monkeypatch.setattr(vapor, "_walk_chi", recorded)
     spec(nu)
@@ -950,6 +1105,19 @@ def test_non_finite_cell_and_path_inputs_rejected(atoms, sensing_cell, noon_line
     path = VaporPath(atoms, sensing_cell, 10e-3)
     with pytest.raises(ConfigError, match="finite"):
         path.transfer_at(np.array([noon_line_hz, np.nan]))
+
+
+def test_a_bad_isotope_fraction_is_named_with_its_value():
+    """A fraction that is negative or not finite is refused naming its
+    isotope and value, also when the fractions still sum to 1."""
+    base = dict(length_m=0.075, temperature_k=343.15)
+    for fractions, named in [
+        ({"Rb85": 1.5, "Rb87": -0.5}, "Rb87 must be finite and >= 0 (got -0.5)"),
+        ({"Rb85": np.nan, "Rb87": 0.5}, "Rb85 must be finite and >= 0 (got nan)"),
+        ({"Rb85": 1.0, "Rb87": np.inf}, "Rb87 must be finite and >= 0 (got inf)"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(f"isotope fraction {named}")):
+            VaporCellConfig(**base, isotope_fractions=fractions)
 
 
 def test_sensing_cell_rotation_grows_and_transmits(atoms, sensing_cell, noon_line_hz):
